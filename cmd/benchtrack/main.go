@@ -515,7 +515,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchtrack: ")
 
-	mode := flag.String("mode", "throughput", "throughput (BENCH_1-style inj/s comparison), sampling (BENCH_4 equal-budget CI comparison), bitparallel (BENCH_6 site-draw evaluation comparison), plane (BENCH_8 control-plane ingest comparison) or xarch (BENCH_10 four-way row-/weight-/output-/input-stationary SDC at equal FIT budget)")
+	mode := flag.String("mode", "throughput", "throughput (BENCH_1-style inj/s comparison), sampling (BENCH_4 equal-budget CI comparison), bitparallel (BENCH_6 site-draw evaluation comparison) or xarch (BENCH_10 four-way row-/weight-/output-/input-stationary SDC at equal FIT budget)")
 	n := flag.Int("n", 2000, "injections per campaign")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = NumCPU)")
 	out := flag.String("o", "BENCH_1.json", "output JSON path")
@@ -545,12 +545,6 @@ func main() {
 		}
 		runBitParallel(*n, *workers, *out, *baseline, *date)
 		return
-	case "plane":
-		if *priorDir != "" || *strataDir != "" {
-			log.Fatal("-prior-dir/-strata-dir only apply to -mode sampling")
-		}
-		runPlane(*n, *workers, *out, *date)
-		return
 	case "xarch":
 		if *priorDir != "" || *strataDir != "" {
 			log.Fatal("-prior-dir/-strata-dir only apply to -mode sampling")
@@ -558,7 +552,7 @@ func main() {
 		runXArch(*n, *workers, *out, *date)
 		return
 	default:
-		log.Fatalf("unknown -mode %q (throughput, sampling, bitparallel, plane or xarch)", *mode)
+		log.Fatalf("unknown -mode %q (throughput, sampling, bitparallel or xarch)", *mode)
 	}
 	// baseInjPS maps (network, dtype) to the baseline document's
 	// incremental throughput.

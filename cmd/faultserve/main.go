@@ -1,9 +1,18 @@
 // Command faultserve runs distributed fault-injection campaigns: a
-// coordinator shards a campaign's injection space and serves leases over
-// HTTP; workers lease shards, execute them and report back. The merged
-// result is bit-identical to running the same spec in one process (the
-// solo role), and the coordinator checkpoints after every shard so a
-// killed campaign resumes without re-running finished work.
+// control plane shards each campaign's injection space and serves leases
+// over HTTP; workers lease shards, execute them and report back. The
+// merged result is bit-identical to running the same spec in one process
+// (the solo role), and every accepted shard report is fsynced to the
+// plane's journal before it is acknowledged, so a killed campaign resumes
+// without re-running finished work.
+//
+// There is one server and one journal format. The coordinator role is a
+// one-campaign front on it: an unauthenticated (loopback dev mode) plane
+// whose journal is the -checkpoint file, which submits the campaign the
+// flags describe — or resumes it, when the file already holds exactly that
+// campaign — waits for it to finish, writes -out / -strata-out and exits.
+// A file holding a different spec, more than one campaign, or an older
+// checkpoint format is refused.
 //
 // Usage:
 //
@@ -29,15 +38,19 @@
 //	faultserve -role list -join http://127.0.0.1:8711
 //	faultserve -role token -tenant-keys keys.txt -tenant alice
 //
-// The coordinator streams live aggregates at GET /v1/stream (NDJSON, one
-// snapshot per completed shard) and exports expvar counters at
-// /debug/vars; -pprof additionally mounts /debug/pprof/. Workers drain
-// gracefully on SIGTERM/SIGINT: in-flight shards finish and post their
-// reports before exit.
+// Either server streams a campaign's live aggregates at
+// GET /v1/campaigns/{id}/stream (NDJSON, one status per completed shard;
+// the coordinator role's campaign is c1 on a fresh checkpoint and the ID
+// is in its log line) and exports expvar counters at /debug/vars; -pprof
+// additionally mounts /debug/pprof/. A plane never tells its fleet "done":
+// workers run until SIGTERM/SIGINT (a graceful drain — in-flight shards
+// finish and post their reports), -max-leases, or the server staying
+// unreachable for 30s.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -89,7 +102,7 @@ func main() {
 	// Coordinator.
 	addr := flag.String("addr", "127.0.0.1:0", "coordinator listen address")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file (for scripts using port 0)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file; resumes when it already holds this campaign")
+	checkpoint := flag.String("checkpoint", "", "coordinator journal (same format as -journal); resumes when it already holds exactly this campaign, refuses any other content")
 	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "shard lease TTL; missed heartbeats past this re-lease the shard")
 	maxRetries := flag.Int("max-retries", 3, "re-lease attempts per shard before the campaign fails")
 	linger := flag.Duration("linger", 0, "keep serving this long after completion (lets stream readers drain)")
@@ -106,7 +119,7 @@ func main() {
 	prefetch := flag.Int("prefetch", 0, "extra leases requested beyond -procs so executors never idle (0 = default 2, negative = disable)")
 
 	// Control plane (ctl) and its clients.
-	journal := flag.String("journal", "", "control-plane journal (checkpoint v5, reads v4); resumes every unfinished campaign on restart")
+	journal := flag.String("journal", "", "control-plane journal (format v5, the only one read); resumes every unfinished campaign on restart")
 	tenantKeys := flag.String("tenant-keys", "", "tenant key file (tenant:secret per line); enables bearer-token authn")
 	defaultQuota := flag.Int("default-quota", 0, "in-flight lease cap for campaigns submitted without one (0 = unlimited)")
 	maxQueued := flag.Int("max-queued", 0, "per-tenant cap on queued+running campaigns; submits past it get HTTP 429 (0 = unlimited)")
@@ -131,7 +144,10 @@ func main() {
 
 	switch *role {
 	case "coordinator":
-		runCoordinator(spec, *addr, *addrFile, *checkpoint, *leaseTTL, *maxRetries, *linger, *pprofOn, *out, *strataOut)
+		runCoordinator(spec, *addr, *addrFile, controlplane.Config{
+			JournalPath: *checkpoint, LeaseTTL: *leaseTTL, MaxRetries: *maxRetries,
+			CompactBytes: *compactBytes, Pprof: *pprofOn,
+		}, *linger, *out, *strataOut)
 	case "worker":
 		runWorker(*join, *procs, *maxLeases, *crashAfter, *prefetch, *goldenDir, bearer, *maxBackoff)
 	case "ctl":
@@ -160,18 +176,87 @@ func main() {
 	}
 }
 
-func runCoordinator(spec campaign.Spec, addr, addrFile, checkpoint string,
-	leaseTTL time.Duration, maxRetries int, linger time.Duration, pprofOn bool, out, strataOut string) {
-	co, err := campaign.NewCoordinator(campaign.Config{
-		Spec:           spec,
-		CheckpointPath: checkpoint,
-		LeaseTTL:       leaseTTL,
-		MaxRetries:     maxRetries,
-		Pprof:          pprofOn,
-	})
+// runCoordinator serves exactly one campaign on a dev-mode control plane
+// whose journal is the -checkpoint file, then emits what the solo role
+// emits.
+func runCoordinator(spec campaign.Spec, addr, addrFile string, cfg controlplane.Config,
+	linger time.Duration, out, strataOut string) {
+	p, id, err := openCampaign(cfg, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv, bound := serve(addr, addrFile, p.Handler())
+	st, err := p.Get("", id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("serving campaign %s (%s/%s n=%d, %d ledger slots) on %s (resumed %d slots from the journal)",
+		id, spec.Net, spec.DType, spec.N, st.Snapshot.TotalShards, bound, st.Snapshot.ResumedShards)
+
+	for st.State == controlplane.StateActive {
+		time.Sleep(250 * time.Millisecond)
+		if st, err = p.Get("", id); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if st.State != controlplane.StateDone {
+		log.Fatalf("campaign %s %s: %s", id, st.State, cmp.Or(st.Snapshot.Failed, "no report to emit"))
+	}
+	sp, report, pilot, err := p.Result("", id)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if linger > 0 {
+		time.Sleep(linger)
+	}
+	srv.Shutdown(context.Background())
+	p.Close()
+	writeStrata(strataOut, sp, pilot, report)
+	emit(report, out)
+}
+
+// openCampaign opens the plane behind the coordinator role and returns the
+// ID of the one campaign it serves: submitted fresh when the journal holds
+// nothing, adopted when it holds exactly the campaign spec describes (still
+// running, or finished and about to be re-emitted). Everything else — a
+// different spec, several campaigns, a file the journal reader refuses —
+// is an error naming the file; a checkpoint never silently feeds a
+// different campaign.
+func openCampaign(cfg controlplane.Config, spec campaign.Spec) (*controlplane.Plane, string, error) {
+	if err := spec.Normalize(); err != nil {
+		return nil, "", err
+	}
+	p, err := controlplane.New(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	var id string
+	switch held := p.List(""); len(held) {
+	case 0:
+		var st controlplane.Status
+		st, err = p.Submit("", spec, controlplane.MinPriority, 0)
+		id = st.ID
+	case 1:
+		id = held[0].ID
+		// A 409 from Result only says the campaign has no final report yet;
+		// the spec comes back either way.
+		if have, _, _, _ := p.Result("", id); have != spec {
+			err = fmt.Errorf("checkpoint %s was written for a different campaign spec", cfg.JournalPath)
+		}
+	default:
+		err = fmt.Errorf("checkpoint %s holds %d campaigns; -role coordinator serves exactly one (use -role ctl -journal for a shared journal)",
+			cfg.JournalPath, len(held))
+	}
+	if err != nil {
+		p.Close()
+		return nil, "", err
+	}
+	return p, id, nil
+}
+
+// serve binds addr (recording the bound address in addrFile, for scripts
+// using port 0) and serves h on it in the background.
+func serve(addr, addrFile string, h http.Handler) (*http.Server, net.Addr) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		log.Fatal(err)
@@ -181,39 +266,13 @@ func runCoordinator(spec campaign.Spec, addr, addrFile, checkpoint string,
 			log.Fatal(err)
 		}
 	}
-	sp := co.Spec()
-	log.Printf("serving %s/%s n=%d as %d shards on %s (resumed %d shards from checkpoint)",
-		sp.Net, sp.DType, sp.N, sp.Shards, ln.Addr(), co.Resumed())
-
-	srv := &http.Server{Handler: co.Handler()}
+	srv := &http.Server{Handler: h}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)
 		}
 	}()
-	// Done only closes on success; surface a failed campaign (a shard out
-	// of retries) by polling the error state.
-	for {
-		select {
-		case <-co.Done():
-			report, err := co.FinalReport()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if linger > 0 {
-				time.Sleep(linger)
-			}
-			srv.Shutdown(context.Background())
-			co.Close()
-			writeStrata(strataOut, co.Spec(), co.PilotStrata(), report)
-			emit(report, out)
-			return
-		case <-time.After(250 * time.Millisecond):
-			if err := co.Err(); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
+	return srv, ln.Addr()
 }
 
 func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDir, token string, maxBackoff time.Duration) {
@@ -257,7 +316,7 @@ func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDi
 	if crashAfter > 0 {
 		// Simulate a worker dying mid-shard: grab one more lease, never
 		// heartbeat or report, and exit the way SIGKILL would. The
-		// coordinator must expire the lease and hand the shard out again.
+		// plane must expire the lease and hand the shard out again.
 		resp, err := http.Post(join+"/v1/lease", "application/json", strings.NewReader("{}"))
 		if err == nil {
 			resp.Body.Close()
@@ -295,23 +354,9 @@ func runControlPlane(addr, addrFile, journal, tenantKeys string,
 	if err != nil {
 		log.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	log.Printf("control plane on %s (%d campaigns active after journal replay)", ln.Addr(), p.Active())
+	srv, bound := serve(addr, addrFile, p.Handler())
+	log.Printf("control plane on %s (%d campaigns active after journal replay)", bound, p.Active())
 
-	srv := &http.Server{Handler: p.Handler()}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Fatal(err)
-		}
-	}()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, os.Interrupt)
 	<-sigc
@@ -500,14 +545,7 @@ func writeStrata(path string, spec campaign.Spec, pilot *engine.StrataSummary, r
 // serializes to, so distributed and solo outputs byte-compare.
 func emit(report *campaign.Report, out string) {
 	if out != "" {
-		var inner any = report.Datapath
-		if report.Buffer != nil {
-			inner = report.Buffer
-		}
-		if report.Systolic != nil {
-			inner = report.Systolic
-		}
-		data, err := json.MarshalIndent(inner, "", "  ")
+		data, err := json.MarshalIndent(report.Inner(), "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}

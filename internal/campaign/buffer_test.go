@@ -1,280 +1,12 @@
 package campaign
 
-import (
-	"context"
-	"encoding/json"
-	"math"
-	"net/http/httptest"
-	"path/filepath"
-	"testing"
-	"time"
-
-	"repro/internal/engine"
-	"repro/internal/eyeriss"
-)
+import "testing"
 
 func bufSpec(sampling string) Spec {
 	return Spec{
 		Net: "ConvNet", DType: "16b_rb10", N: 60, Inputs: 2, Seed: 11,
 		Shards: 3, Surface: "buffer", Buffer: "global", Sampling: sampling,
 	}
-}
-
-// assertBufferBitIdentical fails unless two buffer reports are bit-for-bit
-// equal, including the per-stratum tallies of stratified campaigns.
-func assertBufferBitIdentical(t *testing.T, label string, got, want *eyeriss.Report) {
-	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: nil buffer report (got=%v want=%v)", label, got != nil, want != nil)
-	}
-	if got.Counts != want.Counts || got.Detection != want.Detection {
-		t.Fatalf("%s: counts diverged:\n got %+v\nwant %+v", label, got.Counts, want.Counts)
-	}
-	if (got.Strata == nil) != (want.Strata == nil) {
-		t.Fatalf("%s: strata presence diverged", label)
-	}
-	if want.Strata == nil {
-		return
-	}
-	g, w := got.Strata, want.Strata
-	if g.Blocks != w.Blocks || g.Bits != w.Bits || len(g.Counts) != len(w.Counts) {
-		t.Fatalf("%s: strata dims diverged", label)
-	}
-	for h := range w.Counts {
-		if math.Float64bits(g.Weight[h]) != math.Float64bits(w.Weight[h]) {
-			t.Fatalf("%s: stratum %d weight diverged", label, h)
-		}
-		if g.Counts[h] != w.Counts[h] {
-			t.Fatalf("%s: stratum %d counts diverged: %+v vs %+v", label, h, g.Counts[h], w.Counts[h])
-		}
-	}
-}
-
-// TestBufferDistributedMatchesSolo extends the core contract to the
-// Eyeriss buffer surface: a buffer campaign sharded over loopback workers
-// merges bit-identical to the raw eyeriss.Campaign.Run of the same spec,
-// for both sampling designs and for multi-bit upsets.
-func TestBufferDistributedMatchesSolo(t *testing.T) {
-	cases := []struct {
-		name     string
-		sampling string
-		mbu      int
-	}{
-		{"uniform", "uniform", 0},
-		{"stratified", "stratified", 0},
-		{"uniform-mbu3", "uniform", 3},
-		{"stratified-mbu3", "stratified", 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := bufSpec(tc.sampling)
-			spec.MBU = tc.mbu
-			if err := spec.Normalize(); err != nil {
-				t.Fatal(err)
-			}
-			// The reference is the surface's own API, not SoloReport — the
-			// distributed path must reproduce eyeriss exactly, not merely
-			// itself.
-			ec, b, err := spec.NewBufferCampaign()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ec.Run(b, spec.BufferOptions())
-
-			solo, _, err := SoloReport(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBufferBitIdentical(t, "solo", solo.Buffer, want)
-
-			co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(co.Handler())
-			defer srv.Close()
-			runWorkers(t, srv, 2, NewGoldenCache())
-			select {
-			case <-co.Done():
-			case <-time.After(60 * time.Second):
-				t.Fatalf("campaign did not finish: %d/%d slots", co.CompletedShards(), spec.Slots())
-			}
-			got, err := co.FinalReport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBufferBitIdentical(t, "distributed", got.Buffer, want)
-
-			// The wire report serializes the inner eyeriss report verbatim,
-			// so distributed -out byte-compares against a solo eyeriss run.
-			gj, _ := json.Marshal(got.Buffer)
-			wj, _ := json.Marshal(want)
-			if string(gj) != string(wj) {
-				t.Fatalf("buffer report JSON diverged:\n got %s\nwant %s", gj, wj)
-			}
-
-			snap := co.Snapshot()
-			if !snap.Done || snap.Injections != spec.N {
-				t.Fatalf("snapshot off: done=%v injections=%d want %d", snap.Done, snap.Injections, spec.N)
-			}
-			if len(snap.PerBlock) != 0 {
-				t.Fatal("buffer snapshot has datapath per-block aggregates")
-			}
-			if tc.sampling == "stratified" && len(snap.StrataWeights) == 0 {
-				t.Fatal("stratified buffer snapshot missing strata weights")
-			}
-		})
-	}
-}
-
-// TestBufferCheckpointResume kills a stratified buffer campaign after two
-// pilot slots and resumes from the checkpoint: the resumed coordinator
-// must restore those slots, rebuild the allocation at the boundary, and
-// still finish bit-identical to the uninterrupted solo run.
-func TestBufferCheckpointResume(t *testing.T) {
-	spec := bufSpec("stratified")
-	want, _, err := SoloReport(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := filepath.Join(t.TempDir(), "campaign.ckpt")
-
-	co1, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(co1.Handler())
-	w := &Worker{Base: srv1.URL, Poll: 10 * time.Millisecond, Client: srv1.Client(), MaxLeases: 2}
-	if err := w.Run(context.Background()); err != nil {
-		t.Fatalf("partial worker: %v", err)
-	}
-	srv1.Close()
-	if got := co1.CompletedShards(); got != 2 {
-		t.Fatalf("partial run completed %d slots, want 2", got)
-	}
-
-	co2, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co2.Resumed() != 2 {
-		t.Fatalf("resumed %d slots from checkpoint, want 2", co2.Resumed())
-	}
-	srv2 := httptest.NewServer(co2.Handler())
-	defer srv2.Close()
-	runWorkers(t, srv2, 2, nil)
-	select {
-	case <-co2.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("resumed buffer campaign did not finish")
-	}
-	got, err := co2.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBufferBitIdentical(t, "buffer resume", got.Buffer, want.Buffer)
-}
-
-// TestPriorSeededAllocation is the strata-artifact contract: a campaign
-// seeded from a previous campaign's persisted pilot strata must build
-// exactly the allocation table the fresh pilot produced — given the same
-// main-phase budget — and a prior-allocated distributed run must still
-// merge bit-identical to its solo twin.
-func TestPriorSeededAllocation(t *testing.T) {
-	fresh := bufSpec("stratified")
-	if err := fresh.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	ec, b, err := fresh.NewBufferCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pilot *engine.StrataSummary
-	opt := fresh.BufferOptions()
-	opt.OnPilotStrata = func(s *engine.StrataSummary) { pilot = s }
-	ec.Run(b, opt)
-	if pilot == nil {
-		t.Fatal("stratified run never surfaced its pilot strata")
-	}
-	pilotN, mainN := engine.PilotBudget(fresh.N, fresh.PilotN)
-	freshTable := engine.BuildStratumTable(pilot, mainN)
-
-	path := filepath.Join(t.TempDir(), "strata.json")
-	if err := engine.WriteStrataArtifact(path, &engine.StrataArtifact{
-		Surface: fresh.Surface, Net: fresh.Net, DType: fresh.DType, Buffer: fresh.Buffer,
-		N: fresh.N, PilotN: pilotN, Pilot: pilot,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A prior-seeded campaign spends its whole budget in the main phase;
-	// give it the fresh campaign's main budget so the allocations must
-	// coincide exactly.
-	seeded := bufSpec("stratified")
-	seeded.N = mainN
-	seeded.PriorPath = path
-	if err := seeded.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !seeded.PriorAllocated() || seeded.Slots() != seeded.Shards {
-		t.Fatalf("prior-seeded spec geometry off: pilot_n=%d slots=%d", seeded.PilotN, seeded.Slots())
-	}
-	if phase, shard := seeded.SlotPhase(1); phase != "main" || shard != 1 {
-		t.Fatalf("prior-seeded SlotPhase off: (%q, %d)", phase, shard)
-	}
-	prior, err := seeded.LoadPrior()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, seededMainN := engine.PilotBudget(seeded.N, seeded.PilotN)
-	seededTable := engine.BuildStratumTable(prior, seededMainN)
-	if seededTable.MainN != freshTable.MainN ||
-		seededTable.Blocks != freshTable.Blocks || seededTable.Bits != freshTable.Bits {
-		t.Fatalf("table dims diverged: seeded MainN=%d fresh MainN=%d", seededTable.MainN, freshTable.MainN)
-	}
-	for h := range freshTable.Alloc {
-		if seededTable.Alloc[h] != freshTable.Alloc[h] {
-			t.Fatalf("stratum %d allocation diverged: %d vs %d", h, seededTable.Alloc[h], freshTable.Alloc[h])
-		}
-		if math.Float64bits(seededTable.Weight[h]) != math.Float64bits(freshTable.Weight[h]) {
-			t.Fatalf("stratum %d weight diverged", h)
-		}
-	}
-
-	// Distributed prior-allocated == solo prior-allocated, and the
-	// coordinator's every lease is a table-carrying main phase.
-	want, soloPilot, err := SoloReport(seeded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if soloPilot != nil {
-		t.Fatal("prior-allocated solo run reported pilot strata")
-	}
-	co, err := NewCoordinator(Config{Spec: seeded, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := co.lease(time.Now())
-	if probe.Lease == nil || probe.Lease.Phase != "main" || probe.Lease.Table == nil {
-		t.Fatalf("prior-allocated lease is not a table-carrying main phase: %+v", probe.Lease)
-	}
-	co.heartbeat(probe.Lease.ID, time.Now().Add(-time.Hour))
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	runWorkers(t, srv, 2, nil)
-	select {
-	case <-co.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("prior-allocated campaign did not finish")
-	}
-	if co.PilotStrata() != nil {
-		t.Fatal("prior-allocated coordinator reported pilot strata")
-	}
-	got, err := co.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBufferBitIdentical(t, "prior-allocated", got.Buffer, want.Buffer)
 }
 
 // TestSpecNormalizeBuffer covers the buffer-surface and prior-path

@@ -1,11 +1,7 @@
 package campaign
 
 import (
-	"context"
 	"math"
-	"net/http/httptest"
-	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -66,276 +62,78 @@ func testSpec(dtype string) Spec {
 	}
 }
 
-// runWorkers drives n loopback workers against srv until the campaign
-// completes, sharing one golden cache.
-func runWorkers(t *testing.T, srv *httptest.Server, n int, goldens *GoldenCache) {
-	t.Helper()
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		w := &Worker{
-			Base:    srv.URL,
-			Name:    "w" + string(rune('0'+i)),
-			Poll:    10 * time.Millisecond,
-			GiveUp:  5 * time.Second,
-			Client:  srv.Client(),
-			Goldens: goldens,
-		}
-		go func() { errs <- w.Run(context.Background()) }()
-	}
-	for i := 0; i < n; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-}
-
-// TestDistributedMatchesSolo is the subsystem's core contract: a campaign
-// sharded over multiple workers through loopback HTTP merges bit-identical
-// to the same spec run in a single process, across numeric formats.
-func TestDistributedMatchesSolo(t *testing.T) {
-	for _, dtype := range []string{"FLOAT16", "32b_rb10"} {
-		t.Run(dtype, func(t *testing.T) {
-			spec := testSpec(dtype)
-			want, err := Solo(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(co.Handler())
-			defer srv.Close()
-			runWorkers(t, srv, 2, NewGoldenCache())
-
-			select {
-			case <-co.Done():
-			case <-time.After(60 * time.Second):
-				t.Fatalf("campaign did not finish: %d/%d shards", co.CompletedShards(), spec.Shards)
-			}
-			got, err := co.FinalReport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, dtype, got.Datapath, want)
-
-			snap := co.Snapshot()
-			if !snap.Done || snap.Injections != spec.N {
-				t.Fatalf("snapshot off: done=%v injections=%d want %d", snap.Done, snap.Injections, spec.N)
-			}
-			if len(snap.PerBlock) == 0 {
-				t.Fatal("snapshot has no per-block aggregates")
-			}
-		})
-	}
-}
-
-// TestMBUDistributedMatchesSolo runs the core contract for datapath
-// multi-bit-upset campaigns: the distributed merge must reproduce the raw
-// faultinj.Campaign.Run of the same spec bit for bit, for both sampling
-// designs.
-func TestMBUDistributedMatchesSolo(t *testing.T) {
-	for _, sampling := range []string{"uniform", "stratified"} {
-		t.Run(sampling, func(t *testing.T) {
-			spec := testSpec("16b_rb10")
-			spec.MBU = 3
-			spec.Sampling = sampling
-			if sampling == "stratified" {
-				// Stratified campaigns track no values or spread.
-				spec.TrackValues, spec.TrackSpread = 0, false
-			}
-			if err := spec.Normalize(); err != nil {
-				t.Fatal(err)
-			}
-			// The reference is the surface's own API, not Solo — the
-			// distributed path must reproduce faultinj exactly, not merely
-			// itself.
-			fc, err := spec.NewCampaign(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := fc.Run(spec.Options())
-
-			solo, err := Solo(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, "solo", solo, want)
-
-			co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(co.Handler())
-			defer srv.Close()
-			runWorkers(t, srv, 2, NewGoldenCache())
-			select {
-			case <-co.Done():
-			case <-time.After(60 * time.Second):
-				t.Fatalf("campaign did not finish: %d/%d slots", co.CompletedShards(), spec.Slots())
-			}
-			got, err := co.FinalReport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, "distributed", got.Datapath, want)
-		})
-	}
-}
-
-// TestCheckpointResume kills a campaign after two shards (worker
-// MaxLeases) and restarts a fresh coordinator from the checkpoint: the
-// resumed run must restore exactly those shards without re-running them
-// and still merge bit-identical to the uninterrupted solo run.
-func TestCheckpointResume(t *testing.T) {
-	spec := testSpec("FLOAT16")
-	want, err := Solo(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := filepath.Join(t.TempDir(), "campaign.ckpt")
-	goldens := NewGoldenCache()
-
-	co1, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(co1.Handler())
-	w := &Worker{Base: srv1.URL, Poll: 10 * time.Millisecond, Client: srv1.Client(),
-		Goldens: goldens, MaxLeases: 2}
-	if err := w.Run(context.Background()); err != nil {
-		t.Fatalf("partial worker: %v", err)
-	}
-	srv1.Close()
-	if got := co1.CompletedShards(); got != 2 {
-		t.Fatalf("partial run completed %d shards, want 2", got)
-	}
-
-	co2, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co2.Resumed() != 2 {
-		t.Fatalf("resumed %d shards from checkpoint, want 2", co2.Resumed())
-	}
-	srv2 := httptest.NewServer(co2.Handler())
-	defer srv2.Close()
-	runWorkers(t, srv2, 2, goldens)
-	select {
-	case <-co2.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("resumed campaign did not finish")
-	}
-	got, err := co2.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "resume", got.Datapath, want)
-
-	// A third coordinator sees the finished checkpoint: done immediately.
-	co3, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-co3.Done():
-	default:
-		t.Fatal("fully-checkpointed campaign not immediately done")
-	}
-	final, err := co3.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "cold final", final.Datapath, want)
-}
-
-// TestCheckpointSpecMismatch ensures a checkpoint never silently feeds a
-// different campaign.
-func TestCheckpointSpecMismatch(t *testing.T) {
-	spec := testSpec("FLOAT16")
-	cp := filepath.Join(t.TempDir(), "campaign.ckpt")
-	co, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	l := co.lease(now).Lease
-	rep := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 3)}
-	if err := co.acceptReport(ReportRequest{LeaseID: l.ID, Shard: l.Shard, Report: rep}); err != nil {
-		t.Fatal(err)
-	}
-	other := spec
-	other.Seed = 999
-	if _, err := NewCoordinator(Config{Spec: other, CheckpointPath: cp}); err == nil ||
-		!strings.Contains(err.Error(), "different campaign spec") {
-		t.Fatalf("mismatched spec not rejected: %v", err)
-	}
-}
-
 // TestLeaseExpiryAndMaxRetries drives the lease state machine with
 // synthetic clocks: missed heartbeats re-lease a shard a bounded number of
 // times, then fail the campaign.
 func TestLeaseExpiryAndMaxRetries(t *testing.T) {
 	spec := testSpec("FLOAT16")
 	ttl := 50 * time.Millisecond
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: ttl, MaxRetries: 2})
+	m, err := NewMachine(spec, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Now()
-	first := co.lease(base)
-	if first.Lease == nil || first.Lease.Shard != 0 || first.Lease.Of != spec.Shards {
+	now := time.Now()
+	first := m.Lease(now, ttl)
+	if first == nil || first.Shard != 0 || first.Of != spec.Shards {
 		t.Fatalf("unexpected first lease: %+v", first)
 	}
 	// Walk shard 0 through MaxRetries expiries; each expiry hands the
 	// shard out again under a fresh lease ID.
-	now := base
-	prevID := first.Lease.ID
+	prevID := first.ID
 	for retry := 1; retry <= 2; retry++ {
 		now = now.Add(ttl + time.Millisecond)
-		resp := co.lease(now)
-		if resp.Lease == nil || resp.Lease.Shard != 0 {
-			t.Fatalf("retry %d: shard 0 not re-leased: %+v", retry, resp)
+		if n := m.Expire(now); n != 1 {
+			t.Fatalf("retry %d: %d leases expired, want 1", retry, n)
 		}
-		if resp.Lease.ID == prevID {
+		l := m.Lease(now, ttl)
+		if l == nil || l.Shard != 0 {
+			t.Fatalf("retry %d: shard 0 not re-leased: %+v", retry, l)
+		}
+		if l.ID == prevID {
 			t.Fatalf("retry %d: lease ID not rotated", retry)
 		}
-		prevID = resp.Lease.ID
+		prevID = l.ID
 	}
-	// One more expiry exceeds MaxRetries: campaign fails.
+	// One more expiry exceeds MaxRetries: the campaign fails and stops
+	// leasing.
 	now = now.Add(ttl + time.Millisecond)
-	resp := co.lease(now)
-	if resp.Failed == "" {
-		t.Fatalf("campaign did not fail after exhausting retries: %+v", resp)
+	m.Expire(now)
+	if m.Err() == nil {
+		t.Fatal("Err() nil after exhausting retries")
 	}
-	if co.Err() == nil {
-		t.Fatal("Err() nil after campaign failure")
+	if l := m.Lease(now, ttl); l != nil || m.Available() {
+		t.Fatalf("failed campaign still leasing: %+v", l)
+	}
+	if m.Retried() != 3 || m.Snapshot().Failed == "" {
+		t.Fatalf("failure not visible: retried=%d snapshot=%+v", m.Retried(), m.Snapshot())
 	}
 }
 
 // TestHeartbeatExtendsLease verifies a heartbeat moves the deadline and a
 // dead lease is refused.
 func TestHeartbeatExtendsLease(t *testing.T) {
-	spec := testSpec("FLOAT16")
 	ttl := 50 * time.Millisecond
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: ttl, MaxRetries: 5})
+	m, err := NewMachine(testSpec("FLOAT16"), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := time.Now()
-	l := co.lease(base).Lease
-	if !co.heartbeat(l.ID, base.Add(40*time.Millisecond)) {
+	l := m.Lease(base, ttl)
+	if !m.Heartbeat(l.ID, base.Add(40*time.Millisecond), ttl) {
 		t.Fatal("live heartbeat refused")
 	}
 	// Past the original deadline but within the extended one: leasing
 	// must hand out a different shard, not re-lease shard 0.
-	resp := co.lease(base.Add(60 * time.Millisecond))
-	if resp.Lease == nil || resp.Lease.Shard == l.Shard {
-		t.Fatalf("heartbeat did not hold the lease: %+v", resp)
+	at := base.Add(60 * time.Millisecond)
+	if n := m.Expire(at); n != 0 {
+		t.Fatalf("heartbeat did not hold the lease: %d expired", n)
+	}
+	if next := m.Lease(at, ttl); next == nil || next.Shard == l.Shard {
+		t.Fatalf("heartbeat did not hold the lease: %+v", next)
 	}
 	// Once truly expired, the old lease ID is dead.
-	if co.heartbeat(l.ID, base.Add(time.Hour)) {
+	m.Expire(base.Add(time.Hour))
+	if m.Heartbeat(l.ID, base.Add(time.Hour), ttl) {
 		t.Fatal("expired lease heartbeat accepted")
 	}
 }
@@ -345,33 +143,41 @@ func TestHeartbeatExtendsLease(t *testing.T) {
 // and duplicate delivery (ignored).
 func TestReportAcceptanceIdempotent(t *testing.T) {
 	spec := testSpec("FLOAT16")
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 50 * time.Millisecond, MaxRetries: 5})
+	ttl := 50 * time.Millisecond
+	m, err := NewMachine(spec, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := time.Now()
-	stale := co.lease(base).Lease
+	stale := m.Lease(base, ttl)
 	// Expire it and re-lease to a second worker.
-	release := co.lease(base.Add(time.Second)).Lease
+	m.Expire(base.Add(time.Second))
+	release := m.Lease(base.Add(time.Second), ttl)
 	if release == nil || release.Shard != stale.Shard {
 		t.Fatalf("shard not re-leased: %+v", release)
 	}
+	// Both lease IDs stay recognizable as granted (what the plane checks
+	// before Accept); a never-issued one does not.
+	if !m.LeaseEverGranted(stale.ID, stale.Slot) || !m.LeaseEverGranted(release.ID, release.Slot) ||
+		m.LeaseEverGranted("L99-s0", 0) {
+		t.Fatal("LeaseEverGranted disagrees with the grants made")
+	}
 	rep := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 3)}
 	rep.Datapath.Masked = 1
-	if err := co.acceptReport(ReportRequest{LeaseID: stale.ID, Shard: stale.Shard, Report: rep}); err != nil {
-		t.Fatalf("stale-but-first delivery rejected: %v", err)
+	if first, err := m.Accept(stale.Slot, rep); err != nil || !first {
+		t.Fatalf("stale-but-first delivery rejected: first=%v err=%v", first, err)
 	}
-	if co.CompletedShards() != 1 {
-		t.Fatalf("completed=%d want 1", co.CompletedShards())
+	if m.Completed() != 1 || m.InFlight() != 0 {
+		t.Fatalf("completed=%d in-flight=%d, want 1 and 0", m.Completed(), m.InFlight())
 	}
 	// The re-leased worker delivers the same shard again: no double count.
-	if err := co.acceptReport(ReportRequest{LeaseID: release.ID, Shard: release.Shard, Report: rep}); err != nil {
-		t.Fatalf("duplicate delivery errored: %v", err)
+	if first, err := m.Accept(release.Slot, rep); err != nil || first {
+		t.Fatalf("duplicate delivery: first=%v err=%v, want ignored", first, err)
 	}
-	if co.CompletedShards() != 1 {
-		t.Fatalf("duplicate delivery double-counted: completed=%d", co.CompletedShards())
+	if m.Completed() != 1 {
+		t.Fatalf("duplicate delivery double-counted: completed=%d", m.Completed())
 	}
-	if err := co.acceptReport(ReportRequest{Shard: spec.Shards + 3, Report: rep}); err == nil {
+	if _, err := m.Accept(spec.Shards+3, rep); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
 }

@@ -1,11 +1,9 @@
 package campaign
 
 import (
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/faultinj"
 	"repro/internal/layers"
@@ -67,84 +65,6 @@ func TestSiteEvalSoloModesBitIdentical(t *testing.T) {
 				t.Errorf("%s/%s: scalar mode pre-masked %d", dtype, sampling, want.PreMasked)
 			}
 		}
-	}
-}
-
-// TestSiteEvalDistributedMatchesSolo extends the distributed contract to a
-// site-draw campaign: a bit-plane campaign sharded over loopback workers
-// merges bit-identical to the single-process run — PreMasked tally
-// included — with the stratified design allocating whole draw units.
-func TestSiteEvalDistributedMatchesSolo(t *testing.T) {
-	spec := testSpec("16b_rb10")
-	spec.Sampling = "stratified"
-	spec.Eval = "site-bitplane"
-	want, err := Solo(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	runWorkers(t, srv, 2, NewGoldenCache())
-
-	select {
-	case <-co.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatalf("campaign did not finish: %d/%d shards", co.CompletedShards(), spec.Shards)
-	}
-	got, err := co.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "distributed", got.Datapath, want)
-	if got.Datapath.PreMasked != want.PreMasked {
-		t.Fatalf("distributed PreMasked %d, solo %d", got.Datapath.PreMasked, want.PreMasked)
-	}
-	if want.PreMasked == 0 {
-		t.Error("bit-plane campaign never pre-masked an injection")
-	}
-}
-
-// TestBufferSiteEvalDistributedMatchesSolo is the buffer-surface version:
-// a PSum REG site-draw campaign distributes bit-identically, including the
-// pre-screen tally.
-func TestBufferSiteEvalDistributedMatchesSolo(t *testing.T) {
-	spec := bufSpec("stratified")
-	spec.Buffer = "psum"
-	spec.Eval = "site-bitplane"
-	if err := spec.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	ec, b, err := spec.NewBufferCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := ec.Run(b, spec.BufferOptions())
-
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	runWorkers(t, srv, 2, nil)
-
-	select {
-	case <-co.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatalf("campaign did not finish: %d/%d shards", co.CompletedShards(), spec.Shards)
-	}
-	got, err := co.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBufferBitIdentical(t, "buffer site mode", got.Buffer, want)
-	if got.Buffer.PreMasked != want.PreMasked {
-		t.Fatalf("distributed PreMasked %d, solo %d", got.Buffer.PreMasked, want.PreMasked)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 // Machine is the per-campaign shard-ledger state machine: it owns one
 // campaign's slots through pending → leased → done, gates stratified
 // main-phase slots on the pilot-derived allocation table, and merges slot
-// reports deterministically. It is the piece of the single-campaign
-// Coordinator that the multi-campaign control plane schedules many of.
+// reports deterministically. The control plane schedules one Machine per
+// campaign.
 //
-// Machine is caller-synchronized: none of its methods lock. The
-// Coordinator wraps one Machine under its mutex; internal/controlplane
-// holds its own lock across scheduling decisions that span machines.
+// Machine is caller-synchronized: none of its methods lock;
+// internal/controlplane holds its own lock across scheduling decisions
+// that span machines.
 type Machine struct {
 	spec       Spec
 	maxRetries int
@@ -285,7 +285,7 @@ func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
 	return true, nil
 }
 
-// Restore re-admits a slot report from a checkpoint or journal: like
+// Restore re-admits a slot report from the journal: like
 // Accept, but counted as resumed and with the recorded retry budget
 // restored. Duplicate slots keep the first report, like the live path.
 func (m *Machine) Restore(slot, retries int, r *Report) error {
@@ -303,8 +303,8 @@ func (m *Machine) Restore(slot, retries int, r *Report) error {
 
 // maybeBuildTable computes the main-phase allocation once every pilot slot
 // of a stratified campaign has reported. The pilot reports are merged in
-// slot order, so every participant that runs this — the live coordinator
-// at the pilot→main boundary, or a resumed one replaying its journal —
+// slot order, so every participant that runs this — the live plane at the
+// pilot→main boundary, or a resumed one replaying its journal —
 // derives a bit-identical table. Prior-allocated campaigns never reach
 // this: their table is built from the artifact at startup.
 func (m *Machine) maybeBuildTable() {

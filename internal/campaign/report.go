@@ -12,8 +12,8 @@ import (
 
 // Report is the surface-tagged wire report of one ledger slot (and of the
 // merged campaign): exactly one of Datapath, Buffer or Systolic is set,
-// matching Spec.Surface. It exists so one coordinator ledger, checkpoint
-// format and worker protocol carry every fault surface; the inner reports
+// matching Spec.Surface. It exists so one ledger, journal format and
+// worker protocol carry every fault surface; the inner reports
 // keep their own JSON shapes, so a distributed campaign's final report
 // still byte-compares against the solo faultinj/eyeriss/systolic run.
 type Report struct {
@@ -104,6 +104,19 @@ func MergeReports(rs []*Report) *Report {
 		return &Report{Datapath: faultinj.MergeReports(dps)}
 	}
 	return nil
+}
+
+// Inner returns the one surface report that is set. Its JSON is exactly
+// what a solo faultinj/eyeriss/systolic run of the same spec serializes
+// to, which is what -out files and the plane's report route emit.
+func (r *Report) Inner() any {
+	switch {
+	case r.Buffer != nil:
+		return r.Buffer
+	case r.Systolic != nil:
+		return r.Systolic
+	}
+	return r.Datapath
 }
 
 // Counts returns the inner report's overall SDC tally.

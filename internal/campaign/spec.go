@@ -1,18 +1,19 @@
 // Package campaign is the distributed fault-injection orchestration layer:
 // it scales the per-injection engine of internal/faultinj from one process
-// to a fleet. A coordinator deterministically partitions a campaign's
-// injection space into shard leases and serves them over HTTP; workers
-// lease shards, execute them through faultinj.RunShard, and push partial
-// reports back for merging. The coordinator checkpoints merged state to
-// disk (a killed run resumes without re-running completed shards),
-// re-leases shards whose workers miss heartbeats, streams live aggregate
-// results as NDJSON, and exports expvar counters.
+// to a fleet. A Machine deterministically partitions one campaign's
+// injection space into shard leases, gates stratified main-phase slots on
+// the pilot-derived allocation and merges the slot reports; Workers lease
+// shards over HTTP, execute them through the surface engines, and push
+// partial reports back. The server between the two — lease expiry,
+// journaling (a killed run resumes without re-running completed shards),
+// NDJSON result streams, metrics — is internal/controlplane's Plane; this
+// package holds no HTTP server code, only the wire types both sides share.
 //
 // Determinism is the load-bearing property: shard s of S is exactly worker
 // s of a single-process faultinj run with Workers=S, so the shard-order
 // merge of a distributed campaign is bit-identical to Campaign.Run on one
 // machine — regardless of how many workers participated, how shards were
-// interleaved, or how many times the coordinator was killed and resumed.
+// interleaved, or how many times the plane was killed and resumed.
 package campaign
 
 import (
@@ -33,7 +34,7 @@ import (
 // Spec is the complete, serializable description of one campaign. Two
 // processes holding equal specs execute bit-identical work; the spec is
 // embedded in every lease (workers need no other configuration) and in the
-// checkpoint (resume refuses a mismatched spec).
+// journal's submit event (a resumed campaign is exactly the one submitted).
 type Spec struct {
 	// Net is one of the paper's model names (models.Names).
 	Net string `json:"net"`
@@ -59,13 +60,13 @@ type Spec struct {
 	TrackSpread bool `json:"track_spread,omitempty"`
 	// WeightsDir, when set, loads pre-trained weights (cmd/pretrain
 	// output); every participant must see the same directory contents —
-	// the golden cache key hashes the loaded weights, and the coordinator
-	// never validates worker arithmetic.
+	// the golden cache key hashes the loaded weights, and the plane never
+	// validates worker arithmetic.
 	WeightsDir string `json:"weights_dir,omitempty"`
 	// Sampling selects the site-sampling design: "uniform" (default) or
 	// "stratified" — the two-phase masking-aware campaign. A stratified
 	// campaign's ledger has two slots per shard (pilot then main); the
-	// coordinator computes the allocation table from the merged pilot and
+	// Machine computes the allocation table from the merged pilot and
 	// serializes it into every main-phase lease.
 	Sampling string `json:"sampling,omitempty"`
 	// PilotN is the stratified pilot budget; Normalize defaults it to
@@ -104,7 +105,7 @@ type Spec struct {
 	// (engine.StrataArtifact JSON) from a previous campaign of the same
 	// geometry: the Neyman allocation is seeded from it and the pilot
 	// phase is skipped entirely — every ledger slot is main-phase. Only
-	// the coordinator (or solo runner) reads the file; workers receive the
+	// the Machine (or solo runner) reads the file; workers receive the
 	// derived table inside main-phase leases.
 	PriorPath string `json:"prior_path,omitempty"`
 }
@@ -140,7 +141,7 @@ func ParseBuffer(name string) (eyeriss.Buffer, error) {
 }
 
 // Normalize applies defaults and validates the spec in place. It must be
-// called (once) before a spec is served, checkpointed or executed, so that
+// called (once) before a spec is served, journaled or executed, so that
 // every participant agrees on the effective values.
 func (s *Spec) Normalize() error {
 	if s.Net == "" {
@@ -289,7 +290,7 @@ func (s Spec) PriorAllocated() bool { return s.Stratified() && s.PilotN < 0 }
 // stratified design.
 func (s Spec) Stratified() bool { return s.Sampling == "stratified" }
 
-// Slots returns the coordinator ledger size: one slot per shard for
+// Slots returns the ledger size: one slot per shard for
 // uniform campaigns, an interleaved (pilot, main) slot pair per shard for
 // stratified ones — slot 2s is shard s's pilot, slot 2s+1 its main phase.
 // Merging slot reports in slot order is then exactly the canonical
@@ -524,7 +525,7 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 
 // LoadPrior reads the spec's PriorPath strata artifact and validates it
 // against the campaign geometry the artifact records (when it records
-// one). Only the coordinator and the solo runner call this; workers get
+// one). Only NewMachine and the solo runner call this; workers get
 // the derived allocation table inside their main-phase leases.
 func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 	a, err := engine.ReadStrataArtifact(s.PriorPath)

@@ -1,11 +1,8 @@
 package campaign
 
 import (
-	"context"
 	"encoding/json"
 	"math"
-	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -53,213 +50,64 @@ func assertStrataBitIdentical(t *testing.T, label string, got, want *faultinj.Re
 	}
 }
 
-// TestStratifiedDistributedMatchesSolo is the stratified twin of the core
-// contract: a two-phase campaign sharded over loopback workers — pilot
-// slots first, the Neyman table built at the boundary, main slots leased
-// with the serialized table — merges bit-identical to the same spec run in
-// one process.
-func TestStratifiedDistributedMatchesSolo(t *testing.T) {
-	for _, dtype := range []string{"FLOAT16", "32b_rb10"} {
-		t.Run(dtype, func(t *testing.T) {
-			spec := stratSpec(dtype)
-			want, err := Solo(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Strata == nil {
-				t.Fatal("solo stratified run has no strata summary")
-			}
-
-			co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(co.Handler())
-			defer srv.Close()
-			runWorkers(t, srv, 2, NewGoldenCache())
-
-			select {
-			case <-co.Done():
-			case <-time.After(60 * time.Second):
-				t.Fatalf("campaign did not finish: %d/%d slots", co.CompletedShards(), co.Spec().Slots())
-			}
-			got, err := co.FinalReport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertStrataBitIdentical(t, dtype, got.Datapath, want)
-
-			snap := co.Snapshot()
-			if !snap.Done || snap.Injections != spec.N {
-				t.Fatalf("snapshot off: done=%v injections=%d want %d", snap.Done, snap.Injections, spec.N)
-			}
-			if snap.Sampling != "stratified" || snap.PilotShards != co.Spec().Shards {
-				t.Fatalf("stratified snapshot fields off: sampling=%q pilot_shards=%d",
-					snap.Sampling, snap.PilotShards)
-			}
-			if len(snap.StrataWeights) == 0 || len(snap.StrataTrials) != len(snap.StrataWeights) {
-				t.Fatalf("snapshot strata arrays off: %d weights, %d trials",
-					len(snap.StrataWeights), len(snap.StrataTrials))
-			}
-			total := 0
-			for _, n := range snap.StrataTrials {
-				total += n
-			}
-			if total != spec.N {
-				t.Fatalf("strata trials sum to %d, want %d", total, spec.N)
-			}
-		})
-	}
-}
-
-// TestStratifiedCheckpointResume kills a stratified campaign twice — first
-// mid-pilot, then exactly at the pilot→allocation boundary (all pilot
-// slots checkpointed, no main slot run) — and requires each resumed
-// coordinator to recompute the identical allocation table from the
-// checkpoint and finish bit-identical to the uninterrupted solo run.
-func TestStratifiedCheckpointResume(t *testing.T) {
-	spec := stratSpec("FLOAT16")
-	want, err := Solo(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := filepath.Join(t.TempDir(), "campaign.ckpt")
-	goldens := NewGoldenCache()
-	shards := func(co *Coordinator) int { return co.Spec().Shards }
-
-	// Stage 1: die after two pilot slots.
-	co1, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv1 := httptest.NewServer(co1.Handler())
-	w1 := &Worker{Base: srv1.URL, Poll: 10 * time.Millisecond, Client: srv1.Client(),
-		Goldens: goldens, MaxLeases: 2}
-	if err := w1.Run(context.Background()); err != nil {
-		t.Fatalf("stage-1 worker: %v", err)
-	}
-	srv1.Close()
-	if got := co1.CompletedShards(); got != 2 {
-		t.Fatalf("stage 1 completed %d slots, want 2", got)
-	}
-
-	// Stage 2: resume mid-pilot, die with every pilot slot done but no
-	// main slot started — the resume that follows spans the
-	// pilot→allocation boundary.
-	co2, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co2.Resumed() != 2 {
-		t.Fatalf("stage 2 resumed %d slots, want 2", co2.Resumed())
-	}
-	srv2 := httptest.NewServer(co2.Handler())
-	w2 := &Worker{Base: srv2.URL, Poll: 10 * time.Millisecond, Client: srv2.Client(),
-		Goldens: goldens, MaxLeases: shards(co2) - 2}
-	if err := w2.Run(context.Background()); err != nil {
-		t.Fatalf("stage-2 worker: %v", err)
-	}
-	srv2.Close()
-	if got := co2.CompletedShards(); got != shards(co2) {
-		t.Fatalf("stage 2 completed %d slots, want all %d pilots", got, shards(co2))
-	}
-
-	// Stage 3: the resumed coordinator sees only pilot entries in the
-	// checkpoint and must rebuild the allocation table before leasing any
-	// main slot.
-	co3, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if co3.Resumed() != shards(co3) {
-		t.Fatalf("stage 3 resumed %d slots, want %d", co3.Resumed(), shards(co3))
-	}
-	first := co3.lease(time.Now())
-	if first.Lease == nil || first.Lease.Phase != "main" || first.Lease.Table == nil {
-		t.Fatalf("post-boundary resume did not lease a main slot with a table: %+v", first.Lease)
-	}
-	// Return the probe lease by letting it expire instantly on the next
-	// scan — heartbeats stop here, and LeaseTTL is what workers wait out.
-	co3.heartbeat(first.Lease.ID, time.Now().Add(-time.Hour))
-	srv3 := httptest.NewServer(co3.Handler())
-	defer srv3.Close()
-	runWorkers(t, srv3, 2, goldens)
-	select {
-	case <-co3.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("resumed stratified campaign did not finish")
-	}
-	got, err := co3.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStrataBitIdentical(t, "stratified resume", got.Datapath, want)
-}
-
-// TestStratifiedLeaseGating drives a coordinator directly (no HTTP): main
-// slots must not lease until every pilot slot has reported, and the lease
-// order must visit pilots in slot order.
-func TestStratifiedLeaseGating(t *testing.T) {
-	spec := stratSpec("FLOAT16")
-	if err := spec.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	camp, err := spec.NewCampaign(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := spec.Options()
-	seen := make([]string, 0, spec.Slots())
-	for {
-		resp := co.lease(time.Now())
-		if resp.Done {
-			break
+// driveMachine runs a whole campaign through m in-process: lease, execute
+// the lease the way a worker would, accept — until the ledger is done. It
+// returns the leases in grant order.
+func driveMachine(t *testing.T, m *Machine) []*Lease {
+	t.Helper()
+	var granted []*Lease
+	for !m.Done() {
+		l := m.Lease(time.Now(), time.Minute)
+		if l == nil {
+			t.Fatalf("no lease while %d/%d slots done", m.Completed(), m.Spec().Slots())
 		}
-		if resp.Lease == nil {
-			t.Fatalf("no lease while %d/%d slots done", co.CompletedShards(), spec.Slots())
-		}
-		l := resp.Lease
-		seen = append(seen, l.Phase)
-		var rep *faultinj.Report
-		switch l.Phase {
-		case "pilot":
-			if l.Table != nil {
-				t.Fatal("pilot lease carries an allocation table")
-			}
-			rep = camp.PilotShard(l.Shard, l.Of, opts)
-		case "main":
-			if l.Table == nil {
-				t.Fatal("main lease missing the allocation table")
-			}
-			rep = camp.MainShard(l.Shard, l.Of, l.Table, opts)
-		default:
-			t.Fatalf("unexpected phase %q", l.Phase)
-		}
-		if err := co.acceptReport(ReportRequest{LeaseID: l.ID, Shard: l.Slot, Report: &Report{Datapath: rep}}); err != nil {
+		granted = append(granted, l)
+		rep, err := ExecuteLease(l, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if first, err := m.Accept(l.Slot, rep); err != nil || !first {
+			t.Fatalf("slot %d report: first=%v err=%v", l.Slot, first, err)
+		}
 	}
-	if len(seen) != spec.Slots() {
-		t.Fatalf("leased %d slots, want %d", len(seen), spec.Slots())
+	return granted
+}
+
+// TestStratifiedLeaseGating drives a Machine directly (no HTTP): main
+// slots must not lease until every pilot slot has reported, the lease
+// order must visit pilots in slot order, and only main leases carry the
+// allocation table.
+func TestStratifiedLeaseGating(t *testing.T) {
+	spec := stratSpec("FLOAT16")
+	m, err := NewMachine(spec, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, phase := range seen {
+	spec = m.Spec()
+	granted := driveMachine(t, m)
+	if len(granted) != spec.Slots() {
+		t.Fatalf("leased %d slots, want %d", len(granted), spec.Slots())
+	}
+	for i, l := range granted {
 		want := "pilot"
 		if i >= spec.Shards {
 			want = "main"
 		}
-		if phase != want {
-			t.Fatalf("lease %d was %q, want %q (pilots must all precede mains)", i, phase, want)
+		if l.Phase != want {
+			t.Fatalf("lease %d was %q, want %q (pilots must all precede mains)", i, l.Phase, want)
 		}
+		if (l.Table != nil) != (want == "main") {
+			t.Fatalf("lease %d (%s): allocation table present=%v", i, l.Phase, l.Table != nil)
+		}
+	}
+	if m.PilotStrata() == nil {
+		t.Fatal("finished stratified ledger has no pilot strata")
 	}
 	want, err := Solo(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := co.FinalReport()
+	got, err := m.FinalReport()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +118,16 @@ func TestStratifiedLeaseGating(t *testing.T) {
 // a stratified campaign survives serialize/deserialize bit-exactly,
 // including the hex-encoded stratum weights.
 func TestStratifiedSnapshotJSONRoundTrip(t *testing.T) {
-	spec := stratSpec("FLOAT16")
-	co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
+	m, err := NewMachine(stratSpec("FLOAT16"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	runWorkers(t, srv, 2, NewGoldenCache())
-	<-co.Done()
+	driveMachine(t, m)
 
-	snap := co.Snapshot()
+	snap := m.Snapshot()
+	if !snap.Done || snap.Injections != m.Spec().N || snap.PilotShards != m.Spec().Shards {
+		t.Fatalf("final snapshot off: %+v", snap)
+	}
 	line, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,8 @@
 package campaign
 
 import (
-	"context"
-	"encoding/json"
-	"math"
-	"net/http/httptest"
-	"path/filepath"
 	"testing"
-	"time"
 
-	"repro/internal/engine"
 	"repro/internal/systolic"
 )
 
@@ -18,262 +11,6 @@ func sysSpec(sampling string) Spec {
 		Net: "ConvNet", DType: "16b_rb10", N: 60, Inputs: 2, Seed: 11,
 		Shards: 3, Surface: "systolic", Sampling: sampling,
 	}
-}
-
-// assertSystolicBitIdentical fails unless two systolic reports are
-// bit-for-bit equal, including per-latch tallies and the per-stratum
-// tallies of stratified campaigns.
-func assertSystolicBitIdentical(t *testing.T, label string, got, want *systolic.Report) {
-	t.Helper()
-	if got == nil || want == nil {
-		t.Fatalf("%s: nil systolic report (got=%v want=%v)", label, got != nil, want != nil)
-	}
-	if got.Counts != want.Counts || got.PerLatch != want.PerLatch ||
-		got.Detection != want.Detection || got.ArchMasked != want.ArchMasked ||
-		got.PreMasked != want.PreMasked {
-		t.Fatalf("%s: counts diverged:\n got %+v\nwant %+v", label, got, want)
-	}
-	if (got.Strata == nil) != (want.Strata == nil) {
-		t.Fatalf("%s: strata presence diverged", label)
-	}
-	if want.Strata == nil {
-		return
-	}
-	g, w := got.Strata, want.Strata
-	if g.Blocks != w.Blocks || g.Bits != w.Bits || len(g.Counts) != len(w.Counts) {
-		t.Fatalf("%s: strata dims diverged", label)
-	}
-	for h := range w.Counts {
-		if math.Float64bits(g.Weight[h]) != math.Float64bits(w.Weight[h]) {
-			t.Fatalf("%s: stratum %d weight diverged", label, h)
-		}
-		if g.Counts[h] != w.Counts[h] {
-			t.Fatalf("%s: stratum %d counts diverged: %+v vs %+v", label, h, g.Counts[h], w.Counts[h])
-		}
-	}
-}
-
-// TestSystolicDistributedMatchesSolo extends the core contract to the
-// systolic surface across its dataflow axis: a systolic campaign sharded
-// over loopback workers merges bit-identical to the raw
-// systolic.Campaign.Run of the same spec, for both sampling designs, a
-// site-draw eval mode, MBU campaigns, and all three dataflows.
-func TestSystolicDistributedMatchesSolo(t *testing.T) {
-	cases := []struct {
-		name     string
-		sampling string
-		eval     string
-		mbu      int
-		dataflow string
-	}{
-		{"uniform", "uniform", "", 0, ""},
-		{"stratified", "stratified", "", 0, ""},
-		{"site-bitplane", "uniform", "site-bitplane", 0, ""},
-		{"mbu3", "stratified", "", 3, ""},
-		{"output-uniform", "uniform", "", 0, "output"},
-		{"output-stratified-mbu3", "stratified", "", 3, "output"},
-		{"output-site-bitplane", "uniform", "site-bitplane", 0, "output"},
-		{"input-uniform-mbu2", "uniform", "", 2, "input"},
-		{"input-stratified", "stratified", "", 0, "input"},
-		{"input-site-bitplane", "uniform", "site-bitplane", 0, "input"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := sysSpec(tc.sampling)
-			spec.Eval = tc.eval
-			spec.MBU = tc.mbu
-			spec.Dataflow = tc.dataflow
-			if err := spec.Normalize(); err != nil {
-				t.Fatal(err)
-			}
-			// The reference is the surface's own API, not SoloReport — the
-			// distributed path must reproduce systolic exactly, not merely
-			// itself.
-			sc, err := spec.NewSystolicCampaign()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sc.Run(spec.SystolicOptions())
-
-			solo, _, err := SoloReport(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSystolicBitIdentical(t, "solo", solo.Systolic, want)
-
-			co, err := NewCoordinator(Config{Spec: spec, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := httptest.NewServer(co.Handler())
-			defer srv.Close()
-			runWorkers(t, srv, 2, NewGoldenCache())
-			select {
-			case <-co.Done():
-			case <-time.After(60 * time.Second):
-				t.Fatalf("campaign did not finish: %d/%d slots", co.CompletedShards(), spec.Slots())
-			}
-			got, err := co.FinalReport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSystolicBitIdentical(t, "distributed", got.Systolic, want)
-
-			// The wire report serializes the inner systolic report verbatim,
-			// so distributed -out byte-compares against a solo systolic run.
-			gj, _ := json.Marshal(got.Systolic)
-			wj, _ := json.Marshal(want)
-			if string(gj) != string(wj) {
-				t.Fatalf("systolic report JSON diverged:\n got %s\nwant %s", gj, wj)
-			}
-
-			snap := co.Snapshot()
-			if !snap.Done || snap.Injections != spec.N {
-				t.Fatalf("snapshot off: done=%v injections=%d want %d", snap.Done, snap.Injections, spec.N)
-			}
-			if len(snap.PerBlock) != 0 {
-				t.Fatal("systolic snapshot has datapath per-block aggregates")
-			}
-			if tc.sampling == "stratified" && len(snap.StrataWeights) == 0 {
-				t.Fatal("stratified systolic snapshot missing strata weights")
-			}
-		})
-	}
-}
-
-// TestSystolicCheckpointResume kills a stratified systolic campaign after
-// two pilot slots and resumes from the checkpoint: the resumed coordinator
-// must restore those slots, rebuild the Neyman allocation at the
-// pilot→main boundary, and still finish bit-identical to the
-// uninterrupted solo run — including under the output-stationary dataflow
-// with a multi-bit upset, whose pilot strata shape the allocation.
-func TestSystolicCheckpointResume(t *testing.T) {
-	cases := []struct {
-		name     string
-		dataflow string
-		mbu      int
-	}{
-		{"weight", "", 0},
-		{"output-mbu3", "output", 3},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := sysSpec("stratified")
-			spec.Dataflow = tc.dataflow
-			spec.MBU = tc.mbu
-			want, _, err := SoloReport(spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp := filepath.Join(t.TempDir(), "campaign.ckpt")
-
-			co1, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv1 := httptest.NewServer(co1.Handler())
-			w := &Worker{Base: srv1.URL, Poll: 10 * time.Millisecond, Client: srv1.Client(), MaxLeases: 2}
-			if err := w.Run(context.Background()); err != nil {
-				t.Fatalf("partial worker: %v", err)
-			}
-			srv1.Close()
-			if got := co1.CompletedShards(); got != 2 {
-				t.Fatalf("partial run completed %d slots, want 2", got)
-			}
-
-			co2, err := NewCoordinator(Config{Spec: spec, CheckpointPath: cp, LeaseTTL: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if co2.Resumed() != 2 {
-				t.Fatalf("resumed %d slots from checkpoint, want 2", co2.Resumed())
-			}
-			srv2 := httptest.NewServer(co2.Handler())
-			defer srv2.Close()
-			runWorkers(t, srv2, 2, nil)
-			select {
-			case <-co2.Done():
-			case <-time.After(60 * time.Second):
-				t.Fatal("resumed systolic campaign did not finish")
-			}
-			got, err := co2.FinalReport()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSystolicBitIdentical(t, "systolic resume", got.Systolic, want.Systolic)
-		})
-	}
-}
-
-// TestSystolicPriorSeededAllocation runs the strata-artifact contract on
-// the systolic surface: a prior-allocated distributed campaign must merge
-// bit-identical to its solo twin, with every lease a table-carrying main
-// phase.
-func TestSystolicPriorSeededAllocation(t *testing.T) {
-	fresh := sysSpec("stratified")
-	if err := fresh.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := fresh.NewSystolicCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pilot *engine.StrataSummary
-	opt := fresh.SystolicOptions()
-	opt.OnPilotStrata = func(s *engine.StrataSummary) { pilot = s }
-	sc.Run(opt)
-	if pilot == nil {
-		t.Fatal("stratified run never surfaced its pilot strata")
-	}
-	pilotN, mainN := engine.PilotBudget(fresh.N, fresh.PilotN)
-
-	path := filepath.Join(t.TempDir(), "strata.json")
-	if err := engine.WriteStrataArtifact(path, &engine.StrataArtifact{
-		Surface: fresh.Surface, Net: fresh.Net, DType: fresh.DType,
-		N: fresh.N, PilotN: pilotN, Pilot: pilot,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	seeded := sysSpec("stratified")
-	seeded.N = mainN
-	seeded.PriorPath = path
-	if err := seeded.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if !seeded.PriorAllocated() || seeded.Slots() != seeded.Shards {
-		t.Fatalf("prior-seeded spec geometry off: pilot_n=%d slots=%d", seeded.PilotN, seeded.Slots())
-	}
-
-	want, soloPilot, err := SoloReport(seeded, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if soloPilot != nil {
-		t.Fatal("prior-allocated solo run reported pilot strata")
-	}
-	co, err := NewCoordinator(Config{Spec: seeded, LeaseTTL: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := co.lease(time.Now())
-	if probe.Lease == nil || probe.Lease.Phase != "main" || probe.Lease.Table == nil {
-		t.Fatalf("prior-allocated lease is not a table-carrying main phase: %+v", probe.Lease)
-	}
-	co.heartbeat(probe.Lease.ID, time.Now().Add(-time.Hour))
-	srv := httptest.NewServer(co.Handler())
-	defer srv.Close()
-	runWorkers(t, srv, 2, nil)
-	select {
-	case <-co.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("prior-allocated systolic campaign did not finish")
-	}
-	got, err := co.FinalReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSystolicBitIdentical(t, "prior-allocated", got.Systolic, want.Systolic)
 }
 
 // TestSpecNormalizeSystolic covers the systolic-surface validation rules

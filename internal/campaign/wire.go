@@ -1,0 +1,142 @@
+package campaign
+
+import (
+	"time"
+
+	"repro/internal/faultinj"
+)
+
+// The wire types of the fleet protocol. The server that speaks them is
+// internal/controlplane's Plane; this package owns the shapes because the
+// Machine produces leases and snapshots and the Worker consumes them.
+
+// Lease hands a worker everything needed to run one ledger slot: a whole
+// shard for uniform campaigns, or one phase of a shard for stratified ones.
+type Lease struct {
+	ID string `json:"id"`
+	// Campaign identifies the owning campaign on the control plane. Workers
+	// echo it in heartbeats and reports so the plane can route them.
+	Campaign string `json:"campaign,omitempty"`
+	// Slot is the ledger index the report must echo back; equal to Shard
+	// for uniform campaigns.
+	Slot int `json:"slot"`
+	// Shard and Of are the phase-local shard coordinates the worker
+	// executes (faultinj RunShard/PilotShard/MainShard semantics).
+	Shard int  `json:"shard"`
+	Of    int  `json:"of"`
+	Spec  Spec `json:"spec"`
+	// Phase is "" (uniform campaign), "pilot" or "main".
+	Phase string `json:"phase,omitempty"`
+	// Table is the pilot-derived Neyman allocation, present on main-phase
+	// leases. Serializing it into the lease (and recomputing it
+	// deterministically on resume) is what keeps distributed stratified
+	// campaigns bit-identical to solo runs.
+	Table *faultinj.StratumTable `json:"table,omitempty"`
+	// TTLMillis is the heartbeat deadline; workers should heartbeat at
+	// a fraction of it.
+	TTLMillis int64 `json:"ttl_millis"`
+}
+
+// LeaseRequest is the body of POST /v1/lease. Max bounds how many leases
+// one response may carry: pipelined workers ask for Procs+prefetch per
+// roundtrip instead of one. Zero (or an empty body, which old workers
+// send) means one.
+type LeaseRequest struct {
+	Max int `json:"max,omitempty"`
+}
+
+// LeaseResponse is the plane's answer to a lease request: either leases to
+// run, or RetryMillis — "nothing is leasable right now, poll again later".
+// There is no "done": a plane serves campaigns for as long as it runs, so
+// workers stop on their own terms (see Worker.Run). Lease duplicates the
+// first granted lease so clients predating batched grants keep working.
+type LeaseResponse struct {
+	Lease       *Lease   `json:"lease,omitempty"`
+	Leases      []*Lease `json:"leases,omitempty"`
+	RetryMillis int64    `json:"retry_millis,omitempty"`
+}
+
+// HeartbeatRequest is the worker→plane heartbeat body.
+type HeartbeatRequest struct {
+	Campaign string `json:"campaign,omitempty"`
+	LeaseID  string `json:"lease_id"`
+}
+
+// ReportRequest is the worker→plane report delivery body. The Shard field
+// is the ledger slot index (Lease.Slot); the wire name predates stratified
+// sampling, under which a slot is one phase of a shard rather than a whole
+// shard.
+type ReportRequest struct {
+	Campaign string  `json:"campaign,omitempty"`
+	LeaseID  string  `json:"lease_id"`
+	Shard    int     `json:"shard"`
+	Report   *Report `json:"report"`
+}
+
+// ReportBatchRequest is the body of POST /v1/reports: several finished
+// slots delivered in one roundtrip by a pipelined worker.
+type ReportBatchRequest struct {
+	Reports []ReportRequest `json:"reports"`
+}
+
+// ReportBatchResponse answers a report batch with one outcome per
+// delivered report, in request order.
+type ReportBatchResponse struct {
+	Results []ReportOutcome `json:"results"`
+}
+
+// ReportOutcome is the per-report result of a batch delivery. Code 0
+// means accepted (or idempotently dropped); otherwise it is the HTTP
+// status the single-report route would have returned for that report
+// alone, so workers apply the same abandon-on-4xx rule per item.
+type ReportOutcome struct {
+	Code  int    `json:"code,omitempty"`
+	Error string `json:"error,omitempty"`
+}
+
+// shardState tracks one ledger slot through pending → leased → done.
+type shardState struct {
+	done     bool
+	retries  int
+	leaseID  string
+	deadline time.Time
+	report   *Report
+}
+
+// BlockAggregate is the live per-block view in a snapshot: the SDC-1
+// probability with its pooled 95% CI over the injections seen so far.
+type BlockAggregate struct {
+	Block  int     `json:"block"`
+	Trials int     `json:"trials"`
+	SDC1   float64 `json:"sdc1"`
+	CI95   float64 `json:"ci95"`
+	Lo     float64 `json:"lo"`
+	Hi     float64 `json:"hi"`
+}
+
+// Snapshot is a campaign's live aggregate view — the body of every status
+// and NDJSON stream line: progress plus running aggregates merged from
+// every slot report so far.
+type Snapshot struct {
+	CompletedShards int              `json:"completed_shards"`
+	TotalShards     int              `json:"total_shards"`
+	ResumedShards   int              `json:"resumed_shards"`
+	RetriedLeases   int              `json:"retried_leases"`
+	Injections      int              `json:"injections"`
+	MaskedFraction  float64          `json:"masked_fraction"`
+	SDC1            float64          `json:"sdc1"`
+	SDC1CI95        float64          `json:"sdc1_ci95"`
+	PerBlock        []BlockAggregate `json:"per_block"`
+	// Sampling echoes the spec's sampling design; the stratified fields
+	// below are only present for "stratified" campaigns.
+	Sampling string `json:"sampling,omitempty"`
+	// PilotShards counts completed pilot slots (stratified only).
+	PilotShards int `json:"pilot_shards,omitempty"`
+	// StrataWeights are the population stratum weights as hex float bits —
+	// bit-exact across serialize/deserialize, like ValueRecord fields.
+	StrataWeights faultinj.HexFloats `json:"strata_weights,omitempty"`
+	// StrataTrials is the per-stratum trial count observed so far.
+	StrataTrials []int  `json:"strata_trials,omitempty"`
+	Done         bool   `json:"done"`
+	Failed       string `json:"failed,omitempty"`
+}

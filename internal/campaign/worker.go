@@ -19,16 +19,16 @@ import (
 	"repro/internal/systolic"
 )
 
-// Worker leases shards from a coordinator or control plane, executes them
-// with the incremental fault-injection engine, and reports back. One
-// Worker can drive several executor goroutines (Procs); all of them share
-// the process-wide golden-execution cache and prepared-campaign memo, so
-// the golden pass for each (network, weights, format, input) coordinate is
-// paid once per process, not per lease. Against a multi-campaign control
-// plane the same loop serves interleaved leases of many campaigns; leases
-// carry campaign IDs, which the worker echoes in heartbeats and reports.
+// Worker leases shards from a control plane, executes them with the
+// incremental fault-injection engine, and reports back. One Worker can
+// drive several executor goroutines (Procs); all of them share the
+// process-wide golden-execution cache and prepared-campaign memo, so the
+// golden pass for each (network, weights, format, input) coordinate is
+// paid once per process, not per lease. The same loop serves interleaved
+// leases of many campaigns; leases carry campaign IDs, which the worker
+// echoes in heartbeats and reports.
 type Worker struct {
-	// Base is the coordinator's base URL, e.g. "http://127.0.0.1:8711".
+	// Base is the plane's base URL, e.g. "http://127.0.0.1:8711".
 	Base string
 	// Name labels the worker in errors.
 	Name string
@@ -38,13 +38,13 @@ type Worker struct {
 	// Procs is the number of concurrent shard executors. Default 1.
 	Procs int
 	// Poll is the idle re-poll interval when no lease is available and
-	// the coordinator supplied no hint. Default 250ms.
+	// the plane supplied no hint. Default 250ms.
 	Poll time.Duration
 	// MaxBackoff caps the jittered exponential backoff between failed
 	// connect/post attempts. Default 5s.
 	MaxBackoff time.Duration
 	// GiveUp bounds how long lease requests may keep failing at the
-	// transport level (coordinator down) before Run returns an error.
+	// transport level (plane down) before Run returns an error.
 	// Default 30s.
 	GiveUp time.Duration
 	// Client is the HTTP client; http.DefaultClient when nil.
@@ -76,10 +76,11 @@ func (w *Worker) Drain() { w.draining.Store(true) }
 // Draining reports whether Drain has been requested.
 func (w *Worker) Draining() bool { return w.draining.Load() }
 
-// Run leases and executes shards until the coordinator reports the
-// campaign done (returns nil), the campaign failed or the coordinator is
-// unreachable for GiveUp (returns an error), MaxLeases is reached, Drain
-// is requested (in-flight shards still deliver), or ctx is cancelled.
+// Run leases and executes shards until ctx is cancelled, Drain is
+// requested (in-flight shards still deliver), MaxLeases is reached — all
+// three return nil — or the plane is unreachable for GiveUp (returns an
+// error). A plane never tells its fleet "done": campaigns finish one by
+// one while the fleet keeps polling for the next.
 //
 // The loop is a three-stage pipeline: one fetcher requests up to
 // Procs+Prefetch leases per roundtrip and queues them, Procs executors
@@ -87,7 +88,7 @@ func (w *Worker) Draining() bool { return w.draining.Load() }
 // whatever has accumulated into a single POST /v1/reports. Executors
 // therefore never stall on a lease roundtrip, and report delivery costs
 // ~one roundtrip per batch instead of per shard. Reports still merge in
-// slot order on the coordinator, so batching cannot perturb bit-identity.
+// slot order on the plane, so batching cannot perturb bit-identity.
 func (w *Worker) Run(ctx context.Context) error {
 	procs := w.Procs
 	if procs <= 0 {
@@ -181,8 +182,8 @@ type pendingReport struct {
 
 // fetch is the pipeline's first stage: it keeps the lease queue topped up
 // with one batched roundtrip per iteration, starts a heartbeat goroutine
-// per granted lease, and stops on campaign completion, failure, drain,
-// the MaxLeases budget, or sustained unreachability.
+// per granted lease, and stops on cancellation, drain, the MaxLeases
+// budget, or sustained unreachability.
 func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, nudge <-chan struct{}, fail func(error)) {
 	defer close(leaseCh)
 	poll := w.Poll
@@ -215,7 +216,7 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 			if downSince.IsZero() {
 				downSince = now
 			} else if now.Sub(downSince) > giveUp {
-				fail(fmt.Errorf("campaign worker %s: coordinator unreachable: %v", w.Name, err))
+				fail(fmt.Errorf("campaign worker %s: plane unreachable: %v", w.Name, err))
 				return
 			}
 			fails++
@@ -226,13 +227,6 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 		}
 		downSince = time.Time{}
 		fails = 0
-		switch {
-		case resp.Done:
-			return
-		case resp.Failed != "":
-			fail(fmt.Errorf("campaign worker %s: campaign failed: %s", w.Name, resp.Failed))
-			return
-		}
 		leases := resp.Leases
 		if len(leases) == 0 && resp.Lease != nil {
 			leases = []*Lease{resp.Lease}
@@ -246,8 +240,8 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 			// one plane at a fixed period would otherwise synchronize into
 			// thundering herds after any shared idle moment. A delivered
 			// report batch cuts the sleep short — when the in-flight work
-			// was this worker's own, the campaign may have just completed
-			// and the coordinator's Done must be seen before it exits.
+			// was this worker's own, it may have just ungated the main phase
+			// or freed quota, and the new slots should be picked up at once.
 			if !sleepOrNudge(ctx, d/2+rand.N(d+1), nudge) {
 				return
 			}
@@ -377,7 +371,7 @@ func (w *Worker) deliver(ctx context.Context, batch []pendingReport) error {
 // backoff returns the jittered exponential delay for the given consecutive
 // failure count (1-based): base·2^(fails-1) capped at MaxBackoff, then
 // jittered uniformly over [d/2, d] so a fleet of workers hammering a
-// restarting coordinator spreads out instead of thundering in lockstep.
+// restarting plane spreads out instead of thundering in lockstep.
 func (w *Worker) backoff(base time.Duration, fails int) time.Duration {
 	maxB := w.MaxBackoff
 	if maxB <= 0 {
@@ -454,8 +448,8 @@ func (w *Worker) runLease(cs *campaignSet, l *Lease) (*Report, error) {
 }
 
 // ExecuteLease computes one lease's shard report synchronously, outside
-// any worker loop — for test harnesses and embedders that drive a
-// coordinator or control plane directly. goldens may be nil.
+// any worker loop — for test harnesses and embedders that drive a Machine
+// or control plane directly. goldens may be nil.
 func ExecuteLease(l *Lease, goldens *GoldenCache) (*Report, error) {
 	w := &Worker{Goldens: goldens}
 	return w.runLease(newCampaignSet(goldens), l)
@@ -535,10 +529,10 @@ func sleepOrNudge(ctx context.Context, d time.Duration, nudge <-chan struct{}) b
 	}
 }
 
-// SoloReport runs the spec's campaign in-process with no coordinator — the
+// SoloReport runs the spec's campaign in-process with no plane — the
 // single-machine baseline every distributed run must match bit-for-bit,
-// on either surface. PriorPath artifacts are loaded here (the distributed
-// path loads them once in NewCoordinator). The second result is the merged
+// on every surface. PriorPath artifacts are loaded here (the distributed
+// path loads them once in NewMachine). The second result is the merged
 // pilot strata of a stratified campaign (nil for uniform or prior-allocated
 // runs), for strata-artifact export.
 func SoloReport(spec Spec, goldens *GoldenCache) (*Report, *engine.StrataSummary, error) {

@@ -92,7 +92,7 @@ func (p *Plane) tenantOnly(next http.HandlerFunc) http.HandlerFunc {
 //	GET  /debug/pprof/              profiling (only with Config.Pprof)
 //
 // All /v1 routes sit behind bearer-token authentication when Config.Auth
-// is set; /debug stays unauthenticated like the coordinator's. Roles are
+// is set; /debug stays unauthenticated. Roles are
 // separated on top of authentication: campaign routes are tenant-scoped
 // (listing shows only the caller's campaigns; get/cancel/stream/report
 // are owner-checked), while the fleet routes accept only the reserved

@@ -1,10 +1,14 @@
-// Package controlplane is the multi-tenant campaign service layer: where
-// internal/campaign's Coordinator serves exactly one campaign per process,
-// a Plane owns a persistent queue of many campaigns, schedules shard
+// Package controlplane is the campaign server — the only one — and owns
+// the only durable log. A Plane holds a persistent queue of many
+// campaigns (one internal/campaign Machine each), schedules shard
 // leases across one shared worker fleet with priority-weighted fair-share
 // (deficit round-robin over active campaigns, per-campaign in-flight
 // quotas), authenticates tenants with HMAC bearer tokens, and fans each
 // campaign's NDJSON result stream out to many concurrent subscribers.
+// Serving a single campaign is the same server with one submission:
+// `faultserve -role coordinator` is a short front that opens a dev-mode
+// Plane on its -checkpoint path, submits or resumes its one campaign,
+// and reads the outcome back through Get and Result.
 //
 // Authorization separates two roles. Campaign routes are tenant-scoped:
 // a tenant lists, reads, streams and cancels only its own campaigns.
@@ -14,8 +18,8 @@
 // tenants' shard leases (whose specs they would otherwise see) nor
 // inject fabricated reports into other tenants' campaigns.
 //
-// Durability is a single append-only journal (checkpoint v5, reads v4)
-// that interleaves every campaign's events — submissions, slot reports,
+// Durability is a single append-only journal (format v5; older versions
+// are refused) that interleaves every campaign's events — submissions, slot reports,
 // cancellations — in one file. Appends are group-committed: concurrent
 // events coalesce into one buffered write and a single fsync, and every
 // ack is released only after the batch that contains it is durable, so

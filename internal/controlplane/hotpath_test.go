@@ -308,59 +308,3 @@ func FuzzJournalCompaction(f *testing.F) {
 		checkCompactionRecovery(t, dir, renamed)
 	})
 }
-
-// TestJournalV4Upgrade: a v4 journal (fsync-per-append era, no seq
-// header) loads, replays its campaigns, and is rewritten as a v5
-// snapshot on the spot, with campaign IDs never reused after the
-// upgrade.
-func TestJournalV4Upgrade(t *testing.T) {
-	spec := testSpec(1)
-	if err := spec.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	hdr4, _ := json.Marshal(journalHeader{Version: journalVersionV4})
-	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c7", Tenant: "alice", Priority: 2, Spec: &spec})
-	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c7", Slot: 0, Report: testReport(spec)})
-	path := filepath.Join(t.TempDir(), "ctl.journal")
-	if err := os.WriteFile(path, journalLines(hdr4, sub, rep), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := New(Config{JournalPath: path, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := p.Get("alice", "c7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateActive || st.Snapshot.CompletedShards != 1 {
-		t.Fatalf("upgraded campaign %s with %d shards, want active with 1", st.State, st.Snapshot.CompletedShards)
-	}
-	// A new submission on the upgraded plane must not collide with c7.
-	st2, err := p.Submit("bob", testSpec(2), 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.ID == "c7" {
-		t.Fatal("campaign ID reused after v4 upgrade")
-	}
-	p.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(data[:bytes.IndexByte(data, '\n')], &hdr); err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Version != journalVersion || hdr.Seq < 7 {
-		t.Fatalf("upgraded header %+v, want version %d with seq >= 7", hdr, journalVersion)
-	}
-	p2, err := New(Config{JournalPath: path, LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatalf("upgraded journal refused: %v", err)
-	}
-	p2.Close()
-}

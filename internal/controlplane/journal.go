@@ -13,31 +13,30 @@ import (
 	"repro/internal/campaign"
 )
 
-// The journal is checkpoint version 5: one append-only NDJSON file that
+// The journal is format version 5: one append-only NDJSON file that
 // interleaves the events of many campaigns — a header line written once at
 // plane creation, then one line per event (campaign submitted, slot report
 // accepted, campaign cancelled) in commit order. Resume replays the file
-// and re-admits every unfinished, uncancelled campaign; the single-
-// campaign v3 checkpoint (and older) is refused with a version mismatch
-// rather than misread. Version 4 files (which lack the header sequence
-// field) are read compatibly and upgraded to v5 by the load-time
-// compaction.
+// and re-admits every unfinished, uncancelled campaign. It is the only
+// on-disk format: any other version — the single-campaign v3 checkpoint,
+// the v4 journal that lacked the header sequence field, or older — is
+// refused with a version mismatch rather than misread.
 //
-// Two mechanisms distinguish v5 from v4, neither weakening the crash
-// contract:
+// Two mechanisms keep the append path cheap and the file bounded, neither
+// weakening the crash contract:
 //
-// Group commit. Appends no longer pay one fsync each: a committer
-// goroutine coalesces every event enqueued while the previous batch was
-// syncing into one buffered write followed by one fsync, and each
-// caller's acknowledgment is released only after the batch holding its
-// event is durable. Under concurrency the fsync cost is amortized over
-// the whole batch; a lone append still gets its own immediate sync, so
-// the worst case equals the old path. A write or sync failure is sticky:
-// it fails the waiting batch and every append after it.
+// Group commit. Appends do not pay one fsync each: a committer goroutine
+// coalesces every event enqueued while the previous batch was syncing
+// into one buffered write followed by one fsync, and each caller's
+// acknowledgment is released only after the batch holding its event is
+// durable. Under concurrency the fsync cost is amortized over the whole
+// batch; a lone append still gets its own immediate sync. A write or sync
+// failure is sticky: it fails the waiting batch and every append after
+// it.
 //
-// Snapshot compaction. The file no longer grows without bound: on load
-// (when terminal campaigns exist or the file is v4) and whenever the file
-// outgrows a size threshold, the journal is rewritten as the minimal
+// Snapshot compaction. The file does not grow without bound: on load
+// (when terminal campaigns exist) and whenever the file outgrows a size
+// threshold, the journal is rewritten as the minimal
 // event history equivalent to the live ledgers — one submit plus one
 // report per finished slot for each unfinished campaign — retiring every
 // event of terminal campaigns. The rewrite is atomic (temp file, fsync,
@@ -46,16 +45,13 @@ import (
 // corrupt refusal matrix applies unchanged to whichever survives. The
 // header's seq field persists the campaign ID counter so retired IDs are
 // never reused.
-const (
-	journalVersion   = 5
-	journalVersionV4 = 4
-)
+const journalVersion = 5
 
 // journalHeader is the first line of the file. Seq records the highest
 // campaign sequence number ever assigned, so compaction can retire a
 // terminal campaign's events without its ID being reused by a later
-// submission (v4 files, which predate compaction, have no Seq and derive
-// the counter from the replayed events).
+// submission (an uncompacted file has no Seq yet and derives the counter
+// from the replayed events).
 type journalHeader struct {
 	Version int `json:"version"`
 	Seq     int `json:"seq,omitempty"`
@@ -88,7 +84,7 @@ type journalEvent struct {
 }
 
 // JournalStats is the journal's hot-path instrumentation, also exported
-// per-plane so benchmarks comparing sync policies in one process are not
+// per-plane so benchmarks running several planes in one process are not
 // confused by the process-global expvars.
 type JournalStats struct {
 	// Batches and Events count committed group-commit batches and the
@@ -97,8 +93,7 @@ type JournalStats struct {
 	Events  int64 `json:"events"`
 	// MaxBatch is the largest single batch committed.
 	MaxBatch int64 `json:"max_batch"`
-	// Fsyncs counts file syncs on the append path (one per batch under
-	// group commit, one per event under FsyncPerAppend).
+	// Fsyncs counts file syncs on the append path (one per batch).
 	Fsyncs int64 `json:"fsyncs"`
 	// FsyncNanos is total time spent in append-path write+sync.
 	FsyncNanos int64 `json:"fsync_nanos"`
@@ -147,9 +142,6 @@ type journal struct {
 	lastCompactSize int64
 	stats           JournalStats
 
-	// perAppend reverts to the v4 policy — one write+fsync per event —
-	// as the measured baseline for the group-commit path.
-	perAppend bool
 	// compactAt, when positive, triggers compaction past that many bytes.
 	compactAt int64
 	// snapshot, set by the plane before the committer starts, returns the
@@ -159,11 +151,10 @@ type journal struct {
 	snapshot func() (seq int, events []*journalEvent, stolen *commitBatch)
 
 	// events holds the replayable history in file order; nil when the file
-	// was freshly created. version is what the loaded file declared.
-	events  []journalEvent
-	loaded  bool
-	version int
-	seq     int
+	// was freshly created. seq is the loaded header's campaign ID counter.
+	events []journalEvent
+	loaded bool
+	seq    int
 
 	done chan struct{}
 }
@@ -180,7 +171,7 @@ func openJournal(path string) (*journal, error) {
 		if err := writeJournalHeader(path); err != nil {
 			return nil, err
 		}
-		jl = &journal{path: path, version: journalVersion}
+		jl = &journal{path: path}
 		hdr, _ := json.Marshal(journalHeader{Version: journalVersion})
 		jl.size = int64(len(hdr) + 1)
 	case err != nil:
@@ -248,12 +239,12 @@ func parseJournal(path string, data []byte) (*journal, error) {
 	if err := json.Unmarshal(lines[0], &hdr); err != nil {
 		return nil, fmt.Errorf("controlplane: decoding journal %s header: %v", path, err)
 	}
-	if hdr.Version != journalVersion && hdr.Version != journalVersionV4 {
-		return nil, fmt.Errorf("controlplane: journal %s has version %d, want %d (v3 and older are single-campaign coordinator checkpoints — they do not resume on a control plane)",
+	if hdr.Version != journalVersion {
+		return nil, fmt.Errorf("controlplane: journal %s has version %d, want %d (older checkpoint and journal formats are not read)",
 			path, hdr.Version, journalVersion)
 	}
 
-	jl := &journal{path: path, loaded: true, version: hdr.Version, seq: hdr.Seq}
+	jl := &journal{path: path, loaded: true, seq: hdr.Seq}
 	// specs tracks submitted campaigns so report/cancel events can be
 	// validated in stream order: an event naming a campaign the journal
 	// never admitted is foreign — it cannot have been written by a plane
@@ -375,12 +366,6 @@ func (jl *journal) enqueue(e journalEvent) func() error {
 	}
 }
 
-// append enqueues one event and waits for durability — the synchronous
-// convenience used where no scheduler lock is held.
-func (jl *journal) append(e journalEvent) error {
-	return jl.enqueue(e)()
-}
-
 // run is the committer: it repeatedly swaps out everything enqueued since
 // the last commit, writes it as one buffer, fsyncs once, and releases the
 // batch's waiters. Compaction requests are honored between batches.
@@ -408,30 +393,13 @@ func (jl *journal) run() {
 		}
 		buf, b := jl.buf, jl.batch
 		jl.buf, jl.batch = nil, nil
-		f, perAppend := jl.f, jl.perAppend
+		f := jl.f
 		jl.mu.Unlock()
 
 		start := time.Now()
-		total := int64(len(buf))
-		var werr error
-		syncs := int64(0)
-		if perAppend {
-			// Baseline policy: one write + one fsync per event line.
-			for len(buf) > 0 && werr == nil {
-				nl := bytes.IndexByte(buf, '\n')
-				_, werr = f.Write(buf[:nl+1])
-				if werr == nil {
-					werr = f.Sync()
-					syncs++
-				}
-				buf = buf[nl+1:]
-			}
-		} else {
-			_, werr = f.Write(buf)
-			if werr == nil {
-				werr = f.Sync()
-				syncs = 1
-			}
+		_, werr := f.Write(buf)
+		if werr == nil {
+			werr = f.Sync()
 		}
 		elapsed := time.Since(start).Nanoseconds()
 
@@ -442,17 +410,17 @@ func (jl *journal) run() {
 				jl.err = werr
 			}
 		} else {
-			jl.size += total
+			jl.size += int64(len(buf))
 			jl.eventCount += b.n
 			jl.stats.Batches++
 			jl.stats.Events += int64(b.n)
 			if int64(b.n) > jl.stats.MaxBatch {
 				jl.stats.MaxBatch = int64(b.n)
 			}
-			jl.stats.Fsyncs += syncs
+			jl.stats.Fsyncs++
 			jl.stats.FsyncNanos += elapsed
 			jl.stats.Bytes = jl.size
-			noteJournalCommit(int64(b.n), syncs, elapsed, jl.size)
+			noteJournalCommit(int64(b.n), elapsed, jl.size)
 			if jl.compactAt > 0 && jl.size > jl.compactAt && jl.size > 2*jl.lastCompactSize {
 				jl.compactReq = true
 			}

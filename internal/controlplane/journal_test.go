@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,19 +29,21 @@ func testReport(spec campaign.Spec) *campaign.Report {
 
 // TestJournalTornTail crashes mid-append (a half-written last line) and
 // checks the resume drops exactly that line, truncates the file to the
-// good prefix, and keeps every earlier campaign.
+// good prefix, and keeps every earlier campaign. The file was never
+// compacted, so its header carries no seq: the ID counter must come from
+// the replayed campaign IDs, or the next submission would reuse one.
 func TestJournalTornTail(t *testing.T) {
 	spec := testSpec(1)
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
 	hdr, _ := json.Marshal(journalHeader{Version: journalVersion})
-	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Tenant: "alice", Priority: 2, Spec: &spec})
-	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: testReport(spec)})
+	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c7", Tenant: "alice", Priority: 2, Spec: &spec})
+	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c7", Slot: 0, Report: testReport(spec)})
 
 	path := filepath.Join(t.TempDir(), "ctl.journal")
 	good := journalLines(hdr, sub, rep)
-	torn := append(append([]byte{}, good...), []byte(`{"event":"report","campaign":"c1","slot":1,"rep`)...)
+	torn := append(append([]byte{}, good...), []byte(`{"event":"report","campaign":"c7","slot":1,"rep`)...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	st, err := p.Get("alice", "c1")
+	st, err := p.Get("alice", "c7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +67,16 @@ func TestJournalTornTail(t *testing.T) {
 	if len(data) != len(good) {
 		t.Fatalf("torn tail not truncated: %d bytes, want %d", len(data), len(good))
 	}
+	if id := mustSubmit(t, p, "bob", testSpec(2), 1, 0); id != "c8" {
+		t.Fatalf("submission after replaying c7 got ID %s, want c8", id)
+	}
 }
 
-// TestJournalRefusals: a v3 single-campaign checkpoint, an event for a
-// campaign the journal never admitted, and corruption before the tail all
-// refuse the resume instead of silently dropping state.
+// TestJournalRefusals: every file that is not a well-formed v5 journal —
+// the retired v3 single-campaign checkpoint and v4 journal formats, an
+// event for a campaign the journal never admitted, corruption before the
+// tail — refuses the resume with an error naming the file instead of
+// silently dropping state.
 func TestJournalRefusals(t *testing.T) {
 	spec := testSpec(1)
 	if err := spec.Normalize(); err != nil {
@@ -76,12 +84,14 @@ func TestJournalRefusals(t *testing.T) {
 	}
 	hdr, _ := json.Marshal(journalHeader{Version: journalVersion})
 	v3hdr, _ := json.Marshal(journalHeader{Version: 3})
+	v4hdr, _ := json.Marshal(journalHeader{Version: 4})
 	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Spec: &spec})
 	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: testReport(spec)})
 	foreign, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c9", Slot: 0, Report: testReport(spec)})
 
 	cases := map[string][]byte{
 		"v3 checkpoint":     journalLines(v3hdr, sub),
+		"v4 journal":        journalLines(v4hdr, sub, rep),
 		"foreign campaign":  journalLines(hdr, sub, foreign, rep),
 		"corrupt middle":    journalLines(hdr, sub, []byte(`{"event":`), rep),
 		"dup submission":    journalLines(hdr, sub, sub),
@@ -90,18 +100,20 @@ func TestJournalRefusals(t *testing.T) {
 		"empty file":        {},
 	}
 	for name, data := range cases {
-		path := filepath.Join(t.TempDir(), "ctl.journal")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := New(Config{JournalPath: path}); err == nil {
-			t.Errorf("%s: resume accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ctl.journal")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(Config{JournalPath: path}); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("resume not refused with an error naming %s: %v", path, err)
+			}
+		})
 	}
 }
 
-// FuzzQueueCheckpoint throws arbitrary bytes at the interleaved v4
-// journal loader. The contract: New never panics; when it succeeds, every
+// FuzzQueueCheckpoint throws arbitrary bytes at the interleaved journal
+// loader. The contract: New never panics; when it succeeds, every
 // recovered campaign replays cleanly (reports land in their own ledgers,
 // in range) and a re-resume of the now-truncated file also succeeds —
 // loading is idempotent once the torn tail is gone. Seeds cover the

@@ -32,13 +32,12 @@ func noteRejected(tenant string)    { mTenants.Add(tenantKey(tenant)+".rejected"
 func setQueueDepth(active int)      { mQueueDepth.Set(int64(active)) }
 func noteQueueCapped(tenant string) { mTenants.Add(tenantKey(tenant)+".queue_capped", 1) }
 
-// noteJournalCommit records one committed batch: how many events rode how
-// many fsyncs (one under group commit), how long the write+sync took, and
-// the file size after.
-func noteJournalCommit(events, syncs, nanos, bytes int64) {
+// noteJournalCommit records one committed batch: how many events rode its
+// one fsync, how long the write+sync took, and the file size after.
+func noteJournalCommit(events, nanos, bytes int64) {
 	mJournal.Add("batches", 1)
 	mJournal.Add("events", events)
-	mJournal.Add("fsyncs", syncs)
+	mJournal.Add("fsyncs", 1)
 	mJournal.Add("fsync_nanos", nanos)
 	setJournalBytes(bytes)
 }

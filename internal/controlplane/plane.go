@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/engine"
 )
 
 // Campaign lifecycle states.
@@ -31,7 +32,6 @@ type Config struct {
 	// JournalPath, when set, is the interleaved v5 journal the plane
 	// appends every event to (group-committed; see journal.go); a plane
 	// restarted on the same path re-admits every unfinished campaign.
-	// v4 journals are read and upgraded on load.
 	JournalPath string
 	// LeaseTTL is how long a worker may hold a shard without heartbeating
 	// before the shard is re-leased. Default 30s.
@@ -56,11 +56,6 @@ type Config struct {
 	// retiring terminal campaigns' events after a restart — runs
 	// regardless. 0 disables size-triggered compaction.
 	CompactBytes int64
-	// FsyncPerAppend reverts the journal to the v4 policy of one fsync per
-	// event — the measured baseline for group commit, kept for
-	// `benchtrack -mode plane -baseline`. Durability is identical; only
-	// the amortization differs.
-	FsyncPerAppend bool
 	// Pprof additionally mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 }
@@ -165,20 +160,18 @@ func New(cfg Config) (*Plane, error) {
 	}
 	setQueueDepth(len(p.ring))
 	if p.jl != nil {
-		// Header seq (v5) survives compaction; replayed campaign IDs cover
-		// v4 files and pre-compaction tails.
+		// The header seq survives compaction; replayed campaign IDs cover
+		// the events appended since (and never-compacted files).
 		if p.jl.seq > p.seq {
 			p.seq = p.jl.seq
 		}
-		p.jl.perAppend = cfg.FsyncPerAppend
 		p.jl.compactAt = cfg.CompactBytes
 		p.jl.snapshot = p.compactionSnapshot
-		// Load-time compaction retires terminal campaigns' events (bounding
-		// the file across restarts) and rewrites v4 journals as v5. Note
-		// retired campaigns are dropped entirely: they stop being queryable
-		// after the *next* restart, which is the documented trade for a
-		// bounded journal.
-		if p.jl.loaded && (anyTerminal || p.jl.version == journalVersionV4) {
+		// Load-time compaction retires terminal campaigns' events, bounding
+		// the file across restarts. Note retired campaigns are dropped
+		// entirely: they stop being queryable after the *next* restart,
+		// which is the documented trade for a bounded journal.
+		if p.jl.loaded && anyTerminal {
 			p.jl.compact()
 			if err := p.jl.err; err != nil {
 				return nil, err
@@ -468,9 +461,9 @@ func (p *Plane) expireLocked(now time.Time) {
 // campaign at its in-flight quota or with nothing leasable is skipped
 // without banking credit.
 //
-// Unlike the single-campaign coordinator, the fleet is never "done" and a
-// failed campaign never poisons it: workers poll for as long as the plane
-// serves, and campaign-terminal states are per-campaign.
+// The fleet is never "done" and a failed campaign never poisons it:
+// workers poll for as long as the plane serves, and campaign-terminal
+// states are per-campaign.
 func (p *Plane) lease(now time.Time) campaign.LeaseResponse {
 	return p.leaseBatch(now, 1)
 }
@@ -541,15 +534,15 @@ func (p *Plane) grantLocked(now time.Time) *campaign.Lease {
 
 // LeaseBatch grants up to max shard leases in one call — the in-process
 // equivalent of POST /v1/lease {"max":N}, exported for embedded fleets
-// and the plane benchmark (benchtrack -mode plane).
+// and the benchmark's ledger probes.
 func (p *Plane) LeaseBatch(now time.Time, max int) campaign.LeaseResponse {
 	return p.leaseBatch(now, max)
 }
 
 // ReportBatch applies several finished slots in one call — the
 // in-process equivalent of POST /v1/reports, exported for embedded
-// fleets and the plane benchmark. One error (or nil) per report, in
-// request order.
+// fleets and the benchmark's ledger probes. One error (or nil) per
+// report, in request order.
 func (p *Plane) ReportBatch(reqs []campaign.ReportRequest) []error {
 	return p.reportBatch(reqs)
 }
@@ -687,36 +680,46 @@ func (p *Plane) Get(tenant, id string) (Status, error) {
 	return p.statusLocked(c), nil
 }
 
+// Result returns one campaign's normalized spec and, once the campaign is
+// done, its merged final report and merged pilot strata (nil for uniform
+// or prior-allocated campaigns). The spec is valid whenever the campaign
+// exists and the caller owns it; until a final report exists the report
+// is nil and err is the 409 saying why. Owner-checked like Cancel when
+// the plane authenticates tenants. It is what an embedding front (the
+// one-campaign `faultserve -role coordinator`) needs beyond Status to
+// adopt a journaled campaign and to emit its artifacts.
+func (p *Plane) Result(tenant, id string) (campaign.Spec, *campaign.Report, *engine.StrataSummary, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c, ok := p.camps[id]
+	if !ok {
+		return campaign.Spec{}, nil, nil, errNotFound(id)
+	}
+	if err := p.authzLocked(c, tenant); err != nil {
+		return campaign.Spec{}, nil, nil, err
+	}
+	spec := c.m.Spec()
+	if c.state == StateCancelled {
+		return spec, nil, nil, errConflict(fmt.Sprintf("campaign %s was cancelled", id))
+	}
+	r, err := c.m.FinalReport()
+	if err != nil {
+		return spec, nil, nil, errConflict(err.Error())
+	}
+	return spec, r, c.m.PilotStrata(), nil
+}
+
 // FinalReportJSON returns the finished campaign's merged report as the
 // inner surface report, indented — byte-identical to what a solo
 // faultserve run of the same spec writes with -out, which is what makes
 // shared-fleet results directly byte-comparable against solo baselines.
 // Owner-checked like Cancel when the plane authenticates tenants.
 func (p *Plane) FinalReportJSON(tenant, id string) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.camps[id]
-	if !ok {
-		return nil, errNotFound(id)
-	}
-	if err := p.authzLocked(c, tenant); err != nil {
+	_, r, _, err := p.Result(tenant, id)
+	if err != nil {
 		return nil, err
 	}
-	if c.state == StateCancelled {
-		return nil, errConflict(fmt.Sprintf("campaign %s was cancelled", id))
-	}
-	r, err := c.m.FinalReport()
-	if err != nil {
-		return nil, errConflict(err.Error())
-	}
-	var inner any = r.Datapath
-	if r.Buffer != nil {
-		inner = r.Buffer
-	}
-	if r.Systolic != nil {
-		inner = r.Systolic
-	}
-	return json.MarshalIndent(inner, "", "  ")
+	return json.MarshalIndent(r.Inner(), "", "  ")
 }
 
 // broadcastLocked fans the campaign's current status out to its stream

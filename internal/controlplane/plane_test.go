@@ -177,9 +177,7 @@ func TestCancellationMidLease(t *testing.T) {
 }
 
 // runFleet drives n workers against the plane's HTTP handler until stop
-// closes — the shared-fleet analogue of the campaign package's worker
-// loops, ended externally because a plane (unlike a coordinator) is never
-// "done".
+// closes — ended externally because a plane is never "done".
 func runFleet(t *testing.T, srv *httptest.Server, n int, token string, stop chan struct{}) chan error {
 	t.Helper()
 	errs := make(chan error, n)
@@ -226,14 +224,7 @@ func soloBytes(t *testing.T, spec campaign.Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inner any = r.Datapath
-	if r.Buffer != nil {
-		inner = r.Buffer
-	}
-	if r.Systolic != nil {
-		inner = r.Systolic
-	}
-	data, err := json.MarshalIndent(inner, "", "  ")
+	data, err := json.MarshalIndent(r.Inner(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,6 +291,70 @@ func TestSharedFleetMatchesSolo(t *testing.T) {
 	}
 	if !bytes.Equal(gotSys, wantSys) {
 		t.Fatalf("systolic report diverged from solo (%d vs %d bytes)", len(gotSys), len(wantSys))
+	}
+}
+
+// TestWorkerStopsWithoutDone: a plane never answers "done", so a worker's
+// exits are its own. Run must return nil on ctx cancel, on Drain (after
+// delivering everything it holds) and at MaxLeases (after exactly that
+// many slots) — each while its campaign is still active with slots left.
+func TestWorkerStopsWithoutDone(t *testing.T) {
+	p := newTestPlane(t, Config{LeaseTTL: 10 * time.Second})
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	spec := testSpec(41)
+	spec.N, spec.Shards = 640, 64 // far more slots than any stop below lets through
+
+	cases := []struct {
+		name      string
+		maxLeases int
+		stop      func(w *campaign.Worker, cancel context.CancelFunc)
+	}{
+		{"ctx cancel", 0, func(_ *campaign.Worker, cancel context.CancelFunc) { cancel() }},
+		{"drain", 0, func(w *campaign.Worker, _ context.CancelFunc) { w.Drain() }},
+		{"max leases", 2, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			id := mustSubmit(t, p, "alice", spec, 1, 0)
+			defer p.Cancel("", id)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			w := &campaign.Worker{
+				Base: srv.URL, Name: tc.name, Client: srv.Client(), MaxLeases: tc.maxLeases,
+				Poll: 5 * time.Millisecond, GiveUp: 10 * time.Second, Goldens: campaign.NewGoldenCache(),
+			}
+			errs := make(chan error, 1)
+			go func() { errs <- w.Run(ctx) }()
+			if tc.stop != nil {
+				for st, _ := p.Get("", id); st.InFlight == 0 && st.Snapshot.CompletedShards == 0; st, _ = p.Get("", id) {
+					time.Sleep(time.Millisecond)
+				}
+				tc.stop(w, cancel)
+			}
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("Run returned %v, want nil", err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("Run did not return")
+			}
+			st, err := p.Get("", id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := st.Snapshot.CompletedShards
+			if st.State != StateActive || done >= st.Snapshot.TotalShards {
+				t.Fatalf("campaign is %s with %d/%d slots; the worker was meant to stop first", st.State, done, st.Snapshot.TotalShards)
+			}
+			if tc.name != "ctx cancel" && st.InFlight != 0 {
+				t.Fatalf("worker exited holding %d undelivered leases", st.InFlight)
+			}
+			if tc.maxLeases > 0 && done != tc.maxLeases {
+				t.Fatalf("MaxLeases %d completed %d slots", tc.maxLeases, done)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Distributed-campaign smoke test: boot a coordinator plus two loopback
-# workers (one of which dies hard while holding a lease), SIGKILL the
-# coordinator mid-campaign, resume it from its checkpoint, and assert the
-# final merged report is byte-identical to an uninterrupted single-process
-# run of the same spec. A second leg runs the same drill on a stratified
+# Distributed-campaign smoke test: boot a coordinator (the one-campaign
+# front on the control plane, its journal the -checkpoint file) plus two
+# loopback workers (one of which dies hard while holding a lease), SIGKILL
+# the coordinator mid-campaign, check the journal refuses a different
+# -seed, resume it, and assert the final merged report is byte-identical
+# to an uninterrupted single-process run of the same spec. A plane never
+# tells its fleet "done", so each leg SIGTERMs its workers once the
+# coordinator has exited and requires a clean drain. A second leg runs the
+# same drill on a stratified
 # Eyeriss buffer campaign, then replays it pilot-free from the recorded
 # strata artifact (-prior) and checks distributed == solo there too. A
 # systolic leg repeats the crash-and-resume drill on a stratified
@@ -39,6 +43,13 @@ json_field() { # json_field <url> <field>
     curl -fsS "$1" | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"
 }
 
+drain_workers() { # drain_workers <pid>...: SIGTERM, then require exit 0
+    kill -TERM "$@"
+    for pid in "$@"; do
+        wait "$pid" || { echo "FAIL: worker $pid did not drain cleanly"; exit 1; }
+    done
+}
+
 echo "== baseline: uninterrupted solo run"
 "$tmp/faultserve" -role solo "${SPEC[@]}" -out "$tmp/solo.json"
 
@@ -55,11 +66,20 @@ base="http://$(cat "$tmp/addr")"
 "$tmp/faultserve" -role worker -join "$base" -crash-after 3 || true
 "$tmp/faultserve" -role worker -join "$base" -max-leases 2
 
-done_shards=$(json_field "$base/v1/status" completed_shards)
+done_shards=$(json_field "$base/v1/campaigns/c1" completed_shards)
 echo "   $done_shards/8 shards checkpointed"
 [ "$done_shards" -eq 5 ] || { echo "FAIL: expected 5 completed shards"; exit 1; }
 kill -9 "$coord"
 wait "$coord" 2>/dev/null || true
+
+# The journal belongs to the seed-7 campaign: a different spec is refused,
+# and the refusal leaves the journal as it was (phase 2 still resumes 5).
+if "$tmp/faultserve" -role coordinator "${SPEC[@]}" -seed 8 \
+    -addr 127.0.0.1:0 -checkpoint "$tmp/ckpt" 2>"$tmp/mismatch.err"; then
+    echo "FAIL: checkpoint for seed 7 accepted a seed-8 campaign"; exit 1
+fi
+grep -q "$tmp/ckpt" "$tmp/mismatch.err" || { echo "FAIL: spec-mismatch refusal does not name the checkpoint"; exit 1; }
+echo "   checkpoint refused a different -seed"
 
 echo "== phase 2: resume from checkpoint, finish with 2 workers"
 "$tmp/faultserve" -role coordinator "${SPEC[@]}" \
@@ -69,13 +89,16 @@ coord2=$!
 for _ in $(seq 100); do [ -s "$tmp/addr2" ] && break; sleep 0.1; done
 base2="http://$(cat "$tmp/addr2")"
 
-resumed=$(json_field "$base2/v1/status" resumed_shards)
+resumed=$(json_field "$base2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $resumed shards without re-running them"
 [ "$resumed" -eq 5 ] || { echo "FAIL: expected 5 resumed shards"; exit 1; }
 
 "$tmp/faultserve" -role worker -join "$base2" -golden-dir "$tmp/goldens" &
+w1=$!
 "$tmp/faultserve" -role worker -join "$base2" -golden-dir "$tmp/goldens" &
+w2=$!
 wait "$coord2"
+drain_workers "$w1" "$w2"
 
 echo "== compare resumed-distributed report against the solo baseline"
 if ! cmp -s "$tmp/solo.json" "$tmp/resumed.json"; then
@@ -101,7 +124,7 @@ bbase="http://$(cat "$tmp/baddr")"
 # The worker finishes 2 of the 6 pilot slots, takes a third lease and dies
 # hard; then the coordinator itself is SIGKILLed mid-campaign.
 "$tmp/faultserve" -role worker -join "$bbase" -crash-after 2 || true
-bdone=$(json_field "$bbase/v1/status" completed_shards)
+bdone=$(json_field "$bbase/v1/campaigns/c1" completed_shards)
 echo "   $bdone/12 buffer slots checkpointed"
 [ "$bdone" -eq 2 ] || { echo "FAIL: expected 2 completed buffer slots"; exit 1; }
 kill -9 "$bcoord"
@@ -114,13 +137,16 @@ bcoord2=$!
 for _ in $(seq 100); do [ -s "$tmp/baddr2" ] && break; sleep 0.1; done
 bbase2="http://$(cat "$tmp/baddr2")"
 
-bresumed=$(json_field "$bbase2/v1/status" resumed_shards)
+bresumed=$(json_field "$bbase2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $bresumed buffer slots without re-running them"
 [ "$bresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed buffer slots"; exit 1; }
 
 "$tmp/faultserve" -role worker -join "$bbase2" &
+w1=$!
 "$tmp/faultserve" -role worker -join "$bbase2" &
+w2=$!
 wait "$bcoord2"
+drain_workers "$w1" "$w2"
 
 if ! cmp -s "$tmp/bsolo.json" "$tmp/bresumed.json"; then
     echo "FAIL: resumed distributed buffer report differs from solo eyeriss run"
@@ -137,8 +163,10 @@ echo "== prior-seeded buffer campaign (pilot-free) distributed vs solo"
     -addr 127.0.0.1:0 -addr-file "$tmp/paddr" -linger 2s -out "$tmp/pdist.json" &
 pcoord=$!
 for _ in $(seq 100); do [ -s "$tmp/paddr" ] && break; sleep 0.1; done
-"$tmp/faultserve" -role worker -join "http://$(cat "$tmp/paddr")"
+"$tmp/faultserve" -role worker -join "http://$(cat "$tmp/paddr")" &
+w1=$!
 wait "$pcoord"
+drain_workers "$w1"
 
 if ! cmp -s "$tmp/psolo.json" "$tmp/pdist.json"; then
     echo "FAIL: prior-seeded distributed buffer report differs from solo"
@@ -163,7 +191,7 @@ sbase="http://$(cat "$tmp/saddr")"
 # hard; then the coordinator itself is SIGKILLed mid-campaign, before the
 # pilot->allocation boundary.
 "$tmp/faultserve" -role worker -join "$sbase" -crash-after 2 || true
-sdone=$(json_field "$sbase/v1/status" completed_shards)
+sdone=$(json_field "$sbase/v1/campaigns/c1" completed_shards)
 echo "   $sdone/12 systolic slots checkpointed"
 [ "$sdone" -eq 2 ] || { echo "FAIL: expected 2 completed systolic slots"; exit 1; }
 kill -9 "$scoord"
@@ -176,13 +204,16 @@ scoord2=$!
 for _ in $(seq 100); do [ -s "$tmp/saddr2" ] && break; sleep 0.1; done
 sbase2="http://$(cat "$tmp/saddr2")"
 
-sresumed=$(json_field "$sbase2/v1/status" resumed_shards)
+sresumed=$(json_field "$sbase2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $sresumed systolic slots without re-running them"
 [ "$sresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed systolic slots"; exit 1; }
 
 "$tmp/faultserve" -role worker -join "$sbase2" &
+w1=$!
 "$tmp/faultserve" -role worker -join "$sbase2" &
+w2=$!
 wait "$scoord2"
+drain_workers "$w1" "$w2"
 
 if ! cmp -s "$tmp/ssolo.json" "$tmp/sresumed.json"; then
     echo "FAIL: resumed distributed systolic report differs from solo run"
@@ -207,7 +238,7 @@ obase="http://$(cat "$tmp/oaddr")"
 # third pilot lease, then the coordinator is SIGKILLed before the
 # pilot->allocation boundary.
 "$tmp/faultserve" -role worker -join "$obase" -crash-after 2 || true
-odone=$(json_field "$obase/v1/status" completed_shards)
+odone=$(json_field "$obase/v1/campaigns/c1" completed_shards)
 echo "   $odone/12 output-stationary slots checkpointed"
 [ "$odone" -eq 2 ] || { echo "FAIL: expected 2 completed output-stationary slots"; exit 1; }
 kill -9 "$ocoord"
@@ -220,13 +251,16 @@ ocoord2=$!
 for _ in $(seq 100); do [ -s "$tmp/oaddr2" ] && break; sleep 0.1; done
 obase2="http://$(cat "$tmp/oaddr2")"
 
-oresumed=$(json_field "$obase2/v1/status" resumed_shards)
+oresumed=$(json_field "$obase2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $oresumed output-stationary slots without re-running them"
 [ "$oresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed output-stationary slots"; exit 1; }
 
 "$tmp/faultserve" -role worker -join "$obase2" &
+w1=$!
 "$tmp/faultserve" -role worker -join "$obase2" &
+w2=$!
 wait "$ocoord2"
+drain_workers "$w1" "$w2"
 
 if ! cmp -s "$tmp/osolo.json" "$tmp/oresumed.json"; then
     echo "FAIL: resumed distributed output-stationary report differs from solo run"
