@@ -288,9 +288,9 @@ func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDi
 		Prefetch:   prefetch,
 		Token:      token,
 		MaxBackoff: maxBackoff,
+		Goldens:    campaign.NewGoldenCache(),
 	}
 	if goldenDir != "" {
-		w.Goldens = campaign.NewGoldenCache()
 		w.Goldens.Persist(goldenDir)
 	}
 	if crashAfter > 0 {
@@ -310,6 +310,10 @@ func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDi
 	if err := w.Run(context.Background()); err != nil {
 		log.Fatal(err)
 	}
+	// One miss per (network, weights, format, input) coordinate the worker
+	// touched, whatever the surface: the smoke script asserts on this line.
+	hits, misses := w.Goldens.Stats()
+	log.Printf("golden cache: %d misses, %d hits", misses, hits)
 	if w.Draining() {
 		log.Printf("drained")
 	}

@@ -21,6 +21,10 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/controlplane"
 	"repro/internal/engine"
+	"repro/internal/models"
+	"repro/internal/network"
+	"repro/internal/numeric"
+	"repro/internal/tensor"
 )
 
 // outBytes is what -out writes for a report: the inner surface report,
@@ -519,5 +523,111 @@ func TestSystolicCheckpointResume(t *testing.T) {
 			spec.MBU = tc.mbu
 			checkJournalResume(t, spec, 2)
 		})
+	}
+}
+
+// TestWorkerSharesOneGoldenAcrossSurfaces pins the shared-golden contract:
+// one worker executing datapath, buffer and systolic leases over the same
+// (network, weights, format, input) coordinate — interleaved across two
+// executor goroutines, uniform and stratified, pilot and main — pays for
+// exactly one golden forward pass, every campaign still merges
+// byte-identical to its solo run, and after Filter SRAM leases (which patch
+// cached quantized weights on the shard's private network) the cached
+// golden still equals a fresh forward pass bit for bit. Run under -race it
+// also proves the prepared campaigns are safe to share between executors.
+func TestWorkerSharesOneGoldenAcrossSurfaces(t *testing.T) {
+	specs := []campaign.Spec{campaign.TestSpec("16b_rb10"), campaign.BufSpec("uniform"), campaign.BufSpec("stratified"), campaign.SysSpec("stratified")}
+	specs[1].Buffer = "filter"
+	specs[3].MBU = 2
+	p := openPlane(t, "")
+	ids := make([]string, len(specs))
+	for i := range specs {
+		specs[i].Inputs = 1
+		ids[i] = submit(t, p, specs[i])
+	}
+
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	goldens := campaign.NewGoldenCache()
+	w := &campaign.Worker{
+		Base: srv.URL, Name: "w", Client: srv.Client(), Procs: 2,
+		Poll: 5 * time.Millisecond, GiveUp: 10 * time.Second, Goldens: goldens,
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	for i, id := range ids {
+		for deadline := time.Now().Add(90 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			st, err := p.Get("", id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == controlplane.StateDone {
+				break
+			}
+			if st.State != controlplane.StateActive || time.Now().After(deadline) {
+				t.Fatalf("campaign %s is %s, want done", id, st.State)
+			}
+		}
+		got, err := p.FinalReportJSON("", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo, _, err := campaign.SoloReport(specs[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, outBytes(t, solo.Inner())) {
+			t.Errorf("%s campaign diverged from its solo run", specs[i].Surface)
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	hits, misses := goldens.Stats()
+	if misses != 1 {
+		t.Errorf("worker computed %d goldens for one coordinate, want 1 (%d hits)", misses, hits)
+	}
+	net := models.Build("ConvNet")
+	key := campaign.GoldenKey{Net: "ConvNet", WeightsHash: net.WeightsHash(), DType: "16b_rb10", Input: 0}
+	cached := goldens.Get(key, func() *network.Execution {
+		t.Error("the worker's golden is not cached under the expected key")
+		return nil
+	})
+	fresh := net.Forward(numeric.Fx16RB10, models.InputFor("ConvNet", 0))
+	for l := range fresh.Acts {
+		if !tensor.BitIdentical(fresh.Acts[l], cached.Acts[l]) {
+			t.Fatalf("cached golden differs from a fresh forward pass at layer %d", l)
+		}
+	}
+}
+
+// TestSoloSharesGoldensAcrossShardsAndPhases: a buffer or systolic solo run
+// resolves each input's golden once for the whole campaign — through the
+// caller's cache when given one (one miss per input, every other shard and
+// phase a hit), privately otherwise — and the two are byte-identical.
+func TestSoloSharesGoldensAcrossShardsAndPhases(t *testing.T) {
+	for _, spec := range []campaign.Spec{campaign.BufSpec("stratified"), campaign.SysSpec("stratified")} {
+		goldens := campaign.NewGoldenCache()
+		shared, _, err := campaign.SoloReport(spec, goldens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := goldens.Stats()
+		// Three shards, pilot and main: six lookups of each input.
+		if misses != spec.Inputs || hits != 5*spec.Inputs {
+			t.Errorf("%s: %d misses and %d hits over %d inputs, want one miss and five hits each",
+				spec.Surface, misses, hits, spec.Inputs)
+		}
+		private, _, err := campaign.SoloReport(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(outBytes(t, shared.Inner()), outBytes(t, private.Inner())) {
+			t.Errorf("%s: shared-cache solo run diverged from the private-memo run", spec.Surface)
+		}
 	}
 }

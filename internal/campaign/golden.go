@@ -3,7 +3,6 @@ package campaign
 import (
 	"sync"
 
-	"repro/internal/faultinj"
 	"repro/internal/network"
 )
 
@@ -70,10 +69,12 @@ func (g *GoldenCache) Stats() (hits, misses int) {
 	return g.hits, g.misses
 }
 
-// campaignSet memoizes prepared faultinj campaigns per campaignKey so that
-// a worker executing many leases of the same campaign reuses one prepared
-// network (profile, quantized-parameter cache, goldens) instead of
-// rebuilding per lease.
+// campaignSet memoizes prepared campaigns of every surface per campaignKey,
+// so that a worker executing many leases of the same campaign reuses one
+// prepared campaign object — the datapath's network, profile and goldens;
+// a buffer or systolic campaign's validated geometry and weights hash —
+// instead of rebuilding per lease, and wires each to one shared golden
+// cache.
 //
 // The memo is the golden-cache namespace layer for interleaved campaigns:
 // GoldenKey itself is content-addressed (the weights hash pins the loaded
@@ -85,7 +86,7 @@ func (g *GoldenCache) Stats() (hits, misses int) {
 // fleet still pays one golden pass per (network, format, input).
 type campaignSet struct {
 	mu      sync.Mutex
-	byKey   map[string]*faultinj.Campaign
+	byKey   map[string]any // *faultinj.Campaign, *eyeriss.Campaign or *systolic.Campaign
 	goldens *GoldenCache
 }
 
@@ -93,12 +94,13 @@ func newCampaignSet(goldens *GoldenCache) *campaignSet {
 	if goldens == nil {
 		goldens = NewGoldenCache()
 	}
-	return &campaignSet{byKey: make(map[string]*faultinj.Campaign), goldens: goldens}
+	return &campaignSet{byKey: make(map[string]any), goldens: goldens}
 }
 
-// get returns the prepared campaign for spec, building it on first use.
+// prepared returns the set's campaign for spec, calling build — one of the
+// Spec constructors that take the shared golden cache — on first use.
 // campaignID namespaces specs that load mutable external content.
-func (cs *campaignSet) get(campaignID string, spec Spec) (*faultinj.Campaign, error) {
+func prepared[C any](cs *campaignSet, campaignID string, spec Spec, build func(*GoldenCache) (C, error)) (C, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	key := spec.campaignKey()
@@ -106,11 +108,11 @@ func (cs *campaignSet) get(campaignID string, spec Spec) (*faultinj.Campaign, er
 		key = campaignID + "|" + key
 	}
 	if c, ok := cs.byKey[key]; ok {
-		return c, nil
+		return c.(C), nil
 	}
-	c, err := spec.NewCampaign(cs.goldens)
+	c, err := build(cs.goldens)
 	if err != nil {
-		return nil, err
+		return c, err
 	}
 	cs.byKey[key] = c
 	return c, nil

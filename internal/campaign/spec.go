@@ -367,11 +367,28 @@ func (s Spec) BuildTable(strata *engine.StrataSummary) *engine.StratumTable {
 }
 
 // campaignKey identifies the prepared campaign object a spec needs — the
-// fields that shape the network, format and input set. Specs differing
-// only in N, Seed, selector or tracking share one prepared campaign (and
-// therefore its profile and golden executions).
+// surface (and, on the systolic surface, the dataflow) that picks the
+// campaign type, and the fields that shape the network, format and input
+// set. Specs differing only in N, Seed, selector, buffer class or tracking
+// share one prepared campaign (and therefore its profile and golden
+// executions).
 func (s Spec) campaignKey() string {
-	return fmt.Sprintf("%s|%s|%d|%s", s.Net, s.DType, s.Inputs, s.WeightsDir)
+	return fmt.Sprintf("%s|%s|%s|%s|%d|%s", s.Surface, s.Dataflow, s.Net, s.DType, s.Inputs, s.WeightsDir)
+}
+
+// goldenFn returns the GoldenFn hook that resolves a campaign's golden
+// executions through goldens under the spec's coordinates; hash is the
+// WeightsHash of the network the campaign runs. Every surface's campaigns
+// take the same hook, so one process pays one forward pass per (network,
+// weights, format, input) however many campaigns, surfaces, shards and
+// phases read it.
+func (s Spec) goldenFn(goldens *GoldenCache, hash uint64) func(i int, compute func() *network.Execution) *network.Execution {
+	key := GoldenKey{Net: s.Net, WeightsHash: hash, DType: s.DType}
+	return func(i int, compute func() *network.Execution) *network.Execution {
+		k := key
+		k.Input = i
+		return goldens.Get(k, compute)
+	}
 }
 
 // build constructs the spec's network and deterministic input set.
@@ -404,11 +421,7 @@ func (s Spec) NewCampaign(goldens *GoldenCache) (*faultinj.Campaign, error) {
 	}
 	c := faultinj.New(net, s.Type(), ins)
 	if goldens != nil {
-		hash := net.WeightsHash()
-		netName, dtName := s.Net, s.DType
-		c.GoldenFn = func(i int, compute func() *network.Execution) *network.Execution {
-			return goldens.Get(GoldenKey{Net: netName, WeightsHash: hash, DType: dtName, Input: i}, compute)
-		}
+		c.GoldenFn = s.goldenFn(goldens, net.WeightsHash())
 	}
 	return c, nil
 }
@@ -427,8 +440,9 @@ func (s Spec) BufferOptions() eyeriss.Options {
 
 // NewBufferCampaign builds the eyeriss campaign of a buffer-surface spec
 // and resolves its buffer class. The Build closure returns a fresh network
-// per shard/phase — eyeriss workers mutate their own instance's weights
-// for Filter SRAM faults.
+// per shard/phase — Filter SRAM faults patch their own instance's cached
+// quantized weights. The campaign memoizes its goldens privately;
+// sharedBufferCampaign wires it to a process-wide cache instead.
 func (s Spec) NewBufferCampaign() (*eyeriss.Campaign, eyeriss.Buffer, error) {
 	if !s.BufferSurface() {
 		return nil, 0, fmt.Errorf("campaign: spec surface %q is not a buffer campaign", s.Surface)
@@ -465,6 +479,17 @@ func (s Spec) NewBufferCampaign() (*eyeriss.Campaign, eyeriss.Buffer, error) {
 		DType:  s.Type(),
 		Inputs: ins,
 	}, buf, nil
+}
+
+// sharedBufferCampaign is NewBufferCampaign with the campaign's goldens
+// resolved through goldens (nil keeps the private memo) — what the worker
+// and the solo runner execute.
+func (s Spec) sharedBufferCampaign(goldens *GoldenCache) (*eyeriss.Campaign, error) {
+	c, _, err := s.NewBufferCampaign()
+	if err == nil && goldens != nil {
+		c.GoldenFn = s.goldenFn(goldens, c.Build().WeightsHash())
+	}
+	return c, err
 }
 
 // SystolicOptions assembles the systolic options every shard of a
@@ -521,6 +546,16 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 		Array:  systolic.DefaultParams,
 		Flow:   flow,
 	}, nil
+}
+
+// sharedSystolicCampaign is NewSystolicCampaign with the campaign's goldens
+// resolved through goldens (nil keeps the private memo).
+func (s Spec) sharedSystolicCampaign(goldens *GoldenCache) (*systolic.Campaign, error) {
+	c, err := s.NewSystolicCampaign()
+	if err == nil && goldens != nil {
+		c.GoldenFn = s.goldenFn(goldens, c.Build().WeightsHash())
+	}
+	return c, err
 }
 
 // LoadPrior reads the spec's PriorPath strata artifact and validates it

@@ -389,15 +389,13 @@ func (w *Worker) backoff(base time.Duration, fails int) time.Duration {
 }
 
 // runLease dispatches one lease to its surface engine and wraps the
-// partial report in the surface-tagged wire type. Datapath campaigns go
-// through the process-wide campaignSet (shared profile and goldens),
-// namespaced per campaign ID when the spec loads mutable external content;
-// buffer and systolic campaigns are rebuilt per lease — those engines
-// clone or rebuild their network per shard anyway, so there is nothing to
-// memoize.
+// partial report in the surface-tagged wire type. Every surface's campaign
+// comes from the process-wide campaignSet — prepared and validated once,
+// its goldens resolved through the one shared cache — namespaced per
+// campaign ID when the spec loads mutable external content.
 func (w *Worker) runLease(cs *campaignSet, l *Lease) (*Report, error) {
 	if l.Spec.SystolicSurface() {
-		c, err := l.Spec.NewSystolicCampaign()
+		c, err := prepared(cs, l.Campaign, l.Spec, l.Spec.sharedSystolicCampaign)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +412,11 @@ func (w *Worker) runLease(cs *campaignSet, l *Lease) (*Report, error) {
 		return &Report{Systolic: r}, nil
 	}
 	if l.Spec.BufferSurface() {
-		c, b, err := l.Spec.NewBufferCampaign()
+		c, err := prepared(cs, l.Campaign, l.Spec, l.Spec.sharedBufferCampaign)
+		if err != nil {
+			return nil, err
+		}
+		b, err := ParseBuffer(l.Spec.Buffer)
 		if err != nil {
 			return nil, err
 		}
@@ -430,7 +432,7 @@ func (w *Worker) runLease(cs *campaignSet, l *Lease) (*Report, error) {
 		}
 		return &Report{Buffer: r}, nil
 	}
-	c, err := cs.get(l.Campaign, l.Spec)
+	c, err := prepared(cs, l.Campaign, l.Spec, l.Spec.NewCampaign)
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +550,7 @@ func SoloReport(spec Spec, goldens *GoldenCache) (*Report, *engine.StrataSummary
 		prior = p
 	}
 	if spec.SystolicSurface() {
-		c, err := spec.NewSystolicCampaign()
+		c, err := spec.sharedSystolicCampaign(goldens)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -558,7 +560,11 @@ func SoloReport(spec Spec, goldens *GoldenCache) (*Report, *engine.StrataSummary
 		return &Report{Systolic: c.Run(opt)}, pilot, nil
 	}
 	if spec.BufferSurface() {
-		c, b, err := spec.NewBufferCampaign()
+		c, err := spec.sharedBufferCampaign(goldens)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := ParseBuffer(spec.Buffer)
 		if err != nil {
 			return nil, nil, err
 		}

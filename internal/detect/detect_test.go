@@ -110,8 +110,8 @@ func TestDetectsLargeDeviation(t *testing.T) {
 	golden := n.Forward(numeric.Float16, ins[0])
 	// Corrupt the conv output hugely and rerun the tail.
 	act := golden.Acts[0].Clone()
-	act.Data[0] = d.Bounds[0].Max * 1000
-	faulty := n.ForwardWithAct(numeric.Float16, golden, 0, act)
+	act.Data[0] = numeric.Float16.Quantize(d.Bounds[0].Max * 1000)
+	faulty := n.ForwardWithAct(numeric.Float16, golden, 0, act, []int{0})
 	if !d.Check(n, faulty) {
 		t.Error("large out-of-range deviation not detected")
 	}

@@ -22,6 +22,7 @@ package eyeriss
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/engine"
@@ -296,8 +297,9 @@ func (opt Options) engineOptions(width int) engine.Options {
 }
 
 // Campaign injects buffer faults into a network. Build must return a fresh
-// network instance (each worker mutates its own copy's weights for Filter
-// SRAM faults).
+// network instance (each shard patches its own copy's cached quantized
+// weights for Filter SRAM faults). A Campaign is safe for concurrent shard
+// calls; Build and Residency are validated once, on the first.
 type Campaign struct {
 	// Build constructs the network; it must be deterministic.
 	Build func() *network.Network
@@ -310,6 +312,21 @@ type Campaign struct {
 	// where a random-in-time upset lands (e.g. the cycle weights of the
 	// rowstat scheduler). When nil, layers are weighted by MAC count.
 	Residency []float64
+	// GoldenFn, when non-nil, resolves the golden execution of input i
+	// instead of computing it per campaign: compute runs the fault-free
+	// forward pass, and implementations return its result or a previously
+	// computed, bit-identical one — the same hook, and the same process-wide
+	// cache behind it, as faultinj.Campaign.GoldenFn. When nil the campaign
+	// memoizes its goldens privately, so either way a forward pass runs once
+	// per input, not once per shard and phase. Goldens are shared read-only:
+	// no injection writes through to one.
+	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
+
+	goldens network.GoldenMemo
+	// checked guards the one-time geometry validation; invalid keeps its
+	// panic value so every later call fails the same way.
+	checked sync.Once
+	invalid any
 }
 
 // surface adapts a (campaign, buffer class) pair to the shared engine's
@@ -378,41 +395,46 @@ func (c *Campaign) MainShard(shard, of int, b Buffer, table *engine.StratumTable
 
 // validate fails fast on a malformed campaign before any shard runs:
 // missing inputs, or a residency vector that does not match the network's
-// MAC layers.
+// MAC layers. The geometry check needs a network instance, so it runs once
+// per Campaign rather than once per shard call.
 func (c *Campaign) validate() {
 	if len(c.Inputs) == 0 {
 		panic("eyeriss: campaign needs at least one input")
 	}
-	newInjector(c.Build(), c.DType, c.Residency)
+	c.checked.Do(func() {
+		defer func() { c.invalid = recover() }()
+		newInjector(c.Build(), c.DType, c.Residency)
+	})
+	if c.invalid != nil {
+		panic(c.invalid)
+	}
+}
+
+// newShard builds the private state one shard phase executes on: its own
+// network instance with the quantized-parameter cache on (Filter SRAM
+// injections patch that cache in place, so it must not be shared), the
+// injector over it, and the shard's golden lookup (the campaign's GoldenFn
+// or private memo; see network.GoldenMemo.Resolver).
+func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
+	net := c.Build()
+	net.EnableQuantCache()
+	inj := newInjector(net, c.DType, c.Residency)
+	inj.mbu = opt.mbu()
+	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
+		return net.Forward(c.DType, c.Inputs[i])
+	})
 }
 
 // runShardPhase executes one phase of one shard (see engine.Phase) — the
 // per-injection execution the engine's orchestration calls back into,
-// serially, on a private network instance (Filter SRAM injections mutate
-// weights in place) with a private PRNG stream.
+// serially, on a private network instance with a private PRNG stream.
 func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine.Phase) *Report {
 	if ph.SiteBits > 0 {
 		return c.runShardPhaseSites(shard, of, b, opt, ph)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*7_654_321 + ph.SeedSalt))
-	net := c.Build()
-	// Quantize layer parameters once per worker instead of once per
-	// forward pass (bit-identical; see layers.QuantCache). Filter SRAM
-	// injections mutate weights in place and invalidate just the faulted
-	// layer's entries around each injection.
-	net.EnableQuantCache()
-	goldens := make(map[int]*network.Execution)
-	golden := func(i int) *network.Execution {
-		g, ok := goldens[i]
-		if !ok {
-			g = net.Forward(c.DType, c.Inputs[i])
-			goldens[i] = g
-		}
-		return g
-	}
-
-	inj := newInjector(net, c.DType, c.Residency)
-	inj.mbu = opt.mbu()
+	inj, golden := c.newShard(opt)
+	net := inj.net
 	width := c.DType.Width()
 	r := &Report{}
 	if ph.Strata {
@@ -420,18 +442,16 @@ func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine
 	}
 	for i := shard; i < ph.N; i += of {
 		g := golden((ph.InputBase + i) % len(c.Inputs))
-		var faulty *network.Execution
-		var pos, bit int
+		pos, bit := -1, -1
 		if ph.Table != nil {
 			pos, bit = ph.Table.Stratum(i)
-			faulty = inj.injectAt(rng, b, g, pos, bit)
-		} else {
-			faulty, pos, bit = inj.inject(rng, b, g)
 		}
+		s := inj.draw(rng, b, g, pos, bit)
+		faulty := inj.eval(b, g, s, inj.mbu)
 		outcome := sdc.Classify(net, g, faulty)
 		r.Counts.Add(outcome)
 		if r.Strata != nil {
-			r.Strata.Counts[pos*width+bit].Add(outcome)
+			r.Strata.Counts[s.pos*width+s.bit].Add(outcome)
 		}
 		if opt.Detector != nil {
 			r.Detection.Tally(outcome.Hit[sdc.SDC1], opt.Detector(faulty))
@@ -454,6 +474,10 @@ type injector struct {
 	// mbu is the upset width (≥ 1): every injection flips mbu adjacent
 	// bits of the struck word, base bit uniform over the in-word spans.
 	mbu int
+	// ifmap is the private patchable copy of golden ifmap ifmapOf that
+	// Global Buffer evaluations flip a word of (and restore), re-cloned
+	// only when the struck layer or input changes.
+	ifmap, ifmapOf *tensor.Tensor
 }
 
 func newInjector(net *network.Network, dt numeric.Type, residency []float64) *injector {
@@ -567,54 +591,92 @@ func layerInput(g *network.Execution, layerIdx int) *tensor.Tensor {
 	return g.Acts[layerIdx-1]
 }
 
-// inject draws a uniform injection for buffer class b and returns the
-// faulty execution plus the drawn stratum coordinate (MAC-layer position,
-// flipped bit) — what the stratified pilot records. The PRNG consumption
-// order of each buffer model is unchanged from the pre-stratification
-// engine, so uniform campaigns stay bit-identical across versions.
-func (inj *injector) inject(rng *rand.Rand, b Buffer, g *network.Execution) (faulty *network.Execution, pos, bit int) {
-	switch b {
-	case GlobalBuffer:
-		pos = inj.pickLayerPos(rng)
-		return inj.injectGlobalBufferAt(rng, g, pos, -1)
-	case FilterSRAM:
-		pos = inj.pickLayerPos(rng)
-		return inj.injectFilterSRAMAt(rng, g, pos, -1)
-	case ImgReg:
-		pos = inj.layerPos(inj.convOnly[rng.Intn(len(inj.convOnly))])
-		return inj.injectImgRegAt(rng, g, pos, -1)
-	case PSumReg:
-		pos = inj.pickLayerPos(rng)
-		return inj.injectPSumRegAt(rng, g, pos, -1)
-	}
-	panic("eyeriss: unknown buffer")
+// macLayer is a CONV/FC layer as the buffer fault models see it.
+type macLayer interface {
+	layers.ElementForwarder
+	MACChainLen() int
+	QuantWeights(*layers.Context) []float64
 }
 
-// injectAt places one injection in a forced (MAC-layer position, bit)
-// stratum — the main phase of a stratified campaign. Within the stratum
-// the site is drawn uniformly, matching the conditional distribution of a
-// uniform draw that landed there.
-func (inj *injector) injectAt(rng *rand.Rand, b Buffer, g *network.Execution, pos, bit int) *network.Execution {
-	var faulty *network.Execution
+// site is one drawn buffer fault: where the upset lands in MAC layer li and
+// which bit span it flips. Which fields matter depends on the class.
+type site struct {
+	pos, li int // MAC-layer position (the stratum row) and its layer index
+	// word is the struck ifmap element (Global Buffer), cached weight
+	// (Filter SRAM) or output element's partial sum (PSum REG).
+	word int
+	// step is the chain step after which a PSum REG upset strikes.
+	step int
+	// Img REG strikes ifmap word (ic, ih, iw) as cached for output row oh
+	// of output channel oc — the register's single-row reuse window. oh is
+	// negative when no output row's kernel window covers ih: an upset
+	// nothing consumes.
+	ic, ih, iw, oc, oh int
+	// bit is the base bit of the flipped span (the stratum column).
+	bit int
+}
+
+// draw draws one fault site of buffer class b. pos and bit force the
+// stratum coordinate when non-negative — the main phase of a stratified
+// campaign, or the site-draw modes, which evaluate every bit of a site and
+// so draw none — and consume no randomness then; within a stratum the site
+// is drawn uniformly, matching the conditional distribution of a uniform
+// draw that landed there. Each class's PRNG consumption order — layer
+// position, site coordinates, bit (Img REG: between the ifmap word and the
+// output row) — is unchanged since the first buffer engine, so campaigns
+// stay bit-identical across versions.
+func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, bit int) site {
+	if pos < 0 {
+		if b == ImgReg {
+			pos = inj.layerPos(inj.convOnly[rng.Intn(len(inj.convOnly))])
+		} else {
+			pos = inj.pickLayerPos(rng)
+		}
+	}
+	s := site{pos: pos, li: inj.macLayers[pos], oh: -1}
 	switch b {
 	case GlobalBuffer:
-		faulty, _, _ = inj.injectGlobalBufferAt(rng, g, pos, bit)
+		s.word = rng.Intn(len(layerInput(g, s.li).Data))
+		s.bit = inj.drawBit(rng, bit)
 	case FilterSRAM:
-		faulty, _, _ = inj.injectFilterSRAMAt(rng, g, pos, bit)
+		s.word = rng.Intn(len(inj.quantWeights(s.li)))
+		s.bit = inj.drawBit(rng, bit)
 	case ImgReg:
-		faulty, _, _ = inj.injectImgRegAt(rng, g, pos, bit)
+		conv, ok := inj.net.Layers[s.li].(*layers.ConvLayer)
+		if !ok {
+			panic(fmt.Sprintf("eyeriss: Img REG injection into non-CONV layer %d", s.li))
+		}
+		in, os := layerInput(g, s.li), g.Acts[s.li].Shape
+		s.ic = rng.Intn(in.Shape.C)
+		s.ih = rng.Intn(in.Shape.H)
+		s.iw = rng.Intn(in.Shape.W)
+		s.bit = inj.drawBit(rng, bit)
+		s.oc = rng.Intn(os.C)
+		// Output rows whose kernel window covers input row ih:
+		// oh*Stride - Pad <= ih < oh*Stride - Pad + KH.
+		var rows []int
+		for oh := 0; oh < os.H; oh++ {
+			top := oh*conv.Stride - conv.Pad
+			if s.ih >= top && s.ih < top+conv.KH {
+				rows = append(rows, oh)
+			}
+		}
+		if len(rows) > 0 {
+			s.oh = rows[rng.Intn(len(rows))]
+		}
 	case PSumReg:
-		faulty, _, _ = inj.injectPSumRegAt(rng, g, pos, bit)
+		s.word = rng.Intn(g.Acts[s.li].Shape.Elems())
+		s.step = rng.Intn(inj.net.Layers[s.li].(macLayer).MACChainLen())
+		s.bit = inj.drawBit(rng, bit)
 	default:
 		panic("eyeriss: unknown buffer")
 	}
-	return faulty
+	return s
 }
 
-// drawBit resolves the flipped base-bit position: forced when bit >= 0
-// (stratified main phase, no randomness consumed), drawn uniformly over
-// the word's Width()−mbu+1 in-word spans otherwise — in exactly the PRNG
-// slot the uniform models always used.
+// drawBit resolves the flipped base-bit position: forced when bit >= 0 (no
+// randomness consumed), drawn uniformly over the word's Width()−mbu+1
+// in-word spans otherwise.
 func (inj *injector) drawBit(rng *rand.Rand, bit int) int {
 	if bit >= 0 {
 		return bit
@@ -622,134 +684,134 @@ func (inj *injector) drawBit(rng *rand.Rand, bit int) int {
 	return rng.Intn(inj.dt.Width() - inj.mbu + 1)
 }
 
-// injectGlobalBufferAt flips one bit span of one word of a layer's
-// resident ifmap; every read of that word during the layer sees the
-// corruption.
-func (inj *injector) injectGlobalBufferAt(rng *rand.Rand, g *network.Execution, pos, bit int) (*network.Execution, int, int) {
-	li := inj.macLayers[pos]
-	in := layerInput(g, li).Clone()
-	e := rng.Intn(len(in.Data))
-	bit = inj.drawBit(rng, bit)
-	in.Data[e] = inj.dt.FlipBits(in.Data[e], bit, inj.mbu)
-	return inj.net.ForwardFromInput(inj.dt, g, li, in), pos, bit
+// eval runs the faulty inference of a drawn site with width adjacent bits
+// flipped from s.bit. Every multi-element class is evaluated the same way:
+// compute what the upset changes — one ifmap word, one output channel, one
+// output row — diff it against the golden execution, and hand the changed
+// set to the network's delta propagation (network.ForwardFromInput /
+// ForwardWithAct), which is bit-identical to dense re-execution at the cost
+// of the corruption's receptive-field cone and returns a golden-aliasing
+// Masked execution when nothing escapes. PSum REG is the datapath's
+// single-accumulator case and takes its path.
+func (inj *injector) eval(b Buffer, g *network.Execution, s site, width int) *network.Execution {
+	switch b {
+	case GlobalBuffer:
+		return inj.globalFault(g, s, width)
+	case FilterSRAM:
+		return inj.filterFault(g, s, width)
+	case ImgReg:
+		return inj.imgFault(g, s, width)
+	case PSumReg:
+		f := &layers.Fault{OutputIndex: s.word, MACStep: s.step, Target: layers.TargetAccum, Bit: s.bit, Width: width}
+		return inj.net.ForwardFrom(inj.dt, g, s.li, f)
+	}
+	panic("eyeriss: unknown buffer")
 }
 
-// injectFilterSRAMAt flips one bit of one cached weight for the duration
-// of the layer (weight reuse spreads it across the whole fmap).
-func (inj *injector) injectFilterSRAMAt(rng *rand.Rand, g *network.Execution, pos, bit int) (*network.Execution, int, int) {
-	li := inj.macLayers[pos]
-	var wts []float64
-	switch l := inj.net.Layers[li].(type) {
-	case *layers.ConvLayer:
-		wts = l.Weights
-	case *layers.FCLayer:
-		wts = l.Weights
-	default:
-		panic("eyeriss: MAC layer without weights")
+// globalFault flips one bit span of one word of a layer's resident ifmap;
+// every read of that word during the layer sees the corruption, so the one
+// changed word delta-steps through the struck layer itself. The flip is
+// applied to the injector's private copy of the ifmap and undone after: the
+// corrupted tensor is never part of the execution.
+func (inj *injector) globalFault(g *network.Execution, s site, width int) *network.Execution {
+	src := layerInput(g, s.li)
+	if inj.ifmapOf != src {
+		inj.ifmapOf, inj.ifmap = src, src.Clone()
 	}
-	wi := rng.Intn(len(wts))
-	bit = inj.drawBit(rng, bit)
-	orig := wts[wi]
-	wts[wi] = inj.dt.FlipBits(orig, bit, inj.mbu)
-	// The faulted layer's cached quantized weights are stale while the
-	// flip is in place; drop just that layer's entries so the forward
-	// pass re-quantizes it (and it alone), then again after restoring.
-	inj.net.InvalidateLayerQuant(inj.net.Layers[li])
-	faulty := inj.net.ForwardFromInput(inj.dt, g, li, layerInput(g, li))
-	wts[wi] = orig
-	inj.net.InvalidateLayerQuant(inj.net.Layers[li])
-	return faulty, pos, bit
+	in := inj.ifmap
+	in.Data[s.word] = inj.dt.FlipBits(src.Data[s.word], s.bit, width)
+	faulty := inj.net.ForwardFromInput(inj.dt, g, s.li, in, []int{s.word})
+	in.Data[s.word] = src.Data[s.word]
+	return faulty
 }
 
-// injectImgRegAt corrupts one ifmap word for exactly one output row of one
-// output channel of a CONV layer — the single-row reuse window of the
-// image register. The corrupted row is recomputed directly; everything
-// else keeps its golden value.
-func (inj *injector) injectImgRegAt(rng *rand.Rand, g *network.Execution, pos, bit int) (*network.Execution, int, int) {
-	li := inj.macLayers[pos]
-	conv, ok := inj.net.Layers[li].(*layers.ConvLayer)
-	if !ok {
-		panic(fmt.Sprintf("eyeriss: Img REG injection into non-CONV layer %d", li))
-	}
-	in := layerInput(g, li)
-	act := g.Acts[li].Clone()
-	os := act.Shape
+// quantWeights returns MAC layer li's quantized weights as this shard's
+// forward passes read them — the quantized-parameter cache's own slice.
+func (inj *injector) quantWeights(li int) []float64 {
+	return inj.net.Layers[li].(macLayer).QuantWeights(&layers.Context{DType: inj.dt, Quant: inj.net.QuantCache()})
+}
 
-	// Choose the corrupted input coordinate and a consuming output row.
-	ic := rng.Intn(in.Shape.C)
-	ih := rng.Intn(in.Shape.H)
-	iw := rng.Intn(in.Shape.W)
-	bit = inj.drawBit(rng, bit)
-	corrupt := inj.dt.FlipBits(in.At(ic, ih, iw), bit, inj.mbu)
-	oc := rng.Intn(os.C)
-	// Output rows whose kernel window covers input row ih:
-	// oh*Stride - Pad <= ih < oh*Stride - Pad + KH.
-	var rows []int
-	for oh := 0; oh < os.H; oh++ {
-		top := oh*conv.Stride - conv.Pad
-		if ih >= top && ih < top+conv.KH {
-			rows = append(rows, oh)
+// filterFault flips one bit span of one cached weight for the duration of
+// the layer. Weight reuse spreads it across the whole fmap — of the one
+// output channel (CONV) or neuron (FC) the weight feeds, so only those
+// accumulation chains are recomputed, against the one cached quantized
+// weight patched in place and restored (quantization is idempotent and
+// FlipBits returns a representable value, so the patch is what
+// re-quantizing the flipped raw weight would store). The patch touches only
+// this shard's private network; the golden execution is read-only.
+func (inj *injector) filterFault(g *network.Execution, s site, width int) *network.Execution {
+	dt := inj.dt
+	l := inj.net.Layers[s.li].(macLayer)
+	in := layerInput(g, s.li)
+	ctx := &layers.Context{DType: dt, Quant: inj.net.QuantCache()}
+	if s.li > 0 {
+		ctx.QIn = in.Data // a layer output is its own pre-quantized view
+	}
+	qw := l.QuantWeights(ctx)
+	orig := qw[s.word]
+	qw[s.word] = dt.FlipBits(orig, s.bit, width)
+
+	golden := g.Acts[s.li]
+	chain := l.MACChainLen()
+	per := len(golden.Data) / (len(qw) / chain) // elements per output channel
+	oc := s.word / chain
+	act := golden
+	var changed []int
+	for oi := oc * per; oi < (oc+1)*per; oi++ {
+		act, changed = network.PatchAct(golden, act, changed, oi, l.ForwardElement(ctx, in, oi))
+	}
+	qw[s.word] = orig
+	return inj.net.ForwardWithAct(dt, g, s.li, act, changed)
+}
+
+// imgFault corrupts one ifmap word for exactly one output row of one output
+// channel of a CONV layer: the struck row is recomputed with the corrupted
+// word and diffed against golden; everything else keeps its golden value.
+func (inj *injector) imgFault(g *network.Execution, s site, width int) *network.Execution {
+	golden := g.Acts[s.li]
+	act := golden
+	var changed []int
+	if s.oh >= 0 {
+		conv := inj.net.Layers[s.li].(*layers.ConvLayer)
+		in := layerInput(g, s.li)
+		corrupt := inj.dt.FlipBits(in.At(s.ic, s.ih, s.iw), s.bit, width)
+		base := golden.Index(s.oc, s.oh, 0)
+		for ow, v := range inj.recomputeRow(conv, in, golden.Shape, s, corrupt) {
+			act, changed = network.PatchAct(golden, act, changed, base+ow, v)
 		}
 	}
-	if len(rows) > 0 {
-		oh := rows[rng.Intn(len(rows))]
-		inj.recomputeRow(conv, in, act, oc, oh, ic, ih, iw, corrupt)
-	}
-	return inj.net.ForwardWithAct(inj.dt, g, li, act), pos, bit
+	return inj.net.ForwardWithAct(inj.dt, g, s.li, act, changed)
 }
 
-// recomputeRow recomputes output row (oc, oh) of conv with the input value
-// at (ic, ih, iw) replaced by corrupt.
-func (inj *injector) recomputeRow(conv *layers.ConvLayer, in, act *tensor.Tensor, oc, oh, ic, ih, iw int, corrupt float64) {
+// recomputeRow returns output row (s.oc, s.oh) of conv — os is the layer's
+// output shape — with the input value at (s.ic, s.ih, s.iw) replaced by
+// corrupt.
+func (inj *injector) recomputeRow(conv *layers.ConvLayer, in *tensor.Tensor, os tensor.Shape, s site, corrupt float64) []float64 {
 	dt := inj.dt
-	os := act.Shape
-	bias := dt.Quantize(conv.Bias[oc])
-	for ow := 0; ow < os.W; ow++ {
+	row := make([]float64, os.W)
+	bias := dt.Quantize(conv.Bias[s.oc])
+	for ow := range row {
 		acc := bias
 		for c := 0; c < conv.InC; c++ {
 			for kh := 0; kh < conv.KH; kh++ {
-				y := oh*conv.Stride + kh - conv.Pad
+				y := s.oh*conv.Stride + kh - conv.Pad
 				for kw := 0; kw < conv.KW; kw++ {
 					x := ow*conv.Stride + kw - conv.Pad
 					var v float64
 					if y >= 0 && y < in.Shape.H && x >= 0 && x < in.Shape.W {
-						if c == ic && y == ih && x == iw {
+						if c == s.ic && y == s.ih && x == s.iw {
 							v = corrupt
 						} else {
 							v = in.At(c, y, x)
 						}
 					}
-					acc = dt.MAC(acc, conv.Weights[conv.WeightIndex(oc, c, kh, kw)], v)
+					acc = dt.MAC(acc, conv.Weights[conv.WeightIndex(s.oc, c, kh, kw)], v)
 				}
 			}
 		}
-		act.Set(oc, oh, ow, acc)
+		row[ow] = acc
 	}
-}
-
-// injectPSumRegAt upsets one partial sum, consumed by the next
-// accumulation — equivalent to a single accumulator-latch fault in the
-// datapath.
-func (inj *injector) injectPSumRegAt(rng *rand.Rand, g *network.Execution, pos, bit int) (*network.Execution, int, int) {
-	li := inj.macLayers[pos]
-	var chain int
-	var outs int
-	switch l := inj.net.Layers[li].(type) {
-	case *layers.ConvLayer:
-		chain = l.MACChainLen()
-		outs = g.Acts[li].Shape.Elems()
-	case *layers.FCLayer:
-		chain = l.MACChainLen()
-		outs = l.Out
-	}
-	f := &layers.Fault{
-		OutputIndex: rng.Intn(outs),
-		MACStep:     rng.Intn(chain),
-		Target:      layers.TargetAccum,
-		Width:       inj.mbu,
-	}
-	f.Bit = inj.drawBit(rng, bit)
-	return inj.net.ForwardFrom(inj.dt, g, li, f), pos, f.Bit
+	return row
 }
 
 // FITComponent assembles the Table 8 Eq. 1 term for a buffer class.

@@ -181,7 +181,7 @@ func TestGlobalBufferFaultSpreads(t *testing.T) {
 
 	corrupted := layerInput(g, 0).Clone()
 	corrupted.Data[30] = numeric.Fx16RB10.FlipBit(corrupted.Data[30], 14)
-	faulty := inj.net.ForwardFromInput(numeric.Fx16RB10, g, 0, corrupted)
+	faulty := inj.net.ForwardFromInput(numeric.Fx16RB10, g, 0, corrupted, []int{30})
 	diff := tensor.BitwiseMismatch(g.Acts[0], faulty.Acts[0])
 	if diff < 2 {
 		t.Errorf("GB fault affected %d conv outputs, want >= 2 (reuse)", diff)
@@ -196,10 +196,19 @@ func TestImgRegFaultConfinedToRow(t *testing.T) {
 	dt := numeric.Fx16RB10
 	g := net.Forward(dt, in)
 	conv := net.Layers[0].(*layers.ConvLayer)
-	act := g.Acts[0].Clone()
 	inj := newInjector(net, dt, nil)
-	corrupt := dt.FlipBit(in.At(0, 3, 3), 14)
-	inj.recomputeRow(conv, in, act, 2, 3, 0, 3, 3, corrupt)
+	s := site{li: 0, oc: 2, oh: 3, ic: 0, ih: 3, iw: 3, bit: 14}
+	act := inj.imgFault(g, s, 1).Acts[0]
+	if act == g.Acts[0] {
+		t.Fatal("a bit-14 Img REG upset left the struck row bit-identical to golden")
+	}
+	// The evaluator's row must be the direct recompute of that row.
+	row := inj.recomputeRow(conv, in, act.Shape, s, dt.FlipBit(in.At(0, 3, 3), 14))
+	for ow, v := range row {
+		if math.Float64bits(v) != math.Float64bits(act.At(2, 3, ow)) {
+			t.Fatalf("imgFault row element %d = %v, recomputeRow says %v", ow, act.At(2, 3, ow), v)
+		}
+	}
 
 	os := act.Shape
 	for c := 0; c < os.C; c++ {
@@ -263,11 +272,12 @@ func TestResidencyWeightsRouteLayers(t *testing.T) {
 	bad.Run(PSumReg, Options{N: 1, Seed: 1, Workers: 1})
 }
 
-// TestFilterSRAMQuantInvalidation verifies the per-layer quantized-weight
-// cache stays coherent across the mutate/forward/restore cycle of a Filter
-// SRAM injection: a warmed cache must serve the flipped weight during the
-// faulty pass and the original weight afterwards, bit-identical to a
-// cache-less network.
+// TestFilterSRAMQuantInvalidation verifies the quantized-weight cache stays
+// coherent across the patch/evaluate/restore cycle of a Filter SRAM
+// injection: the evaluator must see the flipped weight during the faulty
+// pass — bit-identical to densely re-executing a cache-less network whose
+// raw weight was flipped — and leave the cache (and the golden execution it
+// was handed) exactly as it found them.
 func TestFilterSRAMQuantInvalidation(t *testing.T) {
 	dt := numeric.Fx16RB10
 	in := smallInputs(1)[0]
@@ -279,41 +289,46 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 	// Warm the cache with a golden pass.
 	cg := cached.Forward(dt, in)
 	pg := plain.Forward(dt, in)
-
-	mutate := func(n *network.Network) func() {
-		conv := n.Layers[0].(*layers.ConvLayer)
-		orig := conv.Weights[3]
-		conv.Weights[3] = dt.FlipBit(orig, 12)
-		return func() { conv.Weights[3] = orig }
+	snapshot := make([]*tensor.Tensor, len(cg.Acts))
+	for i, a := range cg.Acts {
+		snapshot[i] = a.Clone()
 	}
 
-	restore := mutate(cached)
-	cached.InvalidateLayerQuant(cached.Layers[0])
-	cf := cached.ForwardFromInput(dt, cg, 0, in)
-	restore()
-	cached.InvalidateLayerQuant(cached.Layers[0])
+	for li, wi := range map[int]int{0: 3, 3: 77} { // conv1, fc2
+		cf := newInjector(cached, dt, nil).filterFault(cg, site{li: li, word: wi, bit: 12}, 1)
 
-	restoreP := mutate(plain)
-	pf := plain.ForwardFromInput(dt, pg, 0, in)
-	restoreP()
+		var wts []float64
+		switch l := plain.Layers[li].(type) {
+		case *layers.ConvLayer:
+			wts = l.Weights
+		case *layers.FCLayer:
+			wts = l.Weights
+		}
+		orig := wts[wi]
+		wts[wi] = dt.FlipBit(orig, 12)
+		pf := plain.ForwardFromInputDense(dt, pg, li, layerInput(pg, li))
+		wts[wi] = orig
 
-	for li := range cf.Acts {
-		for e := range cf.Acts[li].Data {
-			if math.Float64bits(cf.Acts[li].Data[e]) != math.Float64bits(pf.Acts[li].Data[e]) {
-				t.Fatalf("faulty pass diverged at layer %d elem %d: %v vs %v",
-					li, e, cf.Acts[li].Data[e], pf.Acts[li].Data[e])
+		if li == 0 && cf.Masked {
+			t.Fatal("bit-12 conv1 weight flip reported masked")
+		}
+		for l := range cf.Acts {
+			if !tensor.BitIdentical(cf.Acts[l], pf.Acts[l]) {
+				t.Fatalf("layer %d weight %d: faulty pass diverged from the dense oracle at layer %d", li, wi, l)
 			}
 		}
 	}
 
-	// After restore + invalidate the cached network must again match the
-	// original golden execution bit-for-bit.
+	// After the restore the cached network must again match the original
+	// golden execution bit-for-bit, and the golden it was handed must be
+	// untouched.
 	cg2 := cached.Forward(dt, in)
 	for li := range cg2.Acts {
-		for e := range cg2.Acts[li].Data {
-			if math.Float64bits(cg2.Acts[li].Data[e]) != math.Float64bits(cg.Acts[li].Data[e]) {
-				t.Fatalf("post-restore golden diverged at layer %d elem %d", li, e)
-			}
+		if !tensor.BitIdentical(cg2.Acts[li], snapshot[li]) {
+			t.Fatalf("post-restore golden diverged at layer %d", li)
+		}
+		if !tensor.BitIdentical(cg.Acts[li], snapshot[li]) {
+			t.Fatalf("Filter SRAM evaluation wrote through to golden layer %d", li)
 		}
 	}
 }
@@ -493,5 +508,31 @@ func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
 	if diff := math.Abs(pu - ps); diff > bound {
 		t.Errorf("stratified SDC-1 %.4f vs uniform %.4f differ by %.4f, pooled 99%% bound %.4f",
 			ps, pu, diff, bound)
+	}
+}
+
+// TestCampaignGoldensComputedOncePerInput: with no GoldenFn a campaign
+// memoizes its goldens privately — one forward pass per input for all
+// shards, both phases and repeated runs, not one per shard and phase.
+func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
+	builds := 0
+	c := &Campaign{
+		Build:  func() *network.Network { builds++; return buildSmall() },
+		DType:  numeric.Fx16RB10,
+		Inputs: smallInputs(2),
+	}
+	opt := Options{N: 60, Seed: 5, Workers: 1}
+	strat := opt
+	strat.Sampling = faultinj.SamplingStratified
+	for s := 0; s < 3; s++ {
+		c.PilotShard(s, 3, GlobalBuffer, strat)
+		c.RunShard(s, 3, FilterSRAM, opt)
+	}
+	if got := c.goldens.Len(); got != len(c.Inputs) {
+		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))
+	}
+	// One build validates the campaign, one runs each shard phase.
+	if want := 1 + 3 + 3; builds != want {
+		t.Errorf("%d network builds for 6 shard calls, want %d (validation must run once per campaign)", builds, want)
 	}
 }

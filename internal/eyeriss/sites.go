@@ -30,19 +30,7 @@ import (
 // the scalar and bit-plane modes share one draw sequence.
 func (c *Campaign) runShardPhaseSites(shard, of int, b Buffer, opt Options, ph engine.Phase) *Report {
 	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*7_654_321 + ph.SeedSalt))
-	net := c.Build()
-	net.EnableQuantCache()
-	goldens := make(map[int]*network.Execution)
-	golden := func(i int) *network.Execution {
-		g, ok := goldens[i]
-		if !ok {
-			g = net.Forward(c.DType, c.Inputs[i])
-			goldens[i] = g
-		}
-		return g
-	}
-
-	inj := newInjector(net, c.DType, c.Residency)
+	inj, golden := c.newShard(opt)
 	width := c.DType.Width()
 	r := &Report{}
 	if ph.Strata {
@@ -68,10 +56,10 @@ func (c *Campaign) runShardPhaseSites(shard, of int, b Buffer, opt Options, ph e
 // the same tally sequence as the per-bit path. faulty is nil only for
 // analytically pre-screened injections, which exist only when no detector
 // is configured.
-func (c *Campaign) tallySite(r *Report, opt Options, g *network.Execution, pos, bit int, outcome sdc.Outcome, faulty *network.Execution) {
+func (c *Campaign) tallySite(r *Report, opt Options, s site, outcome sdc.Outcome, faulty *network.Execution) {
 	r.Counts.Add(outcome)
 	if r.Strata != nil {
-		r.Strata.Counts[pos*c.DType.Width()+bit].Add(outcome)
+		r.Strata.Counts[s.pos*c.DType.Width()+s.bit].Add(outcome)
 	}
 	if opt.Detector != nil {
 		r.Detection.Tally(outcome.Hit[sdc.SDC1], opt.Detector(faulty))
@@ -79,135 +67,37 @@ func (c *Campaign) tallySite(r *Report, opt Options, g *network.Execution, pos, 
 }
 
 // runSiteUnit draws one buffer site (without a bit) and evaluates every
-// bit position of the word at that site. pos forces the MAC-layer stratum
-// (the main phase of a stratified campaign); pos < 0 draws it exactly as
-// the class's uniform model does.
+// bit position of the word at that site through the class's evaluator — the
+// same one the per-bit model ends in. pos forces the MAC-layer stratum (the
+// main phase of a stratified campaign); pos < 0 draws it exactly as the
+// class's uniform model does.
 func (c *Campaign) runSiteUnit(rng *rand.Rand, inj *injector, b Buffer, opt Options, g *network.Execution, pos, nbits int, r *Report) {
-	net := inj.net
-	dt := c.DType
-	switch b {
-	case GlobalBuffer:
-		if pos < 0 {
-			pos = inj.pickLayerPos(rng)
-		}
-		li := inj.macLayers[pos]
-		in := layerInput(g, li).Clone()
-		e := rng.Intn(len(in.Data))
-		orig := in.Data[e]
-		for bit := 0; bit < nbits; bit++ {
-			in.Data[e] = dt.FlipBit(orig, bit)
-			faulty := net.ForwardFromInput(dt, g, li, in)
-			c.tallySite(r, opt, g, pos, bit, sdc.Classify(net, g, faulty), faulty)
-		}
-		in.Data[e] = orig
-
-	case FilterSRAM:
-		if pos < 0 {
-			pos = inj.pickLayerPos(rng)
-		}
-		li := inj.macLayers[pos]
-		var wts []float64
-		switch l := net.Layers[li].(type) {
-		case *layers.ConvLayer:
-			wts = l.Weights
-		case *layers.FCLayer:
-			wts = l.Weights
-		default:
-			panic("eyeriss: MAC layer without weights")
-		}
-		wi := rng.Intn(len(wts))
-		orig := wts[wi]
-		for bit := 0; bit < nbits; bit++ {
-			wts[wi] = dt.FlipBit(orig, bit)
-			net.InvalidateLayerQuant(net.Layers[li])
-			faulty := net.ForwardFromInput(dt, g, li, layerInput(g, li))
-			wts[wi] = orig
-			net.InvalidateLayerQuant(net.Layers[li])
-			c.tallySite(r, opt, g, pos, bit, sdc.Classify(net, g, faulty), faulty)
-		}
-
-	case ImgReg:
-		if pos < 0 {
-			pos = inj.layerPos(inj.convOnly[rng.Intn(len(inj.convOnly))])
-		}
-		li := inj.macLayers[pos]
-		conv, ok := net.Layers[li].(*layers.ConvLayer)
-		if !ok {
-			panic("eyeriss: Img REG injection into non-CONV layer")
-		}
-		in := layerInput(g, li)
-		os := g.Acts[li].Shape
-		ic := rng.Intn(in.Shape.C)
-		ih := rng.Intn(in.Shape.H)
-		iw := rng.Intn(in.Shape.W)
-		oc := rng.Intn(os.C)
-		var rows []int
-		for oh := 0; oh < os.H; oh++ {
-			top := oh*conv.Stride - conv.Pad
-			if ih >= top && ih < top+conv.KH {
-				rows = append(rows, oh)
-			}
-		}
-		oh := -1
-		if len(rows) > 0 {
-			oh = rows[rng.Intn(len(rows))]
-		}
-		for bit := 0; bit < nbits; bit++ {
-			act := g.Acts[li].Clone()
-			if oh >= 0 {
-				corrupt := dt.FlipBit(in.At(ic, ih, iw), bit)
-				inj.recomputeRow(conv, in, act, oc, oh, ic, ih, iw, corrupt)
-			}
-			faulty := net.ForwardWithAct(dt, g, li, act)
-			c.tallySite(r, opt, g, pos, bit, sdc.Classify(net, g, faulty), faulty)
-		}
-
-	case PSumReg:
-		if pos < 0 {
-			pos = inj.pickLayerPos(rng)
-		}
-		li := inj.macLayers[pos]
-		var chain, outs int
-		switch l := net.Layers[li].(type) {
-		case *layers.ConvLayer:
-			chain = l.MACChainLen()
-			outs = g.Acts[li].Shape.Elems()
-		case *layers.FCLayer:
-			chain = l.MACChainLen()
-			outs = l.Out
-		}
-		outIdx := rng.Intn(outs)
-		macStep := rng.Intn(chain)
-		c.runPSumSite(inj, opt, g, pos, li, outIdx, macStep, nbits, r)
-
-	default:
-		panic("eyeriss: unknown buffer")
+	s := inj.draw(rng, b, g, pos, 0)
+	if b == PSumReg && opt.Eval == engine.EvalSiteBitPlane {
+		c.runPSumPlane(inj, opt, g, s, nbits, r)
+		return
+	}
+	for s.bit = 0; s.bit < nbits; s.bit++ {
+		faulty := inj.eval(b, g, s, 1)
+		c.tallySite(r, opt, s, sdc.Classify(inj.net, g, faulty), faulty)
 	}
 }
 
-// runPSumSite evaluates every bit of one PSum REG site — a single
-// accumulator upset, the one buffer class with a single-MAC fault model.
-// EvalSiteScalar replays the faulted chain per bit; EvalSiteBitPlane runs
-// the analytical pre-screen and one bit-parallel replay for the surviving
-// bits, then propagates each through the shared sparse path. The two are
-// bit-identical: the plane kernel reproduces every scalar chain value
-// exactly, and a pre-screened bit's fault provably never escapes the next
-// ReLU (fixed-point accumulation is exact-then-saturate and saturation is
-// 1-Lipschitz, so the faulty chain output differs from golden by at most
+// runPSumPlane evaluates every bit of one PSum REG site — a single
+// accumulator upset, the one buffer class with a single-MAC fault model —
+// the EvalSiteBitPlane way: the analytical pre-screen and one bit-parallel
+// replay for the surviving bits, each then propagated through the shared
+// sparse path. It is bit-identical to EvalSiteScalar's per-bit chain replay
+// (runSiteUnit's loop): the plane kernel reproduces every scalar chain
+// value exactly, and a pre-screened bit's fault provably never escapes the
+// next ReLU (fixed-point accumulation is exact-then-saturate and saturation
+// is 1-Lipschitz, so the faulty chain output differs from golden by at most
 // 2^(bit−FractionBits); when golden plus that bound is ≤ 0 both outputs
 // fall in the clamp domain and the ReLU emits bit-identical zeros).
-func (c *Campaign) runPSumSite(inj *injector, opt Options, g *network.Execution, pos, li, outIdx, macStep, nbits int, r *Report) {
+func (c *Campaign) runPSumPlane(inj *injector, opt Options, g *network.Execution, s site, nbits int, r *Report) {
 	net := inj.net
 	dt := c.DType
-
-	if opt.Eval != engine.EvalSiteBitPlane {
-		for bit := 0; bit < nbits; bit++ {
-			f := &layers.Fault{OutputIndex: outIdx, MACStep: macStep, Target: layers.TargetAccum, Bit: bit}
-			faulty := net.ForwardFrom(dt, g, li, f)
-			c.tallySite(r, opt, g, pos, bit, sdc.Classify(net, g, faulty), faulty)
-		}
-		return
-	}
+	li, outIdx, macStep := s.li, s.word, s.step
 
 	batch := net.NewInjectionBatch(dt, g, li, nbits)
 	gv := g.Acts[li].Data[outIdx]
@@ -241,16 +131,16 @@ func (c *Campaign) runPSumSite(inj *injector, opt Options, g *network.Execution,
 		}
 	}
 
-	for bit := 0; bit < nbits; bit++ {
-		if rk&(uint64(1)<<uint(bit)) != 0 {
+	for s.bit = 0; s.bit < nbits; s.bit++ {
+		if rk&(uint64(1)<<uint(s.bit)) != 0 {
 			r.PreMasked++
-			c.tallySite(r, opt, g, pos, bit, maskedOut, nil)
+			c.tallySite(r, opt, s, maskedOut, nil)
 			continue
 		}
-		fv := vals[bit]
+		fv := vals[s.bit]
 		if opt.Detector != nil {
 			faulty := batch.Propagate(outIdx, fv)
-			c.tallySite(r, opt, g, pos, bit, sdc.Classify(net, g, faulty), faulty)
+			c.tallySite(r, opt, s, sdc.Classify(net, g, faulty), faulty)
 			continue
 		}
 		exec, masked := batch.PropagateShared(outIdx, fv)
@@ -258,6 +148,6 @@ func (c *Campaign) runPSumSite(inj *injector, opt Options, g *network.Execution,
 		if !masked {
 			outcome = sdc.Classify(net, g, exec)
 		}
-		c.tallySite(r, opt, g, pos, bit, outcome, exec)
+		c.tallySite(r, opt, s, outcome, exec)
 	}
 }

@@ -63,6 +63,16 @@ func (l *ConvLayer) MACs(in tensor.Shape) int64 {
 // MACChainLen returns the accumulation-chain length per output element.
 func (l *ConvLayer) MACChainLen() int { return l.InC * l.KH * l.KW }
 
+// QuantWeights returns the layer's weights quantized under ctx.DType, as
+// every forward pass under ctx reads them — with a cache attached, the
+// cache's own slice. A Filter SRAM fault model overwrites one entry for the
+// duration of an injection and restores it; that is only sound on a network
+// instance (and cache) no other goroutine executes.
+func (l *ConvLayer) QuantWeights(ctx *Context) []float64 {
+	qw, _ := ctx.quantizedParams(l, l.Weights, l.Bias)
+	return qw
+}
+
 // Forward implements Layer. All arithmetic flows through ctx.DType. When
 // ctx.Fault is non-nil, the single MAC identified by (OutputIndex, MACStep)
 // is perturbed at the requested latch.

@@ -51,6 +51,13 @@ func (l *FCLayer) MACs(in tensor.Shape) int64 {
 // MACChainLen returns the accumulation-chain length per output element.
 func (l *FCLayer) MACChainLen() int { return l.In }
 
+// QuantWeights returns the layer's weights quantized under ctx.DType (see
+// ConvLayer.QuantWeights).
+func (l *FCLayer) QuantWeights(ctx *Context) []float64 {
+	qw, _ := ctx.quantizedParams(l, l.Weights, l.Bias)
+	return qw
+}
+
 // Forward implements Layer.
 func (l *FCLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(l.OutShape(in.Shape))

@@ -17,7 +17,9 @@ import (
 //
 // The cache snapshots the parameter values at first use. Code that mutates
 // layer weights afterwards (training) must drop the cache — see
-// network.InvalidateQuantCache.
+// network.InvalidateQuantCache. The one sanctioned in-place write is a
+// Filter SRAM fault model patching a single cached weight on its private
+// network for the duration of one injection (see ConvLayer.QuantWeights).
 type QuantCache struct {
 	mu      sync.RWMutex
 	entries map[quantKey]*quantEntry
@@ -57,20 +59,6 @@ func (c *QuantCache) params(dt numeric.Type, l Layer, weights, bias []float64) (
 	e = &quantEntry{weights: quantizeSlice(dt, weights), bias: quantizeSlice(dt, bias)}
 	c.entries[key] = e
 	return e.weights, e.bias
-}
-
-// InvalidateLayer drops the cached parameters of a single layer (every
-// format) after that layer's weights or biases were mutated in place —
-// e.g. a Filter SRAM fault injection. Other layers keep their entries, so
-// only the mutated layer pays re-quantization on its next forward pass.
-func (c *QuantCache) InvalidateLayer(l Layer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.entries {
-		if k.layer == l {
-			delete(c.entries, k)
-		}
-	}
 }
 
 // QuantizeSlice quantizes every element of s under dt — the whole-slice

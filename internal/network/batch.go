@@ -15,7 +15,7 @@ import (
 // each group through a batch, so the faulted layer's quantized input and
 // the shared golden prefix views are resolved once per group rather than
 // once per injection. Downstream propagation is the same sparse
-// receptive-field delta-stepping ForwardFrom uses (propagateElement), so
+// receptive-field delta-stepping ForwardFrom uses (propagateDelta), so
 // grouped injections also skip the dense forward cost of unmasked faults.
 // Every Run result is bit-identical to the corresponding ForwardFrom call.
 //
@@ -146,27 +146,8 @@ func (b *InjectionBatch) PropagateShared(outputIndex int, faultyVal float64) (*E
 	}
 	cur := b.scratch
 	cur.Data[outputIndex] = faultyVal
-	changed := []int{outputIndex}
-
-	base := n.sparseDensityCutoff()
-	auto := n.autoCutoff.Load()
-	clean := &layers.Context{DType: b.dt, Quant: b.quant, DenseCutoff: base, Chains: b.chains}
-	i := b.layerIdx + 1
-	for ; i < len(n.Layers) && len(changed) > 0; i++ {
-		df, ok := n.Layers[i].(layers.DeltaForwarder)
-		if !ok {
-			break
-		}
-		if auto != nil && base == 0 {
-			clean.DenseCutoff = auto.observe(i, float64(len(changed))/float64(len(cur.Data)))
-		}
-		clean.QIn = cur.Data
-		clean.GoldenIn = golden.Acts[i-1].Data
-		cur, changed = df.ForwardDelta(clean, cur, golden.Acts[i], changed)
-		b.acts[i] = cur
-	}
-	clean.QIn = nil
-	clean.GoldenIn = nil
+	clean := &layers.Context{DType: b.dt, Quant: b.quant, DenseCutoff: n.sparseDensityCutoff(), Chains: b.chains}
+	i, cur, changed := n.deltaWalk(clean, golden, b.layerIdx+1, cur, []int{outputIndex}, cur.Data, b.acts)
 	if len(changed) == 0 {
 		b.scratch.Data[outputIndex] = goldenVal
 		return nil, true

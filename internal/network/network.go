@@ -9,6 +9,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/layers"
@@ -74,15 +75,11 @@ func (n *Network) InvalidateQuantCache() {
 	}
 }
 
-// InvalidateLayerQuant drops the cached quantized parameters of a single
-// layer after an in-place mutation of its weights (e.g. a Filter SRAM
-// fault). Cheaper than InvalidateQuantCache when only one layer changed:
-// every other layer keeps its entries. A no-op when no cache is attached.
-func (n *Network) InvalidateLayerQuant(l layers.Layer) {
-	if q := n.quant.Load(); q != nil {
-		q.InvalidateLayer(l)
-	}
-}
+// QuantCache returns the attached quantized-parameter cache (nil when
+// EnableQuantCache was never called), for fault models that evaluate single
+// layers of this network outside its forward entry points and must read the
+// same quantized parameters those do.
+func (n *Network) QuantCache() *layers.QuantCache { return n.quant.Load() }
 
 // Validate checks that the layer shapes compose and that the final output
 // is a Classes-long vector.
@@ -228,9 +225,7 @@ func (n *Network) ForwardParallel(dt numeric.Type, in *tensor.Tensor, workers in
 // activations with Masked set. See ForwardFromDense for the reference
 // implementation this path is bit-identical to.
 func (n *Network) ForwardFrom(dt numeric.Type, golden *Execution, layerIdx int, fault *layers.Fault) *Execution {
-	if layerIdx < 0 || layerIdx >= len(n.Layers) {
-		panic(fmt.Sprintf("network %s: layer index %d out of range", n.Name, layerIdx))
-	}
+	n.checkLayer(layerIdx)
 	ef, ok := n.Layers[layerIdx].(layers.ElementForwarder)
 	if fault == nil || !ok {
 		return n.ForwardFromDense(dt, golden, layerIdx, fault)
@@ -246,70 +241,106 @@ func (n *Network) ForwardFrom(dt numeric.Type, golden *Execution, layerIdx int, 
 }
 
 // propagateElement finishes an incremental faulty run given the recomputed
-// value of the faulted layer's output element: it patches the element into
-// a copy of the golden activation and advances the perturbation through
-// the downstream layers, short-circuiting to the golden tensors when the
-// fault masks. Shared by ForwardFrom and InjectionBatch.Run. chains, when
+// value of the faulted layer's output element: the one-element case of
+// forwardWithAct. Shared by ForwardFrom and InjectionBatch.Run. chains, when
 // non-nil, is the caller's golden chain cache (see layers.ChainCache);
 // batches pass theirs so repeated propagations replay only diverged chain
 // suffixes, one-shot callers pass nil — bit-identical either way.
 func (n *Network) propagateElement(dt numeric.Type, golden *Execution, layerIdx, outputIndex int, faultyVal float64, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
-	goldenVal := golden.Acts[layerIdx].Data[outputIndex]
+	goldenAct := golden.Acts[layerIdx]
+	if math.Float64bits(faultyVal) == math.Float64bits(goldenAct.Data[outputIndex]) {
+		// Quantization/saturation absorbed the flip inside the faulted
+		// chain: the faulty run is bit-identical to golden everywhere.
+		return n.forwardWithAct(dt, golden, layerIdx, goldenAct, nil, quant, chains)
+	}
+	cur := goldenAct.Clone()
+	cur.Data[outputIndex] = faultyVal
+	return n.forwardWithAct(dt, golden, layerIdx, cur, []int{outputIndex}, quant, chains)
+}
 
+// forwardWithAct builds the faulty execution whose layer layerIdx produced
+// act — golden's activation except at the changed indices — and hands the
+// perturbation to propagateDelta. An empty set is a masked fault: act is
+// golden's own tensor bit for bit, so the execution aliases it.
+func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
 	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
 	// Layers before the fault are bit-identical to golden; share them.
 	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
-
-	if math.Float64bits(faultyVal) == math.Float64bits(goldenVal) {
-		// Quantization/saturation absorbed the flip inside the faulted
-		// chain: the faulty run is bit-identical to golden everywhere.
-		copy(exec.Acts[layerIdx:], golden.Acts[layerIdx:])
-		exec.Masked = true
-		return exec
+	if len(changed) == 0 {
+		act = golden.Acts[layerIdx]
 	}
+	exec.Acts[layerIdx] = act
+	// act is a layer output under dt (each layer quantizes what it writes),
+	// so it is its own pre-quantized view.
+	return n.propagateDelta(dt, golden, exec, layerIdx+1, act, changed, act.Data, quant, chains)
+}
 
-	cur := golden.Acts[layerIdx].Clone()
-	cur.Data[outputIndex] = faultyVal
-	exec.Acts[layerIdx] = cur
-	changed := []int{outputIndex}
+// propagateDelta is the one changed-set walker every fault model ends in:
+// cur is the faulty input of layer from, differing from that layer's golden
+// input exactly at the changed indices, and exec already holds everything
+// before from. The perturbation delta-steps through every downstream layer
+// that implements DeltaForwarder (see deltaWalk); when the set empties — a
+// masked fault — the remaining layers are skipped and the execution aliases
+// the golden activations with Masked set, otherwise the layers past the
+// walk run densely. qin is cur's pre-quantized view (cur.Data itself when
+// cur is a layer output, nil when it is caller-supplied data the first
+// layer must quantize for itself).
+func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
+	i := from
+	if len(changed) > 0 {
+		clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: n.sparseDensityCutoff(), Chains: chains}
+		i, cur, changed = n.deltaWalk(clean, golden, from, cur, changed, qin, exec.Acts)
+		if len(changed) > 0 {
+			for ; i < len(n.Layers); i++ {
+				cur = n.Layers[i].Forward(clean, cur)
+				exec.Acts[i] = cur
+			}
+			return exec
+		}
+	}
+	// The perturbation died (inside the faulted chain, in a ReLU clamp, a
+	// lost pool max, LRN rounding, or a CONV/FC cone whose every recomputed
+	// element requantized back to golden): everything from here on is
+	// bit-identical to golden.
+	copy(exec.Acts[i:], golden.Acts[i:])
+	exec.Masked = true
+	return exec
+}
 
-	base := n.sparseDensityCutoff()
+// deltaWalk advances a perturbation through consecutive DeltaForwarder
+// layers starting at layer from, storing each faulty layer output in
+// acts[i]. Each step bit-compares against the golden activation and
+// re-shrinks the changed set; the walk stops when the set empties or at the
+// first layer that cannot delta-step, and returns that layer's index with
+// the tensor and set that reached it. ctx carries the format, caches and
+// the caller's density cutoff (zero lets the per-layer auto-tuner choose);
+// its per-step fields are reset on return.
+func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, acts []*tensor.Tensor) (int, *tensor.Tensor, []int) {
+	base := ctx.DenseCutoff
 	auto := n.autoCutoff.Load()
-	clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: base, Chains: chains}
-	i := layerIdx + 1
+	i := from
 	for ; i < len(n.Layers) && len(changed) > 0; i++ {
 		df, ok := n.Layers[i].(layers.DeltaForwarder)
 		if !ok {
 			break
 		}
 		if auto != nil && base == 0 {
-			clean.DenseCutoff = auto.observe(i, float64(len(changed))/float64(len(cur.Data)))
+			ctx.DenseCutoff = auto.observe(i, float64(len(changed))/float64(len(cur.Data)))
 		}
-		// Every tensor on the delta path is a layer output under dt (each
-		// layer quantizes what it writes), so cur is its own pre-quantized
-		// view: handing it to the MAC layers as QIn skips their whole-input
-		// re-quantization bit-identically.
-		clean.QIn = cur.Data
-		clean.GoldenIn = golden.Acts[i-1].Data
-		cur, changed = df.ForwardDelta(clean, cur, golden.Acts[i], changed)
-		exec.Acts[i] = cur
+		// Handing the MAC layers a pre-quantized view as QIn skips their
+		// whole-input re-quantization bit-identically. Layer 0's golden
+		// input is raw data, not a pre-quantized view, so it cannot seed
+		// chain-cache fills.
+		ctx.QIn, ctx.GoldenIn = qin, nil
+		if i > 0 {
+			ctx.GoldenIn = golden.Acts[i-1].Data
+		}
+		cur, changed = df.ForwardDelta(ctx, cur, golden.Acts[i], changed)
+		acts[i] = cur
+		qin = cur.Data
 	}
-	clean.QIn = nil
-	clean.GoldenIn = nil
-	if len(changed) == 0 {
-		// The perturbation died downstream (ReLU clamp, lost pool max, LRN
-		// rounding, or a CONV/FC cone whose every recomputed element
-		// requantized back to golden): everything from here on is
-		// bit-identical to golden.
-		copy(exec.Acts[i:], golden.Acts[i:])
-		exec.Masked = true
-		return exec
-	}
-	for ; i < len(n.Layers); i++ {
-		cur = n.Layers[i].Forward(clean, cur)
-		exec.Acts[i] = cur
-	}
-	return exec
+	ctx.QIn, ctx.GoldenIn = nil, nil
+	return i, cur, changed
 }
 
 // ForwardFromDense is the dense reference implementation of ForwardFrom:
@@ -317,56 +348,80 @@ func (n *Network) propagateElement(dt numeric.Type, golden *Execution, layerIdx,
 // remains available as the bit-exactness oracle for the incremental engine
 // and as the baseline for throughput benchmarks.
 func (n *Network) ForwardFromDense(dt numeric.Type, golden *Execution, layerIdx int, fault *layers.Fault) *Execution {
-	if layerIdx < 0 || layerIdx >= len(n.Layers) {
-		panic(fmt.Sprintf("network %s: layer index %d out of range", n.Name, layerIdx))
-	}
-	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
-	// Layers before the fault are bit-identical to golden; share them.
-	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
-
+	n.checkLayer(layerIdx)
 	in := golden.Input
 	if layerIdx > 0 {
 		in = golden.Acts[layerIdx-1]
 	}
 	quant := n.quant.Load()
-	cur := n.Layers[layerIdx].Forward(&layers.Context{DType: dt, Fault: fault, Quant: quant}, in)
-	exec.Acts[layerIdx] = cur
-
-	clean := &layers.Context{DType: dt, Quant: quant}
-	for i := layerIdx + 1; i < len(n.Layers); i++ {
-		cur = n.Layers[i].Forward(clean, cur)
-		exec.Acts[i] = cur
-	}
-	return exec
+	act := n.Layers[layerIdx].Forward(&layers.Context{DType: dt, Fault: fault, Quant: quant}, in)
+	return n.ForwardWithActDense(dt, golden, layerIdx, act)
 }
 
 // ForwardFromInput resumes execution at layer layerIdx but feeds it the
-// given (possibly corrupted) input instead of the golden one — the model
-// for a buffer fault in data resident in the global buffer, which every
-// consumer of that fmap during the layer re-reads (§5.2.1).
-func (n *Network) ForwardFromInput(dt numeric.Type, golden *Execution, layerIdx int, in *tensor.Tensor) *Execution {
-	if layerIdx < 0 || layerIdx >= len(n.Layers) {
-		panic(fmt.Sprintf("network %s: layer index %d out of range", n.Name, layerIdx))
-	}
+// given corrupted input instead of the golden one — the model for a buffer
+// fault in data resident in the global buffer, which every consumer of that
+// fmap during the layer re-reads (§5.2.1). changed lists the indices at
+// which in differs from the layer's golden input (any order, duplicates
+// allowed; a superset only costs time): the corruption delta-steps through
+// the struck layer itself and on through propagateDelta, so the result is
+// bit-identical to ForwardFromInputDense at the cost of the corruption's
+// receptive-field cone, and Masked when it never leaves the layer. The
+// corrupted input itself is not an activation of the execution and stays
+// out of Acts.
+func (n *Network) ForwardFromInput(dt numeric.Type, golden *Execution, layerIdx int, in *tensor.Tensor, changed []int) *Execution {
+	n.checkLayer(layerIdx)
 	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
 	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
-	clean := &layers.Context{DType: dt, Quant: n.quant.Load()}
-	cur := in
-	for i := layerIdx; i < len(n.Layers); i++ {
-		cur = n.Layers[i].Forward(clean, cur)
-		exec.Acts[i] = cur
-	}
-	return exec
+	// in is caller-supplied (layer 0's is raw image data), so the struck
+	// layer quantizes what it reads instead of trusting a QIn view.
+	return n.propagateDelta(dt, golden, exec, layerIdx, in, normalizeChanged(changed, len(in.Data)), nil, n.quant.Load(), nil)
 }
 
-// ForwardWithAct replaces the output of layer layerIdx with act and runs
-// the remaining layers — the model for a buffer fault whose effect on the
-// layer's own output has already been computed (e.g. an Img REG fault that
-// corrupts a single output row).
-func (n *Network) ForwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor) *Execution {
-	if layerIdx < 0 || layerIdx >= len(n.Layers) {
-		panic(fmt.Sprintf("network %s: layer index %d out of range", n.Name, layerIdx))
+// ForwardFromInputDense is the dense reference implementation of
+// ForwardFromInput — every layer from layerIdx on re-executes in full. It
+// survives as the bit-exactness oracle of the delta path.
+func (n *Network) ForwardFromInputDense(dt numeric.Type, golden *Execution, layerIdx int, in *tensor.Tensor) *Execution {
+	n.checkLayer(layerIdx)
+	act := n.Layers[layerIdx].Forward(&layers.Context{DType: dt, Quant: n.quant.Load()}, in)
+	return n.ForwardWithActDense(dt, golden, layerIdx, act)
+}
+
+// ForwardWithAct replaces the output of layer layerIdx with act and
+// propagates the difference — the model for a fault whose effect on the
+// layer's own output has already been computed (an Img REG fault that
+// corrupts a single output row, a Filter SRAM fault that corrupts one
+// output channel, a systolic corruption front). changed lists the indices
+// at which act differs from the golden activation (any order, duplicates
+// allowed; a superset only costs time); the result is bit-identical to
+// ForwardWithActDense, and Masked — aliasing golden from layerIdx on — when
+// the set is empty or dies downstream.
+func (n *Network) ForwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int) *Execution {
+	n.checkLayer(layerIdx)
+	return n.forwardWithAct(dt, golden, layerIdx, act, normalizeChanged(changed, len(act.Data)), n.quant.Load(), nil)
+}
+
+// PatchAct records one recomputed element of a faulty activation on its way
+// to ForwardWithAct: when v differs bit-wise from golden's element oi it is
+// written into act — golden itself until the first difference, a private
+// clone from then on — and oi joins the changed set. Fault models fold
+// every element they recompute through it and hand the resulting pair to
+// ForwardWithAct.
+func PatchAct(golden, act *tensor.Tensor, changed []int, oi int, v float64) (*tensor.Tensor, []int) {
+	if math.Float64bits(v) == math.Float64bits(golden.Data[oi]) {
+		return act, changed
 	}
+	if act == golden {
+		act = golden.Clone()
+	}
+	act.Data[oi] = v
+	return act, append(changed, oi)
+}
+
+// ForwardWithActDense is the dense reference implementation of
+// ForwardWithAct: every layer after layerIdx re-executes in full.
+func (n *Network) ForwardWithActDense(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor) *Execution {
+	n.checkLayer(layerIdx)
 	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
 	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
 	exec.Acts[layerIdx] = act
@@ -377,6 +432,28 @@ func (n *Network) ForwardWithAct(dt numeric.Type, golden *Execution, layerIdx in
 		exec.Acts[i] = cur
 	}
 	return exec
+}
+
+// normalizeChanged returns a caller-supplied changed set sorted ascending
+// and free of duplicates — the form the delta walkers hand each other —
+// without touching the caller's slice.
+func normalizeChanged(changed []int, elems int) []int {
+	if len(changed) == 0 {
+		return nil
+	}
+	out := slices.Clone(changed)
+	slices.Sort(out)
+	if out[0] < 0 || out[len(out)-1] >= elems {
+		panic(fmt.Sprintf("network: changed index out of range [0,%d)", elems))
+	}
+	return slices.Compact(out)
+}
+
+// checkLayer panics on a layer index outside the network.
+func (n *Network) checkLayer(layerIdx int) {
+	if layerIdx < 0 || layerIdx >= len(n.Layers) {
+		panic(fmt.Sprintf("network %s: layer index %d out of range", n.Name, layerIdx))
+	}
 }
 
 // ForwardStored runs the network with every layer output quantized through

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/layers"
@@ -295,5 +297,34 @@ func TestForwardStoredFromInputMatchesFull(t *testing.T) {
 	}
 	if !diff {
 		t.Error("corrupted stored input had no effect")
+	}
+}
+
+func TestGoldenMemoComputesOncePerCoordinate(t *testing.T) {
+	n := tinyNet()
+	in := tinyInput()
+	var memo GoldenMemo
+	var computes atomic.Int32
+	var wg sync.WaitGroup
+	execs := make([]*Execution, 16)
+	for i := range execs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dt := numeric.Types[i%2]
+			execs[i] = memo.Get(dt, i%4/2, func() *Execution {
+				computes.Add(1)
+				return n.Forward(dt, in)
+			})
+		}()
+	}
+	wg.Wait()
+	if computes.Load() != 4 || memo.Len() != 4 {
+		t.Fatalf("%d computes, %d slots for 4 (format, input) coordinates", computes.Load(), memo.Len())
+	}
+	for i, e := range execs {
+		if e != execs[i%4] {
+			t.Fatalf("request %d got a different execution than request %d for the same coordinate", i, i%4)
+		}
 	}
 }

@@ -17,6 +17,7 @@ package systolic
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/fit"
@@ -189,6 +190,20 @@ type Campaign struct {
 	// where a random-in-time upset lands. When nil, layers are weighted
 	// by MAC count (proportional to their array occupancy time).
 	Residency []float64
+	// GoldenFn, when non-nil, resolves the golden execution of input i
+	// instead of computing it per campaign: compute runs the fault-free
+	// forward pass, and implementations return its result or a previously
+	// computed, bit-identical one — the same hook, and the same process-wide
+	// cache behind it, as faultinj.Campaign.GoldenFn. When nil the campaign
+	// memoizes its goldens privately, so either way a forward pass runs once
+	// per input, not once per shard and phase.
+	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
+
+	goldens network.GoldenMemo
+	// checked guards the one-time geometry validation; invalid keeps its
+	// panic value so every later call fails the same way.
+	checked sync.Once
+	invalid any
 }
 
 // surface adapts the campaign to the shared engine's Surface interface.
@@ -247,7 +262,9 @@ func (c *Campaign) MainShard(shard, of int, table *engine.StratumTable, opt Opti
 	return engine.MainShard[*Report](surface{c, opt}, shard, of, table, opt.engineOptions(c.DType.Width()))
 }
 
-// validate fails fast on a malformed campaign before any shard runs.
+// validate fails fast on a malformed campaign before any shard runs. The
+// geometry check needs a network instance, so it runs once per Campaign
+// rather than once per shard call.
 func (c *Campaign) validate() {
 	if len(c.Inputs) == 0 {
 		panic("systolic: campaign needs at least one input")
@@ -255,12 +272,31 @@ func (c *Campaign) validate() {
 	if c.Flow < 0 || c.Flow >= NumDataflows {
 		panic(fmt.Sprintf("systolic: unknown dataflow %d", int(c.Flow)))
 	}
-	newInjector(c.Build(), c.DType, c.Array, c.Flow, c.Residency)
+	c.checked.Do(func() {
+		defer func() { c.invalid = recover() }()
+		newInjector(c.Build(), c.DType, c.Array, c.Flow, c.Residency)
+	})
+	if c.invalid != nil {
+		panic(c.invalid)
+	}
 }
 
 // seedMul separates the per-shard PRNG streams of this surface from the
 // other surfaces' streams under equal campaign seeds.
 const seedMul = 3_141_593
+
+// newShard builds the private state one shard phase executes on: its own
+// network instance with the quantized-parameter cache on, the injector
+// over it, and the shard's golden lookup (the campaign's GoldenFn or
+// private memo; see network.GoldenMemo.Resolver).
+func (c *Campaign) newShard() (*injector, func(i int) *network.Execution) {
+	net := c.Build()
+	net.EnableQuantCache()
+	inj := newInjector(net, c.DType, c.Array, c.Flow, c.Residency)
+	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
+		return net.Forward(c.DType, c.Inputs[i])
+	})
+}
 
 // runShardPhase executes one phase of one shard — the per-injection
 // execution the engine's orchestration calls back into, serially, on a
@@ -270,19 +306,8 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, ph engine.Phase) *R
 		return c.runShardPhaseSites(shard, of, opt, ph)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*seedMul + ph.SeedSalt))
-	net := c.Build()
-	net.EnableQuantCache()
-	goldens := make(map[int]*network.Execution)
-	golden := func(i int) *network.Execution {
-		g, ok := goldens[i]
-		if !ok {
-			g = net.Forward(c.DType, c.Inputs[i])
-			goldens[i] = g
-		}
-		return g
-	}
-
-	inj := newInjector(net, c.DType, c.Array, c.Flow, c.Residency)
+	inj, golden := c.newShard()
+	net := inj.net
 	width := c.DType.Width()
 	mbu := opt.mbu()
 	r := &Report{}
@@ -410,13 +435,12 @@ func (inj *injector) drawBit(rng *rand.Rand, bit, mbu int) int {
 	return rng.Intn(inj.dt.Width() - mbu + 1)
 }
 
-// inject draws one injection — pos and bit force the stratum of a
-// stratified main phase (negative to draw uniformly) — executes it and
-// returns the faulty execution, the drawn site and the MAC-layer
-// position. Draw order per injection: layer position (one float, skipped
-// when forced), latch, chain step, output column, stream position, base
-// bit (skipped when forced).
-func (inj *injector) inject(rng *rand.Rand, g *network.Execution, pos, bit, mbu int) (*network.Execution, Site, int) {
+// draw draws one fault site and its MAC-layer position. pos and bit force
+// the stratum coordinate when non-negative — the main phase of a stratified
+// campaign, or the site-draw modes, which evaluate every bit of a site and
+// so draw none — and consume no randomness then. Draw order: layer position
+// (one float), latch, chain step, output column, stream position, base bit.
+func (inj *injector) draw(rng *rand.Rand, pos, bit, mbu int) (Site, int) {
 	if pos < 0 {
 		pos = inj.pickLayerPos(rng)
 	}
@@ -429,6 +453,13 @@ func (inj *injector) inject(rng *rand.Rand, g *network.Execution, pos, bit, mbu 
 		Width: mbu,
 	}
 	s.Bit = inj.drawBit(rng, bit, mbu)
+	return s, pos
+}
+
+// inject draws one injection (see draw), executes it and returns the faulty
+// execution, the drawn site and the MAC-layer position.
+func (inj *injector) inject(rng *rand.Rand, g *network.Execution, pos, bit, mbu int) (*network.Execution, Site, int) {
+	s, pos := inj.draw(rng, pos, bit, mbu)
 	return inj.execute(g, pos, s), s, pos
 }
 
@@ -468,26 +499,27 @@ func (inj *injector) execute(g *network.Execution, pos int, s Site) *network.Exe
 	return inj.apply(g, li, geo, s, op, elems)
 }
 
-// apply runs the faulty inference for an effect set. The empty set is the
-// architecturally masked pipeline fault: the execution aliases golden
-// with Masked set, exactly what a masked incremental forward returns. A
-// single-MAC single-bit effect takes the network's incremental
-// fault-injection path; everything else replays each corrupted chain and
-// forwards from the patched activation.
+// apply runs the faulty inference for an effect set. A single-MAC
+// single-bit effect takes the network's incremental fault-injection path;
+// everything else — every multi-element corruption front and every MBU —
+// replays each corrupted chain, diffs it against the golden activation and
+// hands the changed set to the network's delta propagation. The empty
+// effect set (the architecturally masked pipeline fault) and a front whose
+// every replay lands back on golden both come out as the Masked execution
+// aliasing golden.
 func (inj *injector) apply(g *network.Execution, li int, geo Geometry, s Site, op faultOp, elems []int) *network.Execution {
-	if len(elems) == 0 {
-		return &network.Execution{Input: g.Input, Acts: g.Acts, Masked: true}
-	}
 	if len(elems) == 1 && s.Width == 1 {
 		f := &layers.Fault{OutputIndex: elems[0], MACStep: s.K, Target: op.target(), Bit: s.Bit}
 		return inj.net.ForwardFrom(inj.dt, g, li, f)
 	}
 	in := layerInput(g, li)
-	act := g.Acts[li].Clone()
+	golden := g.Acts[li]
+	act := golden
+	var changed []int
 	for _, oi := range elems {
-		act.Data[oi] = inj.chainEval(li, in, oi, s, op)
+		act, changed = network.PatchAct(golden, act, changed, oi, inj.chainEval(li, in, oi, s, op))
 	}
-	return inj.net.ForwardWithAct(inj.dt, g, li, act)
+	return inj.net.ForwardWithAct(inj.dt, g, li, act, changed)
 }
 
 // layerInput returns the golden input tensor of a layer.

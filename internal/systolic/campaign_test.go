@@ -403,3 +403,31 @@ func TestLatchBits(t *testing.T) {
 		t.Errorf("FITComponent drifted: %+v", comp)
 	}
 }
+
+// TestCampaignGoldensComputedOncePerInput: with no GoldenFn a campaign
+// memoizes its goldens privately — one forward pass per input for all
+// shards and phases, not one per shard and phase — and validates its
+// geometry once, not once per shard call.
+func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
+	builds := 0
+	c := &Campaign{
+		Build:  func() *network.Network { builds++; return buildSmall() },
+		DType:  numeric.Fx16RB10,
+		Inputs: smallInputs(2),
+		Array:  tinyArray,
+	}
+	opt := Options{N: 60, Seed: 5, Workers: 1}
+	strat := opt
+	strat.Sampling = engine.SamplingStratified
+	for s := 0; s < 3; s++ {
+		c.PilotShard(s, 3, strat)
+		c.RunShard(s, 3, opt)
+	}
+	if got := c.goldens.Len(); got != len(c.Inputs) {
+		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))
+	}
+	// One build validates the campaign, one runs each shard phase.
+	if want := 1 + 3 + 3; builds != want {
+		t.Errorf("%d network builds for 6 shard calls, want %d (validation must run once per campaign)", builds, want)
+	}
+}

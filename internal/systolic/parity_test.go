@@ -1,0 +1,113 @@
+package systolic
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/network"
+	"repro/internal/numeric"
+	"repro/internal/sdc"
+	"repro/internal/tensor"
+)
+
+// TestFaultsMatchDenseOracle is the systolic half of the propagation core's
+// bit-exactness contract: under every dataflow, for the per-bit design at
+// every MBU width and for both site-draw modes, each injection's faulty
+// execution must equal the dense oracle's — every corrupted chain replayed
+// into a clone of the golden activation, every downstream layer re-executed
+// in full — bit for bit on every activation tensor, and the campaign's
+// report (outcome counts, per-latch breakdown, ArchMasked, Options.Detector
+// tally) must equal the tallies of the oracle's executions drawn from the
+// same PRNG stream.
+func TestFaultsMatchDenseOracle(t *testing.T) {
+	const n = 64
+	type mode struct {
+		name string
+		eval engine.EvalMode
+		mbu  int
+	}
+	modes := []mode{
+		{"perbit", engine.EvalPerBit, 1}, {"perbit-mbu2", engine.EvalPerBit, 2}, {"perbit-mbu3", engine.EvalPerBit, 3},
+		{"site-scalar", engine.EvalSiteScalar, 1}, {"site-bitplane", engine.EvalSiteBitPlane, 1},
+	}
+	for flow := WeightStationary; flow < NumDataflows; flow++ {
+		for _, dt := range []numeric.Type{numeric.Fx16RB10, numeric.Float16} {
+			c := &Campaign{Build: buildSmall, DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+			plain := buildSmall()
+			goldens := make([]*network.Execution, len(c.Inputs))
+			for i, in := range c.Inputs {
+				goldens[i] = plain.Forward(dt, in)
+			}
+			det := func(e *network.Execution) bool {
+				for _, g := range goldens {
+					if e.Input == g.Input {
+						return e.Output().Data[g.Top1()] < 0.9*g.Output().Data[g.Top1()]
+					}
+				}
+				panic("execution over an unknown input")
+			}
+			c.GoldenFn = func(i int, _ func() *network.Execution) *network.Execution { return goldens[i] }
+			oracle := newInjector(plain, dt, c.Array, flow, nil)
+
+			for _, m := range modes {
+				t.Run(fmt.Sprintf("%s/%s/%s", flow, dt, m.name), func(t *testing.T) {
+					opt := Options{N: n, Seed: 1717, Workers: 1, Eval: m.eval, MBU: m.mbu, Detector: det}
+					inj, _ := c.newShard()
+					rng := rand.New(rand.NewSource(opt.Seed))
+					var want Report
+					check := func(g *network.Execution, pos int, s Site) {
+						got := inj.execute(g, pos, s)
+
+						li, geo := oracle.macLayers[pos], oracle.geos[pos]
+						op, elems := geo.effects(s)
+						act := g.Acts[li].Clone()
+						for _, oi := range elems {
+							act.Data[oi] = oracle.chainEval(li, layerInput(g, li), oi, s, op)
+						}
+						ref := plain.ForwardWithActDense(dt, g, li, act)
+
+						for l := range ref.Acts {
+							if !tensor.BitIdentical(got.Acts[l], ref.Acts[l]) {
+								t.Fatalf("site %+v: layer %d differs from the dense oracle", s, l)
+							}
+						}
+						if got.Masked && got.Acts[len(got.Acts)-1] != g.Acts[len(g.Acts)-1] {
+							t.Fatalf("site %+v: masked execution does not alias the golden output", s)
+						}
+						outcome := sdc.Classify(plain, g, ref)
+						if sdc.Classify(inj.net, g, got) != outcome || det(got) != det(ref) {
+							t.Fatalf("site %+v: outcome or detector verdict differs from the dense oracle", s)
+						}
+						want.Counts.Add(outcome)
+						want.PerLatch[s.Latch].Add(outcome)
+						if geo.PipeMasked(s) {
+							want.ArchMasked++
+						}
+						want.Detection.Tally(outcome.Hit[sdc.SDC1], det(ref))
+					}
+					if m.eval == engine.EvalPerBit {
+						for i := 0; i < n; i++ {
+							s, pos := inj.draw(rng, -1, -1, m.mbu)
+							check(goldens[i%len(goldens)], pos, s)
+						}
+					} else {
+						width := dt.Width()
+						for u := 0; u < engine.DrawUnits(n, width); u++ {
+							s, pos := inj.draw(rng, -1, 0, 1)
+							for s.Bit = 0; s.Bit < min(width, n-u*width); s.Bit++ {
+								check(goldens[u%len(goldens)], pos, s)
+							}
+						}
+					}
+					got := c.Run(opt)
+					if got.Counts != want.Counts || got.PerLatch != want.PerLatch ||
+						got.ArchMasked != want.ArchMasked || got.Detection != want.Detection {
+						t.Errorf("campaign report diverged from the dense oracle's tallies:\n got %+v\nwant %+v", got, &want)
+					}
+				})
+			}
+		}
+	}
+}

@@ -33,19 +33,7 @@ import (
 // sequence.
 func (c *Campaign) runShardPhaseSites(shard, of int, opt Options, ph engine.Phase) *Report {
 	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*seedMul + ph.SeedSalt))
-	net := c.Build()
-	net.EnableQuantCache()
-	goldens := make(map[int]*network.Execution)
-	golden := func(i int) *network.Execution {
-		g, ok := goldens[i]
-		if !ok {
-			g = net.Forward(c.DType, c.Inputs[i])
-			goldens[i] = g
-		}
-		return g
-	}
-
-	inj := newInjector(net, c.DType, c.Array, c.Flow, c.Residency)
+	inj, golden := c.newShard()
 	width := c.DType.Width()
 	r := &Report{}
 	if ph.Strata {
@@ -89,17 +77,8 @@ func (c *Campaign) tallySite(r *Report, opt Options, pos int, s Site, bit int, o
 // per-bit model's order minus the trailing bit draw: layer position,
 // latch, chain step, output column, stream position.
 func (c *Campaign) runSiteUnit(rng *rand.Rand, inj *injector, opt Options, g *network.Execution, pos, nbits int, r *Report) {
-	if pos < 0 {
-		pos = inj.pickLayerPos(rng)
-	}
+	s, pos := inj.draw(rng, pos, 0, 1)
 	geo := inj.geos[pos]
-	s := Site{
-		Latch: Latch(rng.Intn(int(NumLatches))),
-		K:     rng.Intn(geo.K),
-		Out:   rng.Intn(geo.Outs),
-		P:     rng.Intn(geo.P),
-		Width: 1,
-	}
 
 	if opt.Eval == engine.EvalSiteBitPlane {
 		if target, ok := geo.planeTarget(s.Latch); ok {

@@ -143,6 +143,22 @@ func BitwiseMismatch(a, b *Tensor) int {
 	return n
 }
 
+// BitIdentical reports whether two tensors have the same shape and hold
+// bit-identical values — unlike BitwiseMismatch it distinguishes ±0 and NaN
+// payloads, which is the fault-propagation engine's definition of
+// "unchanged".
+func BitIdentical(a, b *Tensor) bool {
+	if a.Shape != b.Shape {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float64bits(v) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // ArgTopK returns the indices of the k largest elements of a vector tensor
 // in descending order. Ties resolve to the lower index, making rankings
 // deterministic.

@@ -7,9 +7,11 @@
 # to an uninterrupted single-process run of the same spec. A plane never
 # tells its fleet "done", so each leg SIGTERMs its workers once the
 # coordinator has exited and requires a clean drain. A second leg runs the
-# same drill on a stratified
-# Eyeriss buffer campaign, then replays it pilot-free from the recorded
-# strata artifact (-prior) and checks distributed == solo there too. A
+# same drill on a stratified Eyeriss buffer campaign, then replays it
+# pilot-free from the recorded strata artifact (-prior) and checks
+# distributed == solo there too; the buffer and systolic legs also assert
+# from each worker's exit log that it computed at most one golden forward
+# per input (every surface shares the worker's golden cache). A
 # systolic leg repeats the crash-and-resume drill on a stratified
 # weight-stationary array campaign with 3-bit MBU injections, killing the
 # coordinator before the pilot->allocation boundary; an output-stationary
@@ -48,6 +50,27 @@ drain_workers() { # drain_workers <pid>...: SIGTERM, then require exit 0
     for pid in "$@"; do
         wait "$pid" || { echo "FAIL: worker $pid did not drain cleanly"; exit 1; }
     done
+}
+
+golden_misses() { # golden_misses <worker stderr>: golden forwards the worker computed
+    sed -n 's/.*golden cache: \([0-9]*\) misses.*/\1/p' "$1"
+}
+
+# check_fleet_goldens <leg> <inputs> <worker stderr>...: every surface
+# resolves goldens through the worker's one cache, so a worker computes at
+# most one forward per input however many shards and phases it ran, and
+# the fleet that finished the campaign computed each input at least once.
+check_fleet_goldens() {
+    local leg=$1 inputs=$2 total=0 m
+    shift 2
+    for log in "$@"; do
+        m=$(golden_misses "$log")
+        [ -n "$m" ] || { echo "FAIL: $leg worker logged no golden-cache stats"; cat "$log"; exit 1; }
+        [ "$m" -le "$inputs" ] || { echo "FAIL: $leg worker computed $m goldens for $inputs inputs"; exit 1; }
+        total=$((total + m))
+    done
+    [ "$total" -ge "$inputs" ] || { echo "FAIL: $leg fleet computed $total goldens for $inputs inputs (cache bypassed?)"; exit 1; }
+    echo "   $leg fleet computed $total golden forwards for $inputs inputs"
 }
 
 echo "== baseline: uninterrupted solo run"
@@ -141,12 +164,13 @@ bresumed=$(json_field "$bbase2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $bresumed buffer slots without re-running them"
 [ "$bresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed buffer slots"; exit 1; }
 
-"$tmp/faultserve" -role worker -join "$bbase2" &
+"$tmp/faultserve" -role worker -join "$bbase2" 2>"$tmp/bw1.err" &
 w1=$!
-"$tmp/faultserve" -role worker -join "$bbase2" &
+"$tmp/faultserve" -role worker -join "$bbase2" 2>"$tmp/bw2.err" &
 w2=$!
 wait "$bcoord2"
 drain_workers "$w1" "$w2"
+check_fleet_goldens buffer 2 "$tmp/bw1.err" "$tmp/bw2.err"
 
 if ! cmp -s "$tmp/bsolo.json" "$tmp/bresumed.json"; then
     echo "FAIL: resumed distributed buffer report differs from solo eyeriss run"
@@ -163,10 +187,14 @@ echo "== prior-seeded buffer campaign (pilot-free) distributed vs solo"
     -addr 127.0.0.1:0 -addr-file "$tmp/paddr" -linger 2s -out "$tmp/pdist.json" &
 pcoord=$!
 for _ in $(seq 100); do [ -s "$tmp/paddr" ] && break; sleep 0.1; done
-"$tmp/faultserve" -role worker -join "http://$(cat "$tmp/paddr")" &
+"$tmp/faultserve" -role worker -join "http://$(cat "$tmp/paddr")" 2>"$tmp/pw1.err" &
 w1=$!
 wait "$pcoord"
 drain_workers "$w1"
+# One worker ran all six main-phase shards: exactly one forward per input.
+pm=$(golden_misses "$tmp/pw1.err")
+[ "$pm" = 2 ] || { echo "FAIL: lone buffer worker computed '$pm' goldens for 2 inputs over 6 shards"; cat "$tmp/pw1.err"; exit 1; }
+echo "   lone buffer worker computed 2 golden forwards for 6 shards"
 
 if ! cmp -s "$tmp/psolo.json" "$tmp/pdist.json"; then
     echo "FAIL: prior-seeded distributed buffer report differs from solo"
@@ -208,12 +236,13 @@ sresumed=$(json_field "$sbase2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $sresumed systolic slots without re-running them"
 [ "$sresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed systolic slots"; exit 1; }
 
-"$tmp/faultserve" -role worker -join "$sbase2" &
+"$tmp/faultserve" -role worker -join "$sbase2" 2>"$tmp/sw1.err" &
 w1=$!
-"$tmp/faultserve" -role worker -join "$sbase2" &
+"$tmp/faultserve" -role worker -join "$sbase2" 2>"$tmp/sw2.err" &
 w2=$!
 wait "$scoord2"
 drain_workers "$w1" "$w2"
+check_fleet_goldens systolic 2 "$tmp/sw1.err" "$tmp/sw2.err"
 
 if ! cmp -s "$tmp/ssolo.json" "$tmp/sresumed.json"; then
     echo "FAIL: resumed distributed systolic report differs from solo run"
@@ -255,12 +284,13 @@ oresumed=$(json_field "$obase2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $oresumed output-stationary slots without re-running them"
 [ "$oresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed output-stationary slots"; exit 1; }
 
-"$tmp/faultserve" -role worker -join "$obase2" &
+"$tmp/faultserve" -role worker -join "$obase2" 2>"$tmp/ow1.err" &
 w1=$!
-"$tmp/faultserve" -role worker -join "$obase2" &
+"$tmp/faultserve" -role worker -join "$obase2" 2>"$tmp/ow2.err" &
 w2=$!
 wait "$ocoord2"
 drain_workers "$w1" "$w2"
+check_fleet_goldens output-stationary 2 "$tmp/ow1.err" "$tmp/ow2.err"
 
 if ! cmp -s "$tmp/osolo.json" "$tmp/oresumed.json"; then
     echo "FAIL: resumed distributed output-stationary report differs from solo run"
