@@ -157,8 +157,8 @@ func measureSampling(name string, dt numeric.Type, n, workers int, priorDir, str
 		Trials:    uni.Counts.DefinedTrials[sdc.SDC1],
 	}
 
-	sopt := faultinj.Options{N: n, Seed: 1, Workers: workers, Sampling: faultinj.SamplingStratified}
-	pilot, _ := faultinj.PilotBudget(n, 0)
+	sopt := faultinj.Options{N: n, Seed: 1, Workers: workers, Sampling: engine.SamplingStratified}
+	pilot, _ := engine.PilotBudget(n, 0)
 	var pilotStrata *engine.StrataSummary
 	if priorDir != "" {
 		a, err := engine.ReadStrataArtifact(strataArtifactPath(priorDir, name, dt))
@@ -271,7 +271,7 @@ type BitParallelOutput struct {
 
 // measureEval runs one campaign under the given evaluation mode and
 // returns injections per second plus the pre-screened fraction.
-func measureEval(name string, dt numeric.Type, n, workers int, eval faultinj.EvalMode) (injPerSec, preFrac float64) {
+func measureEval(name string, dt numeric.Type, n, workers int, eval engine.EvalMode) (injPerSec, preFrac float64) {
 	net := models.Build(name)
 	in := models.InputFor(name, 0)
 	c := faultinj.New(net, dt, []*tensor.Tensor{in})
@@ -316,9 +316,9 @@ func runBitParallel(n, workers int, out, baseline, date string) {
 	logAll, logConv, nAll, nConv := 0.0, 0.0, 0, 0
 	for _, row := range matrix {
 		for _, dt := range row.dts {
-			inc, _ := measureEval(row.name, dt, n, workers, faultinj.EvalPerBit)
-			scalar, _ := measureEval(row.name, dt, n, workers, faultinj.EvalSiteScalar)
-			plane, pre := measureEval(row.name, dt, n, workers, faultinj.EvalSiteBitPlane)
+			inc, _ := measureEval(row.name, dt, n, workers, engine.EvalPerBit)
+			scalar, _ := measureEval(row.name, dt, n, workers, engine.EvalSiteScalar)
+			plane, pre := measureEval(row.name, dt, n, workers, engine.EvalSiteBitPlane)
 			res := BitParallelResult{
 				Network: row.name, DType: dt.String(), Injections: n,
 				PreMaskedFrac:    round2(pre),

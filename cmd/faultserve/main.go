@@ -530,12 +530,9 @@ func writeStrata(path string, spec campaign.Spec, pilot *engine.StrataSummary, r
 		log.Fatal("-strata-out needs a stratified campaign")
 	}
 	a := &engine.StrataArtifact{
-		Surface: spec.Surface, Net: spec.Net, DType: spec.DType,
+		Surface: spec.Surface, Net: spec.Net, DType: spec.DType, Buffer: spec.Buffer,
 		N: spec.N, PilotN: spec.PilotN,
 		Pilot: pilot, Total: report.Strata(),
-	}
-	if spec.BufferSurface() {
-		a.Buffer = spec.Buffer
 	}
 	if err := engine.WriteStrataArtifact(path, a); err != nil {
 		log.Fatal(err)

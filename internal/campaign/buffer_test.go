@@ -31,14 +31,14 @@ func TestSpecNormalizeBuffer(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Buffer != "global" || !s.BufferSurface() || s.PriorAllocated() {
+	if s.Buffer != "global" || s.Surface != "buffer" || s.PriorAllocated() {
 		t.Fatalf("buffer defaults off: %+v", s)
 	}
 	d := Spec{N: 10}
 	if err := d.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Surface != "datapath" || d.BufferSurface() {
+	if d.Surface != "datapath" {
 		t.Fatalf("datapath default off: %+v", d)
 	}
 }

@@ -162,7 +162,7 @@ func TestReportAcceptanceIdempotent(t *testing.T) {
 		m.LeaseEverGranted("L99-s0", 0) {
 		t.Fatal("LeaseEverGranted disagrees with the grants made")
 	}
-	rep := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 3)}
+	rep := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
 	rep.Datapath.Masked = 1
 	if first, err := m.Accept(stale.Slot, rep); err != nil || !first {
 		t.Fatalf("stale-but-first delivery rejected: first=%v err=%v", first, err)
@@ -187,7 +187,7 @@ func TestReportAcceptanceIdempotent(t *testing.T) {
 func TestGoldenCacheSharing(t *testing.T) {
 	goldens := NewGoldenCache()
 	spec := testSpec("FLOAT16")
-	first, err := Solo(spec, goldens)
+	first, err := solo(spec, goldens)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGoldenCacheSharing(t *testing.T) {
 	// Different N and seed, same network/format/inputs: all hits.
 	spec2 := spec
 	spec2.N, spec2.Seed = 60, 99
-	if _, err := Solo(spec2, goldens); err != nil {
+	if _, err := solo(spec2, goldens); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses := goldens.Stats()
@@ -209,7 +209,7 @@ func TestGoldenCacheSharing(t *testing.T) {
 		t.Fatalf("second run hit cache %d times, want >= %d", hits, spec.Inputs)
 	}
 	// And the cached goldens change nothing: cache-free run is identical.
-	plain, err := Solo(spec, nil)
+	plain, err := solo(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,4 +240,14 @@ func TestSpecNormalize(t *testing.T) {
 	if s.Shards > s.N {
 		t.Fatalf("shards %d not clamped to N=%d", s.Shards, s.N)
 	}
+}
+
+// solo is SoloReport for datapath specs, returning the bare faultinj
+// report.
+func solo(spec Spec, goldens *GoldenCache) (*faultinj.Report, error) {
+	r, _, err := SoloReport(spec, goldens)
+	if err != nil {
+		return nil, err
+	}
+	return r.Datapath, nil
 }

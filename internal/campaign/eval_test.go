@@ -5,7 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/faultinj"
+	"repro/internal/engine"
 	"repro/internal/layers"
 	"repro/internal/models"
 )
@@ -31,7 +31,7 @@ func TestSpecEvalValidation(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if want := faultinj.DrawUnits(40, 16); s.Shards != want {
+	if want := engine.DrawUnits(40, 16); s.Shards != want {
 		t.Fatalf("site-mode shards clamped to %d, want %d draw units", s.Shards, want)
 	}
 	b := Spec{N: 64, Surface: "buffer", Buffer: "psum", Eval: "site-bitplane"}
@@ -51,12 +51,12 @@ func TestSiteEvalSoloModesBitIdentical(t *testing.T) {
 			spec := testSpec(dtype)
 			spec.Sampling = sampling
 			spec.Eval = "site-scalar"
-			want, err := Solo(spec, nil)
+			want, err := solo(spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			spec.Eval = "site-bitplane"
-			got, err := Solo(spec, nil)
+			got, err := solo(spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

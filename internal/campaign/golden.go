@@ -86,7 +86,7 @@ func (g *GoldenCache) Stats() (hits, misses int) {
 // fleet still pays one golden pass per (network, format, input).
 type campaignSet struct {
 	mu      sync.Mutex
-	byKey   map[string]any // *faultinj.Campaign, *eyeriss.Campaign or *systolic.Campaign
+	byKey   map[string]any // the surface packages' *Campaign types
 	goldens *GoldenCache
 }
 
@@ -97,10 +97,10 @@ func newCampaignSet(goldens *GoldenCache) *campaignSet {
 	return &campaignSet{byKey: make(map[string]any), goldens: goldens}
 }
 
-// prepared returns the set's campaign for spec, calling build — one of the
-// Spec constructors that take the shared golden cache — on first use.
-// campaignID namespaces specs that load mutable external content.
-func prepared[C any](cs *campaignSet, campaignID string, spec Spec, build func(*GoldenCache) (C, error)) (C, error) {
+// prepared returns the set's campaign for spec, calling build — a surface
+// table row's campaign constructor — with the shared golden cache on first
+// use. campaignID namespaces specs that load mutable external content.
+func prepared[C any](cs *campaignSet, campaignID string, spec Spec, build func(Spec, *GoldenCache) (C, error)) (C, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	key := spec.campaignKey()
@@ -110,7 +110,7 @@ func prepared[C any](cs *campaignSet, campaignID string, spec Spec, build func(*
 	if c, ok := cs.byKey[key]; ok {
 		return c.(C), nil
 	}
-	c, err := build(cs.goldens)
+	c, err := build(spec, cs.goldens)
 	if err != nil {
 		return c, err
 	}

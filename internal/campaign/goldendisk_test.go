@@ -96,7 +96,7 @@ func TestGoldenCacheDiskPersistence(t *testing.T) {
 
 	g1 := NewGoldenCache()
 	g1.Persist(dir)
-	first, err := Solo(spec, g1)
+	first, err := solo(spec, g1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGoldenCacheDiskPersistence(t *testing.T) {
 
 	g2 := NewGoldenCache()
 	g2.Persist(dir)
-	second, err := Solo(spec, g2)
+	second, err := solo(spec, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestGoldenCacheDiskPersistence(t *testing.T) {
 
 	g3 := NewGoldenCache()
 	g3.Persist(dir)
-	third, err := Solo(spec, g3)
+	third, err := solo(spec, g3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestGoldenCacheDiskPersistence(t *testing.T) {
 	// And the healed files load again.
 	g4 := NewGoldenCache()
 	g4.Persist(dir)
-	if _, err := Solo(spec, g4); err != nil {
+	if _, err := solo(spec, g4); err != nil {
 		t.Fatal(err)
 	}
 	if loaded, _ := g4.DiskStats(); loaded != spec.Inputs {

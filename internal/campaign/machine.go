@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/faultinj"
 	"repro/internal/sdc"
 	"repro/internal/stats"
 )
@@ -37,8 +36,12 @@ type Machine struct {
 	// Main-phase slots are not leased until it exists. pilotStrata keeps
 	// the merged pilot for strata-artifact export.
 	pilotDone   int
-	table       *faultinj.StratumTable
+	table       *engine.StratumTable
 	pilotStrata *engine.StrataSummary
+	// weights is the strata of the first strata-carrying report accepted:
+	// every later one must carry bit-identical stratum weights, which is
+	// what merging them requires.
+	weights *engine.StrataSummary
 
 	// Scheduling indexes, maintained incrementally so the control plane's
 	// grant loop never rescans the ledger: pending is a min-heap of
@@ -258,17 +261,30 @@ func (m *Machine) LeaseEverGranted(leaseID string, slot int) bool {
 // expired mid-run but still delivers is indistinguishable from the
 // re-leased worker — shard execution is deterministic, so either copy of
 // the report is bit-identical. first is true when the report was newly
-// recorded (the caller journals and broadcasts exactly those).
+// recorded (the caller journals and broadcasts exactly those). A report
+// that is not shaped like the slot's (Report.validate), or whose stratum
+// weights differ from the first accepted, is refused with the ledger
+// untouched: reports come off the wire, and everything downstream — merge,
+// snapshot, table construction — indexes them without looking.
 func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
-	if err := r.validate(m.spec); err != nil {
-		return false, err
-	}
 	if slot < 0 || slot >= m.spec.Slots() {
 		return false, fmt.Errorf("campaign: slot %d out of range [0,%d)", slot, m.spec.Slots())
+	}
+	phase, _ := m.spec.SlotPhase(slot)
+	st, err := r.validate(m.spec, phase)
+	if err != nil {
+		return false, err
 	}
 	sh := &m.shards[slot]
 	if sh.done {
 		return false, nil // duplicate delivery of a deterministic result
+	}
+	if st != nil {
+		if m.weights == nil {
+			m.weights = st
+		} else if !m.weights.SameWeights(st) {
+			return false, fmt.Errorf("campaign: slot %d report's stratum weights differ from the campaign's", slot)
+		}
 	}
 	sh.done = true
 	sh.report = r
@@ -278,7 +294,7 @@ func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
 	}
 	sh.leaseID = ""
 	m.completed++
-	if phase, _ := m.spec.SlotPhase(slot); phase == "pilot" {
+	if phase == "pilot" {
 		m.pilotDone++
 		m.maybeBuildTable()
 	}
@@ -385,29 +401,23 @@ func (m *Machine) Snapshot() Snapshot {
 	}
 	var overall sdc.Counts
 	var perBlock []sdc.Counts
-	var strata *faultinj.StrataSummary
+	var strata *engine.StrataSummary
 	masked := 0
 	for s := range m.shards {
 		r := m.shards[s].report
 		if r == nil {
 			continue
 		}
-		overall.Merge(r.Counts())
-		masked += r.Masked()
-		rb := r.PerBlock()
+		v := r.view()
+		overall.Merge(v.counts)
+		masked += v.masked
 		if perBlock == nil {
-			perBlock = make([]sdc.Counts, len(rb))
+			perBlock = make([]sdc.Counts, len(v.perBlock))
 		}
-		for b := range rb {
-			perBlock[b].Merge(rb[b])
+		for b := range v.perBlock {
+			perBlock[b].Merge(v.perBlock[b])
 		}
-		if rs := r.Strata(); rs != nil {
-			if strata == nil {
-				strata = rs.Clone()
-			} else {
-				strata.Merge(rs)
-			}
-		}
+		strata = engine.MergeStrata(strata, v.strata)
 	}
 	snap.Injections = overall.Trials
 	if overall.Trials > 0 {
@@ -422,7 +432,7 @@ func (m *Machine) Snapshot() Snapshot {
 		// is biased under Neyman allocation, the stratified one is not.
 		est := strata.Estimate(sdc.SDC1)
 		snap.SDC1, snap.SDC1CI95 = est.P(), est.CI95()
-		snap.StrataWeights = faultinj.HexFloats(strata.Weight)
+		snap.StrataWeights = strata.Weight
 		snap.StrataTrials = make([]int, len(strata.Counts))
 		for h := range strata.Counts {
 			snap.StrataTrials[h] = strata.Counts[h].Trials

@@ -2,172 +2,372 @@ package campaign
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/eyeriss"
 	"repro/internal/faultinj"
+	"repro/internal/models"
 	"repro/internal/sdc"
 	"repro/internal/systolic"
 )
 
 // Report is the surface-tagged wire report of one ledger slot (and of the
-// merged campaign): exactly one of Datapath, Buffer or Systolic is set,
-// matching Spec.Surface. It exists so one ledger, journal format and
-// worker protocol carry every fault surface; the inner reports
-// keep their own JSON shapes, so a distributed campaign's final report
-// still byte-compares against the solo faultinj/eyeriss/systolic run.
+// merged campaign): exactly one field is set, the one of Spec.Surface's
+// row in the surface table. It exists so one ledger, journal format and
+// worker protocol carry every fault surface; the inner reports keep their
+// own JSON shapes, so a distributed campaign's final report still
+// byte-compares against the solo run of the surface's own package.
 type Report struct {
 	Datapath *faultinj.Report `json:"datapath,omitempty"`
 	Buffer   *eyeriss.Report  `json:"buffer,omitempty"`
 	Systolic *systolic.Report `json:"systolic,omitempty"`
 }
 
-// surfaces returns how many inner reports are set.
-func (r *Report) surfaces() int {
-	n := 0
-	if r.Datapath != nil {
-		n++
-	}
-	if r.Buffer != nil {
-		n++
-	}
-	if r.Systolic != nil {
-		n++
-	}
-	return n
+// surface is one row of the surface table: everything this package knows
+// about a fault surface. Spec validation, lease execution, the solo runner
+// and the wire report all go through the row named by Spec.Surface; no
+// other code in the package tells the surfaces apart.
+type surface struct {
+	name string
+	// normalize is the surface's block of Spec.Normalize: defaults and
+	// refusals for the spec fields only this surface reads.
+	normalize func(s *Spec) error
+	// execute fetches the spec's prepared campaign from cs, binds it to the
+	// engine and runs one phase dispatch on it (see run).
+	execute func(cs *campaignSet, campaignID string, spec Spec, l *Lease, solo soloHooks) (*Report, error)
+	// view reads the surface's report out of a wire report; ok is false when
+	// r does not carry this surface.
+	view func(r *Report) (v view, ok bool)
+	// merge folds the surface's reports of rs in order, nil entries skipped
+	// — the surface package's own MergeReports association.
+	merge func(rs []*Report) *Report
+	// check verifies that the surface's report in r has the dimensions d;
+	// nil when the report has no variable-length field besides its strata.
+	check func(r *Report, d dims) error
 }
 
-// validate rejects wire reports that don't carry exactly the spec's
-// surface.
-func (r *Report) validate(spec Spec) error {
-	if r == nil {
-		return fmt.Errorf("campaign: report missing body")
-	}
-	if r.surfaces() != 1 {
-		return fmt.Errorf("campaign: report must carry exactly one surface")
-	}
-	if spec.BufferSurface() != (r.Buffer != nil) || spec.SystolicSurface() != (r.Systolic != nil) {
-		return fmt.Errorf("campaign: report surface does not match spec surface %q", spec.Surface)
-	}
-	return nil
+// view is what this package reads of a surface's report.
+type view struct {
+	// inner is the surface report itself. Its JSON is exactly what a solo
+	// run of the surface's own package serializes to.
+	inner  any
+	counts sdc.Counts
+	strata *engine.StrataSummary
+	// masked and perBlock are datapath-only: the injections the incremental
+	// engine proved bit-clean, and the per-block tallies (the other surfaces
+	// always classify the full output; their per-layer view is Strata).
+	masked   int
+	perBlock []sdc.Counts
 }
 
-// Merge folds r2 into r (same surface on both sides). Like the inner
-// merges, shard-order folding is part of the bit-identity contract.
-func (r *Report) Merge(r2 *Report) {
-	switch {
-	case r2 == nil:
-	case r.Datapath != nil && r2.Datapath != nil:
-		r.Datapath.Merge(r2.Datapath)
-	case r.Buffer != nil && r2.Buffer != nil:
-		r.Buffer.Merge(r2.Buffer)
-	case r.Systolic != nil && r2.Systolic != nil:
-		r.Systolic.Merge(r2.Systolic)
-	default:
-		panic("campaign: merging reports of different surfaces")
+// dims are the report dimensions a spec implies: the word width, and the
+// MAC-layer count that is the block axis of every surface's stratum grid
+// and the datapath's per-block tallies.
+type dims struct{ bits, blocks int }
+
+// soloHooks are the two options only the solo runner sets.
+type soloHooks struct {
+	prior   *engine.StrataSummary
+	onPilot func(*engine.StrataSummary)
+}
+
+// surfaces is the surface table. Adding a fault surface to the campaign
+// layer is one row here plus its Report field (DESIGN.md, "Fault
+// surfaces").
+var surfaces = []surface{
+	{
+		name: "datapath",
+		normalize: func(s *Spec) error {
+			if s.MBU > 1 && s.Select != "uniform" {
+				return fmt.Errorf("campaign: MBU campaigns require the uniform selector, got %q", s.Select)
+			}
+			return nil
+		},
+		execute: executor(Spec.NewCampaign,
+			func(c *faultinj.Campaign, s Spec) (engine.Surface[*faultinj.Report], engine.Options, error) {
+				es, eo := c.Surface(s.Options())
+				return es, eo, nil
+			},
+			func(r *faultinj.Report) *Report { return &Report{Datapath: r} }),
+		view: func(r *Report) (view, bool) {
+			if r.Datapath == nil {
+				return view{}, false
+			}
+			return view{r.Datapath, r.Datapath.Counts, r.Datapath.Strata, r.Datapath.Masked, r.Datapath.PerBlock}, true
+		},
+		merge: merger(faultinj.MergeReports,
+			func(r *Report) *faultinj.Report { return r.Datapath },
+			func(r *faultinj.Report) *Report { return &Report{Datapath: r} }),
+		check: func(r *Report, d dims) error {
+			dp := r.Datapath
+			if len(dp.PerBit) != d.bits || len(dp.PerBlock) != d.blocks ||
+				len(dp.SpreadSum) != d.blocks || len(dp.SpreadN) != d.blocks {
+				return fmt.Errorf("campaign: datapath report is %d bits x %d blocks (%d/%d spread accumulators), spec implies %d x %d",
+					len(dp.PerBit), len(dp.PerBlock), len(dp.SpreadSum), len(dp.SpreadN), d.bits, d.blocks)
+			}
+			if n := len(dp.PreMaskedPerBit); n != 0 && n != d.bits {
+				return fmt.Errorf("campaign: datapath report splits pre-masked injections over %d bits, spec implies %d", n, d.bits)
+			}
+			return nil
+		},
+	},
+	{
+		name: "buffer",
+		normalize: func(s *Spec) error {
+			if s.Buffer == "" {
+				s.Buffer = "global"
+			}
+			if _, err := ParseBuffer(s.Buffer); err != nil {
+				return err
+			}
+			return s.plainOnly()
+		},
+		execute: executor(
+			func(s Spec, g *GoldenCache) (*eyeriss.Campaign, error) {
+				c, _, err := s.NewBufferCampaign()
+				if err == nil && g != nil {
+					c.GoldenFn = s.goldenFn(g, c.Build().WeightsHash())
+				}
+				return c, err
+			},
+			func(c *eyeriss.Campaign, s Spec) (engine.Surface[*eyeriss.Report], engine.Options, error) {
+				b, err := ParseBuffer(s.Buffer)
+				if err != nil {
+					return nil, engine.Options{}, err
+				}
+				es, eo := c.Surface(b, s.BufferOptions())
+				return es, eo, nil
+			},
+			func(r *eyeriss.Report) *Report { return &Report{Buffer: r} }),
+		view: func(r *Report) (view, bool) {
+			if r.Buffer == nil {
+				return view{}, false
+			}
+			return view{inner: r.Buffer, counts: r.Buffer.Counts, strata: r.Buffer.Strata}, true
+		},
+		merge: merger(eyeriss.MergeReports,
+			func(r *Report) *eyeriss.Report { return r.Buffer },
+			func(r *eyeriss.Report) *Report { return &Report{Buffer: r} }),
+	},
+	{
+		name: "systolic",
+		normalize: func(s *Spec) error {
+			if _, err := systolic.ParseDataflow(s.Dataflow); err != nil {
+				return fmt.Errorf("campaign: %v", err)
+			}
+			return s.plainOnly()
+		},
+		execute: executor(
+			func(s Spec, g *GoldenCache) (*systolic.Campaign, error) {
+				c, err := s.NewSystolicCampaign()
+				if err == nil && g != nil {
+					c.GoldenFn = s.goldenFn(g, c.Build().WeightsHash())
+				}
+				return c, err
+			},
+			func(c *systolic.Campaign, s Spec) (engine.Surface[*systolic.Report], engine.Options, error) {
+				es, eo := c.Surface(s.SystolicOptions())
+				return es, eo, nil
+			},
+			func(r *systolic.Report) *Report { return &Report{Systolic: r} }),
+		view: func(r *Report) (view, bool) {
+			if r.Systolic == nil {
+				return view{}, false
+			}
+			return view{inner: r.Systolic, counts: r.Systolic.Counts, strata: r.Systolic.Strata}, true
+		},
+		merge: merger(systolic.MergeReports,
+			func(r *Report) *systolic.Report { return r.Systolic },
+			func(r *systolic.Report) *Report { return &Report{Systolic: r} }),
+	},
+}
+
+// Surfaces lists the valid Spec.Surface values, in table order.
+var Surfaces = func() []string {
+	names := make([]string, len(surfaces))
+	for i := range surfaces {
+		names[i] = surfaces[i].name
 	}
+	return names
+}()
+
+// surfaceOf returns the table row of a surface name.
+func surfaceOf(name string) (*surface, error) {
+	for i := range surfaces {
+		if surfaces[i].name == name {
+			return &surfaces[i], nil
+		}
+	}
+	return nil, fmt.Errorf("campaign: unknown surface %q (have %v)", name, Surfaces)
+}
+
+// run is the phase dispatch, written once for every surface: a lease runs
+// its slot's phase of its shard; without one the whole campaign runs
+// in-process, which is where the solo runner's hooks apply.
+func run[R any](s engine.Surface[R], opt engine.Options, l *Lease, solo soloHooks) R {
+	if l == nil {
+		opt.Prior, opt.OnPilotStrata = solo.prior, solo.onPilot
+		return engine.Run(s, opt)
+	}
+	switch l.Phase {
+	case "pilot":
+		return engine.PilotShard(s, l.Shard, l.Of, opt)
+	case "main":
+		return engine.MainShard(s, l.Shard, l.Of, l.Table, opt)
+	}
+	return engine.RunShard(s, l.Shard, l.Of, opt)
+}
+
+// executor assembles a row's execute from its typed parts: campaign builds
+// the spec's prepared campaign (wired to the shared golden cache when there
+// is one), bind is the surface package's Campaign.Surface under the spec's
+// options, and wrap tags the surface report for the wire. Every surface's
+// campaign comes from the campaignSet — prepared and validated once —
+// namespaced per campaign ID when the spec loads mutable external content.
+func executor[C, R any](
+	campaign func(Spec, *GoldenCache) (C, error),
+	bind func(C, Spec) (engine.Surface[R], engine.Options, error),
+	wrap func(R) *Report,
+) func(*campaignSet, string, Spec, *Lease, soloHooks) (*Report, error) {
+	return func(cs *campaignSet, campaignID string, spec Spec, l *Lease, solo soloHooks) (*Report, error) {
+		c, err := prepared(cs, campaignID, spec, campaign)
+		if err != nil {
+			return nil, err
+		}
+		s, opt, err := bind(c, spec)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(run(s, opt, l, solo)), nil
+	}
+}
+
+// merger assembles a row's merge from the surface package's MergeReports.
+func merger[R any](mergeAll func([]R) R, get func(*Report) R, wrap func(R) *Report) func([]*Report) *Report {
+	return func(rs []*Report) *Report {
+		inner := make([]R, 0, len(rs))
+		for _, r := range rs {
+			if r != nil {
+				inner = append(inner, get(r))
+			}
+		}
+		return wrap(mergeAll(inner))
+	}
+}
+
+// row returns the table row of the one surface r carries and its view of
+// r, or an error when r carries none or several.
+func (r *Report) row() (*surface, view, error) {
+	var row *surface
+	var v view
+	if r != nil {
+		for i := range surfaces {
+			if sv, ok := surfaces[i].view(r); ok {
+				if row != nil {
+					return nil, view{}, fmt.Errorf("campaign: report must carry exactly one surface")
+				}
+				row, v = &surfaces[i], sv
+			}
+		}
+	}
+	if row == nil {
+		return nil, view{}, fmt.Errorf("campaign: report carries no surface")
+	}
+	return row, v, nil
+}
+
+// view is row's view, for reports already known to carry one surface.
+func (r *Report) view() view {
+	_, v, err := r.row()
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// validate rejects wire reports that are not the report a slot of spec's
+// campaign in the given phase produces: exactly the spec's surface, with
+// the dimensions (Net, DType) imply, and per-stratum tallies — over the
+// spec's stratum grid — exactly when the phase records strata. It returns
+// those strata (nil for a uniform slot).
+func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error) {
+	row, v, err := r.row()
+	if err != nil {
+		return nil, err
+	}
+	if row.name != spec.Surface {
+		return nil, fmt.Errorf("campaign: %s report for a %s-surface campaign", row.name, spec.Surface)
+	}
+	d := spec.dims()
+	if row.check != nil {
+		if err := row.check(r, d); err != nil {
+			return nil, err
+		}
+	}
+	if (v.strata != nil) != (phase != "") {
+		return nil, fmt.Errorf("campaign: %s report of a %q-phase slot: strata present is %v", row.name, phase, v.strata != nil)
+	}
+	if v.strata == nil {
+		return nil, nil
+	}
+	return v.strata, v.strata.Check(d.blocks, d.bits, spec.TrackSpread)
+}
+
+// netBlocks memoizes the MAC-layer count of the paper's networks, so that
+// validating a report never builds one twice.
+var netBlocks sync.Map // network name → int
+
+// dims returns the report dimensions of a normalized spec — a pure function
+// of (Net, DType); pre-trained weights do not change a topology.
+func (s Spec) dims() dims {
+	blocks, ok := netBlocks.Load(s.Net)
+	if !ok {
+		blocks, _ = netBlocks.LoadOrStore(s.Net, models.Build(s.Net).NumBlocks())
+	}
+	return dims{bits: s.Type().Width(), blocks: blocks.(int)}
 }
 
 // MergeReports folds per-slot wire reports in slot order — nil entries
 // (skipped slots) are ignored; nil when every entry is nil. The inner fold
 // association is exactly the surface's own MergeReports.
 func MergeReports(rs []*Report) *Report {
-	var dps []*faultinj.Report
-	var bufs []*eyeriss.Report
-	var syss []*systolic.Report
-	hasDP, hasBuf, hasSys := false, false, false
+	var row *surface
 	for _, r := range rs {
 		if r == nil {
 			continue
 		}
-		dps = append(dps, r.Datapath)
-		bufs = append(bufs, r.Buffer)
-		syss = append(syss, r.Systolic)
-		hasDP = hasDP || r.Datapath != nil
-		hasBuf = hasBuf || r.Buffer != nil
-		hasSys = hasSys || r.Systolic != nil
-	}
-	set := 0
-	for _, has := range []bool{hasDP, hasBuf, hasSys} {
-		if has {
-			set++
+		rr, _, err := r.row()
+		if err != nil || (row != nil && rr != row) {
+			panic("campaign: merging reports of different surfaces")
 		}
+		row = rr
 	}
-	switch {
-	case set > 1:
-		panic("campaign: merging reports of different surfaces")
-	case hasBuf:
-		return &Report{Buffer: eyeriss.MergeReports(bufs)}
-	case hasSys:
-		return &Report{Systolic: systolic.MergeReports(syss)}
-	case hasDP:
-		return &Report{Datapath: faultinj.MergeReports(dps)}
+	if row == nil {
+		return nil
 	}
-	return nil
+	return row.merge(rs)
 }
 
 // Inner returns the one surface report that is set. Its JSON is exactly
-// what a solo faultinj/eyeriss/systolic run of the same spec serializes
-// to, which is what -out files and the plane's report route emit.
-func (r *Report) Inner() any {
-	switch {
-	case r.Buffer != nil:
-		return r.Buffer
-	case r.Systolic != nil:
-		return r.Systolic
-	}
-	return r.Datapath
-}
+// what a solo run of the surface's own package serializes to, which is
+// what -out files and the plane's report route emit.
+func (r *Report) Inner() any { return r.view().inner }
 
 // Counts returns the inner report's overall SDC tally.
-func (r *Report) Counts() sdc.Counts {
-	switch {
-	case r.Buffer != nil:
-		return r.Buffer.Counts
-	case r.Systolic != nil:
-		return r.Systolic.Counts
-	}
-	return r.Datapath.Counts
-}
+func (r *Report) Counts() sdc.Counts { return r.view().counts }
 
 // Masked returns the injections the incremental engine proved bit-clean
-// (datapath only; the other surfaces always classify the full output).
-func (r *Report) Masked() int {
-	if r.Datapath != nil {
-		return r.Datapath.Masked
-	}
-	return 0
-}
-
-// PerBlock returns the per-block tallies of a datapath report; nil for
-// the other surfaces (their per-layer view lives in Strata).
-func (r *Report) PerBlock() []sdc.Counts {
-	if r.Datapath != nil {
-		return r.Datapath.PerBlock
-	}
-	return nil
-}
+// (datapath only; zero on the other surfaces).
+func (r *Report) Masked() int { return r.view().masked }
 
 // Strata returns the inner report's per-stratum tallies (nil for uniform
 // campaigns).
-func (r *Report) Strata() *engine.StrataSummary {
-	switch {
-	case r.Buffer != nil:
-		return r.Buffer.Strata
-	case r.Systolic != nil:
-		return r.Systolic.Strata
-	}
-	return r.Datapath.Strata
-}
+func (r *Report) Strata() *engine.StrataSummary { return r.view().strata }
 
 // SDCEstimate returns the inner report's uniform-design SDC estimate for
 // criterion k with its 95% CI half-width.
 func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
-	switch {
-	case r.Buffer != nil:
-		return r.Buffer.SDCEstimate(k)
-	case r.Systolic != nil:
-		return r.Systolic.SDCEstimate(k)
-	}
-	return r.Datapath.SDCEstimate(k)
+	v := r.view()
+	return engine.SDCEstimate(v.counts, v.strata, k)
 }

@@ -1,16 +1,17 @@
 // Package campaign is the distributed fault-injection orchestration layer:
-// it scales the per-injection engine of internal/faultinj from one process
-// to a fleet. A Machine deterministically partitions one campaign's
-// injection space into shard leases, gates stratified main-phase slots on
-// the pilot-derived allocation and merges the slot reports; Workers lease
-// shards over HTTP, execute them through the surface engines, and push
-// partial reports back. The server between the two — lease expiry,
-// journaling (a killed run resumes without re-running completed shards),
-// NDJSON result streams, metrics — is internal/controlplane's Plane; this
-// package holds no HTTP server code, only the wire types both sides share.
+// it scales a campaign on any fault surface (internal/engine's Surface
+// contract; this package's surface table) from one process to a fleet. A
+// Machine deterministically partitions one campaign's injection space into
+// shard leases, gates stratified main-phase slots on the pilot-derived
+// allocation and merges the slot reports; Workers lease shards over HTTP,
+// execute them through the shared engine, and push partial reports back.
+// The server between the two — lease expiry, journaling (a killed run
+// resumes without re-running completed shards), NDJSON result streams,
+// metrics — is internal/controlplane's Plane; this package holds no HTTP
+// server code, only the wire types both sides share.
 //
 // Determinism is the load-bearing property: shard s of S is exactly worker
-// s of a single-process faultinj run with Workers=S, so the shard-order
+// s of a single-process engine.Run with Workers=S, so the shard-order
 // merge of a distributed campaign is bit-identical to Campaign.Run on one
 // machine — regardless of how many workers participated, how shards were
 // interleaved, or how many times the plane was killed and resumed.
@@ -70,7 +71,7 @@ type Spec struct {
 	// serializes it into every main-phase lease.
 	Sampling string `json:"sampling,omitempty"`
 	// PilotN is the stratified pilot budget; Normalize defaults it to
-	// faultinj.DefaultPilotN(N) so every participant agrees on the split.
+	// engine.DefaultPilotN(N) so every participant agrees on the split.
 	// Normalize forces it to -1 (pilot-free) when PriorPath seeds the
 	// allocation from a previous campaign.
 	PilotN int `json:"pilot_n,omitempty"`
@@ -115,9 +116,6 @@ var SelectorModes = []string{"uniform", "perbit", "perlayer"}
 
 // SamplingModes lists the valid Sampling values.
 var SamplingModes = []string{"uniform", "stratified"}
-
-// Surfaces lists the valid Surface values.
-var Surfaces = []string{"datapath", "buffer", "systolic"}
 
 // EvalModes lists the valid Eval values.
 var EvalModes = []string{"", "site-scalar", "site-bitplane"}
@@ -170,12 +168,12 @@ func (s *Spec) Normalize() error {
 	// width of injections), so that is what bounds useful parallelism.
 	shardUnits := s.N
 	if s.Eval != "" {
-		shardUnits = faultinj.DrawUnits(s.N, dt.Width())
+		shardUnits = engine.DrawUnits(s.N, dt.Width())
 	}
 	if s.Shards <= 0 {
 		s.Shards = 2 * runtime.NumCPU()
 	}
-	s.Shards = faultinj.EffectiveShards(s.Shards, shardUnits)
+	s.Shards = engine.EffectiveShards(s.Shards, shardUnits)
 	if s.Select == "" {
 		s.Select = "uniform"
 	}
@@ -207,45 +205,20 @@ func (s *Spec) Normalize() error {
 	if s.MBU > 1 && s.Eval != "" {
 		return fmt.Errorf("campaign: MBU campaigns require the per-bit evaluation mode, got %q", s.Eval)
 	}
-	switch s.Surface {
-	case "datapath":
-		if s.Buffer != "" {
-			return fmt.Errorf("campaign: buffer %q set on a datapath-surface spec", s.Buffer)
-		}
-		if s.MBU > 1 && s.Select != "uniform" {
-			return fmt.Errorf("campaign: MBU campaigns require the uniform selector, got %q", s.Select)
-		}
-	case "buffer":
-		if s.Buffer == "" {
-			s.Buffer = "global"
-		}
-		if _, err := ParseBuffer(s.Buffer); err != nil {
-			return err
-		}
-		if s.Select != "uniform" {
-			return fmt.Errorf("campaign: buffer campaigns support only the uniform selector, got %q", s.Select)
-		}
-		if s.TrackValues != 0 || s.TrackSpread {
-			return fmt.Errorf("campaign: buffer campaigns do not track values or spread")
-		}
-	case "systolic":
-		if s.Buffer != "" {
-			return fmt.Errorf("campaign: buffer %q set on a systolic-surface spec", s.Buffer)
-		}
-		if s.Select != "uniform" {
-			return fmt.Errorf("campaign: systolic campaigns support only the uniform selector, got %q", s.Select)
-		}
-		if s.TrackValues != 0 || s.TrackSpread {
-			return fmt.Errorf("campaign: systolic campaigns do not track values or spread")
-		}
-		if _, err := systolic.ParseDataflow(s.Dataflow); err != nil {
-			return fmt.Errorf("campaign: %v", err)
-		}
-	default:
-		return fmt.Errorf("campaign: unknown surface %q (have %v)", s.Surface, Surfaces)
+	// A field only one surface reads is refused on the others; the rest of
+	// the surface's validation is its table row's.
+	if s.Buffer != "" && s.Surface != "buffer" {
+		return fmt.Errorf("campaign: buffer %q set on a %s-surface spec", s.Buffer, s.Surface)
 	}
 	if s.Dataflow != "" && s.Surface != "systolic" {
 		return fmt.Errorf("campaign: dataflow %q set on a %s-surface spec", s.Dataflow, s.Surface)
+	}
+	row, err := surfaceOf(s.Surface)
+	if err != nil {
+		return err
+	}
+	if err := row.normalize(s); err != nil {
+		return err
 	}
 	if s.Sampling == "" {
 		s.Sampling = "uniform"
@@ -265,7 +238,7 @@ func (s *Spec) Normalize() error {
 			// the prior campaign's persisted strata.
 			s.PilotN = -1
 		} else {
-			pilot, _ := faultinj.PilotBudget(s.N, s.PilotN)
+			pilot, _ := engine.PilotBudget(s.N, s.PilotN)
 			s.PilotN = pilot
 		}
 	default:
@@ -274,13 +247,17 @@ func (s *Spec) Normalize() error {
 	return nil
 }
 
-// BufferSurface reports whether the normalized spec targets the Eyeriss
-// buffer hierarchy instead of the datapath.
-func (s Spec) BufferSurface() bool { return s.Surface == "buffer" }
-
-// SystolicSurface reports whether the normalized spec targets the
-// systolic array (any dataflow).
-func (s Spec) SystolicSurface() bool { return s.Surface == "systolic" }
+// plainOnly refuses what only the datapath surface offers: site selectors
+// and value or spread tracking.
+func (s Spec) plainOnly() error {
+	if s.Select != "uniform" {
+		return fmt.Errorf("campaign: %s campaigns support only the uniform selector, got %q", s.Surface, s.Select)
+	}
+	if s.TrackValues != 0 || s.TrackSpread {
+		return fmt.Errorf("campaign: %s campaigns do not track values or spread", s.Surface)
+	}
+	return nil
+}
 
 // PriorAllocated reports whether the normalized stratified spec skips its
 // pilot in favor of a prior campaign's strata.
@@ -294,7 +271,7 @@ func (s Spec) Stratified() bool { return s.Sampling == "stratified" }
 // uniform campaigns, an interleaved (pilot, main) slot pair per shard for
 // stratified ones — slot 2s is shard s's pilot, slot 2s+1 its main phase.
 // Merging slot reports in slot order is then exactly the canonical
-// pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ … order of faultinj.Campaign.Run.
+// pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ … order of engine.Run.
 // Prior-allocated campaigns run no pilot, so their ledger is one
 // main-phase slot per shard.
 func (s Spec) Slots() int {
@@ -346,10 +323,10 @@ func (s Spec) Options() faultinj.Options {
 		opt.Selector = faultinj.BlockSelector(s.Param)
 	}
 	if s.Stratified() {
-		opt.Sampling = faultinj.SamplingStratified
+		opt.Sampling = engine.SamplingStratified
 		opt.PilotN = s.PilotN
 	}
-	opt.Eval = faultinj.EvalMode(s.Eval)
+	opt.Eval = engine.EvalMode(s.Eval)
 	return opt
 }
 
@@ -359,11 +336,11 @@ func (s Spec) Options() faultinj.Options {
 // (block, bit) grid; site-draw campaigns allocate whole draw units over
 // per-block strata, one unit per word width of injections.
 func (s Spec) BuildTable(strata *engine.StrataSummary) *engine.StratumTable {
-	_, mainN := faultinj.PilotBudget(s.N, s.PilotN)
+	_, mainN := engine.PilotBudget(s.N, s.PilotN)
 	if s.Eval != "" {
-		return faultinj.BuildSiteStratumTable(strata, faultinj.DrawUnits(mainN, s.Type().Width()))
+		return engine.BuildSiteStratumTable(strata, engine.DrawUnits(mainN, s.Type().Width()))
 	}
-	return faultinj.BuildStratumTable(strata, mainN)
+	return engine.BuildStratumTable(strata, mainN)
 }
 
 // campaignKey identifies the prepared campaign object a spec needs — the
@@ -391,23 +368,13 @@ func (s Spec) goldenFn(goldens *GoldenCache, hash uint64) func(i int, compute fu
 	}
 }
 
-// build constructs the spec's network and deterministic input set.
-func (s Spec) build() (*network.Network, []*tensor.Tensor, error) {
-	var net *network.Network
-	if s.WeightsDir == "" {
-		net = models.Build(s.Net)
-	} else {
-		n, _, err := models.LoadPretrained(s.Net, s.WeightsDir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("campaign: loading weights: %v", err)
-		}
-		net = n
-	}
+// inputs generates the spec's deterministic input set.
+func (s Spec) inputs() []*tensor.Tensor {
 	ins := make([]*tensor.Tensor, s.Inputs)
 	for i := range ins {
 		ins[i] = models.InputFor(s.Net, i)
 	}
-	return net, ins, nil
+	return ins
 }
 
 // NewCampaign builds and wires a faultinj campaign for the spec. When
@@ -415,147 +382,100 @@ func (s Spec) build() (*network.Network, []*tensor.Tensor, error) {
 // sharing them with every other campaign in the process whose
 // (network, weights hash, input, dtype) coordinates match.
 func (s Spec) NewCampaign(goldens *GoldenCache) (*faultinj.Campaign, error) {
-	net, ins, err := s.build()
-	if err != nil {
-		return nil, err
+	var net *network.Network
+	if s.WeightsDir == "" {
+		net = models.Build(s.Net)
+	} else {
+		n, _, err := models.LoadPretrained(s.Net, s.WeightsDir)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: loading weights: %v", err)
+		}
+		net = n
 	}
-	c := faultinj.New(net, s.Type(), ins)
+	c := faultinj.New(net, s.Type(), s.inputs())
 	if goldens != nil {
 		c.GoldenFn = s.goldenFn(goldens, net.WeightsHash())
 	}
 	return c, nil
 }
 
+// builder returns the network constructor of a buffer- or systolic-surface
+// campaign, which builds a fresh instance per shard and phase (Filter SRAM
+// faults patch their own instance's cached quantized weights).
+func (s Spec) builder() (func() *network.Network, error) {
+	name, dir := s.Net, s.WeightsDir
+	if dir == "" {
+		return func() *network.Network { return models.Build(name) }, nil
+	}
+	// Fail fast on a bad weights directory here, where an error can be
+	// returned; the per-shard closures then load the same files, so every
+	// shard sees identical weights (the directory contents are part of the
+	// campaign's determinism contract, as on the datapath surface).
+	if _, _, err := models.LoadPretrained(name, dir); err != nil {
+		return nil, fmt.Errorf("campaign: loading weights: %v", err)
+	}
+	return func() *network.Network {
+		n, _, err := models.LoadPretrained(name, dir)
+		if err != nil {
+			panic(fmt.Sprintf("campaign: loading weights: %v", err))
+		}
+		return n
+	}, nil
+}
+
 // BufferOptions assembles the eyeriss options every shard of a
 // buffer-surface campaign runs under.
 func (s Spec) BufferOptions() eyeriss.Options {
-	opt := eyeriss.Options{N: s.N, Seed: s.Seed, Workers: s.Shards, MBU: s.MBU}
+	opt := engine.Options{N: s.N, Seed: s.Seed, Workers: s.Shards, MBU: s.MBU, Eval: engine.EvalMode(s.Eval)}
 	if s.Stratified() {
-		opt.Sampling = faultinj.SamplingStratified
+		opt.Sampling = engine.SamplingStratified
 		opt.PilotN = s.PilotN
 	}
-	opt.Eval = engine.EvalMode(s.Eval)
 	return opt
 }
 
+// SystolicOptions assembles the systolic options every shard of a
+// systolic-surface campaign runs under — the same shared engine options.
+func (s Spec) SystolicOptions() systolic.Options { return s.BufferOptions() }
+
 // NewBufferCampaign builds the eyeriss campaign of a buffer-surface spec
-// and resolves its buffer class. The Build closure returns a fresh network
-// per shard/phase — Filter SRAM faults patch their own instance's cached
-// quantized weights. The campaign memoizes its goldens privately;
-// sharedBufferCampaign wires it to a process-wide cache instead.
+// and resolves its buffer class. The campaign memoizes its goldens
+// privately; the surface table wires it to a process-wide cache instead.
 func (s Spec) NewBufferCampaign() (*eyeriss.Campaign, eyeriss.Buffer, error) {
-	if !s.BufferSurface() {
+	if s.Surface != "buffer" {
 		return nil, 0, fmt.Errorf("campaign: spec surface %q is not a buffer campaign", s.Surface)
 	}
 	buf, err := ParseBuffer(s.Buffer)
 	if err != nil {
 		return nil, 0, err
 	}
-	name, dir := s.Net, s.WeightsDir
-	ins := make([]*tensor.Tensor, s.Inputs)
-	for i := range ins {
-		ins[i] = models.InputFor(name, i)
+	build, err := s.builder()
+	if err != nil {
+		return nil, 0, err
 	}
-	build := func() *network.Network { return models.Build(name) }
-	if dir != "" {
-		// Fail fast on a bad weights directory here, where an error can be
-		// returned; the per-shard Build closures then load the same files,
-		// so every shard sees identical weights (the directory contents are
-		// part of the campaign's determinism contract, as on the datapath
-		// surface).
-		if _, _, err := models.LoadPretrained(name, dir); err != nil {
-			return nil, 0, fmt.Errorf("campaign: loading weights: %v", err)
-		}
-		build = func() *network.Network {
-			n, _, err := models.LoadPretrained(name, dir)
-			if err != nil {
-				panic(fmt.Sprintf("campaign: loading weights: %v", err))
-			}
-			return n
-		}
-	}
-	return &eyeriss.Campaign{
-		Build:  build,
-		DType:  s.Type(),
-		Inputs: ins,
-	}, buf, nil
-}
-
-// sharedBufferCampaign is NewBufferCampaign with the campaign's goldens
-// resolved through goldens (nil keeps the private memo) — what the worker
-// and the solo runner execute.
-func (s Spec) sharedBufferCampaign(goldens *GoldenCache) (*eyeriss.Campaign, error) {
-	c, _, err := s.NewBufferCampaign()
-	if err == nil && goldens != nil {
-		c.GoldenFn = s.goldenFn(goldens, c.Build().WeightsHash())
-	}
-	return c, err
-}
-
-// SystolicOptions assembles the systolic options every shard of a
-// systolic-surface campaign runs under.
-func (s Spec) SystolicOptions() systolic.Options {
-	opt := systolic.Options{N: s.N, Seed: s.Seed, Workers: s.Shards, MBU: s.MBU}
-	if s.Stratified() {
-		opt.Sampling = faultinj.SamplingStratified
-		opt.PilotN = s.PilotN
-	}
-	opt.Eval = engine.EvalMode(s.Eval)
-	return opt
+	return &eyeriss.Campaign{Build: build, DType: s.Type(), Inputs: s.inputs()}, buf, nil
 }
 
 // NewSystolicCampaign builds the systolic campaign of a systolic-surface
-// spec. The Build closure returns a fresh network per shard/phase, like
-// the buffer surface; the array geometry is the package default so every
-// participant agrees on the physical address space, and the dataflow
-// comes from the spec so every participant expands the same corruption
-// fronts.
+// spec. The array geometry is the package default so every participant
+// agrees on the physical address space, and the dataflow comes from the
+// spec so every participant expands the same corruption fronts.
 func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
-	if !s.SystolicSurface() {
+	if s.Surface != "systolic" {
 		return nil, fmt.Errorf("campaign: spec surface %q is not a systolic campaign", s.Surface)
 	}
 	flow, err := systolic.ParseDataflow(s.Dataflow)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %v", err)
 	}
-	name, dir := s.Net, s.WeightsDir
-	ins := make([]*tensor.Tensor, s.Inputs)
-	for i := range ins {
-		ins[i] = models.InputFor(name, i)
-	}
-	build := func() *network.Network { return models.Build(name) }
-	if dir != "" {
-		// Fail fast on a bad weights directory here, where an error can be
-		// returned; the per-shard Build closures then load the same files,
-		// so every shard sees identical weights.
-		if _, _, err := models.LoadPretrained(name, dir); err != nil {
-			return nil, fmt.Errorf("campaign: loading weights: %v", err)
-		}
-		build = func() *network.Network {
-			n, _, err := models.LoadPretrained(name, dir)
-			if err != nil {
-				panic(fmt.Sprintf("campaign: loading weights: %v", err))
-			}
-			return n
-		}
+	build, err := s.builder()
+	if err != nil {
+		return nil, err
 	}
 	return &systolic.Campaign{
-		Build:  build,
-		DType:  s.Type(),
-		Inputs: ins,
-		Array:  systolic.DefaultParams,
-		Flow:   flow,
+		Build: build, DType: s.Type(), Inputs: s.inputs(),
+		Array: systolic.DefaultParams, Flow: flow,
 	}, nil
-}
-
-// sharedSystolicCampaign is NewSystolicCampaign with the campaign's goldens
-// resolved through goldens (nil keeps the private memo).
-func (s Spec) sharedSystolicCampaign(goldens *GoldenCache) (*systolic.Campaign, error) {
-	c, err := s.NewSystolicCampaign()
-	if err == nil && goldens != nil {
-		c.GoldenFn = s.goldenFn(goldens, c.Build().WeightsHash())
-	}
-	return c, err
 }
 
 // LoadPrior reads the spec's PriorPath strata artifact and validates it
@@ -576,7 +496,7 @@ func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 	if a.Surface != "" && a.Surface != s.Surface {
 		return nil, fmt.Errorf("campaign: prior %s is for surface %q, campaign runs %q", s.PriorPath, a.Surface, s.Surface)
 	}
-	if s.BufferSurface() && a.Buffer != "" && a.Buffer != s.Buffer {
+	if a.Buffer != "" && a.Buffer != s.Buffer {
 		return nil, fmt.Errorf("campaign: prior %s is for buffer %q, campaign runs %q", s.PriorPath, a.Buffer, s.Buffer)
 	}
 	return a.Prior(), nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultinj"
 )
 
@@ -103,7 +104,7 @@ func TestStratifiedLeaseGating(t *testing.T) {
 	if m.PilotStrata() == nil {
 		t.Fatal("finished stratified ledger has no pilot strata")
 	}
-	want, err := Solo(spec, nil)
+	want, err := solo(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSpecNormalizeStratified(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	pilot, _ := faultinj.PilotBudget(s.N, 0)
+	pilot, _ := engine.PilotBudget(s.N, 0)
 	if s.PilotN != pilot {
 		t.Fatalf("PilotN defaulted to %d, want %d", s.PilotN, pilot)
 	}
@@ -202,7 +203,7 @@ func TestSpecNormalizeStratified(t *testing.T) {
 		}
 	}
 	opt := s.Options()
-	if opt.Sampling != faultinj.SamplingStratified || opt.PilotN != s.PilotN {
+	if opt.Sampling != engine.SamplingStratified || opt.PilotN != s.PilotN {
 		t.Fatalf("Options did not carry sampling config: %+v", opt)
 	}
 

@@ -47,7 +47,7 @@ func TestSpecNormalizeSystolic(t *testing.T) {
 	if err := s.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.SystolicSurface() || s.BufferSurface() || s.MBU != 3 {
+	if s.Surface != "systolic" || s.MBU != 3 {
 		t.Fatalf("systolic defaults off: %+v", s)
 	}
 	opt := s.SystolicOptions()

@@ -3,7 +3,7 @@ package campaign
 import (
 	"time"
 
-	"repro/internal/faultinj"
+	"repro/internal/engine"
 )
 
 // The wire types of the fleet protocol. The server that speaks them is
@@ -21,7 +21,7 @@ type Lease struct {
 	// for uniform campaigns.
 	Slot int `json:"slot"`
 	// Shard and Of are the phase-local shard coordinates the worker
-	// executes (faultinj RunShard/PilotShard/MainShard semantics).
+	// executes (engine.RunShard/PilotShard/MainShard semantics).
 	Shard int  `json:"shard"`
 	Of    int  `json:"of"`
 	Spec  Spec `json:"spec"`
@@ -31,7 +31,7 @@ type Lease struct {
 	// leases. Serializing it into the lease (and recomputing it
 	// deterministically on resume) is what keeps distributed stratified
 	// campaigns bit-identical to solo runs.
-	Table *faultinj.StratumTable `json:"table,omitempty"`
+	Table *engine.StratumTable `json:"table,omitempty"`
 	// TTLMillis is the heartbeat deadline; workers should heartbeat at
 	// a fraction of it.
 	TTLMillis int64 `json:"ttl_millis"`
@@ -134,7 +134,7 @@ type Snapshot struct {
 	PilotShards int `json:"pilot_shards,omitempty"`
 	// StrataWeights are the population stratum weights as hex float bits —
 	// bit-exact across serialize/deserialize, like ValueRecord fields.
-	StrataWeights faultinj.HexFloats `json:"strata_weights,omitempty"`
+	StrataWeights engine.HexFloats `json:"strata_weights,omitempty"`
 	// StrataTrials is the per-stratum trial count observed so far.
 	StrataTrials []int  `json:"strata_trials,omitempty"`
 	Done         bool   `json:"done"`

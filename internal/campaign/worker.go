@@ -14,13 +14,10 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/eyeriss"
-	"repro/internal/faultinj"
-	"repro/internal/systolic"
 )
 
-// Worker leases shards from a control plane, executes them with the
-// incremental fault-injection engine, and reports back. One Worker can
+// Worker leases shards from a control plane, executes them on their
+// campaign's fault surface, and reports back. One Worker can
 // drive several executor goroutines (Procs); all of them share the
 // process-wide golden-execution cache and prepared-campaign memo, so the
 // golden pass for each (network, weights, format, input) coordinate is
@@ -388,65 +385,14 @@ func (w *Worker) backoff(base time.Duration, fails int) time.Duration {
 	return half + rand.N(half+1)
 }
 
-// runLease dispatches one lease to its surface engine and wraps the
-// partial report in the surface-tagged wire type. Every surface's campaign
-// comes from the process-wide campaignSet — prepared and validated once,
-// its goldens resolved through the one shared cache — namespaced per
-// campaign ID when the spec loads mutable external content.
+// runLease executes one lease through its spec's row of the surface table
+// and returns the partial report in the surface-tagged wire type.
 func (w *Worker) runLease(cs *campaignSet, l *Lease) (*Report, error) {
-	if l.Spec.SystolicSurface() {
-		c, err := prepared(cs, l.Campaign, l.Spec, l.Spec.sharedSystolicCampaign)
-		if err != nil {
-			return nil, err
-		}
-		opts := l.Spec.SystolicOptions()
-		var r *systolic.Report
-		switch l.Phase {
-		case "pilot":
-			r = c.PilotShard(l.Shard, l.Of, opts)
-		case "main":
-			r = c.MainShard(l.Shard, l.Of, l.Table, opts)
-		default:
-			r = c.RunShard(l.Shard, l.Of, opts)
-		}
-		return &Report{Systolic: r}, nil
-	}
-	if l.Spec.BufferSurface() {
-		c, err := prepared(cs, l.Campaign, l.Spec, l.Spec.sharedBufferCampaign)
-		if err != nil {
-			return nil, err
-		}
-		b, err := ParseBuffer(l.Spec.Buffer)
-		if err != nil {
-			return nil, err
-		}
-		opts := l.Spec.BufferOptions()
-		var r *eyeriss.Report
-		switch l.Phase {
-		case "pilot":
-			r = c.PilotShard(l.Shard, l.Of, b, opts)
-		case "main":
-			r = c.MainShard(l.Shard, l.Of, b, l.Table, opts)
-		default:
-			r = c.RunShard(l.Shard, l.Of, b, opts)
-		}
-		return &Report{Buffer: r}, nil
-	}
-	c, err := prepared(cs, l.Campaign, l.Spec, l.Spec.NewCampaign)
+	row, err := surfaceOf(l.Spec.Surface)
 	if err != nil {
 		return nil, err
 	}
-	opts := l.Spec.Options()
-	var r *faultinj.Report
-	switch l.Phase {
-	case "pilot":
-		r = c.PilotShard(l.Shard, l.Of, opts)
-	case "main":
-		r = c.MainShard(l.Shard, l.Of, l.Table, opts)
-	default:
-		r = c.RunShard(l.Shard, l.Of, opts)
-	}
-	return &Report{Datapath: r}, nil
+	return row.execute(cs, l.Campaign, l.Spec, l, soloHooks{})
 }
 
 // ExecuteLease computes one lease's shard report synchronously, outside
@@ -541,57 +487,20 @@ func SoloReport(spec Spec, goldens *GoldenCache) (*Report, *engine.StrataSummary
 	if err := spec.Normalize(); err != nil {
 		return nil, nil, err
 	}
-	var prior, pilot *engine.StrataSummary
-	if spec.PriorAllocated() {
-		p, err := spec.LoadPrior()
-		if err != nil {
-			return nil, nil, err
-		}
-		prior = p
-	}
-	if spec.SystolicSurface() {
-		c, err := spec.sharedSystolicCampaign(goldens)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt := spec.SystolicOptions()
-		opt.Prior = prior
-		opt.OnPilotStrata = func(s *engine.StrataSummary) { pilot = s }
-		return &Report{Systolic: c.Run(opt)}, pilot, nil
-	}
-	if spec.BufferSurface() {
-		c, err := spec.sharedBufferCampaign(goldens)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := ParseBuffer(spec.Buffer)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt := spec.BufferOptions()
-		opt.Prior = prior
-		opt.OnPilotStrata = func(s *engine.StrataSummary) { pilot = s }
-		return &Report{Buffer: c.Run(b, opt)}, pilot, nil
-	}
-	c, err := spec.NewCampaign(goldens)
+	row, err := surfaceOf(spec.Surface)
 	if err != nil {
 		return nil, nil, err
 	}
-	opt := spec.Options()
-	opt.Prior = prior
-	opt.OnPilotStrata = func(s *engine.StrataSummary) { pilot = s }
-	return &Report{Datapath: c.Run(opt)}, pilot, nil
-}
-
-// Solo is SoloReport for datapath specs, returning the bare faultinj
-// report the original single-surface service exposed.
-func Solo(spec Spec, goldens *GoldenCache) (*faultinj.Report, error) {
-	r, _, err := SoloReport(spec, goldens)
-	if err != nil {
-		return nil, err
+	var pilot *engine.StrataSummary
+	solo := soloHooks{onPilot: func(s *engine.StrataSummary) { pilot = s }}
+	if spec.PriorAllocated() {
+		if solo.prior, err = spec.LoadPrior(); err != nil {
+			return nil, nil, err
+		}
 	}
-	if r.Datapath == nil {
-		return nil, fmt.Errorf("campaign: Solo only runs datapath specs; use SoloReport for surface %q", spec.Surface)
-	}
-	return r.Datapath, nil
+	// A campaign set of one: the solo run keeps the caller's golden cache,
+	// or the campaign's private memo when there is none.
+	cs := &campaignSet{byKey: make(map[string]any), goldens: goldens}
+	r, err := row.execute(cs, "", spec, nil, solo)
+	return r, pilot, err
 }

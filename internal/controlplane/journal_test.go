@@ -22,7 +22,7 @@ func journalLines(bs ...[]byte) []byte {
 }
 
 func testReport(spec campaign.Spec) *campaign.Report {
-	r := &campaign.Report{Datapath: faultinj.NewReport(spec.Type().Width(), 3)}
+	r := &campaign.Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
 	r.Datapath.Masked = 1
 	return r
 }

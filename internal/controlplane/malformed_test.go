@@ -1,0 +1,208 @@
+package controlplane
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/campaign"
+)
+
+// TestMalformedReportsRefusedOverHTTP posts reports of the right surface
+// but the wrong shape — from a worker holding a real lease — through
+// POST /v1/reports, with a stream subscriber attached (the broadcast after
+// an accept is where a mis-shaped report used to panic under the plane
+// lock). Every one must come back as a per-report 4xx with no journal
+// event and no ledger change; List, Get and the stream must stay
+// responsive; and the journal must replay on a reopened plane that then
+// finishes both campaigns byte-equal to solo.
+func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
+	uni := testSpec(31)
+	strat := campaign.Spec{
+		Net: "ConvNet", DType: "16b_rb10", N: 60, Inputs: 2, Seed: 32,
+		Shards: 3, Surface: "buffer", Buffer: "psum", Sampling: "stratified",
+	}
+	wantUni, wantStrat := soloBytes(t, uni), soloBytes(t, strat)
+
+	journal := filepath.Join(t.TempDir(), "ctl.journal")
+	p1, err := New(Config{JournalPath: journal, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p1.Handler())
+	client := srv.Client()
+	client.Timeout = 10 * time.Second // a wedged plane fails the test instead of hanging it
+	idUni := mustSubmit(t, p1, "alice", uni, 1, 0)
+	idStrat := mustSubmit(t, p1, "bob", strat, 1, 0)
+
+	// The stream subscriber, attached before any report lands.
+	lines := make(chan string, 64)
+	streamResp, err := srv.Client().Get(srv.URL + "/v1/campaigns/" + idUni + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		sc := bufio.NewScanner(streamResp.Body)
+		sc.Buffer(nil, 1<<20)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+	}()
+	for subscribed := false; !subscribed; time.Sleep(time.Millisecond) {
+		p1.mu.Lock()
+		subscribed = len(p1.camps[idUni].subs) == 1
+		p1.mu.Unlock()
+	}
+
+	post := func(path string, in, out any) {
+		t.Helper()
+		body, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %s", path, resp.Status)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+	}
+	var leased campaign.LeaseResponse
+	post("/v1/lease", campaign.LeaseRequest{Max: 16}, &leased)
+	byCampaign := map[string]*campaign.Lease{}
+	for _, l := range leased.Leases {
+		if byCampaign[l.Campaign] == nil {
+			byCampaign[l.Campaign] = l
+		}
+	}
+	lu, ls := byCampaign[idUni], byCampaign[idStrat]
+	if lu == nil || ls == nil || ls.Phase != "pilot" {
+		t.Fatalf("want a uniform and a pilot lease, got %+v / %+v", lu, ls)
+	}
+
+	blocks20 := "[" + strings.TrimSuffix(strings.Repeat("{},", 20), ",") + "]"
+	bad := []struct {
+		lease *campaign.Lease
+		body  string
+	}{
+		{lu, `null`},
+		{lu, `{}`},
+		{lu, `{"datapath":{"PerBit":[],"PerBlock":` + blocks20 + `}}`},
+		{lu, `{"datapath":{"PerBit":[{}],"PerBlock":[{},{},{},{},{}],"SpreadSum":[0,0,0,0,0],"SpreadN":[0,0,0,0,0]}}`},
+		{lu, `{"buffer":{}}`},
+		{lu, `{"datapath":{},"systolic":{}}`},
+		{ls, `{"buffer":{}}`}, // a pilot slot without strata
+		{ls, `{"buffer":{"Strata":{"blocks":5,"bits":16,"weight":[],"counts":[]}}}`},
+		{ls, `{"buffer":{"Strata":{"blocks":1,"bits":1,"weight":["0"],"counts":[{}]}}}`},
+	}
+	var batch struct {
+		Reports []json.RawMessage `json:"reports"`
+	}
+	for _, b := range bad {
+		batch.Reports = append(batch.Reports, json.RawMessage(fmt.Sprintf(
+			`{"campaign":%q,"lease_id":%q,"shard":%d,"report":%s}`, b.lease.Campaign, b.lease.ID, b.lease.Slot, b.body)))
+	}
+	events := p1.JournalStats().Events
+	var outcome campaign.ReportBatchResponse
+	post("/v1/reports", batch, &outcome)
+	if len(outcome.Results) != len(bad) {
+		t.Fatalf("%d outcomes for %d reports", len(outcome.Results), len(bad))
+	}
+	for i, oc := range outcome.Results {
+		if oc.Code < 400 || oc.Code >= 500 {
+			t.Errorf("malformed report %d (%s): code %d %q, want a 4xx", i, bad[i].body, oc.Code, oc.Error)
+		}
+	}
+	if got := p1.JournalStats().Events; got != events {
+		t.Errorf("refused reports left %d journal events", got-events)
+	}
+
+	// The plane still answers, and nothing completed.
+	resp, err := client.Get(srv.URL + "/v1/campaigns")
+	if err != nil {
+		t.Fatalf("List after the refusals: %v", err)
+	}
+	resp.Body.Close()
+	for _, id := range []string{idUni, idStrat} {
+		resp, err := client.Get(srv.URL + "/v1/campaigns/" + id)
+		if err != nil {
+			t.Fatalf("Get %s after the refusals: %v", id, err)
+		}
+		var st Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || st.State != StateActive || st.Snapshot.CompletedShards != 0 || st.InFlight == 0 {
+			t.Fatalf("campaign %s after the refusals: %+v (%v)", id, st, err)
+		}
+	}
+
+	// The leases are still good: their real reports land, and the stream
+	// subscriber hears about it.
+	for _, l := range []*campaign.Lease{lu, ls} {
+		rep, err := campaign.ExecuteLease(l, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := campaign.ReportBatchRequest{Reports: []campaign.ReportRequest{{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: rep}}}
+		var ok campaign.ReportBatchResponse
+		post("/v1/reports", req, &ok)
+		if len(ok.Results) != 1 || ok.Results[0].Code != 0 {
+			t.Fatalf("well-formed report refused: %+v", ok.Results)
+		}
+	}
+	for heard := false; !heard; {
+		select {
+		case line := <-lines:
+			var st Status
+			if err := json.Unmarshal([]byte(line), &st); err != nil {
+				t.Fatalf("stream line %s: %v", line, err)
+			}
+			heard = st.Snapshot.CompletedShards == 1
+		case <-time.After(10 * time.Second):
+			t.Fatal("stream never reported the accepted shard")
+		}
+	}
+	streamResp.Body.Close()
+	srv.Close()
+	p1.Close()
+
+	// Reopen on the same journal: it holds the two submits and the two real
+	// reports, replays cleanly, and both campaigns finish equal to solo.
+	p2 := newTestPlane(t, Config{JournalPath: journal, LeaseTTL: time.Minute})
+	srv2 := httptest.NewServer(p2.Handler())
+	defer srv2.Close()
+	for _, id := range []string{idUni, idStrat} {
+		if st, err := p2.Get("", id); err != nil || st.Snapshot.ResumedShards != 1 {
+			t.Fatalf("campaign %s after replay: %+v (%v)", id, st.Snapshot, err)
+		}
+	}
+	stop := make(chan struct{})
+	errs := runFleet(t, srv2, 2, "", stop)
+	waitState(t, p2, idUni, StateDone)
+	waitState(t, p2, idStrat, StateDone)
+	close(stop)
+	for i := 0; i < 2; i++ {
+		<-errs
+	}
+	for id, want := range map[string][]byte{idUni: wantUni, idStrat: wantStrat} {
+		got, err := p2.FinalReportJSON("", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("campaign %s diverged from solo after the replay", id)
+		}
+	}
+}

@@ -582,11 +582,13 @@ func (p *Plane) report(req campaign.ReportRequest) error {
 func (p *Plane) reportBatch(reqs []campaign.ReportRequest) []error {
 	errs := make([]error, len(reqs))
 	waits := make([]func() error, len(reqs))
-	p.mu.Lock()
-	for i := range reqs {
-		errs[i], waits[i] = p.reportLocked(&reqs[i])
-	}
-	p.mu.Unlock()
+	func() {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for i := range reqs {
+			errs[i], waits[i] = p.reportLocked(&reqs[i])
+		}
+	}()
 	for i, wait := range waits {
 		if wait == nil {
 			continue

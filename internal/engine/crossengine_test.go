@@ -219,51 +219,72 @@ func TestCrossEngineFixtures(t *testing.T) {
 // associativity and commutativity over shard order, and the strata JSON
 // round-trip. The datapath adapter runs without value tracking — capped
 // value sampling is deliberately shard-order-sensitive and outside the
-// monoid contract.
+// monoid contract. Every adapter must also refuse the same malformed
+// options, which the engine validates once for all of them.
 func TestSurfaceConformance(t *testing.T) {
 	dt := numeric.Fx16RB10
 	ins := fixtureInputsFor(fixtureNet)
 	build := func() *network.Network { return models.Build(fixtureNet) }
-	datapath := func(mbu int) func(t *testing.T, sampling engine.SamplingMode) {
-		return func(t *testing.T, sampling engine.SamplingMode) {
-			c := faultinj.New(models.Build(fixtureNet), dt, ins)
-			s, eopt := c.Surface(faultinj.Options{N: datapathN, Seed: datapathSeed, Workers: 3, Sampling: sampling, MBU: mbu})
-			engine.CheckSurface(t, s, eopt)
-		}
+	// Each adapter binds its surface under o's sampling, MBU and eval
+	// design (the budget and seed are the surface's fixture constants) and
+	// runs the conformance check.
+	type adapter func(t engine.TestingT, o engine.Options)
+	datapath := func(t engine.TestingT, o engine.Options) {
+		c := faultinj.New(models.Build(fixtureNet), dt, ins)
+		s, eopt := c.Surface(faultinj.Options{N: datapathN, Seed: datapathSeed, Workers: 3, Sampling: o.Sampling, MBU: o.MBU, Eval: o.Eval})
+		engine.CheckSurface(t, s, eopt)
 	}
-	buffer := func(mbu int) func(t *testing.T, sampling engine.SamplingMode) {
-		return func(t *testing.T, sampling engine.SamplingMode) {
-			c := &eyeriss.Campaign{Build: build, DType: dt, Inputs: ins}
-			s, eopt := c.Surface(eyeriss.GlobalBuffer, eyeriss.Options{N: bufferN, Seed: bufferSeed, Workers: 3, Sampling: sampling, MBU: mbu})
-			engine.CheckSurface(t, s, eopt)
-		}
+	buffer := func(t engine.TestingT, o engine.Options) {
+		c := &eyeriss.Campaign{Build: build, DType: dt, Inputs: ins}
+		o.N, o.Seed, o.Workers = bufferN, bufferSeed, 3
+		s, eopt := c.Surface(eyeriss.GlobalBuffer, o)
+		engine.CheckSurface(t, s, eopt)
 	}
-	systolicFlow := func(flow systolic.Dataflow, mbu int) func(t *testing.T, sampling engine.SamplingMode) {
-		return func(t *testing.T, sampling engine.SamplingMode) {
+	systolicFlow := func(flow systolic.Dataflow) adapter {
+		return func(t engine.TestingT, o engine.Options) {
 			c := &systolic.Campaign{Build: build, DType: dt, Inputs: ins, Flow: flow}
-			s, eopt := c.Surface(systolic.Options{N: systolicN, Seed: systolicSeed, Workers: 3, Sampling: sampling, MBU: mbu})
+			o.N, o.Seed, o.Workers = systolicN, systolicSeed, 3
+			s, eopt := c.Surface(o)
 			engine.CheckSurface(t, s, eopt)
 		}
 	}
 	surfaces := []struct {
 		name  string
-		check func(t *testing.T, sampling engine.SamplingMode)
+		check adapter
 	}{
-		{"datapath", datapath(0)},
-		{"datapath_mbu3", datapath(3)},
-		{"buffer", buffer(0)},
-		{"buffer_mbu3", buffer(3)},
-		{"systolic", systolicFlow(systolic.WeightStationary, 0)},
-		{"systolic_mbu3", systolicFlow(systolic.WeightStationary, 3)},
-		{"systolic_output", systolicFlow(systolic.OutputStationary, 0)},
-		{"systolic_output_mbu3", systolicFlow(systolic.OutputStationary, 3)},
-		{"systolic_input", systolicFlow(systolic.InputStationary, 0)},
-		{"systolic_input_mbu3", systolicFlow(systolic.InputStationary, 3)},
+		{"datapath", datapath},
+		{"buffer", buffer},
+		{"systolic", systolicFlow(systolic.WeightStationary)},
+		{"systolic_output", systolicFlow(systolic.OutputStationary)},
+		{"systolic_input", systolicFlow(systolic.InputStationary)},
 	}
 	for _, sf := range surfaces {
-		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
-			t.Run(fmt.Sprintf("%s_%s", sf.name, sampling), func(t *testing.T) {
-				sf.check(t, sampling)
+		for _, mbu := range []int{0, 3} {
+			for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
+				name := fmt.Sprintf("%s_%s", sf.name, sampling)
+				if mbu > 0 {
+					name = fmt.Sprintf("%s_mbu%d_%s", sf.name, mbu, sampling)
+				}
+				t.Run(name, func(t *testing.T) {
+					sf.check(t, engine.Options{Sampling: sampling, MBU: mbu})
+				})
+			}
+		}
+		// The shared options are validated once, in the engine, so every
+		// surface refuses the same malformed designs.
+		for name, o := range map[string]engine.Options{
+			"mbu_wider_than_word": {MBU: dt.Width() + 1},
+			"mbu_with_site_eval":  {MBU: 2, Eval: engine.EvalSiteScalar},
+			"mbu_with_bitplane":   {MBU: 2, Eval: engine.EvalSiteBitPlane},
+			"unknown_eval":        {Eval: "bit-serial"},
+		} {
+			t.Run(sf.name+"_refuses_"+name, func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("options %+v ran", o)
+					}
+				}()
+				sf.check(t, o)
 			})
 		}
 	}

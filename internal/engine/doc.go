@@ -1,11 +1,17 @@
-// Package engine is the shared campaign core behind both of the paper's
-// fault surfaces: datapath latches (internal/faultinj, §4–5) and the
-// Eyeriss buffer hierarchy (internal/eyeriss, §6). Both surfaces run the
-// same statistical methodology — deterministic strided sharding, uniform
-// or two-phase stratified (pilot → Neyman-allocated main) site sampling
-// over a (block, bit) stratum grid, and a shard-order merge that makes a
-// distributed campaign bit-identical to a single-process run. This package
-// implements that methodology once; the surfaces supply only what is
-// surface-specific (site enumeration, golden execution, single-injection
-// outcomes) through the Surface interface.
+// Package engine is the shared campaign core behind every fault surface:
+// the paper's datapath latches (internal/faultinj, §4–5) and Eyeriss
+// buffer hierarchy (internal/eyeriss, §6), and the dataflow-parameterized
+// systolic array (internal/systolic). All of them run the same statistical
+// methodology — deterministic strided sharding, uniform or two-phase
+// stratified (pilot → Neyman-allocated main) site sampling over a (block,
+// base bit) stratum grid, and a shard-order merge that makes a distributed
+// campaign bit-identical to a single-process run. This package implements
+// that methodology once, with the scaffold each surface would otherwise
+// re-implement around it: the campaign Options and their validation, the
+// residency sampler, the per-injection and per-draw-unit phase iterators,
+// the stratum-weight grid and the bit-plane evaluation of a single-MAC
+// site. A surface supplies only what is its own — the fault model, the
+// order its sites are drawn in, and its report algebra — through the
+// Surface interface. DESIGN.md ("Fault surfaces") has the contract and the
+// steps to add one.
 package engine

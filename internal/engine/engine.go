@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
+
+	"repro/internal/network"
 )
 
 // MainSeedSalt separates a stratified campaign's main-phase PRNG streams
@@ -75,16 +78,47 @@ type Phase struct {
 	SiteBits int
 }
 
-// UniformPhase is the whole of a non-stratified campaign.
-func UniformPhase(n int) Phase { return Phase{N: n, Values: true} }
+// Rand returns the PRNG stream of one shard of the phase, seeded only by
+// (campaign seed, shard, phase salt). seedMul is the surface's shard
+// multiplier, which keeps the surfaces' streams apart under equal campaign
+// seeds.
+func (ph Phase) Rand(seed int64, shard int, seedMul int64) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(shard)*seedMul + ph.SeedSalt))
+}
 
-// PilotPhase is the uniform, strata-recording pilot of a stratified
-// campaign.
-func PilotPhase(pilotN int) Phase { return Phase{N: pilotN, Strata: true, Values: true} }
+// EachInjection visits, in order, the injections shard covers of an of-way
+// strided partition of a per-bit phase: i = shard, shard+of, … below N.
+// input is the injection's index into the campaign's inputs-long input
+// cycle; (block, bit) is the stratum the allocation table dictates, or
+// (−1, −1) when the phase has no table and the surface draws both.
+func (ph Phase) EachInjection(shard, of, inputs int, fn func(i, input, block, bit int)) {
+	for i := shard; i < ph.N; i += of {
+		block, bit := -1, -1
+		if ph.Table != nil {
+			block, bit = ph.Table.Stratum(i)
+		}
+		fn(i, (ph.InputBase+i)%inputs, block, bit)
+	}
+}
 
-// MainPhase is the table-driven main phase of a stratified campaign.
-func MainPhase(pilotN, mainN int, table *StratumTable) Phase {
-	return Phase{N: mainN, SeedSalt: MainSeedSalt, InputBase: pilotN, Table: table, Strata: true}
+// EachUnit is EachInjection for a site-evaluation phase: it visits the site
+// draw units u = shard, shard+of, … below DrawUnits(N, SiteBits). Unit u
+// covers nbits injections, one per bit position from 0 — SiteBits of them,
+// except that the phase's last unit carries only the remainder of N. block
+// is the per-block site table's stratum, −1 without a table.
+func (ph Phase) EachUnit(shard, of, inputs int, fn func(u, input, block, nbits int)) {
+	units := DrawUnits(ph.N, ph.SiteBits)
+	for u := shard; u < units; u += of {
+		nbits := ph.SiteBits
+		if rem := ph.N - u*ph.SiteBits; rem < nbits {
+			nbits = rem
+		}
+		block := -1
+		if ph.Table != nil {
+			block, _ = ph.Table.Stratum(u)
+		}
+		fn(u, (ph.InputBase+u)%inputs, block, nbits)
+	}
 }
 
 // Surface is what a fault surface supplies to the engine: report algebra
@@ -100,6 +134,9 @@ func MainPhase(pilotN, mainN int, table *StratumTable) Phase {
 // by (campaign seed, shard, ph.SeedSalt), and cover injections
 // shard, shard+of, shard+2·of, … of the phase's N-injection budget.
 type Surface[R any] interface {
+	// Width is the campaign's word width in bits: the bit dimension of the
+	// stratum grid and the draw-unit size of the site evaluation modes.
+	Width() int
 	// NewReport allocates an empty report with the campaign's dimensions.
 	NewReport() R
 	// Merge folds src into dst.
@@ -112,15 +149,23 @@ type Surface[R any] interface {
 	RunPhase(shard, of int, ph Phase) R
 }
 
-// Options configures the engine's shard/phase orchestration. Everything
-// surface-specific (seeds, selectors, tracking) lives in the surface
-// adapter; the engine only needs the budget and the sampling design.
+// Options configures a campaign on any fault surface: the budget, the
+// sampling and evaluation designs and the per-injection hooks every surface
+// shares. eyeriss.Options and systolic.Options are this type;
+// faultinj.Options adds the datapath-only knobs and maps onto it.
 type Options struct {
 	// N is the campaign's total injection budget.
 	N int
+	// Seed makes the campaign reproducible: every shard's PRNG stream
+	// derives from it (Phase.Rand).
+	Seed int64
 	// Workers caps the shard fan-out of Run; NumCPU when zero.
 	Workers int
-	// Sampling selects uniform (default) or two-phase stratified sampling.
+	// Detector, when non-nil, is evaluated on every faulty execution for
+	// the §6.2 precision/recall tally. It must be safe for concurrent use.
+	Detector func(*network.Execution) bool
+	// Sampling selects uniform (default) or two-phase stratified sampling
+	// over the surface's (block, base bit) stratum grid.
 	Sampling SamplingMode
 	// PilotN is the stratified pilot budget: DefaultPilotN(N) when zero,
 	// clamped to N; negative requests a pilot-free prior-allocated
@@ -129,53 +174,92 @@ type Options struct {
 	// Prior, when non-nil, seeds the Neyman allocation from a previous
 	// campaign's strata instead of running a pilot: the whole budget is
 	// main-phase (PilotN is forced negative) and the allocation table is
-	// BuildStratumTable(Prior, N). The prior must come from a campaign of
-	// the same surface geometry (equal stratum grid and weights).
+	// built from Prior. The prior must come from a campaign of the same
+	// surface geometry (equal stratum grid and weights).
 	Prior *StrataSummary
-	// OnPilot, when non-nil, observes the merged pilot strata of a
-	// stratified campaign right after the allocation table is built — the
-	// hook campaign artifacts use to persist strata for later Prior reuse.
-	// Not called for prior-allocated campaigns (no pilot runs).
-	OnPilot func(*StrataSummary)
-	// SiteBits, when positive, selects site-grouped evaluation: shards
-	// stride over DrawUnits(N, SiteBits) site draw units and stratified
-	// allocation tables are per-block site tables (BuildSiteStratumTable).
-	// Surfaces set it to their format width under a site EvalMode.
-	SiteBits int
+	// OnPilotStrata, when non-nil, observes the merged pilot strata of a
+	// stratified Run right after the allocation table is built — the hook
+	// strata artifacts use to persist the pilot for later Prior reuse. Not
+	// called for prior-allocated campaigns (no pilot runs).
+	OnPilotStrata func(*StrataSummary)
+	// Eval selects the evaluation design (see EvalMode). Under a site mode
+	// shards stride over DrawUnits(N, width) site draw units and stratified
+	// allocation tables are per-block site tables.
+	Eval EvalMode
+	// MBU is the multi-bit-upset width: every injection flips MBU adjacent
+	// bits of the struck word, the base bit drawn uniformly over the
+	// width−MBU+1 in-word spans. 0 and 1 both mean single-bit upsets;
+	// wider upsets require the per-bit evaluation mode.
+	MBU int
 }
 
-// phase assembles the phase descriptors of this campaign, carrying the
-// site-evaluation geometry: shard striding, input cycling and main-phase
-// allocation all count draw units under a site mode.
-func (opt Options) uniformPhase() Phase {
-	return Phase{N: opt.N, Values: true, SiteBits: opt.SiteBits}
+// UpsetWidth resolves the upset width (≥ 1).
+func (opt Options) UpsetWidth() int {
+	if opt.MBU <= 1 {
+		return 1
+	}
+	return opt.MBU
 }
 
-func (opt Options) pilotPhase(pilotN int) Phase {
-	return Phase{N: pilotN, Strata: true, Values: true, SiteBits: opt.SiteBits}
+// resolved is Options checked against a surface's word width, with the
+// draw-unit size the evaluation design implies: the width under a site
+// mode, 0 (one draw unit per injection) under the per-bit mode.
+type resolved struct {
+	Options
+	siteBits int
 }
 
-func (opt Options) mainPhase(pilotN, mainN int, table *StratumTable) Phase {
+// resolve is the one validation of the options every surface shares.
+func (opt Options) resolve(width int) resolved {
+	if opt.MBU > width {
+		panic(fmt.Sprintf("engine: MBU width %d exceeds the %d-bit word", opt.MBU, width))
+	}
+	ro := resolved{Options: opt}
+	switch opt.Eval {
+	case EvalPerBit:
+	case EvalSiteScalar, EvalSiteBitPlane:
+		if opt.UpsetWidth() > 1 {
+			panic("engine: MBU campaigns require the per-bit evaluation mode")
+		}
+		ro.siteBits = width
+	default:
+		panic(fmt.Sprintf("engine: unknown eval mode %q", opt.Eval))
+	}
+	return ro
+}
+
+// The phase descriptors of this campaign carry the site-evaluation
+// geometry: shard striding, input cycling and main-phase allocation all
+// count draw units under a site mode.
+func (opt resolved) uniformPhase() Phase {
+	return Phase{N: opt.N, Values: true, SiteBits: opt.siteBits}
+}
+
+func (opt resolved) pilotPhase(pilotN int) Phase {
+	return Phase{N: pilotN, Strata: true, Values: true, SiteBits: opt.siteBits}
+}
+
+func (opt resolved) mainPhase(pilotN, mainN int, table *StratumTable) Phase {
 	return Phase{
 		N: mainN, SeedSalt: MainSeedSalt,
-		InputBase: DrawUnits(pilotN, opt.SiteBits),
-		Table:     table, Strata: true, SiteBits: opt.SiteBits,
+		InputBase: DrawUnits(pilotN, opt.siteBits),
+		Table:     table, Strata: true, SiteBits: opt.siteBits,
 	}
 }
 
 // buildTable derives the main-phase allocation from pooled pilot strata:
 // per-(block, bit) injection allocation in the legacy design, per-block
 // site draw-unit allocation under a site evaluation mode.
-func (opt Options) buildTable(s *StrataSummary, mainN int) *StratumTable {
-	if opt.SiteBits > 0 {
-		return BuildSiteStratumTable(s, DrawUnits(mainN, opt.SiteBits))
+func (opt resolved) buildTable(s *StrataSummary, mainN int) *StratumTable {
+	if opt.siteBits > 0 {
+		return BuildSiteStratumTable(s, DrawUnits(mainN, opt.siteBits))
 	}
 	return BuildStratumTable(s, mainN)
 }
 
 // budget resolves the pilot/main split, forcing the pilot-free split when
 // a prior allocation is supplied.
-func (opt Options) budget() (pilot, main int) {
+func (opt resolved) budget() (pilot, main int) {
 	pilotN := opt.PilotN
 	if opt.Prior != nil {
 		pilotN = -1
@@ -203,8 +287,9 @@ func EffectiveShards(workers, n int) int {
 // S = EffectiveShards(opt.Workers, opt.N), with the shards running on
 // goroutines — the reference a distributed run of the same S shards is
 // bit-identical to.
-func Run[R any](s Surface[R], opt Options) R {
-	shards := EffectiveShards(opt.Workers, DrawUnits(opt.N, opt.SiteBits))
+func Run[R any](s Surface[R], o Options) R {
+	opt := o.resolve(s.Width())
+	shards := EffectiveShards(opt.Workers, DrawUnits(opt.N, opt.siteBits))
 	if opt.Sampling == SamplingStratified {
 		return runStratified(s, opt, shards)
 	}
@@ -239,7 +324,7 @@ func runPhaseShards[R any](s Surface[R], shards int, ph Phase) []R {
 // distributed coordinator's FinalReport reconstructs from its slot ledger,
 // so distributed == solo bit-for-bit. Prior-allocated campaigns skip the
 // pilot entirely; each shard's pair degenerates to its main report.
-func runStratified[R any](s Surface[R], opt Options, shards int) R {
+func runStratified[R any](s Surface[R], opt resolved, shards int) R {
 	pilotN, mainN := opt.budget()
 	var pilots []R
 	var table *StratumTable
@@ -252,8 +337,8 @@ func runStratified[R any](s Surface[R], opt Options, shards int) R {
 		pilots = runPhaseShards(s, shards, opt.pilotPhase(pilotN))
 		ps := mergedStrata(s, pilots)
 		table = opt.buildTable(ps, mainN)
-		if opt.OnPilot != nil {
-			opt.OnPilot(ps)
+		if opt.OnPilotStrata != nil {
+			opt.OnPilotStrata(ps)
 		}
 	}
 	mains := runPhaseShards(s, shards, opt.mainPhase(pilotN, mainN, table))
@@ -293,8 +378,9 @@ func mergedStrata[R any](s Surface[R], parts []R) *StrataSummary {
 // Run with Workers=of, which is how Run is implemented; shards can
 // therefore execute anywhere — goroutines, processes, machines — and still
 // reproduce the single-process campaign exactly.
-func RunShard[R any](s Surface[R], shard, of int, opt Options) R {
+func RunShard[R any](s Surface[R], shard, of int, o Options) R {
 	checkShard(shard, of)
+	opt := o.resolve(s.Width())
 	if opt.Sampling != SamplingStratified {
 		return s.RunPhase(shard, of, opt.uniformPhase())
 	}
@@ -329,8 +415,9 @@ func RunShard[R any](s Surface[R], shard, of int, opt Options) R {
 // PilotShard runs one shard of a stratified campaign's uniform pilot
 // phase. Merging all of shards' pilot reports in shard order yields the
 // pilot BuildStratumTable expects.
-func PilotShard[R any](s Surface[R], shard, of int, opt Options) R {
+func PilotShard[R any](s Surface[R], shard, of int, o Options) R {
 	checkShard(shard, of)
+	opt := o.resolve(s.Width())
 	pilotN, _ := opt.budget()
 	return s.RunPhase(shard, of, opt.pilotPhase(pilotN))
 }
@@ -340,13 +427,14 @@ func PilotShard[R any](s Surface[R], shard, of int, opt Options) R {
 // prior campaign's strata). The full campaign report is the per-shard
 // interleaved merge pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ main₁ ⊕ … — bit-identical
 // to Run.
-func MainShard[R any](s Surface[R], shard, of int, table *StratumTable, opt Options) R {
+func MainShard[R any](s Surface[R], shard, of int, table *StratumTable, o Options) R {
 	checkShard(shard, of)
 	if table == nil {
 		panic("engine: MainShard needs a stratum table")
 	}
+	opt := o.resolve(s.Width())
 	pilotN, mainN := opt.budget()
-	if want := DrawUnits(mainN, opt.SiteBits); table.MainN != want {
+	if want := DrawUnits(mainN, opt.siteBits); table.MainN != want {
 		panic(fmt.Sprintf("engine: stratum table allocates %d draw units, campaign main phase has %d",
 			table.MainN, want))
 	}

@@ -144,6 +144,48 @@ func NewStrata(blocks, bits int, weight HexFloats, spread bool) *StrataSummary {
 	return s
 }
 
+// Check reports whether s has the shape a shard report of a campaign over
+// a blocks×bits stratum grid carries — what Merge, Estimate and the table
+// builders index without looking: every per-stratum slice blocks·bits long
+// (the spread accumulators only when the campaign tracks spread, absent
+// otherwise) and every weight a finite non-negative probability. It is
+// the gate for summaries decoded from outside the process.
+func (s *StrataSummary) Check(blocks, bits int, spread bool) error {
+	n := blocks * bits
+	if s.Blocks != blocks || s.Bits != bits {
+		return fmt.Errorf("engine: strata grid %dx%d, campaign has %dx%d", s.Blocks, s.Bits, blocks, bits)
+	}
+	if len(s.Weight) != n || len(s.Counts) != n {
+		return fmt.Errorf("engine: strata carry %d weights and %d tallies for %d strata", len(s.Weight), len(s.Counts), n)
+	}
+	for h, w := range s.Weight {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("engine: stratum %d has weight %v", h, w)
+		}
+	}
+	if !spread {
+		n = 0
+	}
+	if len(s.SpreadSum) != n || len(s.SpreadN) != n {
+		return fmt.Errorf("engine: strata carry %d/%d spread accumulators, want %d", len(s.SpreadSum), len(s.SpreadN), n)
+	}
+	return nil
+}
+
+// SameWeights reports whether two summaries carry bit-identical stratum
+// weights, which is what Merge requires of every pair it pools.
+func (s *StrataSummary) SameWeights(s2 *StrataSummary) bool {
+	if len(s.Weight) != len(s2.Weight) {
+		return false
+	}
+	for h := range s.Weight {
+		if math.Float64bits(s.Weight[h]) != math.Float64bits(s2.Weight[h]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clone deep-copies the summary.
 func (s *StrataSummary) Clone() *StrataSummary {
 	out := &StrataSummary{
@@ -184,6 +226,20 @@ func (s *StrataSummary) Merge(s2 *StrataSummary) {
 	}
 }
 
+// MergeStrata pools src into dst and returns the result — how every surface
+// report merges its optional strata: a nil src changes nothing, a nil dst
+// becomes a copy of src.
+func MergeStrata(dst, src *StrataSummary) *StrataSummary {
+	switch {
+	case src == nil:
+	case dst == nil:
+		dst = src.Clone()
+	default:
+		dst.Merge(src)
+	}
+	return dst
+}
+
 // Estimate assembles the Horvitz–Thompson estimator of the uniform-design
 // probability of criterion k from the pooled strata.
 func (s *StrataSummary) Estimate(k sdc.Kind) stats.Stratified {
@@ -195,6 +251,19 @@ func (s *StrataSummary) Estimate(k sdc.Kind) stats.Stratified {
 		}
 	}
 	return stats.Stratified{Weights: s.Weight, Parts: parts}
+}
+
+// SDCEstimate is every surface report's estimate of the uniform-design SDC
+// probability for criterion k, with its 95% CI half-width: the reweighted
+// stratified estimator when the campaign stratified (strata non-nil), the
+// raw pooled proportion of counts otherwise.
+func SDCEstimate(counts sdc.Counts, strata *StrataSummary, k sdc.Kind) (p, ci95 float64) {
+	if strata != nil {
+		e := strata.Estimate(k)
+		return e.P(), e.CI95()
+	}
+	pr := stats.Proportion{Successes: counts.Hits[k], Trials: counts.DefinedTrials[k]}
+	return pr.P(), pr.CI95()
 }
 
 // BlockEstimate is the per-block analogue of Estimate: within a block,

@@ -51,7 +51,7 @@ func CheckSurface[R any](t TestingT, s Surface[R], opt Options) {
 	full := Run[R](s, opt)
 	want := enc("Run report", full)
 
-	shards := EffectiveShards(opt.Workers, DrawUnits(opt.N, opt.SiteBits))
+	shards := EffectiveShards(opt.Workers, DrawUnits(opt.N, opt.resolve(s.Width()).siteBits))
 	parts := make([]R, shards)
 	for i := range parts {
 		parts[i] = RunShard[R](s, i, shards, opt)

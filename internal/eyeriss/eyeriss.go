@@ -31,7 +31,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -179,13 +178,7 @@ func (r *Report) Merge(r2 *Report) {
 	r.Counts.Merge(r2.Counts)
 	r.Detection.Merge(r2.Detection)
 	r.PreMasked += r2.PreMasked
-	if r2.Strata != nil {
-		if r.Strata == nil {
-			r.Strata = r2.Strata.Clone()
-		} else {
-			r.Strata.Merge(r2.Strata)
-		}
-	}
+	r.Strata = engine.MergeStrata(r.Strata, r2.Strata)
 }
 
 // SDCEstimate returns the campaign's estimate of the uniform-design SDC
@@ -193,12 +186,7 @@ func (r *Report) Merge(r2 *Report) {
 // stratified estimator when the campaign stratified, the raw pooled
 // proportion otherwise.
 func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
-	if r.Strata != nil {
-		e := r.Strata.Estimate(k)
-		return e.P(), e.CI95()
-	}
-	pr := stats.Proportion{Successes: r.Counts.Hits[k], Trials: r.Counts.DefinedTrials[k]}
-	return pr.P(), pr.CI95()
+	return engine.SDCEstimate(r.Counts, r.Strata, k)
 }
 
 // MergeReports folds per-shard reports — indexed and merged in shard
@@ -218,83 +206,15 @@ func MergeReports(rs []*Report) *Report {
 	return total
 }
 
-// Options configures a buffer campaign.
-type Options struct {
-	// N is the number of injections.
-	N int
-	// Seed makes the campaign reproducible.
-	Seed int64
-	// Workers caps parallelism; NumCPU when zero.
-	Workers int
-	// Detector, when non-nil, is evaluated on every faulty execution for
-	// the §6.2 precision/recall tally. It must be safe for concurrent use.
-	Detector func(*network.Execution) bool
-	// Sampling selects uniform (default) or the two-phase stratified
-	// campaign of the shared engine (internal/engine); strata are keyed by
-	// (MAC layer, flipped bit) with weights from the buffer's residency
-	// model.
-	Sampling engine.SamplingMode
-	// PilotN is the stratified pilot budget; engine.DefaultPilotN(N) when
-	// zero, negative for a pilot-free prior-allocated campaign (Prior).
-	PilotN int
-	// Prior, when non-nil, seeds a stratified campaign's Neyman allocation
-	// from a previous campaign's persisted strata instead of running a
-	// pilot; the prior must come from a campaign over the same network,
-	// format and buffer class.
-	Prior *engine.StrataSummary
-	// OnPilotStrata, when non-nil, observes the merged pilot strata of a
-	// stratified Run right after the allocation table is built.
-	OnPilotStrata func(*engine.StrataSummary)
-	// Eval selects the evaluation design. The default (engine.EvalPerBit)
-	// draws an independent (site, bit) pair per injection — the paper's
-	// design. The site-draw modes (engine.EvalSiteScalar and
-	// engine.EvalSiteBitPlane) draw one buffer site per DType.Width()
-	// injections and evaluate every bit position of the word at that site;
-	// the two site modes share one PRNG stream and produce bit-identical
-	// reports, with EvalSiteBitPlane evaluating PSum REG sites through a
-	// single bit-parallel chain replay plus the analytical masking
-	// pre-screen (the other buffer classes corrupt whole reuse windows, so
-	// their site modes replay per bit either way).
-	Eval engine.EvalMode
-	// MBU is the multi-bit-upset width: every injection flips MBU
-	// adjacent bits of the struck buffer word. 0 and 1 both mean
-	// single-bit upsets. Requires the per-bit evaluation mode; the base
-	// bit is drawn uniformly over the Width()−MBU+1 in-word spans.
-	MBU int
-}
-
-// mbu resolves the upset width (≥ 1).
-func (opt Options) mbu() int {
-	if opt.MBU <= 1 {
-		return 1
-	}
-	return opt.MBU
-}
-
-// engineOptions maps the surface options onto the shared engine's
-// orchestration options; width is the campaign word width, which becomes
-// the draw-unit size of the site-draw evaluation modes.
-func (opt Options) engineOptions(width int) engine.Options {
-	if opt.MBU > width {
-		panic(fmt.Sprintf("eyeriss: MBU width %d exceeds the %d-bit word", opt.MBU, width))
-	}
-	eo := engine.Options{
-		N: opt.N, Workers: opt.Workers,
-		Sampling: opt.Sampling, PilotN: opt.PilotN,
-		Prior: opt.Prior, OnPilot: opt.OnPilotStrata,
-	}
-	switch opt.Eval {
-	case engine.EvalPerBit:
-	case engine.EvalSiteScalar, engine.EvalSiteBitPlane:
-		if opt.mbu() > 1 {
-			panic("eyeriss: MBU campaigns require the per-bit evaluation mode")
-		}
-		eo.SiteBits = width
-	default:
-		panic(fmt.Sprintf("eyeriss: unknown eval mode %q", opt.Eval))
-	}
-	return eo
-}
+// Options configures a buffer campaign: the shared engine's options, whose
+// strata are keyed by (MAC layer, flipped base bit) with weights from the
+// buffer's residency model. Under the site-draw evaluation modes one buffer
+// site is drawn per DType.Width() injections and every bit position of the
+// word there is evaluated; EvalSiteBitPlane evaluates PSum REG sites through
+// a single bit-parallel chain replay plus the analytical masking pre-screen
+// (the other buffer classes corrupt whole reuse windows, so their site modes
+// replay per bit either way).
+type Options = engine.Options
 
 // Campaign injects buffer faults into a network. Build must return a fresh
 // network instance (each shard patches its own copy's cached quantized
@@ -339,6 +259,7 @@ type surface struct {
 	opt Options
 }
 
+func (s surface) Width() int                             { return s.c.DType.Width() }
 func (s surface) NewReport() *Report                     { return &Report{} }
 func (s surface) Merge(dst, src *Report)                 { dst.Merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
@@ -346,12 +267,12 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 	return s.c.runShardPhase(shard, of, s.b, s.opt, ph)
 }
 
-// Surface exposes the (campaign, buffer class) engine adapter and the
-// engine options it runs under, for the cross-surface conformance suite
-// (engine.CheckSurface).
+// Surface binds the (campaign, buffer class) pair to the shared engine: its
+// Surface adapter and the engine options it runs under. Every run verb
+// below is the engine's verb of the same name on this pair.
 func (c *Campaign) Surface(b Buffer, opt Options) (engine.Surface[*Report], engine.Options) {
 	c.validate()
-	return surface{c, b, opt}, opt.engineOptions(c.DType.Width())
+	return surface{c, b, opt}, opt
 }
 
 // Run injects opt.N faults into buffer class b and tallies SDC outcomes.
@@ -360,37 +281,32 @@ func (c *Campaign) Surface(b Buffer, opt Options) (engine.Surface[*Report], engi
 // shards running on goroutines — the reference a distributed run of the
 // same S shards is bit-identical to.
 func (c *Campaign) Run(b Buffer, opt Options) *Report {
-	c.validate()
-	return engine.Run[*Report](surface{c, b, opt}, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(b, opt)
+	return engine.Run(s, eo)
 }
 
 // RunShard runs one shard of an of-way deterministic partition of the
-// buffer campaign, serially, and returns its partial report — the same
-// strided-partition contract as faultinj.Campaign.RunShard, which is what
-// lets buffer campaigns execute on the distributed campaign service.
-// Shard s covers injections s, s+of, s+2·of, … of the N-injection
-// campaign, drawn from a PRNG stream seeded by (opt.Seed, s), so every
-// injection belongs to exactly one shard; each shard builds its own
-// network instance, so shards can execute anywhere — goroutines,
-// processes, machines — and the shard-order merge (MergeReports) is
-// bit-identical to Run with Workers=of.
+// buffer campaign, serially, and returns its partial report (see
+// engine.RunShard): each shard builds its own network instance, so shards
+// can execute anywhere — goroutines, processes, machines — and the
+// shard-order merge (MergeReports) is bit-identical to Run with Workers=of.
 func (c *Campaign) RunShard(shard, of int, b Buffer, opt Options) *Report {
-	c.validate()
-	return engine.RunShard[*Report](surface{c, b, opt}, shard, of, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(b, opt)
+	return engine.RunShard(s, shard, of, eo)
 }
 
 // PilotShard runs one shard of a stratified buffer campaign's uniform
 // pilot phase (see engine.PilotShard).
 func (c *Campaign) PilotShard(shard, of int, b Buffer, opt Options) *Report {
-	c.validate()
-	return engine.PilotShard[*Report](surface{c, b, opt}, shard, of, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(b, opt)
+	return engine.PilotShard(s, shard, of, eo)
 }
 
 // MainShard runs one shard of a stratified buffer campaign's allocated
 // main phase (see engine.MainShard).
 func (c *Campaign) MainShard(shard, of int, b Buffer, table *engine.StratumTable, opt Options) *Report {
-	c.validate()
-	return engine.MainShard[*Report](surface{c, b, opt}, shard, of, table, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(b, opt)
+	return engine.MainShard(s, shard, of, table, eo)
 }
 
 // validate fails fast on a malformed campaign before any shard runs:
@@ -403,7 +319,7 @@ func (c *Campaign) validate() {
 	}
 	c.checked.Do(func() {
 		defer func() { c.invalid = recover() }()
-		newInjector(c.Build(), c.DType, c.Residency)
+		newInjector(c.Build(), c.DType, c.Residency, 1)
 	})
 	if c.invalid != nil {
 		panic(c.invalid)
@@ -418,8 +334,7 @@ func (c *Campaign) validate() {
 func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
 	net := c.Build()
 	net.EnableQuantCache()
-	inj := newInjector(net, c.DType, c.Residency)
-	inj.mbu = opt.mbu()
+	inj := newInjector(net, c.DType, c.Residency, opt.UpsetWidth())
 	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
 		return net.Forward(c.DType, c.Inputs[i])
 	})
@@ -432,30 +347,28 @@ func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine
 	if ph.SiteBits > 0 {
 		return c.runShardPhaseSites(shard, of, b, opt, ph)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*7_654_321 + ph.SeedSalt))
+	rng := ph.Rand(opt.Seed, shard, seedMul)
 	inj, golden := c.newShard(opt)
-	net := inj.net
-	width := c.DType.Width()
-	r := &Report{}
-	if ph.Strata {
-		r.Strata = engine.NewStrata(len(inj.macLayers), width, inj.stratumWeights(b, width), false)
-	}
-	for i := shard; i < ph.N; i += of {
-		g := golden((ph.InputBase + i) % len(c.Inputs))
-		pos, bit := -1, -1
-		if ph.Table != nil {
-			pos, bit = ph.Table.Stratum(i)
-		}
+	r := inj.newReport(b, ph)
+	ph.EachInjection(shard, of, len(c.Inputs), func(_, input, pos, bit int) {
+		g := golden(input)
 		s := inj.draw(rng, b, g, pos, bit)
 		faulty := inj.eval(b, g, s, inj.mbu)
-		outcome := sdc.Classify(net, g, faulty)
-		r.Counts.Add(outcome)
-		if r.Strata != nil {
-			r.Strata.Counts[s.pos*width+s.bit].Add(outcome)
-		}
-		if opt.Detector != nil {
-			r.Detection.Tally(outcome.Hit[sdc.SDC1], opt.Detector(faulty))
-		}
+		c.tallySite(r, opt, s, sdc.Classify(inj.net, g, faulty), faulty)
+	})
+	return r
+}
+
+// seedMul separates the per-shard PRNG streams of this surface from the
+// other surfaces' streams under equal campaign seeds.
+const seedMul = 7_654_321
+
+// newReport allocates a phase report, with the strata grid of buffer class
+// b when the phase records strata.
+func (inj *injector) newReport(b Buffer, ph engine.Phase) *Report {
+	r := &Report{}
+	if ph.Strata {
+		r.Strata = engine.NewStrata(len(inj.macLayers), inj.dt.Width(), inj.stratumWeights(b), false)
 	}
 	return r
 }
@@ -464,15 +377,14 @@ func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine
 type injector struct {
 	net *network.Network
 	dt  numeric.Type
-	// macLayers are the CONV/FC layer indices; cum holds the cumulative
-	// residency weights used to select where a random-in-time upset
-	// lands (MAC counts by default, scheduler cycle weights when the
-	// campaign provides them).
+	// macLayers are the CONV/FC layer indices; res places a random-in-time
+	// upset among them (MAC counts by default, scheduler cycle weights when
+	// the campaign provides them) and draws the base bit of its span.
 	macLayers []int
-	cum       []float64
+	res       *engine.Residency
 	convOnly  []int // CONV layers (Img REG faults need row reuse)
 	// mbu is the upset width (≥ 1): every injection flips mbu adjacent
-	// bits of the struck word, base bit uniform over the in-word spans.
+	// bits of the struck word.
 	mbu int
 	// ifmap is the private patchable copy of golden ifmap ifmapOf that
 	// Global Buffer evaluations flip a word of (and restore), re-cloned
@@ -480,8 +392,8 @@ type injector struct {
 	ifmap, ifmapOf *tensor.Tensor
 }
 
-func newInjector(net *network.Network, dt numeric.Type, residency []float64) *injector {
-	inj := &injector{net: net, dt: dt, mbu: 1}
+func newInjector(net *network.Network, dt numeric.Type, residency []float64, mbu int) *injector {
+	inj := &injector{net: net, dt: dt, mbu: mbu}
 	var weights []float64
 	shape := net.InShape
 	for i, l := range net.Layers {
@@ -494,45 +406,8 @@ func newInjector(net *network.Network, dt numeric.Type, residency []float64) *in
 		}
 		shape = l.OutShape(shape)
 	}
-	if len(inj.macLayers) == 0 {
-		panic("eyeriss: network has no MAC layers")
-	}
-	if residency != nil {
-		if len(residency) != len(inj.macLayers) {
-			panic(fmt.Sprintf("eyeriss: %d residency weights for %d MAC layers",
-				len(residency), len(inj.macLayers)))
-		}
-		weights = residency
-	}
-	total := 0.0
-	inj.cum = make([]float64, len(weights))
-	for i, w := range weights {
-		if w < 0 {
-			panic("eyeriss: negative residency weight")
-		}
-		total += w
-		inj.cum[i] = total
-	}
-	if total <= 0 {
-		panic("eyeriss: residency weights sum to zero")
-	}
-	for i := range inj.cum {
-		inj.cum[i] /= total
-	}
+	inj.res = engine.NewResidency(weights, residency, dt.Width(), mbu)
 	return inj
-}
-
-// pickLayerPos draws a MAC-layer position by residency weight — the
-// probability a random-in-time upset strikes while that layer's data is
-// buffered. The position indexes macLayers (and the stratum grid).
-func (inj *injector) pickLayerPos(rng *rand.Rand) int {
-	u := rng.Float64()
-	for i, c := range inj.cum {
-		if u < c {
-			return i
-		}
-	}
-	return len(inj.macLayers) - 1
 }
 
 // layerPos returns the macLayers position of a network layer index.
@@ -545,50 +420,22 @@ func (inj *injector) layerPos(li int) int {
 	panic(fmt.Sprintf("eyeriss: layer %d is not a MAC layer", li))
 }
 
-// layerProb returns the residency probability of MAC-layer position i.
-func (inj *injector) layerProb(i int) float64 {
-	if i == 0 {
-		return inj.cum[0]
-	}
-	return inj.cum[i] - inj.cum[i-1]
-}
-
 // stratumWeights returns the (MAC layer, base bit) population
 // probabilities of buffer class b's uniform injection design — the
-// weights that make the stratified estimator unbiased for it. For most
-// buffers a layer's probability is its residency weight and base bits are
-// uniform over the word's width−mbu+1 in-word spans (the top mbu−1
-// base-bit strata carry zero weight under a multi-bit upset); Img REG
-// faults only strike CONV layers (row reuse), uniformly, so FC strata
-// carry zero weight there and are never allocated injections.
-func (inj *injector) stratumWeights(b Buffer, width int) engine.HexFloats {
-	validBits := width - inj.mbu + 1
-	w := make(engine.HexFloats, len(inj.macLayers)*width)
-	if b == ImgReg {
-		per := 1 / (float64(len(inj.convOnly)) * float64(validBits))
-		for _, li := range inj.convOnly {
-			pos := inj.layerPos(li)
-			for bit := 0; bit < validBits; bit++ {
-				w[pos*width+bit] = per
-			}
+// weights that make the stratified estimator unbiased for it: the residency
+// sampler's for most buffers; Img REG faults only strike CONV layers (row
+// reuse), uniformly, so FC strata carry zero weight there and are never
+// allocated injections.
+func (inj *injector) stratumWeights(b Buffer) engine.HexFloats {
+	if b != ImgReg {
+		return inj.res.StratumWeights()
+	}
+	return engine.StratumGrid(len(inj.macLayers), inj.dt.Width(), inj.mbu, func(pos, valid int) float64 {
+		if inj.net.Layers[inj.macLayers[pos]].Kind() != layers.Conv {
+			return 0
 		}
-		return w
-	}
-	for i := range inj.macLayers {
-		wl := inj.layerProb(i) / float64(validBits)
-		for bit := 0; bit < validBits; bit++ {
-			w[i*width+bit] = wl
-		}
-	}
-	return w
-}
-
-// layerInput returns the golden input tensor of a layer.
-func layerInput(g *network.Execution, layerIdx int) *tensor.Tensor {
-	if layerIdx == 0 {
-		return g.Input
-	}
-	return g.Acts[layerIdx-1]
+		return 1 / (float64(len(inj.convOnly)) * float64(valid))
+	})
 }
 
 // macLayer is a CONV/FC layer as the buffer fault models see it.
@@ -630,27 +477,27 @@ func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, b
 		if b == ImgReg {
 			pos = inj.layerPos(inj.convOnly[rng.Intn(len(inj.convOnly))])
 		} else {
-			pos = inj.pickLayerPos(rng)
+			pos = inj.res.Pick(rng)
 		}
 	}
 	s := site{pos: pos, li: inj.macLayers[pos], oh: -1}
 	switch b {
 	case GlobalBuffer:
-		s.word = rng.Intn(len(layerInput(g, s.li).Data))
-		s.bit = inj.drawBit(rng, bit)
+		s.word = rng.Intn(len(g.LayerInput(s.li).Data))
+		s.bit = inj.res.DrawBit(rng, bit)
 	case FilterSRAM:
 		s.word = rng.Intn(len(inj.quantWeights(s.li)))
-		s.bit = inj.drawBit(rng, bit)
+		s.bit = inj.res.DrawBit(rng, bit)
 	case ImgReg:
 		conv, ok := inj.net.Layers[s.li].(*layers.ConvLayer)
 		if !ok {
 			panic(fmt.Sprintf("eyeriss: Img REG injection into non-CONV layer %d", s.li))
 		}
-		in, os := layerInput(g, s.li), g.Acts[s.li].Shape
+		in, os := g.LayerInput(s.li), g.Acts[s.li].Shape
 		s.ic = rng.Intn(in.Shape.C)
 		s.ih = rng.Intn(in.Shape.H)
 		s.iw = rng.Intn(in.Shape.W)
-		s.bit = inj.drawBit(rng, bit)
+		s.bit = inj.res.DrawBit(rng, bit)
 		s.oc = rng.Intn(os.C)
 		// Output rows whose kernel window covers input row ih:
 		// oh*Stride - Pad <= ih < oh*Stride - Pad + KH.
@@ -667,21 +514,11 @@ func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, b
 	case PSumReg:
 		s.word = rng.Intn(g.Acts[s.li].Shape.Elems())
 		s.step = rng.Intn(inj.net.Layers[s.li].(macLayer).MACChainLen())
-		s.bit = inj.drawBit(rng, bit)
+		s.bit = inj.res.DrawBit(rng, bit)
 	default:
 		panic("eyeriss: unknown buffer")
 	}
 	return s
-}
-
-// drawBit resolves the flipped base-bit position: forced when bit >= 0 (no
-// randomness consumed), drawn uniformly over the word's Width()−mbu+1
-// in-word spans otherwise.
-func (inj *injector) drawBit(rng *rand.Rand, bit int) int {
-	if bit >= 0 {
-		return bit
-	}
-	return rng.Intn(inj.dt.Width() - inj.mbu + 1)
 }
 
 // eval runs the faulty inference of a drawn site with width adjacent bits
@@ -714,7 +551,7 @@ func (inj *injector) eval(b Buffer, g *network.Execution, s site, width int) *ne
 // applied to the injector's private copy of the ifmap and undone after: the
 // corrupted tensor is never part of the execution.
 func (inj *injector) globalFault(g *network.Execution, s site, width int) *network.Execution {
-	src := layerInput(g, s.li)
+	src := g.LayerInput(s.li)
 	if inj.ifmapOf != src {
 		inj.ifmapOf, inj.ifmap = src, src.Clone()
 	}
@@ -742,7 +579,7 @@ func (inj *injector) quantWeights(li int) []float64 {
 func (inj *injector) filterFault(g *network.Execution, s site, width int) *network.Execution {
 	dt := inj.dt
 	l := inj.net.Layers[s.li].(macLayer)
-	in := layerInput(g, s.li)
+	in := g.LayerInput(s.li)
 	ctx := &layers.Context{DType: dt, Quant: inj.net.QuantCache()}
 	if s.li > 0 {
 		ctx.QIn = in.Data // a layer output is its own pre-quantized view
@@ -773,7 +610,7 @@ func (inj *injector) imgFault(g *network.Execution, s site, width int) *network.
 	var changed []int
 	if s.oh >= 0 {
 		conv := inj.net.Layers[s.li].(*layers.ConvLayer)
-		in := layerInput(g, s.li)
+		in := g.LayerInput(s.li)
 		corrupt := inj.dt.FlipBits(in.At(s.ic, s.ih, s.iw), s.bit, width)
 		base := golden.Index(s.oc, s.oh, 0)
 		for ow, v := range inj.recomputeRow(conv, in, golden.Shape, s, corrupt) {

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/faultinj"
+	"repro/internal/engine"
 	"repro/internal/fit"
 	"repro/internal/layers"
 	"repro/internal/network"
@@ -177,9 +177,9 @@ func TestGlobalBufferFaultSpreads(t *testing.T) {
 	net := buildSmall()
 	in := smallInputs(1)[0]
 	g := net.Forward(numeric.Fx16RB10, in)
-	inj := newInjector(net, numeric.Fx16RB10, nil)
+	inj := newInjector(net, numeric.Fx16RB10, nil, 1)
 
-	corrupted := layerInput(g, 0).Clone()
+	corrupted := g.LayerInput(0).Clone()
 	corrupted.Data[30] = numeric.Fx16RB10.FlipBit(corrupted.Data[30], 14)
 	faulty := inj.net.ForwardFromInput(numeric.Fx16RB10, g, 0, corrupted, []int{30})
 	diff := tensor.BitwiseMismatch(g.Acts[0], faulty.Acts[0])
@@ -196,7 +196,7 @@ func TestImgRegFaultConfinedToRow(t *testing.T) {
 	dt := numeric.Fx16RB10
 	g := net.Forward(dt, in)
 	conv := net.Layers[0].(*layers.ConvLayer)
-	inj := newInjector(net, dt, nil)
+	inj := newInjector(net, dt, nil, 1)
 	s := site{li: 0, oc: 2, oh: 3, ic: 0, ih: 3, iw: 3, bit: 14}
 	act := inj.imgFault(g, s, 1).Acts[0]
 	if act == g.Acts[0] {
@@ -295,7 +295,7 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 	}
 
 	for li, wi := range map[int]int{0: 3, 3: 77} { // conv1, fc2
-		cf := newInjector(cached, dt, nil).filterFault(cg, site{li: li, word: wi, bit: 12}, 1)
+		cf := newInjector(cached, dt, nil, 1).filterFault(cg, site{li: li, word: wi, bit: 12}, 1)
 
 		var wts []float64
 		switch l := plain.Layers[li].(type) {
@@ -306,7 +306,7 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 		}
 		orig := wts[wi]
 		wts[wi] = dt.FlipBit(orig, 12)
-		pf := plain.ForwardFromInputDense(dt, pg, li, layerInput(pg, li))
+		pf := plain.ForwardFromInputDense(dt, pg, li, pg.LayerInput(li))
 		wts[wi] = orig
 
 		if li == 0 && cf.Masked {
@@ -421,7 +421,7 @@ func TestStratifiedBufferSmoke(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const n = 150
 	for _, b := range Buffers {
-		r := c.Run(b, Options{N: n, Seed: 13, Workers: 3, Sampling: faultinj.SamplingStratified})
+		r := c.Run(b, Options{N: n, Seed: 13, Workers: 3, Sampling: engine.SamplingStratified})
 		if r.Counts.Trials != n {
 			t.Fatalf("%s: trials = %d, want %d", b, r.Counts.Trials, n)
 		}
@@ -454,7 +454,7 @@ func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	for _, b := range []Buffer{GlobalBuffer, ImgReg} {
 		for _, shards := range []int{1, 2, 7} {
-			opt := Options{N: 97, Seed: 19, Workers: shards, Sampling: faultinj.SamplingStratified}
+			opt := Options{N: 97, Seed: 19, Workers: shards, Sampling: engine.SamplingStratified}
 			want := c.Run(b, opt)
 			parts := make([]*Report, shards)
 			for s := 0; s < shards; s++ {
@@ -472,15 +472,15 @@ func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
 func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const shards = 3
-	opt := Options{N: 101, Seed: 23, Workers: shards, Sampling: faultinj.SamplingStratified}
+	opt := Options{N: 101, Seed: 23, Workers: shards, Sampling: engine.SamplingStratified}
 	want := c.Run(FilterSRAM, opt)
 
 	pilots := make([]*Report, shards)
 	for s := 0; s < shards; s++ {
 		pilots[s] = c.PilotShard(s, shards, FilterSRAM, opt)
 	}
-	_, mainN := faultinj.PilotBudget(opt.N, opt.PilotN)
-	table := faultinj.BuildStratumTable(MergeReports(pilots).Strata, mainN)
+	_, mainN := engine.PilotBudget(opt.N, opt.PilotN)
+	table := engine.BuildStratumTable(MergeReports(pilots).Strata, mainN)
 	got := &Report{}
 	for s := 0; s < shards; s++ {
 		pair := &Report{}
@@ -499,7 +499,7 @@ func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const n = 1200
 	uni := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4})
-	str := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4, Sampling: faultinj.SamplingStratified})
+	str := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4, Sampling: engine.SamplingStratified})
 	pu, ciu := uni.SDCEstimate(sdc.SDC1)
 	ps, cis := str.SDCEstimate(sdc.SDC1)
 	const z95, z99 = 1.959963984540054, 2.5758293035489004
@@ -523,7 +523,7 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 	}
 	opt := Options{N: 60, Seed: 5, Workers: 1}
 	strat := opt
-	strat.Sampling = faultinj.SamplingStratified
+	strat.Sampling = engine.SamplingStratified
 	for s := 0; s < 3; s++ {
 		c.PilotShard(s, 3, GlobalBuffer, strat)
 		c.RunShard(s, 3, FilterSRAM, opt)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/faultinj"
 	"repro/internal/numeric"
 )
 
@@ -39,7 +38,7 @@ func TestBufferMBUCampaign(t *testing.T) {
 	width := numeric.Fx16RB10.Width()
 	for _, b := range []Buffer{GlobalBuffer, ImgReg} {
 		sopt := opt
-		sopt.Sampling = faultinj.SamplingStratified
+		sopt.Sampling = engine.SamplingStratified
 		sopt.PilotN = 24
 		sr := c.Run(b, sopt)
 		if sr.Strata == nil {

@@ -51,7 +51,7 @@ func buildTwoConv() *network.Network {
 func denseEval(plain *network.Network, dt numeric.Type, b Buffer, g *network.Execution, s site, width int) *network.Execution {
 	switch b {
 	case GlobalBuffer:
-		in := layerInput(g, s.li).Clone()
+		in := g.LayerInput(s.li).Clone()
 		in.Data[s.word] = dt.FlipBits(in.Data[s.word], s.bit, width)
 		return plain.ForwardFromInputDense(dt, g, s.li, in)
 	case FilterSRAM:
@@ -64,16 +64,16 @@ func denseEval(plain *network.Network, dt numeric.Type, b Buffer, g *network.Exe
 		}
 		orig := wts[s.word]
 		wts[s.word] = dt.FlipBits(orig, s.bit, width)
-		faulty := plain.ForwardFromInputDense(dt, g, s.li, layerInput(g, s.li))
+		faulty := plain.ForwardFromInputDense(dt, g, s.li, g.LayerInput(s.li))
 		wts[s.word] = orig
 		return faulty
 	case ImgReg:
 		act := g.Acts[s.li].Clone()
 		if s.oh >= 0 {
-			in := layerInput(g, s.li)
+			in := g.LayerInput(s.li)
 			conv := plain.Layers[s.li].(*layers.ConvLayer)
 			corrupt := dt.FlipBits(in.At(s.ic, s.ih, s.iw), s.bit, width)
-			for ow, v := range newInjector(plain, dt, nil).recomputeRow(conv, in, act.Shape, s, corrupt) {
+			for ow, v := range newInjector(plain, dt, nil, 1).recomputeRow(conv, in, act.Shape, s, corrupt) {
 				act.Set(s.oc, s.oh, ow, v)
 			}
 		}

@@ -28,15 +28,15 @@ func stripPreMasked(r *Report) {
 // value samples, spread sums and strata included.
 func TestSiteBitPlaneMatchesSiteScalar(t *testing.T) {
 	for _, dt := range numeric.Types {
-		for _, sampling := range []SamplingMode{SamplingUniform, SamplingStratified} {
+		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 			opt := Options{N: 260, Seed: 31, Workers: 2, TrackValues: 40, TrackSpread: true, Sampling: sampling}
 
 			oScalar := opt
-			oScalar.Eval = EvalSiteScalar
+			oScalar.Eval = engine.EvalSiteScalar
 			want := New(smallNet(), dt, smallInputs(2)).Run(oScalar)
 
 			oPlane := opt
-			oPlane.Eval = EvalSiteBitPlane
+			oPlane.Eval = engine.EvalSiteBitPlane
 			got := New(smallNet(), dt, smallInputs(2)).Run(oPlane)
 
 			if got.PreMasked > got.Masked {
@@ -61,8 +61,8 @@ func TestSiteBitPlaneMatchesSiteScalar(t *testing.T) {
 // site modes and both sampling designs — the property the distributed
 // campaign service (and its resume path) relies on.
 func TestSiteModesShardMergeMatchesRun(t *testing.T) {
-	for _, eval := range []EvalMode{EvalSiteScalar, EvalSiteBitPlane} {
-		for _, sampling := range []SamplingMode{SamplingUniform, SamplingStratified} {
+	for _, eval := range []engine.EvalMode{engine.EvalSiteScalar, engine.EvalSiteBitPlane} {
+		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 			for _, shards := range []int{1, 2, 7} {
 				opt := Options{
 					N: 203, Seed: 17, Workers: shards,
@@ -98,11 +98,11 @@ func TestSiteModesShardMergeMatchesRun(t *testing.T) {
 func TestSiteModesWithDetector(t *testing.T) {
 	det := func(e *network.Execution) bool { return e.Output().Data[0] > 0.1 }
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
-		oScalar := Options{N: 200, Seed: 23, Detector: det, Eval: EvalSiteScalar}
+		oScalar := Options{N: 200, Seed: 23, Detector: det, Eval: engine.EvalSiteScalar}
 		want := New(smallNet(), dt, smallInputs(2)).Run(oScalar)
 
 		oPlane := oScalar
-		oPlane.Eval = EvalSiteBitPlane
+		oPlane.Eval = engine.EvalSiteBitPlane
 		got := New(smallNet(), dt, smallInputs(2)).Run(oPlane)
 
 		if got.PreMasked != 0 {
@@ -121,7 +121,7 @@ func TestSiteModesWithDetector(t *testing.T) {
 func TestPreScreenSoundness(t *testing.T) {
 	for _, dt := range numeric.Types {
 		c := New(smallNet(), dt, smallInputs(2))
-		opt := Options{Eval: EvalSiteBitPlane}
+		opt := Options{Eval: engine.EvalSiteBitPlane}
 		c.setup(&opt)
 		width := dt.Width()
 		rng := rand.New(rand.NewSource(int64(123 + width)))
@@ -179,7 +179,7 @@ func TestPreScreenSoundness(t *testing.T) {
 func TestSiteModeDrawCoverage(t *testing.T) {
 	width := numeric.Float16.Width()
 	n := 10*width + 3 // ragged tail
-	r := New(smallNet(), numeric.Float16, smallInputs(1)).Run(Options{N: n, Seed: 9, Eval: EvalSiteBitPlane})
+	r := New(smallNet(), numeric.Float16, smallInputs(1)).Run(Options{N: n, Seed: 9, Eval: engine.EvalSiteBitPlane})
 	if r.Counts.Trials != n {
 		t.Fatalf("Trials = %d, want %d", r.Counts.Trials, n)
 	}
@@ -202,9 +202,9 @@ func TestSiteModeValidation(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"custom selector", Options{N: 10, Eval: EvalSiteBitPlane, Selector: BitSelector(3)}},
-		{"dense", Options{N: 10, Eval: EvalSiteScalar, Dense: true}},
-		{"unknown mode", Options{N: 10, Eval: EvalMode("site-nonsense")}},
+		{"custom selector", Options{N: 10, Eval: engine.EvalSiteBitPlane, Selector: BitSelector(3)}},
+		{"dense", Options{N: 10, Eval: engine.EvalSiteScalar, Dense: true}},
+		{"unknown mode", Options{N: 10, Eval: engine.EvalMode("site-nonsense")}},
 	} {
 		func() {
 			defer func() {
@@ -251,7 +251,7 @@ func TestDrawUnits(t *testing.T) {
 		{64, 64, 1}, {65, 64, 2},
 	} {
 		if got := engine.DrawUnits(tc.n, tc.bits); got != tc.want {
-			t.Errorf("DrawUnits(%d, %d) = %d, want %d", tc.n, tc.bits, got, tc.want)
+			t.Errorf("engine.DrawUnits(%d, %d) = %d, want %d", tc.n, tc.bits, got, tc.want)
 		}
 	}
 }

@@ -137,7 +137,7 @@ type Report struct {
 	// stratified design — biased toward high-variance strata by
 	// construction — and SDCEstimate/SpreadRate apply the Horvitz–Thompson
 	// reweighting that recovers unbiased uniform-design estimates.
-	Strata *StrataSummary `json:",omitempty"`
+	Strata *engine.StrataSummary `json:",omitempty"`
 }
 
 func newReport(bits, blocks int) *Report {
@@ -204,13 +204,7 @@ func (r *Report) merge(r2 *Report) {
 			r.PreMaskedPerBit[i] += r2.PreMaskedPerBit[i]
 		}
 	}
-	if r2.Strata != nil {
-		if r.Strata == nil {
-			r.Strata = r2.Strata.Clone()
-		} else {
-			r.Strata.Merge(r2.Strata)
-		}
-	}
+	r.Strata = engine.MergeStrata(r.Strata, r2.Strata)
 }
 
 // SpreadRate returns the mean bit-wise mismatch fraction at the final
@@ -283,28 +277,28 @@ type Options struct {
 	// re-execution (see layers.DefaultSparseDensityCutoff for the default).
 	// Reports are bit-identical at any value; only throughput changes.
 	SparseDensityCutoff float64
-	// Sampling selects the site-sampling design: SamplingUniform (the
-	// default, "" included) or SamplingStratified — the two-phase
+	// Sampling selects the site-sampling design: engine.SamplingUniform
+	// (the default, "" included) or SamplingStratified — the two-phase
 	// masking-aware campaign (see internal/engine). Stratified campaigns
 	// require the default uniform Selector; Report.SDCEstimate and
 	// SpreadRate stay unbiased estimates of the uniform-design quantities
 	// either way.
-	Sampling SamplingMode
+	Sampling engine.SamplingMode
 	// PilotN is the uniform pilot budget of a stratified campaign;
-	// DefaultPilotN(N) when zero. Ignored under uniform sampling.
+	// engine.DefaultPilotN(N) when zero. Ignored under uniform sampling.
 	PilotN int
 	// Prior, when non-nil, seeds a stratified campaign's Neyman allocation
 	// from a previous campaign's persisted strata instead of running a
 	// pilot: the whole budget is main-phase. The prior must come from a
 	// campaign over the same network and format (equal stratum grid and
 	// weights).
-	Prior *StrataSummary
+	Prior *engine.StrataSummary
 	// OnPilotStrata, when non-nil, observes the merged pilot strata of a
 	// stratified Run right after the allocation table is built — the hook
 	// strata artifacts use to persist the pilot for later Prior reuse.
-	OnPilotStrata func(*StrataSummary)
-	// Eval selects the evaluation mode: EvalPerBit (the default "", one
-	// independent (site, bit) draw per injection — the paper's design),
+	OnPilotStrata func(*engine.StrataSummary)
+	// Eval selects the evaluation mode: engine.EvalPerBit (the default "",
+	// one independent (site, bit) draw per injection — the paper's design),
 	// EvalSiteScalar or EvalSiteBitPlane (site-draw designs: each drawn
 	// site is evaluated at every bit position, scalar replays vs one
 	// bit-parallel replay with an analytical masking pre-screen). The two
@@ -312,7 +306,7 @@ type Options struct {
 	// different (equally valid) sampling design with its own PRNG stream.
 	// Site modes require the default uniform Selector and are incompatible
 	// with Dense.
-	Eval EvalMode
+	Eval engine.EvalMode
 	// MBU is the multi-bit-upset width: every injection flips MBU
 	// adjacent bits of the struck latch. 0 and 1 both mean single-bit
 	// upsets. Requires the per-bit evaluation mode and the default
@@ -321,33 +315,16 @@ type Options struct {
 	MBU int
 }
 
-// mbu resolves the upset width (≥ 1).
-func (opt Options) mbu() int {
-	if opt.MBU <= 1 {
-		return 1
-	}
-	return opt.MBU
-}
-
-// engineOptions maps the surface options onto the shared engine's
-// orchestration options. width is the campaign format's bit width — the
-// draw-unit size of the site-draw evaluation modes.
-func (opt Options) engineOptions(width int) engine.Options {
-	if opt.MBU > width {
-		panic(fmt.Sprintf("faultinj: MBU width %d exceeds the %d-bit word", opt.MBU, width))
-	}
-	eo := engine.Options{
-		N: opt.N, Workers: opt.Workers,
+// engineOptions maps the options onto the shared engine's: the ten fields
+// every surface has, which the engine validates and orchestrates by. What
+// stays behind is the datapath's own (Selector, tracking, Dense, cutoff).
+func (opt Options) engineOptions() engine.Options {
+	return engine.Options{
+		N: opt.N, Seed: opt.Seed, Workers: opt.Workers, Detector: opt.Detector,
 		Sampling: opt.Sampling, PilotN: opt.PilotN,
-		Prior: opt.Prior, OnPilot: opt.OnPilotStrata,
+		Prior: opt.Prior, OnPilotStrata: opt.OnPilotStrata,
+		Eval: opt.Eval, MBU: opt.MBU,
 	}
-	if opt.Eval != EvalPerBit {
-		if opt.mbu() > 1 {
-			panic("faultinj: MBU campaigns require the per-bit evaluation mode")
-		}
-		eo.SiteBits = width
-	}
-	return eo
 }
 
 // Campaign binds a network, format and input set.
@@ -425,11 +402,6 @@ func (c *Campaign) Golden(i int) *network.Execution {
 	return c.goldens[i]
 }
 
-// EffectiveShards returns the shard count Run actually uses for a worker
-// request: at least one, at most one per injection (see
-// engine.EffectiveShards).
-func EffectiveShards(workers, n int) int { return engine.EffectiveShards(workers, n) }
-
 // surface adapts the campaign to the shared engine's Surface interface:
 // the engine owns all shard fan-out, phase sequencing, allocation-table
 // construction and the canonical merge association, and calls back here
@@ -440,18 +412,15 @@ type surface struct {
 	bits, blocks int
 }
 
-func (c *Campaign) surface(opt Options) surface {
-	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.profile.NumMACLayers()}
-}
-
-// Surface exposes the campaign's engine adapter and the engine options it
-// runs under, for the cross-surface conformance suite
-// (engine.CheckSurface).
+// Surface binds the campaign to the shared engine: its Surface adapter and
+// the engine options it runs under. Every run verb below is the engine's
+// verb of the same name on this pair.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
 	c.setup(&opt)
-	return c.surface(opt), opt.engineOptions(c.DType.Width())
+	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.profile.NumMACLayers()}, opt.engineOptions()
 }
 
+func (s surface) Width() int                             { return s.bits }
 func (s surface) NewReport() *Report                     { return newReport(s.bits, s.blocks) }
 func (s surface) Merge(dst, src *Report)                 { dst.merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
@@ -461,12 +430,12 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 
 // Run executes the campaign and aggregates its report. It is exactly the
 // shard-order merge of RunShard(s, S, opt) for s in [0, S) with
-// S = EffectiveShards(opt.Workers, opt.N), with the shards running on
+// S = engine.EffectiveShards(opt.Workers, opt.N), with the shards running on
 // goroutines — the reference a distributed run of the same S shards is
 // bit-identical to.
 func (c *Campaign) Run(opt Options) *Report {
-	c.setup(&opt)
-	return engine.Run[*Report](c.surface(opt), opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.Run(s, eo)
 }
 
 // RunShard runs one shard of an of-way deterministic partition of the
@@ -479,25 +448,25 @@ func (c *Campaign) Run(opt Options) *Report {
 // shards can therefore execute anywhere — goroutines, processes, machines —
 // and still reproduce the single-process campaign exactly.
 func (c *Campaign) RunShard(shard, of int, opt Options) *Report {
-	c.setup(&opt)
-	return engine.RunShard[*Report](c.surface(opt), shard, of, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.RunShard(s, shard, of, eo)
 }
 
 // PilotShard runs one shard of a stratified campaign's uniform pilot
 // phase. Merging all of shards' pilot reports in shard order yields the
-// pilot BuildStratumTable expects.
+// pilot engine.BuildStratumTable expects.
 func (c *Campaign) PilotShard(shard, of int, opt Options) *Report {
-	c.setup(&opt)
-	return engine.PilotShard[*Report](c.surface(opt), shard, of, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.PilotShard(s, shard, of, eo)
 }
 
 // MainShard runs one shard of a stratified campaign's allocated main phase
-// under the given table (BuildStratumTable of the merged pilot). The full
+// under the given table (engine.BuildStratumTable of the merged pilot). The full
 // campaign report is the per-shard interleaved merge
 // pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ main₁ ⊕ … — bit-identical to Run.
-func (c *Campaign) MainShard(shard, of int, table *StratumTable, opt Options) *Report {
-	c.setup(&opt)
-	return engine.MainShard[*Report](c.surface(opt), shard, of, table, opt.engineOptions(c.DType.Width()))
+func (c *Campaign) MainShard(shard, of int, table *engine.StratumTable, opt Options) *Report {
+	s, eo := c.Surface(opt)
+	return engine.MainShard(s, shard, of, table, eo)
 }
 
 // setup performs the idempotent per-campaign preparation shared by Run and
@@ -517,23 +486,19 @@ func (c *Campaign) setup(opt *Options) {
 		}
 	}
 	c.prepare(opt.Workers)
-	if opt.Sampling == SamplingStratified && opt.Selector != nil {
+	if opt.Sampling == engine.SamplingStratified && opt.Selector != nil {
 		panic("faultinj: stratified sampling draws its own sites and is incompatible with a custom Selector")
 	}
-	if opt.mbu() > 1 && opt.Selector != nil {
+	if opt.MBU > 1 && opt.Selector != nil {
 		panic("faultinj: MBU campaigns draw their own base-bit spans and are incompatible with a custom Selector")
 	}
-	switch opt.Eval {
-	case EvalPerBit:
-	case EvalSiteScalar, EvalSiteBitPlane:
+	if opt.Eval != engine.EvalPerBit {
 		if opt.Selector != nil {
 			panic("faultinj: site-draw evaluation modes draw their own sites and are incompatible with a custom Selector")
 		}
 		if opt.Dense {
 			panic("faultinj: site-draw evaluation modes require the incremental engine (Options.Dense unsupported)")
 		}
-	default:
-		panic(fmt.Sprintf("faultinj: unknown evaluation mode %q", opt.Eval))
 	}
 	if opt.Selector == nil {
 		opt.Selector = UniformSelector
@@ -541,21 +506,26 @@ func (c *Campaign) setup(opt *Options) {
 }
 
 // stratumWeights returns the (block, base bit) population probabilities
-// under uniform site sampling: the block's MAC share divided by the
-// number of valid base-bit positions. Under an MBU of width m the base
-// bit is uniform over the word's bits−m+1 in-word spans, so the top m−1
-// base-bit strata carry zero weight and are never allocated injections.
-// Identical for every shard of a campaign (pure function of the profile).
-func (c *Campaign) stratumWeights(bits, blocks, mbu int) HexFloats {
-	validBits := bits - mbu + 1
-	w := make(HexFloats, blocks*bits)
-	for b := 0; b < blocks; b++ {
-		wb := c.profile.BlockWeight(b) / float64(validBits)
-		for bit := 0; bit < validBits; bit++ {
-			w[b*bits+bit] = wb
-		}
+// under uniform site sampling: the block's MAC share spread over its valid
+// base-bit strata (engine.StratumGrid). Identical for every shard of a
+// campaign (pure function of the profile).
+func (c *Campaign) stratumWeights(bits, blocks, mbu int) engine.HexFloats {
+	return engine.StratumGrid(blocks, bits, mbu, func(b, valid int) float64 {
+		return c.profile.BlockWeight(b) / float64(valid)
+	})
+}
+
+// seedMul separates the per-shard PRNG streams of this surface from the
+// other surfaces' streams under equal campaign seeds.
+const seedMul = 1_000_003
+
+// valueBudget is one shard's share of the campaign's value-sample budget
+// in a phase that may spend it.
+func (c *Campaign) valueBudget(opt Options, of int, ph engine.Phase) int {
+	if ph.Values && opt.TrackValues > 0 {
+		return (opt.TrackValues + of - 1) / of
 	}
-	return w
+	return 0
 }
 
 // drawnSite is one injection of a shard: its sequence position within the
@@ -596,23 +566,19 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 	if ph.SiteBits > 0 {
 		return c.runShardPhaseSites(shard, of, opt, bits, blocks, ph)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*1_000_003 + ph.SeedSalt))
-	valueBudget := 0
-	if ph.Values && opt.TrackValues > 0 {
-		valueBudget = (opt.TrackValues + of - 1) / of
-	}
+	rng := ph.Rand(opt.Seed, shard, seedMul)
+	valueBudget := c.valueBudget(opt, of, ph)
 
 	// Phase 1: draw every site of the shard in sequence order. Stratified
 	// main-phase draws replace the selector with a table lookup: injection
 	// i belongs to a fixed stratum, and only the site within the stratum
 	// is random (two PRNG values, like every uniform draw's tail).
-	mbu := opt.mbu()
+	mbu := opt.engineOptions().UpsetWidth()
 	var seq []drawnSite
-	for i := shard; i < ph.N; i += of {
+	ph.EachInjection(shard, of, len(c.Inputs), func(_, input, block, bit int) {
 		var site accel.Site
 		switch {
-		case ph.Table != nil:
-			block, bit := ph.Table.Stratum(i)
+		case block >= 0:
 			site = c.profile.RandomSiteInBlockWithBit(rng, block, bit)
 			if mbu > 1 {
 				site.Fault.Width = mbu
@@ -622,12 +588,8 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 		default:
 			site = opt.Selector(rng, c.profile)
 		}
-		seq = append(seq, drawnSite{
-			pos:      len(seq),
-			inputIdx: (ph.InputBase + i) % len(c.Inputs),
-			site:     site,
-		})
-	}
+		seq = append(seq, drawnSite{pos: len(seq), inputIdx: input, site: site})
+	})
 
 	// Phase 2: group by (input, faulted layer), first-appearance order.
 	type groupKey struct{ input, layer int }
@@ -679,11 +641,7 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 				}
 			}
 			if opt.TrackSpread {
-				gActs := c.Net.BlockActs(golden)
-				fActs := c.Net.BlockActs(faulty)
-				last := len(gActs) - 1
-				mismatch := tensor.BitwiseMismatch(gActs[last], fActs[last])
-				res.spread = float64(mismatch) / float64(gActs[last].Shape.Elems())
+				res.spread = c.finalBlockSpread(golden, faulty)
 			}
 			if opt.Detector != nil {
 				res.det = opt.Detector(faulty)
@@ -703,7 +661,7 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 func (c *Campaign) foldResults(results []injResult, opt Options, bits, blocks int, ph engine.Phase) *Report {
 	r := newReport(bits, blocks)
 	if ph.Strata {
-		r.Strata = engine.NewStrata(blocks, bits, c.stratumWeights(bits, blocks, opt.mbu()), opt.TrackSpread)
+		r.Strata = engine.NewStrata(blocks, bits, c.stratumWeights(bits, blocks, opt.engineOptions().UpsetWidth()), opt.TrackSpread)
 	}
 	for i := range results {
 		res := &results[i]

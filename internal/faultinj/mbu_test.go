@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/accel"
+	"repro/internal/engine"
 	"repro/internal/layers"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
@@ -64,7 +65,7 @@ func TestMBUCampaign(t *testing.T) {
 	// Stratified MBU campaigns must leave the top MBU-1 base-bit strata
 	// empty: their population weight is zero.
 	sopt := opt
-	sopt.Sampling = SamplingStratified
+	sopt.Sampling = engine.SamplingStratified
 	sopt.PilotN = 32
 	sr := New(smallNet(), dt, smallInputs(2)).Run(sopt)
 	if sr.Strata == nil {
@@ -95,7 +96,7 @@ func TestMBURejectsSiteModes(t *testing.T) {
 			t.Error("MBU + site mode did not panic")
 		}
 	}()
-	c.Run(Options{N: 8, Seed: 1, MBU: 2, Eval: EvalSiteScalar})
+	c.Run(Options{N: 8, Seed: 1, MBU: 2, Eval: engine.EvalSiteScalar})
 }
 
 func TestMBUWiderThanWordRejected(t *testing.T) {

@@ -12,7 +12,6 @@ package faultinj
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/accel"
 	"repro/internal/engine"
@@ -33,46 +32,30 @@ type drawnUnit struct {
 }
 
 // runShardPhaseSites is runShardPhase for the site-draw evaluation modes:
-// the phase's N injections are covered by DrawUnits(N, SiteBits) site
-// draws, the shard strides over draw units, and each unit expands into
-// nbits injections folded in ascending bit order. Structure mirrors
+// the shard strides over site draw units (engine.Phase.EachUnit) and each
+// unit expands into nbits injections folded in ascending bit order. Structure mirrors
 // runShardPhase: draw, group by (input, layer), execute, fold in draw
 // order.
 func (c *Campaign) runShardPhaseSites(shard, of int, opt Options, bits, blocks int, ph engine.Phase) *Report {
-	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*1_000_003 + ph.SeedSalt))
-	valueBudget := 0
-	if ph.Values && opt.TrackValues > 0 {
-		valueBudget = (opt.TrackValues + of - 1) / of
-	}
+	rng := ph.Rand(opt.Seed, shard, seedMul)
+	valueBudget := c.valueBudget(opt, of, ph)
 
 	// Phase 1: draw every site of the shard in sequence order. A site draw
 	// consumes two PRNG values (MAC index, latch), exactly like the tail of
 	// a per-bit draw; stratified main-phase units allocate over per-block
 	// strata (the table's bit dimension is 1).
-	units := engine.DrawUnits(ph.N, ph.SiteBits)
 	var seq []drawnUnit
 	totalInj := 0
-	for u := shard; u < units; u += of {
+	ph.EachUnit(shard, of, len(c.Inputs), func(_, input, block, nbits int) {
 		var site accel.Site
-		if ph.Table != nil {
-			block, _ := ph.Table.Stratum(u)
+		if block >= 0 {
 			site = c.profile.RandomSiteInBlockNoBit(rng, block)
 		} else {
 			site = c.profile.RandomSiteNoBit(rng)
 		}
-		nbits := ph.SiteBits
-		if rem := ph.N - u*ph.SiteBits; rem < nbits {
-			nbits = rem
-		}
-		seq = append(seq, drawnUnit{
-			pos:      len(seq),
-			injBase:  totalInj,
-			inputIdx: (ph.InputBase + u) % len(c.Inputs),
-			site:     site,
-			nbits:    nbits,
-		})
+		seq = append(seq, drawnUnit{pos: len(seq), injBase: totalInj, inputIdx: input, site: site, nbits: nbits})
 		totalInj += nbits
-	}
+	})
 
 	// Phase 2: group by (input, faulted layer), first-appearance order.
 	type groupKey struct{ input, layer int }
@@ -101,7 +84,7 @@ func (c *Campaign) runShardPhaseSites(shard, of int, opt Options, bits, blocks i
 		// classifying golden against itself is the same pure computation.
 		maskedOut := sdc.Classify(c.Net, golden, golden)
 		for _, d := range group {
-			if opt.Eval == EvalSiteBitPlane {
+			if opt.Eval == engine.EvalSiteBitPlane {
 				c.runUnitPlane(batch, golden, d, opt, maskedOut, valueBudget, results)
 			} else {
 				c.runUnitScalar(batch, golden, d, opt, valueBudget, results)

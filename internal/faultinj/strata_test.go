@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/models"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
@@ -21,13 +22,13 @@ func TestPilotBudget(t *testing.T) {
 		{1000, 0, 200, 800}, // default: n/5
 		{1000, 300, 300, 700},
 		{1000, 5000, 1000, 0}, // clamped to n
-		{3, 0, 1, 2},          // DefaultPilotN floor
+		{3, 0, 1, 2},          // engine.DefaultPilotN floor
 		{1, 0, 1, 0},
 	}
 	for _, tc := range cases {
-		pilot, main := PilotBudget(tc.n, tc.pilotN)
+		pilot, main := engine.PilotBudget(tc.n, tc.pilotN)
 		if pilot != tc.wantPilot || main != tc.wantMain {
-			t.Errorf("PilotBudget(%d,%d) = (%d,%d), want (%d,%d)",
+			t.Errorf("engine.PilotBudget(%d,%d) = (%d,%d), want (%d,%d)",
 				tc.n, tc.pilotN, pilot, main, tc.wantPilot, tc.wantMain)
 		}
 	}
@@ -36,12 +37,12 @@ func TestPilotBudget(t *testing.T) {
 // pilotSummary builds a 2-block x 4-bit summary with a hand-chosen pilot:
 // stratum (0,3) saw SDC activity, everything else was masked, and stratum
 // (1,0) has zero weight (never sampleable).
-func pilotSummary() *StrataSummary {
+func pilotSummary() *engine.StrataSummary {
 	const blocks, bits = 2, 4
-	s := &StrataSummary{
+	s := &engine.StrataSummary{
 		Blocks: blocks,
 		Bits:   bits,
-		Weight: make(HexFloats, blocks*bits),
+		Weight: make(engine.HexFloats, blocks*bits),
 		Counts: make([]sdc.Counts, blocks*bits),
 	}
 	for h := range s.Weight {
@@ -65,7 +66,7 @@ func pilotSummary() *StrataSummary {
 func TestBuildStratumTableAllocation(t *testing.T) {
 	s := pilotSummary()
 	const mainN = 100
-	tab := BuildStratumTable(s, mainN)
+	tab := engine.BuildStratumTable(s, mainN)
 
 	total := 0
 	for h, a := range tab.Alloc {
@@ -95,8 +96,8 @@ func TestBuildStratumTableAllocation(t *testing.T) {
 }
 
 func TestBuildStratumTableDeterministic(t *testing.T) {
-	a := BuildStratumTable(pilotSummary(), 97)
-	b := BuildStratumTable(pilotSummary(), 97)
+	a := engine.BuildStratumTable(pilotSummary(), 97)
+	b := engine.BuildStratumTable(pilotSummary(), 97)
 	for h := range a.Alloc {
 		if a.Alloc[h] != b.Alloc[h] {
 			t.Fatalf("allocation diverged at stratum %d: %d vs %d", h, a.Alloc[h], b.Alloc[h])
@@ -105,7 +106,7 @@ func TestBuildStratumTableDeterministic(t *testing.T) {
 }
 
 func TestStratumTableMapping(t *testing.T) {
-	tab := BuildStratumTable(pilotSummary(), 53)
+	tab := engine.BuildStratumTable(pilotSummary(), 53)
 	seen := make([]int, len(tab.Alloc))
 	for j := 0; j < tab.MainN; j++ {
 		block, bit := tab.Stratum(j)
@@ -130,7 +131,7 @@ func TestStratumTableMapping(t *testing.T) {
 func TestStratifiedBudgetAndWeights(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(2))
 	const n = 500
-	r := c.Run(Options{N: n, Seed: 31, Workers: 3, Sampling: SamplingStratified})
+	r := c.Run(Options{N: n, Seed: 31, Workers: 3, Sampling: engine.SamplingStratified})
 	if r.Counts.Trials != n {
 		t.Fatalf("Trials = %d, want %d", r.Counts.Trials, n)
 	}
@@ -159,7 +160,7 @@ func TestStratifiedUnbiased(t *testing.T) {
 	for _, dt := range numeric.Types {
 		const n = 2400
 		uni := New(smallNet(), dt, smallInputs(2)).Run(Options{N: n, Seed: 37, Workers: 4})
-		str := New(smallNet(), dt, smallInputs(2)).Run(Options{N: n, Seed: 37, Workers: 4, Sampling: SamplingStratified})
+		str := New(smallNet(), dt, smallInputs(2)).Run(Options{N: n, Seed: 37, Workers: 4, Sampling: engine.SamplingStratified})
 
 		pu, ciu := uni.SDCEstimate(sdc.SDC1)
 		ps, cis := str.SDCEstimate(sdc.SDC1)
@@ -185,7 +186,7 @@ func TestStratifiedCINarrowerOnConvNet(t *testing.T) {
 		c := New(net, dt, []*tensor.Tensor{models.InputFor("ConvNet", 0)})
 		c.Golden(0)
 		uni := c.Run(Options{N: n, Seed: 1})
-		str := c.Run(Options{N: n, Seed: 1, Sampling: SamplingStratified})
+		str := c.Run(Options{N: n, Seed: 1, Sampling: engine.SamplingStratified})
 		_, ciu := uni.SDCEstimate(sdc.SDC1)
 		_, cis := str.SDCEstimate(sdc.SDC1)
 		if !(cis < ciu) {
@@ -201,7 +202,7 @@ func TestStratifiedCINarrowerOnConvNet(t *testing.T) {
 func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
 		for _, shards := range []int{1, 2, 7} {
-			opt := Options{N: 211, Seed: 41, Workers: shards, Sampling: SamplingStratified, TrackSpread: true}
+			opt := Options{N: 211, Seed: 41, Workers: shards, Sampling: engine.SamplingStratified, TrackSpread: true}
 
 			want := New(smallNet(), dt, smallInputs(2)).Run(opt)
 
@@ -222,7 +223,7 @@ func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 // order — bit-identical to solo Run.
 func TestStratifiedPhaseShardsMatchRun(t *testing.T) {
 	const shards = 3
-	opt := Options{N: 207, Seed: 43, Workers: shards, Sampling: SamplingStratified}
+	opt := Options{N: 207, Seed: 43, Workers: shards, Sampling: engine.SamplingStratified}
 
 	want := New(smallNet(), numeric.Float16, smallInputs(2)).Run(opt)
 
@@ -231,8 +232,8 @@ func TestStratifiedPhaseShardsMatchRun(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		pilots[s] = c.PilotShard(s, shards, opt)
 	}
-	_, mainN := PilotBudget(opt.N, opt.PilotN)
-	table := BuildStratumTable(MergeReports(pilots).Strata, mainN)
+	_, mainN := engine.PilotBudget(opt.N, opt.PilotN)
+	table := engine.BuildStratumTable(MergeReports(pilots).Strata, mainN)
 	var slots []*Report
 	for s := 0; s < shards; s++ {
 		slots = append(slots, pilots[s], c.MainShard(s, shards, table, opt))
@@ -248,14 +249,14 @@ func TestStratifiedCustomSelectorPanics(t *testing.T) {
 		}
 	}()
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	c.Run(Options{N: 50, Seed: 1, Sampling: SamplingStratified, Selector: BitSelector(3)})
+	c.Run(Options{N: 50, Seed: 1, Sampling: engine.SamplingStratified, Selector: BitSelector(3)})
 }
 
 func TestMainShardRejectsMismatchedTable(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	opt := Options{N: 100, Seed: 1, Sampling: SamplingStratified}
+	opt := Options{N: 100, Seed: 1, Sampling: engine.SamplingStratified}
 	pilot := c.PilotShard(0, 1, opt)
-	table := BuildStratumTable(pilot.Strata, 17) // wrong MainN on purpose
+	table := engine.BuildStratumTable(pilot.Strata, 17) // wrong MainN on purpose
 	defer func() {
 		if recover() == nil {
 			t.Error("MainShard accepted a table for a different budget")
@@ -269,7 +270,7 @@ func TestMainShardRejectsMismatchedTable(t *testing.T) {
 // whole report must survive the worker → coordinator hop bit-exactly.
 func TestStratifiedReportJSONRoundTrip(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(2))
-	r := c.Run(Options{N: 180, Seed: 47, Sampling: SamplingStratified, TrackSpread: true})
+	r := c.Run(Options{N: 180, Seed: 47, Sampling: engine.SamplingStratified, TrackSpread: true})
 	if r.Strata == nil {
 		t.Fatal("no strata on stratified report")
 	}
@@ -285,12 +286,12 @@ func TestStratifiedReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestHexFloatsRoundTrip(t *testing.T) {
-	in := HexFloats{0, math.Copysign(0, -1), 1.5, math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1074}
+	in := engine.HexFloats{0, math.Copysign(0, -1), 1.5, math.NaN(), math.Inf(1), math.Inf(-1), 0x1p-1074}
 	data, err := json.Marshal(in)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var out HexFloats
+	var out engine.HexFloats
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -311,12 +312,12 @@ func TestHexFloatsRoundTrip(t *testing.T) {
 // table shipped to a worker must reproduce the coordinator's allocation
 // and stratum mapping exactly.
 func TestStratumTableJSONRoundTrip(t *testing.T) {
-	tab := BuildStratumTable(pilotSummary(), 64)
+	tab := engine.BuildStratumTable(pilotSummary(), 64)
 	data, err := json.Marshal(tab)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var back StratumTable
+	var back engine.StratumTable
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}

@@ -75,10 +75,7 @@ func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx
 		return b
 	}
 	b.ef = ef
-	b.in = golden.Input
-	if layerIdx > 0 {
-		b.in = golden.Acts[layerIdx-1]
-	}
+	b.in = golden.LayerInput(layerIdx)
 	// Pre-quantize the whole input only when the group's accumulation
 	// chains would otherwise quantize at least as many taps: FC chains
 	// span the full input, so any group of two wins; early CONV layers

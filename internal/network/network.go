@@ -231,10 +231,7 @@ func (n *Network) ForwardFrom(dt numeric.Type, golden *Execution, layerIdx int, 
 		return n.ForwardFromDense(dt, golden, layerIdx, fault)
 	}
 
-	in := golden.Input
-	if layerIdx > 0 {
-		in = golden.Acts[layerIdx-1]
-	}
+	in := golden.LayerInput(layerIdx)
 	quant := n.quant.Load()
 	faultyVal := ef.ForwardElement(&layers.Context{DType: dt, Fault: fault, Quant: quant}, in, fault.OutputIndex)
 	return n.propagateElement(dt, golden, layerIdx, fault.OutputIndex, faultyVal, quant, nil)
@@ -349,10 +346,7 @@ func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cu
 // and as the baseline for throughput benchmarks.
 func (n *Network) ForwardFromDense(dt numeric.Type, golden *Execution, layerIdx int, fault *layers.Fault) *Execution {
 	n.checkLayer(layerIdx)
-	in := golden.Input
-	if layerIdx > 0 {
-		in = golden.Acts[layerIdx-1]
-	}
+	in := golden.LayerInput(layerIdx)
 	quant := n.quant.Load()
 	act := n.Layers[layerIdx].Forward(&layers.Context{DType: dt, Fault: fault, Quant: quant}, in)
 	return n.ForwardWithActDense(dt, golden, layerIdx, act)
@@ -498,6 +492,15 @@ func (n *Network) ForwardStoredFromInput(compute, storage numeric.Type, golden *
 		exec.Acts[i] = cur
 	}
 	return exec
+}
+
+// LayerInput returns the input tensor of layer li: the network input for
+// the first layer, the previous layer's output otherwise.
+func (e *Execution) LayerInput(li int) *tensor.Tensor {
+	if li == 0 {
+		return e.Input
+	}
+	return e.Acts[li-1]
 }
 
 // Output returns the final activation tensor (confidences if the network

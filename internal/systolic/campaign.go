@@ -25,7 +25,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -63,25 +62,14 @@ func (r *Report) Merge(r2 *Report) {
 	r.Detection.Merge(r2.Detection)
 	r.ArchMasked += r2.ArchMasked
 	r.PreMasked += r2.PreMasked
-	if r2.Strata != nil {
-		if r.Strata == nil {
-			r.Strata = r2.Strata.Clone()
-		} else {
-			r.Strata.Merge(r2.Strata)
-		}
-	}
+	r.Strata = engine.MergeStrata(r.Strata, r2.Strata)
 }
 
 // SDCEstimate returns the campaign's estimate of the uniform-design SDC
 // probability for criterion k with its 95% CI half-width — reweighted
 // when the campaign stratified, the raw pooled proportion otherwise.
 func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
-	if r.Strata != nil {
-		e := r.Strata.Estimate(k)
-		return e.P(), e.CI95()
-	}
-	pr := stats.Proportion{Successes: r.Counts.Hits[k], Trials: r.Counts.DefinedTrials[k]}
-	return pr.P(), pr.CI95()
+	return engine.SDCEstimate(r.Counts, r.Strata, k)
 }
 
 // MergeReports folds per-shard reports — indexed and merged in shard
@@ -101,77 +89,14 @@ func MergeReports(rs []*Report) *Report {
 	return total
 }
 
-// Options configures a systolic-array campaign.
-type Options struct {
-	// N is the number of injections.
-	N int
-	// Seed makes the campaign reproducible.
-	Seed int64
-	// Workers caps parallelism; NumCPU when zero.
-	Workers int
-	// Detector, when non-nil, is evaluated on every faulty execution for
-	// the precision/recall tally. It must be safe for concurrent use.
-	Detector func(*network.Execution) bool
-	// Sampling selects uniform (default) or the two-phase stratified
-	// campaign of the shared engine; strata are keyed by (MAC layer,
-	// flipped base bit).
-	Sampling engine.SamplingMode
-	// PilotN is the stratified pilot budget; engine.DefaultPilotN(N) when
-	// zero, negative for a pilot-free prior-allocated campaign (Prior).
-	PilotN int
-	// Prior, when non-nil, seeds a stratified campaign's Neyman
-	// allocation from a previous campaign's persisted strata.
-	Prior *engine.StrataSummary
-	// OnPilotStrata, when non-nil, observes the merged pilot strata of a
-	// stratified Run right after the allocation table is built.
-	OnPilotStrata func(*engine.StrataSummary)
-	// Eval selects the evaluation design: per-bit (default, one
-	// independent site+bit draw per injection), or the site-draw modes
-	// that evaluate every bit of one site per DType.Width() injections.
-	// EvalSiteScalar and EvalSiteBitPlane share one PRNG stream and
-	// produce bit-identical reports; the bit-plane mode evaluates the
-	// single-MAC latches (act-reg, psum-reg) through one bit-parallel
-	// chain replay, psum-reg behind the analytical ReLU pre-screen.
-	Eval engine.EvalMode
-	// MBU is the multi-bit-upset width: every injection flips MBU
-	// adjacent bits of the struck latch. 0 and 1 both mean single-bit
-	// upsets. Requires the per-bit evaluation mode; the base bit is drawn
-	// uniformly over the Width()−MBU+1 in-word spans.
-	MBU int
-}
-
-// mbu resolves the upset width (≥ 1).
-func (opt Options) mbu() int {
-	if opt.MBU <= 1 {
-		return 1
-	}
-	return opt.MBU
-}
-
-// engineOptions maps the surface options onto the shared engine's
-// orchestration options; width is the campaign word width, which becomes
-// the draw-unit size of the site-draw evaluation modes.
-func (opt Options) engineOptions(width int) engine.Options {
-	if opt.MBU > width {
-		panic(fmt.Sprintf("systolic: MBU width %d exceeds the %d-bit word", opt.MBU, width))
-	}
-	eo := engine.Options{
-		N: opt.N, Workers: opt.Workers,
-		Sampling: opt.Sampling, PilotN: opt.PilotN,
-		Prior: opt.Prior, OnPilot: opt.OnPilotStrata,
-	}
-	switch opt.Eval {
-	case engine.EvalPerBit:
-	case engine.EvalSiteScalar, engine.EvalSiteBitPlane:
-		if opt.mbu() > 1 {
-			panic("systolic: MBU campaigns require the per-bit evaluation mode")
-		}
-		eo.SiteBits = width
-	default:
-		panic(fmt.Sprintf("systolic: unknown eval mode %q", opt.Eval))
-	}
-	return eo
-}
+// Options configures a systolic-array campaign: the shared engine's
+// options, whose strata are keyed by (MAC layer, flipped base bit). Under
+// the site-draw evaluation modes one array site is drawn per DType.Width()
+// injections and every bit of the struck latch word is evaluated;
+// EvalSiteBitPlane evaluates the single-MAC latches (act-reg, psum-reg)
+// through one bit-parallel chain replay, psum-reg behind the analytical
+// ReLU pre-screen.
+type Options = engine.Options
 
 // Campaign injects systolic-array faults into a network. Build must
 // return a fresh network instance per worker.
@@ -212,6 +137,7 @@ type surface struct {
 	opt Options
 }
 
+func (s surface) Width() int                             { return s.c.DType.Width() }
 func (s surface) NewReport() *Report                     { return &Report{} }
 func (s surface) Merge(dst, src *Report)                 { dst.Merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
@@ -219,12 +145,12 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 	return s.c.runShardPhase(shard, of, s.opt, ph)
 }
 
-// Surface exposes the campaign's engine adapter and the engine options it
-// runs under, for the cross-surface conformance suite
-// (engine.CheckSurface).
+// Surface binds the campaign to the shared engine: its Surface adapter and
+// the engine options it runs under. Every run verb below is the engine's
+// verb of the same name on this pair.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
 	c.validate()
-	return surface{c, opt}, opt.engineOptions(c.DType.Width())
+	return surface{c, opt}, opt
 }
 
 // Run injects opt.N faults and tallies SDC outcomes. It is exactly the
@@ -233,33 +159,31 @@ func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options
 // on goroutines — the reference a distributed run of the same S shards is
 // bit-identical to.
 func (c *Campaign) Run(opt Options) *Report {
-	c.validate()
-	return engine.Run[*Report](surface{c, opt}, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.Run(s, eo)
 }
 
 // RunShard runs one shard of an of-way deterministic partition of the
-// campaign, serially, and returns its partial report — the same
-// strided-partition contract as the other surfaces: shard s covers
-// injections s, s+of, s+2·of, … from a PRNG stream seeded by (opt.Seed,
-// s), so the shard-order merge (MergeReports) is bit-identical to Run
-// with Workers=of.
+// campaign, serially, and returns its partial report (see engine.RunShard);
+// the shard-order merge (MergeReports) is bit-identical to Run with
+// Workers=of.
 func (c *Campaign) RunShard(shard, of int, opt Options) *Report {
-	c.validate()
-	return engine.RunShard[*Report](surface{c, opt}, shard, of, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.RunShard(s, shard, of, eo)
 }
 
 // PilotShard runs one shard of a stratified campaign's uniform pilot
 // phase (see engine.PilotShard).
 func (c *Campaign) PilotShard(shard, of int, opt Options) *Report {
-	c.validate()
-	return engine.PilotShard[*Report](surface{c, opt}, shard, of, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.PilotShard(s, shard, of, eo)
 }
 
 // MainShard runs one shard of a stratified campaign's allocated main
 // phase (see engine.MainShard).
 func (c *Campaign) MainShard(shard, of int, table *engine.StratumTable, opt Options) *Report {
-	c.validate()
-	return engine.MainShard[*Report](surface{c, opt}, shard, of, table, opt.engineOptions(c.DType.Width()))
+	s, eo := c.Surface(opt)
+	return engine.MainShard(s, shard, of, table, eo)
 }
 
 // validate fails fast on a malformed campaign before any shard runs. The
@@ -274,7 +198,7 @@ func (c *Campaign) validate() {
 	}
 	c.checked.Do(func() {
 		defer func() { c.invalid = recover() }()
-		newInjector(c.Build(), c.DType, c.Array, c.Flow, c.Residency)
+		newInjector(c.Build(), c.DType, c.Array, c.Flow, c.Residency, 1)
 	})
 	if c.invalid != nil {
 		panic(c.invalid)
@@ -289,10 +213,10 @@ const seedMul = 3_141_593
 // network instance with the quantized-parameter cache on, the injector
 // over it, and the shard's golden lookup (the campaign's GoldenFn or
 // private memo; see network.GoldenMemo.Resolver).
-func (c *Campaign) newShard() (*injector, func(i int) *network.Execution) {
+func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
 	net := c.Build()
 	net.EnableQuantCache()
-	inj := newInjector(net, c.DType, c.Array, c.Flow, c.Residency)
+	inj := newInjector(net, c.DType, c.Array, c.Flow, c.Residency, opt.UpsetWidth())
 	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
 		return net.Forward(c.DType, c.Inputs[i])
 	})
@@ -305,34 +229,27 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, ph engine.Phase) *R
 	if ph.SiteBits > 0 {
 		return c.runShardPhaseSites(shard, of, opt, ph)
 	}
-	rng := rand.New(rand.NewSource(opt.Seed + int64(shard)*seedMul + ph.SeedSalt))
-	inj, golden := c.newShard()
-	net := inj.net
-	width := c.DType.Width()
-	mbu := opt.mbu()
-	r := &Report{}
-	if ph.Strata {
-		r.Strata = engine.NewStrata(len(inj.macLayers), width, inj.stratumWeights(width, mbu), false)
-	}
-	for i := shard; i < ph.N; i += of {
-		g := golden((ph.InputBase + i) % len(c.Inputs))
-		pos, bit := -1, -1
-		if ph.Table != nil {
-			pos, bit = ph.Table.Stratum(i)
-		}
-		faulty, s, pos := inj.inject(rng, g, pos, bit, mbu)
-		outcome := sdc.Classify(net, g, faulty)
-		r.Counts.Add(outcome)
-		r.PerLatch[s.Latch].Add(outcome)
+	rng := ph.Rand(opt.Seed, shard, seedMul)
+	inj, golden := c.newShard(opt)
+	r := inj.newReport(ph)
+	ph.EachInjection(shard, of, len(c.Inputs), func(_, input, pos, bit int) {
+		g := golden(input)
+		s, pos := inj.draw(rng, pos, bit)
+		faulty := inj.execute(g, pos, s)
 		if faulty.Masked && inj.geos[pos].PipeMasked(s) {
 			r.ArchMasked++
 		}
-		if r.Strata != nil {
-			r.Strata.Counts[pos*width+s.Bit].Add(outcome)
-		}
-		if opt.Detector != nil {
-			r.Detection.Tally(outcome.Hit[sdc.SDC1], opt.Detector(faulty))
-		}
+		c.tallySite(r, opt, pos, s, sdc.Classify(inj.net, g, faulty), faulty)
+	})
+	return r
+}
+
+// newReport allocates a phase report, with the strata grid when the phase
+// records strata.
+func (inj *injector) newReport(ph engine.Phase) *Report {
+	r := &Report{}
+	if ph.Strata {
+		r.Strata = engine.NewStrata(len(inj.macLayers), inj.dt.Width(), inj.res.StratumWeights(), false)
 	}
 	return r
 }
@@ -342,15 +259,17 @@ type injector struct {
 	net *network.Network
 	dt  numeric.Type
 	// macLayers are the CONV/FC layer indices; geos their array
-	// schedules; cum the cumulative residency weights selecting where a
-	// random-in-time upset lands.
+	// schedules; res places a random-in-time upset among them and draws the
+	// base bit of its span.
 	macLayers []int
 	geos      []Geometry
-	cum       []float64
+	res       *engine.Residency
+	// mbu is the upset width (≥ 1) every drawn site carries.
+	mbu int
 }
 
-func newInjector(net *network.Network, dt numeric.Type, par Params, flow Dataflow, residency []float64) *injector {
-	inj := &injector{net: net, dt: dt}
+func newInjector(net *network.Network, dt numeric.Type, par Params, flow Dataflow, residency []float64, mbu int) *injector {
+	inj := &injector{net: net, dt: dt, mbu: mbu}
 	var weights []float64
 	shape := net.InShape
 	for i, l := range net.Layers {
@@ -361,78 +280,8 @@ func newInjector(net *network.Network, dt numeric.Type, par Params, flow Dataflo
 		}
 		shape = l.OutShape(shape)
 	}
-	if len(inj.macLayers) == 0 {
-		panic("systolic: network has no MAC layers")
-	}
-	if residency != nil {
-		if len(residency) != len(inj.macLayers) {
-			panic(fmt.Sprintf("systolic: %d residency weights for %d MAC layers",
-				len(residency), len(inj.macLayers)))
-		}
-		weights = residency
-	}
-	total := 0.0
-	inj.cum = make([]float64, len(weights))
-	for i, w := range weights {
-		if w < 0 {
-			panic("systolic: negative residency weight")
-		}
-		total += w
-		inj.cum[i] = total
-	}
-	if total <= 0 {
-		panic("systolic: residency weights sum to zero")
-	}
-	for i := range inj.cum {
-		inj.cum[i] /= total
-	}
+	inj.res = engine.NewResidency(weights, residency, dt.Width(), mbu)
 	return inj
-}
-
-// pickLayerPos draws a MAC-layer position by residency weight.
-func (inj *injector) pickLayerPos(rng *rand.Rand) int {
-	u := rng.Float64()
-	for i, c := range inj.cum {
-		if u < c {
-			return i
-		}
-	}
-	return len(inj.macLayers) - 1
-}
-
-// layerProb returns the residency probability of MAC-layer position i.
-func (inj *injector) layerProb(i int) float64 {
-	if i == 0 {
-		return inj.cum[0]
-	}
-	return inj.cum[i] - inj.cum[i-1]
-}
-
-// stratumWeights returns the (MAC layer, base bit) population
-// probabilities of the uniform injection design. Under an MBU of width m
-// the base bit is uniform over the word's width−m+1 in-word spans, so the
-// top m−1 base-bit strata carry zero weight and are never allocated
-// injections.
-func (inj *injector) stratumWeights(width, mbu int) engine.HexFloats {
-	validBits := width - mbu + 1
-	w := make(engine.HexFloats, len(inj.macLayers)*width)
-	for i := range inj.macLayers {
-		wl := inj.layerProb(i) / float64(validBits)
-		for bit := 0; bit < validBits; bit++ {
-			w[i*width+bit] = wl
-		}
-	}
-	return w
-}
-
-// drawBit resolves the flipped base bit: forced when bit >= 0 (stratified
-// main phase, no randomness consumed), drawn uniformly over the in-word
-// spans otherwise.
-func (inj *injector) drawBit(rng *rand.Rand, bit, mbu int) int {
-	if bit >= 0 {
-		return bit
-	}
-	return rng.Intn(inj.dt.Width() - mbu + 1)
 }
 
 // draw draws one fault site and its MAC-layer position. pos and bit force
@@ -440,9 +289,9 @@ func (inj *injector) drawBit(rng *rand.Rand, bit, mbu int) int {
 // campaign, or the site-draw modes, which evaluate every bit of a site and
 // so draw none — and consume no randomness then. Draw order: layer position
 // (one float), latch, chain step, output column, stream position, base bit.
-func (inj *injector) draw(rng *rand.Rand, pos, bit, mbu int) (Site, int) {
+func (inj *injector) draw(rng *rand.Rand, pos, bit int) (Site, int) {
 	if pos < 0 {
-		pos = inj.pickLayerPos(rng)
+		pos = inj.res.Pick(rng)
 	}
 	geo := inj.geos[pos]
 	s := Site{
@@ -450,17 +299,10 @@ func (inj *injector) draw(rng *rand.Rand, pos, bit, mbu int) (Site, int) {
 		K:     rng.Intn(geo.K),
 		Out:   rng.Intn(geo.Outs),
 		P:     rng.Intn(geo.P),
-		Width: mbu,
+		Width: inj.mbu,
 	}
-	s.Bit = inj.drawBit(rng, bit, mbu)
+	s.Bit = inj.res.DrawBit(rng, bit)
 	return s, pos
-}
-
-// inject draws one injection (see draw), executes it and returns the faulty
-// execution, the drawn site and the MAC-layer position.
-func (inj *injector) inject(rng *rand.Rand, g *network.Execution, pos, bit, mbu int) (*network.Execution, Site, int) {
-	s, pos := inj.draw(rng, pos, bit, mbu)
-	return inj.execute(g, pos, s), s, pos
 }
 
 // faultOp is the per-MAC effect kind a latch fault expands into.
@@ -512,7 +354,7 @@ func (inj *injector) apply(g *network.Execution, li int, geo Geometry, s Site, o
 		f := &layers.Fault{OutputIndex: elems[0], MACStep: s.K, Target: op.target(), Bit: s.Bit}
 		return inj.net.ForwardFrom(inj.dt, g, li, f)
 	}
-	in := layerInput(g, li)
+	in := g.LayerInput(li)
 	golden := g.Acts[li]
 	act := golden
 	var changed []int
@@ -520,14 +362,6 @@ func (inj *injector) apply(g *network.Execution, li int, geo Geometry, s Site, o
 		act, changed = network.PatchAct(golden, act, changed, oi, inj.chainEval(li, in, oi, s, op))
 	}
 	return inj.net.ForwardWithAct(inj.dt, g, li, act, changed)
-}
-
-// layerInput returns the golden input tensor of a layer.
-func layerInput(g *network.Execution, layerIdx int) *tensor.Tensor {
-	if layerIdx == 0 {
-		return g.Input
-	}
-	return g.Acts[layerIdx-1]
 }
 
 // chainEval recomputes one output element's accumulation chain with the

@@ -84,12 +84,12 @@ func TestEffectExpansionMatchesSim(t *testing.T) {
 			net.EnableQuantCache()
 			in := smallInputs(1)[0]
 			g := net.Forward(dt, in)
-			inj := newInjector(net, dt, tinyArray, flow, nil)
+			inj := newInjector(net, dt, tinyArray, flow, nil, 1)
 
 			for pos, li := range inj.macLayers {
 				geo := inj.geos[pos]
 				sim := NewFlow(net.Layers[li], dt, tinyArray, flow)
-				simIn := layerInput(g, li)
+				simIn := g.LayerInput(li)
 				cases := []Site{
 					{K: 1, Out: 1, P: geo.P / 2, Latch: LatchAct, Bit: 3, Width: 1},
 					{K: geo.K - 1, Out: geo.Outs - 1, P: 0, Latch: LatchPsum, Bit: dt.Width() - 3, Width: 1},

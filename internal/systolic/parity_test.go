@@ -49,12 +49,12 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 				panic("execution over an unknown input")
 			}
 			c.GoldenFn = func(i int, _ func() *network.Execution) *network.Execution { return goldens[i] }
-			oracle := newInjector(plain, dt, c.Array, flow, nil)
+			oracle := newInjector(plain, dt, c.Array, flow, nil, 1)
 
 			for _, m := range modes {
 				t.Run(fmt.Sprintf("%s/%s/%s", flow, dt, m.name), func(t *testing.T) {
 					opt := Options{N: n, Seed: 1717, Workers: 1, Eval: m.eval, MBU: m.mbu, Detector: det}
-					inj, _ := c.newShard()
+					inj, _ := c.newShard(opt)
 					rng := rand.New(rand.NewSource(opt.Seed))
 					var want Report
 					check := func(g *network.Execution, pos int, s Site) {
@@ -64,7 +64,7 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 						op, elems := geo.effects(s)
 						act := g.Acts[li].Clone()
 						for _, oi := range elems {
-							act.Data[oi] = oracle.chainEval(li, layerInput(g, li), oi, s, op)
+							act.Data[oi] = oracle.chainEval(li, g.LayerInput(li), oi, s, op)
 						}
 						ref := plain.ForwardWithActDense(dt, g, li, act)
 
@@ -89,13 +89,13 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 					}
 					if m.eval == engine.EvalPerBit {
 						for i := 0; i < n; i++ {
-							s, pos := inj.draw(rng, -1, -1, m.mbu)
+							s, pos := inj.draw(rng, -1, -1)
 							check(goldens[i%len(goldens)], pos, s)
 						}
 					} else {
 						width := dt.Width()
 						for u := 0; u < engine.DrawUnits(n, width); u++ {
-							s, pos := inj.draw(rng, -1, 0, 1)
+							s, pos := inj.draw(rng, -1, 0)
 							for s.Bit = 0; s.Bit < min(width, n-u*width); s.Bit++ {
 								check(goldens[u%len(goldens)], pos, s)
 							}
