@@ -1,19 +1,11 @@
-// Command benchtrack measures the fault-injection campaign throughput of
-// the incremental propagation engine (network.ForwardFrom with delta
-// recompute, masked-fault early exit and the quantized-parameter cache)
-// against the dense per-layer re-execution baseline, and records the
-// numbers as JSON for regression tracking.
+// Command benchtrack produces the repo's two paper-extension figures as
+// JSON. Timings are not its business: throughput, per-layer cost and the
+// evaluation-mode comparison are measured by the one benchmark harness
+// (bash bench/run.sh; BENCH_1/3/6.json are its frozen predecessors).
 //
-// -mode sampling instead measures statistical efficiency: the SDC-1
+// -mode sampling measures statistical efficiency: the SDC-1
 // confidence-interval half-width of stratified vs uniform site sampling at
 // an equal injection budget (the BENCH_4.json acceptance figure).
-//
-// -mode bitparallel measures the site-draw evaluation modes: legacy
-// per-bit incremental injections vs the site-scalar reference vs the
-// bit-plane fast path (one chain replay per site plus the analytical
-// masking pre-screen), with vs_baseline ratios of bit-plane throughput
-// over a baseline document's incremental throughput (the BENCH_6.json
-// acceptance figure).
 //
 // -mode xarch compares the four PE-array dataflows at an equal FIT
 // budget: the row-stationary datapath (internal/faultinj, the paper's
@@ -27,10 +19,7 @@
 //
 // Usage:
 //
-//	benchtrack -n 2000 -o BENCH_1.json
-//	benchtrack -n 2000 -baseline BENCH_1.json -o BENCH_3.json
 //	benchtrack -mode sampling -n 3000 -o BENCH_4.json
-//	benchtrack -mode bitparallel -n 4000 -baseline BENCH_3.json -o BENCH_6.json
 //	benchtrack -mode xarch -n 3000 -o BENCH_10.json
 package main
 
@@ -56,51 +45,6 @@ import (
 	"repro/internal/systolic"
 	"repro/internal/tensor"
 )
-
-// Result is one (network, dtype) throughput comparison.
-type Result struct {
-	Network          string  `json:"network"`
-	DType            string  `json:"dtype"`
-	Injections       int     `json:"injections"`
-	MaskedFrac       float64 `json:"masked_fraction"`
-	IncrementalInjPS float64 `json:"incremental_inj_per_sec"`
-	DenseInjPS       float64 `json:"dense_inj_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	// VsBaseline is this run's incremental throughput over the baseline
-	// document's incremental throughput for the same (network, dtype)
-	// cell; omitted when no baseline was given or it lacks the cell.
-	VsBaseline float64 `json:"vs_baseline,omitempty"`
-}
-
-// Output is the BENCH_1.json document.
-type Output struct {
-	Benchmark string `json:"benchmark"`
-	Date      string `json:"date"`
-	Workers   int    `json:"workers"`
-	// Baseline names the document the vs_baseline ratios compare against.
-	Baseline string   `json:"baseline,omitempty"`
-	Results  []Result `json:"results"`
-	// MeanSpeedup is the geometric mean over Results.
-	MeanSpeedup float64 `json:"mean_speedup"`
-	// ConvNetMeanSpeedup is the geometric mean over the ConvNet rows only
-	// — the per-format acceptance figure.
-	ConvNetMeanSpeedup float64 `json:"convnet_mean_speedup,omitempty"`
-}
-
-// measure runs one campaign mode on a fresh network and returns
-// injections per second. The golden pass and site profile are computed
-// before timing starts, so the figure isolates per-injection cost.
-func measure(name string, dt numeric.Type, n, workers int, dense bool) (injPerSec, maskedFrac float64) {
-	net := models.Build(name)
-	in := models.InputFor(name, 0)
-	c := faultinj.New(net, dt, []*tensor.Tensor{in})
-	c.Golden(0)
-	opt := faultinj.Options{N: n, Seed: 1, Workers: workers, Dense: dense}
-	start := time.Now()
-	r := c.Run(opt)
-	elapsed := time.Since(start)
-	return float64(n) / elapsed.Seconds(), float64(r.Masked) / float64(n)
-}
 
 func round2(v float64) float64 { return math.Round(v*100) / 100 }
 
@@ -221,133 +165,6 @@ func runSampling(n, workers int, out, date, priorDir, strataDir string) {
 		doc.ConvNetMeanCIRatio = round2(math.Exp(logRatio / float64(nConv)))
 	}
 	fmt.Printf("ConvNet geomean CI ratio: %.2fx\n", doc.ConvNetMeanCIRatio)
-
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", out)
-}
-
-// BitParallelResult is one (network, dtype) comparison of the three
-// evaluation designs at equal injection count.
-type BitParallelResult struct {
-	Network    string `json:"network"`
-	DType      string `json:"dtype"`
-	Injections int    `json:"injections"`
-	// PreMaskedFrac is the fraction of bit-plane injections the analytical
-	// pre-screen proved masked without any replay.
-	PreMaskedFrac float64 `json:"pre_masked_fraction"`
-	// IncrementalInjPS is the legacy per-bit design (independent
-	// (site, bit) draw per injection); SiteScalarInjPS and BitPlaneInjPS
-	// are the site-draw modes, which evaluate every bit of a drawn site.
-	IncrementalInjPS float64 `json:"incremental_inj_per_sec"`
-	SiteScalarInjPS  float64 `json:"site_scalar_inj_per_sec"`
-	BitPlaneInjPS    float64 `json:"bitplane_inj_per_sec"`
-	// SpeedupVsScalar is BitPlane over SiteScalar — the gain attributable
-	// to the plane kernel and pre-screen alone, at identical draws.
-	SpeedupVsScalar float64 `json:"speedup_vs_site_scalar"`
-	// VsBaseline is BitPlane throughput over the baseline document's
-	// incremental throughput for the same cell — the acceptance ratio.
-	VsBaseline float64 `json:"vs_baseline,omitempty"`
-}
-
-// BitParallelOutput is the BENCH_6.json document.
-type BitParallelOutput struct {
-	Benchmark string              `json:"benchmark"`
-	Date      string              `json:"date"`
-	Workers   int                 `json:"workers"`
-	Baseline  string              `json:"baseline,omitempty"`
-	Results   []BitParallelResult `json:"results"`
-	// MeanVsBaseline / ConvNetMeanVsBaseline are geometric means of
-	// VsBaseline; the ConvNet figure is the acceptance number (want ≥ 5).
-	MeanVsBaseline        float64 `json:"mean_vs_baseline,omitempty"`
-	ConvNetMeanVsBaseline float64 `json:"convnet_mean_vs_baseline,omitempty"`
-}
-
-// measureEval runs one campaign under the given evaluation mode and
-// returns injections per second plus the pre-screened fraction.
-func measureEval(name string, dt numeric.Type, n, workers int, eval engine.EvalMode) (injPerSec, preFrac float64) {
-	net := models.Build(name)
-	in := models.InputFor(name, 0)
-	c := faultinj.New(net, dt, []*tensor.Tensor{in})
-	c.Golden(0)
-	opt := faultinj.Options{N: n, Seed: 1, Workers: workers, Eval: eval}
-	start := time.Now()
-	r := c.Run(opt)
-	elapsed := time.Since(start)
-	return float64(n) / elapsed.Seconds(), float64(r.PreMasked) / float64(n)
-}
-
-// runBitParallel sweeps the BENCH_1 matrix across the three evaluation
-// designs and writes the BENCH_6.json document.
-func runBitParallel(n, workers int, out, baseline, date string) {
-	baseInjPS := map[string]float64{}
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var base Output
-		if err := json.Unmarshal(data, &base); err != nil {
-			log.Fatalf("decoding %s: %v", baseline, err)
-		}
-		for _, r := range base.Results {
-			baseInjPS[r.Network+"/"+r.DType] = r.IncrementalInjPS
-		}
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	doc := BitParallelOutput{Benchmark: "BitParallelThroughput", Date: date, Workers: workers, Baseline: baseline}
-	matrix := []struct {
-		name string
-		dts  []numeric.Type
-	}{
-		{"AlexNet", []numeric.Type{numeric.Float16, numeric.Fx32RB10}},
-		{"ConvNet", numeric.Types},
-	}
-	logAll, logConv, nAll, nConv := 0.0, 0.0, 0, 0
-	for _, row := range matrix {
-		for _, dt := range row.dts {
-			inc, _ := measureEval(row.name, dt, n, workers, engine.EvalPerBit)
-			scalar, _ := measureEval(row.name, dt, n, workers, engine.EvalSiteScalar)
-			plane, pre := measureEval(row.name, dt, n, workers, engine.EvalSiteBitPlane)
-			res := BitParallelResult{
-				Network: row.name, DType: dt.String(), Injections: n,
-				PreMaskedFrac:    round2(pre),
-				IncrementalInjPS: round2(inc),
-				SiteScalarInjPS:  round2(scalar),
-				BitPlaneInjPS:    round2(plane),
-				SpeedupVsScalar:  round2(plane / scalar),
-			}
-			if b := baseInjPS[res.Network+"/"+res.DType]; b > 0 {
-				res.VsBaseline = round2(plane / b)
-				logAll += math.Log(plane / b)
-				nAll++
-				if row.name == "ConvNet" {
-					logConv += math.Log(plane / b)
-					nConv++
-				}
-			}
-			doc.Results = append(doc.Results, res)
-			fmt.Printf("%-8s %-9s perbit %8.1f inj/s   site-scalar %8.1f inj/s   bitplane %9.1f inj/s   pre-masked %4.1f%%   vs-baseline %.2fx\n",
-				row.name, dt, inc, scalar, plane, pre*100, res.VsBaseline)
-		}
-	}
-	if nAll > 0 {
-		doc.MeanVsBaseline = round2(math.Exp(logAll / float64(nAll)))
-	}
-	if nConv > 0 {
-		doc.ConvNetMeanVsBaseline = round2(math.Exp(logConv / float64(nConv)))
-	}
-	fmt.Printf("geomean vs-baseline: %.2fx   ConvNet geomean: %.2fx\n", doc.MeanVsBaseline, doc.ConvNetMeanVsBaseline)
 
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
@@ -515,11 +332,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchtrack: ")
 
-	mode := flag.String("mode", "throughput", "throughput (BENCH_1-style inj/s comparison), sampling (BENCH_4 equal-budget CI comparison), bitparallel (BENCH_6 site-draw evaluation comparison) or xarch (BENCH_10 four-way row-/weight-/output-/input-stationary SDC at equal FIT budget)")
+	mode := flag.String("mode", "", "sampling (BENCH_4 equal-budget CI comparison) or xarch (BENCH_10 four-way row-/weight-/output-/input-stationary SDC at equal FIT budget)")
 	n := flag.Int("n", 2000, "injections per campaign")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = NumCPU)")
-	out := flag.String("o", "BENCH_1.json", "output JSON path")
-	baseline := flag.String("baseline", "", "earlier benchtrack JSON to compute vs_baseline throughput ratios against")
+	out := flag.String("o", "", "output JSON path")
 	date := flag.String("date", "", "date stamp to embed (default: today)")
 	priorDir := flag.String("prior-dir", "", "sampling mode: seed stratified allocations from the strata artifacts a previous -strata-dir run wrote (skips pilots)")
 	strataDir := flag.String("strata-dir", "", "sampling mode: write per-(network, dtype) strata artifacts here for later -prior-dir reuse")
@@ -528,104 +344,21 @@ func main() {
 	if *n <= 0 {
 		log.Fatal("-n must be positive")
 	}
+	if *out == "" {
+		log.Fatal("-o is required")
+	}
 	if *date == "" {
 		*date = time.Now().UTC().Format("2006-01-02")
 	}
 	switch *mode {
-	case "throughput":
-		if *priorDir != "" || *strataDir != "" {
-			log.Fatal("-prior-dir/-strata-dir only apply to -mode sampling")
-		}
 	case "sampling":
 		runSampling(*n, *workers, *out, *date, *priorDir, *strataDir)
-		return
-	case "bitparallel":
-		if *priorDir != "" || *strataDir != "" {
-			log.Fatal("-prior-dir/-strata-dir only apply to -mode sampling")
-		}
-		runBitParallel(*n, *workers, *out, *baseline, *date)
-		return
 	case "xarch":
 		if *priorDir != "" || *strataDir != "" {
 			log.Fatal("-prior-dir/-strata-dir only apply to -mode sampling")
 		}
 		runXArch(*n, *workers, *out, *date)
-		return
 	default:
-		log.Fatalf("unknown -mode %q (throughput, sampling, bitparallel or xarch)", *mode)
+		log.Fatalf("unknown -mode %q (sampling or xarch; throughput is bench/run.sh's)", *mode)
 	}
-	// baseInjPS maps (network, dtype) to the baseline document's
-	// incremental throughput.
-	baseInjPS := map[string]float64{}
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var base Output
-		if err := json.Unmarshal(data, &base); err != nil {
-			log.Fatalf("decoding %s: %v", *baseline, err)
-		}
-		for _, r := range base.Results {
-			baseInjPS[r.Network+"/"+r.DType] = r.IncrementalInjPS
-		}
-	}
-	// Open the output before the (long) measurement phase so a bad path
-	// fails in milliseconds, not minutes.
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	doc := Output{Benchmark: "CampaignThroughput", Date: *date, Workers: *workers, Baseline: *baseline}
-	// AlexNet keeps the two formats BENCH_1 measured (so vs_baseline is
-	// meaningful); ConvNet sweeps every numeric format — the acceptance
-	// figure for sparse downstream propagation is per-format, not just
-	// FLOAT16.
-	matrix := []struct {
-		name string
-		dts  []numeric.Type
-	}{
-		{"AlexNet", []numeric.Type{numeric.Float16, numeric.Fx32RB10}},
-		{"ConvNet", numeric.Types},
-	}
-	logSpeedup, logConv, nConv := 0.0, 0.0, 0
-	for _, row := range matrix {
-		for _, dt := range row.dts {
-			// Dense first so the incremental run cannot inherit a warm cache
-			// indirectly; each mode gets its own fresh network anyway.
-			dense, _ := measure(row.name, dt, *n, *workers, true)
-			inc, masked := measure(row.name, dt, *n, *workers, false)
-			res := Result{
-				Network: row.name, DType: dt.String(), Injections: *n,
-				MaskedFrac:       round2(masked),
-				IncrementalInjPS: round2(inc), DenseInjPS: round2(dense),
-				Speedup: round2(inc / dense),
-			}
-			if b := baseInjPS[res.Network+"/"+res.DType]; b > 0 {
-				res.VsBaseline = round2(inc / b)
-			}
-			doc.Results = append(doc.Results, res)
-			logSpeedup += math.Log(inc / dense)
-			if row.name == "ConvNet" {
-				logConv += math.Log(inc / dense)
-				nConv++
-			}
-			fmt.Printf("%-8s %-9s incremental %8.1f inj/s   dense %8.1f inj/s   speedup %5.2fx   masked %4.1f%%   vs-baseline %.2fx\n",
-				row.name, dt, inc, dense, inc/dense, masked*100, res.VsBaseline)
-		}
-	}
-	doc.MeanSpeedup = round2(math.Exp(logSpeedup / float64(len(doc.Results))))
-	doc.ConvNetMeanSpeedup = round2(math.Exp(logConv / float64(nConv)))
-	fmt.Printf("geomean speedup: %.2fx   ConvNet geomean: %.2fx\n", doc.MeanSpeedup, doc.ConvNetMeanSpeedup)
-
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", *out)
 }

@@ -9,17 +9,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Machine is the per-campaign shard-ledger state machine: it owns one
-// campaign's slots through pending → leased → done, gates stratified
-// main-phase slots on the pilot-derived allocation table, and merges slot
-// reports deterministically. The control plane schedules one Machine per
-// campaign.
+// Machine is the per-campaign shard-ledger state machine: it schedules the
+// slots of the campaign's engine.Plan over a fleet — pending → leased →
+// done, the plan's gated slots held back until its allocation table exists
+// — and folds the slot reports in the plan's association. The control plane
+// schedules one Machine per campaign.
 //
 // Machine is caller-synchronized: none of its methods lock;
 // internal/controlplane holds its own lock across scheduling decisions
 // that span machines.
 type Machine struct {
 	spec       Spec
+	plan       engine.Plan
 	maxRetries int
 
 	shards    []shardState
@@ -30,11 +31,11 @@ type Machine struct {
 	failure   error
 
 	// pilotDone counts completed pilot slots of a stratified campaign;
-	// table is the Neyman allocation computed (deterministically) from the
-	// merged pilot once pilotDone reaches Spec.Shards — or, for a
-	// prior-allocated campaign, from the PriorPath artifact at startup.
-	// Main-phase slots are not leased until it exists. pilotStrata keeps
-	// the merged pilot for strata-artifact export.
+	// table is the plan's allocation, derived from the merged pilot once
+	// pilotDone reaches plan.Pilots() — or, for a prior-allocated campaign,
+	// from the PriorPath artifact at startup. Gated slots are not leased
+	// until it exists. pilotStrata keeps the merged pilot for
+	// strata-artifact export.
 	pilotDone   int
 	table       *engine.StratumTable
 	pilotStrata *engine.StrataSummary
@@ -46,11 +47,11 @@ type Machine struct {
 	// Scheduling indexes, maintained incrementally so the control plane's
 	// grant loop never rescans the ledger: pending is a min-heap of
 	// leasable slot indices (min-order keeps expired slots re-leased at
-	// the lowest index, matching the full-scan behavior), gated holds
-	// main-phase slots waiting on the allocation table, leases maps live
-	// lease IDs to their slots for O(1) heartbeats, inFlight counts
-	// leased unfinished slots, and nextExpiry is a lower bound on the
-	// earliest live deadline so Expire is O(1) when nothing can lapse.
+	// the lowest index, matching the full-scan behavior), gated holds the
+	// plan's gated slots while they wait on the allocation table, leases
+	// maps live lease IDs to their slots for O(1) heartbeats, inFlight
+	// counts leased unfinished slots, and nextExpiry is a lower bound on
+	// the earliest live deadline so Expire is O(1) when nothing can lapse.
 	inFlight   int
 	pending    slotHeap
 	gated      []int
@@ -70,11 +71,12 @@ func NewMachine(spec Spec, maxRetries int) (*Machine, error) {
 	}
 	m := &Machine{
 		spec:       spec,
+		plan:       spec.plan(),
 		maxRetries: maxRetries,
-		shards:     make([]shardState, spec.Slots()),
 		leases:     make(map[string]int),
 	}
-	if spec.PriorAllocated() {
+	m.shards = make([]shardState, m.plan.Slots())
+	if m.plan.PriorAllocated() {
 		// Pilot-free campaign: the allocation table comes from the prior
 		// artifact, built before any lease is served. Workers never read
 		// the artifact — the table ships inside every (main-phase) lease.
@@ -82,10 +84,10 @@ func NewMachine(spec Spec, maxRetries int) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.table = spec.BuildTable(prior)
+		m.table = m.plan.Table(prior)
 	}
 	for s := range m.shards {
-		if phase, _ := m.spec.SlotPhase(s); phase == "main" && m.table == nil {
+		if m.plan.Gated(s) && m.table == nil {
 			m.gated = append(m.gated, s)
 			continue
 		}
@@ -191,7 +193,7 @@ func (m *Machine) Lease(now time.Time, ttl time.Duration) *Lease {
 	}
 	m.pending.pop()
 	sh := &m.shards[s]
-	phase, shard := m.spec.SlotPhase(s)
+	phase, shard := m.plan.Slot(s)
 	m.leaseSeq++
 	sh.leaseID = fmt.Sprintf("L%d-s%d", m.leaseSeq, s)
 	sh.deadline = now.Add(ttl)
@@ -204,12 +206,12 @@ func (m *Machine) Lease(now time.Time, ttl time.Duration) *Lease {
 		ID:        sh.leaseID,
 		Slot:      s,
 		Shard:     shard,
-		Of:        m.spec.Shards,
+		Of:        m.plan.Shards(),
 		Spec:      m.spec,
 		Phase:     phase,
 		TTLMillis: ttl.Milliseconds(),
 	}
-	if phase == "main" {
+	if m.plan.Gated(s) {
 		l.Table = m.table
 	}
 	return l
@@ -267,10 +269,10 @@ func (m *Machine) LeaseEverGranted(leaseID string, slot int) bool {
 // untouched: reports come off the wire, and everything downstream — merge,
 // snapshot, table construction — indexes them without looking.
 func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
-	if slot < 0 || slot >= m.spec.Slots() {
-		return false, fmt.Errorf("campaign: slot %d out of range [0,%d)", slot, m.spec.Slots())
+	if slot < 0 || slot >= len(m.shards) {
+		return false, fmt.Errorf("campaign: slot %d out of range [0,%d)", slot, len(m.shards))
 	}
-	phase, _ := m.spec.SlotPhase(slot)
+	phase, _ := m.plan.Slot(slot)
 	st, err := r.validate(m.spec, phase)
 	if err != nil {
 		return false, err
@@ -294,9 +296,10 @@ func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
 	}
 	sh.leaseID = ""
 	m.completed++
-	if phase == "pilot" {
-		m.pilotDone++
-		m.maybeBuildTable()
+	if phase == engine.PhasePilot {
+		if m.pilotDone++; m.pilotDone == m.plan.Pilots() {
+			m.buildTable()
+		}
 	}
 	return true, nil
 }
@@ -317,25 +320,13 @@ func (m *Machine) Restore(slot, retries int, r *Report) error {
 	return nil
 }
 
-// maybeBuildTable computes the main-phase allocation once every pilot slot
-// of a stratified campaign has reported. The pilot reports are merged in
-// slot order, so every participant that runs this — the live plane at the
-// pilot→main boundary, or a resumed one replaying its journal —
-// derives a bit-identical table. Prior-allocated campaigns never reach
-// this: their table is built from the artifact at startup.
-func (m *Machine) maybeBuildTable() {
-	if !m.spec.Stratified() || m.table != nil || m.pilotDone < m.spec.Shards {
-		return
-	}
-	parts := make([]*Report, 0, m.spec.Shards)
-	for s := range m.shards {
-		if phase, _ := m.spec.SlotPhase(s); phase == "pilot" {
-			parts = append(parts, m.shards[s].report)
-		}
-	}
-	merged := MergeReports(parts)
-	m.pilotStrata = merged.Strata()
-	m.table = m.spec.BuildTable(m.pilotStrata)
+// buildTable derives the plan's allocation once every pilot slot has
+// reported. Everything that runs this — the live plane at the pilot→main
+// boundary, or a resumed one replaying its journal — merges the same
+// reports in the same order, so derives a bit-identical table.
+func (m *Machine) buildTable() {
+	m.pilotStrata = engine.PilotReport(m.plan, m.reports(), MergeReports).Strata()
+	m.table = m.plan.Table(m.pilotStrata)
 	// The table ungates the main phase: move the held-back slots into the
 	// pending heap (finished ones — journal replays restore main slots
 	// before the last pilot lands — are pruned lazily by nextSlot).
@@ -345,6 +336,15 @@ func (m *Machine) maybeBuildTable() {
 		}
 	}
 	m.gated = nil
+}
+
+// reports lists the accepted slot reports by slot, nil where unfinished.
+func (m *Machine) reports() []*Report {
+	parts := make([]*Report, len(m.shards))
+	for s := range m.shards {
+		parts[s] = m.shards[s].report
+	}
+	return parts
 }
 
 // PilotStrata returns the merged pilot strata of a stratified campaign
@@ -360,30 +360,14 @@ func (m *Machine) SlotRetries(slot int) int { return m.shards[slot].retries }
 // event history equivalent to the live ledger.
 func (m *Machine) SlotReport(slot int) *Report { return m.shards[slot].report }
 
-// FinalReport merges the slot reports into the campaign report — for
-// uniform campaigns a shard-order fold, for stratified ones each shard's
-// (pilot, main) slot pair pre-merged then folded in shard order. Both are
-// exactly the association a single-process Campaign.Run with Workers equal
-// to the shard count uses, so the result is bit-identical to solo. It
-// errors until the campaign is done.
+// FinalReport folds the slot reports into the campaign report in the
+// plan's association (engine.Fold) — the one engine.Run uses, so the result
+// is bit-identical to solo. It errors until the campaign is done.
 func (m *Machine) FinalReport() (*Report, error) {
 	if !m.Done() {
 		return nil, fmt.Errorf("campaign: %d/%d shards complete", m.completed, len(m.shards))
 	}
-	if m.spec.Stratified() && !m.spec.PriorAllocated() {
-		pairs := make([]*Report, m.spec.Shards)
-		for s := range pairs {
-			pairs[s] = MergeReports([]*Report{
-				m.shards[2*s].report, m.shards[2*s+1].report,
-			})
-		}
-		return MergeReports(pairs), nil
-	}
-	parts := make([]*Report, len(m.shards))
-	for s := range m.shards {
-		parts[s] = m.shards[s].report
-	}
-	return MergeReports(parts), nil
+	return engine.Fold(m.plan, m.reports(), MergeReports), nil
 }
 
 // Snapshot assembles the campaign's live aggregate view from every slot

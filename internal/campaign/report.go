@@ -34,7 +34,7 @@ type surface struct {
 	// refusals for the spec fields only this surface reads.
 	normalize func(s *Spec) error
 	// execute fetches the spec's prepared campaign from cs, binds it to the
-	// engine and runs one phase dispatch on it (see run).
+	// engine and runs the lease's slot, or the whole campaign, on it (see run).
 	execute func(cs *campaignSet, campaignID string, spec Spec, l *Lease, solo soloHooks) (*Report, error)
 	// view reads the surface's report out of a wire report; ok is false when
 	// r does not carry this surface.
@@ -202,21 +202,15 @@ func surfaceOf(name string) (*surface, error) {
 	return nil, fmt.Errorf("campaign: unknown surface %q (have %v)", name, Surfaces)
 }
 
-// run is the phase dispatch, written once for every surface: a lease runs
-// its slot's phase of its shard; without one the whole campaign runs
-// in-process, which is where the solo runner's hooks apply.
+// run executes on a bound surface: a lease runs its slot of the campaign's
+// plan; without one the whole plan runs in-process, which is where the solo
+// runner's hooks apply.
 func run[R any](s engine.Surface[R], opt engine.Options, l *Lease, solo soloHooks) R {
 	if l == nil {
 		opt.Prior, opt.OnPilotStrata = solo.prior, solo.onPilot
 		return engine.Run(s, opt)
 	}
-	switch l.Phase {
-	case "pilot":
-		return engine.PilotShard(s, l.Shard, l.Of, opt)
-	case "main":
-		return engine.MainShard(s, l.Shard, l.Of, l.Table, opt)
-	}
-	return engine.RunShard(s, l.Shard, l.Of, opt)
+	return engine.RunSlot(s, engine.NewPlan(opt, s.Width()), l.Slot, l.Table)
 }
 
 // executor assembles a row's execute from its typed parts: campaign builds
@@ -305,7 +299,7 @@ func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error
 			return nil, err
 		}
 	}
-	if (v.strata != nil) != (phase != "") {
+	if (v.strata != nil) != (phase != engine.PhaseUniform) {
 		return nil, fmt.Errorf("campaign: %s report of a %q-phase slot: strata present is %v", row.name, phase, v.strata != nil)
 	}
 	if v.strata == nil {

@@ -10,11 +10,12 @@
 // metrics — is internal/controlplane's Plane; this package holds no HTTP
 // server code, only the wire types both sides share.
 //
-// Determinism is the load-bearing property: shard s of S is exactly worker
-// s of a single-process engine.Run with Workers=S, so the shard-order
-// merge of a distributed campaign is bit-identical to Campaign.Run on one
-// machine — regardless of how many workers participated, how shards were
-// interleaved, or how many times the plane was killed and resumed.
+// Determinism is the load-bearing property: the Machine's ledger and a
+// single-process engine.Run execute the slots of one engine.Plan and fold
+// them in its association, so a distributed campaign is bit-identical to
+// Campaign.Run on one machine — regardless of how many workers
+// participated, how slots were interleaved, or how many times the plane was
+// killed and resumed.
 package campaign
 
 import (
@@ -65,10 +66,10 @@ type Spec struct {
 	// validates worker arithmetic.
 	WeightsDir string `json:"weights_dir,omitempty"`
 	// Sampling selects the site-sampling design: "uniform" (default) or
-	// "stratified" — the two-phase masking-aware campaign. A stratified
-	// campaign's ledger has two slots per shard (pilot then main); the
-	// Machine computes the allocation table from the merged pilot and
-	// serializes it into every main-phase lease.
+	// "stratified" — the two-phase masking-aware campaign, whose ledger has
+	// pilot and main slots (engine.Plan); the Machine computes the
+	// allocation table from the merged pilot and serializes it into every
+	// main-phase lease.
 	Sampling string `json:"sampling,omitempty"`
 	// PilotN is the stratified pilot budget; Normalize defaults it to
 	// engine.DefaultPilotN(N) so every participant agrees on the split.
@@ -164,16 +165,6 @@ func (s *Spec) Normalize() error {
 	if !slices.Contains(EvalModes, s.Eval) {
 		return fmt.Errorf("campaign: unknown eval mode %q (have %v)", s.Eval, EvalModes)
 	}
-	// Site-draw campaigns stride shards over draw units (one per word
-	// width of injections), so that is what bounds useful parallelism.
-	shardUnits := s.N
-	if s.Eval != "" {
-		shardUnits = engine.DrawUnits(s.N, dt.Width())
-	}
-	if s.Shards <= 0 {
-		s.Shards = 2 * runtime.NumCPU()
-	}
-	s.Shards = engine.EffectiveShards(s.Shards, shardUnits)
 	if s.Select == "" {
 		s.Select = "uniform"
 	}
@@ -184,8 +175,10 @@ func (s *Spec) Normalize() error {
 			return fmt.Errorf("campaign: bit %d out of range for %s", s.Param, s.DType)
 		}
 	case "perlayer":
-		if s.Param < 0 {
-			return fmt.Errorf("campaign: negative block %d", s.Param)
+		// An out-of-range block would index past the profile's MAC layers
+		// inside a shard goroutine and take the process down with it.
+		if blocks := s.dims().blocks; s.Param < 0 || s.Param >= blocks {
+			return fmt.Errorf("campaign: block %d out of range for %s (%d MAC layers)", s.Param, s.Net, blocks)
 		}
 	default:
 		return fmt.Errorf("campaign: unknown selector %q (have %v)", s.Select, SelectorModes)
@@ -244,6 +237,12 @@ func (s *Spec) Normalize() error {
 	default:
 		return fmt.Errorf("campaign: unknown sampling %q (have %v)", s.Sampling, SamplingModes)
 	}
+	// The plan bounds the useful shard count (one per draw unit), so that
+	// every participant agrees on it.
+	if s.Shards <= 0 {
+		s.Shards = 2 * runtime.NumCPU()
+	}
+	s.Shards = s.plan().Shards()
 	return nil
 }
 
@@ -259,41 +258,30 @@ func (s Spec) plainOnly() error {
 	return nil
 }
 
-// PriorAllocated reports whether the normalized stratified spec skips its
-// pilot in favor of a prior campaign's strata.
-func (s Spec) PriorAllocated() bool { return s.Stratified() && s.PilotN < 0 }
-
 // Stratified reports whether the normalized spec uses the two-phase
 // stratified design.
 func (s Spec) Stratified() bool { return s.Sampling == "stratified" }
 
-// Slots returns the ledger size: one slot per shard for
-// uniform campaigns, an interleaved (pilot, main) slot pair per shard for
-// stratified ones — slot 2s is shard s's pilot, slot 2s+1 its main phase.
-// Merging slot reports in slot order is then exactly the canonical
-// pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ … order of engine.Run.
-// Prior-allocated campaigns run no pilot, so their ledger is one
-// main-phase slot per shard.
-func (s Spec) Slots() int {
-	if s.Stratified() && !s.PriorAllocated() {
-		return 2 * s.Shards
-	}
-	return s.Shards
-}
+// plan is the campaign's slot layout (engine.Plan, DESIGN.md §7) under the
+// engine options every surface's shards share. The four methods below are
+// its views; the spec must be normalized.
+func (s Spec) plan() engine.Plan { return engine.NewPlan(s.BufferOptions(), s.Type().Width()) }
+
+// PriorAllocated reports whether the stratified spec skips its pilot in
+// favor of a prior campaign's strata.
+func (s Spec) PriorAllocated() bool { return s.plan().PriorAllocated() }
+
+// Slots returns the ledger size: the plan's slot count.
+func (s Spec) Slots() int { return s.plan().Slots() }
 
 // SlotPhase maps a ledger slot to its phase ("" for uniform campaigns,
 // "pilot" or "main" for stratified ones) and phase-local shard index.
-func (s Spec) SlotPhase(slot int) (phase string, shard int) {
-	if !s.Stratified() {
-		return "", slot
-	}
-	if s.PriorAllocated() {
-		return "main", slot
-	}
-	if slot%2 == 0 {
-		return "pilot", slot / 2
-	}
-	return "main", slot / 2
+func (s Spec) SlotPhase(slot int) (phase string, shard int) { return s.plan().Slot(slot) }
+
+// BuildTable derives the allocation table every main-phase lease of this
+// campaign carries from the merged pilot (or prior) strata.
+func (s Spec) BuildTable(strata *engine.StrataSummary) *engine.StratumTable {
+	return s.plan().Table(strata)
 }
 
 // Type returns the parsed numeric format of a normalized spec.
@@ -328,19 +316,6 @@ func (s Spec) Options() faultinj.Options {
 	}
 	opt.Eval = engine.EvalMode(s.Eval)
 	return opt
-}
-
-// BuildTable derives the stratified main-phase allocation table every
-// main-phase lease of this campaign carries, from the merged pilot (or
-// prior) strata. The per-bit design allocates mainN injections over the
-// (block, bit) grid; site-draw campaigns allocate whole draw units over
-// per-block strata, one unit per word width of injections.
-func (s Spec) BuildTable(strata *engine.StrataSummary) *engine.StratumTable {
-	_, mainN := engine.PilotBudget(s.N, s.PilotN)
-	if s.Eval != "" {
-		return engine.BuildSiteStratumTable(strata, engine.DrawUnits(mainN, s.Type().Width()))
-	}
-	return engine.BuildStratumTable(strata, mainN)
 }
 
 // campaignKey identifies the prepared campaign object a spec needs — the

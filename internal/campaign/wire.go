@@ -10,22 +10,23 @@ import (
 // internal/controlplane's Plane; this package owns the shapes because the
 // Machine produces leases and snapshots and the Worker consumes them.
 
-// Lease hands a worker everything needed to run one ledger slot: a whole
+// Lease hands a worker everything needed to run one ledger slot — one slot
+// of the engine.Plan that Spec implies, which the worker rebuilds: a whole
 // shard for uniform campaigns, or one phase of a shard for stratified ones.
 type Lease struct {
 	ID string `json:"id"`
 	// Campaign identifies the owning campaign on the control plane. Workers
 	// echo it in heartbeats and reports so the plane can route them.
 	Campaign string `json:"campaign,omitempty"`
-	// Slot is the ledger index the report must echo back; equal to Shard
-	// for uniform campaigns.
+	// Slot is the plan slot the worker executes (engine.RunSlot) and the
+	// ledger index the report must echo back.
 	Slot int `json:"slot"`
-	// Shard and Of are the phase-local shard coordinates the worker
-	// executes (engine.RunShard/PilotShard/MainShard semantics).
-	Shard int  `json:"shard"`
-	Of    int  `json:"of"`
-	Spec  Spec `json:"spec"`
-	// Phase is "" (uniform campaign), "pilot" or "main".
+	// Shard, Of and Phase spell out what the plan makes of Slot — the
+	// phase-local shard coordinates, and "" (uniform campaign), "pilot" or
+	// "main" — for logs and clients; the worker derives them itself.
+	Shard int    `json:"shard"`
+	Of    int    `json:"of"`
+	Spec  Spec   `json:"spec"`
 	Phase string `json:"phase,omitempty"`
 	// Table is the pilot-derived Neyman allocation, present on main-phase
 	// leases. Serializing it into the lease (and recomputing it
@@ -87,8 +88,8 @@ type ReportBatchResponse struct {
 
 // ReportOutcome is the per-report result of a batch delivery. Code 0
 // means accepted (or idempotently dropped); otherwise it is the HTTP
-// status the single-report route would have returned for that report
-// alone, so workers apply the same abandon-on-4xx rule per item.
+// status that report alone earned, so workers apply the abandon-on-4xx
+// rule per item.
 type ReportOutcome struct {
 	Code  int    `json:"code,omitempty"`
 	Error string `json:"error,omitempty"`

@@ -308,7 +308,7 @@ func (w *Worker) deliverLoop(ctx context.Context, repCh <-chan pendingReport, ma
 }
 
 // deliver posts one report batch, retrying transport failures with
-// backoff. Per-report outcomes follow the single-report 4xx rule: a
+// backoff. Per-report outcomes follow the 4xx rule of a whole request: a
 // definitive refusal (campaign gone, or a control plane resumed from its
 // journal no longer recognizes a pre-crash lease) abandons that shard —
 // the slot is re-leased and recomputed bit-identically — while retryable

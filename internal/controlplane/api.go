@@ -86,7 +86,6 @@ func (p *Plane) tenantOnly(next http.HandlerFunc) http.HandlerFunc {
 //	POST /v1/lease                  worker shard lease(s)    -> campaign.LeaseResponse
 //	                                (body {"max":N} batches up to N grants)
 //	POST /v1/heartbeat              extend a lease           -> 204 / 410
-//	POST /v1/report                 deliver a shard report   -> 204
 //	POST /v1/reports                deliver a report batch   -> campaign.ReportBatchResponse
 //	GET  /debug/vars                expvar metrics
 //	GET  /debug/pprof/              profiling (only with Config.Pprof)
@@ -208,18 +207,6 @@ func (p *Plane) Handler() http.Handler {
 		}
 		if !p.heartbeat(req, time.Now()) {
 			http.Error(w, "lease gone", http.StatusGone)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}))
-	mux.HandleFunc("POST /v1/report", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
-		var req campaign.ReportRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if err := p.report(req); err != nil {
-			httpError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)

@@ -17,7 +17,7 @@ const tokenContext = "faultserve.tenant.v1:"
 
 // FleetTenant is the reserved principal name for the shared worker fleet.
 // Its token is the only one the fleet routes (/v1/lease, /v1/heartbeat,
-// /v1/report) accept, and the only one the tenant routes refuse: a
+// /v1/reports) accept, and the only one the tenant routes refuse: a
 // tenant's token cannot pull other tenants' shard leases or inject
 // fabricated reports, and a leaked worker token cannot submit, cancel or
 // read campaigns. Configure it like any other key-file line

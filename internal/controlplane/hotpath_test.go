@@ -42,14 +42,14 @@ func TestGroupCommitDurability(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	resp := p.lease(time.Now())
+	resp := p.leaseBatch(time.Now(), 1)
 	if resp.Lease == nil {
 		t.Fatal("no lease granted")
 	}
 	l := resp.Lease
-	if err := p.report(campaign.ReportRequest{
+	if err := p.reportBatch([]campaign.ReportRequest{{
 		Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec),
-	}); err != nil {
+	}})[0]; err != nil {
 		t.Fatal(err)
 	}
 
@@ -171,14 +171,14 @@ func compactionFixture(t testing.TB) (orig, snap []byte) {
 		if _, err := p.Submit([]string{"alice", "bob"}[i], spec, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		resp := p.lease(time.Now())
+		resp := p.leaseBatch(time.Now(), 1)
 		if resp.Lease == nil {
 			t.Fatal("no lease granted")
 		}
 		l := resp.Lease
-		if err := p.report(campaign.ReportRequest{
+		if err := p.reportBatch([]campaign.ReportRequest{{
 			Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec),
-		}); err != nil {
+		}})[0]; err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,8 +20,9 @@ import (
 // POST /v1/reports, with a stream subscriber attached (the broadcast after
 // an accept is where a mis-shaped report used to panic under the plane
 // lock). Every one must come back as a per-report 4xx with no journal
-// event and no ledger change; List, Get and the stream must stay
-// responsive; and the journal must replay on a reopened plane that then
+// event and no ledger change — as must a submit whose spec would panic the
+// workers that run it; List, Get and the stream must stay responsive; and
+// the journal must replay on a reopened plane that then
 // finishes both campaigns byte-equal to solo.
 func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 	uni := testSpec(31)
@@ -127,6 +128,23 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 	}
 	if got := p1.JournalStats().Events; got != events {
 		t.Errorf("refused reports left %d journal events", got-events)
+	}
+
+	// A spec that would kill every worker that leased it — perlayer's block
+	// past ConvNet's five MAC layers indexes out of range inside a shard
+	// goroutine — is refused at submit, with nothing journaled to re-lease
+	// it from after a restart.
+	hostile, _ := json.Marshal(SubmitRequest{Spec: campaign.Spec{Net: "ConvNet", N: 40, Select: "perlayer", Param: 99}})
+	sub, err := client.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader(hostile))
+	if err != nil {
+		t.Fatalf("POST /v1/campaigns: %v", err)
+	}
+	sub.Body.Close()
+	if sub.StatusCode < 400 || sub.StatusCode >= 500 {
+		t.Errorf("out-of-range perlayer spec: %s, want a 4xx", sub.Status)
+	}
+	if got := p1.JournalStats().Events; got != events {
+		t.Errorf("refused submit left %d journal events", got-events)
 	}
 
 	// The plane still answers, and nothing completed.

@@ -274,7 +274,7 @@ func (p *Plane) compactionSnapshot() (int, []*journalEvent, *commitBatch) {
 			Tenant: c.tenant, Priority: c.priority, Quota: c.quota,
 			Spec: ptr(c.m.Spec()),
 		})
-		for s := 0; s < c.m.Spec().Slots(); s++ {
+		for s, n := 0, c.m.Spec().Slots(); s < n; s++ {
 			if r := c.m.SlotReport(s); r != nil {
 				events = append(events, &journalEvent{
 					Event: evReport, Campaign: c.id,
@@ -452,26 +452,21 @@ func (p *Plane) expireLocked(now time.Time) {
 	}
 }
 
-// lease is the fleet-facing shard hand-out: deficit round-robin over the
-// active campaigns. Each campaign's priority is its quantum — when the
+// leaseBatch is the fleet-facing shard hand-out: deficit round-robin over
+// the active campaigns. Each campaign's priority is its quantum — when the
 // cursor arrives with an empty deficit it refills to priority and the
 // campaign draws up to that many consecutive leases before the cursor
 // moves on — so long-run shares are proportional to priority, every
 // active campaign is visited once per ring cycle (no starvation), and a
 // campaign at its in-flight quota or with nothing leasable is skipped
-// without banking credit.
+// without banking credit. It grants up to max leases under one lock
+// acquisition, continuing the round-robin exactly where sequential single
+// grants would have left it — a batch of N is indistinguishable from N
+// roundtrips, so fair-share proportions are unchanged.
 //
 // The fleet is never "done" and a failed campaign never poisons it:
 // workers poll for as long as the plane serves, and campaign-terminal
 // states are per-campaign.
-func (p *Plane) lease(now time.Time) campaign.LeaseResponse {
-	return p.leaseBatch(now, 1)
-}
-
-// leaseBatch grants up to max leases under one lock acquisition,
-// continuing the deficit round-robin exactly where sequential single
-// grants would have left it — a batch of N is indistinguishable from N
-// roundtrips, so fair-share proportions are unchanged.
 func (p *Plane) leaseBatch(now time.Time, max int) campaign.LeaseResponse {
 	if max < 1 {
 		max = 1
@@ -561,18 +556,6 @@ func (p *Plane) heartbeat(req campaign.HeartbeatRequest, now time.Time) bool {
 	return c.m.Heartbeat(req.LeaseID, now, p.cfg.LeaseTTL)
 }
 
-// report accepts one finished slot. Reports for cancelled campaigns are
-// dropped without error — the worker did honest work against a lease that
-// was valid when granted; there is nothing for it to retry. A report
-// whose lease was never granted for its slot is refused: Accept itself is
-// lease-agnostic (a late delivery from an expired lease is bit-identical
-// to the re-leased worker's), so without this check any caller could
-// inject a structurally-valid fabricated report and have it merged
-// silently.
-func (p *Plane) report(req campaign.ReportRequest) error {
-	return p.reportBatch([]campaign.ReportRequest{req})[0]
-}
-
 // reportBatch accepts several finished slots under one lock acquisition
 // and one journal batch, returning one error (or nil) per report in
 // request order. Every report's ledger mutation and journal enqueue
@@ -602,7 +585,14 @@ func (p *Plane) reportBatch(reqs []campaign.ReportRequest) []error {
 
 // reportLocked applies one report to its campaign's ledger and enqueues
 // the journal event, returning the validation error (if any) and the
-// durability wait for the caller to resolve outside the lock.
+// durability wait for the caller to resolve outside the lock. Reports for
+// cancelled campaigns are dropped without error — the worker did honest
+// work against a lease that was valid when granted; there is nothing for it
+// to retry. A report whose lease was never granted for its slot is refused:
+// Accept itself is lease-agnostic (a late delivery from an expired lease is
+// bit-identical to the re-leased worker's), so without this check any
+// caller could inject a structurally-valid fabricated report and have it
+// merged silently.
 func (p *Plane) reportLocked(req *campaign.ReportRequest) (error, func() error) {
 	c, ok := p.camps[req.Campaign]
 	if !ok {

@@ -52,7 +52,7 @@ func drainLeases(t *testing.T, p *Plane, now time.Time) []string {
 	t.Helper()
 	var order []string
 	for {
-		resp := p.lease(now)
+		resp := p.leaseBatch(now, 1)
 		if resp.Lease == nil {
 			return order
 		}
@@ -143,7 +143,7 @@ func TestCancellationMidLease(t *testing.T) {
 	id := mustSubmit(t, p, "alice", testSpec(1), 1, 0)
 
 	now := time.Now()
-	resp := p.lease(now)
+	resp := p.leaseBatch(now, 1)
 	if resp.Lease == nil {
 		t.Fatal("no lease granted")
 	}
@@ -162,12 +162,12 @@ func TestCancellationMidLease(t *testing.T) {
 	if p.heartbeat(hb, now) {
 		t.Fatal("heartbeat survived cancellation")
 	}
-	if got := p.lease(now); got.Lease != nil {
+	if got := p.leaseBatch(now, 1); got.Lease != nil {
 		t.Fatalf("cancelled campaign still leasing shard %d", got.Lease.Shard)
 	}
 	// The worker finishes anyway and posts: silently dropped.
 	rep := campaign.ReportRequest{Campaign: id, LeaseID: resp.Lease.ID, Shard: resp.Lease.Slot, Report: &campaign.Report{}}
-	if err := p.report(rep); err != nil {
+	if err := p.reportBatch([]campaign.ReportRequest{rep})[0]; err != nil {
 		t.Fatalf("late report for cancelled campaign errored: %v", err)
 	}
 	st, _ := p.Get("alice", id)
@@ -386,7 +386,7 @@ func TestJournalResumeMidPilot(t *testing.T) {
 	goldens := campaign.NewGoldenCache()
 	done := map[string]int{}
 	for done[idDP] < 3 || done[idOther] < 1 {
-		resp := p1.lease(time.Now())
+		resp := p1.leaseBatch(time.Now(), 1)
 		if resp.Lease == nil {
 			t.Fatalf("plane idle before pre-crash work finished: %v", done)
 		}
@@ -398,7 +398,7 @@ func TestJournalResumeMidPilot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p1.report(campaign.ReportRequest{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: rep}); err != nil {
+		if err := p1.reportBatch([]campaign.ReportRequest{{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: rep}})[0]; err != nil {
 			t.Fatal(err)
 		}
 		done[l.Campaign]++
@@ -508,7 +508,7 @@ func TestAuthEndpoints(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	for _, path := range []string{"/v1/lease", "/v1/heartbeat", "/v1/report"} {
+	for _, path := range []string{"/v1/lease", "/v1/heartbeat", "/v1/reports"} {
 		if got := call("POST", path, tok, "{}"); got != http.StatusForbidden {
 			t.Errorf("tenant token on %s: %d, want 403", path, got)
 		}
@@ -613,7 +613,7 @@ func TestForgedReportRefused(t *testing.T) {
 	id := mustSubmit(t, p, "alice", testSpec(1), 1, 0)
 
 	now := time.Now()
-	resp := p.lease(now)
+	resp := p.leaseBatch(now, 1)
 	if resp.Lease == nil {
 		t.Fatal("no lease granted")
 	}
@@ -630,7 +630,7 @@ func TestForgedReportRefused(t *testing.T) {
 		"slot mismatch":     {Campaign: id, LeaseID: l.ID, Shard: l.Slot + 1, Report: rep},
 		"trailing garbage":  {Campaign: id, LeaseID: l.ID + "x", Shard: l.Slot, Report: rep},
 	} {
-		if err := p.report(req); err == nil {
+		if err := p.reportBatch([]campaign.ReportRequest{req})[0]; err == nil {
 			t.Errorf("%s: forged report accepted", name)
 		}
 	}
@@ -638,19 +638,19 @@ func TestForgedReportRefused(t *testing.T) {
 	if st.Snapshot.CompletedShards != 0 {
 		t.Fatalf("forged reports completed %d shards", st.Snapshot.CompletedShards)
 	}
-	if err := p.report(campaign.ReportRequest{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: rep}); err != nil {
+	if err := p.reportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: rep}})[0]; err != nil {
 		t.Fatalf("genuine report refused: %v", err)
 	}
 
 	// Late delivery: a second slot's lease expires and is re-granted; the
 	// original holder's report must still be accepted (deterministic
 	// shards make either copy bit-identical).
-	resp2 := p.lease(now)
+	resp2 := p.leaseBatch(now, 1)
 	if resp2.Lease == nil {
 		t.Fatal("no second lease granted")
 	}
 	stale := resp2.Lease
-	release := p.lease(now.Add(2 * time.Minute)) // past the TTL: expires + re-leases
+	release := p.leaseBatch(now.Add(2*time.Minute), 1) // past the TTL: expires + re-leases
 	if release.Lease == nil || release.Lease.Slot != stale.Slot {
 		t.Fatalf("expected slot %d re-leased, got %+v", stale.Slot, release.Lease)
 	}
@@ -658,7 +658,7 @@ func TestForgedReportRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.report(campaign.ReportRequest{Campaign: id, LeaseID: stale.ID, Shard: stale.Slot, Report: rep2}); err != nil {
+	if err := p.reportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: stale.ID, Shard: stale.Slot, Report: rep2}})[0]; err != nil {
 		t.Fatalf("late delivery from expired lease refused: %v", err)
 	}
 }

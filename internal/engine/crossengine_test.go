@@ -8,8 +8,9 @@
 // pins date from those dataflows' introduction. Every report stays
 // bit-for-bit identical across all six numeric formats, both sampling
 // designs and S ∈ {1, 2, 7} shards, whether produced by Run or by the
-// shard-order merge of standalone RunShard partials; adding a surface is
-// one surfaceFixtures table entry.
+// shard-order merge of the per-shard partials of a serial pass over the
+// plan's slots (engine.ShardReports); adding a surface is one
+// surfaceFixtures table entry.
 package engine_test
 
 import (
@@ -57,7 +58,7 @@ func fixtureInputsFor(name string) []*tensor.Tensor {
 }
 
 // fixtureRunner produces one surface's full-campaign report and its
-// shard-order merge of standalone shard partials, both of which must
+// shard-order merge of serially-run shard partials, both of which must
 // reproduce the checked-in fixture.
 type fixtureRunner struct {
 	run    func(sampling engine.SamplingMode, shards int) any
@@ -88,11 +89,7 @@ var surfaceFixtures = []struct {
 					return c.Run(opt(sampling, shards))
 				},
 				merged: func(sampling engine.SamplingMode, shards int) any {
-					parts := make([]*faultinj.Report, shards)
-					for s := 0; s < shards; s++ {
-						parts[s] = c.RunShard(s, shards, opt(sampling, shards))
-					}
-					return faultinj.MergeReports(parts)
+					return faultinj.MergeReports(engine.ShardReports(c.Surface(opt(sampling, shards))))
 				},
 			}
 		},
@@ -113,11 +110,7 @@ var surfaceFixtures = []struct {
 					return c.Run(eyeriss.GlobalBuffer, opt(sampling, shards))
 				},
 				merged: func(sampling engine.SamplingMode, shards int) any {
-					parts := make([]*eyeriss.Report, shards)
-					for s := 0; s < shards; s++ {
-						parts[s] = c.RunShard(s, shards, eyeriss.GlobalBuffer, opt(sampling, shards))
-					}
-					return eyeriss.MergeReports(parts)
+					return eyeriss.MergeReports(engine.ShardReports(c.Surface(eyeriss.GlobalBuffer, opt(sampling, shards))))
 				},
 			}
 		},
@@ -154,11 +147,7 @@ func systolicFixture(dt numeric.Type, flow systolic.Dataflow) fixtureRunner {
 			return c.Run(opt(sampling, shards))
 		},
 		merged: func(sampling engine.SamplingMode, shards int) any {
-			parts := make([]*systolic.Report, shards)
-			for s := 0; s < shards; s++ {
-				parts[s] = c.RunShard(s, shards, opt(sampling, shards))
-			}
-			return systolic.MergeReports(parts)
+			return systolic.MergeReports(engine.ShardReports(c.Surface(opt(sampling, shards))))
 		},
 	}
 }
@@ -192,8 +181,8 @@ func checkFixture(t *testing.T, name string, report any) {
 }
 
 // TestCrossEngineFixtures pins every surface's campaign reports:
-// Campaign.Run at Workers=S, and the shard-order merge of RunShard(s, S),
-// must both reproduce the checked-in fixture for every format × sampling
+// Campaign.Run at Workers=S, and the shard-order merge of
+// engine.ShardReports at Workers=S, must both reproduce the checked-in fixture for every format × sampling
 // × shard-count cell.
 func TestCrossEngineFixtures(t *testing.T) {
 	for _, sf := range surfaceFixtures {

@@ -6,11 +6,13 @@
 // stratified (pilot → Neyman-allocated main) site sampling over a (block,
 // base bit) stratum grid, and a shard-order merge that makes a distributed
 // campaign bit-identical to a single-process run. This package implements
-// that methodology once, with the scaffold each surface would otherwise
-// re-implement around it: the campaign Options and their validation, the
-// residency sampler, the per-injection and per-draw-unit phase iterators,
-// the stratum-weight grid and the bit-plane evaluation of a single-MAC
-// site. A surface supplies only what is its own — the fault model, the
+// that methodology once — Plan is the one definition of a campaign's slot
+// layout, gating, allocation table and merge association (DESIGN.md §7),
+// which Run and the distributed ledger both execute — with the scaffold
+// each surface would otherwise re-implement around it: the campaign Options
+// and their validation, the residency sampler, the per-injection and
+// per-draw-unit phase iterators, the stratum-weight grid and the bit-plane
+// evaluation of a single-MAC site. A surface supplies only what is its own — the fault model, the
 // order its sites are drawn in, and its report algebra — through the
 // Surface interface. DESIGN.md ("Fault surfaces") has the contract and the
 // steps to add one.

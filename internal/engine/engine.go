@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"repro/internal/network"
 )
@@ -123,8 +121,8 @@ func (ph Phase) EachUnit(shard, of, inputs int, fn func(u, input, block, nbits i
 
 // Surface is what a fault surface supplies to the engine: report algebra
 // and the per-injection execution of one phase of one shard. Everything
-// else — shard fan-out, phase sequencing, pilot merging, Neyman table
-// construction, and the canonical merge association — is the engine's.
+// else — the slot layout, phase sequencing, pilot merging, Neyman table
+// construction, and the canonical merge association — is the engine's Plan.
 //
 // R is the surface's report type. Merge must fold src into dst exactly as
 // the surface's exported merge does (shard-order folds of float
@@ -201,72 +199,6 @@ func (opt Options) UpsetWidth() int {
 	return opt.MBU
 }
 
-// resolved is Options checked against a surface's word width, with the
-// draw-unit size the evaluation design implies: the width under a site
-// mode, 0 (one draw unit per injection) under the per-bit mode.
-type resolved struct {
-	Options
-	siteBits int
-}
-
-// resolve is the one validation of the options every surface shares.
-func (opt Options) resolve(width int) resolved {
-	if opt.MBU > width {
-		panic(fmt.Sprintf("engine: MBU width %d exceeds the %d-bit word", opt.MBU, width))
-	}
-	ro := resolved{Options: opt}
-	switch opt.Eval {
-	case EvalPerBit:
-	case EvalSiteScalar, EvalSiteBitPlane:
-		if opt.UpsetWidth() > 1 {
-			panic("engine: MBU campaigns require the per-bit evaluation mode")
-		}
-		ro.siteBits = width
-	default:
-		panic(fmt.Sprintf("engine: unknown eval mode %q", opt.Eval))
-	}
-	return ro
-}
-
-// The phase descriptors of this campaign carry the site-evaluation
-// geometry: shard striding, input cycling and main-phase allocation all
-// count draw units under a site mode.
-func (opt resolved) uniformPhase() Phase {
-	return Phase{N: opt.N, Values: true, SiteBits: opt.siteBits}
-}
-
-func (opt resolved) pilotPhase(pilotN int) Phase {
-	return Phase{N: pilotN, Strata: true, Values: true, SiteBits: opt.siteBits}
-}
-
-func (opt resolved) mainPhase(pilotN, mainN int, table *StratumTable) Phase {
-	return Phase{
-		N: mainN, SeedSalt: MainSeedSalt,
-		InputBase: DrawUnits(pilotN, opt.siteBits),
-		Table:     table, Strata: true, SiteBits: opt.siteBits,
-	}
-}
-
-// buildTable derives the main-phase allocation from pooled pilot strata:
-// per-(block, bit) injection allocation in the legacy design, per-block
-// site draw-unit allocation under a site evaluation mode.
-func (opt resolved) buildTable(s *StrataSummary, mainN int) *StratumTable {
-	if opt.siteBits > 0 {
-		return BuildSiteStratumTable(s, DrawUnits(mainN, opt.siteBits))
-	}
-	return BuildStratumTable(s, mainN)
-}
-
-// budget resolves the pilot/main split, forcing the pilot-free split when
-// a prior allocation is supplied.
-func (opt resolved) budget() (pilot, main int) {
-	pilotN := opt.PilotN
-	if opt.Prior != nil {
-		pilotN = -1
-	}
-	return PilotBudget(opt.N, pilotN)
-}
-
 // EffectiveShards returns the shard count Run actually uses for a worker
 // request: at least one, at most one per injection.
 func EffectiveShards(workers, n int) int {
@@ -280,171 +212,6 @@ func EffectiveShards(workers, n int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// Run executes the campaign and aggregates its report. It is exactly the
-// shard-order merge of RunShard(s, S) for s in [0, S) with
-// S = EffectiveShards(opt.Workers, opt.N), with the shards running on
-// goroutines — the reference a distributed run of the same S shards is
-// bit-identical to.
-func Run[R any](s Surface[R], o Options) R {
-	opt := o.resolve(s.Width())
-	shards := EffectiveShards(opt.Workers, DrawUnits(opt.N, opt.siteBits))
-	if opt.Sampling == SamplingStratified {
-		return runStratified(s, opt, shards)
-	}
-	parts := runPhaseShards(s, shards, opt.uniformPhase())
-	total := s.NewReport()
-	for _, r := range parts {
-		s.Merge(total, r)
-	}
-	return total
-}
-
-// runPhaseShards fans one phase out over all shards on goroutines.
-func runPhaseShards[R any](s Surface[R], shards int, ph Phase) []R {
-	parts := make([]R, shards)
-	var wg sync.WaitGroup
-	for sh := 0; sh < shards; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			parts[sh] = s.RunPhase(sh, shards, ph)
-		}(sh)
-	}
-	wg.Wait()
-	return parts
-}
-
-// runStratified executes the two-phase campaign: every pilot shard in
-// parallel, the allocation table from the shard-order-merged pilot, then
-// every main shard in parallel. The canonical merge order pre-merges each
-// shard's (pilot, main) pair, then folds the pairs in shard order —
-// exactly what merging standalone RunShard partials produces, and what the
-// distributed coordinator's FinalReport reconstructs from its slot ledger,
-// so distributed == solo bit-for-bit. Prior-allocated campaigns skip the
-// pilot entirely; each shard's pair degenerates to its main report.
-func runStratified[R any](s Surface[R], opt resolved, shards int) R {
-	pilotN, mainN := opt.budget()
-	var pilots []R
-	var table *StratumTable
-	if opt.Prior != nil {
-		table = opt.buildTable(opt.Prior, mainN)
-	} else {
-		if opt.PilotN < 0 {
-			panic("engine: pilot-free campaign needs Options.Prior")
-		}
-		pilots = runPhaseShards(s, shards, opt.pilotPhase(pilotN))
-		ps := mergedStrata(s, pilots)
-		table = opt.buildTable(ps, mainN)
-		if opt.OnPilotStrata != nil {
-			opt.OnPilotStrata(ps)
-		}
-	}
-	mains := runPhaseShards(s, shards, opt.mainPhase(pilotN, mainN, table))
-
-	total := s.NewReport()
-	for sh := 0; sh < shards; sh++ {
-		// Pre-merge each shard's (pilot, main) pair before folding, exactly
-		// like a standalone RunShard does — float accumulators (spread sums)
-		// are order-sensitive, so the fold association must be identical in
-		// every path that reconstructs the campaign report.
-		pair := s.NewReport()
-		if pilots != nil {
-			s.Merge(pair, pilots[sh])
-		}
-		s.Merge(pair, mains[sh])
-		s.Merge(total, pair)
-	}
-	return total
-}
-
-// mergedStrata folds phase reports in shard order and extracts the pooled
-// strata.
-func mergedStrata[R any](s Surface[R], parts []R) *StrataSummary {
-	total := s.NewReport()
-	for _, r := range parts {
-		s.Merge(total, r)
-	}
-	return s.Strata(total)
-}
-
-// RunShard runs one shard of an of-way deterministic partition of the
-// campaign, serially, and returns its partial report. The partition is by
-// injection index stride — shard s covers injections s, s+of, s+2·of, … of
-// the N-injection campaign, drawn from a PRNG stream seeded by (campaign
-// seed, s) — so every injection of the campaign belongs to exactly one
-// shard. Merging all of shards' reports in shard order is bit-identical to
-// Run with Workers=of, which is how Run is implemented; shards can
-// therefore execute anywhere — goroutines, processes, machines — and still
-// reproduce the single-process campaign exactly.
-func RunShard[R any](s Surface[R], shard, of int, o Options) R {
-	checkShard(shard, of)
-	opt := o.resolve(s.Width())
-	if opt.Sampling != SamplingStratified {
-		return s.RunPhase(shard, of, opt.uniformPhase())
-	}
-	pilotN, mainN := opt.budget()
-	r := s.NewReport()
-	var table *StratumTable
-	if opt.Prior != nil {
-		table = opt.buildTable(opt.Prior, mainN)
-	} else {
-		if opt.PilotN < 0 {
-			panic("engine: pilot-free campaign needs Options.Prior")
-		}
-		// A standalone stratified shard needs the allocation table, which
-		// is a function of *every* pilot shard — so recompute them all
-		// locally (redundant across shards but deterministic, hence still
-		// bit-identical to Run). The distributed campaign service avoids
-		// the redundancy: its coordinator leases pilot and main phases
-		// separately (PilotShard/MainShard) and ships the table in the
-		// main-phase lease.
-		pp := opt.pilotPhase(pilotN)
-		pilots := make([]R, of)
-		for sh := 0; sh < of; sh++ {
-			pilots[sh] = s.RunPhase(sh, of, pp)
-		}
-		table = opt.buildTable(mergedStrata(s, pilots), mainN)
-		s.Merge(r, pilots[shard])
-	}
-	s.Merge(r, s.RunPhase(shard, of, opt.mainPhase(pilotN, mainN, table)))
-	return r
-}
-
-// PilotShard runs one shard of a stratified campaign's uniform pilot
-// phase. Merging all of shards' pilot reports in shard order yields the
-// pilot BuildStratumTable expects.
-func PilotShard[R any](s Surface[R], shard, of int, o Options) R {
-	checkShard(shard, of)
-	opt := o.resolve(s.Width())
-	pilotN, _ := opt.budget()
-	return s.RunPhase(shard, of, opt.pilotPhase(pilotN))
-}
-
-// MainShard runs one shard of a stratified campaign's allocated main phase
-// under the given table (BuildStratumTable of the merged pilot, or of a
-// prior campaign's strata). The full campaign report is the per-shard
-// interleaved merge pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ main₁ ⊕ … — bit-identical
-// to Run.
-func MainShard[R any](s Surface[R], shard, of int, table *StratumTable, o Options) R {
-	checkShard(shard, of)
-	if table == nil {
-		panic("engine: MainShard needs a stratum table")
-	}
-	opt := o.resolve(s.Width())
-	pilotN, mainN := opt.budget()
-	if want := DrawUnits(mainN, opt.siteBits); table.MainN != want {
-		panic(fmt.Sprintf("engine: stratum table allocates %d draw units, campaign main phase has %d",
-			table.MainN, want))
-	}
-	return s.RunPhase(shard, of, opt.mainPhase(pilotN, mainN, table))
-}
-
-func checkShard(shard, of int) {
-	if of < 1 || shard < 0 || shard >= of {
-		panic(fmt.Sprintf("engine: shard %d of %d out of range", shard, of))
-	}
 }
 
 // Detection tallies a symptom detector's verdicts against SDC-1 ground

@@ -1,0 +1,264 @@
+package engine
+
+import (
+	"fmt"
+	"sync"
+)
+
+// The phase names of a campaign's slots, as leases spell them.
+const (
+	// PhaseUniform is the one phase of a uniform campaign.
+	PhaseUniform = ""
+	// PhasePilot is a stratified campaign's uniform, strata-recording pilot.
+	PhasePilot = "pilot"
+	// PhaseMain is a stratified campaign's table-allocated main phase.
+	PhaseMain = "main"
+)
+
+// Plan is a campaign's slot layout, and the only place that knows it: how
+// many slots the campaign has and which (phase, shard) each one is, which
+// slots wait on the allocation table, how that table derives from the
+// pooled pilot or prior strata, and in which association slot reports fold
+// into the campaign report. A slot is the unit of execution and of
+// reporting — one phase of one shard. Every scheduler of a campaign — Run
+// on goroutines, the distributed ledger over a fleet — runs the same plan's
+// slots through RunSlot and folds them through Fold, so their reports
+// cannot differ (DESIGN.md §7).
+//
+//	design           slots  slot i is
+//	uniform          S      (uniform, shard i)
+//	stratified       2·S    (pilot, shard i/2) for even i, (main, shard i/2) for odd
+//	prior-allocated  S      (main, shard i)
+//
+// S is EffectiveShards over the campaign's draw units: injections in the
+// per-bit design, sites (one per word width of injections) under a site
+// evaluation mode.
+type Plan struct {
+	n, shards int
+	// siteBits is the draw-unit size: the word width under a site mode, 0
+	// (one draw unit per injection) in the per-bit design.
+	siteBits int
+	// stratified plans split n into pilotN + mainN; pilotN is zero exactly
+	// when the allocation comes from a prior campaign instead of a pilot.
+	stratified    bool
+	pilotN, mainN int
+}
+
+// NewPlan validates the options every surface shares against the surface's
+// word width and lays the campaign out.
+func NewPlan(opt Options, width int) Plan {
+	if opt.MBU > width {
+		panic(fmt.Sprintf("engine: MBU width %d exceeds the %d-bit word", opt.MBU, width))
+	}
+	p := Plan{n: opt.N}
+	switch opt.Eval {
+	case EvalPerBit:
+	case EvalSiteScalar, EvalSiteBitPlane:
+		if opt.UpsetWidth() > 1 {
+			panic("engine: MBU campaigns require the per-bit evaluation mode")
+		}
+		p.siteBits = width
+	default:
+		panic(fmt.Sprintf("engine: unknown eval mode %q", opt.Eval))
+	}
+	p.shards = EffectiveShards(opt.Workers, DrawUnits(opt.N, p.siteBits))
+	if opt.Sampling == SamplingStratified {
+		p.stratified = true
+		pilotN := opt.PilotN
+		if opt.Prior != nil {
+			pilotN = -1
+		}
+		p.pilotN, p.mainN = PilotBudget(opt.N, pilotN)
+	}
+	return p
+}
+
+// Shards returns S, the width of every phase's strided partition.
+func (p Plan) Shards() int { return p.shards }
+
+// Pilots returns the number of pilot slots: S for a stratified campaign
+// that runs its own pilot, zero otherwise.
+func (p Plan) Pilots() int {
+	if p.pilotN > 0 {
+		return p.shards
+	}
+	return 0
+}
+
+// Slots returns the number of slots.
+func (p Plan) Slots() int { return p.shards + p.Pilots() }
+
+// PriorAllocated reports whether the campaign is stratified without a
+// pilot: every slot is main-phase, allocated from a prior campaign's strata.
+func (p Plan) PriorAllocated() bool { return p.stratified && p.pilotN == 0 }
+
+// Slot returns the phase of a slot and its shard index within that phase.
+func (p Plan) Slot(slot int) (phase string, shard int) {
+	if slot < 0 || slot >= p.Slots() {
+		panic(fmt.Sprintf("engine: slot %d out of range [0,%d)", slot, p.Slots()))
+	}
+	switch {
+	case !p.stratified:
+		return PhaseUniform, slot
+	case p.pilotN == 0:
+		return PhaseMain, slot
+	case slot%2 == 0:
+		return PhasePilot, slot / 2
+	}
+	return PhaseMain, slot / 2
+}
+
+// Gated reports whether a slot needs the allocation table to run — the
+// main-phase slots.
+func (p Plan) Gated(slot int) bool {
+	phase, _ := p.Slot(slot)
+	return phase == PhaseMain
+}
+
+// wave lists, in slot order, the slots that are (or are not) gated.
+func (p Plan) wave(gated bool) []int {
+	var slots []int
+	for slot := 0; slot < p.Slots(); slot++ {
+		if p.Gated(slot) == gated {
+			slots = append(slots, slot)
+		}
+	}
+	return slots
+}
+
+// Table derives the allocation every gated slot runs under from the pooled
+// pilot strata (PilotReport) or a prior campaign's: the main budget spread
+// over the (block, bit) grid in the per-bit design, whole site draw units
+// over per-block strata under a site evaluation mode.
+func (p Plan) Table(strata *StrataSummary) *StratumTable {
+	if p.siteBits > 0 {
+		return BuildSiteStratumTable(strata, DrawUnits(p.mainN, p.siteBits))
+	}
+	return BuildStratumTable(strata, p.mainN)
+}
+
+// phase returns the phase descriptor and shard of a slot. Shard striding,
+// input cycling and the main-phase allocation all count draw units.
+func (p Plan) phase(slot int, table *StratumTable) (Phase, int) {
+	kind, shard := p.Slot(slot)
+	switch kind {
+	case PhasePilot:
+		return Phase{N: p.pilotN, Strata: true, Values: true, SiteBits: p.siteBits}, shard
+	case PhaseMain:
+		if table == nil {
+			panic(fmt.Sprintf("engine: main-phase slot %d needs a stratum table", slot))
+		}
+		if want := DrawUnits(p.mainN, p.siteBits); table.MainN != want {
+			panic(fmt.Sprintf("engine: stratum table allocates %d draw units, campaign main phase has %d",
+				table.MainN, want))
+		}
+		return Phase{
+			N: p.mainN, SeedSalt: MainSeedSalt,
+			InputBase: DrawUnits(p.pilotN, p.siteBits),
+			Table:     table, Strata: true, SiteBits: p.siteBits,
+		}, shard
+	}
+	return Phase{N: p.n, Values: true, SiteBits: p.siteBits}, shard
+}
+
+// RunSlot executes one slot of the plan serially and returns its report;
+// table is the plan's allocation (Table) for a gated slot and ignored
+// otherwise. It is the only way a phase of a shard gets run, by Run and by
+// a distributed worker alike, so slots can execute anywhere — goroutines,
+// processes, machines — and Fold still reproduces the one campaign.
+func RunSlot[R any](s Surface[R], p Plan, slot int, table *StratumTable) R {
+	ph, shard := p.phase(slot, table)
+	return s.RunPhase(shard, p.shards, ph)
+}
+
+// perShard reduces a campaign's slot reports, indexed by slot, to one
+// partial per shard: a two-phase campaign's (pilot, main) pairs pre-merged,
+// the slots themselves otherwise. merge folds a list of reports, in order,
+// into a fresh one.
+func perShard[R any](p Plan, parts []R, merge func([]R) R) []R {
+	if p.Pilots() == 0 {
+		return parts
+	}
+	pairs := make([]R, p.shards)
+	for s := range pairs {
+		pairs[s] = merge(parts[2*s : 2*s+2])
+	}
+	return pairs
+}
+
+// Fold merges a campaign's slot reports into the campaign report: the
+// shard-order fold of the per-shard partials. Float accumulators make the
+// association part of the bit-identity contract, which is why there is one.
+func Fold[R any](p Plan, parts []R, merge func([]R) R) R {
+	return merge(perShard(p, parts, merge))
+}
+
+// PilotReport merges the pilot slots' reports in slot order; its strata are
+// what Table allocates from. parts is indexed by slot, gated entries unread.
+func PilotReport[R any](p Plan, parts []R, merge func([]R) R) R {
+	var pilots []R
+	for _, slot := range p.wave(false) {
+		pilots = append(pilots, parts[slot])
+	}
+	return merge(pilots)
+}
+
+// Run executes the campaign and aggregates its report: the ungated slots
+// on goroutines, the allocation table, the gated slots on goroutines, Fold.
+func Run[R any](s Surface[R], o Options) R {
+	p := NewPlan(o, s.Width())
+	return Fold(p, runSlots(s, o, p, concurrently), folder(s))
+}
+
+// runSlots executes every slot of the plan — the ungated wave, then, under
+// the table its pooled strata (or the prior) yield, the gated wave — and
+// returns the reports indexed by slot. wave calls fn(0) … fn(n−1).
+func runSlots[R any](s Surface[R], o Options, p Plan, wave func(n int, fn func(i int))) []R {
+	parts := make([]R, p.Slots())
+	var table *StratumTable
+	run := func(slots []int) {
+		wave(len(slots), func(i int) { parts[slots[i]] = RunSlot(s, p, slots[i], table) })
+	}
+	run(p.wave(false))
+	if gated := p.wave(true); len(gated) > 0 {
+		if p.PriorAllocated() {
+			if o.Prior == nil {
+				panic("engine: pilot-free campaign needs Options.Prior")
+			}
+			table = p.Table(o.Prior)
+		} else {
+			pilot := s.Strata(PilotReport(p, parts, folder(s)))
+			table = p.Table(pilot)
+			if o.OnPilotStrata != nil {
+				o.OnPilotStrata(pilot)
+			}
+		}
+		run(gated)
+	}
+	return parts
+}
+
+// concurrently is the wave of Run: one goroutine per slot.
+func concurrently(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// folder is the surface's list fold: a fresh report with rs merged in, in
+// order.
+func folder[R any](s Surface[R]) func([]R) R {
+	return func(rs []R) R {
+		total := s.NewReport()
+		for _, r := range rs {
+			s.Merge(total, r)
+		}
+		return total
+	}
+}

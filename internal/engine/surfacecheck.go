@@ -20,6 +20,21 @@ type TestingT interface {
 	Fatalf(format string, args ...any)
 }
 
+// ShardReports runs every slot of the campaign serially — one pass over the
+// plan, the allocation table derived between its two waves exactly as Run
+// derives it — and returns the per-shard partials whose shard-order merge is
+// Run. It is how a test stands in for a fleet.
+func ShardReports[R any](s Surface[R], o Options) []R {
+	p := NewPlan(o, s.Width())
+	return perShard(p, runSlots(s, o, p, serially), folder(s))
+}
+
+func serially(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
+	}
+}
+
 // CheckSurface verifies the Surface contract for one adapter under one
 // set of engine options:
 //
@@ -51,11 +66,7 @@ func CheckSurface[R any](t TestingT, s Surface[R], opt Options) {
 	full := Run[R](s, opt)
 	want := enc("Run report", full)
 
-	shards := EffectiveShards(opt.Workers, DrawUnits(opt.N, opt.resolve(s.Width()).siteBits))
-	parts := make([]R, shards)
-	for i := range parts {
-		parts[i] = RunShard[R](s, i, shards, opt)
-	}
+	parts := ShardReports(s, opt)
 
 	// Zero identity: ε ⊕ p0 ⊕ ε ⊕ p1 ⊕ … ⊕ ε == Run.
 	acc := s.NewReport()

@@ -268,45 +268,21 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 }
 
 // Surface binds the (campaign, buffer class) pair to the shared engine: its
-// Surface adapter and the engine options it runs under. Every run verb
-// below is the engine's verb of the same name on this pair.
+// Surface adapter and the engine options it runs under — what engine.Run,
+// engine.NewPlan and engine.RunSlot take.
 func (c *Campaign) Surface(b Buffer, opt Options) (engine.Surface[*Report], engine.Options) {
 	c.validate()
 	return surface{c, b, opt}, opt
 }
 
-// Run injects opt.N faults into buffer class b and tallies SDC outcomes.
-// It is exactly the shard-order merge of RunShard(s, S, b, opt) for s in
-// [0, S) with S = engine.EffectiveShards(opt.Workers, opt.N), with the
-// shards running on goroutines — the reference a distributed run of the
-// same S shards is bit-identical to.
+// Run injects opt.N faults into buffer class b and tallies SDC outcomes
+// (engine.Run): the slots of the campaign's engine.Plan at S = opt.Workers
+// shards, run on goroutines and folded in the plan's association — the
+// reference a distributed run of the same plan is bit-identical to. Each
+// slot builds its own network instance, so slots can execute anywhere.
 func (c *Campaign) Run(b Buffer, opt Options) *Report {
 	s, eo := c.Surface(b, opt)
 	return engine.Run(s, eo)
-}
-
-// RunShard runs one shard of an of-way deterministic partition of the
-// buffer campaign, serially, and returns its partial report (see
-// engine.RunShard): each shard builds its own network instance, so shards
-// can execute anywhere — goroutines, processes, machines — and the
-// shard-order merge (MergeReports) is bit-identical to Run with Workers=of.
-func (c *Campaign) RunShard(shard, of int, b Buffer, opt Options) *Report {
-	s, eo := c.Surface(b, opt)
-	return engine.RunShard(s, shard, of, eo)
-}
-
-// PilotShard runs one shard of a stratified buffer campaign's uniform
-// pilot phase (see engine.PilotShard).
-func (c *Campaign) PilotShard(shard, of int, b Buffer, opt Options) *Report {
-	s, eo := c.Surface(b, opt)
-	return engine.PilotShard(s, shard, of, eo)
-}
-
-// MainShard runs one shard of a stratified buffer campaign's allocated
-// main phase (see engine.MainShard).
-func (c *Campaign) MainShard(shard, of int, b Buffer, table *engine.StratumTable, opt Options) *Report {
-	s, eo := c.Surface(b, opt)
-	return engine.MainShard(s, shard, of, table, eo)
 }
 
 // validate fails fast on a malformed campaign before any shard runs:

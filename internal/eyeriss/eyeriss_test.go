@@ -347,9 +347,9 @@ func TestBufferCampaignsDeterministicWithCache(t *testing.T) {
 	}
 }
 
-// TestRunShardMergeMatchesRun requires the shard-order merge of RunShard
-// partials to equal Run with Workers equal to the shard count — the same
-// determinism contract the datapath engine's faultinj.RunShard carries,
+// TestRunShardMergeMatchesRun requires the shard-order merge of
+// serially-run shard partials to equal Run with Workers equal to the shard
+// count — the same determinism contract the datapath surface carries,
 // extended to buffer campaigns so a distributed service can shard them
 // identically.
 func TestRunShardMergeMatchesRun(t *testing.T) {
@@ -358,28 +358,26 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 	opt := Options{N: 103, Seed: 31, Workers: shards}
 	for _, b := range Buffers {
 		want := c.Run(b, opt)
-		parts := make([]*Report, shards)
-		for s := 0; s < shards; s++ {
-			parts[s] = c.RunShard(s, shards, b, opt)
-		}
-		got := MergeReports(parts)
+		got := MergeReports(engine.ShardReports(c.Surface(b, opt)))
 		if got.Counts != want.Counts || got.Detection != want.Detection {
 			t.Fatalf("%s: sharded merge diverged: %+v vs %+v", b, got, want)
 		}
 	}
 }
 
-// TestRunShardRejectsBadIndices pins the shard-range contract.
+// TestRunShardRejectsBadIndices pins the slot-range contract.
 func TestRunShardRejectsBadIndices(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
-	for _, bad := range [][2]int{{-1, 4}, {4, 4}, {0, 0}} {
+	s, eo := c.Surface(GlobalBuffer, Options{N: 10, Seed: 1, Workers: 4})
+	plan := engine.NewPlan(eo, s.Width())
+	for _, bad := range []int{-1, 4} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("RunShard(%d, %d) did not panic", bad[0], bad[1])
+					t.Errorf("RunSlot(%d) of a %d-slot plan did not panic", bad, plan.Slots())
 				}
 			}()
-			c.RunShard(bad[0], bad[1], GlobalBuffer, Options{N: 10, Seed: 1})
+			engine.RunSlot(s, plan, bad, nil)
 		}()
 	}
 }
@@ -448,26 +446,22 @@ func TestStratifiedBufferSmoke(t *testing.T) {
 
 // TestStratifiedBufferRunShardMergeMatchesRun is the eyeriss half of the
 // stratified determinism contract: for S in {1, 2, 7} the shard-order
-// merge of stratified RunShard partials must be bit-identical to the solo
-// stratified Run, per-stratum tallies included.
+// merge of serially-run stratified shard partials must be bit-identical to
+// the solo stratified Run, per-stratum tallies included.
 func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	for _, b := range []Buffer{GlobalBuffer, ImgReg} {
 		for _, shards := range []int{1, 2, 7} {
 			opt := Options{N: 97, Seed: 19, Workers: shards, Sampling: engine.SamplingStratified}
 			want := c.Run(b, opt)
-			parts := make([]*Report, shards)
-			for s := 0; s < shards; s++ {
-				parts[s] = c.RunShard(s, shards, b, opt)
-			}
-			got := MergeReports(parts)
+			got := MergeReports(engine.ShardReports(c.Surface(b, opt)))
 			assertBufferReportsBitIdentical(t, fmt.Sprintf("%s/S=%d", b, shards), got, want)
 		}
 	}
 }
 
-// TestStratifiedBufferPhaseShardsMatchRun drives the PilotShard/MainShard
-// split the distributed coordinator uses and checks the paired slot merge
+// TestStratifiedBufferPhaseShardsMatchRun drives the pilot-slot/main-slot
+// split the distributed ledger uses and checks the paired slot merge
 // reproduces solo Run bit-for-bit.
 func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
@@ -475,17 +469,20 @@ func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
 	opt := Options{N: 101, Seed: 23, Workers: shards, Sampling: engine.SamplingStratified}
 	want := c.Run(FilterSRAM, opt)
 
-	pilots := make([]*Report, shards)
-	for s := 0; s < shards; s++ {
-		pilots[s] = c.PilotShard(s, shards, FilterSRAM, opt)
+	s, eo := c.Surface(FilterSRAM, opt)
+	plan := engine.NewPlan(eo, s.Width())
+	slots := make([]*Report, plan.Slots())
+	for slot := range slots {
+		if !plan.Gated(slot) {
+			slots[slot] = engine.RunSlot(s, plan, slot, nil)
+		}
 	}
-	_, mainN := engine.PilotBudget(opt.N, opt.PilotN)
-	table := engine.BuildStratumTable(MergeReports(pilots).Strata, mainN)
+	table := plan.Table(engine.PilotReport(plan, slots, MergeReports).Strata)
 	got := &Report{}
-	for s := 0; s < shards; s++ {
+	for sh := 0; sh < shards; sh++ {
 		pair := &Report{}
-		pair.Merge(pilots[s])
-		pair.Merge(c.MainShard(s, shards, FilterSRAM, table, opt))
+		pair.Merge(slots[2*sh])
+		pair.Merge(engine.RunSlot(s, plan, 2*sh+1, table))
 		got.Merge(pair)
 	}
 	assertBufferReportsBitIdentical(t, "phase-sharded", got, want)
@@ -521,12 +518,15 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 		DType:  numeric.Fx16RB10,
 		Inputs: smallInputs(2),
 	}
-	opt := Options{N: 60, Seed: 5, Workers: 1}
+	opt := Options{N: 60, Seed: 5, Workers: 3}
 	strat := opt
 	strat.Sampling = engine.SamplingStratified
+	ps, peo := c.Surface(GlobalBuffer, strat)
+	us, ueo := c.Surface(FilterSRAM, opt)
+	pilots, uniform := engine.NewPlan(peo, ps.Width()), engine.NewPlan(ueo, us.Width())
 	for s := 0; s < 3; s++ {
-		c.PilotShard(s, 3, GlobalBuffer, strat)
-		c.RunShard(s, 3, FilterSRAM, opt)
+		engine.RunSlot(ps, pilots, 2*s, nil) // shard s's pilot slot
+		engine.RunSlot(us, uniform, s, nil)
 	}
 	if got := c.goldens.Len(); got != len(c.Inputs) {
 		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))

@@ -26,7 +26,7 @@ func TestBufferMBUCampaign(t *testing.T) {
 		if c.Run(b, single).Counts != r.Counts {
 			differs = true
 		}
-		parts := []*Report{c.RunShard(0, 2, b, opt), c.RunShard(1, 2, b, opt)}
+		parts := engine.ShardReports(c.Surface(b, opt))
 		assertBufferReportsBitIdentical(t, fmt.Sprintf("%s mbu distributed", b), MergeReports(parts), r)
 	}
 	if !differs {
@@ -52,7 +52,7 @@ func TestBufferMBUCampaign(t *testing.T) {
 				}
 			}
 		}
-		parts := []*Report{c.RunShard(0, 2, b, sopt), c.RunShard(1, 2, b, sopt)}
+		parts := engine.ShardReports(c.Surface(b, sopt))
 		assertBufferReportsBitIdentical(t, fmt.Sprintf("%s mbu stratified", b), MergeReports(parts), sr)
 	}
 }

@@ -76,8 +76,8 @@ func TestBufferSiteModesAllClasses(t *testing.T) {
 }
 
 // TestBufferSiteModesShardMergeMatchesRun pins the distributed contract in
-// the site modes: the shard-order merge of RunShard(s, S) for S in
-// {1, 2, 7} must be bit-identical to Run — including the PreMasked tally —
+// the site modes: the shard-order merge of serially-run shard partials
+// (engine.ShardReports) for S in {1, 2, 7} must be bit-identical to Run — including the PreMasked tally —
 // for both site modes and both sampling designs.
 func TestBufferSiteModesShardMergeMatchesRun(t *testing.T) {
 	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(3)}
@@ -87,11 +87,7 @@ func TestBufferSiteModesShardMergeMatchesRun(t *testing.T) {
 				for _, shards := range []int{1, 2, 7} {
 					opt := Options{N: 128, Seed: 7, Workers: shards, Sampling: sampling, Eval: eval}
 					want := c.Run(b, opt)
-					parts := make([]*Report, shards)
-					for s := 0; s < shards; s++ {
-						parts[s] = c.RunShard(s, shards, b, opt)
-					}
-					got := MergeReports(parts)
+					got := MergeReports(engine.ShardReports(c.Surface(b, opt)))
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%v/%v/%v shards=%d: merged shards diverged from Run:\n got %+v\nwant %+v",
 							b, eval, sampling, shards, got, want)

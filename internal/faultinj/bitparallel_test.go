@@ -55,9 +55,9 @@ func TestSiteBitPlaneMatchesSiteScalar(t *testing.T) {
 	}
 }
 
-// TestSiteModesShardMergeMatchesRun extends the RunShard determinism
+// TestSiteModesShardMergeMatchesRun extends the shard-merge determinism
 // contract to the site-draw modes: for shard counts 1, 2 and 7, the
-// shard-order merge of RunShard partials is bit-identical to Run, for both
+// shard-order merge of serially-run shard partials is bit-identical to Run, for both
 // site modes and both sampling designs — the property the distributed
 // campaign service (and its resume path) relies on.
 func TestSiteModesShardMergeMatchesRun(t *testing.T) {
@@ -72,11 +72,7 @@ func TestSiteModesShardMergeMatchesRun(t *testing.T) {
 				want := New(smallNet(), numeric.Fx16RB10, smallInputs(2)).Run(opt)
 
 				sharded := New(smallNet(), numeric.Fx16RB10, smallInputs(2))
-				parts := make([]*Report, shards)
-				for s := 0; s < shards; s++ {
-					parts[s] = sharded.RunShard(s, shards, opt)
-				}
-				got := MergeReports(parts)
+				got := MergeReports(engine.ShardReports(sharded.Surface(opt)))
 
 				label := fmt.Sprintf("%s/%s/shards=%d", eval, sampling, shards)
 				if got.PreMasked != want.PreMasked {
@@ -218,9 +214,9 @@ func TestSiteModeValidation(t *testing.T) {
 }
 
 // TestAutoCutoffReportInvariance extends the cutoff-invariance property to
-// the per-layer auto-tuner: a campaign with the tuner active (the default
-// when no explicit cutoff is set) must be bit-identical to explicit-cutoff
-// runs of the same campaign.
+// the per-layer auto-tuner: a campaign with the tuner active (every
+// campaign's setup enables it) must be bit-identical to runs of the same
+// campaign under an explicit network.SetSparseDensityCutoff override.
 func TestAutoCutoffReportInvariance(t *testing.T) {
 	opt := Options{N: 300, Seed: 29, TrackValues: 32, TrackSpread: true}
 	auto := New(smallNet(), numeric.Float16, smallInputs(2))
@@ -235,10 +231,9 @@ func TestAutoCutoffReportInvariance(t *testing.T) {
 		}
 	}
 	for _, cutoff := range []float64{1e-9, 0.5, 1} {
-		o := opt
-		o.SparseDensityCutoff = cutoff
-		r := New(smallNet(), numeric.Float16, smallInputs(2)).Run(o)
-		assertReportsBitIdentical(t, fmt.Sprintf("auto-vs-cutoff=%g", cutoff), r, ref)
+		c := New(smallNet(), numeric.Float16, smallInputs(2))
+		c.Net.SetSparseDensityCutoff(cutoff)
+		assertReportsBitIdentical(t, fmt.Sprintf("auto-vs-cutoff=%g", cutoff), c.Run(opt), ref)
 	}
 }
 

@@ -272,11 +272,6 @@ type Options struct {
 	// throughput benchmarks and as a debugging oracle; reports are
 	// bit-identical either way.
 	Dense bool
-	// SparseDensityCutoff, when positive, tunes the changed-set density at
-	// which the sparse downstream propagation falls back to dense per-layer
-	// re-execution (see layers.DefaultSparseDensityCutoff for the default).
-	// Reports are bit-identical at any value; only throughput changes.
-	SparseDensityCutoff float64
 	// Sampling selects the site-sampling design: engine.SamplingUniform
 	// (the default, "" included) or SamplingStratified — the two-phase
 	// masking-aware campaign (see internal/engine). Stratified campaigns
@@ -317,7 +312,7 @@ type Options struct {
 
 // engineOptions maps the options onto the shared engine's: the ten fields
 // every surface has, which the engine validates and orchestrates by. What
-// stays behind is the datapath's own (Selector, tracking, Dense, cutoff).
+// stays behind is the datapath's own (Selector, tracking, Dense).
 func (opt Options) engineOptions() engine.Options {
 	return engine.Options{
 		N: opt.N, Seed: opt.Seed, Workers: opt.Workers, Detector: opt.Detector,
@@ -339,7 +334,7 @@ type Campaign struct {
 	// computed, bit-identical one. The distributed campaign service hooks
 	// a process-wide golden-execution cache here so campaigns sharing
 	// (network, weights, input, format) run the golden pass once per
-	// machine. Must be set before the first Run/RunShard/Golden call.
+	// machine. Must be set before the first Run/Surface/Golden call.
 	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
 	profile *accel.Profile
@@ -413,8 +408,8 @@ type surface struct {
 }
 
 // Surface binds the campaign to the shared engine: its Surface adapter and
-// the engine options it runs under. Every run verb below is the engine's
-// verb of the same name on this pair.
+// the engine options it runs under — what engine.Run, engine.NewPlan and
+// engine.RunSlot take.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
 	c.setup(&opt)
 	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.profile.NumMACLayers()}, opt.engineOptions()
@@ -428,62 +423,26 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 	return s.c.runShardPhase(shard, of, s.opt, s.bits, s.blocks, ph)
 }
 
-// Run executes the campaign and aggregates its report. It is exactly the
-// shard-order merge of RunShard(s, S, opt) for s in [0, S) with
-// S = engine.EffectiveShards(opt.Workers, opt.N), with the shards running on
-// goroutines — the reference a distributed run of the same S shards is
-// bit-identical to.
+// Run executes the campaign and aggregates its report (engine.Run): the
+// slots of the campaign's engine.Plan at S = opt.Workers shards, run on
+// goroutines and folded in the plan's association — the reference a
+// distributed run of the same plan is bit-identical to.
 func (c *Campaign) Run(opt Options) *Report {
 	s, eo := c.Surface(opt)
 	return engine.Run(s, eo)
 }
 
-// RunShard runs one shard of an of-way deterministic partition of the
-// campaign, serially, and returns its partial report. The partition is by
-// injection index stride — shard s covers injections s, s+of, s+2·of, … of
-// the N-injection campaign, drawn from a PRNG stream seeded by (opt.Seed,
-// s) — so every injection of the campaign belongs to exactly one shard.
-// Merging all of shards' reports in shard order (MergeReports) is
-// bit-identical to Run with Workers=of, which is how Run is implemented;
-// shards can therefore execute anywhere — goroutines, processes, machines —
-// and still reproduce the single-process campaign exactly.
-func (c *Campaign) RunShard(shard, of int, opt Options) *Report {
-	s, eo := c.Surface(opt)
-	return engine.RunShard(s, shard, of, eo)
-}
-
-// PilotShard runs one shard of a stratified campaign's uniform pilot
-// phase. Merging all of shards' pilot reports in shard order yields the
-// pilot engine.BuildStratumTable expects.
-func (c *Campaign) PilotShard(shard, of int, opt Options) *Report {
-	s, eo := c.Surface(opt)
-	return engine.PilotShard(s, shard, of, eo)
-}
-
-// MainShard runs one shard of a stratified campaign's allocated main phase
-// under the given table (engine.BuildStratumTable of the merged pilot). The full
-// campaign report is the per-shard interleaved merge
-// pilot₀ ⊕ main₀ ⊕ pilot₁ ⊕ main₁ ⊕ … — bit-identical to Run.
-func (c *Campaign) MainShard(shard, of int, table *engine.StratumTable, opt Options) *Report {
-	s, eo := c.Surface(opt)
-	return engine.MainShard(s, shard, of, table, eo)
-}
-
-// setup performs the idempotent per-campaign preparation shared by Run and
-// RunShard: the quantized-parameter cache, the fault-site profile, the
+// setup performs the idempotent per-campaign preparation behind Surface:
+// the quantized-parameter cache, the fault-site profile, the
 // golden executions and the selector default.
 func (c *Campaign) setup(opt *Options) {
 	if !opt.Dense {
 		// Quantize each layer's parameters once per campaign; every
 		// shard (and the golden passes) shares the read-only result.
 		c.Net.EnableQuantCache()
-		if opt.SparseDensityCutoff > 0 {
-			c.Net.SetSparseDensityCutoff(opt.SparseDensityCutoff)
-		} else {
-			// No explicit cutoff: tune the sparse/dense crossover per layer
-			// from the densities this campaign actually observes.
-			c.Net.EnableAutoSparseCutoff()
-		}
+		// Tune the sparse/dense crossover per layer from the densities this
+		// campaign actually observes.
+		c.Net.EnableAutoSparseCutoff()
 	}
 	c.prepare(opt.Workers)
 	if opt.Sampling == engine.SamplingStratified && opt.Selector != nil {

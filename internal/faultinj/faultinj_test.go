@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/layers"
 	"repro/internal/models"
 	"repro/internal/network"
@@ -270,23 +271,23 @@ func TestDenseMatchesIncremental(t *testing.T) {
 	}
 }
 
-// TestSparseCutoffReportInvariance pins Options.SparseDensityCutoff as a
-// throughput knob only: the campaign report is bit-identical whether the
-// cutoff forces the dense fallback on every delta step (1e-9), forbids it
-// entirely (1), or is left at the default (0).
+// TestSparseCutoffReportInvariance pins the sparse/dense crossover
+// (network.SetSparseDensityCutoff) as a throughput matter only: the campaign
+// report is bit-identical whether the cutoff forces the dense fallback on
+// every delta step (1e-9), forbids it entirely (1), or is left to the
+// campaign's per-layer auto-tuner.
 func TestSparseCutoffReportInvariance(t *testing.T) {
 	opt := Options{N: 300, Seed: 29, TrackValues: 32, TrackSpread: true}
 	ref := New(smallNet(), numeric.Float16, smallInputs(2)).Run(opt)
 	for _, cutoff := range []float64{1e-9, 1} {
-		o := opt
-		o.SparseDensityCutoff = cutoff
-		r := New(smallNet(), numeric.Float16, smallInputs(2)).Run(o)
-		assertReportsBitIdentical(t, fmt.Sprintf("cutoff=%g", cutoff), r, ref)
+		c := New(smallNet(), numeric.Float16, smallInputs(2))
+		c.Net.SetSparseDensityCutoff(cutoff)
+		assertReportsBitIdentical(t, fmt.Sprintf("cutoff=%g", cutoff), c.Run(opt), ref)
 	}
 }
 
-// TestShardPartitionCoversEverySiteOnce is the property test behind
-// RunShard's contract: for any (N, shards), the strided partition assigns
+// TestShardPartitionCoversEverySiteOnce is the property test behind the
+// strided shard partition: for any (N, shards), the strided partition assigns
 // every injection index to exactly one shard, so a distributed campaign
 // injects exactly the same site multiset as a single-process one.
 func TestShardPartitionCoversEverySiteOnce(t *testing.T) {
@@ -309,8 +310,8 @@ func TestShardPartitionCoversEverySiteOnce(t *testing.T) {
 }
 
 // TestRunShardMergeMatchesRun requires the shard-order merge of every
-// RunShard partial to be bit-identical to Run with Workers equal to the
-// shard count — the determinism contract the distributed campaign service
+// serially-run shard partial to be bit-identical to Run with Workers equal
+// to the shard count — the determinism contract the distributed campaign service
 // builds on — including the order-sensitive value samples and spread sums.
 func TestRunShardMergeMatchesRun(t *testing.T) {
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
@@ -320,12 +321,8 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 		whole := New(smallNet(), dt, smallInputs(2))
 		want := whole.Run(opt)
 
-		parts := make([]*Report, shards)
 		sharded := New(smallNet(), dt, smallInputs(2))
-		for s := 0; s < shards; s++ {
-			parts[s] = sharded.RunShard(s, shards, opt)
-		}
-		got := MergeReports(parts)
+		got := MergeReports(engine.ShardReports(sharded.Surface(opt)))
 
 		assertReportsBitIdentical(t, string(dt.String()), got, want)
 	}

@@ -84,7 +84,7 @@ func TestMBUCampaign(t *testing.T) {
 	// Distributed MBU == solo, for both sampling designs.
 	for _, o := range []Options{opt, sopt} {
 		sharded := New(smallNet(), dt, smallInputs(2))
-		parts := []*Report{sharded.RunShard(0, 2, o), sharded.RunShard(1, 2, o)}
+		parts := engine.ShardReports(sharded.Surface(o))
 		assertReportsBitIdentical(t, "mbu distributed", MergeReports(parts), New(smallNet(), dt, smallInputs(2)).Run(o))
 	}
 }

@@ -196,9 +196,9 @@ func TestStratifiedCINarrowerOnConvNet(t *testing.T) {
 }
 
 // TestStratifiedRunShardMergeMatchesRun extends the determinism contract
-// to the two-phase design: the shard-order merge of stratified RunShard
-// partials must be bit-identical to the solo stratified Run — including
-// the per-stratum tallies — for S ∈ {1, 2, 7}.
+// to the two-phase design: the shard-order merge of serially-run stratified
+// shard partials must be bit-identical to the solo stratified Run —
+// including the per-stratum tallies — for S ∈ {1, 2, 7}.
 func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
 		for _, shards := range []int{1, 2, 7} {
@@ -207,36 +207,35 @@ func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 			want := New(smallNet(), dt, smallInputs(2)).Run(opt)
 
 			sharded := New(smallNet(), dt, smallInputs(2))
-			parts := make([]*Report, shards)
-			for s := 0; s < shards; s++ {
-				parts[s] = sharded.RunShard(s, shards, opt)
-			}
-			got := MergeReports(parts)
+			got := MergeReports(engine.ShardReports(sharded.Surface(opt)))
 			assertReportsBitIdentical(t, dt.String(), got, want)
 		}
 	}
 }
 
-// TestStratifiedPhaseShardsMatchRun exercises the coordinator's path
-// directly: pilot shards, a table built from their merge, main shards under
-// that table, everything merged in the interleaved pilot₀ ⊕ main₀ ⊕ … slot
-// order — bit-identical to solo Run.
+// TestStratifiedPhaseShardsMatchRun exercises the distributed ledger's path
+// directly: the plan's pilot slots, a table built from their merge, its
+// main slots under that table, everything merged in the interleaved
+// pilot₀ ⊕ main₀ ⊕ … slot order — bit-identical to solo Run.
 func TestStratifiedPhaseShardsMatchRun(t *testing.T) {
 	const shards = 3
 	opt := Options{N: 207, Seed: 43, Workers: shards, Sampling: engine.SamplingStratified}
 
 	want := New(smallNet(), numeric.Float16, smallInputs(2)).Run(opt)
 
-	c := New(smallNet(), numeric.Float16, smallInputs(2))
-	pilots := make([]*Report, shards)
-	for s := 0; s < shards; s++ {
-		pilots[s] = c.PilotShard(s, shards, opt)
+	s, eo := New(smallNet(), numeric.Float16, smallInputs(2)).Surface(opt)
+	plan := engine.NewPlan(eo, s.Width())
+	slots := make([]*Report, plan.Slots())
+	for slot := range slots {
+		if !plan.Gated(slot) {
+			slots[slot] = engine.RunSlot(s, plan, slot, nil)
+		}
 	}
-	_, mainN := engine.PilotBudget(opt.N, opt.PilotN)
-	table := engine.BuildStratumTable(MergeReports(pilots).Strata, mainN)
-	var slots []*Report
-	for s := 0; s < shards; s++ {
-		slots = append(slots, pilots[s], c.MainShard(s, shards, table, opt))
+	table := plan.Table(engine.PilotReport(plan, slots, MergeReports).Strata)
+	for slot := range slots {
+		if plan.Gated(slot) {
+			slots[slot] = engine.RunSlot(s, plan, slot, table)
+		}
 	}
 	got := MergeReports(slots)
 	assertReportsBitIdentical(t, "phase-sharded", got, want)
@@ -253,16 +252,17 @@ func TestStratifiedCustomSelectorPanics(t *testing.T) {
 }
 
 func TestMainShardRejectsMismatchedTable(t *testing.T) {
-	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	opt := Options{N: 100, Seed: 1, Sampling: engine.SamplingStratified}
-	pilot := c.PilotShard(0, 1, opt)
+	opt := Options{N: 100, Seed: 1, Workers: 1, Sampling: engine.SamplingStratified}
+	s, eo := New(smallNet(), numeric.Float16, smallInputs(1)).Surface(opt)
+	plan := engine.NewPlan(eo, s.Width())
+	pilot := engine.RunSlot(s, plan, 0, nil)
 	table := engine.BuildStratumTable(pilot.Strata, 17) // wrong MainN on purpose
 	defer func() {
 		if recover() == nil {
-			t.Error("MainShard accepted a table for a different budget")
+			t.Error("main-phase slot accepted a table for a different budget")
 		}
 	}()
-	c.MainShard(0, 1, table, opt)
+	engine.RunSlot(s, plan, 1, table)
 }
 
 // TestStratifiedReportJSONRoundTrip pins the wire format of stratified

@@ -144,8 +144,8 @@ type Context struct {
 	// implementations abandon the sparse receptive-field recompute and fall
 	// back to the dense forward pass plus a full bit-compare (the two are
 	// bit-identical; only the cost model differs). Zero selects
-	// DefaultSparseDensityCutoff; campaigns tune it through
-	// faultinj.Options.SparseDensityCutoff.
+	// DefaultSparseDensityCutoff; campaigns tune it per layer
+	// (network.EnableAutoSparseCutoff).
 	DenseCutoff float64
 }
 

@@ -135,8 +135,8 @@ func marshal(t *testing.T, r *Report) []byte {
 
 // TestShardMergeBitIdentical is the distributed == solo property across
 // the full matrix the issue pins: eval modes × all six formats × shard
-// counts {1,2,7}, uniform and stratified. The shard-order merge of serial
-// RunShard reports must byte-compare equal to the solo Run.
+// counts {1,2,7}, uniform and stratified. The shard-order merge of serially
+// run shard partials must byte-compare equal to the solo Run.
 func TestShardMergeBitIdentical(t *testing.T) {
 	inputs := smallInputs(2)
 	for _, dt := range numeric.Types {
@@ -146,11 +146,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 					c := &Campaign{Build: buildSmall, DType: dt, Inputs: inputs, Array: tinyArray}
 					opt := Options{N: 24, Seed: 11, Workers: shards, Sampling: sampling, PilotN: 8, Eval: eval}
 					solo := marshal(t, c.Run(opt))
-					parts := make([]*Report, shards)
-					for s := 0; s < shards; s++ {
-						parts[s] = c.RunShard(s, shards, opt)
-					}
-					merged := marshal(t, MergeReports(parts))
+					merged := marshal(t, MergeReports(engine.ShardReports(c.Surface(opt))))
 					if string(solo) != string(merged) {
 						t.Fatalf("%s/%s/%s S=%d: distributed != solo\nsolo:   %s\nmerged: %s",
 							dt, eval, samplingName(sampling), shards, solo, merged)
@@ -185,11 +181,7 @@ func TestDataflowShardMergeBitIdentical(t *testing.T) {
 							opt.MBU = 3
 						}
 						solo := marshal(t, c.Run(opt))
-						parts := make([]*Report, shards)
-						for s := 0; s < shards; s++ {
-							parts[s] = c.RunShard(s, shards, opt)
-						}
-						merged := marshal(t, MergeReports(parts))
+						merged := marshal(t, MergeReports(engine.ShardReports(c.Surface(opt))))
 						if string(solo) != string(merged) {
 							t.Fatalf("%s/%s/%s/%s S=%d: distributed != solo\nsolo:   %s\nmerged: %s",
 								flow, dt, eval, samplingName(sampling), shards, solo, merged)
@@ -327,7 +319,7 @@ func TestMBUCampaign(t *testing.T) {
 	}
 
 	// Distributed MBU == solo as well.
-	parts := []*Report{c.RunShard(0, 2, opt), c.RunShard(1, 2, opt)}
+	parts := engine.ShardReports(c.Surface(opt))
 	if string(marshal(t, c.Run(opt))) != string(marshal(t, MergeReports(parts))) {
 		t.Error("MBU campaign distributed != solo")
 	}
@@ -416,12 +408,15 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 		Inputs: smallInputs(2),
 		Array:  tinyArray,
 	}
-	opt := Options{N: 60, Seed: 5, Workers: 1}
+	opt := Options{N: 60, Seed: 5, Workers: 3}
 	strat := opt
 	strat.Sampling = engine.SamplingStratified
+	ps, peo := c.Surface(strat)
+	us, ueo := c.Surface(opt)
+	pilots, uniform := engine.NewPlan(peo, ps.Width()), engine.NewPlan(ueo, us.Width())
 	for s := 0; s < 3; s++ {
-		c.PilotShard(s, 3, strat)
-		c.RunShard(s, 3, opt)
+		engine.RunSlot(ps, pilots, 2*s, nil) // shard s's pilot slot
+		engine.RunSlot(us, uniform, s, nil)
 	}
 	if got := c.goldens.Len(); got != len(c.Inputs) {
 		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))
