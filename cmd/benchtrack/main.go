@@ -38,7 +38,6 @@ import (
 	"repro/internal/faultinj"
 	"repro/internal/fit"
 	"repro/internal/models"
-	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
 	"repro/internal/stats"
@@ -265,7 +264,7 @@ func measureXArch(name string, dt numeric.Type, n, workers int) XArchResult {
 			continue
 		}
 		wc := &systolic.Campaign{
-			Build: func() *network.Network { return models.Build(name) },
+			Net:   models.Build(name),
 			DType: dt, Inputs: []*tensor.Tensor{in}, Array: xarchArray, Flow: flow,
 		}
 		ws := wc.Run(systolic.Options{N: n, Seed: 1, Workers: workers})

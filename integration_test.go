@@ -47,7 +47,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 2. Buffer campaign for the dominant buffer.
 	bcamp := &eyeriss.Campaign{
-		Build: func() *network.Network { return models.Build(name) },
+		Net:   models.Build(name),
 		DType: dt, Inputs: inputs,
 		Residency: rowstat.New(net, rowstat.Eyeriss16nm).ResidencyWeights(),
 	}
@@ -56,7 +56,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 3. Systolic campaign on the weight-stationary array surface.
 	scamp := &systolic.Campaign{
-		Build: func() *network.Network { return models.Build(name) },
+		Net:   models.Build(name),
 		DType: dt, Inputs: inputs,
 	}
 	sreport := scamp.Run(systolic.Options{N: 120, Seed: 8})

@@ -3,6 +3,7 @@ package campaign
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/engine"
@@ -68,9 +69,36 @@ func TestSiteEvalSoloModesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestNormalizeRefusesUnboundedSpec: the two spec fields that size
+// allocations before any injection runs are bounded at Normalize — a spec
+// past either bound used to be journaled and then kill every worker that
+// leased it (one golden per input) or the plane itself (one ledger entry
+// per shard, inside Submit).
+func TestNormalizeRefusesUnboundedSpec(t *testing.T) {
+	for _, s := range []Spec{
+		{N: 1, Inputs: 2_000_000_000},
+		{N: 40, Inputs: 41},
+		{N: 2_000_000_000, Shards: 2_000_000_000},
+		{N: 1 << 20, Shards: maxShards + 1},
+	} {
+		if err := s.Normalize(); err == nil {
+			t.Errorf("spec %+v normalized to %d inputs, %d shards, want a refusal", s, s.Inputs, s.Shards)
+		}
+	}
+	for _, s := range []Spec{
+		{N: 40, Inputs: 40},
+		{N: 1 << 20, Shards: maxShards},
+	} {
+		if err := s.Normalize(); err != nil {
+			t.Errorf("spec at the bound refused: %v", err)
+		}
+	}
+}
+
 // TestBufferWeightsDirCampaign pins the weights plumbing of buffer
-// campaigns: a spec with WeightsDir must validate, build its per-shard
-// networks from the saved weights, and run end-to-end.
+// campaigns: a spec with WeightsDir must validate, build its one network
+// from the saved weights, and run end-to-end — on that network, whatever
+// happens to the directory once the campaign is prepared.
 func TestBufferWeightsDirCampaign(t *testing.T) {
 	dir := t.TempDir()
 	src := models.Build("ConvNet")
@@ -89,13 +117,30 @@ func TestBufferWeightsDirCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := ec.Build()
-	if got := net.Layers[0].(*layers.ConvLayer).Weights[0]; got != -9 {
-		t.Fatalf("Build() ignored WeightsDir: weight %v, want -9", got)
+	if got := ec.Net.Layers[0].(*layers.ConvLayer).Weights[0]; got != -9 {
+		t.Fatalf("campaign network ignored WeightsDir: weight %v, want -9", got)
 	}
 	r := ec.Run(b, spec.BufferOptions())
 	if r.Counts.Trials != spec.N {
 		t.Fatalf("weights-dir buffer campaign ran %d injections, want %d", r.Counts.Trials, spec.N)
+	}
+
+	// The directory is read once: with the file overwritten by all-zero
+	// weights, the prepared campaign's slots still run the network it
+	// loaded and report exactly what they reported before the edit.
+	for _, l := range src.Layers {
+		switch l := l.(type) {
+		case *layers.ConvLayer:
+			clear(l.Weights)
+		case *layers.FCLayer:
+			clear(l.Weights)
+		}
+	}
+	if err := models.SaveWeights(src, filepath.Join(dir, "ConvNet.weights")); err != nil {
+		t.Fatal(err)
+	}
+	if again := ec.Run(b, spec.BufferOptions()); !reflect.DeepEqual(again, r) {
+		t.Fatalf("weights file edited mid-campaign changed the report:\n got %+v\nwant %+v", again, r)
 	}
 
 	// A corrupt weights file must fail eagerly at campaign construction.

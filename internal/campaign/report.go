@@ -127,7 +127,7 @@ var surfaces = []surface{
 			func(s Spec, g *GoldenCache) (*eyeriss.Campaign, error) {
 				c, _, err := s.NewBufferCampaign()
 				if err == nil && g != nil {
-					c.GoldenFn = s.goldenFn(g, c.Build().WeightsHash())
+					c.GoldenFn = s.goldenFn(g, c.Net.WeightsHash())
 				}
 				return c, err
 			},
@@ -162,7 +162,7 @@ var surfaces = []surface{
 			func(s Spec, g *GoldenCache) (*systolic.Campaign, error) {
 				c, err := s.NewSystolicCampaign()
 				if err == nil && g != nil {
-					c.GoldenFn = s.goldenFn(g, c.Build().WeightsHash())
+					c.GoldenFn = s.goldenFn(g, c.Net.WeightsHash())
 				}
 				return c, err
 			},

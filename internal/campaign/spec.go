@@ -112,6 +112,10 @@ type Spec struct {
 	PriorPath string `json:"prior_path,omitempty"`
 }
 
+// maxShards bounds Spec.Shards, far above any fleet's useful partition
+// width.
+const maxShards = 1 << 16
+
 // SelectorModes lists the valid Select values.
 var SelectorModes = []string{"uniform", "perbit", "perlayer"}
 
@@ -161,6 +165,15 @@ func (s *Spec) Normalize() error {
 	}
 	if s.Inputs <= 0 {
 		s.Inputs = 1
+	}
+	// Both counts size allocations — one golden execution per input on
+	// every worker, one ledger entry per shard on the plane — before any
+	// injection runs, so an unbounded one takes the process down with it.
+	if s.Inputs > s.N {
+		return fmt.Errorf("campaign: %d inputs for %d injections (inputs past the N-th are never visited)", s.Inputs, s.N)
+	}
+	if s.Shards > maxShards {
+		return fmt.Errorf("campaign: %d shards exceeds the limit of %d", s.Shards, maxShards)
 	}
 	if !slices.Contains(EvalModes, s.Eval) {
 		return fmt.Errorf("campaign: unknown eval mode %q (have %v)", s.Eval, EvalModes)
@@ -352,50 +365,36 @@ func (s Spec) inputs() []*tensor.Tensor {
 	return ins
 }
 
+// network builds the spec's network: the model's deterministic synthetic
+// weights, or the pre-trained ones in WeightsDir. Every surface's prepared
+// campaign calls it exactly once and shares the result, read-only, among
+// all its slots — and hashes that same instance into its golden keys — so a
+// directory edited mid-campaign cannot mix weights across shards.
+func (s Spec) network() (*network.Network, error) {
+	if s.WeightsDir == "" {
+		return models.Build(s.Net), nil
+	}
+	net, _, err := models.LoadPretrained(s.Net, s.WeightsDir)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: loading weights: %v", err)
+	}
+	return net, nil
+}
+
 // NewCampaign builds and wires a faultinj campaign for the spec. When
 // goldens is non-nil the campaign resolves golden executions through it,
 // sharing them with every other campaign in the process whose
 // (network, weights hash, input, dtype) coordinates match.
 func (s Spec) NewCampaign(goldens *GoldenCache) (*faultinj.Campaign, error) {
-	var net *network.Network
-	if s.WeightsDir == "" {
-		net = models.Build(s.Net)
-	} else {
-		n, _, err := models.LoadPretrained(s.Net, s.WeightsDir)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: loading weights: %v", err)
-		}
-		net = n
+	net, err := s.network()
+	if err != nil {
+		return nil, err
 	}
 	c := faultinj.New(net, s.Type(), s.inputs())
 	if goldens != nil {
 		c.GoldenFn = s.goldenFn(goldens, net.WeightsHash())
 	}
 	return c, nil
-}
-
-// builder returns the network constructor of a buffer- or systolic-surface
-// campaign, which builds a fresh instance per shard and phase (Filter SRAM
-// faults patch their own instance's cached quantized weights).
-func (s Spec) builder() (func() *network.Network, error) {
-	name, dir := s.Net, s.WeightsDir
-	if dir == "" {
-		return func() *network.Network { return models.Build(name) }, nil
-	}
-	// Fail fast on a bad weights directory here, where an error can be
-	// returned; the per-shard closures then load the same files, so every
-	// shard sees identical weights (the directory contents are part of the
-	// campaign's determinism contract, as on the datapath surface).
-	if _, _, err := models.LoadPretrained(name, dir); err != nil {
-		return nil, fmt.Errorf("campaign: loading weights: %v", err)
-	}
-	return func() *network.Network {
-		n, _, err := models.LoadPretrained(name, dir)
-		if err != nil {
-			panic(fmt.Sprintf("campaign: loading weights: %v", err))
-		}
-		return n
-	}, nil
 }
 
 // BufferOptions assembles the eyeriss options every shard of a
@@ -424,11 +423,11 @@ func (s Spec) NewBufferCampaign() (*eyeriss.Campaign, eyeriss.Buffer, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	build, err := s.builder()
+	net, err := s.network()
 	if err != nil {
 		return nil, 0, err
 	}
-	return &eyeriss.Campaign{Build: build, DType: s.Type(), Inputs: s.inputs()}, buf, nil
+	return &eyeriss.Campaign{Net: net, DType: s.Type(), Inputs: s.inputs()}, buf, nil
 }
 
 // NewSystolicCampaign builds the systolic campaign of a systolic-surface
@@ -443,12 +442,12 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %v", err)
 	}
-	build, err := s.builder()
+	net, err := s.network()
 	if err != nil {
 		return nil, err
 	}
 	return &systolic.Campaign{
-		Build: build, DType: s.Type(), Inputs: s.inputs(),
+		Net: net, DType: s.Type(), Inputs: s.inputs(),
 		Array: systolic.DefaultParams, Flow: flow,
 	}, nil
 }

@@ -132,19 +132,26 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 
 	// A spec that would kill every worker that leased it — perlayer's block
 	// past ConvNet's five MAC layers indexes out of range inside a shard
-	// goroutine — is refused at submit, with nothing journaled to re-lease
-	// it from after a restart.
-	hostile, _ := json.Marshal(SubmitRequest{Spec: campaign.Spec{Net: "ConvNet", N: 40, Select: "perlayer", Param: 99}})
-	sub, err := client.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader(hostile))
-	if err != nil {
-		t.Fatalf("POST /v1/campaigns: %v", err)
-	}
-	sub.Body.Close()
-	if sub.StatusCode < 400 || sub.StatusCode >= 500 {
-		t.Errorf("out-of-range perlayer spec: %s, want a 4xx", sub.Status)
-	}
-	if got := p1.JournalStats().Events; got != events {
-		t.Errorf("refused submit left %d journal events", got-events)
+	// goroutine, two billion inputs are two billion goldens to prepare — or
+	// the plane itself, whose ledger holds one entry per shard, is refused
+	// at submit, with nothing journaled to re-lease it from after a restart.
+	for name, spec := range map[string]campaign.Spec{
+		"out-of-range perlayer": {Net: "ConvNet", N: 40, Select: "perlayer", Param: 99},
+		"unbounded inputs":      {Net: "ConvNet", N: 1, Inputs: 2_000_000_000},
+		"unbounded shards":      {Net: "ConvNet", N: 2_000_000_000, Shards: 2_000_000_000},
+	} {
+		hostile, _ := json.Marshal(SubmitRequest{Spec: spec})
+		sub, err := client.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader(hostile))
+		if err != nil {
+			t.Fatalf("POST /v1/campaigns: %v", err)
+		}
+		sub.Body.Close()
+		if sub.StatusCode < 400 || sub.StatusCode >= 500 {
+			t.Errorf("%s spec: %s, want a 4xx", name, sub.Status)
+		}
+		if got := p1.JournalStats().Events; got != events {
+			t.Errorf("refused %s submit left %d journal events", name, got-events)
+		}
 	}
 
 	// The plane still answers, and nothing completed.

@@ -7,6 +7,8 @@ import "expvar"
 // the process; /debug/vars on any plane exposes them.
 //
 //	campaign: {"<id>.leases_granted", "<id>.leases_expired", "<id>.shards_done"}
+//	  for active campaigns only: a campaign's keys are dropped when it
+//	  finishes, so the map is bounded by the active set, not by history
 //	tenant:   {"<tenant>.submitted", "<tenant>.rejected", "<tenant>.queue_capped"}
 //	controlplane_queue_depth: campaigns currently active (schedulable)
 //	controlplane_journal: group-commit hot-path counters —
@@ -31,6 +33,14 @@ func noteSubmitted(tenant string)   { mTenants.Add(tenantKey(tenant)+".submitted
 func noteRejected(tenant string)    { mTenants.Add(tenantKey(tenant)+".rejected", 1) }
 func setQueueDepth(active int)      { mQueueDepth.Set(int64(active)) }
 func noteQueueCapped(tenant string) { mTenants.Add(tenantKey(tenant)+".queue_capped", 1) }
+
+// dropCampaignMetrics removes a finished campaign's keys from the campaign
+// map.
+func dropCampaignMetrics(id string) {
+	for _, k := range []string{".leases_granted", ".leases_expired", ".shards_done"} {
+		mCampaigns.Delete(id + k)
+	}
+}
 
 // noteJournalCommit records one committed batch: how many events rode its
 // one fsync, how long the write+sync took, and the file size after.

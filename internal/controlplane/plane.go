@@ -434,6 +434,7 @@ func (p *Plane) finishLocked(c *camp, state string) {
 	if p.activeByTenant[c.tenant] > 0 {
 		p.activeByTenant[c.tenant]--
 	}
+	dropCampaignMetrics(c.id)
 	p.broadcastLocked(c)
 }
 

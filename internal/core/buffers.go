@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/eyeriss"
 	"repro/internal/fit"
-	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
 	"repro/internal/stats"
@@ -48,7 +47,7 @@ type Table8Cell struct {
 // bufferCampaign builds the Eyeriss campaign for one network.
 func bufferCampaign(cfg Config, name string, dt numeric.Type) *eyeriss.Campaign {
 	return &eyeriss.Campaign{
-		Build:  func() *network.Network { return buildNet(cfg, name) },
+		Net:    buildNet(cfg, name),
 		DType:  dt,
 		Inputs: inputsFor(name, cfg.Inputs),
 	}

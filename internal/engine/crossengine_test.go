@@ -98,7 +98,7 @@ var surfaceFixtures = []struct {
 		prefix: "buffer_global",
 		make: func(dt numeric.Type) fixtureRunner {
 			c := &eyeriss.Campaign{
-				Build:  func() *network.Network { return models.Build(fixtureNet) },
+				Net:    models.Build(fixtureNet),
 				DType:  dt,
 				Inputs: fixtureInputsFor(fixtureNet),
 			}
@@ -134,7 +134,7 @@ var surfaceFixtures = []struct {
 // pre-parameterization pins keep their filenames (and stay byte-frozen).
 func systolicFixture(dt numeric.Type, flow systolic.Dataflow) fixtureRunner {
 	c := &systolic.Campaign{
-		Build:  func() *network.Network { return models.Build(fixtureNet) },
+		Net:    models.Build(fixtureNet),
 		DType:  dt,
 		Inputs: fixtureInputsFor(fixtureNet),
 		Flow:   flow,
@@ -224,14 +224,14 @@ func TestSurfaceConformance(t *testing.T) {
 		engine.CheckSurface(t, s, eopt)
 	}
 	buffer := func(t engine.TestingT, o engine.Options) {
-		c := &eyeriss.Campaign{Build: build, DType: dt, Inputs: ins}
+		c := &eyeriss.Campaign{Net: build(), DType: dt, Inputs: ins}
 		o.N, o.Seed, o.Workers = bufferN, bufferSeed, 3
 		s, eopt := c.Surface(eyeriss.GlobalBuffer, o)
 		engine.CheckSurface(t, s, eopt)
 	}
 	systolicFlow := func(flow systolic.Dataflow) adapter {
 		return func(t engine.TestingT, o engine.Options) {
-			c := &systolic.Campaign{Build: build, DType: dt, Inputs: ins, Flow: flow}
+			c := &systolic.Campaign{Net: build(), DType: dt, Inputs: ins, Flow: flow}
 			o.N, o.Seed, o.Workers = systolicN, systolicSeed, 3
 			s, eopt := c.Surface(o)
 			engine.CheckSurface(t, s, eopt)

@@ -7,19 +7,21 @@ import (
 
 // Residency is the sampler of the surfaces that place a random-in-time
 // upset by where the struck data is resident: MAC layer i is struck with
-// probability proportional to its residency weight, and the flipped span's
-// base bit is uniform over the word's width−mbu+1 in-word positions. Its
-// layer positions are the block axis of the surface's stratum grid.
+// probability proportional to its residency weight, and the base bit of an
+// mbu-bit flipped span is uniform over the word's width−mbu+1 in-word
+// positions. Its layer positions are the block axis of the surface's
+// stratum grid. A sampler is immutable, so a campaign derives one and every
+// slot, whatever its upset width, reads it.
 type Residency struct {
-	cum        []float64 // cumulative layer probabilities; the last is 1
-	width, mbu int
+	cum   []float64 // cumulative layer probabilities; the last is 1
+	width int
 }
 
-// NewResidency builds the sampler for a campaign of width-bit words under
-// an mbu-bit upset. weights holds one non-negative weight per MAC layer —
-// by default the layer's MAC count; override, when non-nil, replaces them
-// (a scheduler's cycle weights) and must match in length.
-func NewResidency(weights, override []float64, width, mbu int) *Residency {
+// NewResidency builds the sampler for a campaign of width-bit words.
+// weights holds one non-negative weight per MAC layer — by default the
+// layer's MAC count; override, when non-nil, replaces them (a scheduler's
+// cycle weights) and must match in length.
+func NewResidency(weights, override []float64, width int) *Residency {
 	if len(weights) == 0 {
 		panic("engine: network has no MAC layers")
 	}
@@ -29,7 +31,7 @@ func NewResidency(weights, override []float64, width, mbu int) *Residency {
 		}
 		weights = override
 	}
-	r := &Residency{cum: make([]float64, len(weights)), width: width, mbu: mbu}
+	r := &Residency{cum: make([]float64, len(weights)), width: width}
 	total := 0.0
 	for i, w := range weights {
 		if w < 0 {
@@ -68,22 +70,22 @@ func (r *Residency) Prob(i int) float64 {
 }
 
 // StratumWeights returns the (MAC layer, base bit) population
-// probabilities of the sampler's uniform design — the weights that make
-// the stratified estimator unbiased for it.
-func (r *Residency) StratumWeights() HexFloats {
-	return StratumGrid(len(r.cum), r.width, r.mbu, func(i, valid int) float64 {
+// probabilities of the sampler's uniform design under an mbu-bit upset —
+// the weights that make the stratified estimator unbiased for it.
+func (r *Residency) StratumWeights(mbu int) HexFloats {
+	return StratumGrid(len(r.cum), r.width, mbu, func(i, valid int) float64 {
 		return r.Prob(i) / float64(valid)
 	})
 }
 
-// DrawBit resolves the flipped span's base bit: forced when bit >= 0 (the
-// stratified main phase and the site modes; no randomness consumed), drawn
-// uniformly over the in-word spans otherwise.
-func (r *Residency) DrawBit(rng *rand.Rand, bit int) int {
+// DrawBit resolves the base bit of an mbu-bit flipped span: forced when
+// bit >= 0 (the stratified main phase and the site modes; no randomness
+// consumed), drawn uniformly over the in-word spans otherwise.
+func (r *Residency) DrawBit(rng *rand.Rand, bit, mbu int) int {
 	if bit >= 0 {
 		return bit
 	}
-	return rng.Intn(r.width - r.mbu + 1)
+	return rng.Intn(r.width - mbu + 1)
 }
 
 // StratumGrid lays per-block weights out over the blocks×width (block,

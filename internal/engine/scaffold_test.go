@@ -29,13 +29,13 @@ func mustPanic(t *testing.T, what string, f func()) {
 // TestResidencyRefusals: the sampler validates its weights once, for every
 // surface that places upsets by residency.
 func TestResidencyRefusals(t *testing.T) {
-	mustPanic(t, "no MAC layers", func() { NewResidency(nil, nil, 16, 1) })
-	mustPanic(t, "override length mismatch", func() { NewResidency([]float64{1, 2, 3}, []float64{1, 2}, 16, 1) })
-	mustPanic(t, "negative weight", func() { NewResidency([]float64{1, -1, 3}, nil, 16, 1) })
-	mustPanic(t, "negative override", func() { NewResidency([]float64{1, 2}, []float64{1, -2}, 16, 1) })
-	mustPanic(t, "zero-sum weights", func() { NewResidency([]float64{0, 0}, nil, 16, 1) })
+	mustPanic(t, "no MAC layers", func() { NewResidency(nil, nil, 16) })
+	mustPanic(t, "override length mismatch", func() { NewResidency([]float64{1, 2, 3}, []float64{1, 2}, 16) })
+	mustPanic(t, "negative weight", func() { NewResidency([]float64{1, -1, 3}, nil, 16) })
+	mustPanic(t, "negative override", func() { NewResidency([]float64{1, 2}, []float64{1, -2}, 16) })
+	mustPanic(t, "zero-sum weights", func() { NewResidency([]float64{0, 0}, nil, 16) })
 	// The override replaces the MAC counts entirely.
-	r := NewResidency([]float64{1, 1}, []float64{1, 3}, 16, 1)
+	r := NewResidency([]float64{1, 1}, []float64{1, 3}, 16)
 	if r.Prob(0) != 0.25 || r.Prob(1) != 0.75 {
 		t.Fatalf("override ignored: %v %v", r.Prob(0), r.Prob(1))
 	}
@@ -48,7 +48,7 @@ func TestResidencyPickBoundaries(t *testing.T) {
 	// quarter is u = 1/4; ulp is the spacing of the float64s just below it
 	// (and wider than the spacing anywhere below 1/2).
 	const quarter, ulp = int64(1) << 61, int64(1) << 10
-	r := NewResidency([]float64{1, 1, 2}, nil, 16, 1) // cum .25 .5 1
+	r := NewResidency([]float64{1, 1, 2}, nil, 16) // cum .25 .5 1
 	for _, tc := range []struct {
 		u    int64 // u·2^63
 		want int
@@ -60,7 +60,7 @@ func TestResidencyPickBoundaries(t *testing.T) {
 			t.Errorf("u=%d/2^63: picked layer %d with %d draws, want %d with 1", tc.u, got, src.draws, tc.want)
 		}
 	}
-	gap := NewResidency([]float64{1, 0, 1}, nil, 16, 1) // cum .5 .5 1
+	gap := NewResidency([]float64{1, 0, 1}, nil, 16) // cum .5 .5 1
 	if gap.Prob(1) != 0 {
 		t.Fatalf("zero-weight layer has probability %v", gap.Prob(1))
 	}
@@ -78,18 +78,18 @@ func TestResidencyPickBoundaries(t *testing.T) {
 func TestResidencyBits(t *testing.T) {
 	const width = 8
 	for mbu := 1; mbu <= width; mbu++ {
-		r := NewResidency([]float64{3, 1}, nil, width, mbu)
+		r := NewResidency([]float64{3, 1}, nil, width)
 		src := &fixedSource{vals: []int64{1 << 40}}
-		if got := r.DrawBit(rand.New(src), 5); got != 5 || src.draws != 0 {
+		if got := r.DrawBit(rand.New(src), 5, mbu); got != 5 || src.draws != 0 {
 			t.Fatalf("mbu %d: forced bit drew %d with %d PRNG draws", mbu, got, src.draws)
 		}
 		rng := rand.New(rand.NewSource(int64(mbu)))
 		for i := 0; i < 200; i++ {
-			if b := r.DrawBit(rng, -1); b < 0 || b+mbu > width {
+			if b := r.DrawBit(rng, -1, mbu); b < 0 || b+mbu > width {
 				t.Fatalf("mbu %d: base bit %d leaves the %d-bit word", mbu, b, width)
 			}
 		}
-		w := r.StratumWeights()
+		w := r.StratumWeights(mbu)
 		if len(w) != 2*width {
 			t.Fatalf("mbu %d: %d strata, want %d", mbu, len(w), 2*width)
 		}

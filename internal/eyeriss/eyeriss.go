@@ -216,13 +216,14 @@ func MergeReports(rs []*Report) *Report {
 // replay per bit either way).
 type Options = engine.Options
 
-// Campaign injects buffer faults into a network. Build must return a fresh
-// network instance (each shard patches its own copy's cached quantized
-// weights for Filter SRAM faults). A Campaign is safe for concurrent shard
-// calls; Build and Residency are validated once, on the first.
+// Campaign injects buffer faults into a network. The network is shared by
+// every slot and only ever read — each fault model hands the network a
+// corrupted ifmap copy or a front of per-MAC faults, never a patched
+// parameter — so a Campaign is safe for concurrent shard calls; the network
+// geometry and Residency are derived and validated once, on the first.
 type Campaign struct {
-	// Build constructs the network; it must be deterministic.
-	Build func() *network.Network
+	// Net is the network under injection.
+	Net *network.Network
 	// DType is the stored word format (Eyeriss uses a 16-bit fixed-point
 	// datapath, so Table 8 uses 16b_rb10).
 	DType numeric.Type
@@ -243,9 +244,10 @@ type Campaign struct {
 	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
 	goldens network.GoldenMemo
-	// checked guards the one-time geometry validation; invalid keeps its
-	// panic value so every later call fails the same way.
-	checked sync.Once
+	// derived guards the one-time derivation of geo; invalid keeps its panic
+	// value so every later call fails the same way.
+	derived sync.Once
+	geo     *geometry
 	invalid any
 }
 
@@ -271,54 +273,52 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 // Surface adapter and the engine options it runs under — what engine.Run,
 // engine.NewPlan and engine.RunSlot take.
 func (c *Campaign) Surface(b Buffer, opt Options) (engine.Surface[*Report], engine.Options) {
-	c.validate()
+	c.geometry()
 	return surface{c, b, opt}, opt
 }
 
 // Run injects opt.N faults into buffer class b and tallies SDC outcomes
 // (engine.Run): the slots of the campaign's engine.Plan at S = opt.Workers
 // shards, run on goroutines and folded in the plan's association — the
-// reference a distributed run of the same plan is bit-identical to. Each
-// slot builds its own network instance, so slots can execute anywhere.
+// reference a distributed run of the same plan is bit-identical to.
 func (c *Campaign) Run(b Buffer, opt Options) *Report {
 	s, eo := c.Surface(b, opt)
 	return engine.Run(s, eo)
 }
 
-// validate fails fast on a malformed campaign before any shard runs:
+// geometry returns the campaign's fault-placement geometry, deriving it on
+// first use, and fails fast on a malformed campaign before any shard runs:
 // missing inputs, or a residency vector that does not match the network's
-// MAC layers. The geometry check needs a network instance, so it runs once
-// per Campaign rather than once per shard call.
-func (c *Campaign) validate() {
+// MAC layers.
+func (c *Campaign) geometry() *geometry {
 	if len(c.Inputs) == 0 {
 		panic("eyeriss: campaign needs at least one input")
 	}
-	c.checked.Do(func() {
+	c.derived.Do(func() {
 		defer func() { c.invalid = recover() }()
-		newInjector(c.Build(), c.DType, c.Residency, 1)
+		c.Net.EnableQuantCache()
+		c.geo = newGeometry(c.Net, c.DType, c.Residency)
 	})
 	if c.invalid != nil {
 		panic(c.invalid)
 	}
+	return c.geo
 }
 
-// newShard builds the private state one shard phase executes on: its own
-// network instance with the quantized-parameter cache on (Filter SRAM
-// injections patch that cache in place, so it must not be shared), the
-// injector over it, and the shard's golden lookup (the campaign's GoldenFn
-// or private memo; see network.GoldenMemo.Resolver).
+// newShard builds the state one shard phase executes on: an injector over
+// the campaign's geometry with the phase's upset width, and the shard's
+// golden lookup (the campaign's GoldenFn or private memo; see
+// network.GoldenMemo.Resolver).
 func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
-	net := c.Build()
-	net.EnableQuantCache()
-	inj := newInjector(net, c.DType, c.Residency, opt.UpsetWidth())
+	inj := &injector{geometry: c.geometry(), mbu: opt.UpsetWidth()}
 	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
-		return net.Forward(c.DType, c.Inputs[i])
+		return c.Net.Forward(c.DType, c.Inputs[i])
 	})
 }
 
 // runShardPhase executes one phase of one shard (see engine.Phase) — the
 // per-injection execution the engine's orchestration calls back into,
-// serially, on a private network instance with a private PRNG stream.
+// serially, with a private PRNG stream.
 func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine.Phase) *Report {
 	if ph.SiteBits > 0 {
 		return c.runShardPhaseSites(shard, of, b, opt, ph)
@@ -349,8 +349,9 @@ func (inj *injector) newReport(b Buffer, ph engine.Phase) *Report {
 	return r
 }
 
-// injector holds the per-worker geometry for buffer-fault placement.
-type injector struct {
+// geometry is what fault placement needs of a campaign's network, derived
+// once per Campaign and read-only afterwards.
+type geometry struct {
 	net *network.Network
 	dt  numeric.Type
 	// macLayers are the CONV/FC layer indices; res places a random-in-time
@@ -358,7 +359,12 @@ type injector struct {
 	// the campaign provides them) and draws the base bit of its span.
 	macLayers []int
 	res       *engine.Residency
-	convOnly  []int // CONV layers (Img REG faults need row reuse)
+	convOnly  []int // macLayers positions of the CONV layers (Img REG faults need row reuse)
+}
+
+// injector is one shard phase's view of the geometry.
+type injector struct {
+	*geometry
 	// mbu is the upset width (≥ 1): every injection flips mbu adjacent
 	// bits of the struck word.
 	mbu int
@@ -368,32 +374,22 @@ type injector struct {
 	ifmap, ifmapOf *tensor.Tensor
 }
 
-func newInjector(net *network.Network, dt numeric.Type, residency []float64, mbu int) *injector {
-	inj := &injector{net: net, dt: dt, mbu: mbu}
+func newGeometry(net *network.Network, dt numeric.Type, residency []float64) *geometry {
+	geo := &geometry{net: net, dt: dt}
 	var weights []float64
 	shape := net.InShape
 	for i, l := range net.Layers {
 		if m := l.MACs(shape); m > 0 {
-			inj.macLayers = append(inj.macLayers, i)
+			geo.macLayers = append(geo.macLayers, i)
 			weights = append(weights, float64(m))
 			if l.Kind() == layers.Conv {
-				inj.convOnly = append(inj.convOnly, i)
+				geo.convOnly = append(geo.convOnly, len(geo.macLayers)-1)
 			}
 		}
 		shape = l.OutShape(shape)
 	}
-	inj.res = engine.NewResidency(weights, residency, dt.Width(), mbu)
-	return inj
-}
-
-// layerPos returns the macLayers position of a network layer index.
-func (inj *injector) layerPos(li int) int {
-	for i, l := range inj.macLayers {
-		if l == li {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("eyeriss: layer %d is not a MAC layer", li))
+	geo.res = engine.NewResidency(weights, residency, dt.Width())
+	return geo
 }
 
 // stratumWeights returns the (MAC layer, base bit) population
@@ -404,7 +400,7 @@ func (inj *injector) layerPos(li int) int {
 // allocated injections.
 func (inj *injector) stratumWeights(b Buffer) engine.HexFloats {
 	if b != ImgReg {
-		return inj.res.StratumWeights()
+		return inj.res.StratumWeights(inj.mbu)
 	}
 	return engine.StratumGrid(len(inj.macLayers), inj.dt.Width(), inj.mbu, func(pos, valid int) float64 {
 		if inj.net.Layers[inj.macLayers[pos]].Kind() != layers.Conv {
@@ -415,17 +411,13 @@ func (inj *injector) stratumWeights(b Buffer) engine.HexFloats {
 }
 
 // macLayer is a CONV/FC layer as the buffer fault models see it.
-type macLayer interface {
-	layers.ElementForwarder
-	MACChainLen() int
-	QuantWeights(*layers.Context) []float64
-}
+type macLayer interface{ MACChainLen() int }
 
 // site is one drawn buffer fault: where the upset lands in MAC layer li and
 // which bit span it flips. Which fields matter depends on the class.
 type site struct {
 	pos, li int // MAC-layer position (the stratum row) and its layer index
-	// word is the struck ifmap element (Global Buffer), cached weight
+	// word is the struck ifmap element (Global Buffer), stored weight
 	// (Filter SRAM) or output element's partial sum (PSum REG).
 	word int
 	// step is the chain step after which a PSum REG upset strikes.
@@ -451,7 +443,7 @@ type site struct {
 func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, bit int) site {
 	if pos < 0 {
 		if b == ImgReg {
-			pos = inj.layerPos(inj.convOnly[rng.Intn(len(inj.convOnly))])
+			pos = inj.convOnly[rng.Intn(len(inj.convOnly))]
 		} else {
 			pos = inj.res.Pick(rng)
 		}
@@ -460,10 +452,11 @@ func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, b
 	switch b {
 	case GlobalBuffer:
 		s.word = rng.Intn(len(g.LayerInput(s.li).Data))
-		s.bit = inj.res.DrawBit(rng, bit)
+		s.bit = inj.res.DrawBit(rng, bit, inj.mbu)
 	case FilterSRAM:
-		s.word = rng.Intn(len(inj.quantWeights(s.li)))
-		s.bit = inj.res.DrawBit(rng, bit)
+		// One stored weight per (output channel, chain step).
+		s.word = rng.Intn(g.Acts[s.li].Shape.C * inj.net.Layers[s.li].(macLayer).MACChainLen())
+		s.bit = inj.res.DrawBit(rng, bit, inj.mbu)
 	case ImgReg:
 		conv, ok := inj.net.Layers[s.li].(*layers.ConvLayer)
 		if !ok {
@@ -473,7 +466,7 @@ func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, b
 		s.ic = rng.Intn(in.Shape.C)
 		s.ih = rng.Intn(in.Shape.H)
 		s.iw = rng.Intn(in.Shape.W)
-		s.bit = inj.res.DrawBit(rng, bit)
+		s.bit = inj.res.DrawBit(rng, bit, inj.mbu)
 		s.oc = rng.Intn(os.C)
 		// Output rows whose kernel window covers input row ih:
 		// oh*Stride - Pad <= ih < oh*Stride - Pad + KH.
@@ -490,7 +483,7 @@ func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, b
 	case PSumReg:
 		s.word = rng.Intn(g.Acts[s.li].Shape.Elems())
 		s.step = rng.Intn(inj.net.Layers[s.li].(macLayer).MACChainLen())
-		s.bit = inj.res.DrawBit(rng, bit)
+		s.bit = inj.res.DrawBit(rng, bit, inj.mbu)
 	default:
 		panic("eyeriss: unknown buffer")
 	}
@@ -498,27 +491,19 @@ func (inj *injector) draw(rng *rand.Rand, b Buffer, g *network.Execution, pos, b
 }
 
 // eval runs the faulty inference of a drawn site with width adjacent bits
-// flipped from s.bit. Every multi-element class is evaluated the same way:
-// compute what the upset changes — one ifmap word, one output channel, one
-// output row — diff it against the golden execution, and hand the changed
-// set to the network's delta propagation (network.ForwardFromInput /
-// ForwardWithAct), which is bit-identical to dense re-execution at the cost
-// of the corruption's receptive-field cone and returns a golden-aliasing
-// Masked execution when nothing escapes. PSum REG is the datapath's
-// single-accumulator case and takes its path.
+// flipped from s.bit. A changed ifmap word (Global Buffer) delta-steps
+// through the struck layer itself; every other class is a front of per-MAC
+// latch faults on the struck layer — the same corruption a datapath fault
+// is, read by as many MACs as the buffer's reuse window holds — which the
+// network evaluates element by element against the golden execution
+// (network.ForwardFront). Both are bit-identical to dense re-execution at
+// the cost of the corruption's receptive-field cone and return a
+// golden-aliasing Masked execution when nothing escapes.
 func (inj *injector) eval(b Buffer, g *network.Execution, s site, width int) *network.Execution {
-	switch b {
-	case GlobalBuffer:
+	if b == GlobalBuffer {
 		return inj.globalFault(g, s, width)
-	case FilterSRAM:
-		return inj.filterFault(g, s, width)
-	case ImgReg:
-		return inj.imgFault(g, s, width)
-	case PSumReg:
-		f := &layers.Fault{OutputIndex: s.word, MACStep: s.step, Target: layers.TargetAccum, Bit: s.bit, Width: width}
-		return inj.net.ForwardFrom(inj.dt, g, s.li, f)
 	}
-	panic("eyeriss: unknown buffer")
+	return inj.net.ForwardFront(inj.dt, g, s.li, inj.front(b, g, s, width))
 }
 
 // globalFault flips one bit span of one word of a layer's resident ifmap;
@@ -538,93 +523,49 @@ func (inj *injector) globalFault(g *network.Execution, s site, width int) *netwo
 	return faulty
 }
 
-// quantWeights returns MAC layer li's quantized weights as this shard's
-// forward passes read them — the quantized-parameter cache's own slice.
-func (inj *injector) quantWeights(li int) []float64 {
-	return inj.net.Layers[li].(macLayer).QuantWeights(&layers.Context{DType: inj.dt, Quant: inj.net.QuantCache()})
-}
-
-// filterFault flips one bit span of one cached weight for the duration of
-// the layer. Weight reuse spreads it across the whole fmap — of the one
-// output channel (CONV) or neuron (FC) the weight feeds, so only those
-// accumulation chains are recomputed, against the one cached quantized
-// weight patched in place and restored (quantization is idempotent and
-// FlipBits returns a representable value, so the patch is what
-// re-quantizing the flipped raw weight would store). The patch touches only
-// this shard's private network; the golden execution is read-only.
-func (inj *injector) filterFault(g *network.Execution, s site, width int) *network.Execution {
-	dt := inj.dt
-	l := inj.net.Layers[s.li].(macLayer)
-	in := g.LayerInput(s.li)
-	ctx := &layers.Context{DType: dt, Quant: inj.net.QuantCache()}
-	if s.li > 0 {
-		ctx.QIn = in.Data // a layer output is its own pre-quantized view
-	}
-	qw := l.QuantWeights(ctx)
-	orig := qw[s.word]
-	qw[s.word] = dt.FlipBits(orig, s.bit, width)
-
-	golden := g.Acts[s.li]
-	chain := l.MACChainLen()
-	per := len(golden.Data) / (len(qw) / chain) // elements per output channel
-	oc := s.word / chain
-	act := golden
-	var changed []int
-	for oi := oc * per; oi < (oc+1)*per; oi++ {
-		act, changed = network.PatchAct(golden, act, changed, oi, l.ForwardElement(ctx, in, oi))
-	}
-	qw[s.word] = orig
-	return inj.net.ForwardWithAct(dt, g, s.li, act, changed)
-}
-
-// imgFault corrupts one ifmap word for exactly one output row of one output
-// channel of a CONV layer: the struck row is recomputed with the corrupted
-// word and diffed against golden; everything else keeps its golden value.
-func (inj *injector) imgFault(g *network.Execution, s site, width int) *network.Execution {
-	golden := g.Acts[s.li]
-	act := golden
-	var changed []int
-	if s.oh >= 0 {
-		conv := inj.net.Layers[s.li].(*layers.ConvLayer)
-		in := g.LayerInput(s.li)
-		corrupt := inj.dt.FlipBits(in.At(s.ic, s.ih, s.iw), s.bit, width)
-		base := golden.Index(s.oc, s.oh, 0)
-		for ow, v := range inj.recomputeRow(conv, in, golden.Shape, s, corrupt) {
-			act, changed = network.PatchAct(golden, act, changed, base+ow, v)
+// front expands a site of a per-PE buffer into the per-MAC faults its reuse
+// window inflicts on MAC layer s.li, in ascending output order:
+//
+//	Filter SRAM — stored weight word = (channel, chain step) is read by the
+//	              whole fmap of its output channel (CONV) or by its one
+//	              neuron (FC): a weight-latch fault at that step of every
+//	              element of the channel.
+//	Img REG     — ifmap word (ic, ih, iw) is read for output row (oc, oh)
+//	              only: an input-latch fault at tap (ic, ih−top, iw−left) of
+//	              the row's elements whose kernel window covers column iw;
+//	              none when no output row covers ih.
+//	PSum REG    — one accumulator flip after one chain step.
+func (inj *injector) front(b Buffer, g *network.Execution, s site, width int) []layers.Fault {
+	os := g.Acts[s.li].Shape
+	switch b {
+	case FilterSRAM:
+		chain := inj.net.Layers[s.li].(macLayer).MACChainLen()
+		oc, step := s.word/chain, s.word%chain
+		front := make([]layers.Fault, os.H*os.W)
+		for i := range front {
+			front[i] = layers.Fault{OutputIndex: oc*len(front) + i, MACStep: step, Target: layers.TargetWeight, Bit: s.bit, Width: width}
 		}
-	}
-	return inj.net.ForwardWithAct(inj.dt, g, s.li, act, changed)
-}
-
-// recomputeRow returns output row (s.oc, s.oh) of conv — os is the layer's
-// output shape — with the input value at (s.ic, s.ih, s.iw) replaced by
-// corrupt.
-func (inj *injector) recomputeRow(conv *layers.ConvLayer, in *tensor.Tensor, os tensor.Shape, s site, corrupt float64) []float64 {
-	dt := inj.dt
-	row := make([]float64, os.W)
-	bias := dt.Quantize(conv.Bias[s.oc])
-	for ow := range row {
-		acc := bias
-		for c := 0; c < conv.InC; c++ {
-			for kh := 0; kh < conv.KH; kh++ {
-				y := s.oh*conv.Stride + kh - conv.Pad
-				for kw := 0; kw < conv.KW; kw++ {
-					x := ow*conv.Stride + kw - conv.Pad
-					var v float64
-					if y >= 0 && y < in.Shape.H && x >= 0 && x < in.Shape.W {
-						if c == s.ic && y == s.ih && x == s.iw {
-							v = corrupt
-						} else {
-							v = in.At(c, y, x)
-						}
-					}
-					acc = dt.MAC(acc, conv.Weights[conv.WeightIndex(s.oc, c, kh, kw)], v)
-				}
+		return front
+	case ImgReg:
+		if s.oh < 0 {
+			return nil
+		}
+		conv := inj.net.Layers[s.li].(*layers.ConvLayer)
+		kh := s.ih - (s.oh*conv.Stride - conv.Pad)
+		var front []layers.Fault
+		for ow := 0; ow < os.W; ow++ {
+			if kw := s.iw - (ow*conv.Stride - conv.Pad); kw >= 0 && kw < conv.KW {
+				front = append(front, layers.Fault{
+					OutputIndex: (s.oc*os.H+s.oh)*os.W + ow, MACStep: (s.ic*conv.KH+kh)*conv.KW + kw,
+					Target: layers.TargetInput, Bit: s.bit, Width: width,
+				})
 			}
 		}
-		row[ow] = acc
+		return front
+	case PSumReg:
+		return []layers.Fault{{OutputIndex: s.word, MACStep: s.step, Target: layers.TargetAccum, Bit: s.bit, Width: width}}
 	}
-	return row
+	panic("eyeriss: unknown buffer")
 }
 
 // FITComponent assembles the Table 8 Eq. 1 term for a buffer class.

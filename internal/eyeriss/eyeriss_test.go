@@ -1,6 +1,8 @@
 package eyeriss
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"testing"
@@ -40,6 +42,11 @@ func buildSmall() *network.Network {
 		panic(err)
 	}
 	return n
+}
+
+// newInjector is a one-off injector over net, outside any campaign.
+func newInjector(net *network.Network, dt numeric.Type, residency []float64, mbu int) *injector {
+	return &injector{geometry: newGeometry(net, dt, residency), mbu: mbu}
 }
 
 func smallInputs(n int) []*tensor.Tensor {
@@ -135,7 +142,7 @@ func TestDatapathFromParams(t *testing.T) {
 }
 
 func TestCampaignDeterministic(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	opt := Options{N: 120, Seed: 9, Workers: 3}
 	r1 := c.Run(GlobalBuffer, opt)
 	r2 := c.Run(GlobalBuffer, opt)
@@ -148,7 +155,7 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 func TestAllBuffersRun(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
 	for _, b := range Buffers {
 		r := c.Run(b, Options{N: 40, Seed: 3})
 		if r.Counts.Trials != 40 {
@@ -163,7 +170,7 @@ func TestFilterSRAMRestoresWeights(t *testing.T) {
 	// verify via determinism of repeated golden runs through the campaign
 	// (a leaked mutation would corrupt later goldens) and by running two
 	// identical campaigns.
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(3)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(3)}
 	r1 := c.Run(FilterSRAM, Options{N: 90, Seed: 17, Workers: 1})
 	r2 := c.Run(FilterSRAM, Options{N: 90, Seed: 17, Workers: 1})
 	if r1.Counts != r2.Counts {
@@ -198,15 +205,15 @@ func TestImgRegFaultConfinedToRow(t *testing.T) {
 	conv := net.Layers[0].(*layers.ConvLayer)
 	inj := newInjector(net, dt, nil, 1)
 	s := site{li: 0, oc: 2, oh: 3, ic: 0, ih: 3, iw: 3, bit: 14}
-	act := inj.imgFault(g, s, 1).Acts[0]
+	act := inj.eval(ImgReg, g, s, 1).Acts[0]
 	if act == g.Acts[0] {
 		t.Fatal("a bit-14 Img REG upset left the struck row bit-identical to golden")
 	}
 	// The evaluator's row must be the direct recompute of that row.
-	row := inj.recomputeRow(conv, in, act.Shape, s, dt.FlipBit(in.At(0, 3, 3), 14))
+	row := recomputeRow(dt, conv, in, act.Shape, s, dt.FlipBit(in.At(0, 3, 3), 14))
 	for ow, v := range row {
 		if math.Float64bits(v) != math.Float64bits(act.At(2, 3, ow)) {
-			t.Fatalf("imgFault row element %d = %v, recomputeRow says %v", ow, act.At(2, 3, ow), v)
+			t.Fatalf("Img REG row element %d = %v, recomputeRow says %v", ow, act.At(2, 3, ow), v)
 		}
 	}
 
@@ -240,7 +247,7 @@ func TestBufferFaultsCauseSomeSDCs(t *testing.T) {
 	// With the small network and 16b_rb10, buffer faults must produce a
 	// nonzero SDC-1 rate (high reuse, shallow net — the ConvNet row of
 	// Table 8 is ~66-71%).
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	r := c.Run(FilterSRAM, Options{N: 150, Seed: 21})
 	if r.Counts.Hits[sdc.SDC1] == 0 {
 		t.Error("no SDC-1 from 150 Filter SRAM faults in a shallow network")
@@ -252,7 +259,7 @@ func TestResidencyWeightsRouteLayers(t *testing.T) {
 	// conv layer: every injection corrupts exactly one FC output (weight
 	// used once), so the faulted-layer spread stays minimal.
 	c := &Campaign{
-		Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1),
+		Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1),
 		Residency: []float64{0, 1}, // conv1, fc2
 	}
 	r := c.Run(PSumReg, Options{N: 50, Seed: 31})
@@ -261,7 +268,7 @@ func TestResidencyWeightsRouteLayers(t *testing.T) {
 	}
 	// And an invalid weight vector is rejected.
 	bad := &Campaign{
-		Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1),
+		Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1),
 		Residency: []float64{1}, // wrong length
 	}
 	defer func() {
@@ -272,12 +279,11 @@ func TestResidencyWeightsRouteLayers(t *testing.T) {
 	bad.Run(PSumReg, Options{N: 1, Seed: 1, Workers: 1})
 }
 
-// TestFilterSRAMQuantInvalidation verifies the quantized-weight cache stays
-// coherent across the patch/evaluate/restore cycle of a Filter SRAM
-// injection: the evaluator must see the flipped weight during the faulty
-// pass — bit-identical to densely re-executing a cache-less network whose
-// raw weight was flipped — and leave the cache (and the golden execution it
-// was handed) exactly as it found them.
+// TestFilterSRAMQuantInvalidation verifies a Filter SRAM injection against
+// the shared quantized-weight cache: the evaluator must see the flipped
+// weight during the faulty pass — bit-identical to densely re-executing a
+// cache-less network whose raw weight was flipped — and leave the cache
+// (and the golden execution it was handed) exactly as it found them.
 func TestFilterSRAMQuantInvalidation(t *testing.T) {
 	dt := numeric.Fx16RB10
 	in := smallInputs(1)[0]
@@ -295,7 +301,7 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 	}
 
 	for li, wi := range map[int]int{0: 3, 3: 77} { // conv1, fc2
-		cf := newInjector(cached, dt, nil, 1).filterFault(cg, site{li: li, word: wi, bit: 12}, 1)
+		cf := newInjector(cached, dt, nil, 1).eval(FilterSRAM, cg, site{li: li, word: wi, bit: 12}, 1)
 
 		var wts []float64
 		switch l := plain.Layers[li].(type) {
@@ -337,7 +343,7 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 // every buffer class now that workers run through the quantized-parameter
 // cache.
 func TestBufferCampaignsDeterministicWithCache(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	for _, b := range Buffers {
 		r1 := c.Run(b, Options{N: 40, Seed: 9, Workers: 2})
 		r2 := c.Run(b, Options{N: 40, Seed: 9, Workers: 2})
@@ -353,7 +359,7 @@ func TestBufferCampaignsDeterministicWithCache(t *testing.T) {
 // extended to buffer campaigns so a distributed service can shard them
 // identically.
 func TestRunShardMergeMatchesRun(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const shards = 4
 	opt := Options{N: 103, Seed: 31, Workers: shards}
 	for _, b := range Buffers {
@@ -367,7 +373,7 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 
 // TestRunShardRejectsBadIndices pins the slot-range contract.
 func TestRunShardRejectsBadIndices(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
 	s, eo := c.Surface(GlobalBuffer, Options{N: 10, Seed: 1, Workers: 4})
 	plan := engine.NewPlan(eo, s.Width())
 	for _, bad := range []int{-1, 4} {
@@ -416,7 +422,7 @@ func assertBufferReportsBitIdentical(t *testing.T, label string, got, want *Repo
 // class: the budget must be spent exactly, the per-stratum tallies must
 // partition it, and the design weights must be a probability vector.
 func TestStratifiedBufferSmoke(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const n = 150
 	for _, b := range Buffers {
 		r := c.Run(b, Options{N: n, Seed: 13, Workers: 3, Sampling: engine.SamplingStratified})
@@ -449,7 +455,7 @@ func TestStratifiedBufferSmoke(t *testing.T) {
 // merge of serially-run stratified shard partials must be bit-identical to
 // the solo stratified Run, per-stratum tallies included.
 func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	for _, b := range []Buffer{GlobalBuffer, ImgReg} {
 		for _, shards := range []int{1, 2, 7} {
 			opt := Options{N: 97, Seed: 19, Workers: shards, Sampling: engine.SamplingStratified}
@@ -464,7 +470,7 @@ func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
 // split the distributed ledger uses and checks the paired slot merge
 // reproduces solo Run bit-for-bit.
 func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const shards = 3
 	opt := Options{N: 101, Seed: 23, Workers: shards, Sampling: engine.SamplingStratified}
 	want := c.Run(FilterSRAM, opt)
@@ -493,7 +499,7 @@ func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
 // Global Buffer campaign must agree with the uniform estimate within the
 // pooled 99% interval.
 func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	const n = 1200
 	uni := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4})
 	str := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4, Sampling: engine.SamplingStratified})
@@ -510,18 +516,16 @@ func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
 
 // TestCampaignGoldensComputedOncePerInput: with no GoldenFn a campaign
 // memoizes its goldens privately — one forward pass per input for all
-// shards, both phases and repeated runs, not one per shard and phase.
+// shards, both phases and repeated runs, not one per shard and phase — and
+// every slot executes on the campaign's one network and the one geometry
+// derived from it: nothing is built or derived per slot.
 func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
-	builds := 0
-	c := &Campaign{
-		Build:  func() *network.Network { builds++; return buildSmall() },
-		DType:  numeric.Fx16RB10,
-		Inputs: smallInputs(2),
-	}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
 	opt := Options{N: 60, Seed: 5, Workers: 3}
 	strat := opt
 	strat.Sampling = engine.SamplingStratified
 	ps, peo := c.Surface(GlobalBuffer, strat)
+	geo := c.geo
 	us, ueo := c.Surface(FilterSRAM, opt)
 	pilots, uniform := engine.NewPlan(peo, ps.Width()), engine.NewPlan(ueo, us.Width())
 	for s := 0; s < 3; s++ {
@@ -531,8 +535,60 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 	if got := c.goldens.Len(); got != len(c.Inputs) {
 		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))
 	}
-	// One build validates the campaign, one runs each shard phase.
-	if want := 1 + 3 + 3; builds != want {
-		t.Errorf("%d network builds for 6 shard calls, want %d (validation must run once per campaign)", builds, want)
+	if geo == nil || c.geo != geo {
+		t.Errorf("geometry re-derived: %p after the first Surface call, %p after 6 shard calls", geo, c.geo)
+	}
+	for _, o := range []Options{opt, strat} {
+		if inj, _ := c.newShard(o); inj.geometry != geo || inj.net != c.Net {
+			t.Errorf("a shard's injector runs on geometry %p over network %p, want the campaign's %p over %p",
+				inj.geometry, inj.net, geo, c.Net)
+		}
+	}
+}
+
+// TestConcurrentSlotsShareReadOnlyNetwork: a Filter SRAM campaign — the
+// class that used to patch a cached weight in place — runs its 8 slots
+// concurrently on the one shared network (a write to it would be a data
+// race under -race), reports byte for byte what the same plan's slots run
+// one at a time fold to, and leaves the network computing exactly what it
+// computed before.
+func TestConcurrentSlotsShareReadOnlyNetwork(t *testing.T) {
+	const dt = numeric.Fx16RB10
+	c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2)}
+	before := c.Net.Forward(dt, c.Inputs[0])
+
+	opt := Options{N: 240, Seed: 9, Workers: 8}
+	concurrent := c.Run(FilterSRAM, opt)
+
+	s, eo := c.Surface(FilterSRAM, opt)
+	plan := engine.NewPlan(eo, s.Width())
+	if plan.Slots() != 8 {
+		t.Fatalf("plan has %d slots, want 8", plan.Slots())
+	}
+	parts := make([]*Report, plan.Slots())
+	for slot := range parts {
+		parts[slot] = engine.RunSlot(s, plan, slot, nil)
+	}
+	serial := engine.Fold(plan, parts, MergeReports)
+
+	cj, err := json.Marshal(concurrent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := json.Marshal(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cj, sj) {
+		t.Errorf("concurrent slots reported\n%s\nslots run one at a time\n%s", cj, sj)
+	}
+	if concurrent.Counts.Hits[sdc.SDC1] == 0 {
+		t.Error("240 Filter SRAM faults caused no SDC-1: the campaign exercised nothing")
+	}
+	after := c.Net.Forward(dt, c.Inputs[0])
+	for l := range before.Acts {
+		if !tensor.BitIdentical(before.Acts[l], after.Acts[l]) {
+			t.Fatalf("layer %d of the shared network's forward pass changed across the campaign", l)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func denseEval(plain *network.Network, dt numeric.Type, b Buffer, g *network.Exe
 			in := g.LayerInput(s.li)
 			conv := plain.Layers[s.li].(*layers.ConvLayer)
 			corrupt := dt.FlipBits(in.At(s.ic, s.ih, s.iw), s.bit, width)
-			for ow, v := range newInjector(plain, dt, nil, 1).recomputeRow(conv, in, act.Shape, s, corrupt) {
+			for ow, v := range recomputeRow(dt, conv, in, act.Shape, s, corrupt) {
 				act.Set(s.oc, s.oh, ow, v)
 			}
 		}
@@ -83,6 +83,36 @@ func denseEval(plain *network.Network, dt numeric.Type, b Buffer, g *network.Exe
 		return plain.ForwardFromDense(dt, g, s.li, f)
 	}
 	panic("unknown buffer")
+}
+
+// recomputeRow is the per-tap oracle of the Img REG front: output row
+// (s.oc, s.oh) of conv — os is the layer's output shape — walked tap by tap
+// with the input value at (s.ic, s.ih, s.iw) replaced by corrupt.
+func recomputeRow(dt numeric.Type, conv *layers.ConvLayer, in *tensor.Tensor, os tensor.Shape, s site, corrupt float64) []float64 {
+	row := make([]float64, os.W)
+	bias := dt.Quantize(conv.Bias[s.oc])
+	for ow := range row {
+		acc := bias
+		for c := 0; c < conv.InC; c++ {
+			for kh := 0; kh < conv.KH; kh++ {
+				y := s.oh*conv.Stride + kh - conv.Pad
+				for kw := 0; kw < conv.KW; kw++ {
+					x := ow*conv.Stride + kw - conv.Pad
+					var v float64
+					if y >= 0 && y < in.Shape.H && x >= 0 && x < in.Shape.W {
+						if c == s.ic && y == s.ih && x == s.iw {
+							v = corrupt
+						} else {
+							v = in.At(c, y, x)
+						}
+					}
+					acc = dt.MAC(acc, conv.Weights[conv.WeightIndex(s.oc, c, kh, kw)], v)
+				}
+			}
+		}
+		row[ow] = acc
+	}
+	return row
 }
 
 // TestBufferFaultsMatchDenseOracle is the per-surface half of the
@@ -106,7 +136,7 @@ func TestBufferFaultsMatchDenseOracle(t *testing.T) {
 	}
 	for _, build := range []func() *network.Network{buildSmall, buildTwoConv} {
 		for _, dt := range []numeric.Type{numeric.Fx16RB10, numeric.Float16} {
-			c := &Campaign{Build: build, DType: dt, Inputs: smallInputs(2)}
+			c := &Campaign{Net: build(), DType: dt, Inputs: smallInputs(2)}
 			plain := build()
 			goldens := make([]*network.Execution, len(c.Inputs))
 			for i, in := range c.Inputs {

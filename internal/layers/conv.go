@@ -63,16 +63,6 @@ func (l *ConvLayer) MACs(in tensor.Shape) int64 {
 // MACChainLen returns the accumulation-chain length per output element.
 func (l *ConvLayer) MACChainLen() int { return l.InC * l.KH * l.KW }
 
-// QuantWeights returns the layer's weights quantized under ctx.DType, as
-// every forward pass under ctx reads them — with a cache attached, the
-// cache's own slice. A Filter SRAM fault model overwrites one entry for the
-// duration of an injection and restores it; that is only sound on a network
-// instance (and cache) no other goroutine executes.
-func (l *ConvLayer) QuantWeights(ctx *Context) []float64 {
-	qw, _ := ctx.quantizedParams(l, l.Weights, l.Bias)
-	return qw
-}
-
 // Forward implements Layer. All arithmetic flows through ctx.DType. When
 // ctx.Fault is non-nil, the single MAC identified by (OutputIndex, MACStep)
 // is perturbed at the requested latch.
@@ -192,6 +182,12 @@ func (l *ConvLayer) ForwardElement(ctx *Context, in *tensor.Tensor, outputIndex 
 	inH, inW := in.Shape.H, in.Shape.W
 	wBase := oc * l.InC * l.KH * l.KW
 	quant, mac := dt.QuantFunc(), dt.MACFunc()
+	// A front faults every element it recomputes, so the per-tap test is
+	// one integer compare whether or not this chain carries the fault.
+	faultStep := -1
+	if f != nil && f.OutputIndex == outputIndex {
+		faultStep = f.MACStep
+	}
 	step := 0
 	for ic := 0; ic < l.InC; ic++ {
 		inBase := ic * inH * inW
@@ -215,7 +211,7 @@ func (l *ConvLayer) ForwardElement(ctx *Context, in *tensor.Tensor, outputIndex 
 				} else {
 					w = quant(l.Weights[wBase+step])
 				}
-				if f != nil && f.OutputIndex == outputIndex && f.MACStep == step {
+				if step == faultStep {
 					acc = macFaulty(ctx, f, acc, w, x)
 				} else {
 					acc = mac(acc, w, x)

@@ -51,13 +51,6 @@ func (l *FCLayer) MACs(in tensor.Shape) int64 {
 // MACChainLen returns the accumulation-chain length per output element.
 func (l *FCLayer) MACChainLen() int { return l.In }
 
-// QuantWeights returns the layer's weights quantized under ctx.DType (see
-// ConvLayer.QuantWeights).
-func (l *FCLayer) QuantWeights(ctx *Context) []float64 {
-	qw, _ := ctx.quantizedParams(l, l.Weights, l.Bias)
-	return qw
-}
-
 // Forward implements Layer.
 func (l *FCLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(l.OutShape(in.Shape))
@@ -204,6 +197,10 @@ func (l *FCLayer) ForwardElement(ctx *Context, in *tensor.Tensor, outputIndex in
 
 	base := outputIndex * l.In
 	quant, mac := dt.QuantFunc(), dt.MACFunc()
+	faultStep := -1 // see ConvLayer.ForwardElement
+	if f != nil && f.OutputIndex == outputIndex {
+		faultStep = f.MACStep
+	}
 	for i := 0; i < l.In; i++ {
 		var x float64
 		if ctx.QIn != nil {
@@ -217,7 +214,7 @@ func (l *FCLayer) ForwardElement(ctx *Context, in *tensor.Tensor, outputIndex in
 		} else {
 			w = quant(l.Weights[base+i])
 		}
-		if f != nil && f.OutputIndex == outputIndex && f.MACStep == i {
+		if i == faultStep {
 			acc = macFaulty(ctx, f, acc, w, x)
 		} else {
 			acc = mac(acc, w, x)

@@ -17,9 +17,8 @@ import (
 //
 // The cache snapshots the parameter values at first use. Code that mutates
 // layer weights afterwards (training) must drop the cache — see
-// network.InvalidateQuantCache. The one sanctioned in-place write is a
-// Filter SRAM fault model patching a single cached weight on its private
-// network for the duration of one injection (see ConvLayer.QuantWeights).
+// network.InvalidateQuantCache. Nothing writes into a cached slice: a fault
+// in a stored weight is a TargetWeight fault on every MAC that reads it.
 type QuantCache struct {
 	mu      sync.RWMutex
 	entries map[quantKey]*quantEntry

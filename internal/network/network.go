@@ -75,12 +75,6 @@ func (n *Network) InvalidateQuantCache() {
 	}
 }
 
-// QuantCache returns the attached quantized-parameter cache (nil when
-// EnableQuantCache was never called), for fault models that evaluate single
-// layers of this network outside its forward entry points and must read the
-// same quantized parameters those do.
-func (n *Network) QuantCache() *layers.QuantCache { return n.quant.Load() }
-
 // Validate checks that the layer shapes compose and that the final output
 // is a Classes-long vector.
 func (n *Network) Validate() (err error) {
@@ -223,26 +217,81 @@ func (n *Network) ForwardParallel(dt numeric.Type, in *tensor.Tensor, workers in
 // set; if it empties — a masked fault, the common case for low-order bits —
 // all remaining layers are skipped and the execution aliases the golden
 // activations with Masked set. See ForwardFromDense for the reference
-// implementation this path is bit-identical to.
+// implementation this path is bit-identical to. It is the one-element case
+// of ForwardFront, except that an unexercised fault is left for the caller
+// to find in fault.Applied.
 func (n *Network) ForwardFrom(dt numeric.Type, golden *Execution, layerIdx int, fault *layers.Fault) *Execution {
 	n.checkLayer(layerIdx)
-	ef, ok := n.Layers[layerIdx].(layers.ElementForwarder)
-	if fault == nil || !ok {
+	if _, ok := n.Layers[layerIdx].(layers.ElementForwarder); fault == nil || !ok {
 		return n.ForwardFromDense(dt, golden, layerIdx, fault)
 	}
+	front := []layers.Fault{*fault}
+	exec := n.forwardFront(dt, golden, layerIdx, front)
+	fault.Applied = front[0].Applied
+	return exec
+}
 
+// ForwardFront evaluates a corruption front: the faults one upset inflicts
+// on MAC layer layerIdx when the struck word is read by many MACs — a
+// reused buffer word, a resident or forwarded array latch. Every fault
+// strikes its own output element (distinct OutputIndex values, at most one
+// fault per accumulation chain); each struck element is recomputed by the
+// layer's ForwardElement under its fault alone and diffed against golden,
+// and the changed set delta-steps on through propagateDelta — bit-identical
+// to patching the recomputed elements into the golden activation and
+// running ForwardWithActDense. The empty front, and a front whose every
+// element lands back on golden, is the Masked execution aliasing golden; a
+// one-element front is ForwardFrom. Applied is set on every fault, and a
+// fault the layer did not consume (a MACStep outside the chain) panics.
+func (n *Network) ForwardFront(dt numeric.Type, golden *Execution, layerIdx int, front []layers.Fault) *Execution {
+	n.checkLayer(layerIdx)
+	exec := n.forwardFront(dt, golden, layerIdx, front)
+	for i := range front {
+		if !front[i].Applied {
+			panic(fmt.Sprintf("network %s: front fault %+v was not exercised by layer %d", n.Name, front[i], layerIdx))
+		}
+	}
+	return exec
+}
+
+// forwardFront is ForwardFront without the exercised-fault check, which
+// ForwardFrom leaves to its callers.
+func (n *Network) forwardFront(dt numeric.Type, golden *Execution, layerIdx int, front []layers.Fault) *Execution {
+	ef, ok := n.Layers[layerIdx].(layers.ElementForwarder)
+	if !ok {
+		panic(fmt.Sprintf("network %s: layer %d cannot recompute single elements", n.Name, layerIdx))
+	}
 	in := golden.LayerInput(layerIdx)
 	quant := n.quant.Load()
-	faultyVal := ef.ForwardElement(&layers.Context{DType: dt, Fault: fault, Quant: quant}, in, fault.OutputIndex)
-	return n.propagateElement(dt, golden, layerIdx, fault.OutputIndex, faultyVal, quant, nil)
+	ctx := &layers.Context{DType: dt, Quant: quant}
+	if layerIdx > 0 {
+		ctx.QIn = in.Data // a layer output is its own pre-quantized view
+	}
+	goldenAct := golden.Acts[layerIdx]
+	act := goldenAct
+	var changed []int
+	for i := range front {
+		f := &front[i]
+		ctx.Fault = f
+		v := ef.ForwardElement(ctx, in, f.OutputIndex)
+		if math.Float64bits(v) == math.Float64bits(goldenAct.Data[f.OutputIndex]) {
+			continue // quantization or saturation absorbed the flip inside the chain
+		}
+		if act == goldenAct {
+			act = goldenAct.Clone()
+		}
+		act.Data[f.OutputIndex] = v
+		changed = append(changed, f.OutputIndex)
+	}
+	slices.Sort(changed)
+	return n.forwardWithAct(dt, golden, layerIdx, act, changed, quant, nil)
 }
 
 // propagateElement finishes an incremental faulty run given the recomputed
 // value of the faulted layer's output element: the one-element case of
-// forwardWithAct. Shared by ForwardFrom and InjectionBatch.Run. chains, when
-// non-nil, is the caller's golden chain cache (see layers.ChainCache);
-// batches pass theirs so repeated propagations replay only diverged chain
-// suffixes, one-shot callers pass nil — bit-identical either way.
+// forwardWithAct, for InjectionBatch. chains is the batch's golden chain
+// cache (see layers.ChainCache), so repeated propagations replay only
+// diverged chain suffixes.
 func (n *Network) propagateElement(dt numeric.Type, golden *Execution, layerIdx, outputIndex int, faultyVal float64, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
 	goldenAct := golden.Acts[layerIdx]
 	if math.Float64bits(faultyVal) == math.Float64bits(goldenAct.Data[outputIndex]) {
@@ -383,9 +432,8 @@ func (n *Network) ForwardFromInputDense(dt numeric.Type, golden *Execution, laye
 
 // ForwardWithAct replaces the output of layer layerIdx with act and
 // propagates the difference — the model for a fault whose effect on the
-// layer's own output has already been computed (an Img REG fault that
-// corrupts a single output row, a Filter SRAM fault that corrupts one
-// output channel, a systolic corruption front). changed lists the indices
+// layer's own output has already been computed (ForwardFront computes it
+// for faults expressible as per-MAC latch flips). changed lists the indices
 // at which act differs from the golden activation (any order, duplicates
 // allowed; a superset only costs time); the result is bit-identical to
 // ForwardWithActDense, and Masked — aliasing golden from layerIdx on — when
@@ -393,23 +441,6 @@ func (n *Network) ForwardFromInputDense(dt numeric.Type, golden *Execution, laye
 func (n *Network) ForwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int) *Execution {
 	n.checkLayer(layerIdx)
 	return n.forwardWithAct(dt, golden, layerIdx, act, normalizeChanged(changed, len(act.Data)), n.quant.Load(), nil)
-}
-
-// PatchAct records one recomputed element of a faulty activation on its way
-// to ForwardWithAct: when v differs bit-wise from golden's element oi it is
-// written into act — golden itself until the first difference, a private
-// clone from then on — and oi joins the changed set. Fault models fold
-// every element they recompute through it and hand the resulting pair to
-// ForwardWithAct.
-func PatchAct(golden, act *tensor.Tensor, changed []int, oi int, v float64) (*tensor.Tensor, []int) {
-	if math.Float64bits(v) == math.Float64bits(golden.Data[oi]) {
-		return act, changed
-	}
-	if act == golden {
-		act = golden.Clone()
-	}
-	act.Data[oi] = v
-	return act, append(changed, oi)
 }
 
 // ForwardWithActDense is the dense reference implementation of

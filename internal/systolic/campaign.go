@@ -8,10 +8,11 @@
 // physical-address distribution restricted to occupied sites, which
 // Geometry.Encode maps back to physical coordinates bijectively. The
 // campaign path does not run the cycle-level simulator per injection;
-// it expands each fault into its per-MAC effects (one for the local
-// latches, a downstream or stream-suffix set for the moving-operand
-// latches) and replays only the corrupted accumulation chains, which the
-// package's tests prove bit-identical to Sim.Run.
+// it expands each fault into its corruption front — per-MAC latch faults,
+// one for the local latches, a downstream or stream-suffix set for the
+// moving-operand latches — which the network evaluates chain by chain
+// (network.ForwardFront) and the package's tests prove bit-identical to
+// Sim.Run.
 package systolic
 
 import (
@@ -98,11 +99,13 @@ func MergeReports(rs []*Report) *Report {
 // ReLU pre-screen.
 type Options = engine.Options
 
-// Campaign injects systolic-array faults into a network. Build must
-// return a fresh network instance per worker.
+// Campaign injects systolic-array faults into a network. The network is
+// shared by every slot and only ever read, so a Campaign is safe for
+// concurrent shard calls; the array schedules are derived and validated
+// once, on the first.
 type Campaign struct {
-	// Build constructs the network; it must be deterministic.
-	Build func() *network.Network
+	// Net is the network under injection.
+	Net *network.Network
 	// DType is the datapath word format.
 	DType numeric.Type
 	// Inputs are the inference inputs to cycle through.
@@ -111,10 +114,6 @@ type Campaign struct {
 	Array Params
 	// Flow is the array's dataflow; the zero value is weight-stationary.
 	Flow Dataflow
-	// Residency, when non-nil, gives per-MAC-layer probabilities for
-	// where a random-in-time upset lands. When nil, layers are weighted
-	// by MAC count (proportional to their array occupancy time).
-	Residency []float64
 	// GoldenFn, when non-nil, resolves the golden execution of input i
 	// instead of computing it per campaign: compute runs the fault-free
 	// forward pass, and implementations return its result or a previously
@@ -125,9 +124,10 @@ type Campaign struct {
 	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
 	goldens network.GoldenMemo
-	// checked guards the one-time geometry validation; invalid keeps its
+	// derived guards the one-time derivation of sched; invalid keeps its
 	// panic value so every later call fails the same way.
-	checked sync.Once
+	derived sync.Once
+	sched   *schedule
 	invalid any
 }
 
@@ -149,7 +149,7 @@ func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
 // the engine options it runs under — what engine.Run, engine.NewPlan and
 // engine.RunSlot take.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
-	c.validate()
+	c.schedule()
 	return surface{c, opt}, opt
 }
 
@@ -162,45 +162,44 @@ func (c *Campaign) Run(opt Options) *Report {
 	return engine.Run(s, eo)
 }
 
-// validate fails fast on a malformed campaign before any shard runs. The
-// geometry check needs a network instance, so it runs once per Campaign
-// rather than once per shard call.
-func (c *Campaign) validate() {
+// schedule returns the network's array schedules, deriving them on first
+// use, and fails fast on a malformed campaign before any shard runs.
+func (c *Campaign) schedule() *schedule {
 	if len(c.Inputs) == 0 {
 		panic("systolic: campaign needs at least one input")
 	}
 	if c.Flow < 0 || c.Flow >= NumDataflows {
 		panic(fmt.Sprintf("systolic: unknown dataflow %d", int(c.Flow)))
 	}
-	c.checked.Do(func() {
+	c.derived.Do(func() {
 		defer func() { c.invalid = recover() }()
-		newInjector(c.Build(), c.DType, c.Array, c.Flow, c.Residency, 1)
+		c.Net.EnableQuantCache()
+		c.sched = newSchedule(c.Net, c.DType, c.Array, c.Flow)
 	})
 	if c.invalid != nil {
 		panic(c.invalid)
 	}
+	return c.sched
 }
 
 // seedMul separates the per-shard PRNG streams of this surface from the
 // other surfaces' streams under equal campaign seeds.
 const seedMul = 3_141_593
 
-// newShard builds the private state one shard phase executes on: its own
-// network instance with the quantized-parameter cache on, the injector
-// over it, and the shard's golden lookup (the campaign's GoldenFn or
-// private memo; see network.GoldenMemo.Resolver).
+// newShard builds the state one shard phase executes on: an injector over
+// the campaign's schedules with the phase's upset width, and the shard's
+// golden lookup (the campaign's GoldenFn or private memo; see
+// network.GoldenMemo.Resolver).
 func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
-	net := c.Build()
-	net.EnableQuantCache()
-	inj := newInjector(net, c.DType, c.Array, c.Flow, c.Residency, opt.UpsetWidth())
+	inj := &injector{schedule: c.schedule(), mbu: opt.UpsetWidth()}
 	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
-		return net.Forward(c.DType, c.Inputs[i])
+		return c.Net.Forward(c.DType, c.Inputs[i])
 	})
 }
 
 // runShardPhase executes one phase of one shard — the per-injection
-// execution the engine's orchestration calls back into, serially, on a
-// private network instance with a private PRNG stream.
+// execution the engine's orchestration calls back into, serially, with a
+// private PRNG stream.
 func (c *Campaign) runShardPhase(shard, of int, opt Options, ph engine.Phase) *Report {
 	if ph.SiteBits > 0 {
 		return c.runShardPhaseSites(shard, of, opt, ph)
@@ -225,39 +224,46 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, ph engine.Phase) *R
 func (inj *injector) newReport(ph engine.Phase) *Report {
 	r := &Report{}
 	if ph.Strata {
-		r.Strata = engine.NewStrata(len(inj.macLayers), inj.dt.Width(), inj.res.StratumWeights(), false)
+		r.Strata = engine.NewStrata(len(inj.macLayers), inj.dt.Width(), inj.res.StratumWeights(inj.mbu), false)
 	}
 	return r
 }
 
-// injector holds the per-worker geometry for fault placement.
-type injector struct {
+// schedule is what fault placement needs of a campaign's network, derived
+// once per Campaign and read-only afterwards.
+type schedule struct {
 	net *network.Network
 	dt  numeric.Type
 	// macLayers are the CONV/FC layer indices; geos their array
-	// schedules; res places a random-in-time upset among them and draws the
-	// base bit of its span.
+	// schedules; res places a random-in-time upset among them — by MAC
+	// count, proportional to array occupancy time — and draws the base bit
+	// of its span.
 	macLayers []int
 	geos      []Geometry
 	res       *engine.Residency
+}
+
+// injector is one shard phase's view of the schedule.
+type injector struct {
+	*schedule
 	// mbu is the upset width (≥ 1) every drawn site carries.
 	mbu int
 }
 
-func newInjector(net *network.Network, dt numeric.Type, par Params, flow Dataflow, residency []float64, mbu int) *injector {
-	inj := &injector{net: net, dt: dt, mbu: mbu}
+func newSchedule(net *network.Network, dt numeric.Type, par Params, flow Dataflow) *schedule {
+	sch := &schedule{net: net, dt: dt}
 	var weights []float64
 	shape := net.InShape
 	for i, l := range net.Layers {
 		if geo, ok := LayerGeometry(l, shape, par, flow); ok {
-			inj.macLayers = append(inj.macLayers, i)
-			inj.geos = append(inj.geos, geo)
+			sch.macLayers = append(sch.macLayers, i)
+			sch.geos = append(sch.geos, geo)
 			weights = append(weights, float64(l.MACs(shape)))
 		}
 		shape = l.OutShape(shape)
 	}
-	inj.res = engine.NewResidency(weights, residency, dt.Width(), mbu)
-	return inj
+	sch.res = engine.NewResidency(weights, nil, dt.Width())
+	return sch
 }
 
 // draw draws one fault site and its MAC-layer position. pos and bit force
@@ -277,117 +283,23 @@ func (inj *injector) draw(rng *rand.Rand, pos, bit int) (Site, int) {
 		P:     rng.Intn(geo.P),
 		Width: inj.mbu,
 	}
-	s.Bit = inj.res.DrawBit(rng, bit)
+	s.Bit = inj.res.DrawBit(rng, bit, inj.mbu)
 	return s, pos
 }
 
-// faultOp is the per-MAC effect kind a latch fault expands into.
-type faultOp int
-
-const (
-	// opWeight flips the weight operand of chain step K.
-	opWeight faultOp = iota
-	// opAct flips the activation operand of chain step K.
-	opAct
-	// opAccum flips the accumulator after chain step K's MAC.
-	opAccum
-)
-
-// target maps the effect kind onto the layers package's latch target.
-func (op faultOp) target() layers.Target {
-	switch op {
-	case opWeight:
-		return layers.TargetWeight
-	case opAct:
-		return layers.TargetInput
-	case opAccum:
-		return layers.TargetAccum
-	}
-	panic("systolic: unknown fault op")
-}
-
-// execute expands a site into its per-MAC effects under the geometry's
-// dataflow (Geometry.effects — the corruption-front table in
-// dataflow.go, proven bit-identical to the cycle-level simulator by the
-// package's tests) and runs the faulty inference.
+// execute expands a site into its corruption front under the geometry's
+// dataflow (Geometry.effects — the corruption-front table in dataflow.go,
+// proven bit-identical to the cycle-level simulator by the package's tests)
+// and runs the faulty inference. The empty front (the architecturally
+// masked pipeline fault) and a front whose every chain lands back on golden
+// both come out as the Masked execution aliasing golden.
 func (inj *injector) execute(g *network.Execution, pos int, s Site) *network.Execution {
-	li := inj.macLayers[pos]
-	geo := inj.geos[pos]
-	op, elems := geo.effects(s)
-	return inj.apply(g, li, geo, s, op, elems)
-}
-
-// apply runs the faulty inference for an effect set. A single-MAC
-// single-bit effect takes the network's incremental fault-injection path;
-// everything else — every multi-element corruption front and every MBU —
-// replays each corrupted chain, diffs it against the golden activation and
-// hands the changed set to the network's delta propagation. The empty
-// effect set (the architecturally masked pipeline fault) and a front whose
-// every replay lands back on golden both come out as the Masked execution
-// aliasing golden.
-func (inj *injector) apply(g *network.Execution, li int, geo Geometry, s Site, op faultOp, elems []int) *network.Execution {
-	if len(elems) == 1 && s.Width == 1 {
-		f := &layers.Fault{OutputIndex: elems[0], MACStep: s.K, Target: op.target(), Bit: s.Bit}
-		return inj.net.ForwardFrom(inj.dt, g, li, f)
+	target, elems := inj.geos[pos].effects(s)
+	front := make([]layers.Fault, len(elems))
+	for i, oi := range elems {
+		front[i] = layers.Fault{OutputIndex: oi, MACStep: s.K, Target: target, Bit: s.Bit, Width: s.Width}
 	}
-	in := g.LayerInput(li)
-	golden := g.Acts[li]
-	act := golden
-	var changed []int
-	for _, oi := range elems {
-		act, changed = network.PatchAct(golden, act, changed, oi, inj.chainEval(li, in, oi, s, op))
-	}
-	return inj.net.ForwardWithAct(inj.dt, g, li, act, changed)
-}
-
-// chainEval recomputes one output element's accumulation chain with the
-// site's flip applied at step s.K — bit-identical to the layers package's
-// ForwardElement with the corresponding Fault for Width 1 (quantization
-// is idempotent, so flipping the pre-quantized operand equals macFaulty's
-// flip-then-multiply), and the MBU generalization for Width > 1.
-func (inj *injector) chainEval(li int, in *tensor.Tensor, oi int, s Site, op faultOp) float64 {
-	dt := inj.dt
-	quant, mac := dt.QuantFunc(), dt.MACFunc()
-	step := func(acc, w, x float64, k int) float64 {
-		if k == s.K {
-			switch op {
-			case opWeight:
-				w = flipBits(dt, w, s.Bit, s.Width)
-			case opAct:
-				x = flipBits(dt, x, s.Bit, s.Width)
-			}
-		}
-		acc = mac(acc, w, x)
-		if op == opAccum && k == s.K {
-			acc = flipBits(dt, acc, s.Bit, s.Width)
-		}
-		return acc
-	}
-	switch l := inj.net.Layers[li].(type) {
-	case *layers.ConvLayer:
-		os := l.OutShape(in.Shape)
-		plane := os.H * os.W
-		khkw := l.KH * l.KW
-		oc, oh, ow := oi/plane, (oi%plane)/os.W, oi%os.W
-		acc := quant(l.Bias[oc])
-		for k := 0; k < l.MACChainLen(); k++ {
-			ic, kh, kw := k/khkw, (k/l.KW)%l.KH, k%l.KW
-			ih, iw := oh*l.Stride+kh-l.Pad, ow*l.Stride+kw-l.Pad
-			var x float64
-			if ih >= 0 && ih < in.Shape.H && iw >= 0 && iw < in.Shape.W {
-				x = quant(in.At(ic, ih, iw))
-			}
-			acc = step(acc, quant(l.Weights[l.WeightIndex(oc, ic, kh, kw)]), x, k)
-		}
-		return acc
-	case *layers.FCLayer:
-		acc := quant(l.Bias[oi])
-		for k := 0; k < l.In; k++ {
-			acc = step(acc, quant(l.Weights[oi*l.In+k]), quant(in.Data[k]), k)
-		}
-		return acc
-	}
-	panic("systolic: faulted layer is not a MAC layer")
+	return inj.net.ForwardFront(inj.dt, g, inj.macLayers[pos], front)
 }
 
 // LatchBits returns the exposed latch-bit count of the array under a

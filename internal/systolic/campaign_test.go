@@ -53,7 +53,7 @@ func smallInputs(n int) []*tensor.Tensor {
 }
 
 func TestCampaignDeterministic(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
 	opt := Options{N: 120, Seed: 9, Workers: 3}
 	r1 := c.Run(opt)
 	r2 := c.Run(opt)
@@ -84,7 +84,7 @@ func TestEffectExpansionMatchesSim(t *testing.T) {
 			net.EnableQuantCache()
 			in := smallInputs(1)[0]
 			g := net.Forward(dt, in)
-			inj := newInjector(net, dt, tinyArray, flow, nil, 1)
+			inj := newInjector(net, dt, tinyArray, flow, 1)
 
 			for pos, li := range inj.macLayers {
 				geo := inj.geos[pos]
@@ -143,7 +143,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 		for _, eval := range []engine.EvalMode{engine.EvalPerBit, engine.EvalSiteScalar, engine.EvalSiteBitPlane} {
 			for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 				for _, shards := range []int{1, 2, 7} {
-					c := &Campaign{Build: buildSmall, DType: dt, Inputs: inputs, Array: tinyArray}
+					c := &Campaign{Net: buildSmall(), DType: dt, Inputs: inputs, Array: tinyArray}
 					opt := Options{N: 24, Seed: 11, Workers: shards, Sampling: sampling, PilotN: 8, Eval: eval}
 					solo := marshal(t, c.Run(opt))
 					merged := marshal(t, MergeReports(engine.ShardReports(c.Surface(opt))))
@@ -175,7 +175,7 @@ func TestDataflowShardMergeBitIdentical(t *testing.T) {
 			for _, eval := range []engine.EvalMode{engine.EvalPerBit, engine.EvalSiteScalar, engine.EvalSiteBitPlane} {
 				for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 					for _, shards := range []int{1, 3} {
-						c := &Campaign{Build: buildSmall, DType: dt, Inputs: inputs, Array: tinyArray, Flow: flow}
+						c := &Campaign{Net: buildSmall(), DType: dt, Inputs: inputs, Array: tinyArray, Flow: flow}
 						opt := Options{N: 24, Seed: 11, Workers: shards, Sampling: sampling, PilotN: 8, Eval: eval}
 						if eval == engine.EvalPerBit {
 							opt.MBU = 3
@@ -200,7 +200,7 @@ func TestDataflowShardMergeBitIdentical(t *testing.T) {
 func TestDataflowSiteModesBitIdentical(t *testing.T) {
 	for _, flow := range []Dataflow{OutputStationary, InputStationary} {
 		for _, dt := range numeric.Types {
-			c := &Campaign{Build: buildSmall, DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+			c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
 			base := Options{N: 3*dt.Width() + 5, Seed: 13, Workers: 2}
 			scalar := base
 			scalar.Eval = engine.EvalSiteScalar
@@ -224,7 +224,7 @@ func TestDataflowSiteModesBitIdentical(t *testing.T) {
 func TestDataflowsDiverge(t *testing.T) {
 	reports := make([]string, NumDataflows)
 	for flow := WeightStationary; flow < NumDataflows; flow++ {
-		c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+		c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
 		reports[flow] = string(marshal(t, c.Run(Options{N: 300, Seed: 5})))
 	}
 	if reports[WeightStationary] == reports[OutputStationary] &&
@@ -237,7 +237,7 @@ func TestDataflowsDiverge(t *testing.T) {
 // oracle: same draws, same tallies, byte-identical reports.
 func TestSiteModesBitIdentical(t *testing.T) {
 	for _, dt := range numeric.Types {
-		c := &Campaign{Build: buildSmall, DType: dt, Inputs: smallInputs(2), Array: tinyArray}
+		c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2), Array: tinyArray}
 		base := Options{N: 3*dt.Width() + 5, Seed: 13, Workers: 2}
 		scalar := base
 		scalar.Eval = engine.EvalSiteScalar
@@ -254,7 +254,7 @@ func TestSiteModesBitIdentical(t *testing.T) {
 }
 
 func TestStratifiedEstimateAndPrior(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
 	var pilot *engine.StrataSummary
 	opt := Options{
 		N: 160, Seed: 7, Workers: 3, Sampling: engine.SamplingStratified, PilotN: 48,
@@ -292,7 +292,7 @@ func TestStratifiedEstimateAndPrior(t *testing.T) {
 }
 
 func TestMBUCampaign(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
 	opt := Options{N: 100, Seed: 19, Workers: 2, MBU: 3}
 	r := c.Run(opt)
 	if r.Counts.Trials != 100 {
@@ -326,7 +326,7 @@ func TestMBUCampaign(t *testing.T) {
 }
 
 func TestMBURejectsSiteModes(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
 	defer func() {
 		if recover() == nil {
 			t.Error("MBU + site mode did not panic")
@@ -336,7 +336,7 @@ func TestMBURejectsSiteModes(t *testing.T) {
 }
 
 func TestMBUWiderThanWordRejected(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
 	defer func() {
 		if recover() == nil {
 			t.Error("MBU wider than the word did not panic")
@@ -345,29 +345,8 @@ func TestMBUWiderThanWordRejected(t *testing.T) {
 	c.Run(Options{N: 8, Seed: 1, MBU: 17})
 }
 
-func TestResidencyWeightsRouteLayers(t *testing.T) {
-	c := &Campaign{
-		Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray,
-		Residency: []float64{0, 1}, // conv1, fc2
-	}
-	r := c.Run(Options{N: 50, Seed: 31})
-	if r.Counts.Trials != 50 {
-		t.Fatalf("trials = %d", r.Counts.Trials)
-	}
-	bad := &Campaign{
-		Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1),
-		Residency: []float64{1}, // wrong length
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched residency length did not panic")
-		}
-	}()
-	bad.Run(Options{N: 1, Seed: 1, Workers: 1})
-}
-
 func TestDetectorTally(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
 	detect := func(e *network.Execution) bool { return e != nil && !e.Masked }
 	r := c.Run(Options{N: 60, Seed: 23, Workers: 2, Detector: detect})
 	if r.Detection.Total != 60 {
@@ -379,7 +358,7 @@ func TestDetectorTally(t *testing.T) {
 }
 
 func TestFaultsCauseSomeSDCs(t *testing.T) {
-	c := &Campaign{Build: buildSmall, DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
 	r := c.Run(Options{N: 200, Seed: 21})
 	if r.Counts.Hits[sdc.SDC1] == 0 {
 		t.Error("no SDC-1 from 200 systolic faults in a shallow fixed-point network")
@@ -398,20 +377,16 @@ func TestLatchBits(t *testing.T) {
 
 // TestCampaignGoldensComputedOncePerInput: with no GoldenFn a campaign
 // memoizes its goldens privately — one forward pass per input for all
-// shards and phases, not one per shard and phase — and validates its
-// geometry once, not once per shard call.
+// shards and phases, not one per shard and phase — and every slot executes
+// on the campaign's one network and the array schedules derived from it
+// once: nothing is built or derived per slot.
 func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
-	builds := 0
-	c := &Campaign{
-		Build:  func() *network.Network { builds++; return buildSmall() },
-		DType:  numeric.Fx16RB10,
-		Inputs: smallInputs(2),
-		Array:  tinyArray,
-	}
+	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
 	opt := Options{N: 60, Seed: 5, Workers: 3}
 	strat := opt
 	strat.Sampling = engine.SamplingStratified
 	ps, peo := c.Surface(strat)
+	sched := c.sched
 	us, ueo := c.Surface(opt)
 	pilots, uniform := engine.NewPlan(peo, ps.Width()), engine.NewPlan(ueo, us.Width())
 	for s := 0; s < 3; s++ {
@@ -421,8 +396,13 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 	if got := c.goldens.Len(); got != len(c.Inputs) {
 		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))
 	}
-	// One build validates the campaign, one runs each shard phase.
-	if want := 1 + 3 + 3; builds != want {
-		t.Errorf("%d network builds for 6 shard calls, want %d (validation must run once per campaign)", builds, want)
+	if sched == nil || c.sched != sched {
+		t.Errorf("array schedules re-derived: %p after the first Surface call, %p after 6 shard calls", sched, c.sched)
+	}
+	for _, o := range []Options{opt, strat} {
+		if inj, _ := c.newShard(o); inj.schedule != sched || inj.net != c.Net {
+			t.Errorf("a shard's injector runs on schedules %p over network %p, want the campaign's %p over %p",
+				inj.schedule, inj.net, sched, c.Net)
+		}
 	}
 }

@@ -145,10 +145,11 @@ func (g Geometry) PipeMasked(s Site) bool {
 }
 
 // effects expands a site into its per-MAC corruption front under the
-// geometry's dataflow: the effect kind and the faulted output elements
-// (flat (Out, P) indices, each corrupted at chain step K). An empty set
-// is the architecturally masked pipe fault at a tile's east edge.
-func (g Geometry) effects(s Site) (op faultOp, elems []int) {
+// geometry's dataflow: the struck per-MAC latch and the faulted output
+// elements (flat (Out, P) indices in ascending order, each corrupted at
+// chain step K). An empty set is the architecturally masked pipe fault at a
+// tile's east edge.
+func (g Geometry) effects(s Site) (target layers.Target, elems []int) {
 	one := []int{s.Out*g.P + s.P}
 	switch s.Latch {
 	case LatchAct:
@@ -159,14 +160,14 @@ func (g Geometry) effects(s Site) (op faultOp, elems []int) {
 			for o := s.Out; o < g.Outs; o++ {
 				elems = append(elems, o*g.P+s.P)
 			}
-			return opAct, elems
+			return layers.TargetInput, elems
 		}
-		return opAct, one
+		return layers.TargetInput, one
 	case LatchPsum:
 		// South-flowing (weight/input-stationary) or resident
 		// (output-stationary): either way one accumulator-word flip after
 		// step K, carried forward by the remaining accumulation.
-		return opAccum, one
+		return layers.TargetAccum, one
 	case LatchWeight:
 		if g.Flow == WeightStationary {
 			// Resident operand: corrupted reads for the rest of the pass.
@@ -174,9 +175,9 @@ func (g Geometry) effects(s Site) (op faultOp, elems []int) {
 			for p := s.P; p < g.P; p++ {
 				elems = append(elems, s.Out*g.P+p)
 			}
-			return opWeight, elems
+			return layers.TargetWeight, elems
 		}
-		return opWeight, one
+		return layers.TargetWeight, one
 	case LatchPipe:
 		// East-forwarding register: the corrupted moving operand is
 		// consumed by every occupied PE east of the fault in its column
@@ -189,12 +190,12 @@ func (g Geometry) effects(s Site) (op faultOp, elems []int) {
 			for p := s.P + 1; p < end; p++ {
 				elems = append(elems, s.Out*g.P+p)
 			}
-			return opWeight, elems
+			return layers.TargetWeight, elems
 		}
 		for o := s.Out + 1; o < end; o++ {
 			elems = append(elems, o*g.P+s.P)
 		}
-		return opAct, elems
+		return layers.TargetInput, elems
 	}
 	panic("systolic: unknown latch")
 }
@@ -223,32 +224,15 @@ func (g Geometry) planeTarget(l Latch) (t layers.Target, ok bool) {
 }
 
 // abstract translates a single-bit site into the layers package's
-// per-MAC descriptor when it corrupts exactly one MAC: the dataflow's
-// single-read latches always, its resident latch when struck at the last
-// time step (one remaining read), and a pipe fault with exactly one
-// downstream consumer. ok is false for multi-MAC or architecturally
+// per-MAC descriptor when its corruption front is exactly one MAC: the
+// dataflow's single-read latches always, its resident latch when struck at
+// the last time step (one remaining read), and a pipe fault with exactly
+// one downstream consumer. ok is false for multi-MAC or architecturally
 // masked sites.
 func (g Geometry) abstract(s Site) (f layers.Fault, ok bool) {
-	oi := s.Out*g.P + s.P
-	switch s.Latch {
-	case LatchPsum:
-		return layers.Fault{OutputIndex: oi, MACStep: s.K, Target: layers.TargetAccum, Bit: s.Bit}, true
-	case LatchAct:
-		if g.Flow != InputStationary || s.Out == g.Outs-1 {
-			return layers.Fault{OutputIndex: oi, MACStep: s.K, Target: layers.TargetInput, Bit: s.Bit}, true
-		}
-	case LatchWeight:
-		if g.Flow != WeightStationary || s.P == g.P-1 {
-			return layers.Fault{OutputIndex: oi, MACStep: s.K, Target: layers.TargetWeight, Bit: s.Bit}, true
-		}
-	case LatchPipe:
-		cv := g.colCoord(s)
-		if g.ColTileEnd(cv) == cv+2 {
-			if g.Flow == InputStationary {
-				return layers.Fault{OutputIndex: s.Out*g.P + s.P + 1, MACStep: s.K, Target: layers.TargetWeight, Bit: s.Bit}, true
-			}
-			return layers.Fault{OutputIndex: (s.Out+1)*g.P + s.P, MACStep: s.K, Target: layers.TargetInput, Bit: s.Bit}, true
-		}
+	target, elems := g.effects(s)
+	if len(elems) != 1 {
+		return layers.Fault{}, false
 	}
-	return layers.Fault{}, false
+	return layers.Fault{OutputIndex: elems[0], MACStep: s.K, Target: target, Bit: s.Bit}, true
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/layers"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/tensor"
 )
 
 // FuzzSystolicFault drives arbitrary physical fault addresses through the
@@ -132,13 +131,13 @@ func FuzzDataflowFault(f *testing.F) {
 		}
 
 		// The campaign's corruption front must reproduce the simulator.
-		op, elems := st.geo.effects(site)
+		target, elems := st.geo.effects(site)
 		if edgePipe != (len(elems) == 0) {
 			t.Fatalf("%s: site %+v: effects emitted %d elems, arch-masked=%v", flow, site, len(elems), edgePipe)
 		}
 		want := append([]float64(nil), st.golden...)
 		for _, oi := range elems {
-			want[oi] = chainEvalLayer(l, dt, in, oi, site, op)
+			want[oi] = chainEval(l, dt, in, oi, site, target)
 		}
 		for i := range want {
 			if math.Float64bits(faulty.Data[i]) != math.Float64bits(want[i]) {
@@ -147,40 +146,6 @@ func FuzzDataflowFault(f *testing.F) {
 			}
 		}
 	})
-}
-
-// chainEvalLayer recomputes one output element's accumulation chain with
-// the site's flip applied at step s.K — a standalone mirror of the
-// injector's chainEval for fuzzing without a network.
-func chainEvalLayer(l *layers.ConvLayer, dt numeric.Type, in *tensor.Tensor, oi int, s Site, op faultOp) float64 {
-	quant, mac := dt.QuantFunc(), dt.MACFunc()
-	os := l.OutShape(in.Shape)
-	plane := os.H * os.W
-	khkw := l.KH * l.KW
-	oc, oh, ow := oi/plane, (oi%plane)/os.W, oi%os.W
-	acc := quant(l.Bias[oc])
-	for k := 0; k < l.MACChainLen(); k++ {
-		ic, kh, kw := k/khkw, (k/l.KW)%l.KH, k%l.KW
-		ih, iw := oh*l.Stride+kh-l.Pad, ow*l.Stride+kw-l.Pad
-		var x float64
-		if ih >= 0 && ih < in.Shape.H && iw >= 0 && iw < in.Shape.W {
-			x = quant(in.At(ic, ih, iw))
-		}
-		w := quant(l.Weights[l.WeightIndex(oc, ic, kh, kw)])
-		if k == s.K {
-			switch op {
-			case opWeight:
-				w = flipBits(dt, w, s.Bit, s.Width)
-			case opAct:
-				x = flipBits(dt, x, s.Bit, s.Width)
-			}
-		}
-		acc = mac(acc, w, x)
-		if op == opAccum && k == s.K {
-			acc = flipBits(dt, acc, s.Bit, s.Width)
-		}
-	}
-	return acc
 }
 
 // FuzzPreScreenSoundness re-simulates every flip the bit-plane mode's

@@ -6,11 +6,67 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
 	"repro/internal/tensor"
 )
+
+// newInjector is a one-off injector over net, outside any campaign.
+func newInjector(net *network.Network, dt numeric.Type, par Params, flow Dataflow, mbu int) *injector {
+	return &injector{schedule: newSchedule(net, dt, par, flow), mbu: mbu}
+}
+
+// chainEval is the per-tap oracle of a corruption front's one element: it
+// walks the accumulation chain of output element oi of MAC layer l with the
+// site's flip applied at step s.K to the target latch — what
+// layers.ForwardElement computes under the corresponding Fault (quantization
+// is idempotent, so flipping the pre-quantized operand equals macFaulty's
+// flip-then-multiply), written out independently of it.
+func chainEval(l layers.Layer, dt numeric.Type, in *tensor.Tensor, oi int, s Site, target layers.Target) float64 {
+	quant, mac := dt.QuantFunc(), dt.MACFunc()
+	step := func(acc, w, x float64, k int) float64 {
+		if k == s.K {
+			switch target {
+			case layers.TargetWeight:
+				w = flipBits(dt, w, s.Bit, s.Width)
+			case layers.TargetInput:
+				x = flipBits(dt, x, s.Bit, s.Width)
+			}
+		}
+		acc = mac(acc, w, x)
+		if target == layers.TargetAccum && k == s.K {
+			acc = flipBits(dt, acc, s.Bit, s.Width)
+		}
+		return acc
+	}
+	switch l := l.(type) {
+	case *layers.ConvLayer:
+		os := l.OutShape(in.Shape)
+		plane := os.H * os.W
+		khkw := l.KH * l.KW
+		oc, oh, ow := oi/plane, (oi%plane)/os.W, oi%os.W
+		acc := quant(l.Bias[oc])
+		for k := 0; k < l.MACChainLen(); k++ {
+			ic, kh, kw := k/khkw, (k/l.KW)%l.KH, k%l.KW
+			ih, iw := oh*l.Stride+kh-l.Pad, ow*l.Stride+kw-l.Pad
+			var x float64
+			if ih >= 0 && ih < in.Shape.H && iw >= 0 && iw < in.Shape.W {
+				x = quant(in.At(ic, ih, iw))
+			}
+			acc = step(acc, quant(l.Weights[l.WeightIndex(oc, ic, kh, kw)]), x, k)
+		}
+		return acc
+	case *layers.FCLayer:
+		acc := quant(l.Bias[oi])
+		for k := 0; k < l.In; k++ {
+			acc = step(acc, quant(l.Weights[oi*l.In+k]), quant(in.Data[k]), k)
+		}
+		return acc
+	}
+	panic("systolic: faulted layer is not a MAC layer")
+}
 
 // TestFaultsMatchDenseOracle is the systolic half of the propagation core's
 // bit-exactness contract: under every dataflow, for the per-bit design at
@@ -34,7 +90,7 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 	}
 	for flow := WeightStationary; flow < NumDataflows; flow++ {
 		for _, dt := range []numeric.Type{numeric.Fx16RB10, numeric.Float16} {
-			c := &Campaign{Build: buildSmall, DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+			c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
 			plain := buildSmall()
 			goldens := make([]*network.Execution, len(c.Inputs))
 			for i, in := range c.Inputs {
@@ -49,7 +105,7 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 				panic("execution over an unknown input")
 			}
 			c.GoldenFn = func(i int, _ func() *network.Execution) *network.Execution { return goldens[i] }
-			oracle := newInjector(plain, dt, c.Array, flow, nil, 1)
+			oracle := newInjector(plain, dt, c.Array, flow, 1)
 
 			for _, m := range modes {
 				t.Run(fmt.Sprintf("%s/%s/%s", flow, dt, m.name), func(t *testing.T) {
@@ -61,10 +117,10 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 						got := inj.execute(g, pos, s)
 
 						li, geo := oracle.macLayers[pos], oracle.geos[pos]
-						op, elems := geo.effects(s)
+						target, elems := geo.effects(s)
 						act := g.Acts[li].Clone()
 						for _, oi := range elems {
-							act.Data[oi] = oracle.chainEval(li, g.LayerInput(li), oi, s, op)
+							act.Data[oi] = chainEval(plain.Layers[li], dt, g.LayerInput(li), oi, s, target)
 						}
 						ref := plain.ForwardWithActDense(dt, g, li, act)
 
