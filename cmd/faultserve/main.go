@@ -113,7 +113,7 @@ func main() {
 	join := flag.String("join", "", "coordinator or control-plane base URL, e.g. http://127.0.0.1:8711")
 	procs := flag.Int("procs", 1, "concurrent shard executors in this worker")
 	goldenDir := flag.String("golden-dir", "", "persist golden executions here; restarted workers (and workers sharing the directory) skip recomputing them")
-	maxLeases := flag.Int("max-leases", 0, "exit after completing this many shards (0 = run to campaign end)")
+	maxLeases := flag.Int("max-leases", 0, "exit after completing this many shards (0 = until drain, SIGTERM or the plane unreachable for 30 s)")
 	crashAfter := flag.Int("crash-after", 0, "complete this many shards, take one more lease, then exit hard (tests re-lease + resume)")
 	maxBackoff := flag.Duration("max-backoff", 5*time.Second, "cap on the worker's jittered exponential retry backoff")
 	prefetch := flag.Int("prefetch", 0, "extra leases requested beyond -procs so executors never idle (0 = default 2, negative = disable)")

@@ -185,32 +185,6 @@ func (p *Profile) RandomSiteWithBit(rng *rand.Rand, bit int) Site {
 	return p.siteForMAC(rng, block, mac, bit)
 }
 
-// RandomSiteNoBit draws a fault site uniformly over every (MAC, latch)
-// coordinate of one inference, leaving the bit position undrawn (Fault.Bit
-// is the -1 sentinel) — the site draw of the bit-parallel evaluation modes,
-// which evaluate every bit of the drawn site. Consumes exactly two PRNG
-// values: the MAC index and the latch.
-func (p *Profile) RandomSiteNoBit(rng *rand.Rand) Site {
-	mac := rng.Int63n(p.total)
-	block := 0
-	for mac >= p.cum[block] {
-		block++
-	}
-	if block > 0 {
-		mac -= p.cum[block-1]
-	}
-	return p.siteForMAC(rng, block, mac, -1)
-}
-
-// RandomSiteInBlockNoBit draws a bitless site uniformly over the MACs of
-// one paper-style block — the within-stratum draw of a site-mode stratified
-// main phase. Consumes exactly two PRNG values: the MAC index and the
-// latch.
-func (p *Profile) RandomSiteInBlockNoBit(rng *rand.Rand, block int) Site {
-	mac := rng.Int63n(p.macs[block])
-	return p.siteForMAC(rng, block, mac, -1)
-}
-
 func (p *Profile) siteForMAC(rng *rand.Rand, block int, mac int64, bit int) Site {
 	chain := int64(p.chainLen[block])
 	return Site{

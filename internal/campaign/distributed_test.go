@@ -345,7 +345,7 @@ func checkPriorSeeded(t *testing.T, fresh campaign.Spec) {
 		t.Fatal("stratified run never surfaced its pilot strata")
 	}
 	pilotN, mainN := engine.PilotBudget(fresh.N, fresh.PilotN)
-	freshTable := engine.BuildStratumTable(pilot, mainN)
+	freshTable := engine.BuildStratumTable(pilot, mainN, 1)
 
 	path := filepath.Join(t.TempDir(), "strata.json")
 	if err := engine.WriteStrataArtifact(path, &engine.StrataArtifact{
@@ -374,7 +374,7 @@ func checkPriorSeeded(t *testing.T, fresh campaign.Spec) {
 		t.Fatal(err)
 	}
 	_, seededMainN := engine.PilotBudget(seeded.N, seeded.PilotN)
-	seededTable := engine.BuildStratumTable(prior, seededMainN)
+	seededTable := engine.BuildStratumTable(prior, seededMainN, 1)
 	if seededTable.MainN != freshTable.MainN ||
 		seededTable.Blocks != freshTable.Blocks || seededTable.Bits != freshTable.Bits {
 		t.Fatalf("table dims diverged: seeded MainN=%d fresh MainN=%d", seededTable.MainN, freshTable.MainN)

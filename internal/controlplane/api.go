@@ -101,9 +101,8 @@ func (p *Plane) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/campaigns", p.tenantOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if !decodeBody(w, r, &req, false) {
 			noteRejected(tenantFrom(r))
-			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		st, err := p.Submit(tenantFrom(r), req.Spec, req.Priority, req.Quota)
@@ -196,13 +195,14 @@ func (p *Plane) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/lease", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		// Tolerate empty bodies: pre-batching workers POST "{}" or nothing.
 		var req campaign.LeaseRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		if !decodeBody(w, r, &req, true) {
+			return
+		}
 		writeJSON(w, p.leaseBatch(time.Now(), req.Max))
 	}))
 	mux.HandleFunc("POST /v1/heartbeat", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req campaign.HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req, false) {
 			return
 		}
 		if !p.heartbeat(req, time.Now()) {
@@ -213,8 +213,7 @@ func (p *Plane) Handler() http.Handler {
 	}))
 	mux.HandleFunc("POST /v1/reports", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req campaign.ReportBatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &req, false) {
 			return
 		}
 		errs := p.reportBatch(req.Reports)
@@ -243,6 +242,34 @@ func (p *Plane) Handler() http.Handler {
 		root.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return root
+}
+
+// maxBodyBytes bounds every request body the plane reads: well above the
+// largest report batch a worker posts (a few MiB), well below what would
+// hurt the plane to buffer.
+const maxBodyBytes = 64 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. When
+// it cannot it answers the request — 413 for an oversized body (one that
+// declares its length unread, so a client that waits for 100 Continue never
+// sends it), 400 for one that does not decode — and returns false; an
+// optional body that does not decode is not an error and leaves v as it was.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	err := error(&http.MaxBytesError{Limit: maxBodyBytes})
+	if r.ContentLength <= maxBodyBytes {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+	case errors.As(err, &tooBig):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
+		return false
+	case !optional:
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 func tenantFrom(r *http.Request) string {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -15,13 +16,25 @@ import (
 	"repro/internal/campaign"
 )
 
+// padding is an endless run of spaces: the whitespace before a JSON value
+// that never comes, as long as its reader cares to make it.
+type padding struct{}
+
+func (padding) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // TestMalformedReportsRefusedOverHTTP posts reports of the right surface
 // but the wrong shape — from a worker holding a real lease — through
 // POST /v1/reports, with a stream subscriber attached (the broadcast after
 // an accept is where a mis-shaped report used to panic under the plane
 // lock). Every one must come back as a per-report 4xx with no journal
 // event and no ledger change — as must a submit whose spec would panic the
-// workers that run it; List, Get and the stream must stay responsive; and
+// workers that run it, and (413) any request whose body exceeds the plane's
+// bound; List, Get and the stream must stay responsive; and
 // the journal must replay on a reopened plane that then
 // finishes both campaigns byte-equal to solo.
 func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
@@ -153,6 +166,39 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 			t.Errorf("refused %s submit left %d journal events", name, got-events)
 		}
 	}
+
+	// A body past the plane's bound is refused on every route that reads one
+	// before any of it is acted on. One that declares its length is refused
+	// unread: the client waits for 100 Continue and never sends it.
+	oversized := func(path string, declared bool) {
+		t.Helper()
+		req, err := http.NewRequest("POST", srv.URL+path, io.LimitReader(padding{}, maxBodyBytes+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if declared {
+			req.ContentLength = maxBodyBytes + 1
+			req.Header.Set("Expect", "100-continue")
+		}
+		big, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("POST %s with an oversized body: %v", path, err)
+		}
+		big.Body.Close()
+		if big.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with an oversized body (declared=%v): %s, want 413", path, declared, big.Status)
+		}
+		if got := p1.JournalStats().Events; got != events {
+			t.Errorf("oversized POST %s left %d journal events", path, got-events)
+		}
+	}
+	client.Transport.(*http.Transport).ExpectContinueTimeout = client.Timeout
+	for _, path := range []string{"/v1/campaigns", "/v1/lease", "/v1/heartbeat", "/v1/reports"} {
+		oversized(path, true)
+	}
+	// A chunked body has to be read up to the bound to be refused — on the
+	// lease route too, which tolerates every other body it cannot decode.
+	oversized("/v1/lease", false)
 
 	// The plane still answers, and nothing completed.
 	resp, err := client.Get(srv.URL + "/v1/campaigns")

@@ -35,15 +35,13 @@ const (
 	EvalSiteBitPlane EvalMode = "site-bitplane"
 )
 
-// DrawUnits returns the number of site draw units an n-injection phase
-// needs under a site evaluation mode with siteBits bits per site (the last
-// unit may cover fewer injections when siteBits does not divide n).
-// siteBits zero is the legacy per-bit design: one draw unit per injection.
-func DrawUnits(n, siteBits int) int {
-	if siteBits <= 0 {
-		return n
-	}
-	return (n + siteBits - 1) / siteBits
+// DrawUnits returns the number of draw units that cover n injections at
+// unitBits injections per unit: 1 in the per-bit design, where every
+// injection is its own draw, the word width under a site evaluation mode,
+// where one drawn site is evaluated at every bit position (the last unit
+// covers fewer injections when unitBits does not divide n).
+func DrawUnits(n, unitBits int) int {
+	return (n + unitBits - 1) / unitBits
 }
 
 // Phase parameterizes one phase of one shard of a campaign. A uniform
@@ -52,28 +50,27 @@ func DrawUnits(n, siteBits int) int {
 // value budget spent — pilot samples are the campaign's only uniform ones,
 // keeping value scatters unbiased) followed by a main phase (draws
 // dictated by the allocation table, distinct PRNG salt, input cycling
-// continued from the pilot's global injection index).
+// continued from the pilot's draw-unit index).
 type Phase struct {
 	// N is the phase's total injection budget across all shards.
 	N int
+	// UnitBits (≥ 1) is the campaign's draw-unit size: the phase's N
+	// injections are covered by DrawUnits(N, UnitBits) units, and shards
+	// stride, inputs cycle and the allocation table counts in units.
+	UnitBits int
 	// SeedSalt offsets the shard's PRNG seed (MainSeedSalt for main
 	// phases, 0 otherwise).
 	SeedSalt int64
-	// InputBase offsets the global injection index used to cycle inputs
-	// (the pilot budget, for main phases).
+	// InputBase offsets the draw-unit index used to cycle inputs (the
+	// pilot's unit count, for main phases).
 	InputBase int
-	// Table, when non-nil, dictates each injection's stratum (main phase).
+	// Table, when non-nil, dictates each draw unit's stratum cell (main
+	// phase).
 	Table *StratumTable
 	// Strata records per-stratum tallies into the phase report.
 	Strata bool
 	// Values lets the phase spend the campaign's value-sample budget.
 	Values bool
-	// SiteBits, when positive, switches the phase to site-grouped
-	// evaluation: the phase's N injections are covered by
-	// DrawUnits(N, SiteBits) site draw units, shards stride over draw
-	// units (not injections), InputBase counts draw units, and a main
-	// phase's Table allocates draw units over per-block strata.
-	SiteBits int
 }
 
 // Rand returns the PRNG stream of one shard of the phase, seeded only by
@@ -84,38 +81,43 @@ func (ph Phase) Rand(seed int64, shard int, seedMul int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(shard)*seedMul + ph.SeedSalt))
 }
 
-// EachInjection visits, in order, the injections shard covers of an of-way
-// strided partition of a per-bit phase: i = shard, shard+of, … below N.
-// input is the injection's index into the campaign's inputs-long input
-// cycle; (block, bit) is the stratum the allocation table dictates, or
-// (−1, −1) when the phase has no table and the surface draws both.
-func (ph Phase) EachInjection(shard, of, inputs int, fn func(i, input, block, bit int)) {
-	for i := shard; i < ph.N; i += of {
-		block, bit := -1, -1
-		if ph.Table != nil {
-			block, bit = ph.Table.Stratum(i)
-		}
-		fn(i, (ph.InputBase+i)%inputs, block, bit)
-	}
+// Unit is one draw unit of a phase: one drawn fault site and the NBits
+// injections evaluated at it, one per bit position Bit, Bit+1, … — a
+// single injection in the per-bit design, every bit of the word (or the
+// phase's remainder) under a site evaluation mode.
+type Unit struct {
+	// Index is the unit's position in the phase, Input its index into the
+	// campaign's input cycle.
+	Index, Input int
+	// Block is the stratum row the allocation table dictates, −1 when the
+	// phase has no table and the surface draws it.
+	Block int
+	// Bit is the unit's first bit: 0 for a whole-word unit; for a one-bit
+	// unit the table's, or −1 when the surface draws that too. A forced
+	// coordinate consumes no randomness.
+	Bit int
+	// NBits is the number of injections the unit covers.
+	NBits int
 }
 
-// EachUnit is EachInjection for a site-evaluation phase: it visits the site
-// draw units u = shard, shard+of, … below DrawUnits(N, SiteBits). Unit u
-// covers nbits injections, one per bit position from 0 — SiteBits of them,
-// except that the phase's last unit carries only the remainder of N. block
-// is the per-block site table's stratum, −1 without a table.
-func (ph Phase) EachUnit(shard, of, inputs int, fn func(u, input, block, nbits int)) {
-	units := DrawUnits(ph.N, ph.SiteBits)
-	for u := shard; u < units; u += of {
-		nbits := ph.SiteBits
-		if rem := ph.N - u*ph.SiteBits; rem < nbits {
-			nbits = rem
+// Each visits, in order, the draw units shard covers of an of-way strided
+// partition of the phase: u = shard, shard+of, … below
+// DrawUnits(N, UnitBits). Every unit covers UnitBits injections except the
+// phase's last, which carries the remainder of N.
+func (ph Phase) Each(shard, of, inputs int, fn func(Unit)) {
+	units := DrawUnits(ph.N, ph.UnitBits)
+	for i := shard; i < units; i += of {
+		u := Unit{Index: i, Input: (ph.InputBase + i) % inputs, Block: -1, Bit: -1,
+			NBits: min(ph.UnitBits, ph.N-i*ph.UnitBits)}
+		if ph.UnitBits > 1 {
+			u.Bit = 0
 		}
-		block := -1
 		if ph.Table != nil {
-			block, _ = ph.Table.Stratum(u)
+			var cell int
+			u.Block, cell = ph.Table.Stratum(i)
+			u.Bit = cell * ph.UnitBits
 		}
-		fn(u, (ph.InputBase+u)%inputs, block, nbits)
+		fn(u)
 	}
 }
 
@@ -129,8 +131,8 @@ func (ph Phase) EachUnit(shard, of, inputs int, fn func(u, input, block, nbits i
 // accumulators are order-sensitive, and the engine's call order is part of
 // the bit-identity contract). RunPhase must be safe for concurrent calls
 // with distinct shard indices, draw all randomness from a PRNG seeded only
-// by (campaign seed, shard, ph.SeedSalt), and cover injections
-// shard, shard+of, shard+2·of, … of the phase's N-injection budget.
+// by (campaign seed, shard, ph.SeedSalt), and cover draw units
+// shard, shard+of, shard+2·of, … of the phase (ph.Each).
 type Surface[R any] interface {
 	// Width is the campaign's word width in bits: the bit dimension of the
 	// stratum grid and the draw-unit size of the site evaluation modes.

@@ -30,14 +30,15 @@ const (
 //	stratified       2·S    (pilot, shard i/2) for even i, (main, shard i/2) for odd
 //	prior-allocated  S      (main, shard i)
 //
-// S is EffectiveShards over the campaign's draw units: injections in the
-// per-bit design, sites (one per word width of injections) under a site
-// evaluation mode.
+// S is EffectiveShards over the campaign's draw units (Phase.Each): one
+// per injection in the per-bit design, one per word width of injections —
+// a site, evaluated at every bit — under a site evaluation mode. Shard
+// striding, input cycling and the allocation table all count draw units.
 type Plan struct {
 	n, shards int
-	// siteBits is the draw-unit size: the word width under a site mode, 0
-	// (one draw unit per injection) in the per-bit design.
-	siteBits int
+	// unitBits (≥ 1) is the draw-unit size: 1 in the per-bit design, the
+	// word width under a site mode.
+	unitBits int
 	// stratified plans split n into pilotN + mainN; pilotN is zero exactly
 	// when the allocation comes from a prior campaign instead of a pilot.
 	stratified    bool
@@ -50,18 +51,18 @@ func NewPlan(opt Options, width int) Plan {
 	if opt.MBU > width {
 		panic(fmt.Sprintf("engine: MBU width %d exceeds the %d-bit word", opt.MBU, width))
 	}
-	p := Plan{n: opt.N}
+	p := Plan{n: opt.N, unitBits: 1}
 	switch opt.Eval {
 	case EvalPerBit:
 	case EvalSiteScalar, EvalSiteBitPlane:
 		if opt.UpsetWidth() > 1 {
 			panic("engine: MBU campaigns require the per-bit evaluation mode")
 		}
-		p.siteBits = width
+		p.unitBits = width
 	default:
 		panic(fmt.Sprintf("engine: unknown eval mode %q", opt.Eval))
 	}
-	p.shards = EffectiveShards(opt.Workers, DrawUnits(opt.N, p.siteBits))
+	p.shards = EffectiveShards(opt.Workers, DrawUnits(opt.N, p.unitBits))
 	if opt.Sampling == SamplingStratified {
 		p.stratified = true
 		pilotN := opt.PilotN
@@ -127,38 +128,35 @@ func (p Plan) wave(gated bool) []int {
 }
 
 // Table derives the allocation every gated slot runs under from the pooled
-// pilot strata (PilotReport) or a prior campaign's: the main budget spread
-// over the (block, bit) grid in the per-bit design, whole site draw units
-// over per-block strata under a site evaluation mode.
+// pilot strata (PilotReport) or a prior campaign's: the main phase's draw
+// units spread over the cells of the stratum grid one unit samples at once
+// (BuildStratumTable).
 func (p Plan) Table(strata *StrataSummary) *StratumTable {
-	if p.siteBits > 0 {
-		return BuildSiteStratumTable(strata, DrawUnits(p.mainN, p.siteBits))
-	}
-	return BuildStratumTable(strata, p.mainN)
+	return BuildStratumTable(strata, DrawUnits(p.mainN, p.unitBits), p.unitBits)
 }
 
-// phase returns the phase descriptor and shard of a slot. Shard striding,
-// input cycling and the main-phase allocation all count draw units.
+// phase returns the phase descriptor and shard of a slot.
 func (p Plan) phase(slot int, table *StratumTable) (Phase, int) {
 	kind, shard := p.Slot(slot)
+	ph := Phase{N: p.n, UnitBits: p.unitBits, Values: true}
 	switch kind {
 	case PhasePilot:
-		return Phase{N: p.pilotN, Strata: true, Values: true, SiteBits: p.siteBits}, shard
+		ph.N, ph.Strata = p.pilotN, true
 	case PhaseMain:
 		if table == nil {
 			panic(fmt.Sprintf("engine: main-phase slot %d needs a stratum table", slot))
 		}
-		if want := DrawUnits(p.mainN, p.siteBits); table.MainN != want {
+		if want := DrawUnits(p.mainN, p.unitBits); table.MainN != want {
 			panic(fmt.Sprintf("engine: stratum table allocates %d draw units, campaign main phase has %d",
 				table.MainN, want))
 		}
-		return Phase{
-			N: p.mainN, SeedSalt: MainSeedSalt,
-			InputBase: DrawUnits(p.pilotN, p.siteBits),
-			Table:     table, Strata: true, SiteBits: p.siteBits,
-		}, shard
+		ph = Phase{
+			N: p.mainN, UnitBits: p.unitBits, SeedSalt: MainSeedSalt,
+			InputBase: DrawUnits(p.pilotN, p.unitBits),
+			Table:     table, Strata: true,
+		}
 	}
-	return Phase{N: p.n, Values: true, SiteBits: p.siteBits}, shard
+	return ph, shard
 }
 
 // RunSlot executes one slot of the plan serially and returns its report;

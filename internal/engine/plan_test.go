@@ -57,8 +57,8 @@ func (s stubSurface) RunPhase(shard, of int, ph Phase) *expr {
 	return &expr{leaf: fmt.Sprintf("%s%d", kind, shard)}
 }
 
-// stubStrata is a one-block uniform-weight pilot: enough for either table
-// builder.
+// stubStrata is a one-block uniform-weight pilot: enough for a table of
+// either draw-unit size.
 func stubStrata(width int) *StrataSummary {
 	w := make(HexFloats, width)
 	for i := range w {
@@ -83,9 +83,9 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 			for _, shards := range []int{1, 2, 7} {
 				t.Run(fmt.Sprintf("%s/%s/S=%d", design, eval, shards), func(t *testing.T) {
 					opt := Options{N: n, Workers: shards, Eval: eval}
-					siteBits := 0
+					unitBits := 1
 					if eval != EvalPerBit {
-						siteBits = width
+						unitBits = width
 					}
 					pilotN := 0
 					var wantSlots []slot
@@ -128,7 +128,7 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 
 					var calls atomic.Int64
 					s := stubSurface{t: t, width: width, calls: &calls, shards: shards,
-						n: n, pilotN: pilotN, units: DrawUnits(pilotN, siteBits)}
+						n: n, pilotN: pilotN, units: DrawUnits(pilotN, unitBits)}
 					if got := Run[*expr](s, opt).String(); got != want {
 						t.Errorf("Run folded %s, want %s", got, want)
 					}
@@ -140,7 +140,7 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 					// fleet would — folds to the same string.
 					parts := make([]*expr, p.Slots())
 					table := p.Table(stubStrata(width))
-					if want := DrawUnits(n-pilotN, siteBits); design != "uniform" && table.MainN != want {
+					if want := DrawUnits(n-pilotN, unitBits); design != "uniform" && table.MainN != want {
 						t.Errorf("table allocates %d draw units, want %d", table.MainN, want)
 					}
 					for _, gated := range []bool{false, true} {

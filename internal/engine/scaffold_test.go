@@ -113,74 +113,63 @@ func TestResidencyBits(t *testing.T) {
 }
 
 // TestPhaseIteratorsPartition is the sharding property the bit-identity
-// contract rests on: over all shards of any partition width, EachInjection
-// visits every injection of the phase exactly once and EachUnit every draw
-// unit exactly once, with the input cycle and the table's strata attached,
-// and only the phase's last unit carries the remainder.
+// contract rests on, for both draw-unit sizes (one bit, the whole word):
+// over all shards of any partition width, Phase.Each visits every draw unit
+// of the phase exactly once, in order within a shard, with the input cycle
+// (InputBase counts units) and the table's cell attached — one-bit units
+// carry the table's (block, bit) or (−1, −1), whole-word units (block, 0) —
+// and NBits sums to the phase's N with only the last unit carrying the
+// remainder.
 func TestPhaseIteratorsPartition(t *testing.T) {
+	const blocks, width = 3, 16
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
-		n, of, inputs, base := rng.Intn(200), 1+rng.Intn(9), 1+rng.Intn(4), rng.Intn(50)
-		ph := Phase{N: n, InputBase: base}
-		if trial%2 == 1 && n > 0 {
-			ph.Table = BuildStratumTable(randomStrata(rng, 3, 4), n)
-		}
-		seen := make([]int, n)
-		for shard := 0; shard < of; shard++ {
-			last := -1
-			ph.EachInjection(shard, of, inputs, func(i, input, block, bit int) {
-				if i <= last || i%of != shard {
-					t.Fatalf("shard %d/%d visited injection %d after %d", shard, of, i, last)
-				}
-				last = i
-				seen[i]++
-				wb, wbit := -1, -1
-				if ph.Table != nil {
-					wb, wbit = ph.Table.Stratum(i)
-				}
-				if input != (base+i)%inputs || block != wb || bit != wbit {
-					t.Fatalf("injection %d: input %d stratum (%d,%d), want %d (%d,%d)", i, input, block, bit, (base+i)%inputs, wb, wbit)
-				}
-			})
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("N=%d of=%d: injection %d visited %d times", n, of, i, c)
+		for _, unitBits := range []int{1, width} {
+			n, of, inputs, base := rng.Intn(200), 1+rng.Intn(9), 1+rng.Intn(4), rng.Intn(50)
+			ph := Phase{N: n, UnitBits: unitBits, InputBase: base}
+			units := DrawUnits(n, unitBits)
+			if trial%2 == 1 && units > 0 {
+				ph.Table = BuildStratumTable(randomStrata(rng, blocks, width), units, unitBits)
 			}
-		}
-
-		ph.SiteBits = 1 + rng.Intn(16)
-		units := DrawUnits(n, ph.SiteBits)
-		ph.Table = nil
-		if trial%2 == 1 && units > 0 {
-			ph.Table = BuildSiteStratumTable(randomStrata(rng, 3, 4), units)
-		}
-		seenU, total := make([]int, units), 0
-		for shard := 0; shard < of; shard++ {
-			ph.EachUnit(shard, of, inputs, func(u, input, block, nbits int) {
-				seenU[u]++
-				total += nbits
-				want := ph.SiteBits
-				if u == units-1 {
-					want = n - u*ph.SiteBits
-				}
-				wb := -1
-				if ph.Table != nil {
-					wb, _ = ph.Table.Stratum(u)
-				}
-				if u%of != shard || nbits != want || nbits < 1 || input != (base+u)%inputs || block != wb {
-					t.Fatalf("unit %d of %d (shard %d/%d): nbits %d input %d block %d, want %d %d %d",
-						u, units, shard, of, nbits, input, block, want, (base+u)%inputs, wb)
-				}
-			})
-		}
-		for u, c := range seenU {
-			if c != 1 {
-				t.Fatalf("N=%d bits=%d of=%d: unit %d visited %d times", n, ph.SiteBits, of, u, c)
+			seen, total := make([]int, units), 0
+			for shard := 0; shard < of; shard++ {
+				last := -1
+				ph.Each(shard, of, inputs, func(u Unit) {
+					if u.Index <= last || u.Index%of != shard {
+						t.Fatalf("shard %d/%d visited unit %d after %d", shard, of, u.Index, last)
+					}
+					last = u.Index
+					seen[u.Index]++
+					total += u.NBits
+					want := Unit{Index: u.Index, Input: (base + u.Index) % inputs, Block: -1, Bit: -1, NBits: unitBits}
+					if u.Index == units-1 {
+						want.NBits = n - u.Index*unitBits
+					}
+					if unitBits > 1 {
+						want.Bit = 0
+					}
+					if ph.Table != nil {
+						var cell int
+						want.Block, cell = ph.Table.Stratum(u.Index)
+						if unitBits == 1 {
+							want.Bit = cell
+						} else if cell != 0 {
+							t.Fatalf("whole-word table placed unit %d at cell %d of its block", u.Index, cell)
+						}
+					}
+					if u != want || u.NBits < 1 {
+						t.Fatalf("N=%d bits=%d shard %d/%d: unit %+v, want %+v", n, unitBits, shard, of, u, want)
+					}
+				})
 			}
-		}
-		if total != n {
-			t.Fatalf("N=%d bits=%d: units cover %d injections", n, ph.SiteBits, total)
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("N=%d bits=%d of=%d: unit %d visited %d times", n, unitBits, of, i, c)
+				}
+			}
+			if total != n {
+				t.Fatalf("N=%d bits=%d: units cover %d injections", n, unitBits, total)
+			}
 		}
 	}
 }

@@ -306,28 +306,34 @@ func (s *StrataSummary) BlockSpread(block int) float64 {
 }
 
 // StratumTable is the deterministic main-phase allocation of a stratified
-// campaign: how many of the MainN post-pilot injections each stratum
-// receives. It is a pure function of the merged pilot strata and MainN
-// (BuildStratumTable), which is what lets distributed workers, checkpoint
-// resumes and single-process runs agree bit-for-bit — the coordinator
-// serializes the table into each main-phase lease, and any participant can
-// recompute an identical one from the same pilot.
+// campaign: how many of the MainN post-pilot draw units each cell of the
+// stratum grid receives. It is a pure function of the merged pilot strata,
+// MainN and the draw-unit size (BuildStratumTable), which is what lets
+// distributed workers, checkpoint resumes and single-process runs agree
+// bit-for-bit — the coordinator serializes the table into each main-phase
+// lease, and any participant can recompute an identical one from the same
+// pilot.
 type StratumTable struct {
-	Blocks int       `json:"blocks"`
-	Bits   int       `json:"bits"`
-	MainN  int       `json:"main_n"`
+	// Blocks×Bits is the cell grid: the stratum grid itself for one-bit
+	// draw units, one cell per block (Bits 1) for whole-word units.
+	Blocks int `json:"blocks"`
+	Bits   int `json:"bits"`
+	// MainN is the number of draw units allocated.
+	MainN int `json:"main_n"`
+	// Weight[c] is cell c's population probability.
 	Weight HexFloats `json:"weight"`
-	// Alloc[h] is stratum h's share of the MainN injections; it sums to
-	// MainN (zero-weight strata always get zero).
+	// Alloc[c] is cell c's share of the MainN draw units; it sums to MainN
+	// (zero-weight cells always get zero).
 	Alloc []int `json:"alloc"`
 
 	once sync.Once
 	cum  []int
 }
 
-// Stratum maps main-phase injection index j ∈ [0, MainN) to its stratum's
-// (block, bit): the allocation laid out contiguously in stratum order.
-func (t *StratumTable) Stratum(j int) (block, bit int) {
+// Stratum maps main-phase draw unit j ∈ [0, MainN) to its cell's (block,
+// position within the block): the allocation laid out contiguously in cell
+// order.
+func (t *StratumTable) Stratum(j int) (block, cell int) {
 	t.once.Do(func() {
 		t.cum = make([]int, len(t.Alloc))
 		c := 0
@@ -337,196 +343,117 @@ func (t *StratumTable) Stratum(j int) (block, bit int) {
 		}
 	})
 	if j < 0 || j >= t.MainN {
-		panic(fmt.Sprintf("engine: main-phase injection %d out of range [0,%d)", j, t.MainN))
+		panic(fmt.Sprintf("engine: main-phase draw unit %d out of range [0,%d)", j, t.MainN))
 	}
 	h := sort.SearchInts(t.cum, j+1)
 	return h / t.Bits, h % t.Bits
 }
 
-// BuildStratumTable computes the Neyman allocation of mainN injections
-// from pooled pilot strata: n_h ∝ W_h·√(p̃_h(1−p̃_h)) on the SDC-1 rate.
-// p̃_h shrinks the stratum's pilot rate toward the pooled pilot rate with
-// two pseudo-trials — an empirical-Bayes prior reflecting the paper's §4
-// finding that most strata are near-fully masked. Shrinking toward the
-// pooled rate (rather than ½) is what lets the allocation actually
-// concentrate: a stratum the pilot saw as fully masked scores close to the
-// campaign-wide σ, not the maximal ½, so the few high-variance strata
-// receive most of the budget. Every stratum with positive weight gets at
-// least one injection when mainN allows (the estimator needs every stratum
-// represented); fractional shares round by largest remainder with ties
-// broken by stratum index, so the table is a deterministic function of
-// (strata, mainN).
-func BuildStratumTable(s *StrataSummary, mainN int) *StratumTable {
+// BuildStratumTable computes the Neyman allocation of units main-phase
+// draw units from pooled pilot strata. A draw unit samples group adjacent
+// bit strata of one block at once — one in the per-bit design, the whole
+// word under a site evaluation mode — so the allocation is over cells of
+// group strata, and a cell's weight and Neyman score pool its strata's:
+// Σ W_h and Σ W_h·√(p̃_h(1−p̃_h)) on the SDC-1 rate. p̃_h shrinks the
+// stratum's pilot rate toward the pooled pilot rate with two pseudo-trials —
+// an empirical-Bayes prior reflecting the paper's §4 finding that most
+// strata are near-fully masked. Shrinking toward the pooled rate (rather
+// than ½) is what lets the allocation actually concentrate: a stratum the
+// pilot saw as fully masked scores close to the campaign-wide σ, not the
+// maximal ½, so the few high-variance cells receive most of the budget.
+// Every cell with positive weight gets at least one unit when units allows
+// (the estimator needs every stratum represented); fractional shares round
+// by largest remainder with ties broken by cell index, so the table is a
+// deterministic function of (strata, units, group).
+func BuildStratumTable(s *StrataSummary, units, group int) *StratumTable {
 	if s == nil {
 		panic("engine: BuildStratumTable needs pilot strata")
 	}
-	nStrata := len(s.Counts)
+	if group < 1 || s.Bits%group != 0 {
+		panic(fmt.Sprintf("engine: %d-bit draw units do not tile the %d-bit stratum grid", group, s.Bits))
+	}
+	cells := len(s.Counts) / group
 	t := &StratumTable{
 		Blocks: s.Blocks,
-		Bits:   s.Bits,
-		MainN:  mainN,
-		Weight: append(HexFloats(nil), s.Weight...),
-		Alloc:  make([]int, nStrata),
+		Bits:   s.Bits / group,
+		MainN:  units,
+		Weight: make(HexFloats, cells),
+		Alloc:  make([]int, cells),
 	}
 	// Pooled pilot SDC-1 rate, lightly smoothed so a fully masked pilot
 	// still yields a positive prior (and thus positive Neyman scores).
-	var poolX, poolN float64
-	for h := 0; h < nStrata; h++ {
-		poolX += float64(s.Counts[h].Hits[sdc.SDC1])
-		poolN += float64(s.Counts[h].DefinedTrials[sdc.SDC1])
-	}
-	prior := (poolX + 0.5) / (poolN + 1)
-	score := make([]float64, nStrata)
-	var total float64
-	eligible := 0
-	for h := 0; h < nStrata; h++ {
-		w := s.Weight[h]
-		if w <= 0 {
-			continue
-		}
-		eligible++
-		n := float64(s.Counts[h].DefinedTrials[sdc.SDC1])
-		x := float64(s.Counts[h].Hits[sdc.SDC1])
-		pt := (x + 2*prior) / (n + 2)
-		score[h] = w * math.Sqrt(pt*(1-pt))
-		total += score[h]
-	}
-	if mainN <= 0 || eligible == 0 {
-		return t
-	}
-	rem := mainN
-	if mainN >= eligible {
-		for h := 0; h < nStrata; h++ {
-			if s.Weight[h] > 0 {
-				t.Alloc[h] = 1
-			}
-		}
-		rem = mainN - eligible
-	}
-	if rem == 0 || total <= 0 {
-		return t
-	}
-	type frac struct {
-		h int
-		f float64
-	}
-	var fracs []frac
-	used := 0
-	for h := 0; h < nStrata; h++ {
-		if score[h] <= 0 {
-			continue
-		}
-		share := float64(rem) * score[h] / total
-		base := int(share)
-		t.Alloc[h] += base
-		used += base
-		fracs = append(fracs, frac{h, share - float64(base)})
-	}
-	sort.Slice(fracs, func(i, j int) bool {
-		if fracs[i].f != fracs[j].f {
-			return fracs[i].f > fracs[j].f
-		}
-		return fracs[i].h < fracs[j].h
-	})
-	// used ≥ rem − len(fracs) (each floor loses under 1), so the wrap is
-	// only a guard against float-sum drift.
-	for i := 0; i < rem-used; i++ {
-		t.Alloc[fracs[i%len(fracs)].h]++
-	}
-	return t
-}
-
-// BuildSiteStratumTable computes the main-phase allocation of a stratified
-// campaign running under a site evaluation mode: the main budget is
-// mainUnits site draw units (each covering every bit of one site), so
-// strata collapse to blocks — a site draw fixes the block, and all of the
-// block's bit strata receive one sample from it. The per-block Neyman score
-// pools the pilot's (block, bit) scores, Σ_bits W_h·√(p̃_h(1−p̃_h)), with
-// the same empirical-Bayes smoothing BuildStratumTable applies, so a block
-// whose every bit the pilot saw as masked still scores near the pooled σ.
-// The result is a Bits=1 table (Stratum(u) returns (block, 0)) and a
-// deterministic function of (strata, mainUnits): min-1 per eligible block,
-// largest-remainder rounding, ties by block index.
-func BuildSiteStratumTable(s *StrataSummary, mainUnits int) *StratumTable {
-	if s == nil {
-		panic("engine: BuildSiteStratumTable needs pilot strata")
-	}
-	t := &StratumTable{
-		Blocks: s.Blocks,
-		Bits:   1,
-		MainN:  mainUnits,
-		Weight: make(HexFloats, s.Blocks),
-		Alloc:  make([]int, s.Blocks),
-	}
 	var poolX, poolN float64
 	for h := range s.Counts {
 		poolX += float64(s.Counts[h].Hits[sdc.SDC1])
 		poolN += float64(s.Counts[h].DefinedTrials[sdc.SDC1])
 	}
 	prior := (poolX + 0.5) / (poolN + 1)
-	score := make([]float64, s.Blocks)
+	score := make([]float64, cells)
 	var total float64
 	eligible := 0
-	for b := 0; b < s.Blocks; b++ {
-		var w, sc float64
-		for bit := 0; bit < s.Bits; bit++ {
-			h := b*s.Bits + bit
-			wh := s.Weight[h]
-			if wh <= 0 {
+	for c := range score {
+		for h := c * group; h < (c+1)*group; h++ {
+			w := s.Weight[h]
+			if w <= 0 {
 				continue
 			}
-			w += wh
 			n := float64(s.Counts[h].DefinedTrials[sdc.SDC1])
 			x := float64(s.Counts[h].Hits[sdc.SDC1])
 			pt := (x + 2*prior) / (n + 2)
-			sc += wh * math.Sqrt(pt*(1-pt))
+			t.Weight[c] += w
+			score[c] += w * math.Sqrt(pt*(1-pt))
 		}
-		t.Weight[b] = w
-		if w > 0 {
+		if t.Weight[c] > 0 {
 			eligible++
-			score[b] = sc
-			total += sc
+			total += score[c]
 		}
 	}
-	if mainUnits <= 0 || eligible == 0 {
+	if group == 1 {
+		// A one-stratum cell's weight is the stratum's, bit for bit (0+w is
+		// exact for every w but −0, which the sum above would lose).
+		copy(t.Weight, s.Weight)
+	}
+	if units <= 0 || eligible == 0 {
 		return t
 	}
-	rem := mainUnits
-	if mainUnits >= eligible {
-		for b := 0; b < s.Blocks; b++ {
-			if t.Weight[b] > 0 {
-				t.Alloc[b] = 1
+	rem := units
+	if units >= eligible {
+		for c, w := range t.Weight {
+			if w > 0 {
+				t.Alloc[c] = 1
 			}
 		}
-		rem = mainUnits - eligible
+		rem = units - eligible
 	}
 	if rem == 0 || total <= 0 {
 		return t
 	}
 	type frac struct {
-		h int
+		c int
 		f float64
 	}
 	var fracs []frac
 	used := 0
-	for b := 0; b < s.Blocks; b++ {
-		if score[b] <= 0 {
+	for c := range score {
+		if score[c] <= 0 {
 			continue
 		}
-		share := float64(rem) * score[b] / total
+		share := float64(rem) * score[c] / total
 		base := int(share)
-		t.Alloc[b] += base
+		t.Alloc[c] += base
 		used += base
-		fracs = append(fracs, frac{b, share - float64(base)})
+		fracs = append(fracs, frac{c, share - float64(base)})
 	}
 	sort.Slice(fracs, func(i, j int) bool {
 		if fracs[i].f != fracs[j].f {
 			return fracs[i].f > fracs[j].f
 		}
-		return fracs[i].h < fracs[j].h
+		return fracs[i].c < fracs[j].c
 	})
+	// used ≥ rem − len(fracs) (each floor loses under 1), so the wrap is
+	// only a guard against float-sum drift.
 	for i := 0; i < rem-used; i++ {
-		t.Alloc[fracs[i%len(fracs)].h]++
+		t.Alloc[fracs[i%len(fracs)].c]++
 	}
 	return t
 }

@@ -317,22 +317,58 @@ func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execut
 }
 
 // runShardPhase executes one phase of one shard (see engine.Phase) — the
-// per-injection execution the engine's orchestration calls back into,
-// serially, with a private PRNG stream.
+// per-unit execution the engine's orchestration calls back into, serially,
+// with a private PRNG stream. Each draw unit (engine.Phase.Each) draws one
+// buffer site and evaluates it at the unit's bits in ascending order: the
+// one bit of a per-bit injection, every bit of the stored word under a site
+// mode. The draw consumes the unit's PRNG values once and evaluation is
+// deterministic, so the two site modes share one draw sequence. The
+// reuse-window buffers (Global Buffer, Filter SRAM, Img REG) corrupt many
+// MACs per flipped word, so every bit replays through the class's fault
+// model (eval); a PSum REG fault is a single accumulator upset — the
+// datapath's case — so EvalSiteBitPlane evaluates all bits of a PSum site
+// in one bit-parallel chain replay behind the analytical ReLU sign-domain
+// pre-screen (engine.EvalPlaneSite), with EvalSiteScalar's per-bit replays
+// as its bit-identity oracle.
 func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine.Phase) *Report {
-	if ph.SiteBits > 0 {
-		return c.runShardPhaseSites(shard, of, b, opt, ph)
-	}
 	rng := ph.Rand(opt.Seed, shard, seedMul)
 	inj, golden := c.newShard(opt)
 	r := inj.newReport(b, ph)
-	ph.EachInjection(shard, of, len(c.Inputs), func(_, input, pos, bit int) {
-		g := golden(input)
-		s := inj.draw(rng, b, g, pos, bit)
-		faulty := inj.eval(b, g, s, inj.mbu)
-		c.tallySite(r, opt, s, sdc.Classify(inj.net, g, faulty), faulty)
+	plane := b == PSumReg && opt.Eval == engine.EvalSiteBitPlane
+	ph.Each(shard, of, len(c.Inputs), func(u engine.Unit) {
+		g := golden(u.Input)
+		s := inj.draw(rng, b, g, u.Block, u.Bit)
+		if plane {
+			f := layers.PlaneFault{OutputIndex: s.word, MACStep: s.step, Target: layers.TargetAccum}
+			engine.EvalPlaneSite(inj.net, c.DType, g, s.li, f, u.NBits, opt.Detector != nil,
+				func(bit int, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
+					if pre {
+						r.PreMasked++
+					}
+					s.bit = bit
+					c.tallySite(r, opt, s, outcome, faulty)
+				})
+			return
+		}
+		for end := s.bit + u.NBits; s.bit < end; s.bit++ {
+			faulty := inj.eval(b, g, s, inj.mbu)
+			c.tallySite(r, opt, s, sdc.Classify(inj.net, g, faulty), faulty)
+		}
 	})
 	return r
+}
+
+// tallySite folds one injection outcome into the report. faulty is nil only
+// for analytically pre-screened injections, which exist only when no
+// detector is configured.
+func (c *Campaign) tallySite(r *Report, opt Options, s site, outcome sdc.Outcome, faulty *network.Execution) {
+	r.Counts.Add(outcome)
+	if r.Strata != nil {
+		r.Strata.Counts[s.pos*c.DType.Width()+s.bit].Add(outcome)
+	}
+	if opt.Detector != nil {
+		r.Detection.Tally(outcome.Hit[sdc.SDC1], opt.Detector(faulty))
+	}
 }
 
 // seedMul separates the per-shard PRNG streams of this surface from the
@@ -433,8 +469,8 @@ type site struct {
 
 // draw draws one fault site of buffer class b. pos and bit force the
 // stratum coordinate when non-negative — the main phase of a stratified
-// campaign, or the site-draw modes, which evaluate every bit of a site and
-// so draw none — and consume no randomness then; within a stratum the site
+// campaign, or a whole-word draw unit, which starts at bit 0 — and consume
+// no randomness then; within a stratum the site
 // is drawn uniformly, matching the conditional distribution of a uniform
 // draw that landed there. Each class's PRNG consumption order — layer
 // position, site coordinates, bit (Img REG: between the ifmap word and the

@@ -124,10 +124,10 @@ func TestPreScreenSoundness(t *testing.T) {
 
 		checked, masked := 0, 0
 		for trial := 0; trial < 400; trial++ {
-			site := c.Profile().RandomSiteNoBit(rng)
+			site := c.Profile().RandomSiteWithBit(rng, 0)
 			input := trial % len(c.Inputs)
 			golden := c.Golden(input)
-			d := drawnUnit{site: site, nbits: width}
+			d := drawnSite{site: site, nbits: width}
 			batch := c.Net.NewInjectionBatch(c.DType, golden, site.Layer, width)
 			gv := golden.Acts[site.Layer].Data[site.Fault.OutputIndex]
 
@@ -242,7 +242,7 @@ func TestAutoCutoffReportInvariance(t *testing.T) {
 func TestDrawUnits(t *testing.T) {
 	for _, tc := range []struct{ n, bits, want int }{
 		{0, 16, 0}, {1, 16, 1}, {16, 16, 1}, {17, 16, 2}, {203, 16, 13},
-		{100, 0, 100}, // per-bit mode: unit == injection
+		{100, 1, 100}, // per-bit design: unit == injection
 		{64, 64, 1}, {65, 64, 2},
 	} {
 		if got := engine.DrawUnits(tc.n, tc.bits); got != tc.want {
@@ -268,7 +268,7 @@ func TestMaskedExecutionRetainsFaultedElement(t *testing.T) {
 	// almost always masks downstream.
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
-		site := c.Profile().RandomSiteNoBit(rng)
+		site := c.Profile().RandomSiteWithBit(rng, 0)
 		if site.Layer != 0 {
 			continue
 		}

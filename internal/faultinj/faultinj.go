@@ -487,12 +487,15 @@ func (c *Campaign) valueBudget(opt Options, of int, ph engine.Phase) int {
 	return 0
 }
 
-// drawnSite is one injection of a shard: its sequence position within the
-// shard and the pre-drawn fault site.
+// drawnSite is one draw unit of a shard (engine.Unit): a pre-drawn latch
+// site and the nbits injections evaluated at it, one per bit position from
+// site.Fault.Bit upward — one in the per-bit design, every bit of the word
+// under a site mode.
 type drawnSite struct {
-	pos      int
+	injBase  int // shard-local injection index of the unit's first bit
 	inputIdx int
 	site     accel.Site
+	nbits    int
 }
 
 // injResult buffers one injection's outcome so grouped execution can fold
@@ -512,42 +515,45 @@ type injResult struct {
 }
 
 // runShardPhase executes one phase of one shard (see engine.Phase) — the
-// per-injection execution the engine's orchestration calls back into.
-// Fault sites are drawn first, in the exact PRNG order of the original
-// per-injection loop; execution is then grouped by (input, faulted layer)
-// so each group shares one InjectionBatch — the golden prefix views and
-// the faulted layer's quantized input are resolved once per group instead
-// of once per injection (execution consumes no randomness, so reordering
-// it is invisible to the PRNG stream). Results fold into the report in
-// draw order, keeping every accumulator — including the order-sensitive
-// spread sums and value samples — bit-identical to unbatched execution.
+// per-unit execution the engine's orchestration calls back into. Fault
+// sites are drawn first, one per draw unit (engine.Phase.Each), in the
+// exact PRNG order of an unbatched per-unit loop; execution is then grouped
+// by (input, faulted layer) so each group shares one InjectionBatch — the
+// golden prefix views and the faulted layer's quantized input are resolved
+// once per group instead of once per injection (execution consumes no
+// randomness, so reordering it is invisible to the PRNG stream). Results
+// fold into the report in draw order, a unit's injections in ascending bit
+// order, keeping every accumulator — including the order-sensitive spread
+// sums and value samples — bit-identical to unbatched execution.
 func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, ph engine.Phase) *Report {
-	if ph.SiteBits > 0 {
-		return c.runShardPhaseSites(shard, of, opt, bits, blocks, ph)
-	}
 	rng := ph.Rand(opt.Seed, shard, seedMul)
 	valueBudget := c.valueBudget(opt, of, ph)
 
-	// Phase 1: draw every site of the shard in sequence order. Stratified
-	// main-phase draws replace the selector with a table lookup: injection
-	// i belongs to a fixed stratum, and only the site within the stratum
-	// is random (two PRNG values, like every uniform draw's tail).
+	// Phase 1: draw every site of the shard in sequence order. A forced
+	// coordinate — the stratum a main-phase table dictates, bit 0 of a
+	// whole-word unit — replaces the selector and consumes no randomness:
+	// only the site within it is random (two PRNG values, MAC index and
+	// latch, like every uniform draw's tail).
 	mbu := opt.engineOptions().UpsetWidth()
 	var seq []drawnSite
-	ph.EachInjection(shard, of, len(c.Inputs), func(_, input, block, bit int) {
+	totalInj := 0
+	ph.Each(shard, of, len(c.Inputs), func(u engine.Unit) {
 		var site accel.Site
 		switch {
-		case block >= 0:
-			site = c.profile.RandomSiteInBlockWithBit(rng, block, bit)
+		case u.Block >= 0:
+			site = c.profile.RandomSiteInBlockWithBit(rng, u.Block, u.Bit)
 			if mbu > 1 {
 				site.Fault.Width = mbu
 			}
+		case u.Bit >= 0:
+			site = c.profile.RandomSiteWithBit(rng, u.Bit)
 		case mbu > 1:
 			site = c.profile.RandomSiteMBU(rng, mbu)
 		default:
 			site = opt.Selector(rng, c.profile)
 		}
-		seq = append(seq, drawnSite{pos: len(seq), inputIdx: input, site: site})
+		seq = append(seq, drawnSite{injBase: totalInj, inputIdx: u.Input, site: site, nbits: u.NBits})
+		totalInj += u.NBits
 	})
 
 	// Phase 2: group by (input, faulted layer), first-appearance order.
@@ -562,50 +568,33 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 		groups[k] = append(groups[k], d)
 	}
 
-	// Phase 3: execute each group through a shared batch.
-	results := make([]injResult, len(seq))
+	// Phase 3: execute each group through a shared batch (none under the
+	// dense oracle, which re-executes the network per injection).
+	results := make([]injResult, totalInj)
+	plane := opt.Eval == engine.EvalSiteBitPlane
 	for _, k := range order {
 		group := groups[k]
 		golden := c.goldens[k.input]
 		var batch *network.InjectionBatch
 		if !opt.Dense {
-			batch = c.Net.NewInjectionBatch(c.DType, golden, k.layer, len(group))
+			expected := 0
+			for _, d := range group {
+				expected += d.nbits
+			}
+			batch = c.Net.NewInjectionBatch(c.DType, golden, k.layer, expected)
 		}
+		if !plane {
+			for _, d := range group {
+				c.runUnitScalar(batch, golden, d, opt, valueBudget, results)
+			}
+			continue
+		}
+		// maskedOut is the classification every masked injection of this
+		// group shares: the faulty execution aliases the golden tensors, so
+		// classifying golden against itself is the same pure computation.
+		maskedOut := sdc.Classify(c.Net, golden, golden)
 		for _, d := range group {
-			fault := d.site.Fault // copy; Applied is per-run state
-			var faulty *network.Execution
-			if opt.Dense {
-				faulty = c.Net.ForwardFromDense(c.DType, golden, d.site.Layer, &fault)
-			} else {
-				faulty = batch.Run(&fault)
-			}
-			if !fault.Applied {
-				panic("faultinj: selected fault site was not exercised: " + d.site.String())
-			}
-
-			res := injResult{
-				masked: faulty.Masked,
-				block:  c.profile.BlockOfSite(d.site),
-				bit:    d.site.Fault.Bit,
-				target: d.site.Fault.Target,
-			}
-			res.outcome = sdc.Classify(c.Net, golden, faulty)
-
-			if d.pos < valueBudget {
-				res.hasValue = true
-				res.value = ValueRecord{
-					Golden: golden.Acts[d.site.Layer].Data[d.site.Fault.OutputIndex],
-					Faulty: faulty.Acts[d.site.Layer].Data[d.site.Fault.OutputIndex],
-					SDC:    res.outcome.Hit[sdc.SDC1],
-				}
-			}
-			if opt.TrackSpread {
-				res.spread = c.finalBlockSpread(golden, faulty)
-			}
-			if opt.Detector != nil {
-				res.det = opt.Detector(faulty)
-			}
-			results[d.pos] = res
+			c.runUnitPlane(batch, golden, d, opt, maskedOut, valueBudget, results)
 		}
 	}
 
@@ -614,9 +603,9 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 }
 
 // foldResults folds buffered injection outcomes — indexed in draw order —
-// into a fresh phase report. Shared by the per-bit and site-draw evaluation
-// paths so every accumulator (including the order-sensitive spread sums and
-// value samples) is built by the same code.
+// into a fresh phase report, so every accumulator (including the
+// order-sensitive spread sums and value samples) is built by the same code
+// whatever evaluated the injection.
 func (c *Campaign) foldResults(results []injResult, opt Options, bits, blocks int, ph engine.Phase) *Report {
 	r := newReport(bits, blocks)
 	if ph.Strata {

@@ -1,5 +1,5 @@
-// Site-draw evaluation modes: instead of drawing an independent (site, bit)
-// pair per injection — the paper's design — a site-draw campaign draws one
+// Evaluating a drawn site. The per-bit design — the paper's — draws an
+// independent (site, bit) pair per injection; a site-draw campaign draws one
 // latch site per draw unit and evaluates every bit position of the format
 // at that site. EvalSiteScalar replays the faulted accumulation chain once
 // per bit (the reference); EvalSiteBitPlane replays it once per site,
@@ -13,110 +13,39 @@ package faultinj
 import (
 	"math"
 
-	"repro/internal/accel"
-	"repro/internal/engine"
 	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/sdc"
 	"repro/internal/tensor"
 )
 
-// drawnUnit is one site draw of a site-mode shard: nbits consecutive
-// injections (one per bit position) evaluated at one latch site.
-type drawnUnit struct {
-	pos      int // shard-local unit sequence position
-	injBase  int // shard-local injection index of bit 0
-	inputIdx int
-	site     accel.Site // Fault.Bit is the -1 "all bits" sentinel
-	nbits    int
-}
-
-// runShardPhaseSites is runShardPhase for the site-draw evaluation modes:
-// the shard strides over site draw units (engine.Phase.EachUnit) and each
-// unit expands into nbits injections folded in ascending bit order. Structure mirrors
-// runShardPhase: draw, group by (input, layer), execute, fold in draw
-// order.
-func (c *Campaign) runShardPhaseSites(shard, of int, opt Options, bits, blocks int, ph engine.Phase) *Report {
-	rng := ph.Rand(opt.Seed, shard, seedMul)
-	valueBudget := c.valueBudget(opt, of, ph)
-
-	// Phase 1: draw every site of the shard in sequence order. A site draw
-	// consumes two PRNG values (MAC index, latch), exactly like the tail of
-	// a per-bit draw; stratified main-phase units allocate over per-block
-	// strata (the table's bit dimension is 1).
-	var seq []drawnUnit
-	totalInj := 0
-	ph.EachUnit(shard, of, len(c.Inputs), func(_, input, block, nbits int) {
-		var site accel.Site
-		if block >= 0 {
-			site = c.profile.RandomSiteInBlockNoBit(rng, block)
-		} else {
-			site = c.profile.RandomSiteNoBit(rng)
-		}
-		seq = append(seq, drawnUnit{pos: len(seq), injBase: totalInj, inputIdx: input, site: site, nbits: nbits})
-		totalInj += nbits
-	})
-
-	// Phase 2: group by (input, faulted layer), first-appearance order.
-	type groupKey struct{ input, layer int }
-	groups := make(map[groupKey][]drawnUnit)
-	var order []groupKey
-	for _, d := range seq {
-		k := groupKey{d.inputIdx, d.site.Layer}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], d)
-	}
-
-	// Phase 3: execute each group through a shared batch.
-	results := make([]injResult, totalInj)
-	for _, k := range order {
-		group := groups[k]
-		golden := c.goldens[k.input]
-		expected := 0
-		for _, d := range group {
-			expected += d.nbits
-		}
-		batch := c.Net.NewInjectionBatch(c.DType, golden, k.layer, expected)
-		// maskedOut is the classification every masked injection of this
-		// group shares: the faulty execution aliases the golden tensors, so
-		// classifying golden against itself is the same pure computation.
-		maskedOut := sdc.Classify(c.Net, golden, golden)
-		for _, d := range group {
-			if opt.Eval == engine.EvalSiteBitPlane {
-				c.runUnitPlane(batch, golden, d, opt, maskedOut, valueBudget, results)
-			} else {
-				c.runUnitScalar(batch, golden, d, opt, valueBudget, results)
-			}
-		}
-	}
-
-	// Phase 4: fold in draw order.
-	return c.foldResults(results, opt, bits, blocks, ph)
-}
-
-// runUnitScalar evaluates one drawn site bit-by-bit through scalar chain
-// replays — per injection this is exactly the legacy execution path, so it
-// doubles as the bit-identity oracle for runUnitPlane.
-func (c *Campaign) runUnitScalar(batch *network.InjectionBatch, golden *network.Execution, d drawnUnit, opt Options, valueBudget int, results []injResult) {
+// runUnitScalar evaluates one drawn site bit-by-bit, one scalar chain replay
+// per injection (a dense re-execution when there is no batch): the whole of
+// the per-bit design, and under a site mode the bit-identity oracle for
+// runUnitPlane.
+func (c *Campaign) runUnitScalar(batch *network.InjectionBatch, golden *network.Execution, d drawnSite, opt Options, valueBudget int, results []injResult) {
 	block := c.profile.BlockOfSite(d.site)
 	gv := golden.Acts[d.site.Layer].Data[d.site.Fault.OutputIndex]
-	for b := 0; b < d.nbits; b++ {
-		fault := d.site.Fault
-		fault.Bit = b
-		faulty := batch.Run(&fault)
+	for i := 0; i < d.nbits; i++ {
+		fault := d.site.Fault // copy; Applied is per-run state
+		fault.Bit += i
+		var faulty *network.Execution
+		if batch == nil {
+			faulty = c.Net.ForwardFromDense(c.DType, golden, d.site.Layer, &fault)
+		} else {
+			faulty = batch.Run(&fault)
+		}
 		if !fault.Applied {
 			panic("faultinj: selected fault site was not exercised: " + d.site.String())
 		}
 		res := injResult{
 			masked: faulty.Masked,
 			block:  block,
-			bit:    b,
+			bit:    fault.Bit,
 			target: fault.Target,
 		}
 		res.outcome = sdc.Classify(c.Net, golden, faulty)
-		pos := d.injBase + b
+		pos := d.injBase + i
 		if pos < valueBudget {
 			res.hasValue = true
 			res.value = ValueRecord{
@@ -141,7 +70,7 @@ func (c *Campaign) runUnitScalar(batch *network.InjectionBatch, golden *network.
 // at once, and each surviving bit propagates downstream through the shared
 // sparse path. Every per-injection result is bit-identical to
 // runUnitScalar's.
-func (c *Campaign) runUnitPlane(batch *network.InjectionBatch, golden *network.Execution, d drawnUnit, opt Options, maskedOut sdc.Outcome, valueBudget int, results []injResult) {
+func (c *Campaign) runUnitPlane(batch *network.InjectionBatch, golden *network.Execution, d drawnSite, opt Options, maskedOut sdc.Outcome, valueBudget int, results []injResult) {
 	block := c.profile.BlockOfSite(d.site)
 	oi := d.site.Fault.OutputIndex
 	step := d.site.Fault.MACStep
@@ -280,7 +209,7 @@ func (c *Campaign) runUnitPlane(batch *network.InjectionBatch, golden *network.E
 // get no such bound (a flip can overshoot any Δ), detector campaigns need
 // the real execution, and value-sampled injections need the real faulty
 // value, so those cases are left for simulation.
-func (c *Campaign) prescreenMasks(batch *network.InjectionBatch, d drawnUnit, gv float64, detector bool, valueBudget int) (pm, rk uint64) {
+func (c *Campaign) prescreenMasks(batch *network.InjectionBatch, d drawnSite, gv float64, detector bool, valueBudget int) (pm, rk uint64) {
 	oi := d.site.Fault.OutputIndex
 	step := d.site.Fault.MACStep
 	target := d.site.Fault.Target

@@ -63,69 +63,85 @@ func pilotSummary() *engine.StrataSummary {
 	return s
 }
 
-func TestBuildStratumTableAllocation(t *testing.T) {
-	s := pilotSummary()
-	const mainN = 100
-	tab := engine.BuildStratumTable(s, mainN)
+// tableGroups are the two draw-unit sizes a table over pilotSummary is
+// built for: one stratum per cell (the per-bit design) and one block per
+// cell (the site modes).
+var tableGroups = []int{1, 4}
 
-	total := 0
-	for h, a := range tab.Alloc {
-		if a < 0 {
-			t.Fatalf("stratum %d has negative allocation %d", h, a)
+func TestBuildStratumTableAllocation(t *testing.T) {
+	for _, group := range tableGroups {
+		s := pilotSummary()
+		const mainN = 100
+		tab := engine.BuildStratumTable(s, mainN, group)
+
+		total := 0
+		for c, a := range tab.Alloc {
+			if a < 0 {
+				t.Fatalf("group %d: cell %d has negative allocation %d", group, c, a)
+			}
+			if tab.Weight[c] == 0 && a != 0 {
+				t.Errorf("group %d: zero-weight cell %d allocated %d units", group, c, a)
+			}
+			if tab.Weight[c] > 0 && a < 1 {
+				t.Errorf("group %d: cell %d below the representation floor: %d", group, c, a)
+			}
+			total += a
 		}
-		if s.Weight[h] == 0 && a != 0 {
-			t.Errorf("zero-weight stratum %d allocated %d injections", h, a)
+		if total != mainN {
+			t.Fatalf("group %d: allocation sums to %d, want %d", group, total, mainN)
 		}
-		if s.Weight[h] > 0 && a < 1 {
-			t.Errorf("stratum %d below the representation floor: %d", h, a)
+		if group == 1 && tab.Alloc[4] != 0 {
+			t.Errorf("zero-weight stratum (1,0) allocated %d injections", tab.Alloc[4])
 		}
-		total += a
-	}
-	if total != mainN {
-		t.Fatalf("allocation sums to %d, want %d", total, mainN)
-	}
-	// Neyman: the stratum with pilot SDC activity is the high-variance one
-	// and must receive more than any fully masked stratum.
-	active := 0*4 + 3
-	for h, a := range tab.Alloc {
-		if h != active && s.Weight[h] > 0 && a >= tab.Alloc[active] {
-			t.Errorf("masked stratum %d allocation %d not below active stratum's %d",
-				h, a, tab.Alloc[active])
+		// Neyman: the cell with pilot SDC activity is the high-variance one
+		// and must receive more than any fully masked cell.
+		active := (0*4 + 3) / group
+		for c, a := range tab.Alloc {
+			if c != active && tab.Weight[c] > 0 && a >= tab.Alloc[active] {
+				t.Errorf("group %d: masked cell %d allocation %d not below active cell's %d",
+					group, c, a, tab.Alloc[active])
+			}
 		}
 	}
 }
 
 func TestBuildStratumTableDeterministic(t *testing.T) {
-	a := engine.BuildStratumTable(pilotSummary(), 97)
-	b := engine.BuildStratumTable(pilotSummary(), 97)
-	for h := range a.Alloc {
-		if a.Alloc[h] != b.Alloc[h] {
-			t.Fatalf("allocation diverged at stratum %d: %d vs %d", h, a.Alloc[h], b.Alloc[h])
+	for _, group := range tableGroups {
+		a := engine.BuildStratumTable(pilotSummary(), 97, group)
+		b := engine.BuildStratumTable(pilotSummary(), 97, group)
+		for c := range a.Alloc {
+			if a.Alloc[c] != b.Alloc[c] {
+				t.Fatalf("group %d: allocation diverged at cell %d: %d vs %d", group, c, a.Alloc[c], b.Alloc[c])
+			}
 		}
 	}
 }
 
 func TestStratumTableMapping(t *testing.T) {
-	tab := engine.BuildStratumTable(pilotSummary(), 53)
-	seen := make([]int, len(tab.Alloc))
-	for j := 0; j < tab.MainN; j++ {
-		block, bit := tab.Stratum(j)
-		if block < 0 || block >= tab.Blocks || bit < 0 || bit >= tab.Bits {
-			t.Fatalf("Stratum(%d) = (%d,%d) out of grid", j, block, bit)
+	for _, group := range tableGroups {
+		tab := engine.BuildStratumTable(pilotSummary(), 53, group)
+		seen := make([]int, len(tab.Alloc))
+		for j := 0; j < tab.MainN; j++ {
+			block, bit := tab.Stratum(j)
+			if block < 0 || block >= tab.Blocks || bit < 0 || bit >= tab.Bits {
+				t.Fatalf("group %d: Stratum(%d) = (%d,%d) out of grid", group, j, block, bit)
+			}
+			seen[block*tab.Bits+bit]++
 		}
-		seen[block*tab.Bits+bit]++
+		for c := range seen {
+			if seen[c] != tab.Alloc[c] {
+				t.Fatalf("group %d: cell %d drawn %d times, allocated %d", group, c, seen[c], tab.Alloc[c])
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("group %d: Stratum(MainN) did not panic", group)
+				}
+			}()
+			tab.Stratum(tab.MainN)
+		}()
 	}
-	for h := range seen {
-		if seen[h] != tab.Alloc[h] {
-			t.Fatalf("stratum %d drawn %d times, allocated %d", h, seen[h], tab.Alloc[h])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Stratum(MainN) did not panic")
-		}
-	}()
-	tab.Stratum(tab.MainN)
 }
 
 func TestStratifiedBudgetAndWeights(t *testing.T) {
@@ -256,7 +272,7 @@ func TestMainShardRejectsMismatchedTable(t *testing.T) {
 	s, eo := New(smallNet(), numeric.Float16, smallInputs(1)).Surface(opt)
 	plan := engine.NewPlan(eo, s.Width())
 	pilot := engine.RunSlot(s, plan, 0, nil)
-	table := engine.BuildStratumTable(pilot.Strata, 17) // wrong MainN on purpose
+	table := engine.BuildStratumTable(pilot.Strata, 17, 1) // wrong MainN on purpose
 	defer func() {
 		if recover() == nil {
 			t.Error("main-phase slot accepted a table for a different budget")
@@ -312,31 +328,33 @@ func TestHexFloatsRoundTrip(t *testing.T) {
 // table shipped to a worker must reproduce the coordinator's allocation
 // and stratum mapping exactly.
 func TestStratumTableJSONRoundTrip(t *testing.T) {
-	tab := engine.BuildStratumTable(pilotSummary(), 64)
-	data, err := json.Marshal(tab)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var back engine.StratumTable
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if back.Blocks != tab.Blocks || back.Bits != tab.Bits || back.MainN != tab.MainN {
-		t.Fatalf("dims diverged: blocks=%d bits=%d mainN=%d", back.Blocks, back.Bits, back.MainN)
-	}
-	for h := range tab.Alloc {
-		if back.Alloc[h] != tab.Alloc[h] {
-			t.Fatalf("alloc %d diverged", h)
+	for _, group := range tableGroups {
+		tab := engine.BuildStratumTable(pilotSummary(), 64, group)
+		data, err := json.Marshal(tab)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
 		}
-		if math.Float64bits(back.Weight[h]) != math.Float64bits(tab.Weight[h]) {
-			t.Fatalf("weight %d diverged", h)
+		var back engine.StratumTable
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("unmarshal: %v", err)
 		}
-	}
-	for j := 0; j < tab.MainN; j++ {
-		b1, bit1 := tab.Stratum(j)
-		b2, bit2 := back.Stratum(j)
-		if b1 != b2 || bit1 != bit2 {
-			t.Fatalf("Stratum(%d) diverged after round-trip: (%d,%d) vs (%d,%d)", j, b1, bit1, b2, bit2)
+		if back.Blocks != tab.Blocks || back.Bits != tab.Bits || back.MainN != tab.MainN {
+			t.Fatalf("group %d: dims diverged: blocks=%d bits=%d mainN=%d", group, back.Blocks, back.Bits, back.MainN)
+		}
+		for c := range tab.Alloc {
+			if back.Alloc[c] != tab.Alloc[c] {
+				t.Fatalf("group %d: alloc %d diverged", group, c)
+			}
+			if math.Float64bits(back.Weight[c]) != math.Float64bits(tab.Weight[c]) {
+				t.Fatalf("group %d: weight %d diverged", group, c)
+			}
+		}
+		for j := 0; j < tab.MainN; j++ {
+			b1, bit1 := tab.Stratum(j)
+			b2, bit2 := back.Stratum(j)
+			if b1 != b2 || bit1 != bit2 {
+				t.Fatalf("group %d: Stratum(%d) diverged after round-trip: (%d,%d) vs (%d,%d)", group, j, b1, bit1, b2, bit2)
+			}
 		}
 	}
 }

@@ -197,26 +197,66 @@ func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execut
 	})
 }
 
-// runShardPhase executes one phase of one shard — the per-injection
-// execution the engine's orchestration calls back into, serially, with a
-// private PRNG stream.
+// runShardPhase executes one phase of one shard — the per-unit execution
+// the engine's orchestration calls back into, serially, with a private PRNG
+// stream. Each draw unit (engine.Phase.Each) draws one array site and
+// evaluates it at the unit's bits in ascending order: the one bit of a
+// per-bit injection, every bit of the struck latch word under a site mode.
+// The draw consumes the unit's PRNG values once and evaluation is
+// deterministic, so the two site modes share one draw sequence. The
+// dataflow's resident latch and the pipeline register corrupt many MACs, so
+// every bit replays through the effect expansion (execute); its single-read
+// latches (Geometry.planeTarget) are single-MAC upsets — the datapath's
+// case — so EvalSiteBitPlane evaluates all bits of such a site in one
+// bit-parallel chain replay, psum-reg behind the analytical ReLU
+// sign-domain pre-screen (engine.EvalPlaneSite), with EvalSiteScalar's
+// per-bit replays as its bit-identity oracle.
 func (c *Campaign) runShardPhase(shard, of int, opt Options, ph engine.Phase) *Report {
-	if ph.SiteBits > 0 {
-		return c.runShardPhaseSites(shard, of, opt, ph)
-	}
 	rng := ph.Rand(opt.Seed, shard, seedMul)
 	inj, golden := c.newShard(opt)
 	r := inj.newReport(ph)
-	ph.EachInjection(shard, of, len(c.Inputs), func(_, input, pos, bit int) {
-		g := golden(input)
-		s, pos := inj.draw(rng, pos, bit)
-		faulty := inj.execute(g, pos, s)
-		if faulty.Masked && inj.geos[pos].PipeMasked(s) {
-			r.ArchMasked++
+	plane := opt.Eval == engine.EvalSiteBitPlane
+	ph.Each(shard, of, len(c.Inputs), func(u engine.Unit) {
+		g := golden(u.Input)
+		s, pos := inj.draw(rng, u.Block, u.Bit)
+		geo := inj.geos[pos]
+		if target, ok := geo.planeTarget(s.Latch); plane && ok {
+			f := layers.PlaneFault{OutputIndex: s.Out*geo.P + s.P, MACStep: s.K, Target: target}
+			engine.EvalPlaneSite(inj.net, c.DType, g, inj.macLayers[pos], f, u.NBits, opt.Detector != nil,
+				func(bit int, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
+					if pre {
+						r.PreMasked++
+					}
+					s.Bit = bit
+					c.tallySite(r, opt, pos, s, outcome, faulty)
+				})
+			return
 		}
-		c.tallySite(r, opt, pos, s, sdc.Classify(inj.net, g, faulty), faulty)
+		// A pipe fault at a tile's east edge has an empty front at every bit.
+		archMasked := geo.PipeMasked(s)
+		for end := s.Bit + u.NBits; s.Bit < end; s.Bit++ {
+			faulty := inj.execute(g, pos, s)
+			if archMasked {
+				r.ArchMasked++
+			}
+			c.tallySite(r, opt, pos, s, sdc.Classify(inj.net, g, faulty), faulty)
+		}
 	})
 	return r
+}
+
+// tallySite folds one injection outcome at site s (its Bit the flipped base
+// bit) into the report. faulty is nil only for analytically pre-screened
+// injections, which exist only when no detector is configured.
+func (c *Campaign) tallySite(r *Report, opt Options, pos int, s Site, outcome sdc.Outcome, faulty *network.Execution) {
+	r.Counts.Add(outcome)
+	r.PerLatch[s.Latch].Add(outcome)
+	if r.Strata != nil {
+		r.Strata.Counts[pos*c.DType.Width()+s.Bit].Add(outcome)
+	}
+	if opt.Detector != nil {
+		r.Detection.Tally(outcome.Hit[sdc.SDC1], opt.Detector(faulty))
+	}
 }
 
 // newReport allocates a phase report, with the strata grid when the phase
@@ -268,8 +308,8 @@ func newSchedule(net *network.Network, dt numeric.Type, par Params, flow Dataflo
 
 // draw draws one fault site and its MAC-layer position. pos and bit force
 // the stratum coordinate when non-negative — the main phase of a stratified
-// campaign, or the site-draw modes, which evaluate every bit of a site and
-// so draw none — and consume no randomness then. Draw order: layer position
+// campaign, or a whole-word draw unit, which starts at bit 0 — and consume
+// no randomness then. Draw order: layer position
 // (one float), latch, chain step, output column, stream position, base bit.
 func (inj *injector) draw(rng *rand.Rand, pos, bit int) (Site, int) {
 	if pos < 0 {
