@@ -228,20 +228,22 @@ func (l *ConvLayer) ForwardElement(ctx *Context, in *tensor.Tensor, outputIndex 
 // input at (ic, ih, iw) feeds the accumulation chains of every output
 // channel at the spatial positions whose kernel window covers (ih, iw), so
 // the affected set is OutC × (union of covering windows); each affected
-// chain is replayed in full (quantized accumulation is order-dependent, so
-// there is no cheaper bit-exact update) and bit-compared against goldenOut
-// to re-shrink — possibly re-empty — the changed set. Once the affected
-// spatial fraction crosses Context.DenseCutoff the dense pass is cheaper
-// and the layer falls back to it, bit-identically.
+// chain is bit-compared against goldenOut to re-shrink — possibly re-empty —
+// the changed set. With a golden chain entry (see GoldenChains) an affected
+// chain replays only its diverged suffix, which beats the dense pass at any
+// density because the golden partials are filled once per golden execution,
+// not per walk. Without one (layer 0's raw input, no quant cache, a layer
+// over the chain byte cap) each affected chain is recomputed in full, and
+// once the affected spatial fraction crosses Context.DenseCutoff the dense
+// pass is cheaper and the layer falls back to it, bit-identically.
 func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
 	os := l.OutShape(in.Shape)
 	plane := os.H * os.W
+	sc := ctx.scratch()
 
 	// Union of the spatial output positions covered by any changed input.
-	// Bounding the mark array by the plane keeps the sparse bookkeeping
-	// allocation-cheap relative to the chains it saves.
-	marked := make(map[int]bool, len(changed))
-	spatial := make([]int, 0, len(changed))
+	sc.covered = marks(sc.covered, plane)
+	spatial := sc.spatial[:0]
 	for _, idx := range changed {
 		_, ih, iw := in.Coords(idx)
 		ohLo, ohHi := convWindowRange(ih, l.KH, l.Stride, l.Pad, os.H)
@@ -249,31 +251,37 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 		for oh := ohLo; oh <= ohHi; oh++ {
 			for ow := owLo; ow <= owHi; ow++ {
 				si := oh*os.W + ow
-				if !marked[si] {
-					marked[si] = true
+				if !sc.covered[si] {
+					sc.covered[si] = true
 					spatial = append(spatial, si)
 				}
 			}
 		}
 	}
-	if float64(len(spatial)) > ctx.denseCutoff()*float64(plane) {
+	for _, si := range spatial {
+		sc.covered[si] = false
+	}
+	sc.spatial = spatial
+
+	chain := l.InC * l.KH * l.KW
+	lc := ctx.chainEntry(l.OutC*plane, chain)
+	if lc == nil && float64(len(spatial)) > ctx.denseCutoff()*float64(plane) {
 		return denseDelta(ctx, l, in, goldenOut)
 	}
 	sort.Ints(spatial) // ascending output order, matching the dense loop
 
-	chain := l.InC * l.KH * l.KW
-	lc := ctx.chainEntry(l, l.OutC*plane, chain, in.Shape.Elems())
 	var qw []float64
 	if lc != nil {
 		// The changed-tap steps and lane input values of a spatial position
 		// are identical for every output channel (only the weights differ):
 		// scan each position once, replay it OutC times.
+		sc.mark = marks(sc.mark, len(in.Data))
 		for _, idx := range changed {
-			lc.mark[idx] = true
+			sc.mark[idx] = true
 		}
-		l.scanChanged(ctx, lc, in, os, spatial)
+		l.scanChanged(ctx, sc, in, os, spatial)
 		for _, idx := range changed {
-			lc.mark[idx] = false
+			sc.mark[idx] = false
 		}
 		qw, _ = ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
 	}
@@ -285,12 +293,14 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 			oi := base + si
 			var nv float64
 			if lc != nil {
-				if !lc.filled[oi] {
-					l.fillChain(ctx, lc, in, os, oi)
+				if lc.filled[oi].Load() == 0 {
+					lc.fill(ctx, oi, goldenOut.Data[oi], func(prefix, prods []float64) float64 {
+						return l.fillChain(ctx, in.Shape, os, oi, prefix, prods)
+					})
 				}
-				lo, hi := lc.offs[k], lc.offs[k+1]
+				lo, hi := sc.offs[k], sc.offs[k+1]
 				nv = ctx.DType.ChainReplay(lc.prefix[oi*(chain+1):], lc.prods[oi*chain:],
-					qw, oc*chain, lc.steps[lo:hi], lc.xs[lo:hi], chain)
+					qw, oc*chain, sc.steps[lo:hi], sc.xs[lo:hi], chain)
 			} else {
 				nv = l.ForwardElement(ctx, in, oi)
 			}
@@ -307,14 +317,14 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 }
 
 // scanChanged records, per spatial output position, the chain steps whose
-// input is marked changed in lc.mark and the lane's quantized value at
-// each, into lc.steps/lc.xs with lc.offs delimiting the positions.
-func (l *ConvLayer) scanChanged(ctx *Context, lc *layerChains, in *tensor.Tensor, os tensor.Shape, spatial []int) {
+// input is marked changed in sc.mark and the lane's quantized value at
+// each, into sc.steps/sc.xs with sc.offs delimiting the positions.
+func (l *ConvLayer) scanChanged(ctx *Context, sc *ChainScratch, in *tensor.Tensor, os tensor.Shape, spatial []int) {
 	quant := ctx.DType.QuantFunc()
 	qin := ctx.QIn
 	inH, inW := in.Shape.H, in.Shape.W
-	steps, xs := lc.steps[:0], lc.xs[:0]
-	offs := append(lc.offs[:0], 0)
+	steps, xs := sc.steps[:0], sc.xs[:0]
+	offs := append(sc.offs[:0], 0)
 	for _, si := range spatial {
 		oh, ow := si/os.W, si%os.W
 		step := 0
@@ -329,7 +339,7 @@ func (l *ConvLayer) scanChanged(ctx *Context, lc *layerChains, in *tensor.Tensor
 				rowBase := inBase + ih*inW
 				for kw := 0; kw < l.KW; kw++ {
 					iw := ow*l.Stride + kw - l.Pad
-					if iw >= 0 && iw < inW && lc.mark[rowBase+iw] {
+					if iw >= 0 && iw < inW && sc.mark[rowBase+iw] {
 						steps = append(steps, step)
 						if qin != nil {
 							xs = append(xs, qin[rowBase+iw])
@@ -343,14 +353,14 @@ func (l *ConvLayer) scanChanged(ctx *Context, lc *layerChains, in *tensor.Tensor
 		}
 		offs = append(offs, len(steps))
 	}
-	lc.steps, lc.xs, lc.offs = steps, xs, offs
+	sc.steps, sc.xs, sc.offs = steps, xs, offs
 }
 
 // fillChain computes the golden chain internals of output element oi from
-// the context's golden input — the same decomposed operations Forward
-// performs, so prefix[chain] lands bit-identical to the golden output
-// element.
-func (l *ConvLayer) fillChain(ctx *Context, lc *layerChains, in *tensor.Tensor, os tensor.Shape, oi int) {
+// the context's golden input into the element's prefix and prods rows — the
+// same decomposed operations Forward performs, so the returned final
+// accumulator is bit-identical to the golden output element.
+func (l *ConvLayer) fillChain(ctx *Context, is, os tensor.Shape, oi int, prefix, prods []float64) float64 {
 	plane := os.H * os.W
 	oc := oi / plane
 	oh := (oi % plane) / os.W
@@ -358,11 +368,8 @@ func (l *ConvLayer) fillChain(ctx *Context, lc *layerChains, in *tensor.Tensor, 
 	qw, qb := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
 	quant, accf := ctx.DType.QuantFunc(), ctx.DType.AccFunc()
 	gin := ctx.GoldenIn
-	chain := lc.chain
-	prefix := lc.prefix[oi*(chain+1):]
-	prods := lc.prods[oi*chain:]
-	inH, inW := in.Shape.H, in.Shape.W
-	wBase := oc * chain
+	inH, inW := is.H, is.W
+	wBase := oc * len(prods)
 
 	acc := qb[oc]
 	prefix[0] = acc
@@ -387,7 +394,7 @@ func (l *ConvLayer) fillChain(ctx *Context, lc *layerChains, in *tensor.Tensor, 
 			}
 		}
 	}
-	lc.filled[oi] = true
+	return acc
 }
 
 // convWindowRange returns the closed range of output positions oh such

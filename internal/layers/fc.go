@@ -108,7 +108,7 @@ func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, chang
 	if len(changed) == 0 {
 		return goldenOut, nil
 	}
-	if lc := ctx.chainEntry(l, l.Out, l.In, l.In); lc != nil {
+	if lc := ctx.chainEntry(l.Out, l.In); lc != nil {
 		return l.deltaChained(ctx, lc, in, goldenOut, changed)
 	}
 	return denseDelta(ctx, l, in, goldenOut)
@@ -119,8 +119,9 @@ func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, chang
 // the per-neuron replay covers only the diverged suffix (see chainReplay)
 // instead of the full dot product. Bit-identical to denseDelta.
 func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
+	sc := ctx.scratch()
 	quant := ctx.DType.QuantFunc()
-	steps, xs := lc.steps[:0], lc.xs[:0]
+	steps, xs := sc.steps[:0], sc.xs[:0]
 	steps = append(steps, changed...)
 	if !sort.IntsAreSorted(steps) {
 		sort.Ints(steps)
@@ -133,14 +134,16 @@ func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *ten
 			xs = append(xs, quant(in.Data[idx]))
 		}
 	}
-	lc.steps, lc.xs = steps, xs
+	sc.steps, sc.xs = steps, xs
 	qw, _ := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
 
 	out := goldenOut
 	var outChanged []int
 	for o := 0; o < l.Out; o++ {
-		if !lc.filled[o] {
-			l.fillChain(ctx, lc, o)
+		if lc.filled[o].Load() == 0 {
+			lc.fill(ctx, o, goldenOut.Data[o], func(prefix, prods []float64) float64 {
+				return l.fillChain(ctx, o, prefix, prods)
+			})
 		}
 		nv := ctx.DType.ChainReplay(lc.prefix[o*(l.In+1):], lc.prods[o*l.In:], qw, o*l.In, steps, xs, l.In)
 		if !bitsEqual(nv, goldenOut.Data[o]) {
@@ -155,14 +158,13 @@ func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *ten
 }
 
 // fillChain computes the golden chain internals of output neuron o from
-// the context's golden input — the same decomposed operations Forward
-// performs, so prefix[In] lands bit-identical to the golden output.
-func (l *FCLayer) fillChain(ctx *Context, lc *layerChains, o int) {
+// the context's golden input into the neuron's prefix and prods rows — the
+// same decomposed operations Forward performs, so the returned final
+// accumulator is bit-identical to the golden output.
+func (l *FCLayer) fillChain(ctx *Context, o int, prefix, prods []float64) float64 {
 	qw, qb := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
 	quant, accf := ctx.DType.QuantFunc(), ctx.DType.AccFunc()
 	gin := ctx.GoldenIn
-	prefix := lc.prefix[o*(l.In+1):]
-	prods := lc.prods[o*l.In:]
 	base := o * l.In
 
 	acc := qb[o]
@@ -173,7 +175,7 @@ func (l *FCLayer) fillChain(ctx *Context, lc *layerChains, o int) {
 		acc = accf(acc, p)
 		prefix[i+1] = acc
 	}
-	lc.filled[o] = true
+	return acc
 }
 
 // ForwardElement implements ElementForwarder: it recomputes the dot

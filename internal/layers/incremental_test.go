@@ -274,12 +274,15 @@ func TestForwardDeltaAllFormats(t *testing.T) {
 }
 
 // TestForwardDeltaChainCached re-runs the CONV/FC geometry matrix through
-// the golden chain cache: a Context carrying Chains, Quant and the
+// the golden chain state: a Context carrying Chains, Quant and the
 // pre-quantized golden input routes ForwardDelta through the cached suffix
 // replay, which must stay bit-identical to a dense recompute of the faulty
 // input — for every format, for changed sets from one element to the whole
-// input, and across repeated injections against the same cache (first-touch
-// lazy fills, then pure reuse).
+// input, and across repeated injections against the same chains (first-touch
+// lazy fills, then pure reuse) with one walker scratch reused throughout. A
+// whole-input change covers the whole output plane — above any density
+// cutoff — and must still take the replay path (every chain ends up filled;
+// the dense fallback fills none) and match the dense pass.
 func TestForwardDeltaChainCached(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	shape := tensor.Shape{C: 3, H: 7, W: 7}
@@ -322,9 +325,10 @@ func TestForwardDeltaChainCached(t *testing.T) {
 	for _, dt := range numeric.Types {
 		quant := NewQuantCache()
 		gin := quantizeSlice(dt, in.Data)
+		scratch := new(ChainScratch)
 		for _, l := range lls {
 			goldenOut := l.Forward(&Context{DType: dt, Quant: quant}, in)
-			chains := NewChainCache(dt)
+			chains := NewGoldenChains(dt, 1)
 			for trial := 0; trial < 3; trial++ {
 				for _, n := range sizes {
 					perm := rng.Perm(len(in.Data))[:n]
@@ -339,9 +343,15 @@ func TestForwardDeltaChainCached(t *testing.T) {
 							faultyIn.Data[ci] += 1e-5 // often absorbed by rounding
 						}
 					}
-					ctx := &Context{DType: dt, Quant: quant, Chains: chains, GoldenIn: gin}
+					ctx := &Context{DType: dt, Quant: quant, Chains: chains, Scratch: scratch, GoldenIn: gin, DenseCutoff: 1e-9}
 					tag := fmt.Sprintf("%s cached trial=%d n=%d", dt, trial, n)
 					checkDeltaAgainstDense(t, ctx, l, goldenOut, faultyIn, perm, tag)
+				}
+				lc := chains.layers[0].Load()
+				for oi := range lc.filled {
+					if lc.filled[oi].Load() == 0 {
+						t.Fatalf("%s %s trial=%d: whole-plane delta left chain %d unfilled: it took the dense fallback", l.Name(), dt, trial, oi)
+					}
 				}
 			}
 		}

@@ -129,23 +129,31 @@ type Context struct {
 	// output-element loops across that many goroutines. Results are
 	// bit-identical to the serial pass.
 	Workers int
-	// Chains, when non-nil, caches golden accumulation-chain partials and
-	// tap products per MAC layer (see ChainCache). Combined with GoldenIn
-	// it lets ForwardDelta replay only the diverged suffix of each affected
-	// chain, bit-identically. Not safe for concurrent use.
-	Chains *ChainCache
+	// Chains, when non-nil, is the golden execution's shared accumulation-
+	// chain state (see GoldenChains). Combined with GoldenIn and Layer it
+	// lets ForwardDelta replay only the diverged suffix of each affected
+	// chain, bit-identically. Safe to share between concurrent walkers.
+	Chains *GoldenChains
+	// Layer is the network index of the layer ForwardDelta is stepping: the
+	// key of its entry in Chains.
+	Layer int
+	// Scratch, when non-nil, is the walker's own changed-tap bookkeeping,
+	// reused from step to step (see ChainScratch); a ForwardDelta call
+	// without one allocates what it needs.
+	Scratch *ChainScratch
 	// GoldenIn, when non-nil, is the pre-quantized golden counterpart of
 	// the input tensor passed to ForwardDelta, aligned index-for-index: the
 	// input differs from it exactly at the `changed` indices. Delta walkers
-	// set it per layer from the golden execution; it feeds ChainCache
+	// set it per layer from the golden execution; it feeds GoldenChains
 	// fills.
 	GoldenIn []float64
 	// DenseCutoff is the changed-set density above which DeltaForwarder
 	// implementations abandon the sparse receptive-field recompute and fall
 	// back to the dense forward pass plus a full bit-compare (the two are
-	// bit-identical; only the cost model differs). Zero selects
-	// DefaultSparseDensityCutoff; campaigns tune it per layer
-	// (network.EnableAutoSparseCutoff).
+	// bit-identical; only the cost model differs). A MAC layer with a chain
+	// entry in Chains never consults it: its suffix replay beats the dense
+	// pass at every density. Zero selects DefaultSparseDensityCutoff;
+	// campaigns tune it per layer (network.EnableAutoSparseCutoff).
 	DenseCutoff float64
 }
 

@@ -19,8 +19,11 @@ import (
 // grouped injections also skip the dense forward cost of unmasked faults.
 // Every Run result is bit-identical to the corresponding ForwardFrom call.
 //
-// A batch is not safe for concurrent use; each campaign shard builds its
-// own.
+// A batch holds only per-group scratch and is not safe for concurrent use;
+// each campaign shard builds its own. The golden accumulation chains its
+// propagations replay are not the batch's: they belong to the golden
+// execution and are shared, read-only once filled, with every other batch
+// and surface walking it (see Execution.goldenChains).
 type InjectionBatch struct {
 	net      *Network
 	dt       numeric.Type
@@ -31,9 +34,10 @@ type InjectionBatch struct {
 	ef    layers.ElementForwarder
 	in    *tensor.Tensor
 	quant *layers.QuantCache
-	// qin is the pre-quantized faulted-layer input, populated only when
-	// the group is large enough that one whole-input quantization is
-	// cheaper than per-tap quantization across the group's chains.
+	// qin is the pre-quantized faulted-layer input: the golden activation
+	// itself past layer 0; for layer 0's raw data, populated only when the
+	// group is large enough that one whole-input quantization is cheaper
+	// than per-tap quantization across the group's chains.
 	qin []float64
 	// ctx is reused across Run calls (the batch runs on one goroutine).
 	ctx layers.Context
@@ -49,12 +53,6 @@ type InjectionBatch struct {
 	// Execution (then they are moved into it — ForwardDelta clones before
 	// writing, so they never alias scratch).
 	acts []*tensor.Tensor
-	// chains caches golden accumulation-chain partials of the downstream
-	// MAC layers so repeated propagations replay only diverged chain
-	// suffixes (see layers.ChainCache). Valid for the batch's lifetime:
-	// downstream layer parameters and golden activations are fixed even
-	// when the faulted layer's own weights are perturbed.
-	chains *layers.ChainCache
 }
 
 // NewInjectionBatch prepares a batch of expected faulty runs against the
@@ -67,8 +65,7 @@ func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx
 	}
 	b := &InjectionBatch{
 		net: n, dt: dt, golden: golden, layerIdx: layerIdx,
-		quant:  n.quant.Load(),
-		chains: layers.NewChainCache(dt),
+		quant: n.quant.Load(),
 	}
 	ef, ok := n.Layers[layerIdx].(layers.ElementForwarder)
 	if !ok {
@@ -76,11 +73,12 @@ func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx
 	}
 	b.ef = ef
 	b.in = golden.LayerInput(layerIdx)
-	// Pre-quantize the whole input only when the group's accumulation
-	// chains would otherwise quantize at least as many taps: FC chains
-	// span the full input, so any group of two wins; early CONV layers
-	// have short chains, so small groups stay on per-tap quantization.
-	if cl, ok := ef.(interface{ MACChainLen() int }); ok {
+	if layerIdx > 0 {
+		b.qin = b.in.Data // a layer output is its own pre-quantized view
+	} else if cl, ok := ef.(interface{ MACChainLen() int }); ok {
+		// Layer 0 reads raw image data. Pre-quantize all of it only when the
+		// group's accumulation chains would otherwise quantize at least as
+		// many taps; small groups stay on per-tap quantization.
 		if chain := cl.MACChainLen(); chain > 0 && expected*chain >= len(b.in.Data) {
 			b.qin = layers.QuantizeSlice(dt, b.in.Data)
 		}
@@ -118,7 +116,7 @@ func (b *InjectionBatch) StepOperands(outputIndex, macStep int) (w, x float64) {
 // Propagate finishes a faulty run from an already-computed faulted-element
 // value, bit-identical to the tail of Run after ForwardElement.
 func (b *InjectionBatch) Propagate(outputIndex int, faultyVal float64) *Execution {
-	return b.net.propagateElement(b.dt, b.golden, b.layerIdx, outputIndex, faultyVal, b.quant, b.chains)
+	return b.net.propagateElement(b.dt, b.golden, b.layerIdx, outputIndex, faultyVal, b.quant)
 }
 
 // PropagateShared is Propagate for callers that only need an Execution when
@@ -143,7 +141,7 @@ func (b *InjectionBatch) PropagateShared(outputIndex int, faultyVal float64) (*E
 	}
 	cur := b.scratch
 	cur.Data[outputIndex] = faultyVal
-	clean := &layers.Context{DType: b.dt, Quant: b.quant, DenseCutoff: n.sparseDensityCutoff(), Chains: b.chains}
+	clean := &layers.Context{DType: b.dt, Quant: b.quant, DenseCutoff: n.sparseDensityCutoff()}
 	i, cur, changed := n.deltaWalk(clean, golden, b.layerIdx+1, cur, []int{outputIndex}, cur.Data, b.acts)
 	if len(changed) == 0 {
 		b.scratch.Data[outputIndex] = goldenVal
@@ -179,5 +177,5 @@ func (b *InjectionBatch) Run(fault *layers.Fault) *Execution {
 	b.ctx.Fault = fault
 	faultyVal := b.ef.ForwardElement(&b.ctx, b.in, fault.OutputIndex)
 	b.ctx.Fault = nil
-	return b.net.propagateElement(b.dt, b.golden, b.layerIdx, fault.OutputIndex, faultyVal, b.quant, b.chains)
+	return b.net.propagateElement(b.dt, b.golden, b.layerIdx, fault.OutputIndex, faultyVal, b.quant)
 }

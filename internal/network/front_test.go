@@ -78,6 +78,9 @@ func tapOracle(l layers.Layer, dt numeric.Type, in *tensor.Tensor, f layers.Faul
 // SRAM), a run along one output row with the step walking the kernel row
 // (Img REG), a stream suffix (a resident systolic latch), a walk across
 // channels at one position (a forwarded latch) — plus a random scatter.
+// Every front is evaluated twice against the same golden tensors under a
+// fresh Execution — cold, when the downstream walk fills the golden chains
+// it replays, then warm — and both must equal the oracle.
 func FuzzFaultFront(f *testing.F) {
 	cached := deepNet(23)
 	cached.EnableQuantCache()
@@ -167,17 +170,23 @@ func FuzzFaultFront(f *testing.F) {
 		}
 		handed := slices.Clone(front)
 
-		got := n.ForwardFront(dt, golden, li, front)
-
 		patched := act.Clone()
 		for _, f := range handed {
 			patched.Data[f.OutputIndex] = tapOracle(n.Layers[li], dt, in, f)
 		}
 		want := n.ForwardWithActDense(dt, golden, li, patched)
-		for l := range want.Acts {
-			if !tensor.BitIdentical(got.Acts[l], want.Acts[l]) {
-				t.Fatalf("%s/%s layer %d, %d-element front %+v…: differs from the per-tap oracle at layer %d",
-					n.Name, dt, li, len(handed), handed[:min(1, len(handed))], l)
+		fresh := &Execution{Input: golden.Input, Acts: golden.Acts}
+		var got *Execution
+		for _, pass := range []struct {
+			chains string
+			front  []layers.Fault
+		}{{"cold", slices.Clone(handed)}, {"warm", front}} {
+			got = n.ForwardFront(dt, fresh, li, pass.front)
+			for l := range want.Acts {
+				if !tensor.BitIdentical(got.Acts[l], want.Acts[l]) {
+					t.Fatalf("%s/%s layer %d, %d-element front %+v…, %s chains: differs from the per-tap oracle at layer %d",
+						n.Name, dt, li, len(handed), handed[:min(1, len(handed))], pass.chains, l)
+				}
 			}
 		}
 		last := len(got.Acts) - 1

@@ -20,6 +20,9 @@ import (
 // span (on FLOAT16 the exponent spans produce Inf and NaN operands), the
 // dense-fallback cutoff, and the hygiene of the index list a caller hands
 // in (shuffled, with duplicates, padded with indices that did not change).
+// Every case is evaluated twice against the same golden tensors under a
+// fresh Execution — cold, when the walk fills the golden chains it replays,
+// then warm, when it only reads them — and both must equal the oracle.
 func FuzzDeltaPropagation(f *testing.F) {
 	nets := []*Network{tinyNet(), lrnNet(true, 7), lrnNet(false, 8), deepNet(19)}
 	cached := deepNet(23)
@@ -105,39 +108,46 @@ func FuzzDeltaPropagation(f *testing.F) {
 		}
 		handed := append([]int(nil), changed...)
 
-		var got, want *Execution
+		var want *Execution
 		if withAct {
-			got = n.ForwardWithAct(dt, golden, li, corrupted, changed)
 			want = n.ForwardWithActDense(dt, golden, li, corrupted)
 		} else {
-			got = n.ForwardFromInput(dt, golden, li, corrupted, changed)
 			want = n.ForwardFromInputDense(dt, golden, li, corrupted)
 		}
+		fresh := &Execution{Input: golden.Input, Acts: golden.Acts}
+		for _, pass := range []string{"cold", "warm"} {
+			var got *Execution
+			if withAct {
+				got = n.ForwardWithAct(dt, fresh, li, corrupted, changed)
+			} else {
+				got = n.ForwardFromInput(dt, fresh, li, corrupted, changed)
+			}
 
-		for i := range handed {
-			if changed[i] != handed[i] {
-				t.Fatal("the caller's changed slice was modified")
+			for i := range handed {
+				if changed[i] != handed[i] {
+					t.Fatal("the caller's changed slice was modified")
+				}
 			}
-		}
-		for l := range want.Acts {
-			if !tensor.BitIdentical(got.Acts[l], want.Acts[l]) {
-				t.Fatalf("%s/%s layer %d (withAct=%v, %d changed): delta result differs from the dense oracle at layer %d",
-					n.Name, dt, li, withAct, len(set), l)
+			for l := range want.Acts {
+				if !tensor.BitIdentical(got.Acts[l], want.Acts[l]) {
+					t.Fatalf("%s/%s layer %d (withAct=%v, %d changed, %s chains): delta result differs from the dense oracle at layer %d",
+						n.Name, dt, li, withAct, len(set), pass, l)
+				}
 			}
-		}
-		if got.Masked {
-			last := len(got.Acts) - 1
-			if got.Acts[last] != golden.Acts[last] {
-				t.Fatal("masked execution does not alias the golden output tensor")
-			}
-			// From the faulted layer on, once a tensor aliases golden every
-			// later one does.
-			aliased := false
-			for l := li; l < len(got.Acts); l++ {
-				if got.Acts[l] == golden.Acts[l] {
-					aliased = true
-				} else if aliased {
-					t.Fatalf("masked execution stops aliasing golden at layer %d", l)
+			if got.Masked {
+				last := len(got.Acts) - 1
+				if got.Acts[last] != golden.Acts[last] {
+					t.Fatal("masked execution does not alias the golden output tensor")
+				}
+				// From the faulted layer on, once a tensor aliases golden every
+				// later one does.
+				aliased := false
+				for l := li; l < len(got.Acts); l++ {
+					if got.Acts[l] == golden.Acts[l] {
+						aliased = true
+					} else if aliased {
+						t.Fatalf("masked execution stops aliasing golden at layer %d", l)
+					}
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/layers"
@@ -173,6 +174,24 @@ type Execution struct {
 	// dense re-execution; the flag only tells them no recomputation
 	// happened.
 	Masked bool
+
+	// chains is the golden accumulation-chain state delta walks against
+	// this execution share (see goldenChains); nil until the first walk.
+	chains atomic.Pointer[layers.GoldenChains]
+}
+
+// goldenChains returns the chain state every delta walk against golden
+// execution e shares — every shard goroutine, slot, surface and campaign
+// that resolves e — attaching it on the first walk; the golden pass itself
+// never builds it. The state is bound to the format and depth of that first
+// walk: layers refuse it to a walk under another format (no campaign does
+// this), which then recomputes its chains in full.
+func (e *Execution) goldenChains(dt numeric.Type, nLayers int) *layers.GoldenChains {
+	if g := e.chains.Load(); g != nil {
+		return g
+	}
+	e.chains.CompareAndSwap(nil, layers.NewGoldenChains(dt, nLayers))
+	return e.chains.Load()
 }
 
 // Forward runs the whole network under format dt, capturing every layer
@@ -284,31 +303,29 @@ func (n *Network) forwardFront(dt numeric.Type, golden *Execution, layerIdx int,
 		changed = append(changed, f.OutputIndex)
 	}
 	slices.Sort(changed)
-	return n.forwardWithAct(dt, golden, layerIdx, act, changed, quant, nil)
+	return n.forwardWithAct(dt, golden, layerIdx, act, changed, quant)
 }
 
 // propagateElement finishes an incremental faulty run given the recomputed
 // value of the faulted layer's output element: the one-element case of
-// forwardWithAct, for InjectionBatch. chains is the batch's golden chain
-// cache (see layers.ChainCache), so repeated propagations replay only
-// diverged chain suffixes.
-func (n *Network) propagateElement(dt numeric.Type, golden *Execution, layerIdx, outputIndex int, faultyVal float64, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
+// forwardWithAct, for InjectionBatch.
+func (n *Network) propagateElement(dt numeric.Type, golden *Execution, layerIdx, outputIndex int, faultyVal float64, quant *layers.QuantCache) *Execution {
 	goldenAct := golden.Acts[layerIdx]
 	if math.Float64bits(faultyVal) == math.Float64bits(goldenAct.Data[outputIndex]) {
 		// Quantization/saturation absorbed the flip inside the faulted
 		// chain: the faulty run is bit-identical to golden everywhere.
-		return n.forwardWithAct(dt, golden, layerIdx, goldenAct, nil, quant, chains)
+		return n.forwardWithAct(dt, golden, layerIdx, goldenAct, nil, quant)
 	}
 	cur := goldenAct.Clone()
 	cur.Data[outputIndex] = faultyVal
-	return n.forwardWithAct(dt, golden, layerIdx, cur, []int{outputIndex}, quant, chains)
+	return n.forwardWithAct(dt, golden, layerIdx, cur, []int{outputIndex}, quant)
 }
 
 // forwardWithAct builds the faulty execution whose layer layerIdx produced
 // act — golden's activation except at the changed indices — and hands the
 // perturbation to propagateDelta. An empty set is a masked fault: act is
 // golden's own tensor bit for bit, so the execution aliases it.
-func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
+func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int, quant *layers.QuantCache) *Execution {
 	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
 	// Layers before the fault are bit-identical to golden; share them.
 	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
@@ -318,7 +335,7 @@ func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx in
 	exec.Acts[layerIdx] = act
 	// act is a layer output under dt (each layer quantizes what it writes),
 	// so it is its own pre-quantized view.
-	return n.propagateDelta(dt, golden, exec, layerIdx+1, act, changed, act.Data, quant, chains)
+	return n.propagateDelta(dt, golden, exec, layerIdx+1, act, changed, act.Data, quant)
 }
 
 // propagateDelta is the one changed-set walker every fault model ends in:
@@ -331,10 +348,10 @@ func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx in
 // walk run densely. qin is cur's pre-quantized view (cur.Data itself when
 // cur is a layer output, nil when it is caller-supplied data the first
 // layer must quantize for itself).
-func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, quant *layers.QuantCache, chains *layers.ChainCache) *Execution {
+func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, quant *layers.QuantCache) *Execution {
 	i := from
 	if len(changed) > 0 {
-		clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: n.sparseDensityCutoff(), Chains: chains}
+		clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: n.sparseDensityCutoff()}
 		i, cur, changed = n.deltaWalk(clean, golden, from, cur, changed, qin, exec.Acts)
 		if len(changed) > 0 {
 			for ; i < len(n.Layers); i++ {
@@ -358,12 +375,16 @@ func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from 
 // acts[i]. Each step bit-compares against the golden activation and
 // re-shrinks the changed set; the walk stops when the set empties or at the
 // first layer that cannot delta-step, and returns that layer's index with
-// the tensor and set that reached it. ctx carries the format, caches and
-// the caller's density cutoff (zero lets the per-layer auto-tuner choose);
-// its per-step fields are reset on return.
+// the tensor and set that reached it. ctx carries the format, the quant
+// cache and the caller's density cutoff (zero lets the per-layer auto-tuner
+// choose). The walk attaches golden's shared chain state, so MAC layers
+// replay diverged chain suffixes on every surface, and a pooled scratch for
+// its own bookkeeping; every per-walk field of ctx is reset on return.
 func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, acts []*tensor.Tensor) (int, *tensor.Tensor, []int) {
 	base := ctx.DenseCutoff
 	auto := n.autoCutoff.Load()
+	sc := chainScratch.Get().(*layers.ChainScratch)
+	ctx.Chains, ctx.Scratch = golden.goldenChains(ctx.DType, len(n.Layers)), sc
 	i := from
 	for ; i < len(n.Layers) && len(changed) > 0; i++ {
 		df, ok := n.Layers[i].(layers.DeltaForwarder)
@@ -376,8 +397,8 @@ func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cu
 		// Handing the MAC layers a pre-quantized view as QIn skips their
 		// whole-input re-quantization bit-identically. Layer 0's golden
 		// input is raw data, not a pre-quantized view, so it cannot seed
-		// chain-cache fills.
-		ctx.QIn, ctx.GoldenIn = qin, nil
+		// golden chain fills.
+		ctx.Layer, ctx.QIn, ctx.GoldenIn = i, qin, nil
 		if i > 0 {
 			ctx.GoldenIn = golden.Acts[i-1].Data
 		}
@@ -385,9 +406,15 @@ func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cu
 		acts[i] = cur
 		qin = cur.Data
 	}
-	ctx.QIn, ctx.GoldenIn = nil, nil
+	ctx.Chains, ctx.Scratch, ctx.QIn, ctx.GoldenIn = nil, nil, nil, nil
+	chainScratch.Put(sc)
 	return i, cur, changed
 }
+
+// chainScratch pools the walkers' chain bookkeeping: a walk owns one scratch
+// from its first step to its last, so concurrent walkers over one shared
+// golden execution never share mutable state.
+var chainScratch = sync.Pool{New: func() any { return new(layers.ChainScratch) }}
 
 // ForwardFromDense is the dense reference implementation of ForwardFrom:
 // it re-executes the whole faulted layer and every downstream layer. It
@@ -418,7 +445,7 @@ func (n *Network) ForwardFromInput(dt numeric.Type, golden *Execution, layerIdx 
 	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
 	// in is caller-supplied (layer 0's is raw image data), so the struck
 	// layer quantizes what it reads instead of trusting a QIn view.
-	return n.propagateDelta(dt, golden, exec, layerIdx, in, normalizeChanged(changed, len(in.Data)), nil, n.quant.Load(), nil)
+	return n.propagateDelta(dt, golden, exec, layerIdx, in, normalizeChanged(changed, len(in.Data)), nil, n.quant.Load())
 }
 
 // ForwardFromInputDense is the dense reference implementation of
@@ -440,7 +467,7 @@ func (n *Network) ForwardFromInputDense(dt numeric.Type, golden *Execution, laye
 // the set is empty or dies downstream.
 func (n *Network) ForwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int) *Execution {
 	n.checkLayer(layerIdx)
-	return n.forwardWithAct(dt, golden, layerIdx, act, normalizeChanged(changed, len(act.Data)), n.quant.Load(), nil)
+	return n.forwardWithAct(dt, golden, layerIdx, act, normalizeChanged(changed, len(act.Data)), n.quant.Load())
 }
 
 // ForwardWithActDense is the dense reference implementation of
