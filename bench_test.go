@@ -29,12 +29,21 @@ func benchCfg(i int) core.Config {
 	return core.Config{Injections: 120, Inputs: 1, Seed: int64(i) + 1}
 }
 
+// must unwraps an experiment's (result, error) pair; the benchmarks run
+// built-in weights, so an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // ---- Figure 3: SDC probability x network x data type ----
 
 func BenchmarkFig3_ConvNet(b *testing.B) {
 	var p float64
 	for i := 0; i < b.N; i++ {
-		res := core.Fig3(benchCfg(i), []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10, numeric.Fx32RB26})
+		res := must(core.Fig3(benchCfg(i), []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10, numeric.Fx32RB26}))
 		p = res.Rows[0].Prob[sdc.SDC1]
 	}
 	b.ReportMetric(p*100, "SDC1-rb10-%")
@@ -43,7 +52,7 @@ func BenchmarkFig3_ConvNet(b *testing.B) {
 func BenchmarkFig3_ImageNetNets(b *testing.B) {
 	var p float64
 	for i := 0; i < b.N; i++ {
-		res := core.Fig3(benchCfg(i), []string{"AlexNet"}, []numeric.Type{numeric.Float16})
+		res := must(core.Fig3(benchCfg(i), []string{"AlexNet"}, []numeric.Type{numeric.Float16}))
 		p = res.Rows[0].Prob[sdc.SDC1]
 	}
 	b.ReportMetric(p*100, "SDC1-fp16-%")
@@ -56,7 +65,7 @@ func BenchmarkFig4_NiN_FLOAT16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 160
-		res := core.Fig4(cfg, "NiN", numeric.Float16)
+		res := must(core.Fig4(cfg, "NiN", numeric.Float16))
 		hi = res.Prob[14]
 	}
 	b.ReportMetric(hi*100, "SDC1-bit14-%")
@@ -67,7 +76,7 @@ func BenchmarkFig4_CaffeNet_32bRB10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 160
-		res := core.Fig4(cfg, "CaffeNet", numeric.Fx32RB10)
+		res := must(core.Fig4(cfg, "CaffeNet", numeric.Fx32RB10))
 		hi = res.Prob[30]
 	}
 	b.ReportMetric(hi*100, "SDC1-bit30-%")
@@ -78,7 +87,7 @@ func BenchmarkFig4_CaffeNet_32bRB10(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var s float64
 	for i := 0; i < b.N; i++ {
-		res := core.Fig5(benchCfg(i), "AlexNet", numeric.Float16)
+		res := must(core.Fig5(benchCfg(i), "AlexNet", numeric.Float16))
 		s, _ = res.LargeDeviationShare(64)
 	}
 	b.ReportMetric(s*100, "SDC-large-dev-%")
@@ -89,7 +98,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	var last float64
 	for i := 0; i < b.N; i++ {
-		rows := core.Table4(core.Config{Inputs: 2, Seed: int64(i) + 1}, models.Names, numeric.Double)
+		rows := must(core.Table4(core.Config{Inputs: 2, Seed: int64(i) + 1}, models.Names, numeric.Double))
 		rs := rows[1].Ranges // AlexNet
 		last = rs[len(rs)-1].Max
 	}
@@ -103,7 +112,7 @@ func BenchmarkFig6_AlexNet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 160
-		res := core.Fig6(cfg, "AlexNet", numeric.Float16)
+		res := must(core.Fig6(cfg, "AlexNet", numeric.Float16))
 		fc = res.Prob[len(res.Prob)-1]
 	}
 	b.ReportMetric(fc*100, "SDC1-fc8-%")
@@ -114,7 +123,7 @@ func BenchmarkFig6_ConvNet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 160
-		res := core.Fig6(cfg, "ConvNet", numeric.Float16)
+		res := must(core.Fig6(cfg, "ConvNet", numeric.Float16))
 		fc = res.Prob[len(res.Prob)-1]
 	}
 	b.ReportMetric(fc*100, "SDC1-fc5-%")
@@ -127,7 +136,7 @@ func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 24
-		alex := core.Fig7(cfg, "AlexNet", numeric.Double)
+		alex := must(core.Fig7(cfg, "AlexNet", numeric.Double))
 		if alex.Dist[0] > 0 {
 			ratio = alex.Dist[1] / alex.Dist[0]
 		}
@@ -142,7 +151,7 @@ func BenchmarkTable5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 160
-		res := core.Table5(cfg, "AlexNet", numeric.Float16)
+		res := must(core.Table5(cfg, "AlexNet", numeric.Float16))
 		l1 = res.Spread[0]
 	}
 	b.ReportMetric(l1*100, "spread-L1-%")
@@ -150,10 +159,12 @@ func BenchmarkTable5(b *testing.B) {
 
 // ---- Table 6: datapath FIT rates ----
 
+// The per-iteration seed makes every iteration a new spec, so each executes
+// a campaign instead of hitting core's runner memo.
 func BenchmarkTable6(b *testing.B) {
 	var f float64
 	for i := 0; i < b.N; i++ {
-		cells := core.Table6(benchCfg(i), []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10})
+		cells := must(core.Table6(benchCfg(i), []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10}))
 		f = cells[0].FIT
 	}
 	b.ReportMetric(f, "convnet-rb10-FIT")
@@ -177,7 +188,7 @@ func BenchmarkTable8_ConvNet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 60
-		cells := core.Table8(cfg, []string{"ConvNet"})
+		cells := must(core.Table8(cfg, []string{"ConvNet"}))
 		gb = cells[0].FIT
 	}
 	b.ReportMetric(gb, "globalbuf-FIT")
@@ -188,7 +199,7 @@ func BenchmarkTable8_AlexNet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 40
-		cells := core.Table8(cfg, []string{"AlexNet"})
+		cells := must(core.Table8(cfg, []string{"AlexNet"}))
 		fs = cells[1].FIT
 	}
 	b.ReportMetric(fs, "filtersram-FIT")
@@ -201,7 +212,7 @@ func BenchmarkFig8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 80
-		rows := core.Fig8(cfg, []string{"AlexNet"}, []numeric.Type{numeric.Float})
+		rows := must(core.Fig8(cfg, []string{"AlexNet"}, []numeric.Type{numeric.Float}))
 		recall = rows[0].Recall
 	}
 	b.ReportMetric(recall*100, "recall-%")
@@ -214,7 +225,7 @@ func BenchmarkFig9a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 320
-		res := core.Fig9(cfg, "AlexNet", numeric.Float16)
+		res := must(core.Fig9(cfg, "AlexNet", numeric.Float16))
 		beta = res.Beta
 	}
 	b.ReportMetric(beta, "beta")
@@ -225,7 +236,7 @@ func BenchmarkFig9bc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 320
-		res := core.Fig9(cfg, "AlexNet", numeric.Fx16RB10)
+		res := must(core.Fig9(cfg, "AlexNet", numeric.Fx16RB10))
 		ov := res.Overhead["Multi"]
 		multi100 = ov[len(ov)-1]
 		if math.IsNaN(multi100) {
@@ -242,7 +253,7 @@ func BenchmarkSEDFIT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 60
-		row := core.SEDFIT(cfg, "AlexNet", numeric.Float)
+		row := must(core.SEDFIT(cfg, "AlexNet", numeric.Float))
 		after = row.FITAfter
 	}
 	b.ReportMetric(after, "FIT-after-SED")
@@ -325,7 +336,7 @@ func BenchmarkAblationLRN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 100
-		res := core.AblateLRN(cfg, "AlexNet", numeric.Float16)
+		res := must(core.AblateLRN(cfg, "AlexNet", numeric.Float16))
 		delta = res.AblatedSDC - res.BaselineSDC
 	}
 	b.ReportMetric(delta*100, "noLRN-minus-baseline-%")
@@ -336,7 +347,7 @@ func BenchmarkMixedPrecisionStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 80
-		row := core.MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float16)
+		row := must(core.MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float16))
 		f = row.FIT
 	}
 	b.ReportMetric(f, "fp16-storage-GB-FIT")
@@ -356,7 +367,7 @@ func BenchmarkTable8Residency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg(i)
 		cfg.Injections = 40
-		cells := core.Table8Residency(cfg, []string{"ConvNet"})
+		cells := must(core.Table8Residency(cfg, []string{"ConvNet"}))
 		gb = cells[0].FIT
 	}
 	b.ReportMetric(gb, "globalbuf-FIT")

@@ -41,17 +41,21 @@ func main() {
 	}
 	cfg := core.Config{Injections: *n, Inputs: *inputs, Seed: *seed, WeightsDir: *weightsDir}
 
+	var res interface{ Format() string }
 	switch *mode {
 	case "overall":
-		res := core.Fig3(cfg, []string{*netName}, []numeric.Type{dt})
-		fmt.Print(res.Format())
+		res, err = core.Fig3(cfg, []string{*netName}, []numeric.Type{dt})
 	case "perbit":
-		fmt.Print(core.Fig4(cfg, *netName, dt).Format())
+		res, err = core.Fig4(cfg, *netName, dt)
 	case "perlayer":
-		fmt.Print(core.Fig6(cfg, *netName, dt).Format())
+		res, err = core.Fig6(cfg, *netName, dt)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(res.Format())
 }

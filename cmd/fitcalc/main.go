@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/models"
-	"repro/internal/numeric"
 )
 
 func main() {
@@ -40,21 +39,23 @@ func main() {
 	case "table7":
 		fmt.Print(core.FormatTable7(core.Table7()))
 	case "table6":
-		fmt.Print(core.FormatTable6(core.Table6(cfg, networks, core.AllDataTypes)))
+		fmt.Print(core.FormatTable6(check(core.Table6(cfg, networks, core.AllDataTypes))))
 	case "table8":
-		fmt.Print(core.FormatTable8(core.Table8(cfg, networks)))
+		fmt.Print(core.FormatTable8(check(core.Table8(cfg, networks))))
 	case "budget":
-		// Overall Eyeriss FIT per network (16b_rb10 datapath + buffers)
-		// against the ISO 26262 budget.
-		cells := core.Table8(cfg, networks)
-		dp := core.Table6(cfg, networks, []numeric.Type{numeric.Fx16RB10})
-		for _, c := range dp {
-			total := core.EyerissTotalFIT(cells, c.FIT, c.Network)
-			fmt.Print(core.FormatBudgetCheck(c.Network, total))
-		}
+		fmt.Print(check(core.BudgetReport(cfg, networks)))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// check unwraps an experiment's (result, error) pair: an error — a weights
+// file that does not load — ends the run with one line.
+func check[T any](res T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }

@@ -1,6 +1,8 @@
 // Command paperrepro regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the experiment index) and prints them
-// in order.
+// in order. Standard output is the tables alone, byte-identical from run to
+// run; per-experiment timing and the campaign runner's counters go to
+// standard error.
 //
 // Usage:
 //
@@ -107,8 +109,18 @@ func main() {
 		fmt.Printf("==== %s ====\n", e.title)
 		start := time.Now()
 		e.run(cfg)
-		fmt.Printf("(%s, %s)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s, %s; so far %s)\n", e.id, time.Since(start).Round(time.Millisecond), core.RunnerStats())
 	}
+}
+
+// check unwraps an experiment's (result, error) pair: an error — a weights
+// file that does not load — ends the run with one line.
+func check[T any](res T, err error) T {
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 func knownExperiment(id string) bool {
@@ -144,7 +156,7 @@ func writeCSVFile(name, doc string) {
 }
 
 func runFig3(cfg core.Config) {
-	res := core.Fig3(cfg, models.Names, core.AllDataTypes)
+	res := check(core.Fig3(cfg, models.Names, core.AllDataTypes))
 	fmt.Print(res.Format())
 	writeCSVFile("fig3", res.CSV())
 }
@@ -160,7 +172,7 @@ func runFig4(cfg core.Config) {
 		{"NiN", numeric.Float}, {"NiN", numeric.Float16},
 		{"CaffeNet", numeric.Fx32RB26}, {"CaffeNet", numeric.Fx32RB10},
 	} {
-		res := core.Fig4(cfg, c.net, c.dt)
+		res := check(core.Fig4(cfg, c.net, c.dt))
 		fmt.Print(res.Format())
 		docs = append(docs, res.CSV())
 	}
@@ -182,19 +194,19 @@ func mergeCSV(docs []string) string {
 }
 
 func runFig5(cfg core.Config) {
-	res := core.Fig5(cfg, "AlexNet", numeric.Float16)
+	res := check(core.Fig5(cfg, "AlexNet", numeric.Float16))
 	fmt.Print(res.Format())
 	writeCSVFile("fig5", res.CSV())
 }
 
 func runTable4(cfg core.Config) {
-	fmt.Print(core.FormatTable4(core.Table4(cfg, models.Names, numeric.Double)))
+	fmt.Print(core.FormatTable4(check(core.Table4(cfg, models.Names, numeric.Double))))
 }
 
 func runFig6(cfg core.Config) {
 	var docs []string
 	for _, name := range models.Names {
-		res := core.Fig6(cfg, name, numeric.Float16)
+		res := check(core.Fig6(cfg, name, numeric.Float16))
 		fmt.Print(res.Format())
 		docs = append(docs, res.CSV())
 	}
@@ -208,7 +220,7 @@ func runFig7(cfg core.Config) {
 	}
 	var docs []string
 	for _, name := range models.Names {
-		res := core.Fig7(n, name, numeric.Double)
+		res := check(core.Fig7(n, name, numeric.Double))
 		fmt.Print(res.Format())
 		docs = append(docs, res.CSV())
 	}
@@ -216,11 +228,11 @@ func runFig7(cfg core.Config) {
 }
 
 func runTable5(cfg core.Config) {
-	fmt.Print(core.Table5(cfg, "AlexNet", numeric.Float16).Format())
+	fmt.Print(check(core.Table5(cfg, "AlexNet", numeric.Float16)).Format())
 }
 
 func runTable6(cfg core.Config) {
-	cells := core.Table6(cfg, models.Names, core.AllDataTypes)
+	cells := check(core.Table6(cfg, models.Names, core.AllDataTypes))
 	fmt.Print(core.FormatTable6(cells))
 	writeCSVFile("table6", core.Table6CSV(cells))
 }
@@ -230,13 +242,13 @@ func runTable7(core.Config) {
 }
 
 func runTable8(cfg core.Config) {
-	cells := core.Table8(cfg, models.Names)
+	cells := check(core.Table8(cfg, models.Names))
 	fmt.Print(core.FormatTable8(cells))
 	writeCSVFile("table8", core.Table8CSV(cells))
 }
 
 func runFig8(cfg core.Config) {
-	rows := core.Fig8(cfg, core.SEDNetworks, core.SEDDataTypes)
+	rows := check(core.Fig8(cfg, core.SEDNetworks, core.SEDDataTypes))
 	fmt.Print(core.FormatFig8(rows))
 	writeCSVFile("fig8", core.Fig8CSV(rows))
 }
@@ -246,8 +258,8 @@ func runTable9(core.Config) {
 }
 
 func runFig9(cfg core.Config) {
-	a := core.Fig9(cfg, "AlexNet", numeric.Float16)
-	b := core.Fig9(cfg, "AlexNet", numeric.Fx16RB10)
+	a := check(core.Fig9(cfg, "AlexNet", numeric.Float16))
+	b := check(core.Fig9(cfg, "AlexNet", numeric.Fx16RB10))
 	fmt.Print(a.Format())
 	fmt.Print(b.Format())
 	writeCSVFile("fig9", mergeCSV([]string{a.CSV(), b.CSV()}))
@@ -256,27 +268,23 @@ func runFig9(cfg core.Config) {
 func runSEDFIT(cfg core.Config) {
 	var rows []core.SEDFITRow
 	for _, dt := range []numeric.Type{numeric.Float, numeric.Float16} {
-		rows = append(rows, core.SEDFIT(cfg, "AlexNet", dt))
+		rows = append(rows, check(core.SEDFIT(cfg, "AlexNet", dt)))
 	}
 	fmt.Print(core.FormatSEDFIT(rows))
 }
 
 func runBudget(cfg core.Config) {
-	cells := core.Table8(cfg, models.Names)
-	dp := core.Table6(cfg, models.Names, []numeric.Type{numeric.Fx16RB10})
-	for _, c := range dp {
-		fmt.Print(core.FormatBudgetCheck(c.Network, core.EyerissTotalFIT(cells, c.FIT, c.Network)))
-	}
+	fmt.Print(check(core.BudgetReport(cfg, models.Names)))
 }
 
 func runAblation(cfg core.Config) {
 	for _, name := range []string{"AlexNet", "CaffeNet"} {
-		fmt.Print(core.AblateLRN(cfg, name, numeric.Float16).Format())
+		fmt.Print(check(core.AblateLRN(cfg, name, numeric.Float16)).Format())
 	}
 }
 
 func runFormats(cfg core.Config) {
-	fmt.Print(core.FormatRecommendations(cfg, models.Names))
+	fmt.Print(check(core.FormatRecommendations(cfg, models.Names)))
 }
 
 func runReuse(core.Config) {
@@ -288,13 +296,13 @@ func runSchedule(core.Config) {
 }
 
 func runTable8Residency(cfg core.Config) {
-	fmt.Print(core.FormatTable8(core.Table8Residency(cfg, models.Names)))
+	fmt.Print(core.FormatTable8(check(core.Table8Residency(cfg, models.Names))))
 }
 
 func runMixed(cfg core.Config) {
 	var rows []core.MixedPrecisionRow
 	for _, st := range []numeric.Type{numeric.Float, numeric.Float16, numeric.Fx16RB10} {
-		rows = append(rows, core.MixedPrecision(cfg, "AlexNet", numeric.Float, st))
+		rows = append(rows, check(core.MixedPrecision(cfg, "AlexNet", numeric.Float, st)))
 	}
 	fmt.Print(core.FormatMixedPrecision(rows))
 }
@@ -305,14 +313,14 @@ func runPEArray(cfg core.Config) {
 		n.Injections = 200
 	}
 	for _, name := range models.Names {
-		fmt.Print(core.ValidatePEArray(n, name).Format())
+		fmt.Print(check(core.ValidatePEArray(n, name)).Format())
 	}
 }
 
 func runLatches(cfg core.Config) {
 	var rows []core.LatchRow
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
-		rows = append(rows, core.LatchBreakdown(cfg, "AlexNet", dt)...)
+		rows = append(rows, check(core.LatchBreakdown(cfg, "AlexNet", dt))...)
 	}
 	fmt.Print(core.FormatLatchBreakdown(rows))
 }

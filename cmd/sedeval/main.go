@@ -33,14 +33,21 @@ func main() {
 	cfg := core.Config{Injections: *n, Inputs: *inputs, Seed: *seed, WeightsDir: *weightsDir}
 	networks := strings.Split(*nets, ",")
 
-	rows := core.Fig8(cfg, networks, core.SEDDataTypes)
+	rows, err := core.Fig8(cfg, networks, core.SEDDataTypes)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(core.FormatFig8(rows))
 
 	if *fitFlag {
 		var fitRows []core.SEDFITRow
 		for _, name := range networks {
 			for _, dt := range []numeric.Type{numeric.Float, numeric.Float16} {
-				fitRows = append(fitRows, core.SEDFIT(cfg, name, dt))
+				row, err := core.SEDFIT(cfg, name, dt)
+				if err != nil {
+					log.Fatal(err)
+				}
+				fitRows = append(fitRows, row)
 			}
 		}
 		fmt.Println()

@@ -41,7 +41,10 @@ func main() {
 	fmt.Println("Hardened latch design space (Table 9):")
 	fmt.Print(core.FormatTable9(core.Table9()))
 	fmt.Println()
-	res := core.Fig9(cfg, *netName, dt)
+	res, err := core.Fig9(cfg, *netName, dt)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Print(res.Format())
 	fmt.Println()
 	fmt.Println("Perfect-protection curve (Fig. 9a):")

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/harden"
@@ -19,7 +20,11 @@ func main() {
 	cfg := core.Config{Injections: 800, Inputs: 2, Seed: 3}
 
 	// Per-bit sensitivity from a Figure 4 style campaign.
-	f4 := core.Fig4(cfg, netName, dt)
+	f4, err := core.Fig4(cfg, netName, dt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hardening:", err)
+		os.Exit(1)
+	}
 	s := harden.Sensitivity(f4.Sensitivity())
 	fmt.Printf("%s/%s per-bit FIT sensitivity (nonzero bits):\n", netName, dt)
 	for bit := dt.Width() - 1; bit >= 0; bit-- {

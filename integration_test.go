@@ -84,7 +84,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	// 6. Per-bit sensitivity drives a hardening plan that meets its target.
 	profile := accel.NewProfile(net, dt)
 	_ = profile
-	f4 := core.Fig4(core.Config{Injections: 320, Inputs: 1, Seed: 9}, name, dt)
+	f4, err := core.Fig4(core.Config{Injections: 320, Inputs: 1, Seed: 9}, name, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := harden.Sensitivity(f4.Sensitivity())
 	if s.Total() <= 0 {
 		t.Skip("no SDC-causing bits at this campaign size")

@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/eyeriss"
 	"repro/internal/fit"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 )
 
 // ---- E9: Table 7 — Eyeriss microarchitecture scaling ----
@@ -44,33 +44,27 @@ type Table8Cell struct {
 	FIT     float64
 }
 
-// bufferCampaign builds the Eyeriss campaign for one network.
-func bufferCampaign(cfg Config, name string, dt numeric.Type) *eyeriss.Campaign {
-	return &eyeriss.Campaign{
-		Net:    buildNet(cfg, name),
-		DType:  dt,
-		Inputs: inputsFor(name, cfg.Inputs),
-	}
-}
-
 // Table8 runs the Eyeriss buffer-fault campaigns (16b_rb10, as Eyeriss
-// implements a 16-bit fixed-point datapath) and derives per-buffer FIT.
-func Table8(cfg Config, networks []string) []Table8Cell {
-	const dt = numeric.Fx16RB10
+// implements a 16-bit fixed-point datapath), one stratified campaign per
+// (network, buffer class), and derives per-buffer FIT.
+func Table8(cfg Config, networks []string) ([]Table8Cell, error) {
 	var cells []Table8Cell
 	for _, name := range networks {
-		camp := bufferCampaign(cfg, name, dt)
-		for _, b := range eyeriss.Buffers {
-			r := camp.Run(b, eyeriss.Options{N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers})
-			p := r.Counts.Probability(sdc.SDC1)
+		for i, b := range eyeriss.Buffers {
+			spec := stratifiedSpec(cfg, name, numeric.Fx16RB10)
+			spec.Surface, spec.Buffer = "buffer", campaign.BufferNames[i]
+			r, err := run(spec)
+			if err != nil {
+				return nil, err
+			}
+			p, ci := r.SDCEstimate(sdc.SDC1)
 			cells = append(cells, Table8Cell{
-				Network: name, Buffer: b, SDCProb: p,
-				CI:  stats.Proportion{Successes: r.Counts.Hits[sdc.SDC1], Trials: r.Counts.DefinedTrials[sdc.SDC1]}.CI95(),
+				Network: name, Buffer: b, SDCProb: p, CI: ci,
 				FIT: eyeriss.FITComponent(eyeriss.Params16nm, b, p).FIT(),
 			})
 		}
 	}
-	return cells
+	return cells, nil
 }
 
 // FormatTable8 renders the buffer table.
@@ -94,6 +88,24 @@ func EyerissTotalFIT(cells []Table8Cell, datapathFIT float64, network string) fl
 		}
 	}
 	return total
+}
+
+// BudgetReport renders, per network, the overall Eyeriss FIT (the Table 8
+// buffers plus the Table 6 16b_rb10 datapath) against the ISO 26262 budget.
+func BudgetReport(cfg Config, networks []string) (string, error) {
+	cells, err := Table8(cfg, networks)
+	if err != nil {
+		return "", err
+	}
+	dp, err := Table6(cfg, networks, []numeric.Type{numeric.Fx16RB10})
+	if err != nil {
+		return "", err
+	}
+	out := ""
+	for _, c := range dp {
+		out += FormatBudgetCheck(c.Network, EyerissTotalFIT(cells, c.FIT, c.Network))
+	}
+	return out, nil
 }
 
 // FormatBudgetCheck renders the ISO 26262 comparison for a total FIT rate.

@@ -3,6 +3,13 @@
 // index). Each experiment returns a typed result with a Format method that
 // prints the same rows/series the paper reports; cmd/paperrepro and the
 // repository benchmarks are thin wrappers over this package.
+//
+// The experiments a campaign.Spec can describe — Figs. 3–6, Tables 5, 6 and
+// 8, the budget check and the per-latch breakdown — are specs run through
+// one memoizing runner (runner.go), the path cmd/faultserve executes. The
+// rest carry what a Spec cannot (a distance trace, a Detector hook, a
+// modified network, a Residency override, their own simulators) and drive
+// the surface packages directly.
 package core
 
 import (
@@ -20,15 +27,12 @@ import (
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // buildNet constructs a network honoring cfg.WeightsDir.
-func buildNet(cfg Config, name string) *network.Network {
+func buildNet(cfg Config, name string) (*network.Network, error) {
 	if cfg.WeightsDir == "" {
-		return models.Build(name)
+		return models.Build(name), nil
 	}
 	net, _, err := models.LoadPretrained(name, cfg.WeightsDir)
-	if err != nil {
-		panic(err)
-	}
-	return net
+	return net, err
 }
 
 // Config sets the scale of a campaign.
@@ -39,8 +43,6 @@ type Config struct {
 	Inputs int
 	// Seed drives every PRNG.
 	Seed int64
-	// Workers caps goroutines; 0 = NumCPU.
-	Workers int
 	// WeightsDir, when set, loads pre-trained weights (cmd/pretrain
 	// output) into every network the experiments build; missing files
 	// fall back to the calibrated synthetic weights.

@@ -2,10 +2,14 @@ package core
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/harden"
+	"repro/internal/models"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
 )
@@ -14,10 +18,19 @@ import (
 // and cmd/paperrepro run the larger configurations.
 var tiny = Config{Injections: 80, Inputs: 1, Seed: 3}
 
+// must unwraps an experiment's (result, error) pair; only a weights file
+// can make one fail, and these tests load none.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestFig3ConvNetIsMostVulnerable(t *testing.T) {
 	// Paper: ConvNet's SDC probabilities are far above the deeper
 	// networks', and 32b_rb10 is far above 32b_rb26.
-	res := Fig3(tiny, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10, numeric.Fx32RB26})
+	res := must(Fig3(tiny, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10, numeric.Fx32RB26}))
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -38,7 +51,7 @@ func TestFig3ConvNetIsMostVulnerable(t *testing.T) {
 }
 
 func TestFig3NiNHasNoConfidenceSDCs(t *testing.T) {
-	res := Fig3(tiny, []string{"NiN"}, []numeric.Type{numeric.Fx32RB10})
+	res := must(Fig3(tiny, []string{"NiN"}, []numeric.Type{numeric.Fx32RB10}))
 	row := res.Rows[0]
 	if row.Defined[sdc.SDC10] || row.Defined[sdc.SDC20] {
 		t.Error("NiN should not define confidence SDCs (no softmax)")
@@ -50,7 +63,7 @@ func TestFig3NiNHasNoConfidenceSDCs(t *testing.T) {
 
 func TestFig4HighBitsOnly(t *testing.T) {
 	cfg := Config{Injections: 320, Inputs: 1, Seed: 5}
-	res := Fig4(cfg, "ConvNet", numeric.Fx16RB10)
+	res := must(Fig4(cfg, "ConvNet", numeric.Fx16RB10))
 	if len(res.Prob) != 16 {
 		t.Fatalf("prob entries = %d", len(res.Prob))
 	}
@@ -71,7 +84,7 @@ func TestFig4HighBitsOnly(t *testing.T) {
 
 func TestFig5LargeDeviationsCauseSDCs(t *testing.T) {
 	cfg := Config{Injections: 250, Inputs: 1, Seed: 7}
-	res := Fig5(cfg, "ConvNet", numeric.Fx32RB10)
+	res := must(Fig5(cfg, "ConvNet", numeric.Fx32RB10))
 	if len(res.SDC)+len(res.Benign) == 0 {
 		t.Fatal("no value samples recorded")
 	}
@@ -86,7 +99,7 @@ func TestFig5LargeDeviationsCauseSDCs(t *testing.T) {
 
 func TestFig6FCLayersElevated(t *testing.T) {
 	cfg := Config{Injections: 400, Inputs: 1, Seed: 9}
-	res := Fig6(cfg, "ConvNet", numeric.Fx32RB10)
+	res := must(Fig6(cfg, "ConvNet", numeric.Fx32RB10))
 	if len(res.Prob) != 5 {
 		t.Fatalf("blocks = %d", len(res.Prob))
 	}
@@ -104,8 +117,8 @@ func TestFig6FCLayersElevated(t *testing.T) {
 
 func TestFig7LRNCollapsesDistance(t *testing.T) {
 	cfg := Config{Injections: 30, Inputs: 1, Seed: 11}
-	alex := Fig7(cfg, "AlexNet", numeric.Double)
-	nin := Fig7(cfg, "NiN", numeric.Double)
+	alex := must(Fig7(cfg, "AlexNet", numeric.Double))
+	nin := must(Fig7(cfg, "NiN", numeric.Double))
 	if len(alex.Dist) != 8 || len(nin.Dist) != 12 {
 		t.Fatalf("dist lengths %d/%d", len(alex.Dist), len(nin.Dist))
 	}
@@ -125,7 +138,7 @@ func TestFig7LRNCollapsesDistance(t *testing.T) {
 }
 
 func TestTable4Shapes(t *testing.T) {
-	rows := Table4(Config{Inputs: 2, Seed: 1}, []string{"ConvNet", "AlexNet"}, numeric.Double)
+	rows := must(Table4(Config{Inputs: 2, Seed: 1}, []string{"ConvNet", "AlexNet"}, numeric.Double))
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -146,7 +159,7 @@ func TestTable4Shapes(t *testing.T) {
 
 func TestTable5SpreadShape(t *testing.T) {
 	cfg := Config{Injections: 200, Inputs: 1, Seed: 13}
-	res := Table5(cfg, "ConvNet", numeric.Fx32RB10)
+	res := must(Table5(cfg, "ConvNet", numeric.Fx32RB10))
 	if len(res.Spread) != 5 {
 		t.Fatalf("blocks = %d", len(res.Spread))
 	}
@@ -166,7 +179,7 @@ func TestTable5SpreadShape(t *testing.T) {
 }
 
 func TestTable6FITOrdering(t *testing.T) {
-	cells := Table6(tiny, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10, numeric.Fx32RB26})
+	cells := must(Table6(tiny, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10, numeric.Fx32RB26}))
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -201,7 +214,7 @@ func TestTable7Rows(t *testing.T) {
 
 func TestTable8BufferHierarchy(t *testing.T) {
 	cfg := Config{Injections: 60, Inputs: 1, Seed: 15}
-	cells := Table8(cfg, []string{"ConvNet"})
+	cells := must(Table8(cfg, []string{"ConvNet"}))
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -236,7 +249,7 @@ func TestFig8DetectorScores(t *testing.T) {
 	// FLOAT has the widest redundant value range, so its symptoms are the
 	// strongest (§5.1.3) — the right format for a fast smoke check.
 	cfg := Config{Injections: 100, Inputs: 1, Seed: 17}
-	rows := Fig8(cfg, []string{"AlexNet"}, []numeric.Type{numeric.Float})
+	rows := must(Fig8(cfg, []string{"AlexNet"}, []numeric.Type{numeric.Float}))
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -259,7 +272,7 @@ func TestTable9AndFig9(t *testing.T) {
 		t.Error("Table 9 should list baseline + 3 hardened designs")
 	}
 	cfg := Config{Injections: 320, Inputs: 1, Seed: 19}
-	res := Fig9(cfg, "ConvNet", numeric.Fx16RB10)
+	res := must(Fig9(cfg, "ConvNet", numeric.Fx16RB10))
 	if res.Beta <= 0 {
 		t.Errorf("beta = %v", res.Beta)
 	}
@@ -286,7 +299,7 @@ func TestTable9AndFig9(t *testing.T) {
 
 func TestSEDFITReduces(t *testing.T) {
 	cfg := Config{Injections: 60, Inputs: 1, Seed: 21}
-	row := SEDFIT(cfg, "AlexNet", numeric.Float16)
+	row := must(SEDFIT(cfg, "AlexNet", numeric.Float16))
 	if row.FITBefore <= 0 {
 		t.Fatal("FIT before should be positive")
 	}
@@ -305,5 +318,122 @@ func TestConfigsExist(t *testing.T) {
 	}
 	if len(AllDataTypes) != 6 {
 		t.Error("AllDataTypes should list the six Table 3 formats")
+	}
+}
+
+// TestCorruptWeightsIsAnError truncates a weights file and checks that the
+// spec path, a hand-built campaign and a campaign-free experiment all report
+// it instead of panicking.
+func TestCorruptWeightsIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ConvNet.weights")
+	if err := models.SaveWeights(models.Build("ConvNet"), path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 100); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Injections: 20, Inputs: 1, Seed: 1, WeightsDir: dir}
+	for name, experiment := range map[string]func() error{
+		"Fig3":            func() error { _, err := Fig3(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10}); return err },
+		"Table8":          func() error { _, err := Table8(cfg, []string{"ConvNet"}); return err },
+		"Table8Residency": func() error { _, err := Table8Residency(cfg, []string{"ConvNet"}); return err },
+		"Fig7":            func() error { _, err := Fig7(cfg, "ConvNet", numeric.Double); return err },
+		"Table4":          func() error { _, err := Table4(cfg, []string{"ConvNet"}, numeric.Double); return err },
+	} {
+		if err := experiment(); err == nil || !strings.Contains(err.Error(), "ConvNet.weights") {
+			t.Errorf("%s on a truncated weights file: error %v, want one naming the file", name, err)
+		}
+	}
+}
+
+// TestMarginalsAgreeWithSelectorCampaigns checks Fig. 4 and Fig. 6 — read
+// as marginals of one stratified campaign — against what they replace: a
+// uniform campaign pinned to each bit (select perbit) and block (perlayer),
+// run through the same runner. Every pair must agree within the sum of its
+// two 95% half-widths. The seed is fixed: a low-weight block (ConvNet's fc2
+// gets one draw per bit stratum even at this N) prints a ±0 interval under
+// the Wald-at-0/1 convention and misses on other seeds — ROADMAP direction
+// 2(a) owns that estimator.
+func TestMarginalsAgreeWithSelectorCampaigns(t *testing.T) {
+	cfg := Config{Injections: 4000, Inputs: 1, Seed: 61}
+	const net, dt = "ConvNet", numeric.Fx16RB10
+	pinned := func(sel string, param int, p, ci float64) {
+		spec := uniformSpec(cfg, net, dt)
+		spec.N, spec.Select, spec.Param = 400, sel, param
+		p2, ci2 := must(run(spec)).SDCEstimate(sdc.SDC1)
+		if math.Abs(p-p2) > ci+ci2 {
+			t.Errorf("%s %d: marginal %.4f ±%.4f, pinned campaign %.4f ±%.4f", sel, param, p, ci, p2, ci2)
+		}
+	}
+	f4 := must(Fig4(cfg, net, dt))
+	for bit := range f4.Prob {
+		pinned("perbit", bit, f4.Prob[bit], f4.CI[bit])
+	}
+	f6 := must(Fig6(cfg, net, dt))
+	for b := range f6.Prob {
+		pinned("perlayer", b, f6.Prob[b], f6.CI[b])
+	}
+}
+
+var sharedSpecSeed int64 = 7000
+
+// TestSharedSpecExecutesOnce: the experiments that read one (network,
+// format)'s datapath campaign run it once between them.
+func TestSharedSpecExecutesOnce(t *testing.T) {
+	sharedSpecSeed += 2 // seeds no other test, and no earlier -count pass, has run
+	cfg := Config{Injections: 64, Inputs: 1, Seed: sharedSpecSeed}
+	nets, dts := []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10}
+	executed, reused := suite.executed, suite.reused
+	must(Fig3(cfg, nets, dts))
+	must(Fig4(cfg, nets[0], dts[0]))
+	must(Fig6(cfg, nets[0], dts[0]))
+	must(Table6(cfg, nets, dts))
+	must(Table8(cfg, nets))
+	must(BudgetReport(cfg, nets))
+	if got := suite.executed - executed; got != 5 {
+		t.Errorf("executed %d campaigns, want 5 (one datapath, four buffers)", got)
+	}
+	if got := suite.reused - reused; got != 8 {
+		t.Errorf("reused %d campaigns, want 8 (three datapath readers, the budget's five)", got)
+	}
+	if !strings.Contains(RunnerStats(), "campaigns executed") {
+		t.Errorf("RunnerStats() = %q", RunnerStats())
+	}
+
+	// Concurrent readers of one new spec still execute it once.
+	cfg.Seed++
+	executed = suite.executed
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Fig6(cfg, nets[0], dts[0]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := suite.executed - executed; got != 1 {
+		t.Errorf("4 concurrent readers executed %d campaigns, want 1", got)
+	}
+}
+
+// TestSpecsShareOneShardCount: every spec the suite has built — each
+// in-scope experiment is run here, the memo holds the rest of the process's
+// — normalized to the one fixed partition width, so no report depends on the
+// host's core count.
+func TestSpecsShareOneShardCount(t *testing.T) {
+	const net, dt = "ConvNet", numeric.Fx16RB10
+	must(Fig3(tiny, []string{net}, []numeric.Type{dt}))
+	must(Fig5(tiny, net, dt))
+	must(Table5(tiny, net, dt))
+	must(Table8(tiny, []string{net}))
+	must(LatchBreakdown(tiny, net, dt))
+	for spec := range suite.memo {
+		if spec.Shards != shards {
+			t.Errorf("%+v runs %d shards, want %d", spec, spec.Shards, shards)
+		}
 	}
 }

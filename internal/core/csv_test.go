@@ -21,49 +21,49 @@ func parseCSV(t *testing.T, doc string) [][]string {
 func TestCSVExports(t *testing.T) {
 	cfg := Config{Injections: 40, Inputs: 1, Seed: 51}
 
-	f3 := Fig3(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10})
+	f3 := must(Fig3(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10}))
 	recs := parseCSV(t, f3.CSV())
 	if len(recs) != 2 || recs[0][0] != "network" || recs[1][1] != "32b_rb10" {
 		t.Errorf("fig3 CSV records: %v", recs)
 	}
 
-	f4 := Fig4(Config{Injections: 32, Inputs: 1, Seed: 52}, "ConvNet", numeric.Fx16RB10)
+	f4 := must(Fig4(Config{Injections: 32, Inputs: 1, Seed: 52}, "ConvNet", numeric.Fx16RB10))
 	recs = parseCSV(t, f4.CSV())
 	if len(recs) != 17 { // header + 16 bits
 		t.Errorf("fig4 CSV rows = %d, want 17", len(recs))
 	}
 
-	f5 := Fig5(cfg, "ConvNet", numeric.Fx32RB10)
+	f5 := must(Fig5(cfg, "ConvNet", numeric.Fx32RB10))
 	recs = parseCSV(t, f5.CSV())
 	if len(recs) != 1+len(f5.SDC)+len(f5.Benign) {
 		t.Errorf("fig5 CSV rows = %d", len(recs))
 	}
 
-	f6 := Fig6(cfg, "ConvNet", numeric.Fx16RB10)
+	f6 := must(Fig6(cfg, "ConvNet", numeric.Fx16RB10))
 	recs = parseCSV(t, f6.CSV())
 	if len(recs) != 6 { // header + 5 blocks
 		t.Errorf("fig6 CSV rows = %d, want 6", len(recs))
 	}
 
-	f7 := Fig7(Config{Injections: 5, Inputs: 1, Seed: 53}, "ConvNet", numeric.Double)
+	f7 := must(Fig7(Config{Injections: 5, Inputs: 1, Seed: 53}, "ConvNet", numeric.Double))
 	recs = parseCSV(t, f7.CSV())
 	if len(recs) != 6 {
 		t.Errorf("fig7 CSV rows = %d, want 6", len(recs))
 	}
 
-	t6 := Table6(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10})
+	t6 := must(Table6(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10}))
 	recs = parseCSV(t, Table6CSV(t6))
 	if len(recs) != 2 {
 		t.Errorf("table6 CSV rows = %d", len(recs))
 	}
 
-	t8 := Table8(Config{Injections: 20, Inputs: 1, Seed: 54}, []string{"ConvNet"})
+	t8 := must(Table8(Config{Injections: 20, Inputs: 1, Seed: 54}, []string{"ConvNet"}))
 	recs = parseCSV(t, Table8CSV(t8))
 	if len(recs) != 5 { // header + 4 buffers
 		t.Errorf("table8 CSV rows = %d, want 5", len(recs))
 	}
 
-	f9 := Fig9(Config{Injections: 64, Inputs: 1, Seed: 55}, "ConvNet", numeric.Fx16RB10)
+	f9 := must(Fig9(Config{Injections: 64, Inputs: 1, Seed: 55}, "ConvNet", numeric.Fx16RB10))
 	recs = parseCSV(t, f9.CSV())
 	// header + 17 protection points + 4 designs x 9 targets.
 	if want := 1 + 17 + 4*len(Fig9Targets); len(recs) != want {

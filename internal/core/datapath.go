@@ -8,15 +8,10 @@ import (
 	"repro/internal/faultinj"
 	"repro/internal/fit"
 	"repro/internal/models"
+	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 )
-
-// campaignFor builds a datapath campaign for one network and format.
-func campaignFor(cfg Config, netName string, dt numeric.Type) *faultinj.Campaign {
-	return faultinj.New(buildNet(cfg, netName), dt, inputsFor(netName, cfg.Inputs))
-}
 
 // ---- E1: Figure 3 — SDC probability × network × data type ----
 
@@ -37,25 +32,26 @@ type Fig3Result struct {
 	Rows []Fig3Row
 }
 
-// Fig3 runs the datapath fault campaign of Figure 3 over the given
-// networks and data types.
-func Fig3(cfg Config, networks []string, dtypes []numeric.Type) *Fig3Result {
+// Fig3 reads Figure 3 — the whole-campaign SDC estimates — off the
+// datapath campaign of each given network and data type.
+func Fig3(cfg Config, networks []string, dtypes []numeric.Type) (*Fig3Result, error) {
 	res := &Fig3Result{}
 	for _, name := range networks {
 		for _, dt := range dtypes {
-			c := campaignFor(cfg, name, dt)
-			r := c.Run(faultinj.Options{N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers})
+			r, err := run(stratifiedSpec(cfg, name, dt))
+			if err != nil {
+				return nil, err
+			}
 			row := Fig3Row{Network: name, DType: dt}
+			counts := r.Counts()
 			for _, k := range sdc.Kinds {
-				row.Prob[k] = r.Counts.Probability(k)
-				p := stats.Proportion{Successes: r.Counts.Hits[k], Trials: r.Counts.DefinedTrials[k]}
-				row.CI[k] = p.CI95()
-				row.Defined[k] = r.Counts.DefinedTrials[k] > 0
+				row.Prob[k], row.CI[k] = r.SDCEstimate(k)
+				row.Defined[k] = counts.DefinedTrials[k] > 0
 			}
 			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Format renders the Figure 3 rows as a text table.
@@ -87,25 +83,20 @@ type Fig4Result struct {
 	CI   []float64
 }
 
-// Fig4 measures the per-bit SDC sensitivity (Figure 4) by injecting a
-// fixed number of faults per bit position.
-func Fig4(cfg Config, netName string, dt numeric.Type) *Fig4Result {
-	c := campaignFor(cfg, netName, dt)
+// Fig4 reads the per-bit SDC sensitivity (Figure 4) off the datapath
+// campaign's strata: each bit position conditioned across blocks.
+func Fig4(cfg Config, netName string, dt numeric.Type) (*Fig4Result, error) {
+	r, err := run(stratifiedSpec(cfg, netName, dt))
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig4Result{Network: netName, DType: dt,
 		Prob: make([]float64, dt.Width()), CI: make([]float64, dt.Width())}
-	perBit := cfg.Injections / dt.Width()
-	if perBit < 1 {
-		perBit = 1
+	for bit := range res.Prob {
+		e := r.Strata().BitEstimate(bit, sdc.SDC1)
+		res.Prob[bit], res.CI[bit] = e.P(), e.CI95()
 	}
-	for bit := 0; bit < dt.Width(); bit++ {
-		r := c.Run(faultinj.Options{
-			N: perBit, Seed: cfg.Seed + int64(bit)*97, Workers: cfg.Workers,
-			Selector: faultinj.BitSelector(bit),
-		})
-		res.Prob[bit] = r.Counts.Probability(sdc.SDC1)
-		res.CI[bit] = stats.Proportion{Successes: r.Counts.Hits[sdc.SDC1], Trials: r.Counts.DefinedTrials[sdc.SDC1]}.CI95()
-	}
-	return res
+	return res, nil
 }
 
 // Format renders the per-bit series, highest bit first.
@@ -140,22 +131,24 @@ type Fig5Result struct {
 	Benign []faultinj.ValueRecord
 }
 
-// Fig5 samples faulted ACT values (the paper uses AlexNet with FLOAT16).
-func Fig5(cfg Config, netName string, dt numeric.Type) *Fig5Result {
-	c := campaignFor(cfg, netName, dt)
-	r := c.Run(faultinj.Options{
-		N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers,
-		TrackValues: cfg.Injections,
-	})
+// Fig5 samples faulted ACT values (the paper uses AlexNet with FLOAT16):
+// a uniform campaign, since the samples are raw per-injection records.
+func Fig5(cfg Config, netName string, dt numeric.Type) (*Fig5Result, error) {
+	spec := uniformSpec(cfg, netName, dt)
+	spec.TrackValues = cfg.Injections
+	r, err := run(spec)
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig5Result{Network: netName, DType: dt}
-	for _, v := range r.Values {
+	for _, v := range r.Datapath.Values {
 		if v.SDC {
 			res.SDC = append(res.SDC, v)
 		} else {
 			res.Benign = append(res.Benign, v)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // LargeDeviationShare returns, for the SDC and benign populations, the
@@ -199,25 +192,21 @@ type Fig6Result struct {
 	CI   []float64
 }
 
-// Fig6 injects a fixed number of faults into each CONV/FC block.
-func Fig6(cfg Config, netName string, dt numeric.Type) *Fig6Result {
-	c := campaignFor(cfg, netName, dt)
-	blocks := c.Profile().NumMACLayers()
+// Fig6 reads the per-layer SDC series (Figure 6) off the datapath
+// campaign's strata: each CONV/FC block's bits, equally weighted.
+func Fig6(cfg Config, netName string, dt numeric.Type) (*Fig6Result, error) {
+	r, err := run(stratifiedSpec(cfg, netName, dt))
+	if err != nil {
+		return nil, err
+	}
+	blocks := r.Strata().Blocks
 	res := &Fig6Result{Network: netName, DType: dt,
 		Prob: make([]float64, blocks), CI: make([]float64, blocks)}
-	perBlock := cfg.Injections / blocks
-	if perBlock < 1 {
-		perBlock = 1
+	for b := range res.Prob {
+		e := r.Strata().BlockEstimate(b, sdc.SDC1)
+		res.Prob[b], res.CI[b] = e.P(), e.CI95()
 	}
-	for b := 0; b < blocks; b++ {
-		r := c.Run(faultinj.Options{
-			N: perBlock, Seed: cfg.Seed + int64(b)*131, Workers: cfg.Workers,
-			Selector: faultinj.BlockSelector(b),
-		})
-		res.Prob[b] = r.Counts.Probability(sdc.SDC1)
-		res.CI[b] = stats.Proportion{Successes: r.Counts.Hits[sdc.SDC1], Trials: r.Counts.DefinedTrials[sdc.SDC1]}.CI95()
-	}
-	return res
+	return res, nil
 }
 
 // Format renders the per-layer series.
@@ -249,8 +238,11 @@ type Fig7Result struct {
 // magnitude through the network (the paper uses DOUBLE to accentuate the
 // differences). Distances from runs where the fault was masked entirely
 // contribute zero, as in the paper's averages.
-func Fig7(cfg Config, netName string, dt numeric.Type) *Fig7Result {
-	net := buildNet(cfg, netName)
+func Fig7(cfg Config, netName string, dt numeric.Type) (*Fig7Result, error) {
+	net, err := buildNet(cfg, netName)
+	if err != nil {
+		return nil, err
+	}
 	c := faultinj.New(net, dt, inputsFor(netName, cfg.Inputs))
 	p := c.Profile()
 	blocks := p.NumMACLayers()
@@ -275,7 +267,7 @@ func Fig7(cfg Config, netName string, dt numeric.Type) *Fig7Result {
 			res.Dist[b] += d / float64(n)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Format renders the distance series.
@@ -296,38 +288,46 @@ type Table4Row struct {
 	Ranges  []Range
 }
 
-// Range mirrors network.Range for the experiment report.
-type Range struct{ Min, Max float64 }
+// Range is a per-block value range of the experiment report.
+type Range = network.Range
 
-// Table4 profiles the error-free per-layer value ranges of each network
-// over the configured inputs.
-func Table4(cfg Config, networks []string, dt numeric.Type) []Table4Row {
-	var rows []Table4Row
-	for _, name := range networks {
-		net := buildNet(cfg, name)
-		var agg []Range
-		for i := 0; i < cfg.Inputs; i++ {
-			exec := net.Forward(dt, models.InputFor(name, i))
-			rs := net.BlockRanges(exec)
-			if agg == nil {
-				agg = make([]Range, len(rs))
-				for b := range rs {
-					agg[b] = Range{Min: rs[b].Min, Max: rs[b].Max}
-				}
-				continue
+// blockRanges profiles a network's error-free per-block value ranges over
+// the configured inputs.
+func blockRanges(cfg Config, name string, dt numeric.Type) ([]Range, error) {
+	net, err := buildNet(cfg, name)
+	if err != nil {
+		return nil, err
+	}
+	var agg []Range
+	for i := 0; i < cfg.Inputs; i++ {
+		rs := net.BlockRanges(net.Forward(dt, models.InputFor(name, i)))
+		if agg == nil {
+			agg = rs
+			continue
+		}
+		for b := range rs {
+			if rs[b].Min < agg[b].Min {
+				agg[b].Min = rs[b].Min
 			}
-			for b := range rs {
-				if rs[b].Min < agg[b].Min {
-					agg[b].Min = rs[b].Min
-				}
-				if rs[b].Max > agg[b].Max {
-					agg[b].Max = rs[b].Max
-				}
+			if rs[b].Max > agg[b].Max {
+				agg[b].Max = rs[b].Max
 			}
 		}
-		rows = append(rows, Table4Row{Network: name, Ranges: agg})
 	}
-	return rows
+	return agg, nil
+}
+
+// Table4 profiles the error-free per-layer value ranges of each network.
+func Table4(cfg Config, networks []string, dt numeric.Type) ([]Table4Row, error) {
+	var rows []Table4Row
+	for _, name := range networks {
+		ranges, err := blockRanges(cfg, name, dt)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Table4Row{Network: name, Ranges: ranges})
+	}
+	return rows, nil
 }
 
 // FormatTable4 renders the value-range table.
@@ -356,26 +356,23 @@ type Table5Result struct {
 }
 
 // Table5 measures how widely faults injected into each layer spread into
-// the final layer's ACTs (AlexNet with FLOAT16 in the paper).
-func Table5(cfg Config, netName string, dt numeric.Type) *Table5Result {
-	c := campaignFor(cfg, netName, dt)
-	blocks := c.Profile().NumMACLayers()
+// the final layer's ACTs (AlexNet with FLOAT16 in the paper): the datapath
+// campaign with the spread metric tracked per stratum.
+func Table5(cfg Config, netName string, dt numeric.Type) (*Table5Result, error) {
+	spec := stratifiedSpec(cfg, netName, dt)
+	spec.TrackSpread = true
+	r, err := run(spec)
+	if err != nil {
+		return nil, err
+	}
+	blocks := r.Strata().Blocks
 	res := &Table5Result{Network: netName, DType: dt,
 		Spread: make([]float64, blocks), SDC1: make([]float64, blocks)}
-	perBlock := cfg.Injections / blocks
-	if perBlock < 1 {
-		perBlock = 1
+	for b := range res.Spread {
+		res.Spread[b] = r.Datapath.SpreadRate(b)
+		res.SDC1[b] = r.Strata().BlockEstimate(b, sdc.SDC1).P()
 	}
-	for b := 0; b < blocks; b++ {
-		r := c.Run(faultinj.Options{
-			N: perBlock, Seed: cfg.Seed + int64(b)*17, Workers: cfg.Workers,
-			Selector:    faultinj.BlockSelector(b),
-			TrackSpread: true,
-		})
-		res.Spread[b] = r.SpreadRate(b)
-		res.SDC1[b] = r.Counts.Probability(sdc.SDC1)
-	}
-	return res
+	return res, nil
 }
 
 // Format renders the propagation table.
@@ -401,21 +398,20 @@ type Table6Cell struct {
 // Table6 computes datapath FIT rates: the Fig. 3 SDC-1 probabilities
 // applied to the canonical datapath latch plane (Eq. 1) at the Eyeriss
 // 16 nm PE count.
-func Table6(cfg Config, networks []string, dtypes []numeric.Type) []Table6Cell {
-	var cells []Table6Cell
-	for _, name := range networks {
-		for _, dt := range dtypes {
-			c := campaignFor(cfg, name, dt)
-			r := c.Run(faultinj.Options{N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers})
-			p := r.Counts.Probability(sdc.SDC1)
-			d := eyeriss.Params16nm.Datapath(dt)
-			cells = append(cells, Table6Cell{
-				Network: name, DType: dt, SDCProb: p,
-				FIT: fit.Rate(d.TotalLatchBits(), p),
-			})
+func Table6(cfg Config, networks []string, dtypes []numeric.Type) ([]Table6Cell, error) {
+	f3, err := Fig3(cfg, networks, dtypes)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]Table6Cell, len(f3.Rows))
+	for i, row := range f3.Rows {
+		p := row.Prob[sdc.SDC1]
+		cells[i] = Table6Cell{
+			Network: row.Network, DType: row.DType, SDCProb: p,
+			FIT: fit.Rate(eyeriss.Params16nm.Datapath(row.DType).TotalLatchBits(), p),
 		}
 	}
-	return cells
+	return cells, nil
 }
 
 // FormatTable6 renders the datapath FIT table.

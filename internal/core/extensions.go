@@ -37,20 +37,24 @@ type AblationResult struct {
 // normalization layers. The paper attributes AlexNet/CaffeNet's low
 // early-layer SDC to LRN; removing it while keeping the weights identical
 // tests that attribution directly.
-func AblateLRN(cfg Config, netName string, dt numeric.Type) AblationResult {
-	run := func(net *network.Network) float64 {
+func AblateLRN(cfg Config, netName string, dt numeric.Type) (AblationResult, error) {
+	layer1 := func(net *network.Network) float64 {
 		c := faultinj.New(net, dt, inputsFor(netName, cfg.Inputs))
 		r := c.Run(faultinj.Options{
-			N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers,
+			N: cfg.Injections, Seed: cfg.Seed,
 			Selector: faultinj.BlockSelector(0),
 		})
 		return r.Counts.Probability(sdc.SDC1)
 	}
+	baseline, err := buildNet(cfg, netName)
+	if err != nil {
+		return AblationResult{}, err
+	}
 	return AblationResult{
 		Network: netName, Ablation: models.WithoutLRN, DType: dt,
-		BaselineSDC: run(buildNet(cfg, netName)),
-		AblatedSDC:  run(models.BuildAblated(netName, models.WithoutLRN)),
-	}
+		BaselineSDC: layer1(baseline),
+		AblatedSDC:  layer1(models.BuildAblated(netName, models.WithoutLRN)),
+	}, nil
 }
 
 // Format renders the ablation comparison.
@@ -63,36 +67,25 @@ func (r AblationResult) Format() string {
 
 // FormatRecommendation profiles a network and recommends the least
 // redundant covering format (precision package).
-func FormatRecommendation(cfg Config, netName string) precision.Recommendation {
-	net := buildNet(cfg, netName)
-	var ranges []network.Range
-	for i := 0; i < cfg.Inputs; i++ {
-		exec := net.Forward(numeric.Double, models.InputFor(netName, i))
-		rs := net.BlockRanges(exec)
-		if ranges == nil {
-			ranges = rs
-			continue
-		}
-		for b := range ranges {
-			if rs[b].Min < ranges[b].Min {
-				ranges[b].Min = rs[b].Min
-			}
-			if rs[b].Max > ranges[b].Max {
-				ranges[b].Max = rs[b].Max
-			}
-		}
+func FormatRecommendation(cfg Config, netName string) (precision.Recommendation, error) {
+	ranges, err := blockRanges(cfg, netName, numeric.Double)
+	if err != nil {
+		return precision.Recommendation{}, err
 	}
-	return precision.Recommend(ranges, numeric.Types)
+	return precision.Recommend(ranges, numeric.Types), nil
 }
 
 // FormatRecommendations renders the recommendation per network.
-func FormatRecommendations(cfg Config, networks []string) string {
+func FormatRecommendations(cfg Config, networks []string) (string, error) {
 	out := ""
 	for _, name := range networks {
-		rec := FormatRecommendation(cfg, name)
+		rec, err := FormatRecommendation(cfg, name)
+		if err != nil {
+			return "", err
+		}
 		out += fmt.Sprintf("%s:\n%s", name, rec.Format())
 	}
-	return out
+	return out, nil
 }
 
 // ---- Row-stationary schedule (rowstat) ----
@@ -113,14 +106,20 @@ func ScheduleReport(networks []string) string {
 // Table8Residency recomputes Table 8 with cycle-accurate residency weights
 // from the row-stationary scheduler instead of the MAC-count proxy — an
 // ablation of the fault-timing model.
-func Table8Residency(cfg Config, networks []string) []Table8Cell {
+func Table8Residency(cfg Config, networks []string) ([]Table8Cell, error) {
 	const dt = numeric.Fx16RB10
 	var cells []Table8Cell
 	for _, name := range networks {
-		camp := bufferCampaign(cfg, name, dt)
-		camp.Residency = rowstat.New(models.Build(name), rowstat.Eyeriss16nm).ResidencyWeights()
+		net, err := buildNet(cfg, name)
+		if err != nil {
+			return nil, err
+		}
+		camp := &eyeriss.Campaign{
+			Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs),
+			Residency: rowstat.New(models.Build(name), rowstat.Eyeriss16nm).ResidencyWeights(),
+		}
 		for _, b := range eyeriss.Buffers {
-			r := camp.Run(b, eyeriss.Options{N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers})
+			r := camp.Run(b, eyeriss.Options{N: cfg.Injections, Seed: cfg.Seed})
 			p := r.Counts.Probability(sdc.SDC1)
 			cells = append(cells, Table8Cell{
 				Network: name, Buffer: b, SDCProb: p,
@@ -128,7 +127,7 @@ func Table8Residency(cfg Config, networks []string) []Table8Cell {
 			})
 		}
 	}
-	return cells
+	return cells, nil
 }
 
 // ---- Reuse factors behind Table 8 ----
@@ -157,19 +156,23 @@ type LatchRow struct {
 // LatchBreakdown splits a datapath campaign's SDC probability by the ALU
 // latch struck (weight operand, activation operand, multiplier output,
 // accumulator) — the per-latch sensitivity the SLH model assumes is
-// uniform across latch planes, measured.
-func LatchBreakdown(cfg Config, netName string, dt numeric.Type) []LatchRow {
-	c := campaignFor(cfg, netName, dt)
-	r := c.Run(faultinj.Options{N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers})
-	rows := make([]LatchRow, 0, len(r.PerTarget))
-	for tgt := range r.PerTarget {
+// uniform across latch planes, measured. The per-latch tallies are raw
+// counts, so the campaign is uniform.
+func LatchBreakdown(cfg Config, netName string, dt numeric.Type) ([]LatchRow, error) {
+	r, err := run(uniformSpec(cfg, netName, dt))
+	if err != nil {
+		return nil, err
+	}
+	perTarget := r.Datapath.PerTarget
+	rows := make([]LatchRow, 0, len(perTarget))
+	for tgt := range perTarget {
 		rows = append(rows, LatchRow{
 			Network: netName, DType: dt, Target: layers.Target(tgt),
-			SDCProb: r.PerTarget[tgt].Probability(sdc.SDC1),
-			Trials:  r.PerTarget[tgt].Trials,
+			SDCProb: perTarget[tgt].Probability(sdc.SDC1),
+			Trials:  perTarget[tgt].Trials,
 		})
 	}
-	return rows
+	return rows, nil
 }
 
 // FormatLatchBreakdown renders the per-latch table.

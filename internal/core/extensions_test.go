@@ -12,7 +12,7 @@ func TestAblateLRNMasking(t *testing.T) {
 	// Removing LRN must not decrease layer-1 SDC probability — the paper's
 	// §5.1.4 attribution, tested directly.
 	cfg := Config{Injections: 250, Inputs: 1, Seed: 23}
-	res := AblateLRN(cfg, "AlexNet", numeric.Float16)
+	res := must(AblateLRN(cfg, "AlexNet", numeric.Float16))
 	if res.AblatedSDC < res.BaselineSDC {
 		t.Errorf("no-LRN layer-1 SDC %.4f below baseline %.4f", res.AblatedSDC, res.BaselineSDC)
 	}
@@ -22,12 +22,12 @@ func TestAblateLRNMasking(t *testing.T) {
 }
 
 func TestFormatRecommendationsAllNetworks(t *testing.T) {
-	out := FormatRecommendations(Config{Inputs: 1}, []string{"ConvNet", "AlexNet"})
+	out := must(FormatRecommendations(Config{Inputs: 1}, []string{"ConvNet", "AlexNet"}))
 	if !strings.Contains(out, "recommended") {
 		t.Errorf("no recommendation in:\n%s", out)
 	}
 	// ConvNet's small ranges fit the 16-bit fixed format.
-	rec := FormatRecommendation(Config{Inputs: 2}, "ConvNet")
+	rec := must(FormatRecommendation(Config{Inputs: 2}, "ConvNet"))
 	if !rec.Valid {
 		t.Fatal("no valid recommendation for ConvNet")
 	}
@@ -56,7 +56,7 @@ func TestScheduleReportCoversNetworks(t *testing.T) {
 
 func TestTable8ResidencyRuns(t *testing.T) {
 	cfg := Config{Injections: 40, Inputs: 1, Seed: 25}
-	cells := Table8Residency(cfg, []string{"ConvNet"})
+	cells := must(Table8Residency(cfg, []string{"ConvNet"}))
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -72,8 +72,8 @@ func TestMixedPrecisionNarrowStorageHelps(t *testing.T) {
 	// a lower global-buffer FIT than FLOAT storage at the same compute
 	// format (half the bits; bounded deviations).
 	cfg := Config{Injections: 150, Inputs: 1, Seed: 27}
-	wide := MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float)
-	narrow := MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float16)
+	wide := must(MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float))
+	narrow := must(MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float16))
 	if narrow.FIT >= wide.FIT {
 		t.Errorf("FLOAT16 storage FIT %.4g not below FLOAT storage FIT %.4g", narrow.FIT, wide.FIT)
 	}
@@ -87,14 +87,14 @@ func TestWeightsDirFallsBackSilently(t *testing.T) {
 	// A WeightsDir without files must fall back to synthetic weights and
 	// produce a working campaign.
 	cfg := Config{Injections: 20, Inputs: 1, Seed: 29, WeightsDir: t.TempDir()}
-	res := Fig3(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10})
+	res := must(Fig3(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10}))
 	if res.Rows[0].Prob[0] < 0 {
 		t.Fatal("campaign failed")
 	}
 }
 
 func TestValidatePEArrayAllMatch(t *testing.T) {
-	res := ValidatePEArray(Config{Injections: 40, Inputs: 1, Seed: 31}, "ConvNet")
+	res := must(ValidatePEArray(Config{Injections: 40, Inputs: 1, Seed: 31}, "ConvNet"))
 	if res.Checked != 40 {
 		t.Fatalf("checked = %d", res.Checked)
 	}
@@ -111,7 +111,7 @@ func TestReplicateStability(t *testing.T) {
 	// the relative spread at n=150 stays well under the mean.
 	cfg := Config{Injections: 150, Inputs: 1, Seed: 40}
 	rep := Replicate(cfg, 4, func(c Config) float64 {
-		res := Fig3(c, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10})
+		res := must(Fig3(c, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10}))
 		return res.Rows[0].Prob[sdc.SDC1]
 	})
 	if rep.Mean <= 0.05 {
@@ -139,7 +139,7 @@ func TestReplicatePanicsOnZeroSeeds(t *testing.T) {
 
 func TestLatchBreakdown(t *testing.T) {
 	cfg := Config{Injections: 200, Inputs: 1, Seed: 33}
-	rows := LatchBreakdown(cfg, "ConvNet", numeric.Fx32RB10)
+	rows := must(LatchBreakdown(cfg, "ConvNet", numeric.Fx32RB10))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4 latch classes", len(rows))
 	}

@@ -36,30 +36,31 @@ var SEDNetworks = []string{"AlexNet", "CaffeNet", "NiN"}
 
 // Fig8 learns the symptom detector per (network, format) and evaluates it
 // against datapath and buffer fault campaigns.
-func Fig8(cfg Config, networks []string, dtypes []numeric.Type) []Fig8Row {
+func Fig8(cfg Config, networks []string, dtypes []numeric.Type) ([]Fig8Row, error) {
 	var rows []Fig8Row
 	for _, name := range networks {
 		row := Fig8Row{Network: name, PerDType: map[numeric.Type]faultinj.Detection{}}
 		var agg faultinj.Detection
 		for _, dt := range dtypes {
-			det := LearnDetector(cfg, name, dt)
-			net := buildNet(cfg, name)
-			checker := func(e *network.Execution) bool { return det.Check(net, e) }
+			net, checker, err := learnDetector(cfg, name, dt)
+			if err != nil {
+				return nil, err
+			}
 
 			var forType faultinj.Detection
 			// Datapath faults.
 			c := faultinj.New(net, dt, inputsFor(name, cfg.Inputs))
 			r := c.Run(faultinj.Options{
-				N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers,
+				N: cfg.Injections, Seed: cfg.Seed,
 				Detector: checker,
 			})
 			forType.Merge(r.Detection)
 			// Buffer faults (the two dominant classes: Global Buffer and
 			// Filter SRAM).
-			camp := bufferCampaign(cfg, name, dt)
+			camp := &eyeriss.Campaign{Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs)}
 			for _, b := range []eyeriss.Buffer{eyeriss.GlobalBuffer, eyeriss.FilterSRAM} {
 				br := camp.Run(b, eyeriss.Options{
-					N: cfg.Injections / 2, Seed: cfg.Seed + int64(b), Workers: cfg.Workers,
+					N: cfg.Injections / 2, Seed: cfg.Seed + int64(b),
 					Detector: checker,
 				})
 				forType.Merge(br.Detection)
@@ -71,19 +72,24 @@ func Fig8(cfg Config, networks []string, dtypes []numeric.Type) []Fig8Row {
 		row.Recall = agg.Recall()
 		rows = append(rows, row)
 	}
-	return rows
+	return rows, nil
 }
 
-// LearnDetector trains the §6.2 symptom detector for a network and format.
-// Training images are drawn from an index range disjoint from the campaign
-// inputs, so the learned ranges generalize rather than memorize.
-func LearnDetector(cfg Config, name string, dt numeric.Type) *detect.Detector {
-	net := buildNet(cfg, name)
+// learnDetector builds a network and trains the §6.2 symptom detector on
+// it for one format, returned as the campaigns' Detector hook. Training
+// images are drawn from an index range disjoint from the campaign inputs,
+// so the learned ranges generalize rather than memorize.
+func learnDetector(cfg Config, name string, dt numeric.Type) (*network.Network, func(*network.Execution) bool, error) {
+	net, err := buildNet(cfg, name)
+	if err != nil {
+		return nil, nil, err
+	}
 	n := cfg.Inputs * 4
 	if n < 8 {
 		n = 8
 	}
-	return detect.Learn(net, dt, trainingInputs(name, n), detect.DefaultCushion)
+	det := detect.Learn(net, dt, trainingInputs(name, n), detect.DefaultCushion)
+	return net, func(e *network.Execution) bool { return det.Check(net, e) }, nil
 }
 
 // FormatFig8 renders the precision/recall table.
@@ -136,8 +142,11 @@ var Fig9Targets = []float64{1.5, 2, 4, 6.3, 10, 20, 37, 60, 100}
 
 // Fig9 measures per-bit sensitivity and explores the hardening design
 // space for one network and format.
-func Fig9(cfg Config, netName string, dt numeric.Type) *Fig9Result {
-	f4 := Fig4(cfg, netName, dt)
+func Fig9(cfg Config, netName string, dt numeric.Type) (*Fig9Result, error) {
+	f4, err := Fig4(cfg, netName, dt)
+	if err != nil {
+		return nil, err
+	}
 	s := harden.Sensitivity(f4.Sensitivity())
 	xs, ys := s.ProtectionCurve()
 	res := &Fig9Result{
@@ -155,7 +164,7 @@ func Fig9(cfg Config, netName string, dt numeric.Type) *Fig9Result {
 		})
 	}
 	res.Overhead["Multi"] = harden.OverheadCurve(s, Fig9Targets, harden.MultiPlan)
-	return res
+	return res, nil
 }
 
 // Format renders the Fig. 9 exploration.
@@ -192,23 +201,24 @@ type SEDFITRow struct {
 // SEDFIT estimates the detector's FIT reduction: every detected
 // SDC-causing fault stops counting toward the SDC probability, so each
 // component's effective SDC probability scales by (1 - recall).
-func SEDFIT(cfg Config, netName string, dt numeric.Type) SEDFITRow {
-	det := LearnDetector(cfg, netName, dt)
-	net := buildNet(cfg, netName)
-	checker := func(e *network.Execution) bool { return det.Check(net, e) }
+func SEDFIT(cfg Config, netName string, dt numeric.Type) (SEDFITRow, error) {
+	net, checker, err := learnDetector(cfg, netName, dt)
+	if err != nil {
+		return SEDFITRow{}, err
+	}
 
 	// Datapath component.
 	c := faultinj.New(net, dt, inputsFor(netName, cfg.Inputs))
-	r := c.Run(faultinj.Options{N: cfg.Injections, Seed: cfg.Seed, Workers: cfg.Workers, Detector: checker})
+	r := c.Run(faultinj.Options{N: cfg.Injections, Seed: cfg.Seed, Detector: checker})
 	dp := eyeriss.Params16nm.Datapath(dt)
 	components := []fit.Component{{Name: "datapath", Bits: dp.TotalLatchBits(), SDCProb: r.Counts.Probability(sdc.SDC1)}}
 	var detTally faultinj.Detection
 	detTally.Merge(r.Detection)
 
 	// Buffer components.
-	camp := bufferCampaign(cfg, netName, dt)
+	camp := &eyeriss.Campaign{Net: net, DType: dt, Inputs: inputsFor(netName, cfg.Inputs)}
 	for _, b := range eyeriss.Buffers {
-		br := camp.Run(b, eyeriss.Options{N: cfg.Injections / 2, Seed: cfg.Seed + int64(b)*3, Workers: cfg.Workers, Detector: checker})
+		br := camp.Run(b, eyeriss.Options{N: cfg.Injections / 2, Seed: cfg.Seed + int64(b)*3, Detector: checker})
 		components = append(components, eyeriss.FITComponent(eyeriss.Params16nm, b, br.Counts.Probability(sdc.SDC1)))
 		detTally.Merge(br.Detection)
 	}
@@ -220,7 +230,7 @@ func SEDFIT(cfg Config, netName string, dt numeric.Type) SEDFITRow {
 		FITBefore: before,
 		FITAfter:  before * (1 - recall),
 		Recall:    recall,
-	}
+	}, nil
 }
 
 // FormatSEDFIT renders the before/after comparison.

@@ -30,8 +30,11 @@ type MixedPrecisionRow struct {
 
 // MixedPrecision runs a global-buffer fault campaign with split
 // compute/storage formats.
-func MixedPrecision(cfg Config, netName string, compute, storage numeric.Type) MixedPrecisionRow {
-	net := buildNet(cfg, netName)
+func MixedPrecision(cfg Config, netName string, compute, storage numeric.Type) (MixedPrecisionRow, error) {
+	net, err := buildNet(cfg, netName)
+	if err != nil {
+		return MixedPrecisionRow{}, err
+	}
 	inputs := inputsFor(netName, cfg.Inputs)
 
 	// Golden executions under the storage protocol.
@@ -90,7 +93,7 @@ func MixedPrecision(cfg Config, netName string, compute, storage numeric.Type) M
 		Network: netName, Compute: compute, Storage: storage,
 		SDCProb: p,
 		FIT:     fit.Rate(bits, p),
-	}
+	}, nil
 }
 
 // FormatMixedPrecision renders the protocol comparison.

@@ -26,9 +26,12 @@ type PEArrayValidation struct {
 
 // ValidatePEArray runs the cross-check on the named network's first conv
 // layer.
-func ValidatePEArray(cfg Config, netName string) PEArrayValidation {
+func ValidatePEArray(cfg Config, netName string) (PEArrayValidation, error) {
 	const dt = numeric.Fx32RB26 // exact, order-safe arithmetic
-	net := buildNet(cfg, netName)
+	net, err := buildNet(cfg, netName)
+	if err != nil {
+		return PEArrayValidation{}, err
+	}
 	conv := net.Layers[net.MACLayerIndices()[0]].(*layers.ConvLayer)
 	in := inputsFor(netName, 1)[0]
 	// Scale the input into the format's exact small-value regime so the
@@ -63,7 +66,7 @@ func ValidatePEArray(cfg Config, netName string) PEArrayValidation {
 			res.Matches++
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Format renders the validation summary.

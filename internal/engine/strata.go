@@ -268,7 +268,9 @@ func SDCEstimate(counts sdc.Counts, strata *StrataSummary, k sdc.Kind) (p, ci95 
 
 // BlockEstimate is the per-block analogue of Estimate: within a block,
 // bits are equally likely under uniform sampling, so the block-conditional
-// stratum weights are uniform over the block's bit strata.
+// stratum weights are uniform over the block's bit strata. It assumes they
+// are: under a multi-bit upset, whose top base-bit strata carry zero
+// weight, it still averages over all Bits positions.
 func (s *StrataSummary) BlockEstimate(block int, k sdc.Kind) stats.Stratified {
 	w := make([]float64, s.Bits)
 	parts := make([]stats.Proportion, s.Bits)
@@ -276,6 +278,24 @@ func (s *StrataSummary) BlockEstimate(block int, k sdc.Kind) stats.Stratified {
 		h := block*s.Bits + bit
 		w[bit] = 1 / float64(s.Bits)
 		parts[bit] = stats.Proportion{
+			Successes: s.Counts[h].Hits[k],
+			Trials:    s.Counts[h].DefinedTrials[k],
+		}
+	}
+	return stats.Stratified{Weights: w, Parts: parts}
+}
+
+// BitEstimate is the per-bit analogue of Estimate (Fig. 4): the SDC
+// probability of a flip at one bit position, its strata conditioned across
+// blocks by their population weights Weight[block·Bits+bit]
+// (stats.Stratified renormalizes them over the sampled blocks).
+func (s *StrataSummary) BitEstimate(bit int, k sdc.Kind) stats.Stratified {
+	w := make([]float64, s.Blocks)
+	parts := make([]stats.Proportion, s.Blocks)
+	for block := 0; block < s.Blocks; block++ {
+		h := block*s.Bits + bit
+		w[block] = s.Weight[h]
+		parts[block] = stats.Proportion{
 			Successes: s.Counts[h].Hits[k],
 			Trials:    s.Counts[h].DefinedTrials[k],
 		}

@@ -183,6 +183,60 @@ func TestBuildStratumTableDeterministic(t *testing.T) {
 	}
 }
 
+// TestMarginalEstimatesRecombine checks the per-bit and per-block marginals
+// against the whole-campaign estimate they are slices of: with every
+// stratum sampled, Σ_bit W_bit·BitEstimate(bit).P() equals Estimate().P()
+// under any weights, and Σ_block W_block·BlockEstimate(block).P() equals it
+// wherever each block spreads its mass evenly over its bits — the design
+// BlockEstimate assumes, which a multi-bit upset's grid is not.
+func TestMarginalEstimatesRecombine(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 200; trial++ {
+		blocks, bits := 1+rng.Intn(8), []int{16, 32, 64}[rng.Intn(3)]
+		mbu := 1
+		if trial%2 == 1 {
+			mbu = 2 + rng.Intn(2) // the top mbu−1 base-bit strata weigh zero
+		}
+		mass := make([]float64, blocks)
+		var total float64
+		for b := range mass {
+			mass[b] = rng.Float64() + 0.01
+			total += mass[b]
+		}
+		s := randomStrata(rng, blocks, bits)
+		s.Weight = StratumGrid(blocks, bits, mbu, func(b, valid int) float64 {
+			return mass[b] / total / float64(valid)
+		})
+		for h := range s.Counts {
+			n := 1 + rng.Intn(30)
+			setTally(&s.Counts[h], n, rng.Intn(n+1))
+		}
+		want := s.Estimate(sdc.SDC1).P()
+
+		var byBit float64
+		for bit := 0; bit < bits; bit++ {
+			var w float64
+			for b := 0; b < blocks; b++ {
+				w += s.Weight[b*bits+bit]
+			}
+			byBit += w * s.BitEstimate(bit, sdc.SDC1).P()
+		}
+		if math.Abs(byBit-want) > 1e-12 {
+			t.Fatalf("trial %d (%dx%d, mbu %d): bit marginals recombine to %v, campaign estimate %v", trial, blocks, bits, mbu, byBit, want)
+		}
+		if mbu > 1 {
+			continue
+		}
+		var byBlock float64
+		for b := 0; b < blocks; b++ {
+			byBlock += mass[b] / total * s.BlockEstimate(b, sdc.SDC1).P()
+		}
+		if math.Abs(byBlock-want) > 1e-12 {
+			t.Fatalf("trial %d (%dx%d): block marginals recombine to %v, campaign estimate %v", trial, blocks, bits, byBlock, want)
+		}
+	}
+}
+
 // FuzzStratumTable runs checkTable over arbitrary grids, budgets and pilots.
 // data scripts the strata, three bytes each (cycled): the weight — 0 is a
 // stratum outside the design, 1 the −0 a decoded summary may carry —
