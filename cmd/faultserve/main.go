@@ -84,7 +84,7 @@ func main() {
 	n := flag.Int("n", 3000, "number of fault injections")
 	inputs := flag.Int("inputs", 4, "number of distinct input images")
 	seed := flag.Int64("seed", 1, "campaign seed")
-	shards := flag.Int("shards", 0, "shard count (0 = 2x NumCPU, clamped to n)")
+	shards := flag.Int("shards", 0, "shard count (0 = 8, clamped to n)")
 	selMode := flag.String("select", "uniform", "site selector: uniform, perbit or perlayer")
 	selParam := flag.Int("param", 0, "fixed bit (perbit) or block (perlayer)")
 	trackValues := flag.Int("track-values", 0, "sample up to this many golden/faulty activation pairs")
@@ -115,7 +115,6 @@ func main() {
 	goldenDir := flag.String("golden-dir", "", "persist golden executions here; restarted workers (and workers sharing the directory) skip recomputing them")
 	maxLeases := flag.Int("max-leases", 0, "exit after completing this many shards (0 = until drain, SIGTERM or the plane unreachable for 30 s)")
 	crashAfter := flag.Int("crash-after", 0, "complete this many shards, take one more lease, then exit hard (tests re-lease + resume)")
-	maxBackoff := flag.Duration("max-backoff", 5*time.Second, "cap on the worker's jittered exponential retry backoff")
 	prefetch := flag.Int("prefetch", 0, "extra leases requested beyond -procs so executors never idle (0 = default 2, negative = disable)")
 
 	// Control plane (ctl) and its clients.
@@ -149,7 +148,7 @@ func main() {
 			CompactBytes: *compactBytes, Pprof: *pprofOn,
 		}, *linger, *out, *strataOut)
 	case "worker":
-		runWorker(*join, *procs, *maxLeases, *crashAfter, *prefetch, *goldenDir, bearer, *maxBackoff)
+		runWorker(*join, *procs, *maxLeases, *crashAfter, *prefetch, *goldenDir, bearer)
 	case "ctl":
 		runControlPlane(*addr, *addrFile, *journal, *tenantKeys, *leaseTTL, *maxRetries, *defaultQuota, *maxQueued, *compactBytes, *pprofOn)
 	case "submit":
@@ -275,20 +274,19 @@ func serve(addr, addrFile string, h http.Handler) (*http.Server, net.Addr) {
 	return srv, ln.Addr()
 }
 
-func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDir, token string, maxBackoff time.Duration) {
+func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDir, token string) {
 	if join == "" {
 		log.Fatal("worker needs -join URL")
 	}
 	join = strings.TrimRight(join, "/")
 	w := &campaign.Worker{
-		Base:       join,
-		Name:       fmt.Sprintf("pid%d", os.Getpid()),
-		Procs:      procs,
-		MaxLeases:  maxLeases,
-		Prefetch:   prefetch,
-		Token:      token,
-		MaxBackoff: maxBackoff,
-		Goldens:    campaign.NewGoldenCache(),
+		Base:      join,
+		Name:      fmt.Sprintf("pid%d", os.Getpid()),
+		Procs:     procs,
+		MaxLeases: maxLeases,
+		Prefetch:  prefetch,
+		Token:     token,
+		Goldens:   campaign.NewGoldenCache(),
 	}
 	if goldenDir != "" {
 		w.Goldens.Persist(goldenDir)

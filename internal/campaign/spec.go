@@ -20,7 +20,6 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 
 	"repro/internal/engine"
@@ -49,7 +48,8 @@ type Spec struct {
 	// Seed drives every shard's PRNG stream.
 	Seed int64 `json:"seed"`
 	// Shards is the partition width S: shard s covers injections
-	// s, s+S, s+2S, … exactly as worker s of a single-process run.
+	// s, s+S, s+2S, … exactly as worker s of a single-process run;
+	// engine.DefaultShards when zero.
 	Shards int `json:"shards"`
 	// Select names the site selector: "uniform" (Fig. 3), "perbit"
 	// (Fig. 4, fixed bit Param) or "perlayer" (Fig. 6, fixed block Param).
@@ -253,7 +253,7 @@ func (s *Spec) Normalize() error {
 	// The plan bounds the useful shard count (one per draw unit), so that
 	// every participant agrees on it.
 	if s.Shards <= 0 {
-		s.Shards = 2 * runtime.NumCPU()
+		s.Shards = engine.DefaultShards
 	}
 	s.Shards = s.plan().Shards()
 	return nil

@@ -37,9 +37,6 @@ type Worker struct {
 	// Poll is the idle re-poll interval when no lease is available and
 	// the plane supplied no hint. Default 250ms.
 	Poll time.Duration
-	// MaxBackoff caps the jittered exponential backoff between failed
-	// connect/post attempts. Default 5s.
-	MaxBackoff time.Duration
 	// GiveUp bounds how long lease requests may keep failing at the
 	// transport level (plane down) before Run returns an error.
 	// Default 30s.
@@ -217,7 +214,7 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 				return
 			}
 			fails++
-			if !sleep(ctx, w.backoff(poll, fails)) {
+			if !sleep(ctx, backoff(poll, fails)) {
 				return
 			}
 			continue
@@ -317,7 +314,7 @@ func (w *Worker) deliver(ctx context.Context, batch []pendingReport) error {
 	remaining := batch
 	var lastErr error
 	for attempt := 1; attempt <= 5 && len(remaining) > 0; attempt++ {
-		if attempt > 1 && !sleep(ctx, w.backoff(200*time.Millisecond, attempt-1)) {
+		if attempt > 1 && !sleep(ctx, backoff(200*time.Millisecond, attempt-1)) {
 			return nil
 		}
 		reqs := make([]ReportRequest, len(remaining))
@@ -365,21 +362,20 @@ func (w *Worker) deliver(ctx context.Context, batch []pendingReport) error {
 	return nil
 }
 
+// maxBackoff caps the delay between failed connect/post attempts.
+const maxBackoff = 5 * time.Second
+
 // backoff returns the jittered exponential delay for the given consecutive
-// failure count (1-based): base·2^(fails-1) capped at MaxBackoff, then
+// failure count (1-based): base·2^(fails-1) capped at maxBackoff, then
 // jittered uniformly over [d/2, d] so a fleet of workers hammering a
 // restarting plane spreads out instead of thundering in lockstep.
-func (w *Worker) backoff(base time.Duration, fails int) time.Duration {
-	maxB := w.MaxBackoff
-	if maxB <= 0 {
-		maxB = 5 * time.Second
-	}
+func backoff(base time.Duration, fails int) time.Duration {
 	d := base
-	for i := 1; i < fails && d < maxB; i++ {
+	for i := 1; i < fails && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > maxB {
-		d = maxB
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	half := d / 2
 	return half + rand.N(half+1)

@@ -6,24 +6,26 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/eyeriss"
 	"repro/internal/fit"
-	"repro/internal/numeric"
 	"repro/internal/sdc"
 )
 
 // ---- E9: Table 7 — Eyeriss microarchitecture scaling ----
 
+// Table7Rows is the Eyeriss parameter table.
+type Table7Rows []eyeriss.Params
+
 // Table7 returns the published 65 nm and 16 nm Eyeriss parameter rows plus
 // the naive factor-8 projection for comparison.
-func Table7() []eyeriss.Params {
-	return []eyeriss.Params{
+func Table7() Table7Rows {
+	return Table7Rows{
 		eyeriss.Params65nm,
 		eyeriss.Params16nm,
 		eyeriss.Scale(eyeriss.Params65nm, 8, "16nm(scaled x8)"),
 	}
 }
 
-// FormatTable7 renders the parameter table.
-func FormatTable7(rows []eyeriss.Params) string {
+// Format renders the parameter table.
+func (rows Table7Rows) Format() string {
 	t := &table{}
 	t.add("Node", "PEs", "GlobalBuf(KB)", "FilterSRAM(KB)", "ImgREG(KB)", "PSumREG(KB)")
 	for _, p := range rows {
@@ -44,14 +46,17 @@ type Table8Cell struct {
 	FIT     float64
 }
 
-// Table8 runs the Eyeriss buffer-fault campaigns (16b_rb10, as Eyeriss
-// implements a 16-bit fixed-point datapath), one stratified campaign per
-// (network, buffer class), and derives per-buffer FIT.
-func Table8(cfg Config, networks []string) ([]Table8Cell, error) {
-	var cells []Table8Cell
-	for _, name := range networks {
+// Table8Cells is the buffer table.
+type Table8Cells []Table8Cell
+
+// Table8 runs the Eyeriss buffer-fault campaigns (the paper's cells are
+// 16b_rb10, as Eyeriss implements a 16-bit fixed-point datapath), one
+// stratified campaign per (cell, buffer class), and derives per-buffer FIT.
+func Table8(cfg Config, on []Cell) (Table8Cells, error) {
+	var cells Table8Cells
+	for _, c := range on {
 		for i, b := range eyeriss.Buffers {
-			spec := stratifiedSpec(cfg, name, numeric.Fx16RB10)
+			spec := stratifiedSpec(cfg, c.Net, c.DType)
 			spec.Surface, spec.Buffer = "buffer", campaign.BufferNames[i]
 			r, err := run(spec)
 			if err != nil {
@@ -59,7 +64,7 @@ func Table8(cfg Config, networks []string) ([]Table8Cell, error) {
 			}
 			p, ci := r.SDCEstimate(sdc.SDC1)
 			cells = append(cells, Table8Cell{
-				Network: name, Buffer: b, SDCProb: p, CI: ci,
+				Network: c.Net, Buffer: b, SDCProb: p, CI: ci,
 				FIT: eyeriss.FITComponent(eyeriss.Params16nm, b, p).FIT(),
 			})
 		}
@@ -67,8 +72,8 @@ func Table8(cfg Config, networks []string) ([]Table8Cell, error) {
 	return cells, nil
 }
 
-// FormatTable8 renders the buffer table.
-func FormatTable8(cells []Table8Cell) string {
+// Format renders the buffer table.
+func (cells Table8Cells) Format() string {
 	t := &table{}
 	t.add("Network", "Buffer", "SDC-1", "±CI", "FIT")
 	for _, c := range cells {
@@ -90,20 +95,21 @@ func EyerissTotalFIT(cells []Table8Cell, datapathFIT float64, network string) fl
 	return total
 }
 
-// BudgetReport renders, per network, the overall Eyeriss FIT (the Table 8
-// buffers plus the Table 6 16b_rb10 datapath) against the ISO 26262 budget.
-func BudgetReport(cfg Config, networks []string) (string, error) {
-	cells, err := Table8(cfg, networks)
-	if err != nil {
-		return "", err
-	}
-	dp, err := Table6(cfg, networks, []numeric.Type{numeric.Fx16RB10})
-	if err != nil {
-		return "", err
-	}
-	out := ""
-	for _, c := range dp {
-		out += FormatBudgetCheck(c.Network, EyerissTotalFIT(cells, c.FIT, c.Network))
+// BudgetReport renders, per cell (16b_rb10 in the paper), the overall
+// Eyeriss FIT — the Table 8 buffers plus the Table 6 datapath — against the
+// ISO 26262 budget.
+func BudgetReport(cfg Config, on []Cell) (Text, error) {
+	var out Text
+	for _, c := range on {
+		cells, err := Table8(cfg, []Cell{c})
+		if err != nil {
+			return "", err
+		}
+		dp, err := Table6(cfg, []Cell{c})
+		if err != nil {
+			return "", err
+		}
+		out += Text(FormatBudgetCheck(c.Net, EyerissTotalFIT(cells, dp[0].FIT, c.Net)))
 	}
 	return out, nil
 }

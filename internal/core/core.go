@@ -1,15 +1,16 @@
-// Package core is the reproduction's experiment suite: one entry point per
-// table and figure of the paper's evaluation (see DESIGN.md §4 for the
-// index). Each experiment returns a typed result with a Format method that
-// prints the same rows/series the paper reports; cmd/paperrepro and the
-// repository benchmarks are thin wrappers over this package.
+// Package core is the reproduction's experiment suite: the Experiments
+// table (experiments.go) has one row per table and figure of the paper's
+// evaluation and per extension (see DESIGN.md §4 for the index). Each
+// experiment returns a typed result with a Format method that prints the
+// same rows/series the paper reports; cmd/paperrepro and the repository
+// benchmarks are loops over that table.
 //
 // The experiments a campaign.Spec can describe — Figs. 3–6, Tables 5, 6 and
-// 8, the budget check and the per-latch breakdown — are specs run through
-// one memoizing runner (runner.go), the path cmd/faultserve executes. The
-// rest carry what a Spec cannot (a distance trace, a Detector hook, a
-// modified network, a Residency override, their own simulators) and drive
-// the surface packages directly.
+// 8, the budget check, the per-latch breakdown and the sampling comparison —
+// are specs run through one memoizing runner (runner.go), the path
+// cmd/faultserve executes. The rest carry what a Spec cannot (a distance
+// trace, a Detector hook, a modified network, a Residency override, an array
+// size, their own simulators) and drive the surface packages directly.
 package core
 
 import (
@@ -49,8 +50,8 @@ type Config struct {
 	WeightsDir string
 }
 
-// Quick is a CI-scale configuration for tests and benchmarks.
-var Quick = Config{Injections: 150, Inputs: 2, Seed: 1}
+// Quick is the CI-scale configuration results_quick.txt is printed at.
+var Quick = Config{Injections: 300, Inputs: 2, Seed: 1}
 
 // PaperScale matches the paper's 3000 injections per configuration.
 var PaperScale = Config{Injections: 3000, Inputs: 8, Seed: 1}
@@ -74,10 +75,6 @@ func trainingInputs(name string, n int) []*tensor.Tensor {
 	}
 	return ins
 }
-
-// ImageNetNets are the networks using the ImageNet-like dataset; the paper
-// plots them separately from ConvNet in Figs. 3 and 6.
-var ImageNetNets = []string{"AlexNet", "CaffeNet", "NiN"}
 
 // AllDataTypes lists the Table 3 formats in paper order.
 var AllDataTypes = []numeric.Type{

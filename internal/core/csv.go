@@ -88,8 +88,8 @@ func (r *Fig7Result) CSV() string {
 	return writeCSV([]string{"network", "dtype", "layer", "mean_euclidean_distance"}, rows)
 }
 
-// Table6CSV renders the datapath FIT table.
-func Table6CSV(cells []Table6Cell) string {
+// CSV renders the datapath FIT table.
+func (cells Table6Cells) CSV() string {
 	rows := make([][]string, 0, len(cells))
 	for _, c := range cells {
 		rows = append(rows, []string{c.Network, c.DType.String(), f(c.SDCProb), f(c.FIT)})
@@ -97,8 +97,8 @@ func Table6CSV(cells []Table6Cell) string {
 	return writeCSV([]string{"network", "dtype", "sdc1", "fit"}, rows)
 }
 
-// Table8CSV renders the buffer table.
-func Table8CSV(cells []Table8Cell) string {
+// CSV renders the buffer table.
+func (cells Table8Cells) CSV() string {
 	rows := make([][]string, 0, len(cells))
 	for _, c := range cells {
 		rows = append(rows, []string{c.Network, c.Buffer.String(), f(c.SDCProb), f(c.CI), f(c.FIT)})
@@ -117,11 +117,11 @@ func (r *Fig9Result) CSV() string {
 			f(r.CurveX[i]), f(r.CurveY[i]),
 		})
 	}
-	for name, series := range r.Overhead {
+	for _, name := range []string{"RCC", "SEUT", "TMR", "Multi"} {
 		for i, target := range r.Targets {
 			v := ""
-			if series[i] == series[i] { // not NaN
-				v = f(series[i])
+			if y := r.Overhead[name][i]; y == y { // not NaN
+				v = f(y)
 			}
 			rows = append(rows, []string{
 				r.Network, r.DType.String(), "overhead", name,
@@ -132,8 +132,8 @@ func (r *Fig9Result) CSV() string {
 	return writeCSV([]string{"network", "dtype", "kind", "design", "x", "y"}, rows)
 }
 
-// Fig8CSV renders the detector scores.
-func Fig8CSV(rows []Fig8Row) string {
+// CSV renders the detector scores.
+func (rows Fig8Rows) CSV() string {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		out = append(out, []string{r.Network, f(r.Precision), f(r.Recall)})

@@ -33,23 +33,21 @@ type Fig3Result struct {
 }
 
 // Fig3 reads Figure 3 — the whole-campaign SDC estimates — off the
-// datapath campaign of each given network and data type.
-func Fig3(cfg Config, networks []string, dtypes []numeric.Type) (*Fig3Result, error) {
+// datapath campaign of each cell.
+func Fig3(cfg Config, cells []Cell) (*Fig3Result, error) {
 	res := &Fig3Result{}
-	for _, name := range networks {
-		for _, dt := range dtypes {
-			r, err := run(stratifiedSpec(cfg, name, dt))
-			if err != nil {
-				return nil, err
-			}
-			row := Fig3Row{Network: name, DType: dt}
-			counts := r.Counts()
-			for _, k := range sdc.Kinds {
-				row.Prob[k], row.CI[k] = r.SDCEstimate(k)
-				row.Defined[k] = counts.DefinedTrials[k] > 0
-			}
-			res.Rows = append(res.Rows, row)
+	for _, c := range cells {
+		r, err := run(stratifiedSpec(cfg, c.Net, c.DType))
+		if err != nil {
+			return nil, err
 		}
+		row := Fig3Row{Network: c.Net, DType: c.DType}
+		counts := r.Counts()
+		for _, k := range sdc.Kinds {
+			row.Prob[k], row.CI[k] = r.SDCEstimate(k)
+			row.Defined[k] = counts.DefinedTrials[k] > 0
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -237,7 +235,8 @@ type Fig7Result struct {
 // Fig7 injects faults into the first block and traces the mean error
 // magnitude through the network (the paper uses DOUBLE to accentuate the
 // differences). Distances from runs where the fault was masked entirely
-// contribute zero, as in the paper's averages.
+// contribute zero, as in the paper's averages. At most 200 faults are
+// traced: the loop is serial and the means converge quickly.
 func Fig7(cfg Config, netName string, dt numeric.Type) (*Fig7Result, error) {
 	net, err := buildNet(cfg, netName)
 	if err != nil {
@@ -251,7 +250,7 @@ func Fig7(cfg Config, netName string, dt numeric.Type) (*Fig7Result, error) {
 	// Distance tracing needs the faulty executions, so run serially here
 	// (N is modest for this figure).
 	rng := newRand(cfg.Seed)
-	n := cfg.Injections
+	n := min(cfg.Injections, 200)
 	for i := 0; i < n; i++ {
 		golden := c.Golden(i % cfg.Inputs)
 		site := p.RandomSiteInBlock(rng, 0)
@@ -317,21 +316,24 @@ func blockRanges(cfg Config, name string, dt numeric.Type) ([]Range, error) {
 	return agg, nil
 }
 
-// Table4 profiles the error-free per-layer value ranges of each network.
-func Table4(cfg Config, networks []string, dt numeric.Type) ([]Table4Row, error) {
-	var rows []Table4Row
-	for _, name := range networks {
-		ranges, err := blockRanges(cfg, name, dt)
+// Table4Rows is the value-range table.
+type Table4Rows []Table4Row
+
+// Table4 profiles the error-free per-layer value ranges of each cell.
+func Table4(cfg Config, cells []Cell) (Table4Rows, error) {
+	var rows Table4Rows
+	for _, c := range cells {
+		ranges, err := blockRanges(cfg, c.Net, c.DType)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Table4Row{Network: name, Ranges: ranges})
+		rows = append(rows, Table4Row{Network: c.Net, Ranges: ranges})
 	}
 	return rows, nil
 }
 
-// FormatTable4 renders the value-range table.
-func FormatTable4(rows []Table4Row) string {
+// Format renders the value-range table.
+func (rows Table4Rows) Format() string {
 	t := &table{}
 	t.add("Network", "Layer", "Min", "Max")
 	for _, row := range rows {
@@ -395,15 +397,18 @@ type Table6Cell struct {
 	FIT     float64
 }
 
+// Table6Cells is the datapath FIT table.
+type Table6Cells []Table6Cell
+
 // Table6 computes datapath FIT rates: the Fig. 3 SDC-1 probabilities
 // applied to the canonical datapath latch plane (Eq. 1) at the Eyeriss
 // 16 nm PE count.
-func Table6(cfg Config, networks []string, dtypes []numeric.Type) ([]Table6Cell, error) {
-	f3, err := Fig3(cfg, networks, dtypes)
+func Table6(cfg Config, on []Cell) (Table6Cells, error) {
+	f3, err := Fig3(cfg, on)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]Table6Cell, len(f3.Rows))
+	cells := make(Table6Cells, len(f3.Rows))
 	for i, row := range f3.Rows {
 		p := row.Prob[sdc.SDC1]
 		cells[i] = Table6Cell{
@@ -414,8 +419,8 @@ func Table6(cfg Config, networks []string, dtypes []numeric.Type) ([]Table6Cell,
 	return cells, nil
 }
 
-// FormatTable6 renders the datapath FIT table.
-func FormatTable6(cells []Table6Cell) string {
+// Format renders the datapath FIT table.
+func (cells Table6Cells) Format() string {
 	t := &table{}
 	t.add("Network", "DataType", "SDC-1", "Datapath FIT")
 	for _, c := range cells {

@@ -65,25 +65,26 @@ func (r AblationResult) Format() string {
 
 // ---- §6.1 implication: just-enough numeric formats ----
 
-// FormatRecommendation profiles a network and recommends the least
-// redundant covering format (precision package).
-func FormatRecommendation(cfg Config, netName string) (precision.Recommendation, error) {
-	ranges, err := blockRanges(cfg, netName, numeric.Double)
+// FormatRecommendation profiles a network's value ranges under dt (DOUBLE
+// in the paper's cells) and recommends the least redundant covering format
+// (precision package).
+func FormatRecommendation(cfg Config, netName string, dt numeric.Type) (precision.Recommendation, error) {
+	ranges, err := blockRanges(cfg, netName, dt)
 	if err != nil {
 		return precision.Recommendation{}, err
 	}
 	return precision.Recommend(ranges, numeric.Types), nil
 }
 
-// FormatRecommendations renders the recommendation per network.
-func FormatRecommendations(cfg Config, networks []string) (string, error) {
-	out := ""
-	for _, name := range networks {
-		rec, err := FormatRecommendation(cfg, name)
+// FormatRecommendations renders the recommendation per cell.
+func FormatRecommendations(cfg Config, cells []Cell) (Text, error) {
+	var out Text
+	for _, c := range cells {
+		rec, err := FormatRecommendation(cfg, c.Net, c.DType)
 		if err != nil {
 			return "", err
 		}
-		out += fmt.Sprintf("%s:\n%s", name, rec.Format())
+		out += Text(fmt.Sprintf("%s:\n%s", c.Net, rec.Format()))
 	}
 	return out, nil
 }
@@ -92,24 +93,24 @@ func FormatRecommendations(cfg Config, networks []string) (string, error) {
 
 // ScheduleReport renders the row-stationary mapping and buffer traffic of
 // each network on the 16 nm Eyeriss array.
-func ScheduleReport(networks []string) string {
+func ScheduleReport() Text {
 	out := ""
-	for _, name := range networks {
+	for _, name := range models.Names {
 		s := rowstat.New(models.Build(name), rowstat.Eyeriss16nm)
 		out += fmt.Sprintf("%s on %dx%d PEs:\n%s%s",
 			name, rowstat.Eyeriss16nm.Rows, rowstat.Eyeriss16nm.Cols,
 			s.Format(), s.FormatTraffic())
 	}
-	return out
+	return Text(out)
 }
 
 // Table8Residency recomputes Table 8 with cycle-accurate residency weights
 // from the row-stationary scheduler instead of the MAC-count proxy — an
 // ablation of the fault-timing model.
-func Table8Residency(cfg Config, networks []string) ([]Table8Cell, error) {
-	const dt = numeric.Fx16RB10
-	var cells []Table8Cell
-	for _, name := range networks {
+func Table8Residency(cfg Config, on []Cell) (Table8Cells, error) {
+	var cells Table8Cells
+	for _, c := range on {
+		name, dt := c.Net, c.DType
 		net, err := buildNet(cfg, name)
 		if err != nil {
 			return nil, err
@@ -134,12 +135,12 @@ func Table8Residency(cfg Config, networks []string) ([]Table8Cell, error) {
 
 // ReuseReport renders the analytic per-layer reuse factors of each
 // network's dataflow.
-func ReuseReport(networks []string) string {
+func ReuseReport() Text {
 	out := ""
-	for _, name := range networks {
+	for _, name := range models.Names {
 		out += fmt.Sprintf("%s:\n%s", name, eyeriss.FormatReuse(eyeriss.Reuse(models.Build(name))))
 	}
-	return out
+	return Text(out)
 }
 
 // ---- Per-latch breakdown of datapath faults ----
@@ -157,26 +158,30 @@ type LatchRow struct {
 // latch struck (weight operand, activation operand, multiplier output,
 // accumulator) — the per-latch sensitivity the SLH model assumes is
 // uniform across latch planes, measured. The per-latch tallies are raw
-// counts, so the campaign is uniform.
-func LatchBreakdown(cfg Config, netName string, dt numeric.Type) ([]LatchRow, error) {
-	r, err := run(uniformSpec(cfg, netName, dt))
-	if err != nil {
-		return nil, err
-	}
-	perTarget := r.Datapath.PerTarget
-	rows := make([]LatchRow, 0, len(perTarget))
-	for tgt := range perTarget {
-		rows = append(rows, LatchRow{
-			Network: netName, DType: dt, Target: layers.Target(tgt),
-			SDCProb: perTarget[tgt].Probability(sdc.SDC1),
-			Trials:  perTarget[tgt].Trials,
-		})
+// counts, so the campaigns are uniform.
+func LatchBreakdown(cfg Config, cells []Cell) (LatchRows, error) {
+	var rows LatchRows
+	for _, c := range cells {
+		r, err := run(uniformSpec(cfg, c.Net, c.DType))
+		if err != nil {
+			return nil, err
+		}
+		for tgt, counts := range r.Datapath.PerTarget {
+			rows = append(rows, LatchRow{
+				Network: c.Net, DType: c.DType, Target: layers.Target(tgt),
+				SDCProb: counts.Probability(sdc.SDC1),
+				Trials:  counts.Trials,
+			})
+		}
 	}
 	return rows, nil
 }
 
-// FormatLatchBreakdown renders the per-latch table.
-func FormatLatchBreakdown(rows []LatchRow) string {
+// LatchRows is the per-latch table.
+type LatchRows []LatchRow
+
+// Format renders the per-latch table.
+func (rows LatchRows) Format() string {
 	t := &table{}
 	t.add("Network", "DataType", "Latch", "Trials", "SDC-1")
 	for _, r := range rows {

@@ -22,12 +22,12 @@ func TestAblateLRNMasking(t *testing.T) {
 }
 
 func TestFormatRecommendationsAllNetworks(t *testing.T) {
-	out := must(FormatRecommendations(Config{Inputs: 1}, []string{"ConvNet", "AlexNet"}))
+	out := must(FormatRecommendations(Config{Inputs: 1}, cross([]string{"ConvNet", "AlexNet"}, numeric.Double))).Format()
 	if !strings.Contains(out, "recommended") {
 		t.Errorf("no recommendation in:\n%s", out)
 	}
 	// ConvNet's small ranges fit the 16-bit fixed format.
-	rec := must(FormatRecommendation(Config{Inputs: 2}, "ConvNet"))
+	rec := must(FormatRecommendation(Config{Inputs: 2}, "ConvNet", numeric.Double))
 	if !rec.Valid {
 		t.Fatal("no valid recommendation for ConvNet")
 	}
@@ -37,7 +37,7 @@ func TestFormatRecommendationsAllNetworks(t *testing.T) {
 }
 
 func TestReuseReportCoversNetworks(t *testing.T) {
-	out := ReuseReport([]string{"ConvNet", "NiN"})
+	out := ReuseReport().Format()
 	for _, want := range []string{"ConvNet", "NiN", "conv1", "WeightReads"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("reuse report missing %q", want)
@@ -46,7 +46,7 @@ func TestReuseReportCoversNetworks(t *testing.T) {
 }
 
 func TestScheduleReportCoversNetworks(t *testing.T) {
-	out := ScheduleReport([]string{"AlexNet"})
+	out := ScheduleReport().Format()
 	for _, want := range []string{"AlexNet", "conv1", "fc8", "efficiency"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("schedule report missing %q", want)
@@ -56,7 +56,7 @@ func TestScheduleReportCoversNetworks(t *testing.T) {
 
 func TestTable8ResidencyRuns(t *testing.T) {
 	cfg := Config{Injections: 40, Inputs: 1, Seed: 25}
-	cells := must(Table8Residency(cfg, []string{"ConvNet"}))
+	cells := must(Table8Residency(cfg, cross([]string{"ConvNet"}, numeric.Fx16RB10)))
 	if len(cells) != 4 {
 		t.Fatalf("cells = %d", len(cells))
 	}
@@ -72,13 +72,12 @@ func TestMixedPrecisionNarrowStorageHelps(t *testing.T) {
 	// a lower global-buffer FIT than FLOAT storage at the same compute
 	// format (half the bits; bounded deviations).
 	cfg := Config{Injections: 150, Inputs: 1, Seed: 27}
-	wide := must(MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float))
-	narrow := must(MixedPrecision(cfg, "AlexNet", numeric.Float, numeric.Float16))
+	rows := must(MixedPrecision(cfg, cross([]string{"AlexNet"}, numeric.Float, numeric.Float16)))
+	wide, narrow := rows[0], rows[1]
 	if narrow.FIT >= wide.FIT {
 		t.Errorf("FLOAT16 storage FIT %.4g not below FLOAT storage FIT %.4g", narrow.FIT, wide.FIT)
 	}
-	out := FormatMixedPrecision([]MixedPrecisionRow{wide, narrow})
-	if !strings.Contains(out, "Storage") {
+	if !strings.Contains(rows.Format(), "Storage") {
 		t.Error("format missing header")
 	}
 }
@@ -87,14 +86,14 @@ func TestWeightsDirFallsBackSilently(t *testing.T) {
 	// A WeightsDir without files must fall back to synthetic weights and
 	// produce a working campaign.
 	cfg := Config{Injections: 20, Inputs: 1, Seed: 29, WeightsDir: t.TempDir()}
-	res := must(Fig3(cfg, []string{"ConvNet"}, []numeric.Type{numeric.Fx16RB10}))
+	res := must(Fig3(cfg, cross([]string{"ConvNet"}, numeric.Fx16RB10)))
 	if res.Rows[0].Prob[0] < 0 {
 		t.Fatal("campaign failed")
 	}
 }
 
 func TestValidatePEArrayAllMatch(t *testing.T) {
-	res := must(ValidatePEArray(Config{Injections: 40, Inputs: 1, Seed: 31}, "ConvNet"))
+	res := must(ValidatePEArray(Config{Injections: 40, Inputs: 1, Seed: 31}, "ConvNet", numeric.Fx32RB26))
 	if res.Checked != 40 {
 		t.Fatalf("checked = %d", res.Checked)
 	}
@@ -111,7 +110,7 @@ func TestReplicateStability(t *testing.T) {
 	// the relative spread at n=150 stays well under the mean.
 	cfg := Config{Injections: 150, Inputs: 1, Seed: 40}
 	rep := Replicate(cfg, 4, func(c Config) float64 {
-		res := must(Fig3(c, []string{"ConvNet"}, []numeric.Type{numeric.Fx32RB10}))
+		res := must(Fig3(c, cross([]string{"ConvNet"}, numeric.Fx32RB10)))
 		return res.Rows[0].Prob[sdc.SDC1]
 	})
 	if rep.Mean <= 0.05 {
@@ -139,7 +138,7 @@ func TestReplicatePanicsOnZeroSeeds(t *testing.T) {
 
 func TestLatchBreakdown(t *testing.T) {
 	cfg := Config{Injections: 200, Inputs: 1, Seed: 33}
-	rows := must(LatchBreakdown(cfg, "ConvNet", numeric.Fx32RB10))
+	rows := must(LatchBreakdown(cfg, cross([]string{"ConvNet"}, numeric.Fx32RB10)))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4 latch classes", len(rows))
 	}
@@ -153,7 +152,7 @@ func TestLatchBreakdown(t *testing.T) {
 	if total != 200 {
 		t.Errorf("trials partition = %d, want 200", total)
 	}
-	if !strings.Contains(FormatLatchBreakdown(rows), "accum-latch") {
+	if !strings.Contains(rows.Format(), "accum-latch") {
 		t.Error("format missing latch names")
 	}
 }

@@ -34,43 +34,48 @@ var SEDDataTypes = []numeric.Type{numeric.Double, numeric.Float, numeric.Float16
 // SEDNetworks are the networks of the Figure 8 evaluation.
 var SEDNetworks = []string{"AlexNet", "CaffeNet", "NiN"}
 
-// Fig8 learns the symptom detector per (network, format) and evaluates it
-// against datapath and buffer fault campaigns.
-func Fig8(cfg Config, networks []string, dtypes []numeric.Type) ([]Fig8Row, error) {
-	var rows []Fig8Row
-	for _, name := range networks {
-		row := Fig8Row{Network: name, PerDType: map[numeric.Type]faultinj.Detection{}}
-		var agg faultinj.Detection
-		for _, dt := range dtypes {
-			net, checker, err := learnDetector(cfg, name, dt)
-			if err != nil {
-				return nil, err
-			}
+// Fig8Rows is the Figure 8 dataset.
+type Fig8Rows []Fig8Row
 
-			var forType faultinj.Detection
-			// Datapath faults.
-			c := faultinj.New(net, dt, inputsFor(name, cfg.Inputs))
-			r := c.Run(faultinj.Options{
-				N: cfg.Injections, Seed: cfg.Seed,
+// Fig8 learns the symptom detector per cell and evaluates it against
+// datapath and buffer fault campaigns, one row per run of cells on the same
+// network.
+func Fig8(cfg Config, cells []Cell) (Fig8Rows, error) {
+	var rows Fig8Rows
+	var agg faultinj.Detection // over the cells of the last row
+	for _, cell := range cells {
+		name, dt := cell.Net, cell.DType
+		if len(rows) == 0 || rows[len(rows)-1].Network != name {
+			rows = append(rows, Fig8Row{Network: name, PerDType: map[numeric.Type]faultinj.Detection{}})
+			agg = faultinj.Detection{}
+		}
+		row := &rows[len(rows)-1]
+		net, checker, err := learnDetector(cfg, name, dt)
+		if err != nil {
+			return nil, err
+		}
+
+		var forType faultinj.Detection
+		// Datapath faults.
+		c := faultinj.New(net, dt, inputsFor(name, cfg.Inputs))
+		r := c.Run(faultinj.Options{
+			N: cfg.Injections, Seed: cfg.Seed,
+			Detector: checker,
+		})
+		forType.Merge(r.Detection)
+		// Buffer faults (the two dominant classes: Global Buffer and
+		// Filter SRAM).
+		camp := &eyeriss.Campaign{Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs)}
+		for _, b := range []eyeriss.Buffer{eyeriss.GlobalBuffer, eyeriss.FilterSRAM} {
+			br := camp.Run(b, eyeriss.Options{
+				N: cfg.Injections / 2, Seed: cfg.Seed + int64(b),
 				Detector: checker,
 			})
-			forType.Merge(r.Detection)
-			// Buffer faults (the two dominant classes: Global Buffer and
-			// Filter SRAM).
-			camp := &eyeriss.Campaign{Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs)}
-			for _, b := range []eyeriss.Buffer{eyeriss.GlobalBuffer, eyeriss.FilterSRAM} {
-				br := camp.Run(b, eyeriss.Options{
-					N: cfg.Injections / 2, Seed: cfg.Seed + int64(b),
-					Detector: checker,
-				})
-				forType.Merge(br.Detection)
-			}
-			row.PerDType[dt] = forType
-			agg.Merge(forType)
+			forType.Merge(br.Detection)
 		}
-		row.Precision = agg.Precision()
-		row.Recall = agg.Recall()
-		rows = append(rows, row)
+		row.PerDType[dt] = forType
+		agg.Merge(forType)
+		row.Precision, row.Recall = agg.Precision(), agg.Recall()
 	}
 	return rows, nil
 }
@@ -92,8 +97,8 @@ func learnDetector(cfg Config, name string, dt numeric.Type) (*network.Network, 
 	return net, func(e *network.Execution) bool { return det.Check(net, e) }, nil
 }
 
-// FormatFig8 renders the precision/recall table.
-func FormatFig8(rows []Fig8Row) string {
+// Format renders the precision/recall table.
+func (rows Fig8Rows) Format() string {
 	t := &table{}
 	t.add("Network", "Precision", "Recall")
 	for _, r := range rows {
@@ -104,13 +109,16 @@ func FormatFig8(rows []Fig8Row) string {
 
 // ---- E12-E14: Table 9 and Figure 9 — selective latch hardening ----
 
+// Table9Designs is the hardened latch design space.
+type Table9Designs []harden.Design
+
 // Table9 returns the hardened latch design space.
-func Table9() []harden.Design {
-	return []harden.Design{harden.Baseline, harden.RCC, harden.SEUT, harden.TMR}
+func Table9() Table9Designs {
+	return Table9Designs{harden.Baseline, harden.RCC, harden.SEUT, harden.TMR}
 }
 
-// FormatTable9 renders the design space.
-func FormatTable9(designs []harden.Design) string {
+// Format renders the design space.
+func (designs Table9Designs) Format() string {
 	t := &table{}
 	t.add("Latch Type", "Area Overhead", "FIT Reduction")
 	for _, d := range designs {
@@ -198,10 +206,25 @@ type SEDFITRow struct {
 	Recall    float64
 }
 
-// SEDFIT estimates the detector's FIT reduction: every detected
-// SDC-causing fault stops counting toward the SDC probability, so each
-// component's effective SDC probability scales by (1 - recall).
-func SEDFIT(cfg Config, netName string, dt numeric.Type) (SEDFITRow, error) {
+// SEDFITRows is the before/after comparison table.
+type SEDFITRows []SEDFITRow
+
+// SEDFIT estimates the detector's FIT reduction on each cell.
+func SEDFIT(cfg Config, cells []Cell) (SEDFITRows, error) {
+	rows := make(SEDFITRows, len(cells))
+	for i, c := range cells {
+		var err error
+		if rows[i], err = sedFIT(cfg, c.Net, c.DType); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// sedFIT measures one cell: every detected SDC-causing fault stops counting
+// toward the SDC probability, so each component's effective SDC probability
+// scales by (1 - recall).
+func sedFIT(cfg Config, netName string, dt numeric.Type) (SEDFITRow, error) {
 	net, checker, err := learnDetector(cfg, netName, dt)
 	if err != nil {
 		return SEDFITRow{}, err
@@ -233,8 +256,8 @@ func SEDFIT(cfg Config, netName string, dt numeric.Type) (SEDFITRow, error) {
 	}, nil
 }
 
-// FormatSEDFIT renders the before/after comparison.
-func FormatSEDFIT(rows []SEDFITRow) string {
+// Format renders the before/after comparison.
+func (rows SEDFITRows) Format() string {
 	t := &table{}
 	t.add("Network", "DataType", "FIT before", "FIT after SED", "Recall")
 	for _, r := range rows {

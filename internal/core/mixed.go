@@ -28,9 +28,25 @@ type MixedPrecisionRow struct {
 	FIT float64
 }
 
-// MixedPrecision runs a global-buffer fault campaign with split
+// MixedPrecisionRows is the protocol comparison table.
+type MixedPrecisionRows []MixedPrecisionRow
+
+// MixedPrecision evaluates the protocol with FLOAT compute and each cell's
+// format as the storage format.
+func MixedPrecision(cfg Config, cells []Cell) (MixedPrecisionRows, error) {
+	rows := make(MixedPrecisionRows, len(cells))
+	for i, c := range cells {
+		var err error
+		if rows[i], err = mixedPrecision(cfg, c.Net, numeric.Float, c.DType); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// mixedPrecision runs a global-buffer fault campaign with split
 // compute/storage formats.
-func MixedPrecision(cfg Config, netName string, compute, storage numeric.Type) (MixedPrecisionRow, error) {
+func mixedPrecision(cfg Config, netName string, compute, storage numeric.Type) (MixedPrecisionRow, error) {
 	net, err := buildNet(cfg, netName)
 	if err != nil {
 		return MixedPrecisionRow{}, err
@@ -96,8 +112,8 @@ func MixedPrecision(cfg Config, netName string, compute, storage numeric.Type) (
 	}, nil
 }
 
-// FormatMixedPrecision renders the protocol comparison.
-func FormatMixedPrecision(rows []MixedPrecisionRow) string {
+// Format renders the protocol comparison.
+func (rows MixedPrecisionRows) Format() string {
 	t := &table{}
 	t.add("Network", "Compute", "Storage", "GB SDC-1", "GB FIT")
 	for _, r := range rows {

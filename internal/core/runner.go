@@ -8,12 +8,6 @@ import (
 	"repro/internal/numeric"
 )
 
-// shards is every spec's partition width. Each shard owns a PRNG stream, so
-// a fixed width makes the tables read off specs a function of (scale, seed,
-// weights) and not of the host's core count. (The hand-built campaigns
-// still shard by runtime.NumCPU.)
-const shards = 8
-
 // suite runs the experiments a campaign.Spec can describe: the SoloReport
 // path cmd/faultserve runs, behind a process-wide memo keyed by the
 // normalized spec — experiments reading one campaign share its one
@@ -58,11 +52,13 @@ func RunnerStats() string {
 
 // uniformSpec is the paper's i.i.d. datapath campaign for one network and
 // format, which Fig. 5 and the latch breakdown — readers of raw
-// per-injection data — run as is, and the base of every other spec.
+// per-injection data — and the two comparisons run as is, and the base of
+// every other spec. Shards stays zero: engine.DefaultShards, as in the
+// hand-built campaigns, so no table depends on the host's core count.
 func uniformSpec(cfg Config, net string, dt numeric.Type) campaign.Spec {
 	return campaign.Spec{
 		Net: net, DType: dt.String(),
-		N: cfg.Injections, Inputs: cfg.Inputs, Seed: cfg.Seed, Shards: shards,
+		N: cfg.Injections, Inputs: cfg.Inputs, Seed: cfg.Seed,
 		WeightsDir: cfg.WeightsDir,
 	}
 }

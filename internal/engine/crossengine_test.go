@@ -205,8 +205,9 @@ func TestCrossEngineFixtures(t *testing.T) {
 // (engine.CheckSurface) against every surface adapter — each dataflow of
 // the systolic surface, and each surface's multi-bit-upset variant —
 // under both sampling designs: NewReport zero identity, merge
-// associativity and commutativity over shard order, and the strata JSON
-// round-trip. The datapath adapter runs without value tracking — capped
+// associativity and commutativity over shard order, the strata JSON
+// round-trip, and the Workers: 0 report byte-equal to the Workers:
+// DefaultShards one. The datapath adapter runs without value tracking — capped
 // value sampling is deliberately shard-order-sensitive and outside the
 // monoid contract. Every adapter must also refuse the same malformed
 // options, which the engine validates once for all of them.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/rand"
-	"runtime"
 
 	"repro/internal/network"
 )
@@ -159,7 +158,10 @@ type Options struct {
 	// Seed makes the campaign reproducible: every shard's PRNG stream
 	// derives from it (Phase.Rand).
 	Seed int64
-	// Workers caps the shard fan-out of Run; NumCPU when zero.
+	// Workers is the partition width S: the number of shards, each with its
+	// own PRNG stream, the budget is split into — DefaultShards when zero.
+	// It is part of the campaign's definition, not a goroutine count: a
+	// report is a function of (N, Seed, S) on any host.
 	Workers int
 	// Detector, when non-nil, is evaluated on every faulty execution for
 	// the §6.2 precision/recall tally. It must be safe for concurrent use.
@@ -201,11 +203,17 @@ func (opt Options) UpsetWidth() int {
 	return opt.MBU
 }
 
+// DefaultShards is the partition width of a campaign that requests none
+// (Options.Workers, campaign.Spec.Shards zero). It is a constant and not the
+// host's core count so that such a campaign's report is a function of its
+// spec alone.
+const DefaultShards = 8
+
 // EffectiveShards returns the shard count Run actually uses for a worker
-// request: at least one, at most one per injection.
+// request: DefaultShards for none, at least one, at most one per injection.
 func EffectiveShards(workers, n int) int {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = DefaultShards
 	}
 	if workers > n {
 		workers = n

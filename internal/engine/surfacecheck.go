@@ -47,6 +47,8 @@ func serially(n int, fn func(i int)) {
 //   - Strata round-trip: the strata summary of a stratified report
 //     survives a JSON encode/decode bit-for-bit, and Strata returns nil
 //     for uniform reports.
+//   - Default width: the report of a zero Workers request is the report at
+//     Workers = DefaultShards, whatever the host.
 //
 // Surfaces whose reports carry order-sensitive extras (e.g. capped value
 // sampling) must be checked with those features disabled — the engine
@@ -101,6 +103,13 @@ func CheckSurface[R any](t TestingT, s Surface[R], opt Options) {
 	}
 	if got := enc("reversed fold", rev); !bytes.Equal(got, want) {
 		t.Fatalf("surfacecheck: Merge is not commutative over shard order:\n got %s\nwant %s", got, want)
+	}
+
+	// Default width.
+	zero, fixed := opt, opt
+	zero.Workers, fixed.Workers = 0, DefaultShards
+	if got, want := enc("Workers: 0 report", Run[R](s, zero)), enc("Workers: DefaultShards report", Run[R](s, fixed)); !bytes.Equal(got, want) {
+		t.Fatalf("surfacecheck: Workers 0 is not the DefaultShards partition:\n got %s\nwant %s", got, want)
 	}
 
 	// Strata presence and round-trip.

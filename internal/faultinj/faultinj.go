@@ -263,7 +263,10 @@ type Options struct {
 	// Detector, when non-nil, is evaluated on every faulty execution for
 	// the §6.2 precision/recall tally. It must be safe for concurrent use.
 	Detector func(*network.Execution) bool
-	// Workers caps the worker goroutines; NumCPU when zero.
+	// Workers is the partition width S (engine.Options.Workers):
+	// engine.DefaultShards when zero. The report depends on it, not on how
+	// many goroutines run; it also caps the goroutines of the golden passes,
+	// which default to the host's core count.
 	Workers int
 	// Dense forces every injection through the dense per-layer
 	// re-execution path (network.ForwardFromDense) and skips enabling the
@@ -351,7 +354,8 @@ func New(net *network.Network, dt numeric.Type, inputs []*tensor.Tensor) *Campai
 }
 
 // prepare computes the fault-site profile and golden executions once.
-// workers caps the total goroutines of the golden passes; 0 means NumCPU.
+// workers caps the total goroutines of the golden passes; 0 means NumCPU —
+// goldens do not depend on how many goroutines compute them.
 // When there are fewer inputs than workers, the surplus parallelism moves
 // inside each forward pass (over CONV/FC output elements) so a
 // single-input campaign still uses every core.

@@ -161,7 +161,7 @@ type Context struct {
 // stops paying: once a perturbation cone covers this fraction of a layer's
 // output plane, recomputing the cone element-by-element costs about as many
 // MACs as the dense pass, and the dense pass amortizes quantization and
-// loop overhead better. Picked by cmd/benchtrack sweeps on ConvNet/AlexNet
+// loop overhead better. Picked by the BENCH_3.json sweeps on ConvNet/AlexNet
 // (the crossover is flat between ~0.4 and ~0.8 on every format).
 const DefaultSparseDensityCutoff = 0.5
 

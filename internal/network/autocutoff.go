@@ -5,7 +5,7 @@ import "sync/atomic"
 // Per-layer auto-tuning of the sparse-propagation density cutoff. The
 // static layers.DefaultSparseDensityCutoff (0.5) sits in the middle of the
 // empirically flat sparse/dense crossover band (~0.4–0.8, per the
-// cmd/benchtrack sweeps); where inside the band a layer should sit depends
+// BENCH_3.json sweeps); where inside the band a layer should sit depends
 // on the changed-set densities its faults actually produce, which differ
 // per layer (early CONV cones stay tiny, late FC deltas are dense). The
 // auto-tuner observes the input density of every delta step and tunes each
