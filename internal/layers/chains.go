@@ -127,8 +127,9 @@ type ChainScratch struct {
 	covered []bool    // covered-output-position marks (CONV); all false between steps
 	spatial []int     // covered output positions (CONV)
 	steps   []int     // changed tap steps
-	xs      []float64 // lane input at each changed tap
+	xs      []float64 // faulty input at each changed tap
 	offs    []int     // per-spatial-position offsets into steps/xs (CONV)
+	vals    []float64 // replayed lane results: per output (FC), position × channel (CONV)
 }
 
 // scratch returns the walker's scratch, or a throwaway one for a bare
@@ -147,6 +148,14 @@ func marks(s []bool, n int) []bool {
 		return make([]bool, n)
 	}
 	return s
+}
+
+// grow returns s resized to n elements, contents unspecified.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // chainEntry resolves the golden chain state of the MAC layer this context
@@ -231,5 +240,6 @@ func (lc *layerChains) fill(ctx *Context, oi int, want float64, compute func(pre
 }
 
 // Replays against the cached chains run through numeric.Type.ChainReplay,
-// whose per-format loops decompose each MAC into product-quantize and
-// accumulate-quantize, bit-identical to the MACFunc chain.
+// whose per-format loops advance the lanes of a call — the chains that share
+// a changed-tap set — in groups and decompose each MAC into product-quantize
+// and accumulate-quantize, bit-identical to the MACFunc chain.

@@ -270,11 +270,11 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 	}
 	sort.Ints(spatial) // ascending output order, matching the dense loop
 
-	var qw []float64
 	if lc != nil {
-		// The changed-tap steps and lane input values of a spatial position
-		// are identical for every output channel (only the weights differ):
-		// scan each position once, replay it OutC times.
+		// The changed-tap steps and faulty input values of a spatial
+		// position are identical for every output channel (only the weights
+		// differ): scan each position once and replay its OutC chains as the
+		// lanes of one call, position-major into sc.vals.
 		sc.mark = marks(sc.mark, len(in.Data))
 		for _, idx := range changed {
 			sc.mark[idx] = true
@@ -283,7 +283,20 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 		for _, idx := range changed {
 			sc.mark[idx] = false
 		}
-		qw, _ = ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
+		qw, _ := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
+		sc.vals = grow(sc.vals, len(spatial)*l.OutC)
+		for k, si := range spatial {
+			for oi := si; oi < l.OutC*plane; oi += plane {
+				if lc.filled[oi].Load() == 0 {
+					lc.fill(ctx, oi, goldenOut.Data[oi], func(prefix, prods []float64) float64 {
+						return l.fillChain(ctx, in.Shape, os, oi, prefix, prods)
+					})
+				}
+			}
+			lo, hi := sc.offs[k], sc.offs[k+1]
+			ctx.DType.ChainReplay(sc.vals[k*l.OutC:(k+1)*l.OutC], lc.prefix[si*(chain+1):], lc.prods[si*chain:],
+				qw, plane, sc.steps[lo:hi], sc.xs[lo:hi], chain)
+		}
 	}
 	out := goldenOut
 	var outChanged []int
@@ -293,14 +306,7 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 			oi := base + si
 			var nv float64
 			if lc != nil {
-				if lc.filled[oi].Load() == 0 {
-					lc.fill(ctx, oi, goldenOut.Data[oi], func(prefix, prods []float64) float64 {
-						return l.fillChain(ctx, in.Shape, os, oi, prefix, prods)
-					})
-				}
-				lo, hi := sc.offs[k], sc.offs[k+1]
-				nv = ctx.DType.ChainReplay(lc.prefix[oi*(chain+1):], lc.prods[oi*chain:],
-					qw, oc*chain, sc.steps[lo:hi], sc.xs[lo:hi], chain)
+				nv = sc.vals[k*l.OutC+oc]
 			} else {
 				nv = l.ForwardElement(ctx, in, oi)
 			}

@@ -116,8 +116,9 @@ func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, chang
 
 // deltaChained is the cached-chain variant of the FC recompute: the changed
 // input indices are the changed tap steps of every output chain at once, so
-// the per-neuron replay covers only the diverged suffix (see chainReplay)
-// instead of the full dot product. Bit-identical to denseDelta.
+// all Out chains are the lanes of one replay (see numeric.Type.ChainReplay)
+// that covers only their diverged suffixes instead of the full dot products.
+// Bit-identical to denseDelta.
 func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
 	sc := ctx.scratch()
 	quant := ctx.DType.QuantFunc()
@@ -137,15 +138,19 @@ func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *ten
 	sc.steps, sc.xs = steps, xs
 	qw, _ := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
 
-	out := goldenOut
-	var outChanged []int
 	for o := 0; o < l.Out; o++ {
 		if lc.filled[o].Load() == 0 {
 			lc.fill(ctx, o, goldenOut.Data[o], func(prefix, prods []float64) float64 {
 				return l.fillChain(ctx, o, prefix, prods)
 			})
 		}
-		nv := ctx.DType.ChainReplay(lc.prefix[o*(l.In+1):], lc.prods[o*l.In:], qw, o*l.In, steps, xs, l.In)
+	}
+	sc.vals = grow(sc.vals, l.Out)
+	ctx.DType.ChainReplay(sc.vals, lc.prefix, lc.prods, qw, 1, steps, xs, l.In)
+
+	out := goldenOut
+	var outChanged []int
+	for o, nv := range sc.vals {
 		if !bitsEqual(nv, goldenOut.Data[o]) {
 			if out == goldenOut {
 				out = goldenOut.Clone()

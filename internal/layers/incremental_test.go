@@ -282,7 +282,8 @@ func TestForwardDeltaAllFormats(t *testing.T) {
 // lazy fills, then pure reuse) with one walker scratch reused throughout. A
 // whole-input change covers the whole output plane — above any density
 // cutoff — and must still take the replay path (every chain ends up filled;
-// the dense fallback fills none) and match the dense pass.
+// the dense fallback fills none) and match the dense pass. Out/OutC of 1, 3,
+// 5 and 10 walk every tail shape of the replay's lane groups.
 func TestForwardDeltaChainCached(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	shape := tensor.Shape{C: 3, H: 7, W: 7}
@@ -299,6 +300,15 @@ func TestForwardDeltaChainCached(t *testing.T) {
 		NewConv("c1s1p0", 3, 4, 1, 1, 0), // pointwise: RF = one pixel
 		NewConv("c7s1p3", 3, 2, 7, 1, 3), // kernel spanning the whole fmap
 	}
+	fcs := []*FCLayer{NewFC("fc", shape.Elems(), 9)}
+	// Every lane-group tail shape (1, 3, 1 after a whole group, 2 after two)
+	// through both call sites: output channels of a CONV position, output
+	// neurons of an FC.
+	for _, outs := range []int{1, 3, 5, 10} {
+		convs = append(convs, NewConv(fmt.Sprintf("c3s2p1o%d", outs), 3, outs, 3, 2, 1))
+		fcs = append(fcs, NewFC(fmt.Sprintf("fc%d", outs), shape.Elems(), outs))
+	}
+	var lls []DeltaForwarder
 	for _, c := range convs {
 		for i := range c.Weights {
 			c.Weights[i] = rng.NormFloat64() * 0.3
@@ -306,20 +316,17 @@ func TestForwardDeltaChainCached(t *testing.T) {
 		for i := range c.Bias {
 			c.Bias[i] = rng.NormFloat64() * 0.1
 		}
-	}
-	fc := NewFC("fc", shape.Elems(), 9)
-	for i := range fc.Weights {
-		fc.Weights[i] = rng.NormFloat64() * 0.2
-	}
-	for i := range fc.Bias {
-		fc.Bias[i] = rng.NormFloat64() * 0.1
-	}
-
-	var lls []DeltaForwarder
-	for _, c := range convs {
 		lls = append(lls, c)
 	}
-	lls = append(lls, fc)
+	for _, fc := range fcs {
+		for i := range fc.Weights {
+			fc.Weights[i] = rng.NormFloat64() * 0.2
+		}
+		for i := range fc.Bias {
+			fc.Bias[i] = rng.NormFloat64() * 0.1
+		}
+		lls = append(lls, fc)
+	}
 
 	sizes := []int{1, 3, len(in.Data) / 2, len(in.Data)}
 	for _, dt := range numeric.Types {

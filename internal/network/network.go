@@ -566,10 +566,7 @@ func (e *Execution) LayerInput(li int) *tensor.Tensor {
 func (e *Execution) Output() *tensor.Tensor { return e.Acts[len(e.Acts)-1] }
 
 // Top1 returns the index of the highest-ranked output candidate.
-func (e *Execution) Top1() int { return e.Output().ArgTopK(1)[0] }
-
-// TopK returns the indices of the k highest-ranked candidates.
-func (e *Execution) TopK(k int) []int { return e.Output().ArgTopK(k) }
+func (e *Execution) Top1() int { return e.Output().ArgMax() }
 
 // BlockActs returns the activation tensor at the end of each paper-style
 // block — the fmap data that would be resident in the accelerator's global

@@ -182,17 +182,17 @@ func TestForwardFromNoFaultEqualsGolden(t *testing.T) {
 func TestTopK(t *testing.T) {
 	n := tinyNet()
 	exec := n.Forward(numeric.Double, tinyInput())
-	top := exec.TopK(4)
+	out := exec.Output()
+	top := out.ArgTopK(4)
 	if len(top) != 4 {
-		t.Fatalf("TopK(4) len = %d", len(top))
+		t.Fatalf("ArgTopK(4) len = %d", len(top))
 	}
 	if top[0] != exec.Top1() {
-		t.Error("TopK[0] != Top1")
+		t.Error("ArgTopK[0] != Top1")
 	}
-	out := exec.Output()
 	for i := 1; i < len(top); i++ {
 		if out.Data[top[i-1]] < out.Data[top[i]] {
-			t.Error("TopK not descending")
+			t.Error("ArgTopK not descending")
 		}
 	}
 }

@@ -16,10 +16,14 @@ var (
 	quantFns [numTypes]func(float64) float64
 	macFns   [numTypes]func(acc, a, b float64) float64
 	accFns   [numTypes]func(acc, p float64) float64
+	fxGrids  [numTypes]fxGrid // of the fixed-point formats
 )
 
 func init() {
 	for _, t := range Types {
+		if !t.IsFloat() {
+			fxGrids[t] = newFxGrid(t)
+		}
 		quantFns[t] = buildQuantFn(t)
 		macFns[t] = buildMACFn(t)
 		accFns[t] = buildAccFn(t)
@@ -52,82 +56,114 @@ func buildQuantFn(t Type) func(float64) float64 {
 	case Float16:
 		return f16Quantize
 	default:
-		return fxQuantFn(t)
+		g := &fxGrids[t]
+		return func(v float64) float64 { return g.quant(v) }
 	}
 }
 
 // Binary64 encoding constants of the binary16 normal range: a finite v
-// rounds to a normal (or just-overflowing) half exactly when its unbiased
-// exponent is in [-14, 15], i.e. its biased binary64 exponent is in
-// [1009, 1038].
+// rounds to a finite normal half exactly when 2^-14 ≤ |v| < 65520 (65520 is
+// the tie between the largest finite half, 65504, and the overflow to
+// infinity).
 const (
-	f16NormMin   = 1009 << 52 // 2^-14, the smallest normal half
-	f16NormSpan  = 30 << 52   // exponent span of the normal range
-	f16OverBits  = 1039 << 52 // biased exponent 1039 ⇒ rounded past 65504
-	f16RoundHalf = 1<<41 - 1  // half-ulp minus one of the 42 dropped bits
+	f16NormMin   = 1009 << 52         // 2^-14, the smallest normal half
+	f16OverMin   = 0x40EFFE0000000000 // 65520
+	f16RoundHalf = 1<<41 - 1          // half-ulp minus one of the 42 dropped bits
 )
 
-// f16Quantize rounds v to the nearest binary16-representable value
-// (round-to-nearest-even), bit-identical to F16ToFloat(F16FromFloat(v)).
-// For the dominant case — a result in the half-precision normal range — the
-// rounding happens directly on the binary64 bit pattern: adding
+// f16Round is the common case of f16Quantize in inlinable, branch-free
+// form: for a magnitude that rounds to a normal half (2^-14 ≤ |v| < 65520)
+// the rounding happens directly on the binary64 bit pattern — adding
 // half-ulp-minus-one plus the round bit's LSB rounds the 42 dropped mantissa
 // bits to nearest-even, with a mantissa overflow carrying into the exponent
-// exactly as the reference conversion does. Everything else (zeros,
-// subnormals, overflow, Inf/NaN) defers to the reference round trip.
-func f16Quantize(v float64) float64 {
+// exactly as the reference conversion does. The same arithmetic maps ±0 to
+// itself, sign preserved (every ReLU-killed activation's product). ok is
+// false for everything else — subnormals, overflow, Inf, NaN — and r is then
+// meaningless.
+func f16Round(v float64) (r float64, ok bool) {
 	b := math.Float64bits(v)
 	abs := b &^ (1 << 63)
-	if abs-f16NormMin < f16NormSpan {
-		abs += f16RoundHalf + ((abs >> 42) & 1)
-		if abs >= f16OverBits { // rounded past the largest finite half
-			return math.Float64frombits(b&(1<<63) | 0x7FF0000000000000)
-		}
-		return math.Float64frombits(b&(1<<63) | abs&^(1<<42-1))
+	r = math.Float64frombits(b&(1<<63) | (abs+f16RoundHalf+((abs>>42)&1))&^(1<<42-1))
+	return r, abs-f16NormMin < f16OverMin-f16NormMin || abs == 0
+}
+
+// f16Quantize rounds v to the nearest binary16-representable value
+// (round-to-nearest-even), bit-identical to F16ToFloat(F16FromFloat(v)),
+// which is where everything f16Round declines goes.
+func f16Quantize(v float64) float64 {
+	if r, ok := f16Round(v); ok {
+		return r
 	}
 	return F16ToFloat(F16FromFloat(v))
 }
 
-// fxQuantFn builds the fused fixed-point quantizer of format t: the same
-// value fxDecode(fxEncode(t, v)) takes, without materializing the raw
-// integer. Rounding to integer uses the 2^52 magic-add (exact
-// round-to-nearest-even for |s| < 2^52; larger magnitudes stay far beyond
-// the saturation bound, so the clamps still fire). The rounded value r is
-// integral with |r| < 2^(w-1) ≤ 2^31, so int64(r) == r exactly, and
-// multiplying by the exact power of two 2^-f equals fxDecode's division
-// bit-for-bit. The r == 0 guard folds -0 to +0 exactly as the integer round
-// trip does.
-const two52 = 1 << 52
+// fxGrid holds the constants of one fixed-point format and its two
+// quantizers, small enough to inline into the loops that use them.
+type fxGrid struct {
+	scale, inv     float64 // 2^f and 2^-f
+	maxRaw, minRaw float64 // saturation bounds of the raw integer
+	satMax, satMin float64 // … and of the value
+}
 
-func fxQuantFn(t Type) func(float64) float64 {
+func newFxGrid(t Type) fxGrid {
 	w, f := t.Width(), t.FractionBits()
-	maxRaw := float64(int64(1)<<(w-1) - 1)
-	minRaw := float64(-(int64(1) << (w - 1)))
-	scale := float64(int64(1) << f)
-	inv := 1 / scale
-	satMax := maxRaw * inv
-	satMin := minRaw * inv
-	return func(v float64) float64 {
-		if v != v { // NaN encodes as raw 0
-			return 0
-		}
-		s := v * scale
-		// Branchless round-to-nearest-even: round |s| via the 2^52 magic
-		// add (exact for |s| < 2^52; larger magnitudes saturate below
-		// regardless of the off-by-a-few rounding), then restore the sign —
-		// RoundToEven is odd-symmetric.
-		r := math.Copysign(math.Abs(s)+two52-two52, s)
-		if r >= maxRaw {
-			return satMax
-		}
-		if r <= minRaw {
-			return satMin
-		}
-		if r == 0 {
-			return 0
-		}
-		return r * inv
+	g := fxGrid{
+		scale:  float64(int64(1) << f),
+		maxRaw: float64(int64(1)<<(w-1) - 1),
+		minRaw: float64(-(int64(1) << (w - 1))),
 	}
+	g.inv = 1 / g.scale
+	g.satMax, g.satMin = g.maxRaw*g.inv, g.minRaw*g.inv
+	return g
+}
+
+// fxRoundMagic is 1.5·2^52: adding it to s pushes the sum into [2^52, 2^53],
+// where binary64 has exactly integer resolution, so the addition itself
+// rounds s to the nearest integer, ties to even (the constant is even), and
+// subtracting it back is exact. That holds for |s| ≤ 2^51; beyond, the result
+// is off by at most the sum's coarser ulp but its magnitude stays ≥ 2^51.
+const fxRoundMagic = 3 << 51
+
+// quant is the fused fixed-point quantizer: the same value
+// fxDecode(fxEncode(t, v)) takes, without materializing the raw integer.
+// The magic add rounds v·2^f to nearest-even without a branch; magnitudes it
+// does not round exactly are far beyond the saturation bound (2^(w-1) ≤
+// 2^31), so the clamps still fire. The rounded value r is integral with
+// |r| < 2^31, so int64(r) == r exactly, and multiplying by the exact power of
+// two 2^-f equals fxDecode's division bit-for-bit. r is never -0 (x - x is
+// +0), which folds -0 and every negative that rounds to zero to +0 exactly
+// as the integer round trip does. NaN fails every comparison and encodes as
+// raw 0; keeping it off the in-range path saves that path a test.
+func (g *fxGrid) quant(v float64) float64 {
+	r := v*g.scale + fxRoundMagic - fxRoundMagic
+	if r > g.minRaw && r < g.maxRaw {
+		return r * g.inv
+	}
+	if r >= g.maxRaw {
+		return g.satMax
+	}
+	if r <= g.minRaw {
+		return g.satMin
+	}
+	return 0
+}
+
+// acc quantizes v = the sum of two grid values. Grid values are finite
+// multiples of 2^-f with |v*scale| ≤ 2^(w-1) ≤ 2^31, so the sum is exact in
+// binary64 (it needs at most w+1 ≤ 33 significant bits), v*scale is an exact
+// integer, and quant's round-to-nearest-even is the identity — only the
+// saturation clamps can fire, and scaling by a power of two is exact, so
+// they compare the value itself. quant never emits -0, so the sum of two
+// grid values cannot be -0 either. At the clamp boundaries quant returns the
+// same value: r == maxRaw yields satMax == v exactly.
+func (g *fxGrid) acc(v float64) float64 {
+	if v >= g.satMax {
+		return g.satMax
+	}
+	if v <= g.satMin {
+		return g.satMin
+	}
+	return v
 }
 
 func buildMACFn(t Type) func(acc, a, b float64) float64 {
@@ -150,7 +186,10 @@ func buildMACFn(t Type) func(acc, a, b float64) float64 {
 			return f16Quantize(acc + f16Quantize(a*b))
 		}
 	default:
-		return fxMACFn(t)
+		// Both quantization steps inline: an indirect call per rounding
+		// costs as much as the rounding itself.
+		g := &fxGrids[t]
+		return func(acc, a, b float64) float64 { return g.quant(acc + g.quant(a*b)) }
 	}
 }
 
@@ -163,82 +202,7 @@ func buildAccFn(t Type) func(acc, p float64) float64 {
 	case Float16:
 		return func(acc, p float64) float64 { return f16Quantize(acc + p) }
 	default:
-		return fxAccFn(t)
-	}
-}
-
-// fxAccFn is the fixed-point accumulate-quantize kernel for grid operands.
-// Grid values are finite multiples of 2^-f with |v*scale| ≤ 2^(w-1) ≤ 2^31,
-// so acc+p is exact in binary64 (the sum needs at most w+1 ≤ 33 significant
-// bits), v*scale is an exact integer, and Quantize's round-to-nearest-even
-// is the identity — only the saturation clamps can fire. The quantizer
-// never emits -0 (its raw-zero guard folds it to +0), so the sum of two
-// grid values cannot be -0 and the zero guard is unnecessary too. At the
-// clamp boundaries the generic path returns the same value: r == maxRaw
-// yields satMax == v exactly.
-func fxAccFn(t Type) func(acc, p float64) float64 {
-	w, f := t.Width(), t.FractionBits()
-	maxRaw := float64(int64(1)<<(w-1) - 1)
-	minRaw := float64(-(int64(1) << (w - 1)))
-	scale := float64(int64(1) << f)
-	inv := 1 / scale
-	satMax := maxRaw * inv
-	satMin := minRaw * inv
-	return func(acc, p float64) float64 {
-		v := acc + p
-		s := v * scale
-		if s >= maxRaw {
-			return satMax
-		}
-		if s <= minRaw {
-			return satMin
-		}
-		return v
-	}
-}
-
-// fxMACFn is the fixed-point MACq kernel with both quantization steps of
-// fxQuantFn's body inlined — the indirect closure call per rounding costs
-// as much as the rounding itself in the chain-replay hot loop.
-func fxMACFn(t Type) func(acc, a, b float64) float64 {
-	w, f := t.Width(), t.FractionBits()
-	maxRaw := float64(int64(1)<<(w-1) - 1)
-	minRaw := float64(-(int64(1) << (w - 1)))
-	scale := float64(int64(1) << f)
-	inv := 1 / scale
-	satMax := maxRaw * inv
-	satMin := minRaw * inv
-	return func(acc, a, b float64) float64 {
-		p := a * b
-		var pq float64
-		if p != p {
-			pq = 0
-		} else {
-			r := math.Copysign(math.Abs(p*scale)+two52-two52, p)
-			switch {
-			case r >= maxRaw:
-				pq = satMax
-			case r <= minRaw:
-				pq = satMin
-			case r == 0:
-				pq = 0
-			default:
-				pq = r * inv
-			}
-		}
-		v := acc + pq
-		if v != v {
-			return 0
-		}
-		r := math.Copysign(math.Abs(v*scale)+two52-two52, v)
-		switch {
-		case r >= maxRaw:
-			return satMax
-		case r <= minRaw:
-			return satMin
-		case r == 0:
-			return 0
-		}
-		return r * inv
+		g := &fxGrids[t]
+		return func(acc, p float64) float64 { return g.acc(acc + p) }
 	}
 }

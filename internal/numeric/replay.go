@@ -2,12 +2,24 @@ package numeric
 
 import "math"
 
-// ChainReplay recomputes one quantized accumulation chain whose operands
-// differ from a cached golden replay of the same chain at exactly the
-// ascending tap positions `steps`. The golden internals are prefix (the
-// partial accumulator before each tap, prefix[chain] being the final value)
-// and prods (each tap's quantized product); qw[wBase+j] is the quantized
-// weight of tap j and xs[i] the lane's quantized input at steps[i].
+// chainLanes is the number of output elements one replay loop advances
+// together. A single chain is a serial dependency (add → quantize → compare,
+// tap after tap) and leaves the core waiting on latency; chainLanes chains
+// over the same changed taps are that many independent dependencies in one
+// loop body, which the core overlaps.
+const chainLanes = 4
+
+// ChainReplay recomputes len(dst) quantized accumulation chains that read
+// the same inputs through different weights — the output neurons of an FC
+// layer, the output channels of one CONV position — and differ from the
+// cached golden replay of those chains at exactly the ascending tap
+// positions `steps`, where xs[i] is the faulty quantized input at steps[i].
+// dst[i] receives lane i's final accumulator. Lane i's golden internals
+// start at prefix[i*rows*(chain+1)] (the partial accumulator before each
+// tap, entry `chain` being the final value) and prods[i*rows*chain] (each
+// tap's quantized product), its quantized weights at qw[i*chain]: rows is
+// the distance between consecutive lanes in chain rows, 1 for FC and the
+// output plane for CONV.
 //
 // Each MAC decomposes into product-quantize and accumulate-quantize —
 // bit-identical to MACq (pinned by TestChainReplayBitIdentical) — so cached
@@ -15,19 +27,44 @@ import "math"
 // partial before the first changed tap, and a bit-equal partial accumulator
 // proves the remaining unchanged taps reproduce the golden partials
 // (identical operations on identical values), allowing an early out or a
-// skip to the next changed tap. The loop bodies are specialized per format:
-// the indirect kernel call costs as much as the arithmetic it wraps.
-func (t Type) ChainReplay(prefix, prods, qw []float64, wBase int, steps []int, xs []float64, chain int) float64 {
-	switch t {
-	case Double:
-		return replayDouble(prefix, prods, qw, wBase, steps, xs, chain)
-	case Float:
-		return replayFloat(prefix, prods, qw, wBase, steps, xs, chain)
-	case Float16:
-		return replayF16(prefix, prods, qw, wBase, steps, xs, chain)
-	default:
-		return replayFx(t, prefix, prods, qw, wBase, steps, xs, chain)
+// skip to the next changed tap. The lanes advance in groups of chainLanes
+// and a group skips jointly, only when every lane has re-converged; a lane
+// that re-converged alone keeps accumulating golden products onto a golden
+// partial, which recomputes exactly the partials the skip would have read
+// from prefix. A tail group repeats its last lane. The loop bodies are
+// specialized per format with the quantizer inlined: an indirect kernel
+// call costs as much as the arithmetic it wraps.
+func (t Type) ChainReplay(dst, prefix, prods, qw []float64, rows int, steps []int, xs []float64, chain int) {
+	ps, ds := rows*(chain+1), rows*chain
+	if len(steps) == 0 {
+		for i := range dst {
+			dst[i] = prefix[i*ps+chain]
+		}
+		return
 	}
+	var out [chainLanes]float64
+	for g := 0; g < len(dst); g += chainLanes {
+		n := min(chainLanes, len(dst)-g)
+		gp, gd, gw := prefix[g*ps:], prods[g*ds:], qw[g*chain:]
+		switch t {
+		case Double:
+			replayDouble(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+		case Float:
+			replayFloat(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+		case Float16:
+			replayF16(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+		default:
+			replayFx(&out, &fxGrids[t], gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+		}
+		copy(dst[g:], out[:n])
+	}
+}
+
+// laneRows returns the n-element rows of a group's lanes, stride apart in
+// s; lanes past `last` repeat lane last, so a tail group runs the same loop.
+func laneRows(s []float64, stride, last, n int) (r0, r1, r2, r3 []float64) {
+	l1, l2, l3 := min(1, last)*stride, min(2, last)*stride, min(3, last)*stride
+	return s[:n], s[l1 : l1+n], s[l2 : l2+n], s[l3 : l3+n]
 }
 
 // replayDouble: both quantizations are the identity. Re-convergence is
@@ -36,130 +73,150 @@ func (t Type) ChainReplay(prefix, prods, qw []float64, wBase int, steps []int, x
 // bit-identical — the replay simply recomputes what the early out would
 // have read from prefix. The float64 conversions are explicit roundings,
 // which keeps implementations from fusing the multiply-add into an FMA.
-func replayDouble(prefix, prods, qw []float64, wBase int, steps []int, xs []float64, chain int) float64 {
-	prefix, prods = prefix[:chain+1], prods[:chain]
-	if len(steps) == 0 {
-		return prefix[chain]
-	}
+func replayDouble(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
+	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
+	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
 	j := steps[0]
-	acc := prefix[j]
+	a0, a1, a2, a3 := p0[j], p1[j], p2[j], p3[j]
 	si := 0
 	for ; j < chain; j++ {
 		if si < len(steps) && steps[si] == j {
-			acc += float64(qw[wBase+j] * xs[si])
+			x := xs[si]
 			si++
+			a0 += float64(w0[j] * x)
+			a1 += float64(w1[j] * x)
+			a2 += float64(w2[j] * x)
+			a3 += float64(w3[j] * x)
 		} else {
-			acc += prods[j]
+			a0 += d0[j]
+			a1 += d1[j]
+			a2 += d2[j]
+			a3 += d3[j]
 		}
 	}
-	return acc
+	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
 
-func replayFloat(prefix, prods, qw []float64, wBase int, steps []int, xs []float64, chain int) float64 {
-	prefix, prods = prefix[:chain+1], prods[:chain]
+func replayFloat(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
+	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
+	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
 	si := 0
-	for {
-		if si == len(steps) {
-			return prefix[chain]
-		}
+	for si < len(steps) {
 		j := steps[si]
-		acc := prefix[j]
+		a0, a1, a2, a3 := p0[j], p1[j], p2[j], p3[j]
 		for {
-			var p float64
+			q0, q1, q2, q3 := d0[j], d1[j], d2[j], d3[j]
 			if si < len(steps) && steps[si] == j {
-				p = float64(float32(qw[wBase+j] * xs[si]))
+				x := xs[si]
 				si++
-			} else {
-				p = prods[j]
+				q0 = float64(float32(w0[j] * x))
+				q1 = float64(float32(w1[j] * x))
+				q2 = float64(float32(w2[j] * x))
+				q3 = float64(float32(w3[j] * x))
 			}
-			acc = float64(float32(acc + p))
+			a0 = float64(float32(a0 + q0))
+			a1 = float64(float32(a1 + q1))
+			a2 = float64(float32(a2 + q2))
+			a3 = float64(float32(a3 + q3))
 			j++
 			if j == chain {
-				return acc
+				out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+				return
 			}
-			if (si == len(steps) || steps[si] != j) &&
-				math.Float64bits(acc) == math.Float64bits(prefix[j]) {
-				break // re-converged: skip ahead to the next changed tap
+			if (si == len(steps) || steps[si] != j) && sameBits(a0, p0[j]) &&
+				sameBits(a1, p1[j]) && sameBits(a2, p2[j]) && sameBits(a3, p3[j]) {
+				break // every lane re-converged: skip ahead to the next changed tap
 			}
 		}
 	}
+	out[0], out[1], out[2], out[3] = p0[chain], p1[chain], p2[chain], p3[chain]
 }
 
-func replayF16(prefix, prods, qw []float64, wBase int, steps []int, xs []float64, chain int) float64 {
-	prefix, prods = prefix[:chain+1], prods[:chain]
+func replayF16(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
+	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
+	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
 	si := 0
-	for {
-		if si == len(steps) {
-			return prefix[chain]
-		}
+	for si < len(steps) {
 		j := steps[si]
-		acc := prefix[j]
+		a0, a1, a2, a3 := p0[j], p1[j], p2[j], p3[j]
 		for {
-			var p float64
+			q0, q1, q2, q3 := d0[j], d1[j], d2[j], d3[j]
 			if si < len(steps) && steps[si] == j {
-				p = f16Quantize(qw[wBase+j] * xs[si])
+				x := xs[si]
 				si++
-			} else {
-				p = prods[j]
+				v0, v1, v2, v3 := w0[j]*x, w1[j]*x, w2[j]*x, w3[j]*x
+				var ok0, ok1, ok2, ok3 bool
+				q0, ok0 = f16Round(v0)
+				q1, ok1 = f16Round(v1)
+				q2, ok2 = f16Round(v2)
+				q3, ok3 = f16Round(v3)
+				if !(ok0 && ok1 && ok2 && ok3) {
+					q0, q1, q2, q3 = f16Quantize(v0), f16Quantize(v1), f16Quantize(v2), f16Quantize(v3)
+				}
 			}
-			acc = f16Quantize(acc + p)
+			v0, v1, v2, v3 := a0+q0, a1+q1, a2+q2, a3+q3
+			var ok0, ok1, ok2, ok3 bool
+			a0, ok0 = f16Round(v0)
+			a1, ok1 = f16Round(v1)
+			a2, ok2 = f16Round(v2)
+			a3, ok3 = f16Round(v3)
+			if !(ok0 && ok1 && ok2 && ok3) {
+				a0, a1, a2, a3 = f16Quantize(v0), f16Quantize(v1), f16Quantize(v2), f16Quantize(v3)
+			}
 			j++
 			if j == chain {
-				return acc
+				out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+				return
 			}
-			if (si == len(steps) || steps[si] != j) &&
-				math.Float64bits(acc) == math.Float64bits(prefix[j]) {
+			if (si == len(steps) || steps[si] != j) && sameBits(a0, p0[j]) &&
+				sameBits(a1, p1[j]) && sameBits(a2, p2[j]) && sameBits(a3, p3[j]) {
 				break
 			}
 		}
 	}
+	out[0], out[1], out[2], out[3] = p0[chain], p1[chain], p2[chain], p3[chain]
 }
 
-// replayFx inlines the grid-operand accumulate of fxAccFn (see its
-// derivation: the sum of two grid values is exact, so only saturation can
-// fire); changed-tap products still pay the full rounding through the
-// format's quantizer, but they are the rare case.
-func replayFx(t Type, prefix, prods, qw []float64, wBase int, steps []int, xs []float64, chain int) float64 {
-	prefix, prods = prefix[:chain+1], prods[:chain]
-	w, f := t.Width(), t.FractionBits()
-	maxRaw := float64(int64(1)<<(w-1) - 1)
-	minRaw := float64(-(int64(1) << (w - 1)))
-	scale := float64(int64(1) << f)
-	inv := 1 / scale
-	satMax := maxRaw * inv
-	satMin := minRaw * inv
-	quant := quantFns[t]
+// replayFx accumulates with fxGrid.acc (the sum of two grid values is exact,
+// so only saturation can fire); changed-tap products pay the full rounding
+// of fxGrid.quant.
+func replayFx(out *[chainLanes]float64, fx *fxGrid, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
+	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
+	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
 	si := 0
-	for {
-		if si == len(steps) {
-			return prefix[chain]
-		}
+	for si < len(steps) {
 		j := steps[si]
-		acc := prefix[j]
+		a0, a1, a2, a3 := p0[j], p1[j], p2[j], p3[j]
 		for {
-			var p float64
+			q0, q1, q2, q3 := d0[j], d1[j], d2[j], d3[j]
 			if si < len(steps) && steps[si] == j {
-				p = quant(qw[wBase+j] * xs[si])
+				x := xs[si]
 				si++
-			} else {
-				p = prods[j]
+				q0 = fx.quant(w0[j] * x)
+				q1 = fx.quant(w1[j] * x)
+				q2 = fx.quant(w2[j] * x)
+				q3 = fx.quant(w3[j] * x)
 			}
-			v := acc + p
-			s := v * scale
-			if s >= maxRaw {
-				v = satMax
-			} else if s <= minRaw {
-				v = satMin
-			}
-			acc = v
+			a0 = fx.acc(a0 + q0)
+			a1 = fx.acc(a1 + q1)
+			a2 = fx.acc(a2 + q2)
+			a3 = fx.acc(a3 + q3)
 			j++
 			if j == chain {
-				return acc
+				out[0], out[1], out[2], out[3] = a0, a1, a2, a3
+				return
 			}
-			if (si == len(steps) || steps[si] != j) &&
-				math.Float64bits(acc) == math.Float64bits(prefix[j]) {
+			if (si == len(steps) || steps[si] != j) && sameBits(a0, p0[j]) &&
+				sameBits(a1, p1[j]) && sameBits(a2, p2[j]) && sameBits(a3, p3[j]) {
 				break
 			}
 		}
 	}
+	out[0], out[1], out[2], out[3] = p0[chain], p1[chain], p2[chain], p3[chain]
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -185,6 +185,38 @@ func (t *Tensor) ArgTopK(k int) []int {
 	return idx
 }
 
+// ArgMax returns ArgTopK(1)[0] — the index of the largest element, the lowest
+// such index on a tie, NaN ranking below everything — in one pass and without
+// allocating.
+func (t *Tensor) ArgMax() int {
+	best := 0
+	for i, v := range t.Data {
+		if greater(v, t.Data[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// Rank returns the position of element i in ArgTopK's order — how many
+// elements rank before it, so ArgTopK(k) contains i exactly when Rank(i) < k
+// — in one pass and without allocating: an earlier element ranks before i
+// unless i is strictly greater, a later one only if it is strictly greater.
+func (t *Tensor) Rank(i int) int {
+	vi, r := t.Data[i], 0
+	for _, v := range t.Data[:i] {
+		if !greater(vi, v) {
+			r++
+		}
+	}
+	for _, v := range t.Data[i+1:] {
+		if greater(v, vi) {
+			r++
+		}
+	}
+	return r
+}
+
 // greater orders a before b, treating NaN as smallest so a corrupted score
 // never outranks a real one.
 func greater(a, b float64) bool {

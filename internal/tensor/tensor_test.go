@@ -174,6 +174,30 @@ func TestArgTopKNaNRanksLast(t *testing.T) {
 	}
 }
 
+// TestArgMaxAndRankMatchArgTopK pins the two allocation-free rankings to the
+// order they abbreviate, on vectors dense with ties, NaNs, infinities and
+// signed zeros.
+func TestArgMaxAndRankMatchArgTopK(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, -1, 0.5, math.Inf(1), math.Inf(-1), math.NaN(), math.NaN(), 1e-300, -1e300}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		tr := New(Shape{C: n, H: 1, W: 1})
+		for i := range tr.Data {
+			tr.Data[i] = pool[rng.Intn(len(pool))]
+		}
+		order := tr.ArgTopK(n)
+		if got := tr.ArgMax(); got != order[0] {
+			t.Fatalf("%v: ArgMax = %d, ArgTopK leads with %d", tr.Data, got, order[0])
+		}
+		for r, i := range order {
+			if got := tr.Rank(i); got != r {
+				t.Fatalf("%v: Rank(%d) = %d, ArgTopK places it at %d", tr.Data, i, got, r)
+			}
+		}
+	}
+}
+
 func TestPropertyIndexBijective(t *testing.T) {
 	prop := func(cs, hs, ws uint8) bool {
 		s := Shape{C: int(cs%5) + 1, H: int(hs%5) + 1, W: int(ws%5) + 1}
