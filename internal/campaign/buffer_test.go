@@ -9,19 +9,22 @@ func bufSpec(sampling string) Spec {
 	}
 }
 
+// bufferRefused are the specs the buffer-surface and prior-path rules
+// refuse.
+var bufferRefused = []Spec{
+	{N: 10, Surface: "cache"},
+	{N: 10, Surface: "buffer", Buffer: "l2"},
+	{N: 10, Surface: "buffer", Select: "perbit", Param: 3},
+	{N: 10, Surface: "buffer", TrackValues: 5},
+	{N: 10, Surface: "buffer", TrackSpread: true},
+	{N: 10, Surface: "datapath", Buffer: "global"},
+	{N: 10, PriorPath: "x.json"}, // prior on a uniform campaign
+}
+
 // TestSpecNormalizeBuffer covers the buffer-surface and prior-path
 // validation rules.
 func TestSpecNormalizeBuffer(t *testing.T) {
-	bad := []Spec{
-		{N: 10, Surface: "cache"},
-		{N: 10, Surface: "buffer", Buffer: "l2"},
-		{N: 10, Surface: "buffer", Select: "perbit", Param: 3},
-		{N: 10, Surface: "buffer", TrackValues: 5},
-		{N: 10, Surface: "buffer", TrackSpread: true},
-		{N: 10, Surface: "datapath", Buffer: "global"},
-		{N: 10, PriorPath: "x.json"}, // prior on a uniform campaign
-	}
-	for i, s := range bad {
+	for i, s := range bufferRefused {
 		if err := s.Normalize(); err == nil {
 			t.Fatalf("bad spec %d passed validation: %+v", i, s)
 		}

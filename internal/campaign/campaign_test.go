@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -216,16 +217,18 @@ func TestGoldenCacheSharing(t *testing.T) {
 	assertBitIdentical(t, "golden cache", first, plain)
 }
 
+// normalizeRefused are specs every surface refuses.
+var normalizeRefused = []Spec{
+	{Net: "NoSuchNet", N: 10},
+	{DType: "FLOAT13", N: 10},
+	{N: 0},
+	{N: 10, Select: "sideways"},
+	{N: 10, Select: "perbit", Param: 99},
+}
+
 // TestSpecNormalize covers validation and defaulting.
 func TestSpecNormalize(t *testing.T) {
-	bad := []Spec{
-		{Net: "NoSuchNet", N: 10},
-		{DType: "FLOAT13", N: 10},
-		{N: 0},
-		{N: 10, Select: "sideways"},
-		{N: 10, Select: "perbit", Param: 99},
-	}
-	for i, s := range bad {
+	for i, s := range normalizeRefused {
 		if err := s.Normalize(); err == nil {
 			t.Fatalf("bad spec %d passed validation: %+v", i, s)
 		}
@@ -239,6 +242,43 @@ func TestSpecNormalize(t *testing.T) {
 	}
 	if s.Shards > s.N {
 		t.Fatalf("shards %d not clamped to N=%d", s.Shards, s.N)
+	}
+}
+
+// TestNormalizeIdempotent: normalizing a normalized spec changes nothing,
+// for every spec table of this package's tests and every spec builder under
+// each sampling design, pilot budget and evaluation mode — a spec is
+// journaled normalized and normalized again wherever it is read back.
+func TestNormalizeIdempotent(t *testing.T) {
+	specs := slices.Concat(normalizeRefused, bufferRefused, evalRefused, stratifiedRefused,
+		systolicRefused, unboundedRefused, atBound)
+	for _, base := range []Spec{testSpec("16b_rb10"), testSpec("FLOAT16"), bufSpec(""), sysSpec("")} {
+		for _, sampling := range []string{"", "uniform", "stratified"} {
+			for _, pilot := range []int{0, 7, 1000, -1} {
+				for _, eval := range EvalModes {
+					s := base
+					s.Sampling, s.PilotN, s.Eval = sampling, pilot, eval
+					specs = append(specs, s)
+					s.PriorPath = "prior.json"
+					specs = append(specs, s)
+				}
+			}
+		}
+	}
+	accepted := 0
+	for i, s := range specs {
+		once := s
+		if once.Normalize() != nil {
+			continue
+		}
+		accepted++
+		twice := once
+		if err := twice.Normalize(); err != nil || twice != once {
+			t.Errorf("spec %d %+v: normalized to %+v, then to %+v (err %v)", i, s, once, twice, err)
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no spec normalized")
 	}
 }
 

@@ -11,18 +11,20 @@ import (
 	"repro/internal/models"
 )
 
+// evalRefused are the specs the Eval rules refuse.
+var evalRefused = []Spec{
+	{N: 10, Eval: "site"},
+	{N: 10, Eval: "bitplane"},
+	{N: 10, Eval: "site-bitplane", Select: "perbit", Param: 3},
+	{N: 10, Eval: "site-scalar", Select: "perlayer"},
+}
+
 // TestSpecEvalValidation covers the Eval field's normalization rules: only
 // the known modes pass, site modes demand the uniform selector, and the
 // shard count of a site-draw campaign clamps to its draw-unit count rather
 // than its injection count.
 func TestSpecEvalValidation(t *testing.T) {
-	bad := []Spec{
-		{N: 10, Eval: "site"},
-		{N: 10, Eval: "bitplane"},
-		{N: 10, Eval: "site-bitplane", Select: "perbit", Param: 3},
-		{N: 10, Eval: "site-scalar", Select: "perlayer"},
-	}
-	for i, s := range bad {
+	for i, s := range evalRefused {
 		if err := s.Normalize(); err == nil {
 			t.Fatalf("bad spec %d passed validation: %+v", i, s)
 		}
@@ -69,26 +71,33 @@ func TestSiteEvalSoloModesBitIdentical(t *testing.T) {
 	}
 }
 
+// unboundedRefused are specs past the input or shard bound; atBound sit on
+// it.
+var (
+	unboundedRefused = []Spec{
+		{N: 1, Inputs: 2_000_000_000},
+		{N: 40, Inputs: 41},
+		{N: 2_000_000_000, Shards: 2_000_000_000},
+		{N: 1 << 20, Shards: maxShards + 1},
+	}
+	atBound = []Spec{
+		{N: 40, Inputs: 40},
+		{N: 1 << 20, Shards: maxShards},
+	}
+)
+
 // TestNormalizeRefusesUnboundedSpec: the two spec fields that size
 // allocations before any injection runs are bounded at Normalize — a spec
 // past either bound used to be journaled and then kill every worker that
 // leased it (one golden per input) or the plane itself (one ledger entry
 // per shard, inside Submit).
 func TestNormalizeRefusesUnboundedSpec(t *testing.T) {
-	for _, s := range []Spec{
-		{N: 1, Inputs: 2_000_000_000},
-		{N: 40, Inputs: 41},
-		{N: 2_000_000_000, Shards: 2_000_000_000},
-		{N: 1 << 20, Shards: maxShards + 1},
-	} {
+	for _, s := range unboundedRefused {
 		if err := s.Normalize(); err == nil {
 			t.Errorf("spec %+v normalized to %d inputs, %d shards, want a refusal", s, s.Inputs, s.Shards)
 		}
 	}
-	for _, s := range []Spec{
-		{N: 40, Inputs: 40},
-		{N: 1 << 20, Shards: maxShards},
-	} {
+	for _, s := range atBound {
 		if err := s.Normalize(); err != nil {
 			t.Errorf("spec at the bound refused: %v", err)
 		}

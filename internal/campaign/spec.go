@@ -74,7 +74,8 @@ type Spec struct {
 	// PilotN is the stratified pilot budget; Normalize defaults it to
 	// engine.DefaultPilotN(N) so every participant agrees on the split.
 	// Normalize forces it to -1 (pilot-free) when PriorPath seeds the
-	// allocation from a previous campaign.
+	// allocation from a previous campaign, and refuses a negative one
+	// without PriorPath.
 	PilotN int `json:"pilot_n,omitempty"`
 	// Surface selects the fault surface: "datapath" (default; faultinj
 	// latch campaigns), "buffer" (eyeriss buffer-hierarchy campaigns) or
@@ -243,6 +244,8 @@ func (s *Spec) Normalize() error {
 			// Pilot-free: the whole budget is main-phase, allocated from
 			// the prior campaign's persisted strata.
 			s.PilotN = -1
+		} else if s.PilotN < 0 {
+			return fmt.Errorf("campaign: negative pilot_n %d: a pilot-free stratified campaign needs a prior_path", s.PilotN)
 		} else {
 			pilot, _ := engine.PilotBudget(s.N, s.PilotN)
 			s.PilotN = pilot

@@ -167,18 +167,27 @@ func TestStratifiedSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// stratifiedRefused are the specs the sampling rules refuse.
+var stratifiedRefused = []Spec{
+	{N: 10, Sampling: "sideways"},
+	{N: 100, Sampling: "stratified", Select: "perbit", Param: 3},
+	{N: 100, Sampling: "stratified", Select: "perlayer", Param: 0},
+	// Pilot-free needs a prior: this used to normalize to PilotN 0, then to
+	// the default pilot on a second Normalize.
+	{Net: "ConvNet", N: 100, Sampling: "stratified", PilotN: -1},
+}
+
 // TestSpecNormalizeStratified covers the sampling-specific validation and
 // the slot geometry helpers.
 func TestSpecNormalizeStratified(t *testing.T) {
-	bad := []Spec{
-		{N: 10, Sampling: "sideways"},
-		{N: 100, Sampling: "stratified", Select: "perbit", Param: 3},
-		{N: 100, Sampling: "stratified", Select: "perlayer", Param: 0},
-	}
-	for i, s := range bad {
+	for i, s := range stratifiedRefused {
 		if err := s.Normalize(); err == nil {
 			t.Fatalf("bad spec %d passed validation: %+v", i, s)
 		}
+	}
+	neg := Spec{N: 100, Sampling: "stratified", PilotN: -1}
+	if err := neg.Normalize(); err == nil || !strings.Contains(err.Error(), "prior_path") {
+		t.Fatalf("negative pilot without a prior: error %v, want one naming prior_path", err)
 	}
 
 	s := Spec{N: 100, Shards: 4, Sampling: "stratified"}

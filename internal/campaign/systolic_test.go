@@ -13,31 +13,34 @@ func sysSpec(sampling string) Spec {
 	}
 }
 
+// systolicRefused are the specs the systolic-surface, MBU and dataflow
+// rules refuse.
+var systolicRefused = []Spec{
+	{N: 10, Surface: "systolic", Buffer: "global"},
+	{N: 10, Surface: "systolic", Select: "perbit", Param: 3},
+	{N: 10, Surface: "systolic", TrackValues: 5},
+	{N: 10, Surface: "systolic", TrackSpread: true},
+	{N: 10, Surface: "systolic", MBU: -1},
+	{N: 10, Surface: "systolic", DType: "16b_rb10", MBU: 17},
+	{N: 10, Surface: "systolic", MBU: 3, Eval: "site-scalar"},
+	{N: 10, Surface: "systolic", MBU: 3, Eval: "site-bitplane"},
+	{N: 10, Surface: "datapath", MBU: -1},
+	{N: 10, Surface: "datapath", DType: "16b_rb10", MBU: 17},
+	{N: 10, Surface: "datapath", MBU: 3, Eval: "site-bitplane"},
+	{N: 10, Surface: "datapath", MBU: 3, Select: "perbit", Param: 3},
+	{N: 10, Surface: "buffer", MBU: 3, Eval: "site-scalar"},
+	{N: 10, Surface: "systolic", Dataflow: "rowstat"},
+	{N: 10, Surface: "systolic", Dataflow: "weight-stationary"},
+	{N: 10, Surface: "datapath", Dataflow: "output"},
+	{N: 10, Surface: "buffer", Dataflow: "weight"},
+}
+
 // TestSpecNormalizeSystolic covers the systolic-surface validation rules
 // plus the cross-surface MBU and dataflow matrix: MBU is now valid on
 // every surface (bounded by the word and the per-bit evaluation mode),
 // while the dataflow axis stays systolic-only.
 func TestSpecNormalizeSystolic(t *testing.T) {
-	bad := []Spec{
-		{N: 10, Surface: "systolic", Buffer: "global"},
-		{N: 10, Surface: "systolic", Select: "perbit", Param: 3},
-		{N: 10, Surface: "systolic", TrackValues: 5},
-		{N: 10, Surface: "systolic", TrackSpread: true},
-		{N: 10, Surface: "systolic", MBU: -1},
-		{N: 10, Surface: "systolic", DType: "16b_rb10", MBU: 17},
-		{N: 10, Surface: "systolic", MBU: 3, Eval: "site-scalar"},
-		{N: 10, Surface: "systolic", MBU: 3, Eval: "site-bitplane"},
-		{N: 10, Surface: "datapath", MBU: -1},
-		{N: 10, Surface: "datapath", DType: "16b_rb10", MBU: 17},
-		{N: 10, Surface: "datapath", MBU: 3, Eval: "site-bitplane"},
-		{N: 10, Surface: "datapath", MBU: 3, Select: "perbit", Param: 3},
-		{N: 10, Surface: "buffer", MBU: 3, Eval: "site-scalar"},
-		{N: 10, Surface: "systolic", Dataflow: "rowstat"},
-		{N: 10, Surface: "systolic", Dataflow: "weight-stationary"},
-		{N: 10, Surface: "datapath", Dataflow: "output"},
-		{N: 10, Surface: "buffer", Dataflow: "weight"},
-	}
-	for i, s := range bad {
+	for i, s := range systolicRefused {
 		if err := s.Normalize(); err == nil {
 			t.Fatalf("bad spec %d passed validation: %+v", i, s)
 		}

@@ -237,10 +237,10 @@ type Campaign struct {
 	// instead of computing it per campaign: compute runs the fault-free
 	// forward pass, and implementations return its result or a previously
 	// computed, bit-identical one — the same hook, and the same process-wide
-	// cache behind it, as faultinj.Campaign.GoldenFn. When nil the campaign
-	// memoizes its goldens privately, so either way a forward pass runs once
-	// per input, not once per shard and phase. Goldens are shared read-only:
-	// no injection writes through to one.
+	// cache behind it, as faultinj.Campaign.GoldenFn. Either way the
+	// campaign resolves each input once, not once per shard and phase
+	// (network.GoldenMemo). Goldens are shared read-only: no injection
+	// writes through to one.
 	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
 	goldens network.GoldenMemo
@@ -305,15 +305,16 @@ func (c *Campaign) geometry() *geometry {
 	return c.geo
 }
 
-// newShard builds the state one shard phase executes on: an injector over
-// the campaign's geometry with the phase's upset width, and the shard's
-// golden lookup (the campaign's GoldenFn or private memo; see
-// network.GoldenMemo.Resolver).
-func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
-	inj := &injector{geometry: c.geometry(), mbu: opt.UpsetWidth()}
-	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
-		return c.Net.Forward(c.DType, c.Inputs[i])
-	})
+// newShard builds the injector one shard phase executes on: the campaign's
+// geometry with the phase's upset width.
+func (c *Campaign) newShard(opt Options) *injector {
+	return &injector{geometry: c.geometry(), mbu: opt.UpsetWidth()}
+}
+
+// golden returns the golden execution of input i, resolved once for the
+// campaign's lifetime (network.GoldenMemo).
+func (c *Campaign) golden(i int) *network.Execution {
+	return c.goldens.Golden(c.Net, c.DType, c.Inputs, i, c.GoldenFn)
 }
 
 // runShardPhase executes one phase of one shard (see engine.Phase) — the
@@ -327,21 +328,22 @@ func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execut
 // MACs per flipped word, so every bit replays through the class's fault
 // model (eval); a PSum REG fault is a single accumulator upset — the
 // datapath's case — so EvalSiteBitPlane evaluates all bits of a PSum site
-// in one bit-parallel chain replay behind the analytical ReLU sign-domain
-// pre-screen (engine.EvalPlaneSite), with EvalSiteScalar's per-bit replays
-// as its bit-identity oracle.
+// through the bit-plane evaluator every single-MAC surface shares
+// (engine.EvalPlaneSite), with EvalSiteScalar's per-bit replays as its
+// bit-identity oracle.
 func (c *Campaign) runShardPhase(shard, of int, b Buffer, opt Options, ph engine.Phase) *Report {
 	rng := ph.Rand(opt.Seed, shard, seedMul)
-	inj, golden := c.newShard(opt)
+	inj := c.newShard(opt)
 	r := inj.newReport(b, ph)
 	plane := b == PSumReg && opt.Eval == engine.EvalSiteBitPlane
 	ph.Each(shard, of, len(c.Inputs), func(u engine.Unit) {
-		g := golden(u.Input)
+		g := c.golden(u.Input)
 		s := inj.draw(rng, b, g, u.Block, u.Bit)
 		if plane {
 			f := layers.PlaneFault{OutputIndex: s.word, MACStep: s.step, Target: layers.TargetAccum}
-			engine.EvalPlaneSite(inj.net, c.DType, g, s.li, f, u.NBits, opt.Detector != nil,
-				func(bit int, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
+			batch := inj.net.NewInjectionBatch(c.DType, g, s.li, u.NBits)
+			engine.EvalPlaneSite(inj.net, c.DType, g, s.li, batch, f, u.NBits, 0, opt.Detector != nil,
+				func(bit int, _ float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
 					if pre {
 						r.PreMasked++
 					}

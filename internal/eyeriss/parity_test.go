@@ -158,7 +158,7 @@ func TestBufferFaultsMatchDenseOracle(t *testing.T) {
 				for _, m := range modes {
 					t.Run(fmt.Sprintf("%s/%s/%v/%s", plain.Name, dt, b, m.name), func(t *testing.T) {
 						opt := Options{N: n, Seed: 4242, Workers: 1, Eval: m.eval, MBU: m.mbu, Detector: det}
-						inj, _ := c.newShard(opt)
+						inj := c.newShard(opt)
 						rng := rand.New(rand.NewSource(opt.Seed))
 						var want Report
 						masked := 0

@@ -108,12 +108,14 @@ func TestSiteModesWithDetector(t *testing.T) {
 	}
 }
 
-// TestPreScreenSoundness is the fuzz pass behind the analytical pre-screen:
-// for thousands of random sites across every format, every bit the
-// pre-screen classifies as provably masked is re-checked by full scalar
-// simulation, which must agree that the fault never reaches the output —
-// and, for product-identity bits, that the faulted chain value is
-// bit-identical to golden.
+// TestPreScreenSoundness re-checks, by full scalar simulation, every bit
+// the shared bit-plane evaluator reports masked without a faulty execution
+// at a datapath site — thousands of random sites across every format, fed
+// to engine.EvalPlaneSite as a site-draw campaign feeds it. Simulation must
+// agree that the fault never reaches the output. A bit the ReLU kill
+// claimed (pre) has no replayed value; every other bit's reported faulty
+// chain value must be the simulated one, so product-identity bits leave
+// the faulted element bit-identical to golden.
 func TestPreScreenSoundness(t *testing.T) {
 	for _, dt := range numeric.Types {
 		c := New(smallNet(), dt, smallInputs(2))
@@ -122,49 +124,43 @@ func TestPreScreenSoundness(t *testing.T) {
 		width := dt.Width()
 		rng := rand.New(rand.NewSource(int64(123 + width)))
 
-		checked, masked := 0, 0
+		claimed, checked := 0, 0
 		for trial := 0; trial < 400; trial++ {
 			site := c.Profile().RandomSiteWithBit(rng, 0)
-			input := trial % len(c.Inputs)
-			golden := c.Golden(input)
-			d := drawnSite{site: site, nbits: width}
-			batch := c.Net.NewInjectionBatch(c.DType, golden, site.Layer, width)
-			gv := golden.Acts[site.Layer].Data[site.Fault.OutputIndex]
+			golden := c.Golden(trial % len(c.Inputs))
+			ref := sdc.Classify(c.Net, golden, golden)
+			li := site.Layer
+			batch := c.Net.NewInjectionBatch(c.DType, golden, li, width)
+			gv := golden.Acts[li].Data[site.Fault.OutputIndex]
 
-			pm, rk := c.prescreenMasks(batch, d, gv, false, 0)
-			if pm&rk != 0 {
-				t.Fatalf("%s: pre-screen masks overlap at %s", dt, site)
-			}
-			for b := 0; b < width; b++ {
-				bit := uint64(1) << uint(b)
-				if (pm|rk)&bit == 0 {
-					continue
-				}
-				checked++
-				fault := site.Fault
-				fault.Bit = b
-				faulty := batch.Run(&fault)
-				if !faulty.Masked {
-					t.Fatalf("%s: pre-screen claimed bit %d masked at %s, simulation disagrees", dt, b, site)
-				}
-				masked++
-				if pm&bit != 0 {
-					fv := faulty.Acts[site.Layer].Data[fault.OutputIndex]
-					if math.Float64bits(fv) != math.Float64bits(gv) {
-						t.Fatalf("%s: product-masked bit %d at %s changed the chain value", dt, b, site)
+			f := layers.PlaneFault{OutputIndex: site.Fault.OutputIndex, MACStep: site.Fault.MACStep, Target: site.Fault.Target}
+			engine.EvalPlaneSite(c.Net, c.DType, golden, li, batch, f, width, 0, false,
+				func(b int, fv float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
+					if faulty != nil {
+						return // a real execution, classified as such
 					}
-				}
-				out := sdc.Classify(c.Net, golden, faulty)
-				ref := sdc.Classify(c.Net, golden, golden)
-				if out != ref {
-					t.Fatalf("%s: masked bit %d at %s classified differently from golden", dt, b, site)
-				}
-			}
+					if pre || math.Float64bits(fv) == math.Float64bits(gv) {
+						claimed++
+					}
+					checked++
+					fault := site.Fault
+					fault.Bit = b
+					sim := batch.Run(&fault)
+					if !sim.Masked {
+						t.Fatalf("%s: evaluator reported bit %d masked at %s, simulation disagrees", dt, b, site)
+					}
+					if got := sim.Acts[li].Data[fault.OutputIndex]; !pre && math.Float64bits(got) != math.Float64bits(fv) {
+						t.Fatalf("%s: bit %d at %s reported chain value %v, simulation %v", dt, b, site, fv, got)
+					}
+					if outcome != ref || sdc.Classify(c.Net, golden, sim) != ref {
+						t.Fatalf("%s: masked bit %d at %s classified differently from golden", dt, b, site)
+					}
+				})
 		}
-		if checked == 0 {
+		if claimed == 0 {
 			t.Fatalf("%s: pre-screen never fired in 400 random sites", dt)
 		}
-		t.Logf("%s: %d pre-screened bits verified masked", dt, masked)
+		t.Logf("%s: %d masked bits verified, %d of them screened or golden-valued", dt, checked, claimed)
 	}
 }
 
@@ -210,30 +206,6 @@ func TestSiteModeValidation(t *testing.T) {
 			}()
 			New(smallNet(), numeric.Float16, smallInputs(1)).Run(tc.opt)
 		}()
-	}
-}
-
-// TestAutoCutoffReportInvariance extends the cutoff-invariance property to
-// the per-layer auto-tuner: a campaign with the tuner active (every
-// campaign's setup enables it) must be bit-identical to runs of the same
-// campaign under an explicit network.SetSparseDensityCutoff override.
-func TestAutoCutoffReportInvariance(t *testing.T) {
-	opt := Options{N: 300, Seed: 29, TrackValues: 32, TrackSpread: true}
-	auto := New(smallNet(), numeric.Float16, smallInputs(2))
-	ref := auto.Run(opt) // auto-tuner active
-	if cuts := auto.Net.AutoSparseCutoffs(); cuts == nil {
-		t.Fatal("auto cutoff tuner not enabled by default campaign setup")
-	} else {
-		for i, cu := range cuts {
-			if cu != 0 && (cu < 0.4 || cu > 0.8) {
-				t.Fatalf("layer %d tuned cutoff %v outside [0.4, 0.8]", i, cu)
-			}
-		}
-	}
-	for _, cutoff := range []float64{1e-9, 0.5, 1} {
-		c := New(smallNet(), numeric.Float16, smallInputs(2))
-		c.Net.SetSparseDensityCutoff(cutoff)
-		assertReportsBitIdentical(t, fmt.Sprintf("auto-vs-cutoff=%g", cutoff), c.Run(opt), ref)
 	}
 }
 

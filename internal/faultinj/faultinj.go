@@ -11,9 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/engine"
@@ -265,8 +264,7 @@ type Options struct {
 	Detector func(*network.Execution) bool
 	// Workers is the partition width S (engine.Options.Workers):
 	// engine.DefaultShards when zero. The report depends on it, not on how
-	// many goroutines run; it also caps the goroutines of the golden passes,
-	// which default to the host's core count.
+	// many goroutines run.
 	Workers int
 	// Dense forces every injection through the dense per-layer
 	// re-execution path (network.ForwardFromDense) and skips enabling the
@@ -337,12 +335,12 @@ type Campaign struct {
 	// computed, bit-identical one. The distributed campaign service hooks
 	// a process-wide golden-execution cache here so campaigns sharing
 	// (network, weights, input, format) run the golden pass once per
-	// machine. Must be set before the first Run/Surface/Golden call.
+	// machine. The campaign consults it once per input (network.GoldenMemo).
+	// Must be set before the first Run/Surface/Golden call.
 	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
-	profile *accel.Profile
-	goldens []*network.Execution
-	once    sync.Once
+	profile atomic.Pointer[accel.Profile]
+	goldens network.GoldenMemo
 }
 
 // New creates a campaign over the given inputs.
@@ -353,52 +351,19 @@ func New(net *network.Network, dt numeric.Type, inputs []*tensor.Tensor) *Campai
 	return &Campaign{Net: net, DType: dt, Inputs: inputs}
 }
 
-// prepare computes the fault-site profile and golden executions once.
-// workers caps the total goroutines of the golden passes; 0 means NumCPU —
-// goldens do not depend on how many goroutines compute them.
-// When there are fewer inputs than workers, the surplus parallelism moves
-// inside each forward pass (over CONV/FC output elements) so a
-// single-input campaign still uses every core.
-func (c *Campaign) prepare(workers int) {
-	c.once.Do(func() {
-		c.profile = accel.NewProfile(c.Net, c.DType)
-		c.goldens = make([]*network.Execution, len(c.Inputs))
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		perInput := workers / len(c.Inputs)
-		if perInput < 1 {
-			perInput = 1
-		}
-		var wg sync.WaitGroup
-		for i := range c.Inputs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				compute := func() *network.Execution {
-					return c.Net.ForwardParallel(c.DType, c.Inputs[i], perInput)
-				}
-				if c.GoldenFn != nil {
-					c.goldens[i] = c.GoldenFn(i, compute)
-				} else {
-					c.goldens[i] = compute()
-				}
-			}(i)
-		}
-		wg.Wait()
-	})
-}
-
-// Profile exposes the fault-site geometry (after preparing it).
+// Profile exposes the fault-site geometry, derived on first use.
 func (c *Campaign) Profile() *accel.Profile {
-	c.prepare(0)
-	return c.profile
+	if p := c.profile.Load(); p != nil {
+		return p
+	}
+	c.profile.CompareAndSwap(nil, accel.NewProfile(c.Net, c.DType))
+	return c.profile.Load()
 }
 
-// Golden exposes the cached golden execution for input i.
+// Golden returns the golden execution of input i, resolved once for the
+// campaign's lifetime (network.GoldenMemo).
 func (c *Campaign) Golden(i int) *network.Execution {
-	c.prepare(0)
-	return c.goldens[i]
+	return c.goldens.Golden(c.Net, c.DType, c.Inputs, i, c.GoldenFn)
 }
 
 // surface adapts the campaign to the shared engine's Surface interface:
@@ -416,7 +381,7 @@ type surface struct {
 // engine.RunSlot take.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
 	c.setup(&opt)
-	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.profile.NumMACLayers()}, opt.engineOptions()
+	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.Profile().NumMACLayers()}, opt.engineOptions()
 }
 
 func (s surface) Width() int                             { return s.bits }
@@ -437,18 +402,14 @@ func (c *Campaign) Run(opt Options) *Report {
 }
 
 // setup performs the idempotent per-campaign preparation behind Surface:
-// the quantized-parameter cache, the fault-site profile, the
-// golden executions and the selector default.
+// the quantized-parameter cache, the option checks and the selector
+// default. The goldens resolve on first use (Golden).
 func (c *Campaign) setup(opt *Options) {
 	if !opt.Dense {
 		// Quantize each layer's parameters once per campaign; every
 		// shard (and the golden passes) shares the read-only result.
 		c.Net.EnableQuantCache()
-		// Tune the sparse/dense crossover per layer from the densities this
-		// campaign actually observes.
-		c.Net.EnableAutoSparseCutoff()
 	}
-	c.prepare(opt.Workers)
 	if opt.Sampling == engine.SamplingStratified && opt.Selector != nil {
 		panic("faultinj: stratified sampling draws its own sites and is incompatible with a custom Selector")
 	}
@@ -473,8 +434,9 @@ func (c *Campaign) setup(opt *Options) {
 // base-bit strata (engine.StratumGrid). Identical for every shard of a
 // campaign (pure function of the profile).
 func (c *Campaign) stratumWeights(bits, blocks, mbu int) engine.HexFloats {
+	p := c.Profile()
 	return engine.StratumGrid(blocks, bits, mbu, func(b, valid int) float64 {
-		return c.profile.BlockWeight(b) / float64(valid)
+		return p.BlockWeight(b) / float64(valid)
 	})
 }
 
@@ -532,6 +494,7 @@ type injResult struct {
 func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, ph engine.Phase) *Report {
 	rng := ph.Rand(opt.Seed, shard, seedMul)
 	valueBudget := c.valueBudget(opt, of, ph)
+	p := c.Profile()
 
 	// Phase 1: draw every site of the shard in sequence order. A forced
 	// coordinate — the stratum a main-phase table dictates, bit 0 of a
@@ -545,16 +508,16 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 		var site accel.Site
 		switch {
 		case u.Block >= 0:
-			site = c.profile.RandomSiteInBlockWithBit(rng, u.Block, u.Bit)
+			site = p.RandomSiteInBlockWithBit(rng, u.Block, u.Bit)
 			if mbu > 1 {
 				site.Fault.Width = mbu
 			}
 		case u.Bit >= 0:
-			site = c.profile.RandomSiteWithBit(rng, u.Bit)
+			site = p.RandomSiteWithBit(rng, u.Bit)
 		case mbu > 1:
-			site = c.profile.RandomSiteMBU(rng, mbu)
+			site = p.RandomSiteMBU(rng, mbu)
 		default:
-			site = opt.Selector(rng, c.profile)
+			site = opt.Selector(rng, p)
 		}
 		seq = append(seq, drawnSite{injBase: totalInj, inputIdx: u.Input, site: site, nbits: u.NBits})
 		totalInj += u.NBits
@@ -575,10 +538,9 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 	// Phase 3: execute each group through a shared batch (none under the
 	// dense oracle, which re-executes the network per injection).
 	results := make([]injResult, totalInj)
-	plane := opt.Eval == engine.EvalSiteBitPlane
 	for _, k := range order {
 		group := groups[k]
-		golden := c.goldens[k.input]
+		golden := c.Golden(k.input)
 		var batch *network.InjectionBatch
 		if !opt.Dense {
 			expected := 0
@@ -587,18 +549,8 @@ func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, p
 			}
 			batch = c.Net.NewInjectionBatch(c.DType, golden, k.layer, expected)
 		}
-		if !plane {
-			for _, d := range group {
-				c.runUnitScalar(batch, golden, d, opt, valueBudget, results)
-			}
-			continue
-		}
-		// maskedOut is the classification every masked injection of this
-		// group shares: the faulty execution aliases the golden tensors, so
-		// classifying golden against itself is the same pure computation.
-		maskedOut := sdc.Classify(c.Net, golden, golden)
 		for _, d := range group {
-			c.runUnitPlane(batch, golden, d, opt, maskedOut, valueBudget, results)
+			c.runUnit(batch, golden, d, opt, valueBudget, results)
 		}
 	}
 

@@ -152,8 +152,8 @@ type Context struct {
 	// back to the dense forward pass plus a full bit-compare (the two are
 	// bit-identical; only the cost model differs). A MAC layer with a chain
 	// entry in Chains never consults it: its suffix replay beats the dense
-	// pass at every density. Zero selects DefaultSparseDensityCutoff;
-	// campaigns tune it per layer (network.EnableAutoSparseCutoff).
+	// pass at every density. Zero selects DefaultSparseDensityCutoff, which
+	// every campaign runs at; tests move it to force either path.
 	DenseCutoff float64
 }
 

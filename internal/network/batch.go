@@ -88,9 +88,6 @@ func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx
 	return b
 }
 
-// CanPlane reports whether the faulted layer supports bit-plane evaluation.
-func (b *InjectionBatch) CanPlane() bool { return b.pfw != nil }
-
 // ForwardPlane replays the faulted accumulation chain once, writing into
 // vals[bit] — for every bit set in pf.Bits — the faulty chain output of
 // flipping that bit at (pf.MACStep, pf.Target). Each value is bit-identical
@@ -141,7 +138,7 @@ func (b *InjectionBatch) PropagateShared(outputIndex int, faultyVal float64) (*E
 	}
 	cur := b.scratch
 	cur.Data[outputIndex] = faultyVal
-	clean := &layers.Context{DType: b.dt, Quant: b.quant, DenseCutoff: n.sparseDensityCutoff()}
+	clean := &layers.Context{DType: b.dt, Quant: b.quant, DenseCutoff: n.denseCutoff}
 	i, cur, changed := n.deltaWalk(clean, golden, b.layerIdx+1, cur, []int{outputIndex}, cur.Data, b.acts)
 	if len(changed) == 0 {
 		b.scratch.Data[outputIndex] = goldenVal

@@ -8,3 +8,8 @@ func ChainBytes(e *Execution) int64 {
 	}
 	return 0
 }
+
+// setDenseCutoff moves the changed-set density at which delta propagation
+// falls back to dense re-execution (non-positive: the layers package
+// default), so tests can force either path on every step.
+func (n *Network) setDenseCutoff(v float64) { n.denseCutoff = max(v, 0) }

@@ -56,7 +56,7 @@ func FuzzDeltaPropagation(f *testing.F) {
 			golden = n.Forward(dt, randInput(n.InShape, 42))
 			goldens[k] = golden
 		}
-		n.SetSparseDensityCutoff(cutoffs[int(cutoffSel)%len(cutoffs)])
+		n.setDenseCutoff(cutoffs[int(cutoffSel)%len(cutoffs)])
 		rng := rand.New(rand.NewSource(seed))
 		li := int(layerSel) % len(n.Layers)
 

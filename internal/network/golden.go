@@ -1,25 +1,24 @@
 package network
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/numeric"
+	"repro/internal/tensor"
 )
 
-// GoldenMemo memoizes golden executions per (format, input index) for one
-// campaign, so every shard and phase of the campaign reads one forward
-// pass instead of running its own. The zero value is ready to use and safe
-// for concurrent use: concurrent requests for one coordinate block on a
-// single compute. Campaigns wired to a process-wide cache (their GoldenFn
-// hook) bypass it.
+// GoldenMemo holds one campaign's golden executions, one per input, under
+// the rule every surface shares: input i is resolved exactly once — through
+// the campaign's GoldenFn hook when it has one (a process-wide cache, a
+// tracer), by ForwardParallel otherwise — and every later request, from any
+// shard, phase, run or caller, reads that result. The memo sits in front of
+// the hook, so a hook that does not cache still costs one forward pass per
+// input. The zero value is ready to use and safe for concurrent use:
+// concurrent requests for one input block on a single resolve.
 type GoldenMemo struct {
-	mu    sync.Mutex
-	slots map[goldenCoord]*goldenSlot
-}
-
-type goldenCoord struct {
-	dt    numeric.Type
-	input int
+	init  sync.Once
+	slots []goldenSlot
 }
 
 type goldenSlot struct {
@@ -27,52 +26,23 @@ type goldenSlot struct {
 	exec *Execution
 }
 
-// Get returns the memoized execution for (dt, input), running compute on
-// first use.
-func (m *GoldenMemo) Get(dt numeric.Type, input int, compute func() *Execution) *Execution {
-	m.mu.Lock()
-	if m.slots == nil {
-		m.slots = make(map[goldenCoord]*goldenSlot)
-	}
-	k := goldenCoord{dt, input}
-	s, ok := m.slots[k]
-	if !ok {
-		s = &goldenSlot{}
-		m.slots[k] = s
-	}
-	m.mu.Unlock()
-	s.once.Do(func() { s.exec = compute() })
-	return s.exec
-}
-
-// Resolver returns one shard's golden lookup for a campaign over format dt:
-// input index → execution, resolved through fn (the campaign's GoldenFn
-// hook) when it is set and through the memo otherwise, with forward
-// running the fault-free pass on a miss. Results are kept in a map private
-// to the returned function — which is therefore not safe for concurrent
-// use — so a shared cache is consulted once per input per shard rather than
-// once per injection.
-func (m *GoldenMemo) Resolver(fn func(i int, compute func() *Execution) *Execution, dt numeric.Type, forward func(i int) *Execution) func(i int) *Execution {
-	local := make(map[int]*Execution)
-	return func(i int) *Execution {
-		g, ok := local[i]
-		if !ok {
-			compute := func() *Execution { return forward(i) }
-			if fn != nil {
-				g = fn(i, compute)
-			} else {
-				g = m.Get(dt, i, compute)
-			}
-			local[i] = g
+// Golden returns the golden execution of input i of a campaign running net
+// under dt over inputs, resolving it on first use: fn(i, compute) when the
+// campaign's hook fn is set, compute() otherwise, where compute is the
+// fault-free pass split over every core. It splits each layer four ways
+// per core: the split is static, and with one part per core the pass waits
+// on the slowest (ConvNet's pass is ~1.5× faster on two cores at eight
+// parts than at two).
+func (m *GoldenMemo) Golden(net *Network, dt numeric.Type, inputs []*tensor.Tensor, i int, fn func(i int, compute func() *Execution) *Execution) *Execution {
+	m.init.Do(func() { m.slots = make([]goldenSlot, len(inputs)) })
+	s := &m.slots[i]
+	s.once.Do(func() {
+		compute := func() *Execution { return net.ForwardParallel(dt, inputs[i], 4*runtime.NumCPU()) }
+		if fn != nil {
+			s.exec = fn(i, compute)
+		} else {
+			s.exec = compute()
 		}
-		return g
-	}
-}
-
-// Len reports how many distinct goldens the memo holds — each one forward
-// pass, run exactly once.
-func (m *GoldenMemo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.slots)
+	})
+	return s.exec
 }

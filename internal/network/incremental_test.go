@@ -183,9 +183,9 @@ func testEquivalence(t *testing.T, n *Network, dt numeric.Type) {
 // enough that faults delta-step through downstream CONV and FC layers.
 func TestForwardFromSparseCutoffSweep(t *testing.T) {
 	n := deepNet(19)
-	defer n.SetSparseDensityCutoff(0)
+	defer n.setDenseCutoff(0)
 	for _, cutoff := range []float64{1e-9, 0, 1} {
-		n.SetSparseDensityCutoff(cutoff)
+		n.setDenseCutoff(cutoff)
 		for _, dt := range []numeric.Type{numeric.Float16, numeric.Float, numeric.Fx32RB10} {
 			t.Run(fmt.Sprintf("cutoff=%g/%s", cutoff, dt), func(t *testing.T) {
 				testEquivalence(t, n, dt)

@@ -32,30 +32,11 @@ type Network struct {
 	// quant, when set, caches quantized layer parameters for every
 	// forward pass of this network (see EnableQuantCache).
 	quant atomic.Pointer[layers.QuantCache]
-	// sparseCutoff holds the Float64bits of the sparse-propagation density
-	// cutoff (see SetSparseDensityCutoff); zero means the layers package
-	// default. Atomic so concurrent campaign shards may (re)set it.
-	sparseCutoff atomic.Uint64
-	// autoCutoff, when set, tunes the cutoff per layer from observed delta
-	// densities (see EnableAutoSparseCutoff). An explicit sparseCutoff
-	// override wins.
-	autoCutoff atomic.Pointer[autoCutoffState]
-}
-
-// SetSparseDensityCutoff tunes the changed-set density at which the sparse
-// downstream propagation of ForwardFrom falls back to dense per-layer
-// re-execution (bit-identical either way; only throughput changes).
-// Non-positive restores layers.DefaultSparseDensityCutoff.
-func (n *Network) SetSparseDensityCutoff(v float64) {
-	if v <= 0 {
-		v = 0
-	}
-	n.sparseCutoff.Store(math.Float64bits(v))
-}
-
-// sparseDensityCutoff reads the tuned cutoff (0 = package default).
-func (n *Network) sparseDensityCutoff() float64 {
-	return math.Float64frombits(n.sparseCutoff.Load())
+	// denseCutoff is the changed-set density at which delta propagation
+	// falls back to dense per-layer re-execution (layers.Context.DenseCutoff;
+	// zero is layers.DefaultSparseDensityCutoff). Bit-identical either way,
+	// so only this package's tests move it, to force both paths.
+	denseCutoff float64
 }
 
 // EnableQuantCache attaches a quantized-parameter cache to the network:
@@ -351,7 +332,7 @@ func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx in
 func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, quant *layers.QuantCache) *Execution {
 	i := from
 	if len(changed) > 0 {
-		clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: n.sparseDensityCutoff()}
+		clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: n.denseCutoff}
 		i, cur, changed = n.deltaWalk(clean, golden, from, cur, changed, qin, exec.Acts)
 		if len(changed) > 0 {
 			for ; i < len(n.Layers); i++ {
@@ -376,13 +357,11 @@ func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from 
 // re-shrinks the changed set; the walk stops when the set empties or at the
 // first layer that cannot delta-step, and returns that layer's index with
 // the tensor and set that reached it. ctx carries the format, the quant
-// cache and the caller's density cutoff (zero lets the per-layer auto-tuner
-// choose). The walk attaches golden's shared chain state, so MAC layers
-// replay diverged chain suffixes on every surface, and a pooled scratch for
-// its own bookkeeping; every per-walk field of ctx is reset on return.
+// cache and the density cutoff. The walk attaches golden's shared chain
+// state, so MAC layers replay diverged chain suffixes on every surface, and
+// a pooled scratch for its own bookkeeping; every per-walk field of ctx is
+// reset on return.
 func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, acts []*tensor.Tensor) (int, *tensor.Tensor, []int) {
-	base := ctx.DenseCutoff
-	auto := n.autoCutoff.Load()
 	sc := chainScratch.Get().(*layers.ChainScratch)
 	ctx.Chains, ctx.Scratch = golden.goldenChains(ctx.DType, len(n.Layers)), sc
 	i := from
@@ -390,9 +369,6 @@ func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cu
 		df, ok := n.Layers[i].(layers.DeltaForwarder)
 		if !ok {
 			break
-		}
-		if auto != nil && base == 0 {
-			ctx.DenseCutoff = auto.observe(i, float64(len(changed))/float64(len(cur.Data)))
 		}
 		// Handing the MAC layers a pre-quantized view as QIn skips their
 		// whole-input re-quantization bit-identically. Layer 0's golden

@@ -118,9 +118,9 @@ type Campaign struct {
 	// instead of computing it per campaign: compute runs the fault-free
 	// forward pass, and implementations return its result or a previously
 	// computed, bit-identical one — the same hook, and the same process-wide
-	// cache behind it, as faultinj.Campaign.GoldenFn. When nil the campaign
-	// memoizes its goldens privately, so either way a forward pass runs once
-	// per input, not once per shard and phase.
+	// cache behind it, as faultinj.Campaign.GoldenFn. Either way the
+	// campaign resolves each input once, not once per shard and phase
+	// (network.GoldenMemo).
 	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
 	goldens network.GoldenMemo
@@ -186,15 +186,16 @@ func (c *Campaign) schedule() *schedule {
 // other surfaces' streams under equal campaign seeds.
 const seedMul = 3_141_593
 
-// newShard builds the state one shard phase executes on: an injector over
-// the campaign's schedules with the phase's upset width, and the shard's
-// golden lookup (the campaign's GoldenFn or private memo; see
-// network.GoldenMemo.Resolver).
-func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execution) {
-	inj := &injector{schedule: c.schedule(), mbu: opt.UpsetWidth()}
-	return inj, c.goldens.Resolver(c.GoldenFn, c.DType, func(i int) *network.Execution {
-		return c.Net.Forward(c.DType, c.Inputs[i])
-	})
+// newShard builds the injector one shard phase executes on: the campaign's
+// schedules with the phase's upset width.
+func (c *Campaign) newShard(opt Options) *injector {
+	return &injector{schedule: c.schedule(), mbu: opt.UpsetWidth()}
+}
+
+// golden returns the golden execution of input i, resolved once for the
+// campaign's lifetime (network.GoldenMemo).
+func (c *Campaign) golden(i int) *network.Execution {
+	return c.goldens.Golden(c.Net, c.DType, c.Inputs, i, c.GoldenFn)
 }
 
 // runShardPhase executes one phase of one shard — the per-unit execution
@@ -207,23 +208,25 @@ func (c *Campaign) newShard(opt Options) (*injector, func(i int) *network.Execut
 // dataflow's resident latch and the pipeline register corrupt many MACs, so
 // every bit replays through the effect expansion (execute); its single-read
 // latches (Geometry.planeTarget) are single-MAC upsets — the datapath's
-// case — so EvalSiteBitPlane evaluates all bits of such a site in one
-// bit-parallel chain replay, psum-reg behind the analytical ReLU
-// sign-domain pre-screen (engine.EvalPlaneSite), with EvalSiteScalar's
-// per-bit replays as its bit-identity oracle.
+// case — so EvalSiteBitPlane evaluates all bits of such a site through the
+// bit-plane evaluator every single-MAC surface shares
+// (engine.EvalPlaneSite), with EvalSiteScalar's per-bit replays as its
+// bit-identity oracle.
 func (c *Campaign) runShardPhase(shard, of int, opt Options, ph engine.Phase) *Report {
 	rng := ph.Rand(opt.Seed, shard, seedMul)
-	inj, golden := c.newShard(opt)
+	inj := c.newShard(opt)
 	r := inj.newReport(ph)
 	plane := opt.Eval == engine.EvalSiteBitPlane
 	ph.Each(shard, of, len(c.Inputs), func(u engine.Unit) {
-		g := golden(u.Input)
+		g := c.golden(u.Input)
 		s, pos := inj.draw(rng, u.Block, u.Bit)
 		geo := inj.geos[pos]
 		if target, ok := geo.planeTarget(s.Latch); plane && ok {
+			li := inj.macLayers[pos]
 			f := layers.PlaneFault{OutputIndex: s.Out*geo.P + s.P, MACStep: s.K, Target: target}
-			engine.EvalPlaneSite(inj.net, c.DType, g, inj.macLayers[pos], f, u.NBits, opt.Detector != nil,
-				func(bit int, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
+			batch := inj.net.NewInjectionBatch(c.DType, g, li, u.NBits)
+			engine.EvalPlaneSite(inj.net, c.DType, g, li, batch, f, u.NBits, 0, opt.Detector != nil,
+				func(bit int, _ float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
 					if pre {
 						r.PreMasked++
 					}

@@ -3,6 +3,7 @@ package systolic
 import (
 	"encoding/json"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -375,13 +376,18 @@ func TestLatchBits(t *testing.T) {
 	}
 }
 
-// TestCampaignGoldensComputedOncePerInput: with no GoldenFn a campaign
-// memoizes its goldens privately — one forward pass per input for all
-// shards and phases, not one per shard and phase — and every slot executes
-// on the campaign's one network and the array schedules derived from it
-// once: nothing is built or derived per slot.
+// TestCampaignGoldensComputedOncePerInput: a campaign resolves each input's
+// golden once — one GoldenFn call, hence one forward pass behind a hook that
+// does not cache, for all shards, both phases and repeated runs — and every
+// slot executes on the campaign's one network and the array schedules
+// derived from it once: nothing is built or derived per slot.
 func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	var forwards atomic.Int32
+	c.GoldenFn = func(_ int, compute func() *network.Execution) *network.Execution {
+		forwards.Add(1)
+		return compute()
+	}
 	opt := Options{N: 60, Seed: 5, Workers: 3}
 	strat := opt
 	strat.Sampling = engine.SamplingStratified
@@ -393,14 +399,15 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 		engine.RunSlot(ps, pilots, 2*s, nil) // shard s's pilot slot
 		engine.RunSlot(us, uniform, s, nil)
 	}
-	if got := c.goldens.Len(); got != len(c.Inputs) {
-		t.Errorf("campaign holds %d goldens after 6 shard calls over %d inputs", got, len(c.Inputs))
+	c.Run(strat)
+	if got := int(forwards.Load()); got != len(c.Inputs) {
+		t.Errorf("%d golden forwards after 6 shard calls and a run over %d inputs", got, len(c.Inputs))
 	}
 	if sched == nil || c.sched != sched {
 		t.Errorf("array schedules re-derived: %p after the first Surface call, %p after 6 shard calls", sched, c.sched)
 	}
 	for _, o := range []Options{opt, strat} {
-		if inj, _ := c.newShard(o); inj.schedule != sched || inj.net != c.Net {
+		if inj := c.newShard(o); inj.schedule != sched || inj.net != c.Net {
 			t.Errorf("a shard's injector runs on schedules %p over network %p, want the campaign's %p over %p",
 				inj.schedule, inj.net, sched, c.Net)
 		}

@@ -4,7 +4,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/layers"
+	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
 )
@@ -148,10 +150,14 @@ func FuzzDataflowFault(f *testing.F) {
 	})
 }
 
-// FuzzPreScreenSoundness re-simulates every flip the bit-plane mode's
-// analytical pre-screen would claim masked: when golden plus the flip's
-// maximum magnitude is ≤ 0 ahead of a ReLU, the full execution must be
-// bit-identical to golden and classify as masked.
+// FuzzPreScreenSoundness re-simulates every flip the shared bit-plane
+// evaluator reports masked without a faulty execution at a single-read
+// systolic latch (Geometry.planeTarget) of conv1, which feeds a ReLU: under
+// each dataflow that reads the fuzzed latch once, the act, weight or psum
+// register's flip runs through network.ForwardFrom and must come back
+// Masked with a bit-identical final activation and the golden
+// classification. Bits the ReLU kill claimed (pre) carry no replayed value;
+// every other reported faulty chain value must be the simulated one.
 func FuzzPreScreenSoundness(f *testing.F) {
 	dt := numeric.Fx16RB10
 	net := buildSmall()
@@ -161,33 +167,49 @@ func FuzzPreScreenSoundness(f *testing.F) {
 	outs := g.Acts[li].Shape.Elems()
 	chain := net.Layers[li].(*layers.ConvLayer).MACChainLen()
 	goldenOut := sdc.Classify(net, g, g)
+	final := len(g.Acts) - 1
 
 	f.Add(0, 0, 0)
-	f.Add(7, 3, 12)
-	f.Add(63, 8, 15)
-	f.Fuzz(func(t *testing.T, outIdx, macStep, bit int) {
+	f.Add(7, 3, 1)
+	f.Add(63, 8, 2)
+	f.Fuzz(func(t *testing.T, outIdx, macStep, latch int) {
 		outIdx = ((outIdx % outs) + outs) % outs
 		macStep = ((macStep % chain) + chain) % chain
-		bit = ((bit % dt.Width()) + dt.Width()) % dt.Width()
-
+		l := Latch(((latch % int(LatchPipe)) + int(LatchPipe)) % int(LatchPipe))
 		gv := g.Acts[li].Data[outIdx]
-		if gv+dt.FxFlipMagnitude(bit) > 0 {
-			return // pre-screen would replay this flip; nothing claimed
-		}
 
-		fault := &layers.Fault{OutputIndex: outIdx, MACStep: macStep, Target: layers.TargetAccum, Bit: bit}
-		faulty := net.ForwardFrom(dt, g, li, fault)
-		if !faulty.Masked {
-			t.Fatalf("pre-screen claims (out %d, step %d, bit %d) masked; execution disagrees", outIdx, macStep, bit)
-		}
-		final := len(faulty.Acts) - 1
-		for i := range faulty.Acts[final].Data {
-			if math.Float64bits(faulty.Acts[final].Data[i]) != math.Float64bits(g.Acts[final].Data[i]) {
-				t.Fatalf("pre-screened flip (out %d, step %d, bit %d) reached the output", outIdx, macStep, bit)
+		seen := map[layers.Target]bool{}
+		for flow := Dataflow(0); flow < NumDataflows; flow++ {
+			target, ok := Geometry{Flow: flow}.planeTarget(l)
+			if !ok || seen[target] {
+				continue
 			}
-		}
-		if out := sdc.Classify(net, g, faulty); out != goldenOut {
-			t.Fatalf("pre-screened flip classified %+v, want golden %+v", out, goldenOut)
+			seen[target] = true
+			site := layers.PlaneFault{OutputIndex: outIdx, MACStep: macStep, Target: target}
+			batch := net.NewInjectionBatch(dt, g, li, dt.Width())
+			engine.EvalPlaneSite(net, dt, g, li, batch, site, dt.Width(), 0, false,
+				func(bit int, fv float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
+					if faulty != nil {
+						return // a real execution, classified as such
+					}
+					fault := &layers.Fault{OutputIndex: outIdx, MACStep: macStep, Target: target, Bit: bit}
+					sim := net.ForwardFrom(dt, g, li, fault)
+					if !fault.Applied || !sim.Masked {
+						t.Fatalf("%s %s: evaluator reports (out %d, step %d, bit %d) masked; execution disagrees",
+							flow, l, outIdx, macStep, bit)
+					}
+					for i := range sim.Acts[final].Data {
+						if math.Float64bits(sim.Acts[final].Data[i]) != math.Float64bits(g.Acts[final].Data[i]) {
+							t.Fatalf("%s %s: masked flip (out %d, step %d, bit %d) reached the output", flow, l, outIdx, macStep, bit)
+						}
+					}
+					if got := sim.Acts[li].Data[outIdx]; !pre && math.Float64bits(got) != math.Float64bits(fv) {
+						t.Fatalf("%s %s: bit %d reported chain value %v, simulation %v (golden %v)", flow, l, bit, fv, got, gv)
+					}
+					if got := sdc.Classify(net, g, sim); outcome != goldenOut || got != goldenOut {
+						t.Fatalf("%s %s: masked flip classified %+v, want golden %+v", flow, l, got, goldenOut)
+					}
+				})
 		}
 	})
 }

@@ -110,7 +110,7 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 			for _, m := range modes {
 				t.Run(fmt.Sprintf("%s/%s/%s", flow, dt, m.name), func(t *testing.T) {
 					opt := Options{N: n, Seed: 1717, Workers: 1, Eval: m.eval, MBU: m.mbu, Detector: det}
-					inj, _ := c.newShard(opt)
+					inj := c.newShard(opt)
 					rng := rand.New(rand.NewSource(opt.Seed))
 					var want Report
 					check := func(g *network.Execution, pos int, s Site) {

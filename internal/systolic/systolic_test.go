@@ -81,9 +81,9 @@ func TestGeometryPerDataflow(t *testing.T) {
 		flow                       Dataflow
 		rowTiles, colTiles, cycles int
 	}{
-		{WeightStationary, 5, 2, 36 + 4 + 3 - 2},  // rows↔K, cols↔Outs, time↔P
-		{OutputStationary, 9, 2, 18 + 4 + 3 - 2},  // rows↔P, cols↔Outs, time↔K
-		{InputStationary, 5, 12, 4 + 4 + 3 - 2},   // rows↔K, cols↔P, time↔Outs
+		{WeightStationary, 5, 2, 36 + 4 + 3 - 2}, // rows↔K, cols↔Outs, time↔P
+		{OutputStationary, 9, 2, 18 + 4 + 3 - 2}, // rows↔P, cols↔Outs, time↔K
+		{InputStationary, 5, 12, 4 + 4 + 3 - 2},  // rows↔K, cols↔P, time↔Outs
 	}
 	for _, tc := range cases {
 		geo := NewFlow(l, numeric.Fx32RB26, tinyArray, tc.flow).Geometry(in)
@@ -126,7 +126,7 @@ func TestFaultFreeMatchesLayersExactlyAllFormats(t *testing.T) {
 				}
 				for i := range want.Data {
 					if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s/%s trial %d: out[%d] = %v, want %v", flow, dt, trial, i, got.Data[i], want.Data[i])
+						t.Fatalf("%s/%s trial %d: out[%d] = %v, want %v", flow, dt, trial, i, got.Data[i], want.Data[i])
 					}
 				}
 			}
@@ -176,21 +176,21 @@ func TestResolveRejectsInvalidAddresses(t *testing.T) {
 	sim := New(l, numeric.Fx16RB10, tinyArray)
 	geo := sim.Geometry(tensor.Shape{C: 2, H: 5, W: 5})
 	bad := []Fault{
-		{Latch: NumLatches},                                  // unknown latch
-		{Latch: -1},                                          // unknown latch
-		{Bit: -1},                                            // bit below word
-		{Bit: 15, Width: 2},                                  // MBU span past word end
-		{Bit: 16},                                            // bit past word end
-		{Width: -2},                                          // negative width
-		{Pass: geo.Passes},                                   // pass out of range
-		{Pass: -1},                                           // pass out of range
-		{Row: geo.Rows},                                      // row off the array
-		{Col: geo.Cols},                                      // col off the array
-		{Pass: geo.Passes - 2, Row: geo.Rows - 1, Cycle: 3},  // idle row: last row tile holds K%Rows rows
-		{Pass: 1, Col: geo.Cols - 1, Cycle: 4},               // idle col: edge column tile holds Outs%Cols cols
-		{Cycle: geo.CyclesPerPass + 5},                       // beyond the drain
-		{Row: 2, Col: 1, Cycle: 1},                           // fill skew: operand not yet arrived
-		{Row: 0, Col: 0, Cycle: geo.P},                       // drain skew: stream already past
+		{Latch: NumLatches}, // unknown latch
+		{Latch: -1},         // unknown latch
+		{Bit: -1},           // bit below word
+		{Bit: 15, Width: 2}, // MBU span past word end
+		{Bit: 16},           // bit past word end
+		{Width: -2},         // negative width
+		{Pass: geo.Passes},  // pass out of range
+		{Pass: -1},          // pass out of range
+		{Row: geo.Rows},     // row off the array
+		{Col: geo.Cols},     // col off the array
+		{Pass: geo.Passes - 2, Row: geo.Rows - 1, Cycle: 3}, // idle row: last row tile holds K%Rows rows
+		{Pass: 1, Col: geo.Cols - 1, Cycle: 4},              // idle col: edge column tile holds Outs%Cols cols
+		{Cycle: geo.CyclesPerPass + 5},                      // beyond the drain
+		{Row: 2, Col: 1, Cycle: 1},                          // fill skew: operand not yet arrived
+		{Row: 0, Col: 0, Cycle: geo.P},                      // drain skew: stream already past
 	}
 	for _, f := range bad {
 		f := f
