@@ -319,12 +319,33 @@ func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDi
 		// Simulate a worker dying mid-shard: grab one more lease, never
 		// heartbeat or report, and exit the way SIGKILL would. The
 		// plane must expire the lease and hand the shard out again.
-		resp, err := http.Post(join+"/v1/lease", "application/json", strings.NewReader("{}"))
-		if err == nil {
-			resp.Body.Close()
+		if err := crashLease(join, token); err != nil {
+			log.Print(err)
 		}
 		os.Exit(137)
 	}
+}
+
+// crashLease takes one lease from the plane at join and drops it, sending
+// the worker's bearer token like every other fleet request.
+func crashLease(join, token string) error {
+	req, err := http.NewRequest(http.MethodPost, join+"/v1/lease", strings.NewReader("{}"))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if token != "" {
+		req.Header.Set("Authorization", "Bearer "+token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("crash lease: %s", resp.Status)
+	}
+	return nil
 }
 
 // runControlPlane serves the multi-tenant control plane until SIGTERM.

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/controlplane"
@@ -78,5 +80,47 @@ func TestOpenCampaignRefusals(t *testing.T) {
 				t.Fatalf("refusal %q should name %s and say %q", err, path, tc.want)
 			}
 		})
+	}
+}
+
+// TestCrashLeaseAuthenticates: the lease a -crash-after worker takes and
+// drops carries the fleet token, so an authenticated plane grants it, and
+// it expires back into the queue once its TTL passes.
+func TestCrashLeaseAuthenticates(t *testing.T) {
+	auth, err := controlplane.NewAuthenticator(map[string]string{"alice": "ka", controlplane.FleetTenant: "kf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl = time.Minute
+	p, err := controlplane.New(controlplane.Config{LeaseTTL: ttl, Auth: auth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	st, err := p.Submit("alice", campaign.Spec{Net: "ConvNet", DType: "FLOAT16", N: 8, Inputs: 1, Seed: 1, Shards: 1}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	token, err := auth.Token(controlplane.FleetTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := crashLease(srv.URL, "alice.00"); err == nil {
+		t.Fatal("a forged token was granted a lease")
+	}
+	if err := crashLease(srv.URL, token); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := p.Get("alice", st.ID); got.InFlight != 1 {
+		t.Fatalf("in flight after the crash lease: %d, want 1", got.InFlight)
+	}
+	if l := p.LeaseBatch(time.Now(), 1).Lease; l != nil {
+		t.Fatalf("slot %d leased twice before the crash lease expired", l.Slot)
+	}
+	if l := p.LeaseBatch(time.Now().Add(2*ttl), 1).Lease; l == nil || l.Slot != 0 {
+		t.Fatalf("the expired crash lease's slot was not leased again: %+v", l)
 	}
 }

@@ -114,80 +114,34 @@ func (p *Profile) LayerMACs(i int) int64 { return p.macs[i] }
 
 // RandomSite draws a fault site uniformly over every (MAC, latch, bit)
 // coordinate of one inference — the paper's random datapath injection.
-func (p *Profile) RandomSite(rng *rand.Rand) Site {
-	mac := rng.Int63n(p.total)
-	block := 0
-	for mac >= p.cum[block] {
-		block++
-	}
-	if block > 0 {
-		mac -= p.cum[block-1]
-	}
-	return p.siteForMAC(rng, block, mac, rng.Intn(p.dt.Width()))
-}
+func (p *Profile) RandomSite(rng *rand.Rand) Site { return p.Draw(rng, -1, -1, 1) }
 
-// RandomSiteMBU draws like RandomSite but models a multi-bit upset: every
-// injection flips mbu adjacent bits, so the base bit is drawn uniformly
-// over the word's Width()−mbu+1 in-word spans and Fault.Width records the
-// span. PRNG draw order (MAC index, base bit, latch) matches RandomSite;
-// mbu ≤ 1 is exactly RandomSite.
-func (p *Profile) RandomSiteMBU(rng *rand.Rand, mbu int) Site {
-	if mbu <= 1 {
-		return p.RandomSite(rng)
+// Draw draws a fault site whose upset flips mbu (≥ 1) adjacent latch bits:
+// a MAC uniform over the network, or over paper-style block when block ≥ 0
+// (the Fig. 6 per-layer experiment, a stratum's row); the span's base bit
+// uniform over the word's Width()−mbu+1 in-word positions, or bit when
+// bit ≥ 0 (the Fig. 4 per-bit experiment, a stratum's column, a site
+// mode's whole-word unit); and the latch uniform. A forced coordinate
+// consumes no randomness; the PRNG order is MAC index, base bit, latch.
+// Fault.Width records a multi-bit span and stays 0 for mbu = 1.
+func (p *Profile) Draw(rng *rand.Rand, block, bit, mbu int) Site {
+	var mac int64
+	if block >= 0 {
+		mac = rng.Int63n(p.macs[block])
+	} else {
+		mac, block = rng.Int63n(p.total), 0
+		for mac >= p.cum[block] {
+			block++
+		}
+		if block > 0 {
+			mac -= p.cum[block-1]
+		}
 	}
-	mac := rng.Int63n(p.total)
-	block := 0
-	for mac >= p.cum[block] {
-		block++
+	if bit < 0 {
+		bit = rng.Intn(p.dt.Width() - mbu + 1)
 	}
-	if block > 0 {
-		mac -= p.cum[block-1]
-	}
-	s := p.siteForMAC(rng, block, mac, rng.Intn(p.dt.Width()-mbu+1))
-	s.Fault.Width = mbu
-	return s
-}
-
-// RandomSiteInBlock draws a site uniformly over the MACs of one paper-style
-// block (CONV/FC layer position) — the Fig. 6 per-layer experiment.
-func (p *Profile) RandomSiteInBlock(rng *rand.Rand, block int) Site {
-	mac := rng.Int63n(p.macs[block])
-	return p.siteForMAC(rng, block, mac, rng.Intn(p.dt.Width()))
-}
-
-// RandomSiteInBlockWithBit draws a site uniformly over the MACs of one
-// paper-style block with a fixed flipped-bit position — the conditional
-// distribution a (block, bit) stratum of the stratified sampler injects
-// from. Consumes exactly two PRNG values: the MAC index and the latch.
-func (p *Profile) RandomSiteInBlockWithBit(rng *rand.Rand, block, bit int) Site {
-	mac := rng.Int63n(p.macs[block])
-	return p.siteForMAC(rng, block, mac, bit)
-}
-
-// BlockWeight returns the probability that a uniform random site lands in
-// paper-style block i: the block's share of the network's MACs. (Latches
-// and bits are uniform within a MAC, so they do not change the share.)
-func (p *Profile) BlockWeight(i int) float64 {
-	return float64(p.macs[i]) / float64(p.total)
-}
-
-// RandomSiteWithBit draws a random MAC and latch but fixes the flipped bit
-// position — the Fig. 4 per-bit sensitivity experiment.
-func (p *Profile) RandomSiteWithBit(rng *rand.Rand, bit int) Site {
-	mac := rng.Int63n(p.total)
-	block := 0
-	for mac >= p.cum[block] {
-		block++
-	}
-	if block > 0 {
-		mac -= p.cum[block-1]
-	}
-	return p.siteForMAC(rng, block, mac, bit)
-}
-
-func (p *Profile) siteForMAC(rng *rand.Rand, block int, mac int64, bit int) Site {
 	chain := int64(p.chainLen[block])
-	return Site{
+	s := Site{
 		Layer: p.layerIdx[block],
 		Fault: layers.Fault{
 			OutputIndex: int(mac / chain),
@@ -196,6 +150,17 @@ func (p *Profile) siteForMAC(rng *rand.Rand, block int, mac int64, bit int) Site
 			Bit:         bit,
 		},
 	}
+	if mbu > 1 {
+		s.Fault.Width = mbu
+	}
+	return s
+}
+
+// BlockWeight returns the probability that a uniform random site lands in
+// paper-style block i: the block's share of the network's MACs. (Latches
+// and bits are uniform within a MAC, so they do not change the share.)
+func (p *Profile) BlockWeight(i int) float64 {
+	return float64(p.macs[i]) / float64(p.total)
 }
 
 // BlockOfSite returns the paper-style block number of a site.

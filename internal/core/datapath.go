@@ -253,7 +253,7 @@ func Fig7(cfg Config, netName string, dt numeric.Type) (*Fig7Result, error) {
 	n := min(cfg.Injections, 200)
 	for i := 0; i < n; i++ {
 		golden := c.Golden(i % cfg.Inputs)
-		site := p.RandomSiteInBlock(rng, 0)
+		site := p.Draw(rng, 0, -1, 1)
 		fault := site.Fault
 		faulty := net.ForwardFrom(dt, golden, site.Layer, &fault)
 		for b, d := range net.LayerDistances(golden, faulty) {

@@ -203,7 +203,7 @@ func TestCrossEngineFixtures(t *testing.T) {
 }
 
 // TestSurfaceConformance runs the generic Surface contract checker
-// (engine.CheckSurface) against every surface adapter — each dataflow of
+// (checkSurface) against every surface adapter — each dataflow of
 // the systolic surface, and each surface's multi-bit-upset variant —
 // under both sampling designs: NewReport zero identity, merge
 // associativity and commutativity over shard order, the strata JSON
@@ -221,24 +221,24 @@ func TestSurfaceConformance(t *testing.T) {
 	// Each adapter binds its surface under o's sampling, MBU and eval
 	// design (the budget and seed are the surface's fixture constants) and
 	// runs the conformance check.
-	type adapter func(t engine.TestingT, o engine.Options)
-	datapath := func(t engine.TestingT, o engine.Options) {
+	type adapter func(t *testing.T, o engine.Options)
+	datapath := func(t *testing.T, o engine.Options) {
 		c := faultinj.New(models.Build(fixtureNet), dt, ins)
 		s, eopt := c.Surface(faultinj.Options{N: datapathN, Seed: datapathSeed, Workers: 3, Sampling: o.Sampling, MBU: o.MBU, Eval: o.Eval})
-		engine.CheckSurface(t, s, eopt)
+		checkSurface(t, s, eopt)
 	}
-	buffer := func(t engine.TestingT, o engine.Options) {
+	buffer := func(t *testing.T, o engine.Options) {
 		c := &eyeriss.Campaign{Net: build(), DType: dt, Inputs: ins}
 		o.N, o.Seed, o.Workers = bufferN, bufferSeed, 3
 		s, eopt := c.Surface(eyeriss.GlobalBuffer, o)
-		engine.CheckSurface(t, s, eopt)
+		checkSurface(t, s, eopt)
 	}
 	systolicFlow := func(flow systolic.Dataflow) adapter {
-		return func(t engine.TestingT, o engine.Options) {
+		return func(t *testing.T, o engine.Options) {
 			c := &systolic.Campaign{Net: build(), DType: dt, Inputs: ins, Flow: flow}
 			o.N, o.Seed, o.Workers = systolicN, systolicSeed, 3
 			s, eopt := c.Surface(o)
-			engine.CheckSurface(t, s, eopt)
+			checkSurface(t, s, eopt)
 		}
 	}
 	surfaces := []struct {

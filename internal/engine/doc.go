@@ -10,10 +10,10 @@
 // layout, gating, allocation table and merge association (DESIGN.md §7),
 // which Run and the distributed ledger both execute — with the scaffold
 // each surface would otherwise re-implement around it: the campaign Options
-// and their validation, the residency sampler, the per-injection and
-// per-draw-unit phase iterators, the stratum-weight grid and the bit-plane
-// evaluation of a single-MAC site. A surface supplies only what is its own — the fault model, the
-// order its sites are drawn in, and its report algebra — through the
-// Surface interface. DESIGN.md ("Fault surfaces") has the contract and the
-// steps to add one.
+// and their validation, the residency sampler, the one slot loop (RunSlot:
+// draw, evaluate and tally each draw unit in draw order), the stratum-weight
+// grid and the bit-plane evaluation of a single-MAC site. A surface supplies
+// only what is its own — its report algebra (Surface) and its fault model
+// (Model: the site draw, the evaluation of a site at a bit, the tally).
+// DESIGN.md ("Fault surfaces") has the contract and the steps to add one.
 package engine

@@ -121,17 +121,14 @@ func (ph Phase) Each(shard, of, inputs int, fn func(Unit)) {
 }
 
 // Surface is what a fault surface supplies to the engine: report algebra
-// and the per-injection execution of one phase of one shard. Everything
-// else — the slot layout, phase sequencing, pilot merging, Neyman table
-// construction, and the canonical merge association — is the engine's Plan.
+// and the fault model one slot runs (Model). Everything else — the slot
+// layout, phase sequencing, the slot loop, pilot merging, Neyman table
+// construction, and the canonical merge association — is the engine's.
 //
 // R is the surface's report type. Merge must fold src into dst exactly as
 // the surface's exported merge does (shard-order folds of float
 // accumulators are order-sensitive, and the engine's call order is part of
-// the bit-identity contract). RunPhase must be safe for concurrent calls
-// with distinct shard indices, draw all randomness from a PRNG seeded only
-// by (campaign seed, shard, ph.SeedSalt), and cover draw units
-// shard, shard+of, shard+2·of, … of the phase (ph.Each).
+// the bit-identity contract). Model must be safe for concurrent calls.
 type Surface[R any] interface {
 	// Width is the campaign's word width in bits: the bit dimension of the
 	// stratum grid and the draw-unit size of the site evaluation modes.
@@ -143,9 +140,9 @@ type Surface[R any] interface {
 	// Strata extracts the per-stratum tallies of a strata-recording
 	// phase's report (used to build the main-phase allocation).
 	Strata(r R) *StrataSummary
-	// RunPhase executes one phase of one shard serially and returns its
-	// partial report.
-	RunPhase(shard, of int, ph Phase) R
+	// Model returns a fresh fault model for one slot of phase ph in an
+	// of-shard partition.
+	Model(ph Phase, of int) Model[R]
 }
 
 // Options configures a campaign on any fault surface: the budget, the

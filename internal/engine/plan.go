@@ -43,6 +43,11 @@ type Plan struct {
 	// when the allocation comes from a prior campaign instead of a pilot.
 	stratified    bool
 	pilotN, mainN int
+	// How RunSlot evaluates the slots: the campaign seed every slot's PRNG
+	// derives from, whether single-MAC sites replay bit-parallel, and
+	// whether a detector needs every injection's faulty execution.
+	seed            int64
+	plane, needExec bool
 }
 
 // NewPlan validates the options every surface shares against the surface's
@@ -51,7 +56,8 @@ func NewPlan(opt Options, width int) Plan {
 	if opt.MBU > width {
 		panic(fmt.Sprintf("engine: MBU width %d exceeds the %d-bit word", opt.MBU, width))
 	}
-	p := Plan{n: opt.N, unitBits: 1}
+	p := Plan{n: opt.N, unitBits: 1, seed: opt.Seed,
+		plane: opt.Eval == EvalSiteBitPlane, needExec: opt.Detector != nil}
 	switch opt.Eval {
 	case EvalPerBit:
 	case EvalSiteScalar, EvalSiteBitPlane:
@@ -159,16 +165,6 @@ func (p Plan) phase(slot int, table *StratumTable) (Phase, int) {
 	return ph, shard
 }
 
-// RunSlot executes one slot of the plan serially and returns its report;
-// table is the plan's allocation (Table) for a gated slot and ignored
-// otherwise. It is the only way a phase of a shard gets run, by Run and by
-// a distributed worker alike, so slots can execute anywhere — goroutines,
-// processes, machines — and Fold still reproduces the one campaign.
-func RunSlot[R any](s Surface[R], p Plan, slot int, table *StratumTable) R {
-	ph, shard := p.phase(slot, table)
-	return s.RunPhase(shard, p.shards, ph)
-}
-
 // perShard reduces a campaign's slot reports, indexed by slot, to one
 // partial per shard: a two-phase campaign's (pilot, main) pairs pre-merged,
 // the slots themselves otherwise. merge folds a list of reports, in order,
@@ -258,5 +254,20 @@ func folder[R any](s Surface[R]) func([]R) R {
 			s.Merge(total, r)
 		}
 		return total
+	}
+}
+
+// ShardReports runs every slot of the campaign serially — one pass over the
+// plan, the allocation table derived between its two waves exactly as Run
+// derives it — and returns the per-shard partials whose shard-order merge is
+// Run. It is how a test stands in for a fleet.
+func ShardReports[R any](s Surface[R], o Options) []R {
+	p := NewPlan(o, s.Width())
+	return perShard(p, runSlots(s, o, p, serially), folder(s))
+}
+
+func serially(n int, fn func(i int)) {
+	for i := 0; i < n; i++ {
+		fn(i)
 	}
 }

@@ -2,9 +2,15 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/layers"
+	"repro/internal/network"
+	"repro/internal/numeric"
+	"repro/internal/tensor"
 )
 
 // expr is the stub surface's report: a leaf names the phase and shard that
@@ -22,8 +28,10 @@ func (e *expr) String() string {
 	return "(" + strings.Join(e.parts, " ") + ")"
 }
 
-// stubSurface runs no injections: RunPhase counts its calls, checks the
-// phase it was handed against the campaign's budget and returns a leaf.
+// stubSurface hands every slot a stub model: Model counts its calls,
+// checks the phase it was handed against the campaign's budget and names
+// the slot's report leaf; the model evaluates every injection as golden on
+// a one-layer network and counts them.
 type stubSurface struct {
 	t      *testing.T
 	width  int
@@ -33,16 +41,17 @@ type stubSurface struct {
 	// its pilot share and the pilot's draw-unit count (the main phase's
 	// input base).
 	n, pilotN, units int
+	injections       *atomic.Int64
 }
 
 func (s stubSurface) Width() int                  { return s.width }
 func (s stubSurface) NewReport() *expr            { return &expr{} }
 func (s stubSurface) Merge(dst, src *expr)        { dst.parts = append(dst.parts, src.String()) }
 func (s stubSurface) Strata(*expr) *StrataSummary { return stubStrata(s.width) }
-func (s stubSurface) RunPhase(shard, of int, ph Phase) *expr {
+func (s stubSurface) Model(ph Phase, of int) Model[*expr] {
 	s.calls.Add(1)
-	if of != s.shards || shard < 0 || shard >= of {
-		s.t.Errorf("RunPhase(%d, %d): campaign has %d shards", shard, of, s.shards)
+	if of != s.shards {
+		s.t.Errorf("Model(%d): campaign has %d shards", of, s.shards)
 	}
 	kind, wantN, wantBase := "u", s.n, 0
 	switch {
@@ -52,9 +61,41 @@ func (s stubSurface) RunPhase(shard, of int, ph Phase) *expr {
 		kind, wantN = "p", s.pilotN
 	}
 	if ph.N != wantN || ph.InputBase != wantBase || ph.Values != (ph.Table == nil) || (ph.SeedSalt != 0) != (ph.Table != nil) {
-		s.t.Errorf("%s%d: phase %+v, want N=%d InputBase=%d", kind, shard, ph, wantN, wantBase)
+		s.t.Errorf("%s: phase %+v, want N=%d InputBase=%d", kind, ph, wantN, wantBase)
 	}
-	return &expr{leaf: fmt.Sprintf("%s%d", kind, shard)}
+	net := &network.Network{Name: "stub", InShape: tensor.Shape{C: 1, H: 1, W: 1}, Classes: 2,
+		Layers: []layers.Layer{layers.NewFC("fc", 1, 2)}}
+	return &stubModel{stubSurface: s, kind: kind, net: net, g: net.Forward(numeric.Float16, tensor.New(net.InShape))}
+}
+
+// stubModel names its report after the phase kind and its first unit's
+// index, which is the slot's shard (the test's budgets give every slot a
+// unit).
+type stubModel struct {
+	stubSurface
+	kind  string
+	net   *network.Network
+	g     *network.Execution
+	shard int
+}
+
+func (m *stubModel) Network() (*network.Network, numeric.Type) { return m.net, numeric.Float16 }
+func (m *stubModel) Inputs() int                               { return 1 }
+func (m *stubModel) Golden(int) *network.Execution             { return m.g }
+func (m *stubModel) SeedMul() int64                            { return 1 }
+func (m *stubModel) Report() *expr                             { return &expr{} }
+func (m *stubModel) Values() int                               { return 0 }
+func (m *stubModel) Single() (int, layers.PlaneFault, bool)    { return 0, layers.PlaneFault{}, false }
+func (m *stubModel) Eval(int) *network.Execution               { return m.g }
+func (m *stubModel) Draw(_ *rand.Rand, _ *network.Execution, u Unit) int {
+	if u.Index < m.shards {
+		m.shard = u.Index
+	}
+	return max(u.Bit, 0)
+}
+func (m *stubModel) Tally(r *expr, in Injection) {
+	m.injections.Add(1)
+	r.leaf = fmt.Sprintf("%s%d", m.kind, m.shard)
 }
 
 // stubStrata is a one-block uniform-weight pilot: enough for a table of
@@ -96,7 +137,7 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 							wantSlots = append(wantSlots, slot{PhaseUniform, s})
 							names = append(names, fmt.Sprintf("u%d", s))
 						case "stratified":
-							opt.Sampling, opt.PilotN, pilotN = SamplingStratified, 3*width+1, 3*width+1
+							opt.Sampling, opt.PilotN, pilotN = SamplingStratified, 7*width+1, 7*width+1
 							wantSlots = append(wantSlots, slot{PhasePilot, s}, slot{PhaseMain, s})
 							names = append(names, fmt.Sprintf("(p%d m%d)", s, s))
 						case "prior":
@@ -126,14 +167,17 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 					}
 					mustPanic(t, "slot past the end", func() { p.Slot(p.Slots()) })
 
-					var calls atomic.Int64
+					var calls, injections atomic.Int64
 					s := stubSurface{t: t, width: width, calls: &calls, shards: shards,
-						n: n, pilotN: pilotN, units: DrawUnits(pilotN, unitBits)}
+						n: n, pilotN: pilotN, units: DrawUnits(pilotN, unitBits), injections: &injections}
 					if got := Run[*expr](s, opt).String(); got != want {
 						t.Errorf("Run folded %s, want %s", got, want)
 					}
 					if got := calls.Load(); got != int64(p.Slots()) {
-						t.Errorf("Run called RunPhase %d times for %d slots", got, p.Slots())
+						t.Errorf("Run built %d models for %d slots", got, p.Slots())
+					}
+					if got := injections.Load(); got != n {
+						t.Errorf("Run tallied %d injections, budget %d", got, n)
 					}
 
 					// The same plan run slot by slot, gated slots last — as a
@@ -166,7 +210,7 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 // nothing to derive its table from unless the options carry the prior.
 func TestPilotFreePlanNeedsPrior(t *testing.T) {
 	var calls atomic.Int64
-	s := stubSurface{t: t, width: 16, calls: &calls}
+	s := stubSurface{t: t, width: 16, calls: &calls, injections: new(atomic.Int64)}
 	mustPanic(t, "pilot-free Run without Options.Prior", func() {
 		Run[*expr](s, Options{N: 64, Workers: 2, Sampling: SamplingStratified, PilotN: -1})
 	})

@@ -50,7 +50,7 @@ func FuzzPreScreenSoundness(f *testing.F) {
 			Target:      layers.Target(int(targetSel) % int(layers.NumTargets)),
 		}
 		gv := g.Acts[li].Data[site.OutputIndex]
-		batch := net.NewInjectionBatch(dt, g, li, dt.Width())
+		batch := net.NewInjectionBatch(dt, g, li)
 		same, kill := screen(net, dt, li, batch, site, dt.Width(), gv, 0)
 		if same&kill != 0 {
 			t.Fatalf("%s %+v: product-identity and ReLU-kill masks overlap: %x", dt, site, same&kill)

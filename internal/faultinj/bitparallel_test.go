@@ -126,11 +126,11 @@ func TestPreScreenSoundness(t *testing.T) {
 
 		claimed, checked := 0, 0
 		for trial := 0; trial < 400; trial++ {
-			site := c.Profile().RandomSiteWithBit(rng, 0)
+			site := c.Profile().Draw(rng, -1, 0, 1)
 			golden := c.Golden(trial % len(c.Inputs))
 			ref := sdc.Classify(c.Net, golden, golden)
 			li := site.Layer
-			batch := c.Net.NewInjectionBatch(c.DType, golden, li, width)
+			batch := c.Net.NewInjectionBatch(c.DType, golden, li)
 			gv := golden.Acts[li].Data[site.Fault.OutputIndex]
 
 			f := layers.PlaneFault{OutputIndex: site.Fault.OutputIndex, MACStep: site.Fault.MACStep, Target: site.Fault.Target}
@@ -145,7 +145,7 @@ func TestPreScreenSoundness(t *testing.T) {
 					checked++
 					fault := site.Fault
 					fault.Bit = b
-					sim := batch.Run(&fault)
+					sim := c.Net.ForwardFrom(c.DType, golden, li, &fault)
 					if !sim.Masked {
 						t.Fatalf("%s: evaluator reported bit %d masked at %s, simulation disagrees", dt, b, site)
 					}
@@ -234,19 +234,18 @@ func TestMaskedExecutionRetainsFaultedElement(t *testing.T) {
 	opt := Options{}
 	c.setup(&opt)
 	golden := c.Golden(0)
-	batch := net.NewInjectionBatch(dt, golden, 0, 4)
+	batch := net.NewInjectionBatch(dt, golden, 0)
 	// Bit 0 of the accumulator at the last MAC step: below the quantization
 	// floor of nothing (fx keeps it), but a tiny delta that ReLU/pool
 	// almost always masks downstream.
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
-		site := c.Profile().RandomSiteWithBit(rng, 0)
+		site := c.Profile().Draw(rng, -1, 0, 1)
 		if site.Layer != 0 {
 			continue
 		}
 		fault := site.Fault
-		fault.Bit = 0
-		faulty := batch.Run(&fault)
+		faulty := net.ForwardFrom(dt, golden, 0, &fault)
 		gv := golden.Acts[0].Data[fault.OutputIndex]
 		fv := faulty.Acts[0].Data[fault.OutputIndex]
 		if faulty.Masked && math.Float64bits(fv) != math.Float64bits(gv) {

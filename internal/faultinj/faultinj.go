@@ -35,16 +35,12 @@ func UniformSelector(rng *rand.Rand, p *accel.Profile) accel.Site {
 
 // BitSelector fixes the flipped bit position — the Fig. 4 campaign.
 func BitSelector(bit int) Selector {
-	return func(rng *rand.Rand, p *accel.Profile) accel.Site {
-		return p.RandomSiteWithBit(rng, bit)
-	}
+	return func(rng *rand.Rand, p *accel.Profile) accel.Site { return p.Draw(rng, -1, bit, 1) }
 }
 
 // BlockSelector fixes the injected CONV/FC block — the Fig. 6 campaign.
 func BlockSelector(block int) Selector {
-	return func(rng *rand.Rand, p *accel.Profile) accel.Site {
-		return p.RandomSiteInBlock(rng, block)
-	}
+	return func(rng *rand.Rand, p *accel.Profile) accel.Site { return p.Draw(rng, block, -1, 1) }
 }
 
 // ValueRecord samples the faulted activation before and after the error —
@@ -367,9 +363,9 @@ func (c *Campaign) Golden(i int) *network.Execution {
 }
 
 // surface adapts the campaign to the shared engine's Surface interface:
-// the engine owns all shard fan-out, phase sequencing, allocation-table
-// construction and the canonical merge association, and calls back here
-// for report algebra and per-injection execution.
+// the engine owns all shard fan-out, phase sequencing, the slot loop,
+// allocation-table construction and the canonical merge association, and
+// calls back here for report algebra and the fault model (model).
 type surface struct {
 	c            *Campaign
 	opt          Options
@@ -388,8 +384,12 @@ func (s surface) Width() int                             { return s.bits }
 func (s surface) NewReport() *Report                     { return newReport(s.bits, s.blocks) }
 func (s surface) Merge(dst, src *Report)                 { dst.merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
-func (s surface) RunPhase(shard, of int, ph engine.Phase) *Report {
-	return s.c.runShardPhase(shard, of, s.opt, s.bits, s.blocks, ph)
+func (s surface) Model(ph engine.Phase, of int) engine.Model[*Report] {
+	m := &model{surface: s, ph: ph, p: s.c.Profile(), mbu: s.opt.engineOptions().UpsetWidth()}
+	if ph.Values && s.opt.TrackValues > 0 {
+		m.values = (s.opt.TrackValues + of - 1) / of // the slot's share of the value budget
+	}
+	return m
 }
 
 // Run executes the campaign and aggregates its report (engine.Run): the
@@ -402,8 +402,8 @@ func (c *Campaign) Run(opt Options) *Report {
 }
 
 // setup performs the idempotent per-campaign preparation behind Surface:
-// the quantized-parameter cache, the option checks and the selector
-// default. The goldens resolve on first use (Golden).
+// the quantized-parameter cache and the option checks. The goldens resolve
+// on first use (Golden).
 func (c *Campaign) setup(opt *Options) {
 	if !opt.Dense {
 		// Quantize each layer's parameters once per campaign; every
@@ -424,182 +424,8 @@ func (c *Campaign) setup(opt *Options) {
 			panic("faultinj: site-draw evaluation modes require the incremental engine (Options.Dense unsupported)")
 		}
 	}
-	if opt.Selector == nil {
-		opt.Selector = UniformSelector
-	}
-}
-
-// stratumWeights returns the (block, base bit) population probabilities
-// under uniform site sampling: the block's MAC share spread over its valid
-// base-bit strata (engine.StratumGrid). Identical for every shard of a
-// campaign (pure function of the profile).
-func (c *Campaign) stratumWeights(bits, blocks, mbu int) engine.HexFloats {
-	p := c.Profile()
-	return engine.StratumGrid(blocks, bits, mbu, func(b, valid int) float64 {
-		return p.BlockWeight(b) / float64(valid)
-	})
 }
 
 // seedMul separates the per-shard PRNG streams of this surface from the
 // other surfaces' streams under equal campaign seeds.
 const seedMul = 1_000_003
-
-// valueBudget is one shard's share of the campaign's value-sample budget
-// in a phase that may spend it.
-func (c *Campaign) valueBudget(opt Options, of int, ph engine.Phase) int {
-	if ph.Values && opt.TrackValues > 0 {
-		return (opt.TrackValues + of - 1) / of
-	}
-	return 0
-}
-
-// drawnSite is one draw unit of a shard (engine.Unit): a pre-drawn latch
-// site and the nbits injections evaluated at it, one per bit position from
-// site.Fault.Bit upward — one in the per-bit design, every bit of the word
-// under a site mode.
-type drawnSite struct {
-	injBase  int // shard-local injection index of the unit's first bit
-	inputIdx int
-	site     accel.Site
-	nbits    int
-}
-
-// injResult buffers one injection's outcome so grouped execution can fold
-// results back into the report in draw order — float accumulation order
-// and value-sample selection stay bit-identical to the ungrouped loop.
-type injResult struct {
-	outcome  sdc.Outcome
-	masked   bool
-	pre      bool // proven masked by the analytical pre-screen (no replay)
-	block    int
-	bit      int
-	target   layers.Target
-	value    ValueRecord
-	hasValue bool
-	spread   float64
-	det      bool
-}
-
-// runShardPhase executes one phase of one shard (see engine.Phase) — the
-// per-unit execution the engine's orchestration calls back into. Fault
-// sites are drawn first, one per draw unit (engine.Phase.Each), in the
-// exact PRNG order of an unbatched per-unit loop; execution is then grouped
-// by (input, faulted layer) so each group shares one InjectionBatch — the
-// golden prefix views and the faulted layer's quantized input are resolved
-// once per group instead of once per injection (execution consumes no
-// randomness, so reordering it is invisible to the PRNG stream). Results
-// fold into the report in draw order, a unit's injections in ascending bit
-// order, keeping every accumulator — including the order-sensitive spread
-// sums and value samples — bit-identical to unbatched execution.
-func (c *Campaign) runShardPhase(shard, of int, opt Options, bits, blocks int, ph engine.Phase) *Report {
-	rng := ph.Rand(opt.Seed, shard, seedMul)
-	valueBudget := c.valueBudget(opt, of, ph)
-	p := c.Profile()
-
-	// Phase 1: draw every site of the shard in sequence order. A forced
-	// coordinate — the stratum a main-phase table dictates, bit 0 of a
-	// whole-word unit — replaces the selector and consumes no randomness:
-	// only the site within it is random (two PRNG values, MAC index and
-	// latch, like every uniform draw's tail).
-	mbu := opt.engineOptions().UpsetWidth()
-	var seq []drawnSite
-	totalInj := 0
-	ph.Each(shard, of, len(c.Inputs), func(u engine.Unit) {
-		var site accel.Site
-		switch {
-		case u.Block >= 0:
-			site = p.RandomSiteInBlockWithBit(rng, u.Block, u.Bit)
-			if mbu > 1 {
-				site.Fault.Width = mbu
-			}
-		case u.Bit >= 0:
-			site = p.RandomSiteWithBit(rng, u.Bit)
-		case mbu > 1:
-			site = p.RandomSiteMBU(rng, mbu)
-		default:
-			site = opt.Selector(rng, p)
-		}
-		seq = append(seq, drawnSite{injBase: totalInj, inputIdx: u.Input, site: site, nbits: u.NBits})
-		totalInj += u.NBits
-	})
-
-	// Phase 2: group by (input, faulted layer), first-appearance order.
-	type groupKey struct{ input, layer int }
-	groups := make(map[groupKey][]drawnSite)
-	var order []groupKey
-	for _, d := range seq {
-		k := groupKey{d.inputIdx, d.site.Layer}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], d)
-	}
-
-	// Phase 3: execute each group through a shared batch (none under the
-	// dense oracle, which re-executes the network per injection).
-	results := make([]injResult, totalInj)
-	for _, k := range order {
-		group := groups[k]
-		golden := c.Golden(k.input)
-		var batch *network.InjectionBatch
-		if !opt.Dense {
-			expected := 0
-			for _, d := range group {
-				expected += d.nbits
-			}
-			batch = c.Net.NewInjectionBatch(c.DType, golden, k.layer, expected)
-		}
-		for _, d := range group {
-			c.runUnit(batch, golden, d, opt, valueBudget, results)
-		}
-	}
-
-	// Phase 4: fold in draw order.
-	return c.foldResults(results, opt, bits, blocks, ph)
-}
-
-// foldResults folds buffered injection outcomes — indexed in draw order —
-// into a fresh phase report, so every accumulator (including the
-// order-sensitive spread sums and value samples) is built by the same code
-// whatever evaluated the injection.
-func (c *Campaign) foldResults(results []injResult, opt Options, bits, blocks int, ph engine.Phase) *Report {
-	r := newReport(bits, blocks)
-	if ph.Strata {
-		r.Strata = engine.NewStrata(blocks, bits, c.stratumWeights(bits, blocks, opt.engineOptions().UpsetWidth()), opt.TrackSpread)
-	}
-	for i := range results {
-		res := &results[i]
-		if res.masked {
-			r.Masked++
-		}
-		if res.pre {
-			r.PreMasked++
-			if r.PreMaskedPerBit == nil {
-				r.PreMaskedPerBit = make([]int, bits)
-			}
-			r.PreMaskedPerBit[res.bit]++
-		}
-		r.Counts.Add(res.outcome)
-		r.PerBit[res.bit].Add(res.outcome)
-		r.PerBlock[res.block].Add(res.outcome)
-		r.PerTarget[res.target].Add(res.outcome)
-		if r.Strata != nil {
-			r.Strata.Counts[res.block*bits+res.bit].Add(res.outcome)
-		}
-		if res.hasValue {
-			r.Values = append(r.Values, res.value)
-		}
-		if opt.TrackSpread {
-			r.SpreadSum[res.block] += res.spread
-			r.SpreadN[res.block]++
-			if r.Strata != nil {
-				r.Strata.SpreadSum[res.block*bits+res.bit] += res.spread
-				r.Strata.SpreadN[res.block*bits+res.bit]++
-			}
-		}
-		if opt.Detector != nil {
-			r.Detection.Tally(res.outcome.Hit[sdc.SDC1], res.det)
-		}
-	}
-	return r
-}

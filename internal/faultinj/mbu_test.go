@@ -22,7 +22,7 @@ func TestRandomSiteMBUSpans(t *testing.T) {
 	const mbu = 3
 	seenHigh := false
 	for i := 0; i < 500; i++ {
-		s := p.RandomSiteMBU(rng, mbu)
+		s := p.Draw(rng, -1, -1, mbu)
 		if s.Fault.Width != mbu {
 			t.Fatalf("site %v: Width = %d, want %d", s, s.Fault.Width, mbu)
 		}
@@ -36,11 +36,11 @@ func TestRandomSiteMBUSpans(t *testing.T) {
 	if !seenHigh {
 		t.Errorf("500 draws never hit the top base bit %d", dt.Width()-mbu)
 	}
-	// mbu <= 1 must be exactly RandomSite (same PRNG stream, same sites).
+	// mbu 1 must be exactly RandomSite (same PRNG stream, same sites).
 	r1, r2 := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
-		if a, b := p.RandomSiteMBU(r1, 1), p.RandomSite(r2); a != b {
-			t.Fatalf("draw %d: RandomSiteMBU(1) = %v, RandomSite = %v", i, a, b)
+		if a, b := p.Draw(r1, -1, -1, 1), p.RandomSite(r2); a != b {
+			t.Fatalf("draw %d: Draw(mbu 1) = %v, RandomSite = %v", i, a, b)
 		}
 	}
 }

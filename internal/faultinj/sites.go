@@ -1,78 +1,125 @@
-// Evaluating a drawn site. The per-bit design — the paper's — draws an
-// independent (site, bit) pair per injection; a site-draw campaign draws one
-// latch site per draw unit and evaluates every bit position of the format
-// at that site. EvalSiteScalar replays the faulted accumulation chain once
-// per bit (the reference); EvalSiteBitPlane hands the site to the
-// bit-plane evaluator every single-MAC surface shares
-// (engine.EvalPlaneSite). The two modes share the same PRNG stream and draw
-// sequence and produce bit-identical reports; the bit-plane mode is the
-// fast path, the scalar mode its exactness oracle.
+// The datapath's fault model (engine.Model): one latch site of the
+// canonical datapath per draw unit — a single injection in the paper's
+// per-bit design, every bit of the word under a site mode — evaluated by
+// resuming the inference from the faulted layer.
 package faultinj
 
 import (
+	"math/rand"
+
+	"repro/internal/accel"
 	"repro/internal/engine"
 	"repro/internal/layers"
 	"repro/internal/network"
+	"repro/internal/numeric"
 	"repro/internal/sdc"
 	"repro/internal/tensor"
 )
 
-// runUnit evaluates drawn site d of the group batch serves (nil under the
-// dense oracle, which re-executes the network per injection) and buffers
-// each of its injections at its draw position in results.
-func (c *Campaign) runUnit(batch *network.InjectionBatch, golden *network.Execution, d drawnSite, opt Options, valueBudget int, results []injResult) {
-	li, fault := d.site.Layer, d.site.Fault
-	block := c.Profile().BlockOfSite(d.site)
-	gv := golden.Acts[li].Data[fault.OutputIndex]
-	// record buffers injection i of the unit: faulty chain value fv, its
-	// outcome and its faulty execution (nil for a masked bit-plane one).
-	record := func(i int, fv float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
-		res := injResult{
-			outcome: outcome,
-			masked:  faulty == nil || faulty.Masked,
-			pre:     pre,
-			block:   block,
-			bit:     fault.Bit + i,
-			target:  fault.Target,
-		}
-		pos := d.injBase + i
-		if pos < valueBudget {
-			res.hasValue = true
-			res.value = ValueRecord{Golden: gv, Faulty: fv, SDC: outcome.Hit[sdc.SDC1]}
-		}
-		if opt.TrackSpread && faulty != nil {
-			res.spread = c.finalBlockSpread(golden, faulty)
-		}
-		if opt.Detector != nil {
-			res.det = opt.Detector(faulty)
-		}
-		results[pos] = res
-	}
+// model is one slot's datapath fault model, holding the unit it drew last.
+type model struct {
+	surface
+	ph     engine.Phase
+	p      *accel.Profile
+	mbu    int
+	values int // the slot's share of the value-sample budget
+	g      *network.Execution
+	site   accel.Site
+	block  int
+}
 
-	if opt.Eval == engine.EvalSiteBitPlane {
-		var exact uint64 // the unit's value-sampled bits
-		if n := valueBudget - d.injBase; n >= 64 {
-			exact = ^uint64(0)
-		} else if n > 0 {
-			exact = uint64(1)<<uint(n) - 1
-		}
-		f := layers.PlaneFault{OutputIndex: fault.OutputIndex, MACStep: fault.MACStep, Target: fault.Target}
-		engine.EvalPlaneSite(c.Net, c.DType, golden, li, batch, f, d.nbits, exact, opt.Detector != nil, record)
-		return
+func (m *model) Network() (*network.Network, numeric.Type) { return m.c.Net, m.c.DType }
+func (m *model) Inputs() int                               { return len(m.c.Inputs) }
+func (m *model) Golden(i int) *network.Execution           { return m.c.Golden(i) }
+func (m *model) SeedMul() int64                            { return seedMul }
+func (m *model) Values() int                               { return m.values }
+
+// Report allocates the slot's report; a stratified phase's strata weigh
+// each (block, base bit) by the block's MAC share over its valid base bits.
+func (m *model) Report() *Report {
+	r := newReport(m.bits, m.blocks)
+	if m.ph.Strata {
+		w := engine.StratumGrid(m.blocks, m.bits, m.mbu, func(b, valid int) float64 {
+			return m.p.BlockWeight(b) / float64(valid)
+		})
+		r.Strata = engine.NewStrata(m.blocks, m.bits, w, m.opt.TrackSpread)
 	}
-	for i := 0; i < d.nbits; i++ {
-		f := fault // copy; Applied is per-run state
-		f.Bit += i
-		var faulty *network.Execution
-		if batch == nil {
-			faulty = c.Net.ForwardFromDense(c.DType, golden, li, &f)
-		} else {
-			faulty = batch.Run(&f)
+	return r
+}
+
+// Draw draws the unit's site from the profile — a forced coordinate
+// consumes no randomness — or through the custom selector, which setup
+// admits only where nothing is forced.
+func (m *model) Draw(rng *rand.Rand, g *network.Execution, u engine.Unit) int {
+	if m.opt.Selector != nil {
+		m.site = m.opt.Selector(rng, m.p)
+	} else {
+		m.site = m.p.Draw(rng, u.Block, u.Bit, m.mbu)
+	}
+	m.g, m.block = g, m.p.BlockOfSite(m.site)
+	return m.site.Fault.Bit
+}
+
+// Single: every datapath site is one MAC's latch.
+func (m *model) Single() (int, layers.PlaneFault, bool) {
+	f := m.site.Fault
+	return m.site.Layer, layers.PlaneFault{OutputIndex: f.OutputIndex, MACStep: f.MACStep, Target: f.Target}, true
+}
+
+// Eval resumes the inference from the faulted layer — densely under the
+// Dense oracle — and panics on a fault the layer never consumed.
+func (m *model) Eval(bit int) *network.Execution {
+	f := m.site.Fault // copy; Applied is per-run state
+	f.Bit = bit
+	var faulty *network.Execution
+	if m.opt.Dense {
+		faulty = m.c.Net.ForwardFromDense(m.c.DType, m.g, m.site.Layer, &f)
+	} else {
+		faulty = m.c.Net.ForwardFrom(m.c.DType, m.g, m.site.Layer, &f)
+	}
+	if !f.Applied {
+		panic("faultinj: selected fault site was not exercised: " + m.site.String())
+	}
+	return faulty
+}
+
+func (m *model) Tally(r *Report, in engine.Injection) {
+	o, h := in.Outcome, m.block*m.bits+in.Bit
+	if in.Faulty == nil || in.Faulty.Masked {
+		r.Masked++
+	}
+	if in.Pre {
+		r.PreMasked++
+		if r.PreMaskedPerBit == nil {
+			r.PreMaskedPerBit = make([]int, m.bits)
 		}
-		if !f.Applied {
-			panic("faultinj: selected fault site was not exercised: " + d.site.String())
+		r.PreMaskedPerBit[in.Bit]++
+	}
+	r.Counts.Add(o)
+	r.PerBit[in.Bit].Add(o)
+	r.PerBlock[m.block].Add(o)
+	r.PerTarget[m.site.Fault.Target].Add(o)
+	if r.Strata != nil {
+		r.Strata.Counts[h].Add(o)
+	}
+	if in.Index < m.values {
+		gv := m.g.Acts[m.site.Layer].Data[m.site.Fault.OutputIndex]
+		r.Values = append(r.Values, ValueRecord{Golden: gv, Faulty: in.Value, SDC: o.Hit[sdc.SDC1]})
+	}
+	if m.opt.TrackSpread {
+		spread := 0.0
+		if in.Faulty != nil {
+			spread = m.c.finalBlockSpread(m.g, in.Faulty)
 		}
-		record(i, faulty.Acts[li].Data[f.OutputIndex], sdc.Classify(c.Net, golden, faulty), faulty, false)
+		r.SpreadSum[m.block] += spread
+		r.SpreadN[m.block]++
+		if r.Strata != nil {
+			r.Strata.SpreadSum[h] += spread
+			r.Strata.SpreadN[h]++
+		}
+	}
+	if m.opt.Detector != nil {
+		r.Detection.Tally(o.Hit[sdc.SDC1], m.opt.Detector(in.Faulty))
 	}
 }
 

@@ -119,11 +119,11 @@ type Context struct {
 	// forward passes (bit-identical; see QuantCache).
 	Quant *QuantCache
 	// QIn, when non-nil, is the pre-quantized Data slice of the input
-	// tensor passed to ForwardElement (see QuantizeSlice), aligned
-	// index-for-index with it. Element forwarders read activations from it
-	// instead of quantizing per tap — bit-identical because Quantize is
-	// idempotent. Injection batches set it to amortize input quantization
-	// across a group of faults sharing one (input, layer).
+	// tensor passed to ForwardElement, aligned index-for-index with it.
+	// Element forwarders read activations from it instead of quantizing per
+	// tap — bit-identical because Quantize is idempotent. A layer output is
+	// its own pre-quantized view, so callers that recompute elements of a
+	// layer past the first pass its golden input's Data.
 	QIn []float64
 	// Workers, when > 1, lets CONV/FC layers split their independent
 	// output-element loops across that many goroutines. Results are

@@ -60,14 +60,6 @@ func (c *QuantCache) params(dt numeric.Type, l Layer, weights, bias []float64) (
 	return e.weights, e.bias
 }
 
-// QuantizeSlice quantizes every element of s under dt — the whole-slice
-// pre-quantization the dense forward passes use internally, exported for
-// injection batches that want to share one quantized input across a group
-// of element recomputations (Context.QIn).
-func QuantizeSlice(dt numeric.Type, s []float64) []float64 {
-	return quantizeSlice(dt, s)
-}
-
 // quantizeSlice quantizes every element of s under dt. Binary64 is the
 // simulator's carrier type, so its quantization is the identity and the
 // original slice is shared instead of copied.

@@ -9,40 +9,32 @@ import (
 	"repro/internal/tensor"
 )
 
-// InjectionBatch amortizes the per-injection setup of ForwardFrom across a
-// group of faults that share one (golden execution, faulted layer): the
-// campaign groups a shard's injections by (input, faulted layer) and runs
-// each group through a batch, so the faulted layer's quantized input and
-// the shared golden prefix views are resolved once per group rather than
-// once per injection. Downstream propagation is the same sparse
-// receptive-field delta-stepping ForwardFrom uses (propagateDelta), so
-// grouped injections also skip the dense forward cost of unmasked faults.
-// Every Run result is bit-identical to the corresponding ForwardFrom call.
+// InjectionBatch holds what the bit-plane evaluation of single-MAC fault
+// sites needs of one (golden execution, faulted MAC layer): the layer's
+// plane forwarder and golden input, and the scratch PropagateShared patches
+// in place. A campaign slot keeps one per (input, MAC layer) it strikes and
+// hands it every such site (engine.EvalPlaneSite). Downstream propagation
+// is the same sparse receptive-field delta-stepping ForwardFrom uses
+// (propagateDelta), bit-identical to it.
 //
-// A batch holds only per-group scratch and is not safe for concurrent use;
-// each campaign shard builds its own. The golden accumulation chains its
-// propagations replay are not the batch's: they belong to the golden
-// execution and are shared, read-only once filled, with every other batch
-// and surface walking it (see Execution.goldenChains).
+// A batch holds only per-slot scratch and is not safe for concurrent use.
+// The golden accumulation chains its propagations replay are not the
+// batch's: they belong to the golden execution and are shared, read-only
+// once filled, with every other batch and surface walking it (see
+// Execution.goldenChains).
 type InjectionBatch struct {
 	net      *Network
 	dt       numeric.Type
 	golden   *Execution
 	layerIdx int
-	// ef is nil when the faulted layer cannot element-forward; Run then
-	// falls back to the dense path, exactly as ForwardFrom does.
-	ef    layers.ElementForwarder
-	in    *tensor.Tensor
-	quant *layers.QuantCache
-	// qin is the pre-quantized faulted-layer input: the golden activation
-	// itself past layer 0; for layer 0's raw data, populated only when the
-	// group is large enough that one whole-input quantization is cheaper
-	// than per-tap quantization across the group's chains.
-	qin []float64
-	// ctx is reused across Run calls (the batch runs on one goroutine).
+	in       *tensor.Tensor
+	quant    *layers.QuantCache
+	// ctx carries the format, the quant cache and, past layer 0, the golden
+	// input as its own pre-quantized view (layer 0 reads raw data and
+	// quantizes per tap).
 	ctx layers.Context
-	// pfw is non-nil when the faulted layer supports bit-plane evaluation
-	// (every CONV/FC layer does).
+	// pfw is the faulted layer's bit-plane forwarder (every CONV/FC layer
+	// has one).
 	pfw layers.PlaneForwarder
 	// scratch is the reusable faulted-layer activation clone of
 	// PropagateShared: patched before each propagation, restored to golden
@@ -55,36 +47,22 @@ type InjectionBatch struct {
 	acts []*tensor.Tensor
 }
 
-// NewInjectionBatch prepares a batch of expected faulty runs against the
-// faulted layer layerIdx of a golden execution. expected is the group size
-// the caller intends to Run; it only tunes the pre-quantization heuristic,
-// not correctness — any number of Run calls is valid.
-func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx, expected int) *InjectionBatch {
-	if layerIdx < 0 || layerIdx >= len(n.Layers) {
-		panic(fmt.Sprintf("network %s: layer index %d out of range", n.Name, layerIdx))
+// NewInjectionBatch prepares the bit-plane evaluation of faults in MAC
+// layer layerIdx of a golden execution.
+func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx int) *InjectionBatch {
+	n.checkLayer(layerIdx)
+	pfw, ok := n.Layers[layerIdx].(layers.PlaneForwarder)
+	if !ok {
+		panic(fmt.Sprintf("network %s: layer %d cannot plane-forward", n.Name, layerIdx))
 	}
 	b := &InjectionBatch{
 		net: n, dt: dt, golden: golden, layerIdx: layerIdx,
-		quant: n.quant.Load(),
+		in: golden.LayerInput(layerIdx), quant: n.quant.Load(), pfw: pfw,
 	}
-	ef, ok := n.Layers[layerIdx].(layers.ElementForwarder)
-	if !ok {
-		return b
-	}
-	b.ef = ef
-	b.in = golden.LayerInput(layerIdx)
+	b.ctx = layers.Context{DType: dt, Quant: b.quant}
 	if layerIdx > 0 {
-		b.qin = b.in.Data // a layer output is its own pre-quantized view
-	} else if cl, ok := ef.(interface{ MACChainLen() int }); ok {
-		// Layer 0 reads raw image data. Pre-quantize all of it only when the
-		// group's accumulation chains would otherwise quantize at least as
-		// many taps; small groups stay on per-tap quantization.
-		if chain := cl.MACChainLen(); chain > 0 && expected*chain >= len(b.in.Data) {
-			b.qin = layers.QuantizeSlice(dt, b.in.Data)
-		}
+		b.ctx.QIn = b.in.Data // a layer output is its own pre-quantized view
 	}
-	b.ctx = layers.Context{DType: dt, Quant: b.quant, QIn: b.qin}
-	b.pfw, _ = ef.(layers.PlaneForwarder)
 	return b
 }
 
@@ -94,9 +72,6 @@ func (n *Network) NewInjectionBatch(dt numeric.Type, golden *Execution, layerIdx
 // to the ForwardElement replay of the corresponding scalar Fault; the
 // return value is the golden chain output.
 func (b *InjectionBatch) ForwardPlane(pf *layers.PlaneFault, vals *[64]float64) float64 {
-	if b.pfw == nil {
-		panic(fmt.Sprintf("network %s: layer %d cannot plane-forward", b.net.Name, b.layerIdx))
-	}
 	return b.pfw.ForwardElementPlane(&b.ctx, b.in, pf, vals)
 }
 
@@ -104,16 +79,21 @@ func (b *InjectionBatch) ForwardPlane(pf *layers.PlaneFault, vals *[64]float64) 
 // MAC step of one output element consumes — the inputs of the analytical
 // masking pre-screen.
 func (b *InjectionBatch) StepOperands(outputIndex, macStep int) (w, x float64) {
-	if b.pfw == nil {
-		panic(fmt.Sprintf("network %s: layer %d cannot plane-forward", b.net.Name, b.layerIdx))
-	}
 	return b.pfw.StepOperands(&b.ctx, b.in, outputIndex, macStep)
 }
 
 // Propagate finishes a faulty run from an already-computed faulted-element
-// value, bit-identical to the tail of Run after ForwardElement.
+// value, bit-identical to the ForwardFrom of a fault whose element
+// recomputes to faultyVal.
 func (b *InjectionBatch) Propagate(outputIndex int, faultyVal float64) *Execution {
-	return b.net.propagateElement(b.dt, b.golden, b.layerIdx, outputIndex, faultyVal, b.quant)
+	act := b.golden.Acts[b.layerIdx]
+	if math.Float64bits(faultyVal) == math.Float64bits(act.Data[outputIndex]) {
+		// The flip died inside the faulted chain: the run is golden's.
+		return b.net.forwardWithAct(b.dt, b.golden, b.layerIdx, act, nil, b.quant)
+	}
+	act = act.Clone()
+	act.Data[outputIndex] = faultyVal
+	return b.net.forwardWithAct(b.dt, b.golden, b.layerIdx, act, []int{outputIndex}, b.quant)
 }
 
 // PropagateShared is Propagate for callers that only need an Execution when
@@ -163,16 +143,4 @@ func (b *InjectionBatch) PropagateShared(outputIndex int, faultyVal float64) (*E
 		exec.Acts[i] = cur
 	}
 	return exec, false
-}
-
-// Run executes one faulty inference of the batch, bit-identical to
-// ForwardFrom(dt, golden, layerIdx, fault).
-func (b *InjectionBatch) Run(fault *layers.Fault) *Execution {
-	if b.ef == nil || fault == nil {
-		return b.net.ForwardFromDense(b.dt, b.golden, b.layerIdx, fault)
-	}
-	b.ctx.Fault = fault
-	faultyVal := b.ef.ForwardElement(&b.ctx, b.in, fault.OutputIndex)
-	b.ctx.Fault = nil
-	return b.net.propagateElement(b.dt, b.golden, b.layerIdx, fault.OutputIndex, faultyVal, b.quant)
 }

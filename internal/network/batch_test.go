@@ -2,59 +2,12 @@ package network_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/layers"
 	"repro/internal/models"
 	"repro/internal/numeric"
 )
-
-// TestInjectionBatchMatchesForwardFrom requires batch execution to be
-// bit-identical to per-injection ForwardFrom for CONV and FC fault sites,
-// with the pre-quantized-input fast path both engaged (large expected
-// group) and disengaged (expected 0).
-func TestInjectionBatchMatchesForwardFrom(t *testing.T) {
-	net := models.Build("ConvNet")
-	in := models.InputFor("ConvNet", 3)
-	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
-		golden := net.Forward(dt, in)
-		rng := rand.New(rand.NewSource(77))
-		for _, layerIdx := range net.MACLayerIndices() {
-			l := net.Layers[layerIdx]
-			outs := golden.Acts[layerIdx].Shape.Elems()
-			chain := l.(interface{ MACChainLen() int }).MACChainLen()
-			for _, expected := range []int{0, 1 << 20} {
-				batch := net.NewInjectionBatch(dt, golden, layerIdx, expected)
-				for k := 0; k < 8; k++ {
-					f := layers.Fault{
-						OutputIndex: rng.Intn(outs),
-						MACStep:     rng.Intn(chain),
-						Target:      layers.Target(rng.Intn(int(layers.NumTargets))),
-						Bit:         rng.Intn(dt.Width()),
-					}
-					fRef := f
-					got := batch.Run(&f)
-					want := net.ForwardFrom(dt, golden, layerIdx, &fRef)
-					if !f.Applied || !fRef.Applied {
-						t.Fatalf("%s layer %d: fault not applied", dt, layerIdx)
-					}
-					if got.Masked != want.Masked {
-						t.Fatalf("%s layer %d: masked flag diverged", dt, layerIdx)
-					}
-					for li := range got.Acts {
-						for e := range got.Acts[li].Data {
-							if math.Float64bits(got.Acts[li].Data[e]) != math.Float64bits(want.Acts[li].Data[e]) {
-								t.Fatalf("%s layer %d expected=%d: act[%d][%d] diverged: %v vs %v",
-									dt, layerIdx, expected, li, e, got.Acts[li].Data[e], want.Acts[li].Data[e])
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 func TestWeightsHashStability(t *testing.T) {
 	a, b := models.Build("AlexNet"), models.Build("AlexNet")

@@ -287,21 +287,6 @@ func (n *Network) forwardFront(dt numeric.Type, golden *Execution, layerIdx int,
 	return n.forwardWithAct(dt, golden, layerIdx, act, changed, quant)
 }
 
-// propagateElement finishes an incremental faulty run given the recomputed
-// value of the faulted layer's output element: the one-element case of
-// forwardWithAct, for InjectionBatch.
-func (n *Network) propagateElement(dt numeric.Type, golden *Execution, layerIdx, outputIndex int, faultyVal float64, quant *layers.QuantCache) *Execution {
-	goldenAct := golden.Acts[layerIdx]
-	if math.Float64bits(faultyVal) == math.Float64bits(goldenAct.Data[outputIndex]) {
-		// Quantization/saturation absorbed the flip inside the faulted
-		// chain: the faulty run is bit-identical to golden everywhere.
-		return n.forwardWithAct(dt, golden, layerIdx, goldenAct, nil, quant)
-	}
-	cur := goldenAct.Clone()
-	cur.Data[outputIndex] = faultyVal
-	return n.forwardWithAct(dt, golden, layerIdx, cur, []int{outputIndex}, quant)
-}
-
 // forwardWithAct builds the faulty execution whose layer layerIdx produced
 // act — golden's activation except at the changed indices — and hands the
 // perturbation to propagateDelta. An empty set is a masked fault: act is

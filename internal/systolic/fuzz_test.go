@@ -186,7 +186,7 @@ func FuzzPreScreenSoundness(f *testing.F) {
 			}
 			seen[target] = true
 			site := layers.PlaneFault{OutputIndex: outIdx, MACStep: macStep, Target: target}
-			batch := net.NewInjectionBatch(dt, g, li, dt.Width())
+			batch := net.NewInjectionBatch(dt, g, li)
 			engine.EvalPlaneSite(net, dt, g, li, batch, site, dt.Width(), 0, false,
 				func(bit int, fv float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
 					if faulty != nil {
