@@ -115,7 +115,6 @@ func main() {
 	goldenDir := flag.String("golden-dir", "", "persist golden executions here; restarted workers (and workers sharing the directory) skip recomputing them")
 	maxLeases := flag.Int("max-leases", 0, "exit after completing this many shards (0 = until drain, SIGTERM or the plane unreachable for 30 s)")
 	crashAfter := flag.Int("crash-after", 0, "complete this many shards, take one more lease, then exit hard (tests re-lease + resume)")
-	prefetch := flag.Int("prefetch", 0, "extra leases requested beyond -procs so executors never idle (0 = default 2, negative = disable)")
 
 	// Control plane (ctl) and its clients.
 	journal := flag.String("journal", "", "control-plane journal (format v5, the only one read); resumes every unfinished campaign on restart")
@@ -148,7 +147,7 @@ func main() {
 			CompactBytes: *compactBytes, Pprof: *pprofOn,
 		}, *linger, *out, *strataOut)
 	case "worker":
-		runWorker(*join, *procs, *maxLeases, *crashAfter, *prefetch, *goldenDir, bearer)
+		runWorker(*join, *procs, *maxLeases, *crashAfter, *goldenDir, bearer)
 	case "ctl":
 		runControlPlane(*addr, *addrFile, *journal, *tenantKeys, *leaseTTL, *maxRetries, *defaultQuota, *maxQueued, *compactBytes, *pprofOn)
 	case "submit":
@@ -274,7 +273,7 @@ func serve(addr, addrFile string, h http.Handler) (*http.Server, net.Addr) {
 	return srv, ln.Addr()
 }
 
-func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDir, token string) {
+func runWorker(join string, procs, maxLeases, crashAfter int, goldenDir, token string) {
 	if join == "" {
 		log.Fatal("worker needs -join URL")
 	}
@@ -284,7 +283,6 @@ func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDi
 		Name:      fmt.Sprintf("pid%d", os.Getpid()),
 		Procs:     procs,
 		MaxLeases: maxLeases,
-		Prefetch:  prefetch,
 		Token:     token,
 		Goldens:   campaign.NewGoldenCache(),
 	}
@@ -327,7 +325,9 @@ func runWorker(join string, procs, maxLeases, crashAfter, prefetch int, goldenDi
 }
 
 // crashLease takes one lease from the plane at join and drops it, sending
-// the worker's bearer token like every other fleet request.
+// the worker's bearer token like every other fleet request. With no slot
+// left to lease, the plane holds the request up to its hold bound
+// (min(lease TTL/4, 1 s)) and then answers with none.
 func crashLease(join, token string) error {
 	req, err := http.NewRequest(http.MethodPost, join+"/v1/lease", strings.NewReader("{}"))
 	if err != nil {

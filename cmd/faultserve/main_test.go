@@ -117,10 +117,10 @@ func TestCrashLeaseAuthenticates(t *testing.T) {
 	if got, _ := p.Get("alice", st.ID); got.InFlight != 1 {
 		t.Fatalf("in flight after the crash lease: %d, want 1", got.InFlight)
 	}
-	if l := p.LeaseBatch(time.Now(), 1).Lease; l != nil {
-		t.Fatalf("slot %d leased twice before the crash lease expired", l.Slot)
+	if ls := p.LeaseBatch(time.Now(), 1).Leases; len(ls) != 0 {
+		t.Fatalf("slot %d leased twice before the crash lease expired", ls[0].Slot)
 	}
-	if l := p.LeaseBatch(time.Now().Add(2*ttl), 1).Lease; l == nil || l.Slot != 0 {
-		t.Fatalf("the expired crash lease's slot was not leased again: %+v", l)
+	if ls := p.LeaseBatch(time.Now().Add(2*ttl), 1).Leases; len(ls) != 1 || ls[0].Slot != 0 {
+		t.Fatalf("the expired crash lease's slot was not leased again: %+v", ls)
 	}
 }

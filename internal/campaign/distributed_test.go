@@ -65,10 +65,11 @@ func handRun(t *testing.T, p *controlplane.Plane, n int) []*campaign.Lease {
 	t.Helper()
 	var granted []*campaign.Lease
 	for i := 0; i < n; i++ {
-		l := p.LeaseBatch(time.Now(), 1).Lease
-		if l == nil {
-			t.Fatalf("no lease for hand-run slot %d of %d", i, n)
+		resp := p.LeaseBatch(time.Now(), 1)
+		if len(resp.Leases) != 1 {
+			t.Fatalf("%d leases for hand-run slot %d of %d, want 1", len(resp.Leases), i, n)
 		}
+		l := resp.Leases[0]
 		if (l.Phase == "main") != (l.Table != nil) {
 			t.Fatalf("%s lease of slot %d: allocation table present=%v", l.Phase, l.Slot, l.Table != nil)
 		}
@@ -99,7 +100,7 @@ func finish(t *testing.T, p *controlplane.Plane, id string) (controlplane.Status
 	for i := 0; i < workers; i++ {
 		w := &campaign.Worker{
 			Base: srv.URL, Name: fmt.Sprintf("w%d", i), Client: srv.Client(),
-			Poll: 5 * time.Millisecond, GiveUp: 10 * time.Second, Goldens: goldens,
+			GiveUp: 10 * time.Second, Goldens: goldens,
 		}
 		go func() { errs <- w.Run(ctx) }()
 	}
@@ -553,7 +554,7 @@ func TestWorkerSharesOneGoldenAcrossSurfaces(t *testing.T) {
 	goldens := campaign.NewGoldenCache()
 	w := &campaign.Worker{
 		Base: srv.URL, Name: "w", Client: srv.Client(), Procs: 2,
-		Poll: 5 * time.Millisecond, GiveUp: 10 * time.Second, Goldens: goldens,
+		GiveUp: 10 * time.Second, Goldens: goldens,
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()

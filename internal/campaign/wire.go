@@ -39,23 +39,24 @@ type Lease struct {
 }
 
 // LeaseRequest is the body of POST /v1/lease. Max bounds how many leases
-// one response may carry: pipelined workers ask for Procs+prefetch per
-// roundtrip instead of one. Zero (or an empty body, which old workers
-// send) means one.
+// one response may carry: a worker asks for as many as its queue has room
+// for. Zero (or an empty body) means one.
 type LeaseRequest struct {
 	Max int `json:"max,omitempty"`
 }
 
-// LeaseResponse is the plane's answer to a lease request: either leases to
-// run, or RetryMillis — "nothing is leasable right now, poll again later".
-// There is no "done": a plane serves campaigns for as long as it runs, so
-// workers stop on their own terms (see Worker.Run). Lease duplicates the
-// first granted lease so clients predating batched grants keep working.
+// LeaseResponse is the plane's answer to a lease request: the leases to
+// run, possibly none. The plane holds a request that finds nothing
+// leasable until work appears or a bound passes, so an empty answer means
+// "ask again", never "done": a plane serves campaigns for as long as it
+// runs, and workers stop on their own terms (see Worker.Run).
 type LeaseResponse struct {
-	Lease       *Lease   `json:"lease,omitempty"`
-	Leases      []*Lease `json:"leases,omitempty"`
-	RetryMillis int64    `json:"retry_millis,omitempty"`
+	Leases []*Lease `json:"leases,omitempty"`
 }
+
+// LeaseHeldHeader marks a POST /v1/lease answer whose headers were sent
+// because the plane holds the request: the worker may hang up on it.
+const LeaseHeldHeader = "Lease-Held"
 
 // HeartbeatRequest is the worker→plane heartbeat body.
 type HeartbeatRequest struct {

@@ -34,9 +34,6 @@ type Worker struct {
 	Token string
 	// Procs is the number of concurrent shard executors. Default 1.
 	Procs int
-	// Poll is the idle re-poll interval when no lease is available and
-	// the plane supplied no hint. Default 250ms.
-	Poll time.Duration
 	// GiveUp bounds how long lease requests may keep failing at the
 	// transport level (plane down) before Run returns an error.
 	// Default 30s.
@@ -49,23 +46,25 @@ type Worker struct {
 	// MaxLeases, when positive, makes Run return after completing that
 	// many shards — the hook the crash/resume tests and the smoke
 	// script's kill-mid-campaign step use. It bounds leases taken, so a
-	// prefetching worker never over-takes past the budget.
+	// worker fetching ahead never over-takes past the budget.
 	MaxLeases int
-	// Prefetch is how many leases beyond Procs one lease roundtrip may
-	// fetch and queue, so executors never idle waiting on the network.
-	// Default 2; negative disables prefetching (batch size = Procs).
-	Prefetch int
 
-	// draining, once set by Drain, stops the lease loops taking new work;
-	// in-flight shards finish and deliver their reports, then Run returns
-	// nil.
-	draining atomic.Bool
+	// draining, once set by Drain, stops the lease loop taking new work
+	// (stopFetch hangs up its lease request); in-flight shards finish and
+	// deliver their reports, then Run returns nil.
+	draining  atomic.Bool
+	stopFetch atomic.Pointer[context.CancelFunc]
 }
 
 // Drain asks the worker to stop taking new leases and exit cleanly once
 // its in-flight shards have reported. Safe to call from a signal handler
 // goroutine while Run is live; calling it more than once is harmless.
-func (w *Worker) Drain() { w.draining.Store(true) }
+func (w *Worker) Drain() {
+	w.draining.Store(true)
+	if stop := w.stopFetch.Load(); stop != nil {
+		(*stop)()
+	}
+}
 
 // Draining reports whether Drain has been requested.
 func (w *Worker) Draining() bool { return w.draining.Load() }
@@ -74,10 +73,10 @@ func (w *Worker) Draining() bool { return w.draining.Load() }
 // requested (in-flight shards still deliver), MaxLeases is reached — all
 // three return nil — or the plane is unreachable for GiveUp (returns an
 // error). A plane never tells its fleet "done": campaigns finish one by
-// one while the fleet keeps polling for the next.
+// one while the fleet keeps asking for the next.
 //
 // The loop is a three-stage pipeline: one fetcher requests up to
-// Procs+Prefetch leases per roundtrip and queues them, Procs executors
+// Procs+2 leases per roundtrip and queues them, Procs executors
 // run shards, and one reporter delivers finished reports — batching
 // whatever has accumulated into a single POST /v1/reports. Executors
 // therefore never stall on a lease roundtrip, and report delivery costs
@@ -88,17 +87,15 @@ func (w *Worker) Run(ctx context.Context) error {
 	if procs <= 0 {
 		procs = 1
 	}
-	prefetch := w.Prefetch
-	if prefetch == 0 {
-		prefetch = 2
-	} else if prefetch < 0 {
-		prefetch = 0
-	}
-	depth := procs + prefetch
+	depth := procs + 2
 	cs := newCampaignSet(w.Goldens)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	fetchCtx, stopFetch := context.WithCancel(ctx)
+	if w.stopFetch.Store(&stopFetch); w.draining.Load() {
+		stopFetch()
+	}
 	var (
 		mu       sync.Mutex
 		firstErr error
@@ -114,9 +111,8 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	leaseCh := make(chan leaseJob, depth)
 	repCh := make(chan pendingReport, depth)
-	nudge := make(chan struct{}, 1)
 
-	go w.fetch(ctx, leaseCh, depth, nudge, fail)
+	go w.fetch(ctx, fetchCtx, leaseCh, depth, fail)
 
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -152,7 +148,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	go func() { wg.Wait(); close(repCh) }()
 
-	if err := w.deliverLoop(ctx, repCh, depth, nudge); err != nil {
+	if err := w.deliverLoop(ctx, repCh, depth); err != nil {
 		fail(err)
 	}
 	mu.Lock()
@@ -175,15 +171,12 @@ type pendingReport struct {
 }
 
 // fetch is the pipeline's first stage: it keeps the lease queue topped up
-// with one batched roundtrip per iteration, starts a heartbeat goroutine
-// per granted lease, and stops on cancellation, drain, the MaxLeases
-// budget, or sustained unreachability.
-func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, nudge <-chan struct{}, fail func(error)) {
+// with one batched roundtrip per iteration (an empty answer is simply
+// asked again), starts a heartbeat goroutine per granted lease, and stops
+// on cancellation, drain (fetchCtx), the MaxLeases budget, or sustained
+// unreachability.
+func (w *Worker) fetch(ctx, fetchCtx context.Context, leaseCh chan<- leaseJob, depth int, fail func(error)) {
 	defer close(leaseCh)
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
 	giveUp := w.GiveUp
 	if giveUp <= 0 {
 		giveUp = 30 * time.Second
@@ -191,7 +184,7 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 	var downSince time.Time
 	fails, taken := 0, 0
 	for {
-		if ctx.Err() != nil || w.draining.Load() {
+		if fetchCtx.Err() != nil {
 			return
 		}
 		want := depth - len(leaseCh)
@@ -202,8 +195,8 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 			want = w.MaxLeases - taken
 		}
 		var resp LeaseResponse
-		if err := w.post(ctx, "/v1/lease", LeaseRequest{Max: want}, &resp); err != nil {
-			if ctx.Err() != nil {
+		if err := w.post(ctx, fetchCtx, "/v1/lease", LeaseRequest{Max: want}, &resp); err != nil {
+			if fetchCtx.Err() != nil {
 				return
 			}
 			now := time.Now()
@@ -214,34 +207,14 @@ func (w *Worker) fetch(ctx context.Context, leaseCh chan<- leaseJob, depth int, 
 				return
 			}
 			fails++
-			if !sleep(ctx, backoff(poll, fails)) {
+			if !sleep(fetchCtx, backoff(200*time.Millisecond, fails)) {
 				return
 			}
 			continue
 		}
 		downSince = time.Time{}
 		fails = 0
-		leases := resp.Leases
-		if len(leases) == 0 && resp.Lease != nil {
-			leases = []*Lease{resp.Lease}
-		}
-		if len(leases) == 0 {
-			d := poll
-			if resp.RetryMillis > 0 {
-				d = time.Duration(resp.RetryMillis) * time.Millisecond
-			}
-			// Jitter the idle poll over [d/2, 3d/2): a large fleet polling
-			// one plane at a fixed period would otherwise synchronize into
-			// thundering herds after any shared idle moment. A delivered
-			// report batch cuts the sleep short — when the in-flight work
-			// was this worker's own, it may have just ungated the main phase
-			// or freed quota, and the new slots should be picked up at once.
-			if !sleepOrNudge(ctx, d/2+rand.N(d+1), nudge) {
-				return
-			}
-			continue
-		}
-		for _, l := range leases {
+		for _, l := range resp.Leases {
 			hbCtx, stopHB := context.WithCancel(ctx)
 			go w.heartbeatLoop(hbCtx, l)
 			select {
@@ -270,14 +243,14 @@ func (w *Worker) heartbeatLoop(ctx context.Context, l *Lease) {
 		if !sleep(ctx, interval) {
 			return
 		}
-		w.post(ctx, "/v1/heartbeat", HeartbeatRequest{Campaign: l.Campaign, LeaseID: l.ID}, nil)
+		w.post(ctx, nil, "/v1/heartbeat", HeartbeatRequest{Campaign: l.Campaign, LeaseID: l.ID}, nil)
 	}
 }
 
 // deliverLoop is the pipeline's last stage: it greedily drains whatever
 // reports have accumulated (up to maxBatch) and delivers them in one
 // roundtrip.
-func (w *Worker) deliverLoop(ctx context.Context, repCh <-chan pendingReport, maxBatch int, nudge chan<- struct{}) error {
+func (w *Worker) deliverLoop(ctx context.Context, repCh <-chan pendingReport, maxBatch int) error {
 	for pr := range repCh {
 		batch := []pendingReport{pr}
 		greedy := true
@@ -295,10 +268,6 @@ func (w *Worker) deliverLoop(ctx context.Context, repCh <-chan pendingReport, ma
 		}
 		if err := w.deliver(ctx, batch); err != nil {
 			return err
-		}
-		select {
-		case nudge <- struct{}{}:
-		default:
 		}
 	}
 	return nil
@@ -322,7 +291,7 @@ func (w *Worker) deliver(ctx context.Context, batch []pendingReport) error {
 			reqs[i] = remaining[i].req
 		}
 		var resp ReportBatchResponse
-		lastErr = w.post(ctx, "/v1/reports", ReportBatchRequest{Reports: reqs}, &resp)
+		lastErr = w.post(ctx, nil, "/v1/reports", ReportBatchRequest{Reports: reqs}, &resp)
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -410,7 +379,9 @@ func (e *statusError) Error() string { return e.msg }
 
 // post sends a JSON request and decodes a JSON response when out is
 // non-nil. Non-2xx statuses are *statusError carrying the response body.
-func (w *Worker) post(ctx context.Context, path string, in, out any) error {
+// Once hangUp is done, post abandons a request the plane says it holds
+// (LeaseHeldHeader): no lease can be lost in a response that raced it.
+func (w *Worker) post(ctx, hangUp context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -432,6 +403,9 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
+	if hangUp != nil && resp.Header.Get(LeaseHeldHeader) != "" {
+		defer context.AfterFunc(hangUp, func() { resp.Body.Close() })()
+	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &statusError{
@@ -452,21 +426,6 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// sleepOrNudge is sleep that also wakes early on a nudge; it reports false
-// only on context cancellation.
-func sleepOrNudge(ctx context.Context, d time.Duration, nudge <-chan struct{}) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-nudge:
 		return true
 	case <-ctx.Done():
 		return false

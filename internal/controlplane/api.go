@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/campaign"
@@ -84,7 +85,7 @@ func (p *Plane) tenantOnly(next http.HandlerFunc) http.HandlerFunc {
 //	GET  /v1/campaigns/{id}/stream  NDJSON Status per shard
 //	GET  /v1/campaigns/{id}/report  final merged report (solo-identical bytes)
 //	POST /v1/lease                  worker shard lease(s)    -> campaign.LeaseResponse
-//	                                (body {"max":N} batches up to N grants)
+//	                                ({"max":N} batches; blocks up to the hold bound when idle)
 //	POST /v1/heartbeat              extend a lease           -> 204 / 410
 //	POST /v1/reports                deliver a report batch   -> campaign.ReportBatchResponse
 //	GET  /debug/vars                expvar metrics
@@ -193,12 +194,16 @@ func (p *Plane) Handler() http.Handler {
 	}))
 
 	mux.HandleFunc("POST /v1/lease", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
-		// Tolerate empty bodies: pre-batching workers POST "{}" or nothing.
+		// Tolerate empty bodies: "{}" or nothing asks for one lease.
 		var req campaign.LeaseRequest
 		if !decodeBody(w, r, &req, true) {
 			return
 		}
-		writeJSON(w, p.leaseBatch(time.Now(), req.Max))
+		writeJSON(w, p.holdLease(r.Context(), req.Max, sync.OnceFunc(func() {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set(campaign.LeaseHeldHeader, "1")
+			http.NewResponseController(w).Flush()
+		})))
 	}))
 	mux.HandleFunc("POST /v1/heartbeat", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req campaign.HeartbeatRequest
@@ -216,7 +221,7 @@ func (p *Plane) Handler() http.Handler {
 		if !decodeBody(w, r, &req, false) {
 			return
 		}
-		errs := p.reportBatch(req.Reports)
+		errs := p.ReportBatch(req.Reports)
 		resp := campaign.ReportBatchResponse{Results: make([]campaign.ReportOutcome, len(errs))}
 		for i, err := range errs {
 			if err == nil {

@@ -35,11 +35,12 @@
 // allocation table is a pure function of the journaled pilot reports, so
 // the resumed plane rebuilds it bit-identically.
 //
-// The fleet path is pipelined: a worker asks for up to max leases per
-// lease roundtrip and delivers finished shard results in batches via the
-// reports route, while the scheduler grants from an incremental
-// deficit-round-robin ring — O(1) typical, O(active campaigns) worst —
-// and never holds its lock across an fsync.
+// The fleet path is pipelined and pushed: a worker asks for up to max
+// leases per lease roundtrip — held until a slot may be leasable, for at
+// most min(LeaseTTL/4, 1 s) — and delivers finished shard results in
+// batches via the reports route, while the scheduler grants from an
+// incremental deficit-round-robin ring — O(1) typical, O(active
+// campaigns) worst — and never holds its lock across an fsync.
 //
 // Bit-identity is inherited from the campaign layer and preserved under
 // interleaving: each campaign owns a private campaign.Machine whose

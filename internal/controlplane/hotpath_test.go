@@ -42,12 +42,11 @@ func TestGroupCommitDurability(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	resp := p.leaseBatch(time.Now(), 1)
-	if resp.Lease == nil {
+	l := firstLease(t, p.LeaseBatch(time.Now(), 1))
+	if l == nil {
 		t.Fatal("no lease granted")
 	}
-	l := resp.Lease
-	if err := p.reportBatch([]campaign.ReportRequest{{
+	if err := p.ReportBatch([]campaign.ReportRequest{{
 		Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec),
 	}})[0]; err != nil {
 		t.Fatal(err)
@@ -83,9 +82,9 @@ func TestGroupCommitDurability(t *testing.T) {
 }
 
 // TestLeaseBatchingBitIdentity: a pipelined worker that leases in bulk
-// (max=N), prefetches ahead of its executors and delivers reports in
-// batches must produce a merged report byte-identical to both the solo
-// run and a worker with batching disabled.
+// (max=Procs+2), queues ahead of its executors and delivers reports in
+// batches must produce a merged report byte-identical to the solo run,
+// with two executors and with one.
 func TestLeaseBatchingBitIdentity(t *testing.T) {
 	spec := testSpec(31)
 	want := soloBytes(t, spec)
@@ -94,15 +93,14 @@ func TestLeaseBatchingBitIdentity(t *testing.T) {
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
 
-	run := func(name string, procs, prefetch int) []byte {
+	run := func(name string, procs int) []byte {
 		t.Helper()
 		id := mustSubmit(t, p, "alice", spec, 1, 0)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		w := &campaign.Worker{
 			Base: srv.URL, Name: name,
-			Procs: procs, Prefetch: prefetch,
-			Poll: 5 * time.Millisecond, GiveUp: 10 * time.Second,
+			Procs: procs, GiveUp: 10 * time.Second,
 			Client: srv.Client(), Goldens: campaign.NewGoldenCache(),
 		}
 		errs := make(chan error, 1)
@@ -117,11 +115,11 @@ func TestLeaseBatchingBitIdentity(t *testing.T) {
 		return got
 	}
 
-	if got := run("batched", 2, 6); !bytes.Equal(got, want) {
-		t.Fatalf("batched worker diverged from solo (%d vs %d bytes)", len(got), len(want))
+	if got := run("two executors", 2); !bytes.Equal(got, want) {
+		t.Fatalf("two-executor worker diverged from solo (%d vs %d bytes)", len(got), len(want))
 	}
-	if got := run("unbatched", 1, -1); !bytes.Equal(got, want) {
-		t.Fatalf("unbatched worker diverged from solo (%d vs %d bytes)", len(got), len(want))
+	if got := run("one executor", 1); !bytes.Equal(got, want) {
+		t.Fatalf("one-executor worker diverged from solo (%d vs %d bytes)", len(got), len(want))
 	}
 }
 
@@ -171,12 +169,11 @@ func compactionFixture(t testing.TB) (orig, snap []byte) {
 		if _, err := p.Submit([]string{"alice", "bob"}[i], spec, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		resp := p.leaseBatch(time.Now(), 1)
-		if resp.Lease == nil {
+		l := firstLease(t, p.LeaseBatch(time.Now(), 1))
+		if l == nil {
 			t.Fatal("no lease granted")
 		}
-		l := resp.Lease
-		if err := p.reportBatch([]campaign.ReportRequest{{
+		if err := p.ReportBatch([]campaign.ReportRequest{{
 			Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec),
 		}})[0]; err != nil {
 			t.Fatal(err)

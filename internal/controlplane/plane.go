@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -109,6 +110,9 @@ type Plane struct {
 	ring   []string // active campaigns, scheduler order
 	cursor int
 	closed bool
+	// work is closed and replaced whenever a slot may have become
+	// leasable; held lease requests wait on it.
+	work chan struct{}
 	// activeByTenant counts each tenant's non-terminal campaigns, for the
 	// per-tenant queue cap.
 	activeByTenant map[string]int
@@ -129,6 +133,7 @@ func New(cfg Config) (*Plane, error) {
 		cfg:            cfg,
 		camps:          make(map[string]*camp),
 		activeByTenant: make(map[string]int),
+		work:           make(chan struct{}),
 	}
 	if cfg.JournalPath != "" {
 		jl, err := openJournal(cfg.JournalPath)
@@ -227,6 +232,7 @@ func (p *Plane) replay(e *journalEvent) error {
 func (p *Plane) Close() error {
 	p.mu.Lock()
 	p.closed = true
+	p.wakeLocked()
 	p.mu.Unlock()
 	// Outside p.mu: the committer may be mid-compaction, which takes p.mu
 	// for its state snapshot.
@@ -347,6 +353,7 @@ func (p *Plane) Submit(tenant string, spec campaign.Spec, priority, quota int) (
 	p.activeByTenant[tenant]++
 	noteSubmitted(tenant)
 	setQueueDepth(len(p.ring))
+	p.wakeLocked()
 	st := p.statusLocked(c)
 	p.mu.Unlock()
 
@@ -446,14 +453,17 @@ func (p *Plane) finishLocked(c *camp, state string) {
 func (p *Plane) expireLocked(now time.Time) {
 	for i := len(p.ring) - 1; i >= 0; i-- {
 		c := p.camps[p.ring[i]]
-		noteLeaseExpired(c.id, c.m.Expire(now))
+		if n := c.m.Expire(now); n > 0 {
+			noteLeaseExpired(c.id, n)
+			p.wakeLocked()
+		}
 		if c.m.Err() != nil {
 			p.finishLocked(c, StateFailed)
 		}
 	}
 }
 
-// leaseBatch is the fleet-facing shard hand-out: deficit round-robin over
+// LeaseBatch is the fleet-facing shard hand-out: deficit round-robin over
 // the active campaigns. Each campaign's priority is its quantum — when the
 // cursor arrives with an empty deficit it refills to priority and the
 // campaign draws up to that many consecutive leases before the cursor
@@ -463,12 +473,14 @@ func (p *Plane) expireLocked(now time.Time) {
 // without banking credit. It grants up to max leases under one lock
 // acquisition, continuing the round-robin exactly where sequential single
 // grants would have left it — a batch of N is indistinguishable from N
-// roundtrips, so fair-share proportions are unchanged.
+// roundtrips, so fair-share proportions are unchanged. It never waits:
+// it is POST /v1/lease {"max":N} without the hold, exported for embedded
+// fleets and the benchmark's ledger probes.
 //
 // The fleet is never "done" and a failed campaign never poisons it:
-// workers poll for as long as the plane serves, and campaign-terminal
+// workers ask for as long as the plane serves, and campaign-terminal
 // states are per-campaign.
-func (p *Plane) leaseBatch(now time.Time, max int) campaign.LeaseResponse {
+func (p *Plane) LeaseBatch(now time.Time, max int) campaign.LeaseResponse {
 	if max < 1 {
 		max = 1
 	}
@@ -483,16 +495,42 @@ func (p *Plane) leaseBatch(now time.Time, max int) campaign.LeaseResponse {
 		}
 		leases = append(leases, l)
 	}
-	if len(leases) > 0 {
-		return campaign.LeaseResponse{Lease: leases[0], Leases: leases}
+	return campaign.LeaseResponse{Leases: leases}
+}
+
+// holdLease is POST /v1/lease: LeaseBatch, but a request that finds
+// nothing leasable is held (held runs first) until wakeLocked, ctx ends,
+// the plane closes or the hold bound passes — min(LeaseTTL/4, 1 s), so an
+// expiry nobody signals is still noticed — and then answered with what
+// LeaseBatch grants. A done ctx or a closed plane is granted nothing.
+func (p *Plane) holdLease(ctx context.Context, n int, held func()) campaign.LeaseResponse {
+	hold := time.NewTimer(max(min(p.cfg.LeaseTTL/4, time.Second), 10*time.Millisecond))
+	defer hold.Stop()
+	for {
+		p.mu.Lock()
+		work, closed := p.work, p.closed
+		p.mu.Unlock()
+		if closed || ctx.Err() != nil {
+			return campaign.LeaseResponse{}
+		}
+		if resp := p.LeaseBatch(time.Now(), n); len(resp.Leases) > 0 {
+			return resp
+		}
+		held()
+		select {
+		case <-work:
+		case <-ctx.Done():
+			return campaign.LeaseResponse{}
+		case <-hold.C:
+			return p.LeaseBatch(time.Now(), n)
+		}
 	}
-	// Nothing leasable anywhere: ask the worker to poll at a fraction of
-	// the TTL so expiries and new submissions are noticed promptly.
-	retry := p.cfg.LeaseTTL / 4
-	if retry < 10*time.Millisecond {
-		retry = 10 * time.Millisecond
-	}
-	return campaign.LeaseResponse{RetryMillis: retry.Milliseconds()}
+}
+
+// wakeLocked releases every held lease request to look again.
+func (p *Plane) wakeLocked() {
+	close(p.work)
+	p.work = make(chan struct{})
 }
 
 // grantLocked makes one deficit-round-robin grant, or nil when nothing is
@@ -528,21 +566,6 @@ func (p *Plane) grantLocked(now time.Time) *campaign.Lease {
 	return nil
 }
 
-// LeaseBatch grants up to max shard leases in one call — the in-process
-// equivalent of POST /v1/lease {"max":N}, exported for embedded fleets
-// and the benchmark's ledger probes.
-func (p *Plane) LeaseBatch(now time.Time, max int) campaign.LeaseResponse {
-	return p.leaseBatch(now, max)
-}
-
-// ReportBatch applies several finished slots in one call — the
-// in-process equivalent of POST /v1/reports, exported for embedded
-// fleets and the benchmark's ledger probes. One error (or nil) per
-// report, in request order.
-func (p *Plane) ReportBatch(reqs []campaign.ReportRequest) []error {
-	return p.reportBatch(reqs)
-}
-
 // heartbeat extends a live lease. False tells the worker to abandon the
 // shard: the lease expired and was re-granted, the slot finished, or the
 // campaign was cancelled.
@@ -557,13 +580,14 @@ func (p *Plane) heartbeat(req campaign.HeartbeatRequest, now time.Time) bool {
 	return c.m.Heartbeat(req.LeaseID, now, p.cfg.LeaseTTL)
 }
 
-// reportBatch accepts several finished slots under one lock acquisition
+// ReportBatch accepts several finished slots under one lock acquisition
 // and one journal batch, returning one error (or nil) per report in
-// request order. Every report's ledger mutation and journal enqueue
-// happen under the lock; the durability waits happen after it is
-// released, so a batch of reports costs the scheduler one lock hold and
-// the disk (at most) one fsync.
-func (p *Plane) reportBatch(reqs []campaign.ReportRequest) []error {
+// request order — POST /v1/reports in-process, exported for embedded
+// fleets and the benchmark's ledger probes. Every report's ledger
+// mutation and journal enqueue happen under the lock; the durability
+// waits happen after it is released, so a batch of reports costs the
+// scheduler one lock hold and the disk (at most) one fsync.
+func (p *Plane) ReportBatch(reqs []campaign.ReportRequest) []error {
 	errs := make([]error, len(reqs))
 	waits := make([]func() error, len(reqs))
 	func() {
@@ -610,6 +634,7 @@ func (p *Plane) reportLocked(req *campaign.ReportRequest) (error, func() error) 
 		return err, nil
 	}
 	noteShardDone(c.id)
+	p.wakeLocked()
 	wait := p.jl.enqueue(journalEvent{
 		Event: evReport, Campaign: c.id,
 		Slot: req.Shard, Retries: c.m.SlotRetries(req.Shard), Report: req.Report,

@@ -46,17 +46,31 @@ func mustSubmit(t *testing.T, p *Plane, tenant string, spec campaign.Spec, prior
 	return st.ID
 }
 
+// firstLease returns the lease a max-1 grant carries, or nil when it
+// carries none; more than one fails the test.
+func firstLease(t testing.TB, resp campaign.LeaseResponse) *campaign.Lease {
+	t.Helper()
+	switch len(resp.Leases) {
+	case 0:
+		return nil
+	case 1:
+		return resp.Leases[0]
+	}
+	t.Fatalf("a max-1 grant carried %d leases", len(resp.Leases))
+	return nil
+}
+
 // drainLeases pulls leases without ever reporting, recording the grant
 // order per campaign, until the plane has nothing left to hand out.
 func drainLeases(t *testing.T, p *Plane, now time.Time) []string {
 	t.Helper()
 	var order []string
 	for {
-		resp := p.leaseBatch(now, 1)
-		if resp.Lease == nil {
+		l := firstLease(t, p.LeaseBatch(now, 1))
+		if l == nil {
 			return order
 		}
-		order = append(order, resp.Lease.Campaign)
+		order = append(order, l.Campaign)
 	}
 }
 
@@ -143,8 +157,8 @@ func TestCancellationMidLease(t *testing.T) {
 	id := mustSubmit(t, p, "alice", testSpec(1), 1, 0)
 
 	now := time.Now()
-	resp := p.leaseBatch(now, 1)
-	if resp.Lease == nil {
+	l := firstLease(t, p.LeaseBatch(now, 1))
+	if l == nil {
 		t.Fatal("no lease granted")
 	}
 
@@ -158,16 +172,16 @@ func TestCancellationMidLease(t *testing.T) {
 		t.Fatalf("cancel is not idempotent: %v", err)
 	}
 
-	hb := campaign.HeartbeatRequest{Campaign: id, LeaseID: resp.Lease.ID}
+	hb := campaign.HeartbeatRequest{Campaign: id, LeaseID: l.ID}
 	if p.heartbeat(hb, now) {
 		t.Fatal("heartbeat survived cancellation")
 	}
-	if got := p.leaseBatch(now, 1); got.Lease != nil {
-		t.Fatalf("cancelled campaign still leasing shard %d", got.Lease.Shard)
+	if got := p.LeaseBatch(now, 1); len(got.Leases) != 0 {
+		t.Fatalf("cancelled campaign still leasing shard %d", got.Leases[0].Shard)
 	}
 	// The worker finishes anyway and posts: silently dropped.
-	rep := campaign.ReportRequest{Campaign: id, LeaseID: resp.Lease.ID, Shard: resp.Lease.Slot, Report: &campaign.Report{}}
-	if err := p.reportBatch([]campaign.ReportRequest{rep})[0]; err != nil {
+	rep := campaign.ReportRequest{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: &campaign.Report{}}
+	if err := p.ReportBatch([]campaign.ReportRequest{rep})[0]; err != nil {
 		t.Fatalf("late report for cancelled campaign errored: %v", err)
 	}
 	st, _ := p.Get("alice", id)
@@ -187,7 +201,6 @@ func runFleet(t *testing.T, srv *httptest.Server, n int, token string, stop chan
 		w := &campaign.Worker{
 			Base:    srv.URL,
 			Name:    fmt.Sprintf("w%d", i),
-			Poll:    5 * time.Millisecond,
 			GiveUp:  10 * time.Second,
 			Client:  srv.Client(),
 			Token:   token,
@@ -299,9 +312,6 @@ func TestSharedFleetMatchesSolo(t *testing.T) {
 // delivering everything it holds) and at MaxLeases (after exactly that
 // many slots) — each while its campaign is still active with slots left.
 func TestWorkerStopsWithoutDone(t *testing.T) {
-	p := newTestPlane(t, Config{LeaseTTL: 10 * time.Second})
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
 	spec := testSpec(41)
 	spec.N, spec.Shards = 640, 64 // far more slots than any stop below lets through
 
@@ -316,13 +326,18 @@ func TestWorkerStopsWithoutDone(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			// A plane of its own: a cancelled worker's last lease request
+			// can reach the plane after Run returned, and must not take a
+			// slot of the next case's campaign.
+			p := newTestPlane(t, Config{LeaseTTL: 10 * time.Second})
+			srv := httptest.NewServer(p.Handler())
+			defer srv.Close()
 			id := mustSubmit(t, p, "alice", spec, 1, 0)
-			defer p.Cancel("", id)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			w := &campaign.Worker{
 				Base: srv.URL, Name: tc.name, Client: srv.Client(), MaxLeases: tc.maxLeases,
-				Poll: 5 * time.Millisecond, GiveUp: 10 * time.Second, Goldens: campaign.NewGoldenCache(),
+				GiveUp: 10 * time.Second, Goldens: campaign.NewGoldenCache(),
 			}
 			errs := make(chan error, 1)
 			go func() { errs <- w.Run(ctx) }()
@@ -386,11 +401,10 @@ func TestJournalResumeMidPilot(t *testing.T) {
 	goldens := campaign.NewGoldenCache()
 	done := map[string]int{}
 	for done[idDP] < 3 || done[idOther] < 1 {
-		resp := p1.leaseBatch(time.Now(), 1)
-		if resp.Lease == nil {
+		l := firstLease(t, p1.LeaseBatch(time.Now(), 1))
+		if l == nil {
 			t.Fatalf("plane idle before pre-crash work finished: %v", done)
 		}
-		l := resp.Lease
 		if l.Campaign == idDP && done[idDP] >= 3 {
 			continue // leave this pilot (or gated main) for after resume
 		}
@@ -398,7 +412,7 @@ func TestJournalResumeMidPilot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p1.reportBatch([]campaign.ReportRequest{{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: rep}})[0]; err != nil {
+		if err := p1.ReportBatch([]campaign.ReportRequest{{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: rep}})[0]; err != nil {
 			t.Fatal(err)
 		}
 		done[l.Campaign]++
@@ -613,11 +627,10 @@ func TestForgedReportRefused(t *testing.T) {
 	id := mustSubmit(t, p, "alice", testSpec(1), 1, 0)
 
 	now := time.Now()
-	resp := p.leaseBatch(now, 1)
-	if resp.Lease == nil {
+	l := firstLease(t, p.LeaseBatch(now, 1))
+	if l == nil {
 		t.Fatal("no lease granted")
 	}
-	l := resp.Lease
 	rep, err := campaign.ExecuteLease(l, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -630,7 +643,7 @@ func TestForgedReportRefused(t *testing.T) {
 		"slot mismatch":     {Campaign: id, LeaseID: l.ID, Shard: l.Slot + 1, Report: rep},
 		"trailing garbage":  {Campaign: id, LeaseID: l.ID + "x", Shard: l.Slot, Report: rep},
 	} {
-		if err := p.reportBatch([]campaign.ReportRequest{req})[0]; err == nil {
+		if err := p.ReportBatch([]campaign.ReportRequest{req})[0]; err == nil {
 			t.Errorf("%s: forged report accepted", name)
 		}
 	}
@@ -638,27 +651,26 @@ func TestForgedReportRefused(t *testing.T) {
 	if st.Snapshot.CompletedShards != 0 {
 		t.Fatalf("forged reports completed %d shards", st.Snapshot.CompletedShards)
 	}
-	if err := p.reportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: rep}})[0]; err != nil {
+	if err := p.ReportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: rep}})[0]; err != nil {
 		t.Fatalf("genuine report refused: %v", err)
 	}
 
 	// Late delivery: a second slot's lease expires and is re-granted; the
 	// original holder's report must still be accepted (deterministic
 	// shards make either copy bit-identical).
-	resp2 := p.leaseBatch(now, 1)
-	if resp2.Lease == nil {
+	stale := firstLease(t, p.LeaseBatch(now, 1))
+	if stale == nil {
 		t.Fatal("no second lease granted")
 	}
-	stale := resp2.Lease
-	release := p.leaseBatch(now.Add(2*time.Minute), 1) // past the TTL: expires + re-leases
-	if release.Lease == nil || release.Lease.Slot != stale.Slot {
-		t.Fatalf("expected slot %d re-leased, got %+v", stale.Slot, release.Lease)
+	release := firstLease(t, p.LeaseBatch(now.Add(2*time.Minute), 1)) // past the TTL: expires + re-leases
+	if release == nil || release.Slot != stale.Slot {
+		t.Fatalf("expected slot %d re-leased, got %+v", stale.Slot, release)
 	}
 	rep2, err := campaign.ExecuteLease(stale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.reportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: stale.ID, Shard: stale.Slot, Report: rep2}})[0]; err != nil {
+	if err := p.ReportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: stale.ID, Shard: stale.Slot, Report: rep2}})[0]; err != nil {
 		t.Fatalf("late delivery from expired lease refused: %v", err)
 	}
 }

@@ -24,7 +24,7 @@
 # restarts the settled plane with a tiny compaction threshold: load-time
 # compaction must shrink the journal and retire the finished campaigns
 # (gone after one more restart), and a new campaign driven by a
-# batched-lease (-prefetch) worker survives a SIGKILL landing right after
+# batched-lease worker survives a SIGKILL landing right after
 # size-triggered compaction churn, resuming to a report byte-identical to
 # solo.
 set -euo pipefail
@@ -428,11 +428,11 @@ leftovers=$({ "$tmp/faultserve" -role list -join "$cbase4" -token "$atok"; \
 [ "$leftovers" -eq 0 ] || { echo "FAIL: $leftovers retired campaigns survived the restart"; exit 1; }
 echo "OK: terminal campaigns retired from the compacted journal"
 
-# New campaign: a batched-lease worker (prefetch pipeline, max=N lease
+# New campaign: a batched-lease worker (queue-ahead pipeline, max=N lease
 # grants, /v1/reports delivery) completes half the shards; the growing
 # event tail crosses -compact-bytes, so the plane compacts mid-run.
 did=$("$tmp/faultserve" -role submit -join "$cbase4" -token "$btok" "${DSPEC[@]}")
-"$tmp/faultserve" -role worker -join "$cbase4" -token "$ftok" -prefetch 4 -max-leases 2
+"$tmp/faultserve" -role worker -join "$cbase4" -token "$ftok" -max-leases 2
 compactions=0
 for _ in $(seq 50); do
     compactions=$(curl -fsS "$cbase4/debug/vars" \
@@ -458,7 +458,7 @@ resumed_done=$("$tmp/faultserve" -role list -join "$cbase4" -token "$btok" \
 [ "$resumed_done" = 2 ] || { echo "FAIL: resumed $resumed_done/4 shards, want 2"; exit 1; }
 echo "   resumed with 2/4 shards after SIGKILL"
 
-"$tmp/faultserve" -role worker -join "$cbase4" -token "$ftok" -prefetch 4 &
+"$tmp/faultserve" -role worker -join "$cbase4" -token "$ftok" &
 wk3=$!
 "$tmp/faultserve" -role watch -join "$cbase4" -token "$btok" -campaign "$did" \
     -out "$tmp/d_ctl.json" > /dev/null
