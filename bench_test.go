@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faultinj"
 	"repro/internal/harden"
 	"repro/internal/layers"
@@ -74,7 +75,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 					c.Golden(0)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						c.Run(faultinj.Options{N: perIter, Seed: int64(i) + 1, Dense: mode == "dense"})
+						c.Run(faultinj.Options{Options: engine.Options{N: perIter, Seed: int64(i) + 1}, Dense: mode == "dense"})
 					}
 					b.ReportMetric(float64(b.N*perIter)/b.Elapsed().Seconds(), "inj/s")
 				})

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"repro/internal/detect"
+	"repro/internal/engine"
 	"repro/internal/faultinj"
 	"repro/internal/models"
 	"repro/internal/network"
@@ -42,8 +43,7 @@ func main() {
 	// Deployment: evaluate against a datapath fault campaign.
 	campaign := faultinj.New(net, dt, []*tensor.Tensor{models.InputFor(netName, 0)})
 	report := campaign.Run(faultinj.Options{
-		N: 400, Seed: 5,
-		Detector: func(e *network.Execution) bool { return det.Check(net, e) },
+		Options: engine.Options{N: 400, Seed: 5, Detector: func(e *network.Execution) bool { return det.Check(net, e) }},
 	})
 	fmt.Printf("campaign: %d injections, %d SDC-causing\n",
 		report.Detection.Total, report.Detection.TotalSDC)

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"repro/internal/accel"
+	"repro/internal/engine"
 	"repro/internal/faultinj"
 	"repro/internal/models"
 	"repro/internal/numeric"
@@ -54,7 +55,7 @@ func main() {
 
 	// A small campaign estimates the SDC probability behind those flips.
 	campaign := faultinj.New(net, dt, []*tensor.Tensor{models.InputFor(netName, 0)})
-	report := campaign.Run(faultinj.Options{N: 400, Seed: 11})
+	report := campaign.Run(faultinj.Options{Options: engine.Options{N: 400, Seed: 11}})
 	fmt.Printf("measured SDC-1 probability for %s/%s: %.2f%%\n",
 		netName, dt, report.Counts.Probability(sdc.SDC1)*100)
 	fmt.Println("a truck misread as a bird is exactly the Figure 2 failure the paper warns about:")

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/faultinj"
 	"repro/internal/models"
 	"repro/internal/numeric"
@@ -41,7 +42,7 @@ func main() {
 	// 3. Fault injection against trained vs untrained weights.
 	dt := numeric.Fx32RB10
 	inputs := []*tensor.Tensor{models.InputFor(name, 0), models.InputFor(name, 1)}
-	opts := faultinj.Options{N: 400, Seed: 11}
+	opts := faultinj.Options{Options: engine.Options{N: 400, Seed: 11}}
 	pUntrained := faultinj.New(untrained, dt, inputs).Run(opts).Counts.Probability(sdc.SDC1)
 	pTrained := faultinj.New(trained, dt, inputs).Run(opts).Counts.Probability(sdc.SDC1)
 	fmt.Printf("\nSDC-1 probability under %s datapath faults:\n", dt)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/engine"
 	"repro/internal/eyeriss"
 	"repro/internal/faultinj"
 	"repro/internal/fit"
@@ -37,8 +38,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	camp := faultinj.New(net, dt, inputs)
 	det := detect.Learn(net, dt, []*tensor.Tensor{models.InputFor(name, 100), models.InputFor(name, 101)}, detect.DefaultCushion)
 	report := camp.Run(faultinj.Options{
-		N: 200, Seed: 5,
-		Detector: func(e *network.Execution) bool { return det.Check(net, e) },
+		Options: engine.Options{N: 200, Seed: 5, Detector: func(e *network.Execution) bool { return det.Check(net, e) }},
 	})
 	if report.Counts.Trials != 200 {
 		t.Fatalf("trials = %d", report.Counts.Trials)
@@ -47,8 +47,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 2. Buffer campaign for the dominant buffer.
 	bcamp := &eyeriss.Campaign{
-		Net:   models.Build(name),
-		DType: dt, Inputs: inputs,
+		Campaign:  engine.Campaign{Net: models.Build(name), DType: dt, Inputs: inputs},
 		Residency: rowstat.New(net, rowstat.Eyeriss16nm).ResidencyWeights(),
 	}
 	breport := bcamp.Run(eyeriss.FilterSRAM, eyeriss.Options{N: 120, Seed: 7})
@@ -56,8 +55,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 3. Systolic campaign on the weight-stationary array surface.
 	scamp := &systolic.Campaign{
-		Net:   models.Build(name),
-		DType: dt, Inputs: inputs,
+		Campaign: engine.Campaign{Net: models.Build(name), DType: dt, Inputs: inputs},
 	}
 	sreport := scamp.Run(systolic.Options{N: 120, Seed: 8})
 	if sreport.Counts.Trials != 120 {
@@ -123,7 +121,7 @@ func TestTrainedWeightsRoundTripThroughCampaign(t *testing.T) {
 	}
 
 	in := []*tensor.Tensor{models.InputFor(name, 0)}
-	opt := faultinj.Options{N: 80, Seed: 13}
+	opt := faultinj.Options{Options: engine.Options{N: 80, Seed: 13}}
 	r1 := faultinj.New(trained, numeric.Float16, in).Run(opt)
 	r2 := faultinj.New(loaded, numeric.Float16, in).Run(opt)
 	if r1.Counts != r2.Counts {

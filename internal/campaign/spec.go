@@ -310,27 +310,16 @@ func (s Spec) Type() numeric.Type {
 }
 
 // Options assembles the faultinj options every shard of this campaign runs
-// under.
+// under: the shared engine options plus the datapath's selector and
+// tracking.
 func (s Spec) Options() faultinj.Options {
-	opt := faultinj.Options{
-		N:           s.N,
-		Seed:        s.Seed,
-		Workers:     s.Shards,
-		TrackValues: s.TrackValues,
-		TrackSpread: s.TrackSpread,
-		MBU:         s.MBU,
-	}
+	opt := faultinj.Options{Options: s.BufferOptions(), TrackValues: s.TrackValues, TrackSpread: s.TrackSpread}
 	switch s.Select {
 	case "perbit":
 		opt.Selector = faultinj.BitSelector(s.Param)
 	case "perlayer":
 		opt.Selector = faultinj.BlockSelector(s.Param)
 	}
-	if s.Stratified() {
-		opt.Sampling = engine.SamplingStratified
-		opt.PilotN = s.PilotN
-	}
-	opt.Eval = engine.EvalMode(s.Eval)
 	return opt
 }
 
@@ -344,15 +333,18 @@ func (s Spec) campaignKey() string {
 	return fmt.Sprintf("%s|%s|%s|%s|%d|%s", s.Surface, s.Dataflow, s.Net, s.DType, s.Inputs, s.WeightsDir)
 }
 
-// goldenFn returns the GoldenFn hook that resolves a campaign's golden
-// executions through goldens under the spec's coordinates; hash is the
-// WeightsHash of the network the campaign runs. Every surface's campaigns
-// take the same hook, so one process pays one forward pass per (network,
-// weights, format, input) however many campaigns, surfaces, shards and
-// phases read it.
-func (s Spec) goldenFn(goldens *GoldenCache, hash uint64) func(i int, compute func() *network.Execution) *network.Execution {
-	key := GoldenKey{Net: s.Net, WeightsHash: hash, DType: s.DType}
-	return func(i int, compute func() *network.Execution) *network.Execution {
+// useGoldens hooks a campaign's golden executions (engine.Campaign.GoldenFn)
+// to goldens under the spec's coordinates and the weights hash of the
+// network the campaign runs; nil goldens leaves the campaign's own memo in
+// charge. Every surface's campaigns take the same hook, so one process pays
+// one forward pass per (network, weights, format, input) however many
+// campaigns, surfaces, shards and phases read it.
+func (s Spec) useGoldens(c *engine.Campaign, goldens *GoldenCache) {
+	if goldens == nil {
+		return
+	}
+	key := GoldenKey{Net: s.Net, WeightsHash: c.Net.WeightsHash(), DType: s.DType}
+	c.GoldenFn = func(i int, compute func() *network.Execution) *network.Execution {
 		k := key
 		k.Input = i
 		return goldens.Get(k, compute)
@@ -394,14 +386,13 @@ func (s Spec) NewCampaign(goldens *GoldenCache) (*faultinj.Campaign, error) {
 		return nil, err
 	}
 	c := faultinj.New(net, s.Type(), s.inputs())
-	if goldens != nil {
-		c.GoldenFn = s.goldenFn(goldens, net.WeightsHash())
-	}
+	s.useGoldens(&c.Campaign, goldens)
 	return c, nil
 }
 
-// BufferOptions assembles the eyeriss options every shard of a
-// buffer-surface campaign runs under.
+// BufferOptions assembles the shared engine options every shard of the
+// campaign runs under, on any surface: the whole of eyeriss.Options and
+// systolic.Options, and what faultinj.Options embeds.
 func (s Spec) BufferOptions() eyeriss.Options {
 	opt := engine.Options{N: s.N, Seed: s.Seed, Workers: s.Shards, MBU: s.MBU, Eval: engine.EvalMode(s.Eval)}
 	if s.Stratified() {
@@ -430,7 +421,7 @@ func (s Spec) NewBufferCampaign() (*eyeriss.Campaign, eyeriss.Buffer, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return &eyeriss.Campaign{Net: net, DType: s.Type(), Inputs: s.inputs()}, buf, nil
+	return &eyeriss.Campaign{Campaign: engine.Campaign{Net: net, DType: s.Type(), Inputs: s.inputs()}}, buf, nil
 }
 
 // NewSystolicCampaign builds the systolic campaign of a systolic-surface
@@ -450,8 +441,9 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 		return nil, err
 	}
 	return &systolic.Campaign{
-		Net: net, DType: s.Type(), Inputs: s.inputs(),
-		Array: systolic.DefaultParams, Flow: flow,
+		Campaign: engine.Campaign{Net: net, DType: s.Type(), Inputs: s.inputs()},
+		Array:    systolic.DefaultParams,
+		Flow:     flow,
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/engine"
 	"repro/internal/eyeriss"
 	"repro/internal/fit"
 	"repro/internal/numeric"
@@ -181,7 +182,7 @@ func xarch(cfg Config, cells []Cell, array systolic.Params) (XArchRows, error) {
 		}
 		inputs := inputsFor(c.Net, cfg.Inputs)
 		for flow := systolic.Dataflow(0); flow < systolic.NumDataflows; flow++ {
-			camp := &systolic.Campaign{Net: net, DType: c.DType, Inputs: inputs, Array: array, Flow: flow}
+			camp := &systolic.Campaign{Campaign: engine.Campaign{Net: net, DType: c.DType, Inputs: inputs}, Array: array, Flow: flow}
 			sr := camp.Run(systolic.Options{N: cfg.Injections, Seed: cfg.Seed})
 			rows[i].Legs = append(rows[i].Legs, leg(flow.String(), sr.SDCEstimate, sr.ArchMasked))
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/eyeriss"
 	"repro/internal/faultinj"
 	"repro/internal/layers"
@@ -41,7 +42,7 @@ func AblateLRN(cfg Config, netName string, dt numeric.Type) (AblationResult, err
 	layer1 := func(net *network.Network) float64 {
 		c := faultinj.New(net, dt, inputsFor(netName, cfg.Inputs))
 		r := c.Run(faultinj.Options{
-			N: cfg.Injections, Seed: cfg.Seed,
+			Options:  engine.Options{N: cfg.Injections, Seed: cfg.Seed},
 			Selector: faultinj.BlockSelector(0),
 		})
 		return r.Counts.Probability(sdc.SDC1)
@@ -116,7 +117,7 @@ func Table8Residency(cfg Config, on []Cell) (Table8Cells, error) {
 			return nil, err
 		}
 		camp := &eyeriss.Campaign{
-			Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs),
+			Campaign:  engine.Campaign{Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs)},
 			Residency: rowstat.New(models.Build(name), rowstat.Eyeriss16nm).ResidencyWeights(),
 		}
 		for _, b := range eyeriss.Buffers {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/detect"
+	"repro/internal/engine"
 	"repro/internal/eyeriss"
 	"repro/internal/faultinj"
 	"repro/internal/fit"
@@ -58,14 +59,11 @@ func Fig8(cfg Config, cells []Cell) (Fig8Rows, error) {
 		var forType faultinj.Detection
 		// Datapath faults.
 		c := faultinj.New(net, dt, inputsFor(name, cfg.Inputs))
-		r := c.Run(faultinj.Options{
-			N: cfg.Injections, Seed: cfg.Seed,
-			Detector: checker,
-		})
+		r := c.Run(faultinj.Options{Options: engine.Options{N: cfg.Injections, Seed: cfg.Seed, Detector: checker}})
 		forType.Merge(r.Detection)
 		// Buffer faults (the two dominant classes: Global Buffer and
 		// Filter SRAM).
-		camp := &eyeriss.Campaign{Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs)}
+		camp := &eyeriss.Campaign{Campaign: engine.Campaign{Net: net, DType: dt, Inputs: inputsFor(name, cfg.Inputs)}}
 		for _, b := range []eyeriss.Buffer{eyeriss.GlobalBuffer, eyeriss.FilterSRAM} {
 			br := camp.Run(b, eyeriss.Options{
 				N: cfg.Injections / 2, Seed: cfg.Seed + int64(b),
@@ -232,14 +230,14 @@ func sedFIT(cfg Config, netName string, dt numeric.Type) (SEDFITRow, error) {
 
 	// Datapath component.
 	c := faultinj.New(net, dt, inputsFor(netName, cfg.Inputs))
-	r := c.Run(faultinj.Options{N: cfg.Injections, Seed: cfg.Seed, Detector: checker})
+	r := c.Run(faultinj.Options{Options: engine.Options{N: cfg.Injections, Seed: cfg.Seed, Detector: checker}})
 	dp := eyeriss.Params16nm.Datapath(dt)
 	components := []fit.Component{{Name: "datapath", Bits: dp.TotalLatchBits(), SDCProb: r.Counts.Probability(sdc.SDC1)}}
 	var detTally faultinj.Detection
 	detTally.Merge(r.Detection)
 
 	// Buffer components.
-	camp := &eyeriss.Campaign{Net: net, DType: dt, Inputs: inputsFor(netName, cfg.Inputs)}
+	camp := &eyeriss.Campaign{Campaign: engine.Campaign{Net: net, DType: dt, Inputs: inputsFor(netName, cfg.Inputs)}}
 	for _, b := range eyeriss.Buffers {
 		br := camp.Run(b, eyeriss.Options{N: cfg.Injections / 2, Seed: cfg.Seed + int64(b)*3, Detector: checker})
 		components = append(components, eyeriss.FITComponent(eyeriss.Params16nm, b, br.Counts.Probability(sdc.SDC1)))

@@ -80,9 +80,9 @@ var surfaceFixtures = []struct {
 			c := faultinj.New(models.Build(fixtureNet), dt, fixtureInputsFor(fixtureNet))
 			opt := func(sampling engine.SamplingMode, shards int) faultinj.Options {
 				return faultinj.Options{
-					N: datapathN, Seed: datapathSeed, Workers: shards,
-					TrackValues: fixtureValueCap, TrackSpread: true,
-					Sampling: sampling,
+					Options:     engine.Options{N: datapathN, Seed: datapathSeed, Workers: shards, Sampling: sampling},
+					TrackValues: fixtureValueCap,
+					TrackSpread: true,
 				}
 			}
 			return fixtureRunner{
@@ -99,9 +99,7 @@ var surfaceFixtures = []struct {
 		prefix: "buffer_global",
 		make: func(dt numeric.Type) fixtureRunner {
 			c := &eyeriss.Campaign{
-				Net:    models.Build(fixtureNet),
-				DType:  dt,
-				Inputs: fixtureInputsFor(fixtureNet),
+				Campaign: engine.Campaign{Net: models.Build(fixtureNet), DType: dt, Inputs: fixtureInputsFor(fixtureNet)},
 			}
 			opt := func(sampling engine.SamplingMode, shards int) eyeriss.Options {
 				return eyeriss.Options{N: bufferN, Seed: bufferSeed, Workers: shards, Sampling: sampling}
@@ -135,10 +133,8 @@ var surfaceFixtures = []struct {
 // pre-parameterization pins keep their filenames (and stay byte-frozen).
 func systolicFixture(dt numeric.Type, flow systolic.Dataflow) fixtureRunner {
 	c := &systolic.Campaign{
-		Net:    models.Build(fixtureNet),
-		DType:  dt,
-		Inputs: fixtureInputsFor(fixtureNet),
-		Flow:   flow,
+		Campaign: engine.Campaign{Net: models.Build(fixtureNet), DType: dt, Inputs: fixtureInputsFor(fixtureNet)},
+		Flow:     flow,
 	}
 	opt := func(sampling engine.SamplingMode, shards int) systolic.Options {
 		return systolic.Options{N: systolicN, Seed: systolicSeed, Workers: shards, Sampling: sampling}
@@ -224,18 +220,18 @@ func TestSurfaceConformance(t *testing.T) {
 	type adapter func(t *testing.T, o engine.Options)
 	datapath := func(t *testing.T, o engine.Options) {
 		c := faultinj.New(models.Build(fixtureNet), dt, ins)
-		s, eopt := c.Surface(faultinj.Options{N: datapathN, Seed: datapathSeed, Workers: 3, Sampling: o.Sampling, MBU: o.MBU, Eval: o.Eval})
+		s, eopt := c.Surface(faultinj.Options{Options: engine.Options{N: datapathN, Seed: datapathSeed, Workers: 3, Sampling: o.Sampling, MBU: o.MBU, Eval: o.Eval}})
 		checkSurface(t, s, eopt)
 	}
 	buffer := func(t *testing.T, o engine.Options) {
-		c := &eyeriss.Campaign{Net: build(), DType: dt, Inputs: ins}
+		c := &eyeriss.Campaign{Campaign: engine.Campaign{Net: build(), DType: dt, Inputs: ins}}
 		o.N, o.Seed, o.Workers = bufferN, bufferSeed, 3
 		s, eopt := c.Surface(eyeriss.GlobalBuffer, o)
 		checkSurface(t, s, eopt)
 	}
 	systolicFlow := func(flow systolic.Dataflow) adapter {
 		return func(t *testing.T, o engine.Options) {
-			c := &systolic.Campaign{Net: build(), DType: dt, Inputs: ins, Flow: flow}
+			c := &systolic.Campaign{Campaign: engine.Campaign{Net: build(), DType: dt, Inputs: ins}, Flow: flow}
 			o.N, o.Seed, o.Workers = systolicN, systolicSeed, 3
 			s, eopt := c.Surface(o)
 			checkSurface(t, s, eopt)
@@ -342,13 +338,13 @@ func testSiteModes(t *testing.T) {
 	ins := fixtureInputsFor(fixtureNet)
 	systolicFlow := func(flow systolic.Dataflow) func(numeric.Type, engine.EvalMode) any {
 		return func(dt numeric.Type, eval engine.EvalMode) any {
-			c := &systolic.Campaign{Net: models.Build(fixtureNet), DType: dt, Inputs: ins, Flow: flow}
+			c := &systolic.Campaign{Campaign: engine.Campaign{Net: models.Build(fixtureNet), DType: dt, Inputs: ins}, Flow: flow}
 			return c.Run(systolic.Options{N: siteModeN, Seed: systolicSeed, Workers: 3, Eval: eval})
 		}
 	}
 	buffer := func(b eyeriss.Buffer) func(numeric.Type, engine.EvalMode) any {
 		return func(dt numeric.Type, eval engine.EvalMode) any {
-			c := &eyeriss.Campaign{Net: models.Build(fixtureNet), DType: dt, Inputs: ins}
+			c := &eyeriss.Campaign{Campaign: engine.Campaign{Net: models.Build(fixtureNet), DType: dt, Inputs: ins}}
 			return c.Run(b, eyeriss.Options{N: siteModeN, Seed: bufferSeed, Workers: 3, Eval: eval})
 		}
 	}
@@ -358,7 +354,7 @@ func testSiteModes(t *testing.T) {
 	}{
 		{"datapath", func(dt numeric.Type, eval engine.EvalMode) any {
 			c := faultinj.New(models.Build(fixtureNet), dt, ins)
-			return c.Run(faultinj.Options{N: siteModeN, Seed: datapathSeed, Workers: 3, TrackValues: 24, TrackSpread: true, Eval: eval})
+			return c.Run(faultinj.Options{Options: engine.Options{N: siteModeN, Seed: datapathSeed, Workers: 3, Eval: eval}, TrackValues: 24, TrackSpread: true})
 		}},
 		{"buffer_global", buffer(eyeriss.GlobalBuffer)},
 		{"buffer_psum", buffer(eyeriss.PSumReg)},

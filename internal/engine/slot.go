@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/layers"
 	"repro/internal/network"
-	"repro/internal/numeric"
 	"repro/internal/sdc"
 )
 
@@ -14,12 +13,6 @@ import (
 // RunSlot builds one per slot and drives it serially, so it may keep
 // per-slot scratch and the draw unit it drew last.
 type Model[R any] interface {
-	// Network returns the network under injection and its format.
-	Network() (*network.Network, numeric.Type)
-	// Inputs is the number of inputs the campaign cycles through; Golden
-	// resolves the golden execution of input i through the campaign's memo.
-	Inputs() int
-	Golden(i int) *network.Execution
 	// SeedMul is the surface's shard multiplier (Phase.Rand), which keeps
 	// the surfaces' PRNG streams apart under equal campaign seeds.
 	SeedMul() int64
@@ -68,7 +61,8 @@ type Injection struct {
 // processes, machines — and Fold still reproduces the one campaign.
 //
 // It is the one loop behind every surface: each draw unit of the slot
-// (Phase.Each) has its golden execution resolved and its site drawn, and
+// (Phase.Each) has its golden execution resolved through the surface's
+// Campaign and its site drawn, and
 // every injection of the unit is evaluated and tallied at once, in draw
 // order, bits ascending. Evaluation consumes no randomness, so the draws
 // are the model's alone. Under EvalSiteBitPlane a Single site goes to
@@ -76,14 +70,14 @@ type Injection struct {
 // every other site runs per bit through Model.Eval.
 func RunSlot[R any](s Surface[R], p Plan, slot int, table *StratumTable) R {
 	ph, shard := p.phase(slot, table)
-	m := s.Model(ph, p.shards)
-	net, dt := m.Network()
+	c, m := s.Campaign(), s.Model(ph, p.shards)
+	net, dt := c.Net, c.DType
 	rng := ph.Rand(p.seed, shard, m.SeedMul())
 	r, values := m.Report(), m.Values()
 	batches := map[[2]int]*network.InjectionBatch{}
 	index := 0 // the slot position of the unit's first injection
-	ph.Each(shard, p.shards, m.Inputs(), func(u Unit) {
-		g := m.Golden(u.Input)
+	ph.Each(shard, p.shards, len(c.Inputs), func(u Unit) {
+		g := c.Golden(u.Input)
 		base := m.Draw(rng, g, u)
 		li, f, single := m.Single()
 		if p.plane && single {

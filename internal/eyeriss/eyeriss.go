@@ -22,7 +22,6 @@ package eyeriss
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/accel"
 	"repro/internal/engine"
@@ -216,39 +215,21 @@ func MergeReports(rs []*Report) *Report {
 // replay per bit either way).
 type Options = engine.Options
 
-// Campaign injects buffer faults into a network. The network is shared by
-// every slot and only ever read — each fault model hands the network a
-// corrupted ifmap copy or a front of per-MAC faults, never a patched
-// parameter — so a Campaign is safe for concurrent shard calls; the network
-// geometry and Residency are derived and validated once, on the first.
+// Campaign injects buffer faults into a network (engine.Campaign: Eyeriss
+// uses a 16-bit fixed-point datapath, so Table 8 runs 16b_rb10). The network
+// is shared by every slot and only ever read — each fault model hands the
+// network a corrupted ifmap copy or a front of per-MAC faults, never a
+// patched parameter — so a Campaign is safe for concurrent shard calls; the
+// network geometry and Residency are derived and validated once, on the
+// first. Goldens are shared read-only: no injection writes through to one.
 type Campaign struct {
-	// Net is the network under injection.
-	Net *network.Network
-	// DType is the stored word format (Eyeriss uses a 16-bit fixed-point
-	// datapath, so Table 8 uses 16b_rb10).
-	DType numeric.Type
-	// Inputs are the inference inputs to cycle through.
-	Inputs []*tensor.Tensor
+	engine.Campaign
 	// Residency, when non-nil, gives per-MAC-layer probabilities for
 	// where a random-in-time upset lands (e.g. the cycle weights of the
 	// rowstat scheduler). When nil, layers are weighted by MAC count.
 	Residency []float64
-	// GoldenFn, when non-nil, resolves the golden execution of input i
-	// instead of computing it per campaign: compute runs the fault-free
-	// forward pass, and implementations return its result or a previously
-	// computed, bit-identical one — the same hook, and the same process-wide
-	// cache behind it, as faultinj.Campaign.GoldenFn. Either way the
-	// campaign resolves each input once, not once per shard and phase
-	// (network.GoldenMemo). Goldens are shared read-only: no injection
-	// writes through to one.
-	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
-	goldens network.GoldenMemo
-	// derived guards the one-time derivation of geo; invalid keeps its panic
-	// value so every later call fails the same way.
-	derived sync.Once
-	geo     *geometry
-	invalid any
+	geo *geometry
 }
 
 // surface adapts a (campaign, buffer class) pair to the shared engine's
@@ -262,7 +243,7 @@ type surface struct {
 	opt Options
 }
 
-func (s surface) Width() int                             { return s.c.DType.Width() }
+func (s surface) Campaign() *engine.Campaign             { return &s.c.Campaign }
 func (s surface) NewReport() *Report                     { return &Report{} }
 func (s surface) Merge(dst, src *Report)                 { dst.Merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
@@ -290,21 +271,14 @@ func (c *Campaign) Run(b Buffer, opt Options) *Report {
 }
 
 // geometry returns the campaign's fault-placement geometry, deriving it on
-// first use, and fails fast on a malformed campaign before any shard runs:
-// missing inputs, or a residency vector that does not match the network's
-// MAC layers.
+// first use, and fails fast on a malformed campaign before any shard runs
+// (engine.Campaign.Prepare): missing inputs, or a residency vector that does
+// not match the network's MAC layers.
 func (c *Campaign) geometry() *geometry {
-	if len(c.Inputs) == 0 {
-		panic("eyeriss: campaign needs at least one input")
-	}
-	c.derived.Do(func() {
-		defer func() { c.invalid = recover() }()
+	c.Prepare(func() {
 		c.Net.EnableQuantCache()
 		c.geo = newGeometry(c.Net, c.DType, c.Residency)
 	})
-	if c.invalid != nil {
-		panic(c.invalid)
-	}
 	return c.geo
 }
 
@@ -353,16 +327,8 @@ type injector struct {
 	s site
 }
 
-func (inj *injector) Network() (*network.Network, numeric.Type) { return inj.c.Net, inj.c.DType }
-func (inj *injector) Inputs() int                               { return len(inj.c.Inputs) }
-func (inj *injector) SeedMul() int64                            { return seedMul }
-func (inj *injector) Values() int                               { return 0 }
-
-// Golden resolves input i once for the campaign's lifetime
-// (network.GoldenMemo).
-func (inj *injector) Golden(i int) *network.Execution {
-	return inj.c.goldens.Golden(inj.c.Net, inj.c.DType, inj.c.Inputs, i, inj.c.GoldenFn)
-}
+func (inj *injector) SeedMul() int64 { return seedMul }
+func (inj *injector) Values() int    { return 0 }
 
 func (inj *injector) Report() *Report {
 	r := &Report{}

@@ -143,7 +143,7 @@ func TestDatapathFromParams(t *testing.T) {
 }
 
 func TestCampaignDeterministic(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	opt := Options{N: 120, Seed: 9, Workers: 3}
 	r1 := c.Run(GlobalBuffer, opt)
 	r2 := c.Run(GlobalBuffer, opt)
@@ -156,7 +156,7 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 func TestAllBuffersRun(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}}
 	for _, b := range Buffers {
 		r := c.Run(b, Options{N: 40, Seed: 3})
 		if r.Counts.Trials != 40 {
@@ -171,7 +171,7 @@ func TestFilterSRAMRestoresWeights(t *testing.T) {
 	// verify via determinism of repeated golden runs through the campaign
 	// (a leaked mutation would corrupt later goldens) and by running two
 	// identical campaigns.
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(3)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(3)}}
 	r1 := c.Run(FilterSRAM, Options{N: 90, Seed: 17, Workers: 1})
 	r2 := c.Run(FilterSRAM, Options{N: 90, Seed: 17, Workers: 1})
 	if r1.Counts != r2.Counts {
@@ -248,7 +248,7 @@ func TestBufferFaultsCauseSomeSDCs(t *testing.T) {
 	// With the small network and 16b_rb10, buffer faults must produce a
 	// nonzero SDC-1 rate (high reuse, shallow net — the ConvNet row of
 	// Table 8 is ~66-71%).
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	r := c.Run(FilterSRAM, Options{N: 150, Seed: 21})
 	if r.Counts.Hits[sdc.SDC1] == 0 {
 		t.Error("no SDC-1 from 150 Filter SRAM faults in a shallow network")
@@ -260,7 +260,7 @@ func TestResidencyWeightsRouteLayers(t *testing.T) {
 	// conv layer: every injection corrupts exactly one FC output (weight
 	// used once), so the faulted-layer spread stays minimal.
 	c := &Campaign{
-		Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1),
+		Campaign:  engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)},
 		Residency: []float64{0, 1}, // conv1, fc2
 	}
 	r := c.Run(PSumReg, Options{N: 50, Seed: 31})
@@ -269,7 +269,7 @@ func TestResidencyWeightsRouteLayers(t *testing.T) {
 	}
 	// And an invalid weight vector is rejected.
 	bad := &Campaign{
-		Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1),
+		Campaign:  engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)},
 		Residency: []float64{1}, // wrong length
 	}
 	defer func() {
@@ -344,7 +344,7 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 // every buffer class now that workers run through the quantized-parameter
 // cache.
 func TestBufferCampaignsDeterministicWithCache(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	for _, b := range Buffers {
 		r1 := c.Run(b, Options{N: 40, Seed: 9, Workers: 2})
 		r2 := c.Run(b, Options{N: 40, Seed: 9, Workers: 2})
@@ -360,7 +360,7 @@ func TestBufferCampaignsDeterministicWithCache(t *testing.T) {
 // extended to buffer campaigns so a distributed service can shard them
 // identically.
 func TestRunShardMergeMatchesRun(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	const shards = 4
 	opt := Options{N: 103, Seed: 31, Workers: shards}
 	for _, b := range Buffers {
@@ -374,9 +374,9 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 
 // TestRunShardRejectsBadIndices pins the slot-range contract.
 func TestRunShardRejectsBadIndices(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}}
 	s, eo := c.Surface(GlobalBuffer, Options{N: 10, Seed: 1, Workers: 4})
-	plan := engine.NewPlan(eo, s.Width())
+	plan := engine.NewPlan(eo, s.Campaign().DType.Width())
 	for _, bad := range []int{-1, 4} {
 		func() {
 			defer func() {
@@ -423,7 +423,7 @@ func assertBufferReportsBitIdentical(t *testing.T, label string, got, want *Repo
 // class: the budget must be spent exactly, the per-stratum tallies must
 // partition it, and the design weights must be a probability vector.
 func TestStratifiedBufferSmoke(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	const n = 150
 	for _, b := range Buffers {
 		r := c.Run(b, Options{N: n, Seed: 13, Workers: 3, Sampling: engine.SamplingStratified})
@@ -456,7 +456,7 @@ func TestStratifiedBufferSmoke(t *testing.T) {
 // merge of serially-run stratified shard partials must be bit-identical to
 // the solo stratified Run, per-stratum tallies included.
 func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	for _, b := range []Buffer{GlobalBuffer, ImgReg} {
 		for _, shards := range []int{1, 2, 7} {
 			opt := Options{N: 97, Seed: 19, Workers: shards, Sampling: engine.SamplingStratified}
@@ -471,13 +471,13 @@ func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
 // split the distributed ledger uses and checks the paired slot merge
 // reproduces solo Run bit-for-bit.
 func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	const shards = 3
 	opt := Options{N: 101, Seed: 23, Workers: shards, Sampling: engine.SamplingStratified}
 	want := c.Run(FilterSRAM, opt)
 
 	s, eo := c.Surface(FilterSRAM, opt)
-	plan := engine.NewPlan(eo, s.Width())
+	plan := engine.NewPlan(eo, s.Campaign().DType.Width())
 	slots := make([]*Report, plan.Slots())
 	for slot := range slots {
 		if !plan.Gated(slot) {
@@ -500,7 +500,7 @@ func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
 // Global Buffer campaign must agree with the uniform estimate within the
 // pooled 99% interval.
 func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	const n = 1200
 	uni := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4})
 	str := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4, Sampling: engine.SamplingStratified})
@@ -521,7 +521,7 @@ func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
 // slot executes on the campaign's one network and the one geometry derived
 // from it: nothing is built or derived per slot.
 func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	var forwards atomic.Int32
 	c.GoldenFn = func(_ int, compute func() *network.Execution) *network.Execution {
 		forwards.Add(1)
@@ -533,7 +533,7 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 	ps, peo := c.Surface(GlobalBuffer, strat)
 	geo := c.geo
 	us, ueo := c.Surface(FilterSRAM, opt)
-	pilots, uniform := engine.NewPlan(peo, ps.Width()), engine.NewPlan(ueo, us.Width())
+	pilots, uniform := engine.NewPlan(peo, ps.Campaign().DType.Width()), engine.NewPlan(ueo, us.Campaign().DType.Width())
 	for s := 0; s < 3; s++ {
 		engine.RunSlot(ps, pilots, 2*s, nil) // shard s's pilot slot
 		engine.RunSlot(us, uniform, s, nil)
@@ -561,14 +561,14 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 // computed before.
 func TestConcurrentSlotsShareReadOnlyNetwork(t *testing.T) {
 	const dt = numeric.Fx16RB10
-	c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2)}}
 	before := c.Net.Forward(dt, c.Inputs[0])
 
 	opt := Options{N: 240, Seed: 9, Workers: 8}
 	concurrent := c.Run(FilterSRAM, opt)
 
 	s, eo := c.Surface(FilterSRAM, opt)
-	plan := engine.NewPlan(eo, s.Width())
+	plan := engine.NewPlan(eo, s.Campaign().DType.Width())
 	if plan.Slots() != 8 {
 		t.Fatalf("plan has %d slots, want 8", plan.Slots())
 	}

@@ -13,7 +13,7 @@ import (
 // the distributed shard-order merge stays bit-identical to the solo run,
 // and stratified runs leave the crossing strata empty.
 func TestBufferMBUCampaign(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	opt := Options{N: 60, Seed: 7, Workers: 2, MBU: 3}
 	differs := false
 	for _, b := range Buffers {
@@ -58,7 +58,7 @@ func TestBufferMBUCampaign(t *testing.T) {
 }
 
 func TestBufferMBURejectsSiteModes(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}}
 	defer func() {
 		if recover() == nil {
 			t.Error("MBU + site mode did not panic")
@@ -68,7 +68,7 @@ func TestBufferMBURejectsSiteModes(t *testing.T) {
 }
 
 func TestBufferMBUWiderThanWordRejected(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}}
 	defer func() {
 		if recover() == nil {
 			t.Error("MBU wider than the word did not panic")

@@ -136,7 +136,7 @@ func TestBufferFaultsMatchDenseOracle(t *testing.T) {
 	}
 	for _, build := range []func() *network.Network{buildSmall, buildTwoConv} {
 		for _, dt := range []numeric.Type{numeric.Fx16RB10, numeric.Float16} {
-			c := &Campaign{Net: build(), DType: dt, Inputs: smallInputs(2)}
+			c := &Campaign{Campaign: engine.Campaign{Net: build(), DType: dt, Inputs: smallInputs(2)}}
 			plain := build()
 			goldens := make([]*network.Execution, len(c.Inputs))
 			for i, in := range c.Inputs {

@@ -27,7 +27,7 @@ func TestPSumSiteBitPlaneMatchesSiteScalar(t *testing.T) {
 	net, inputs := buildSmall(), smallInputs(3)
 	preFx := 0
 	for _, dt := range numeric.Types {
-		c := &Campaign{Net: net, DType: dt, Inputs: inputs}
+		c := &Campaign{Campaign: engine.Campaign{Net: net, DType: dt, Inputs: inputs}}
 		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 			opt := Options{N: 2*dt.Width() + 5, Seed: 977, Workers: 2, Sampling: sampling}
 			opt.Eval = engine.EvalSiteScalar
@@ -57,7 +57,7 @@ func TestPSumSiteBitPlaneMatchesSiteScalar(t *testing.T) {
 // both modes (identical code, identical draws), and PSum REG crosses the
 // plane/scalar boundary — all four must agree bit-for-bit.
 func TestBufferSiteModesAllClasses(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}}
 	for _, b := range Buffers {
 		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 			opt := Options{N: 37, Seed: 41, Workers: 2, Sampling: sampling}
@@ -80,7 +80,7 @@ func TestBufferSiteModesAllClasses(t *testing.T) {
 // (engine.ShardReports) for S in {1, 2, 7} must be bit-identical to Run — including the PreMasked tally —
 // for both site modes and both sampling designs.
 func TestBufferSiteModesShardMergeMatchesRun(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(3)}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(3)}}
 	for _, b := range []Buffer{PSumReg, ImgReg} {
 		for _, eval := range []engine.EvalMode{engine.EvalSiteScalar, engine.EvalSiteBitPlane} {
 			for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
@@ -109,7 +109,7 @@ func TestBufferSiteModesWithDetector(t *testing.T) {
 	}
 	net, inputs := buildSmall(), smallInputs(2)
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
-		c := &Campaign{Net: net, DType: dt, Inputs: inputs}
+		c := &Campaign{Campaign: engine.Campaign{Net: net, DType: dt, Inputs: inputs}}
 		opt := Options{N: dt.Width() + 9, Seed: 19, Workers: 2, Detector: det}
 		opt.Eval = engine.EvalSiteScalar
 		ref := c.Run(PSumReg, opt)

@@ -29,7 +29,7 @@ func stripPreMasked(r *Report) {
 func TestSiteBitPlaneMatchesSiteScalar(t *testing.T) {
 	for _, dt := range numeric.Types {
 		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
-			opt := Options{N: 260, Seed: 31, Workers: 2, TrackValues: 40, TrackSpread: true, Sampling: sampling}
+			opt := Options{Options: engine.Options{N: 260, Seed: 31, Workers: 2, Sampling: sampling}, TrackValues: 40, TrackSpread: true}
 
 			oScalar := opt
 			oScalar.Eval = engine.EvalSiteScalar
@@ -65,9 +65,9 @@ func TestSiteModesShardMergeMatchesRun(t *testing.T) {
 		for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 			for _, shards := range []int{1, 2, 7} {
 				opt := Options{
-					N: 203, Seed: 17, Workers: shards,
-					TrackValues: 48, TrackSpread: true,
-					Sampling: sampling, Eval: eval,
+					Options:     engine.Options{N: 203, Seed: 17, Workers: shards, Sampling: sampling, Eval: eval},
+					TrackValues: 48,
+					TrackSpread: true,
 				}
 				want := New(smallNet(), numeric.Fx16RB10, smallInputs(2)).Run(opt)
 
@@ -94,7 +94,7 @@ func TestSiteModesShardMergeMatchesRun(t *testing.T) {
 func TestSiteModesWithDetector(t *testing.T) {
 	det := func(e *network.Execution) bool { return e.Output().Data[0] > 0.1 }
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
-		oScalar := Options{N: 200, Seed: 23, Detector: det, Eval: engine.EvalSiteScalar}
+		oScalar := Options{Options: engine.Options{N: 200, Seed: 23, Detector: det, Eval: engine.EvalSiteScalar}}
 		want := New(smallNet(), dt, smallInputs(2)).Run(oScalar)
 
 		oPlane := oScalar
@@ -119,7 +119,7 @@ func TestSiteModesWithDetector(t *testing.T) {
 func TestPreScreenSoundness(t *testing.T) {
 	for _, dt := range numeric.Types {
 		c := New(smallNet(), dt, smallInputs(2))
-		opt := Options{Eval: engine.EvalSiteBitPlane}
+		opt := Options{Options: engine.Options{Eval: engine.EvalSiteBitPlane}}
 		c.setup(&opt)
 		width := dt.Width()
 		rng := rand.New(rand.NewSource(int64(123 + width)))
@@ -171,7 +171,7 @@ func TestPreScreenSoundness(t *testing.T) {
 func TestSiteModeDrawCoverage(t *testing.T) {
 	width := numeric.Float16.Width()
 	n := 10*width + 3 // ragged tail
-	r := New(smallNet(), numeric.Float16, smallInputs(1)).Run(Options{N: n, Seed: 9, Eval: engine.EvalSiteBitPlane})
+	r := New(smallNet(), numeric.Float16, smallInputs(1)).Run(Options{Options: engine.Options{N: n, Seed: 9, Eval: engine.EvalSiteBitPlane}})
 	if r.Counts.Trials != n {
 		t.Fatalf("Trials = %d, want %d", r.Counts.Trials, n)
 	}
@@ -194,9 +194,9 @@ func TestSiteModeValidation(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"custom selector", Options{N: 10, Eval: engine.EvalSiteBitPlane, Selector: BitSelector(3)}},
-		{"dense", Options{N: 10, Eval: engine.EvalSiteScalar, Dense: true}},
-		{"unknown mode", Options{N: 10, Eval: engine.EvalMode("site-nonsense")}},
+		{"custom selector", Options{Options: engine.Options{N: 10, Eval: engine.EvalSiteBitPlane}, Selector: BitSelector(3)}},
+		{"dense", Options{Options: engine.Options{N: 10, Eval: engine.EvalSiteScalar}, Dense: true}},
+		{"unknown mode", Options{Options: engine.Options{N: 10, Eval: engine.EvalMode("site-nonsense")}}},
 	} {
 		func() {
 			defer func() {

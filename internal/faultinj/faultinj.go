@@ -12,7 +12,6 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/accel"
 	"repro/internal/engine"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -222,144 +220,51 @@ func (r *Report) SpreadRate(block int) float64 {
 // the reweighted estimator, which is unbiased for the same quantity but
 // typically much tighter at equal budget.
 func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
-	if r.Strata != nil {
-		e := r.Strata.Estimate(k)
-		return e.P(), e.CI95()
-	}
-	pr := stats.Proportion{Successes: r.Counts.Hits[k], Trials: r.Counts.DefinedTrials[k]}
-	return pr.P(), pr.CI95()
+	return engine.SDCEstimate(r.Counts, r.Strata, k)
 }
 
-// BlockSDCEstimate is the per-block (Fig. 6) analogue of SDCEstimate.
-func (r *Report) BlockSDCEstimate(block int, k sdc.Kind) (p, ci95 float64) {
-	if r.Strata != nil {
-		e := r.Strata.BlockEstimate(block, k)
-		return e.P(), e.CI95()
-	}
-	pr := stats.Proportion{
-		Successes: r.PerBlock[block].Hits[k],
-		Trials:    r.PerBlock[block].DefinedTrials[k],
-	}
-	return pr.P(), pr.CI95()
-}
-
-// Options configures a campaign.
+// Options configures a datapath campaign: the shared engine's options
+// (budget, seed, shards, detector, sampling and evaluation designs, MBU
+// width) and the datapath's own knobs.
 type Options struct {
-	// N is the number of injections.
-	N int
-	// Seed makes the campaign reproducible.
-	Seed int64
-	// Selector picks fault sites; UniformSelector when nil.
+	engine.Options
+	// Selector picks fault sites; UniformSelector when nil. Stratified
+	// sampling, the site evaluation modes and MBU campaigns draw their own
+	// sites and require the default.
 	Selector Selector
 	// TrackValues, when positive, samples up to that many ValueRecords.
 	TrackValues int
 	// TrackSpread enables the Table 5 final-block mismatch metric.
 	TrackSpread bool
-	// Detector, when non-nil, is evaluated on every faulty execution for
-	// the §6.2 precision/recall tally. It must be safe for concurrent use.
-	Detector func(*network.Execution) bool
-	// Workers is the partition width S (engine.Options.Workers):
-	// engine.DefaultShards when zero. The report depends on it, not on how
-	// many goroutines run.
-	Workers int
 	// Dense forces every injection through the dense per-layer
 	// re-execution path (network.ForwardFromDense) and skips enabling the
 	// quantized-parameter cache, so on a fresh network it reproduces the
 	// seed implementation exactly. It exists as the baseline for
 	// throughput benchmarks and as a debugging oracle; reports are
-	// bit-identical either way.
+	// bit-identical either way. The site evaluation modes require the
+	// incremental engine.
 	Dense bool
-	// Sampling selects the site-sampling design: engine.SamplingUniform
-	// (the default, "" included) or SamplingStratified — the two-phase
-	// masking-aware campaign (see internal/engine). Stratified campaigns
-	// require the default uniform Selector; Report.SDCEstimate and
-	// SpreadRate stay unbiased estimates of the uniform-design quantities
-	// either way.
-	Sampling engine.SamplingMode
-	// PilotN is the uniform pilot budget of a stratified campaign;
-	// engine.DefaultPilotN(N) when zero. Ignored under uniform sampling.
-	PilotN int
-	// Prior, when non-nil, seeds a stratified campaign's Neyman allocation
-	// from a previous campaign's persisted strata instead of running a
-	// pilot: the whole budget is main-phase. The prior must come from a
-	// campaign over the same network and format (equal stratum grid and
-	// weights).
-	Prior *engine.StrataSummary
-	// OnPilotStrata, when non-nil, observes the merged pilot strata of a
-	// stratified Run right after the allocation table is built — the hook
-	// strata artifacts use to persist the pilot for later Prior reuse.
-	OnPilotStrata func(*engine.StrataSummary)
-	// Eval selects the evaluation mode: engine.EvalPerBit (the default "",
-	// one independent (site, bit) draw per injection — the paper's design),
-	// EvalSiteScalar or EvalSiteBitPlane (site-draw designs: each drawn
-	// site is evaluated at every bit position, scalar replays vs one
-	// bit-parallel replay with an analytical masking pre-screen). The two
-	// site modes produce bit-identical reports; the per-bit mode is a
-	// different (equally valid) sampling design with its own PRNG stream.
-	// Site modes require the default uniform Selector and are incompatible
-	// with Dense.
-	Eval engine.EvalMode
-	// MBU is the multi-bit-upset width: every injection flips MBU
-	// adjacent bits of the struck latch. 0 and 1 both mean single-bit
-	// upsets. Requires the per-bit evaluation mode and the default
-	// uniform Selector; the base bit is drawn uniformly over the
-	// Width()−MBU+1 in-word spans.
-	MBU int
 }
 
-// engineOptions maps the options onto the shared engine's: the ten fields
-// every surface has, which the engine validates and orchestrates by. What
-// stays behind is the datapath's own (Selector, tracking, Dense).
-func (opt Options) engineOptions() engine.Options {
-	return engine.Options{
-		N: opt.N, Seed: opt.Seed, Workers: opt.Workers, Detector: opt.Detector,
-		Sampling: opt.Sampling, PilotN: opt.PilotN,
-		Prior: opt.Prior, OnPilotStrata: opt.OnPilotStrata,
-		Eval: opt.Eval, MBU: opt.MBU,
-	}
-}
-
-// Campaign binds a network, format and input set.
+// Campaign binds a network, format and input set (engine.Campaign) to the
+// datapath's fault-site geometry.
 type Campaign struct {
-	Net    *network.Network
-	DType  numeric.Type
-	Inputs []*tensor.Tensor
-
-	// GoldenFn, when non-nil, resolves the golden execution of input i
-	// instead of computing it directly: compute runs the fault-free
-	// forward pass, and implementations return its result or a previously
-	// computed, bit-identical one. The distributed campaign service hooks
-	// a process-wide golden-execution cache here so campaigns sharing
-	// (network, weights, input, format) run the golden pass once per
-	// machine. The campaign consults it once per input (network.GoldenMemo).
-	// Must be set before the first Run/Surface/Golden call.
-	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
-
-	profile atomic.Pointer[accel.Profile]
-	goldens network.GoldenMemo
+	engine.Campaign
+	profile *accel.Profile
 }
 
-// New creates a campaign over the given inputs.
+// New creates a campaign over the given inputs and derives its fault-site
+// geometry, failing fast on a malformed campaign (engine.Campaign.Prepare).
 func New(net *network.Network, dt numeric.Type, inputs []*tensor.Tensor) *Campaign {
-	if len(inputs) == 0 {
-		panic("faultinj: campaign needs at least one input")
-	}
-	return &Campaign{Net: net, DType: dt, Inputs: inputs}
+	c := &Campaign{Campaign: engine.Campaign{Net: net, DType: dt, Inputs: inputs}}
+	c.Profile()
+	return c
 }
 
 // Profile exposes the fault-site geometry, derived on first use.
 func (c *Campaign) Profile() *accel.Profile {
-	if p := c.profile.Load(); p != nil {
-		return p
-	}
-	c.profile.CompareAndSwap(nil, accel.NewProfile(c.Net, c.DType))
-	return c.profile.Load()
-}
-
-// Golden returns the golden execution of input i, resolved once for the
-// campaign's lifetime (network.GoldenMemo).
-func (c *Campaign) Golden(i int) *network.Execution {
-	return c.goldens.Golden(c.Net, c.DType, c.Inputs, i, c.GoldenFn)
+	c.Prepare(func() { c.profile = accel.NewProfile(c.Net, c.DType) })
+	return c.profile
 }
 
 // surface adapts the campaign to the shared engine's Surface interface:
@@ -377,15 +282,15 @@ type surface struct {
 // engine.RunSlot take.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
 	c.setup(&opt)
-	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.Profile().NumMACLayers()}, opt.engineOptions()
+	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.Profile().NumMACLayers()}, opt.Options
 }
 
-func (s surface) Width() int                             { return s.bits }
+func (s surface) Campaign() *engine.Campaign             { return &s.c.Campaign }
 func (s surface) NewReport() *Report                     { return newReport(s.bits, s.blocks) }
 func (s surface) Merge(dst, src *Report)                 { dst.merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
 func (s surface) Model(ph engine.Phase, of int) engine.Model[*Report] {
-	m := &model{surface: s, ph: ph, p: s.c.Profile(), mbu: s.opt.engineOptions().UpsetWidth()}
+	m := &model{surface: s, ph: ph, p: s.c.Profile(), mbu: s.opt.UpsetWidth()}
 	if ph.Values && s.opt.TrackValues > 0 {
 		m.values = (s.opt.TrackValues + of - 1) / of // the slot's share of the value budget
 	}
@@ -403,7 +308,7 @@ func (c *Campaign) Run(opt Options) *Report {
 
 // setup performs the idempotent per-campaign preparation behind Surface:
 // the quantized-parameter cache and the option checks. The goldens resolve
-// on first use (Golden).
+// on first use (engine.Campaign.Golden).
 func (c *Campaign) setup(opt *Options) {
 	if !opt.Dense {
 		// Quantize each layer's parameters once per campaign; every

@@ -61,7 +61,7 @@ func smallInputs(n int) []*tensor.Tensor {
 func TestCampaignDeterministic(t *testing.T) {
 	c1 := New(smallNet(), numeric.Float16, smallInputs(2))
 	c2 := New(smallNet(), numeric.Float16, smallInputs(2))
-	opt := Options{N: 200, Seed: 42, Workers: 4}
+	opt := Options{Options: engine.Options{N: 200, Seed: 42, Workers: 4}}
 	r1, r2 := c1.Run(opt), c2.Run(opt)
 	if r1.Counts != r2.Counts {
 		t.Errorf("campaigns with the same seed diverged: %+v vs %+v", r1.Counts, r2.Counts)
@@ -70,7 +70,7 @@ func TestCampaignDeterministic(t *testing.T) {
 
 func TestCampaignCountsConsistency(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(3))
-	r := c.Run(Options{N: 300, Seed: 7})
+	r := c.Run(Options{Options: engine.Options{N: 300, Seed: 7}})
 	if r.Counts.Trials != 300 {
 		t.Fatalf("Trials = %d, want 300", r.Counts.Trials)
 	}
@@ -101,7 +101,7 @@ func TestCampaignCountsConsistency(t *testing.T) {
 
 func TestBitSelectorRoutesAllInjections(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	r := c.Run(Options{N: 100, Seed: 1, Selector: BitSelector(14)})
+	r := c.Run(Options{Options: engine.Options{N: 100, Seed: 1}, Selector: BitSelector(14)})
 	if r.PerBit[14].Trials != 100 {
 		t.Errorf("bit-14 trials = %d, want 100", r.PerBit[14].Trials)
 	}
@@ -109,7 +109,7 @@ func TestBitSelectorRoutesAllInjections(t *testing.T) {
 
 func TestBlockSelectorRoutesAllInjections(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	r := c.Run(Options{N: 100, Seed: 1, Selector: BlockSelector(1)})
+	r := c.Run(Options{Options: engine.Options{N: 100, Seed: 1}, Selector: BlockSelector(1)})
 	if r.PerBlock[1].Trials != 100 {
 		t.Errorf("block-1 trials = %d, want 100", r.PerBlock[1].Trials)
 	}
@@ -122,8 +122,8 @@ func TestHighBitsMoreVulnerable(t *testing.T) {
 	// The paper's central per-bit result: flipping the top exponent bit
 	// causes far more SDCs than flipping a low mantissa bit.
 	c := New(smallNet(), numeric.Float16, smallInputs(2))
-	high := c.Run(Options{N: 400, Seed: 3, Selector: BitSelector(14)})
-	low := c.Run(Options{N: 400, Seed: 3, Selector: BitSelector(0)})
+	high := c.Run(Options{Options: engine.Options{N: 400, Seed: 3}, Selector: BitSelector(14)})
+	low := c.Run(Options{Options: engine.Options{N: 400, Seed: 3}, Selector: BitSelector(0)})
 	ph, pl := high.Counts.Probability(sdc.SDC1), low.Counts.Probability(sdc.SDC1)
 	if ph <= pl {
 		t.Errorf("high-bit SDC %.3f not above low-bit SDC %.3f", ph, pl)
@@ -132,7 +132,7 @@ func TestHighBitsMoreVulnerable(t *testing.T) {
 
 func TestTrackValues(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	r := c.Run(Options{N: 100, Seed: 5, TrackValues: 50})
+	r := c.Run(Options{Options: engine.Options{N: 100, Seed: 5}, TrackValues: 50})
 	if len(r.Values) == 0 || len(r.Values) > 100 {
 		t.Fatalf("tracked %d values", len(r.Values))
 	}
@@ -145,7 +145,7 @@ func TestTrackValues(t *testing.T) {
 
 func TestTrackSpread(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	r := c.Run(Options{N: 200, Seed: 6, TrackSpread: true})
+	r := c.Run(Options{Options: engine.Options{N: 200, Seed: 6}, TrackSpread: true})
 	totalN := 0
 	for b := range r.SpreadN {
 		totalN += r.SpreadN[b]
@@ -163,7 +163,7 @@ func TestDetectorTally(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
 	// A detector that flags everything: recall 1, precision = 1 - benign
 	// fraction.
-	r := c.Run(Options{N: 200, Seed: 8, Detector: func(*network.Execution) bool { return true }})
+	r := c.Run(Options{Options: engine.Options{N: 200, Seed: 8, Detector: func(*network.Execution) bool { return true }}})
 	if r.Detection.Total != 200 {
 		t.Fatalf("detector total = %d", r.Detection.Total)
 	}
@@ -175,7 +175,7 @@ func TestDetectorTally(t *testing.T) {
 		t.Errorf("flag-all precision = %v, want %v", got, wantPrec)
 	}
 	// A detector that flags nothing: precision 1, recall 0 (if SDCs occurred).
-	r2 := c.Run(Options{N: 200, Seed: 8, Detector: func(*network.Execution) bool { return false }})
+	r2 := c.Run(Options{Options: engine.Options{N: 200, Seed: 8, Detector: func(*network.Execution) bool { return false }}})
 	if got := r2.Detection.Precision(); got != 1 {
 		t.Errorf("flag-none precision = %v, want 1", got)
 	}
@@ -201,7 +201,7 @@ func TestCampaignOnRealModel(t *testing.T) {
 	}
 	net := models.Build("ConvNet")
 	c := New(net, numeric.Fx32RB10, []*tensor.Tensor{models.InputFor("ConvNet", 0)})
-	r := c.Run(Options{N: 60, Seed: 11})
+	r := c.Run(Options{Options: engine.Options{N: 60, Seed: 11}})
 	if r.Counts.Trials != 60 {
 		t.Fatalf("Trials = %d", r.Counts.Trials)
 	}
@@ -246,7 +246,7 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 		return compute()
 	}
 	g := c.Golden(1)
-	opt := Options{N: 120, Seed: 5, Workers: 3, Sampling: engine.SamplingStratified}
+	opt := Options{Options: engine.Options{N: 120, Seed: 5, Workers: 3, Sampling: engine.SamplingStratified}}
 	c.Run(opt)
 	c.Run(opt)
 	if got := int(forwards.Load()); got != len(c.Inputs) {
@@ -259,7 +259,7 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 
 func TestUniformSelectorCoversTargets(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	r := c.Run(Options{N: 400, Seed: 13})
+	r := c.Run(Options{Options: engine.Options{N: 400, Seed: 13}})
 	for tgt, counts := range r.PerTarget {
 		if counts.Trials == 0 {
 			t.Errorf("latch target %v never injected", layers.Target(tgt))
@@ -278,7 +278,7 @@ func TestDenseMatchesIncremental(t *testing.T) {
 	for _, dt := range numeric.Types {
 		inc := New(smallNet(), dt, smallInputs(2))
 		dense := New(smallNet(), dt, smallInputs(2))
-		opt := Options{N: 400, Seed: 21, Workers: 2, TrackValues: 64, TrackSpread: true}
+		opt := Options{Options: engine.Options{N: 400, Seed: 21, Workers: 2}, TrackValues: 64, TrackSpread: true}
 		ri := inc.Run(opt)
 		optDense := opt
 		optDense.Dense = true
@@ -324,7 +324,7 @@ func TestShardPartitionCoversEverySiteOnce(t *testing.T) {
 func TestRunShardMergeMatchesRun(t *testing.T) {
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
 		const shards = 5
-		opt := Options{N: 203, Seed: 17, Workers: shards, TrackValues: 48, TrackSpread: true}
+		opt := Options{Options: engine.Options{N: 203, Seed: 17, Workers: shards}, TrackValues: 48, TrackSpread: true}
 
 		whole := New(smallNet(), dt, smallInputs(2))
 		want := whole.Run(opt)
@@ -341,7 +341,7 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 // bit-exactly.
 func TestReportJSONRoundTrip(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(2))
-	r := c.Run(Options{N: 150, Seed: 23, TrackValues: 32, TrackSpread: true})
+	r := c.Run(Options{Options: engine.Options{N: 150, Seed: 23}, TrackValues: 32, TrackSpread: true})
 	r.Values = append(r.Values, ValueRecord{Golden: 1.5, Faulty: math.NaN(), SDC: true},
 		ValueRecord{Golden: -0, Faulty: math.Inf(-1)})
 

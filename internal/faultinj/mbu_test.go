@@ -51,7 +51,7 @@ func TestRandomSiteMBUSpans(t *testing.T) {
 // bit-identical to the solo run.
 func TestMBUCampaign(t *testing.T) {
 	dt := numeric.Fx16RB10
-	opt := Options{N: 120, Seed: 19, Workers: 2, MBU: 3}
+	opt := Options{Options: engine.Options{N: 120, Seed: 19, Workers: 2, MBU: 3}}
 	r := New(smallNet(), dt, smallInputs(2)).Run(opt)
 	if r.Counts.Trials != 120 {
 		t.Errorf("Trials = %d, want 120", r.Counts.Trials)
@@ -96,7 +96,7 @@ func TestMBURejectsSiteModes(t *testing.T) {
 			t.Error("MBU + site mode did not panic")
 		}
 	}()
-	c.Run(Options{N: 8, Seed: 1, MBU: 2, Eval: engine.EvalSiteScalar})
+	c.Run(Options{Options: engine.Options{N: 8, Seed: 1, MBU: 2, Eval: engine.EvalSiteScalar}})
 }
 
 func TestMBUWiderThanWordRejected(t *testing.T) {
@@ -106,7 +106,7 @@ func TestMBUWiderThanWordRejected(t *testing.T) {
 			t.Error("MBU wider than the word did not panic")
 		}
 	}()
-	c.Run(Options{N: 8, Seed: 1, MBU: 17})
+	c.Run(Options{Options: engine.Options{N: 8, Seed: 1, MBU: 17}})
 }
 
 func TestMBURejectsCustomSelector(t *testing.T) {
@@ -116,7 +116,7 @@ func TestMBURejectsCustomSelector(t *testing.T) {
 			t.Error("MBU + custom Selector did not panic")
 		}
 	}()
-	c.Run(Options{N: 8, Seed: 1, MBU: 2, Selector: BitSelector(0)})
+	c.Run(Options{Options: engine.Options{N: 8, Seed: 1, MBU: 2}, Selector: BitSelector(0)})
 }
 
 // FuzzMBUMaskedSoundness re-simulates multi-bit injections through the

@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/layers"
 	"repro/internal/network"
-	"repro/internal/numeric"
 	"repro/internal/sdc"
 	"repro/internal/tensor"
 )
@@ -28,11 +27,8 @@ type model struct {
 	block  int
 }
 
-func (m *model) Network() (*network.Network, numeric.Type) { return m.c.Net, m.c.DType }
-func (m *model) Inputs() int                               { return len(m.c.Inputs) }
-func (m *model) Golden(i int) *network.Execution           { return m.c.Golden(i) }
-func (m *model) SeedMul() int64                            { return seedMul }
-func (m *model) Values() int                               { return m.values }
+func (m *model) SeedMul() int64 { return seedMul }
+func (m *model) Values() int    { return m.values }
 
 // Report allocates the slot's report; a stratified phase's strata weigh
 // each (block, base bit) by the block's MAC share over its valid base bits.

@@ -147,7 +147,7 @@ func TestStratumTableMapping(t *testing.T) {
 func TestStratifiedBudgetAndWeights(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(2))
 	const n = 500
-	r := c.Run(Options{N: n, Seed: 31, Workers: 3, Sampling: engine.SamplingStratified})
+	r := c.Run(Options{Options: engine.Options{N: n, Seed: 31, Workers: 3, Sampling: engine.SamplingStratified}})
 	if r.Counts.Trials != n {
 		t.Fatalf("Trials = %d, want %d", r.Counts.Trials, n)
 	}
@@ -175,8 +175,8 @@ func TestStratifiedBudgetAndWeights(t *testing.T) {
 func TestStratifiedUnbiased(t *testing.T) {
 	for _, dt := range numeric.Types {
 		const n = 2400
-		uni := New(smallNet(), dt, smallInputs(2)).Run(Options{N: n, Seed: 37, Workers: 4})
-		str := New(smallNet(), dt, smallInputs(2)).Run(Options{N: n, Seed: 37, Workers: 4, Sampling: engine.SamplingStratified})
+		uni := New(smallNet(), dt, smallInputs(2)).Run(Options{Options: engine.Options{N: n, Seed: 37, Workers: 4}})
+		str := New(smallNet(), dt, smallInputs(2)).Run(Options{Options: engine.Options{N: n, Seed: 37, Workers: 4, Sampling: engine.SamplingStratified}})
 
 		pu, ciu := uni.SDCEstimate(sdc.SDC1)
 		ps, cis := str.SDCEstimate(sdc.SDC1)
@@ -201,8 +201,8 @@ func TestStratifiedCINarrowerOnConvNet(t *testing.T) {
 		net := models.Build("ConvNet")
 		c := New(net, dt, []*tensor.Tensor{models.InputFor("ConvNet", 0)})
 		c.Golden(0)
-		uni := c.Run(Options{N: n, Seed: 1})
-		str := c.Run(Options{N: n, Seed: 1, Sampling: engine.SamplingStratified})
+		uni := c.Run(Options{Options: engine.Options{N: n, Seed: 1}})
+		str := c.Run(Options{Options: engine.Options{N: n, Seed: 1, Sampling: engine.SamplingStratified}})
 		_, ciu := uni.SDCEstimate(sdc.SDC1)
 		_, cis := str.SDCEstimate(sdc.SDC1)
 		if !(cis < ciu) {
@@ -218,7 +218,7 @@ func TestStratifiedCINarrowerOnConvNet(t *testing.T) {
 func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 	for _, dt := range []numeric.Type{numeric.Float16, numeric.Fx32RB10} {
 		for _, shards := range []int{1, 2, 7} {
-			opt := Options{N: 211, Seed: 41, Workers: shards, Sampling: engine.SamplingStratified, TrackSpread: true}
+			opt := Options{Options: engine.Options{N: 211, Seed: 41, Workers: shards, Sampling: engine.SamplingStratified}, TrackSpread: true}
 
 			want := New(smallNet(), dt, smallInputs(2)).Run(opt)
 
@@ -235,12 +235,12 @@ func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 // pilot₀ ⊕ main₀ ⊕ … slot order — bit-identical to solo Run.
 func TestStratifiedPhaseShardsMatchRun(t *testing.T) {
 	const shards = 3
-	opt := Options{N: 207, Seed: 43, Workers: shards, Sampling: engine.SamplingStratified}
+	opt := Options{Options: engine.Options{N: 207, Seed: 43, Workers: shards, Sampling: engine.SamplingStratified}}
 
 	want := New(smallNet(), numeric.Float16, smallInputs(2)).Run(opt)
 
 	s, eo := New(smallNet(), numeric.Float16, smallInputs(2)).Surface(opt)
-	plan := engine.NewPlan(eo, s.Width())
+	plan := engine.NewPlan(eo, s.Campaign().DType.Width())
 	slots := make([]*Report, plan.Slots())
 	for slot := range slots {
 		if !plan.Gated(slot) {
@@ -264,13 +264,13 @@ func TestStratifiedCustomSelectorPanics(t *testing.T) {
 		}
 	}()
 	c := New(smallNet(), numeric.Float16, smallInputs(1))
-	c.Run(Options{N: 50, Seed: 1, Sampling: engine.SamplingStratified, Selector: BitSelector(3)})
+	c.Run(Options{Options: engine.Options{N: 50, Seed: 1, Sampling: engine.SamplingStratified}, Selector: BitSelector(3)})
 }
 
 func TestMainShardRejectsMismatchedTable(t *testing.T) {
-	opt := Options{N: 100, Seed: 1, Workers: 1, Sampling: engine.SamplingStratified}
+	opt := Options{Options: engine.Options{N: 100, Seed: 1, Workers: 1, Sampling: engine.SamplingStratified}}
 	s, eo := New(smallNet(), numeric.Float16, smallInputs(1)).Surface(opt)
-	plan := engine.NewPlan(eo, s.Width())
+	plan := engine.NewPlan(eo, s.Campaign().DType.Width())
 	pilot := engine.RunSlot(s, plan, 0, nil)
 	table := engine.BuildStratumTable(pilot.Strata, 17, 1) // wrong MainN on purpose
 	defer func() {
@@ -286,7 +286,7 @@ func TestMainShardRejectsMismatchedTable(t *testing.T) {
 // whole report must survive the worker → coordinator hop bit-exactly.
 func TestStratifiedReportJSONRoundTrip(t *testing.T) {
 	c := New(smallNet(), numeric.Float16, smallInputs(2))
-	r := c.Run(Options{N: 180, Seed: 47, Sampling: engine.SamplingStratified, TrackSpread: true})
+	r := c.Run(Options{Options: engine.Options{N: 180, Seed: 47, Sampling: engine.SamplingStratified}, TrackSpread: true})
 	if r.Strata == nil {
 		t.Fatal("no strata on stratified report")
 	}

@@ -1,8 +1,6 @@
 package network
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/layers"
@@ -297,53 +295,5 @@ func TestForwardStoredFromInputMatchesFull(t *testing.T) {
 	}
 	if !diff {
 		t.Error("corrupted stored input had no effect")
-	}
-}
-
-// TestGoldenMemoComputesOncePerCoordinate: concurrent requests resolve each
-// input once — through the hook when there is one, which the memo sits in
-// front of — and every request for an input reads that one execution, bit
-// for bit the serial forward pass.
-func TestGoldenMemoComputesOncePerCoordinate(t *testing.T) {
-	n := tinyNet()
-	inputs := []*tensor.Tensor{tinyInput(), tinyInput(), tinyInput(), tinyInput()}
-	inputs[1].Data[0], inputs[2].Data[1], inputs[3].Data[2] = 1, 2, 3
-	const dt = numeric.Fx16RB10
-	for _, hooked := range []bool{false, true} {
-		var memo GoldenMemo
-		var resolves atomic.Int32
-		var fn func(i int, compute func() *Execution) *Execution
-		if hooked {
-			fn = func(i int, compute func() *Execution) *Execution {
-				resolves.Add(1)
-				return compute()
-			}
-		}
-		var wg sync.WaitGroup
-		execs := make([]*Execution, 16)
-		for i := range execs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				execs[i] = memo.Golden(n, dt, inputs, i%4, fn)
-			}()
-		}
-		wg.Wait()
-		if hooked && resolves.Load() != 4 {
-			t.Fatalf("hook consulted %d times for 4 inputs", resolves.Load())
-		}
-		for i, e := range execs {
-			if e != execs[i%4] {
-				t.Fatalf("request %d got a different execution than request %d for the same input", i, i%4)
-			}
-		}
-		for i, in := range inputs {
-			want := n.Forward(dt, in)
-			for l := range want.Acts {
-				if !tensor.BitIdentical(want.Acts[l], execs[i].Acts[l]) {
-					t.Fatalf("input %d: memoized golden differs from Forward at layer %d", i, l)
-				}
-			}
-		}
 	}
 }

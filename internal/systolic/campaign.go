@@ -18,7 +18,6 @@ package systolic
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/fit"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/numeric"
 	"repro/internal/sdc"
-	"repro/internal/tensor"
 )
 
 // Report aggregates a systolic-array fault campaign.
@@ -99,36 +97,18 @@ func MergeReports(rs []*Report) *Report {
 // ReLU pre-screen.
 type Options = engine.Options
 
-// Campaign injects systolic-array faults into a network. The network is
-// shared by every slot and only ever read, so a Campaign is safe for
-// concurrent shard calls; the array schedules are derived and validated
-// once, on the first.
+// Campaign injects systolic-array faults into a network (engine.Campaign).
+// The network is shared by every slot and only ever read, so a Campaign is
+// safe for concurrent shard calls; the array schedules are derived and
+// validated once, on the first.
 type Campaign struct {
-	// Net is the network under injection.
-	Net *network.Network
-	// DType is the datapath word format.
-	DType numeric.Type
-	// Inputs are the inference inputs to cycle through.
-	Inputs []*tensor.Tensor
+	engine.Campaign
 	// Array is the physical PE array size; DefaultParams when zero.
 	Array Params
 	// Flow is the array's dataflow; the zero value is weight-stationary.
 	Flow Dataflow
-	// GoldenFn, when non-nil, resolves the golden execution of input i
-	// instead of computing it per campaign: compute runs the fault-free
-	// forward pass, and implementations return its result or a previously
-	// computed, bit-identical one — the same hook, and the same process-wide
-	// cache behind it, as faultinj.Campaign.GoldenFn. Either way the
-	// campaign resolves each input once, not once per shard and phase
-	// (network.GoldenMemo).
-	GoldenFn func(i int, compute func() *network.Execution) *network.Execution
 
-	goldens network.GoldenMemo
-	// derived guards the one-time derivation of sched; invalid keeps its
-	// panic value so every later call fails the same way.
-	derived sync.Once
-	sched   *schedule
-	invalid any
+	sched *schedule
 }
 
 // surface adapts the campaign to the shared engine's Surface interface:
@@ -138,7 +118,7 @@ type surface struct {
 	opt Options
 }
 
-func (s surface) Width() int                             { return s.c.DType.Width() }
+func (s surface) Campaign() *engine.Campaign             { return &s.c.Campaign }
 func (s surface) NewReport() *Report                     { return &Report{} }
 func (s surface) Merge(dst, src *Report)                 { dst.Merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
@@ -166,22 +146,16 @@ func (c *Campaign) Run(opt Options) *Report {
 }
 
 // schedule returns the network's array schedules, deriving them on first
-// use, and fails fast on a malformed campaign before any shard runs.
+// use, and fails fast on a malformed campaign before any shard runs
+// (engine.Campaign.Prepare): missing inputs or an unknown dataflow.
 func (c *Campaign) schedule() *schedule {
-	if len(c.Inputs) == 0 {
-		panic("systolic: campaign needs at least one input")
-	}
-	if c.Flow < 0 || c.Flow >= NumDataflows {
-		panic(fmt.Sprintf("systolic: unknown dataflow %d", int(c.Flow)))
-	}
-	c.derived.Do(func() {
-		defer func() { c.invalid = recover() }()
+	c.Prepare(func() {
+		if c.Flow < 0 || c.Flow >= NumDataflows {
+			panic(fmt.Sprintf("systolic: unknown dataflow %d", int(c.Flow)))
+		}
 		c.Net.EnableQuantCache()
 		c.sched = newSchedule(c.Net, c.DType, c.Array, c.Flow)
 	})
-	if c.invalid != nil {
-		panic(c.invalid)
-	}
 	return c.sched
 }
 
@@ -230,16 +204,8 @@ type injector struct {
 	archMasked bool
 }
 
-func (inj *injector) Network() (*network.Network, numeric.Type) { return inj.c.Net, inj.c.DType }
-func (inj *injector) Inputs() int                               { return len(inj.c.Inputs) }
-func (inj *injector) SeedMul() int64                            { return seedMul }
-func (inj *injector) Values() int                               { return 0 }
-
-// Golden resolves input i once for the campaign's lifetime
-// (network.GoldenMemo).
-func (inj *injector) Golden(i int) *network.Execution {
-	return inj.c.goldens.Golden(inj.c.Net, inj.c.DType, inj.c.Inputs, i, inj.c.GoldenFn)
-}
+func (inj *injector) SeedMul() int64 { return seedMul }
+func (inj *injector) Values() int    { return 0 }
 
 func (inj *injector) Report() *Report {
 	r := &Report{}

@@ -54,7 +54,7 @@ func smallInputs(n int) []*tensor.Tensor {
 }
 
 func TestCampaignDeterministic(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}, Array: tinyArray}
 	opt := Options{N: 120, Seed: 9, Workers: 3}
 	r1 := c.Run(opt)
 	r2 := c.Run(opt)
@@ -144,7 +144,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 		for _, eval := range []engine.EvalMode{engine.EvalPerBit, engine.EvalSiteScalar, engine.EvalSiteBitPlane} {
 			for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 				for _, shards := range []int{1, 2, 7} {
-					c := &Campaign{Net: buildSmall(), DType: dt, Inputs: inputs, Array: tinyArray}
+					c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: inputs}, Array: tinyArray}
 					opt := Options{N: 24, Seed: 11, Workers: shards, Sampling: sampling, PilotN: 8, Eval: eval}
 					solo := marshal(t, c.Run(opt))
 					merged := marshal(t, MergeReports(engine.ShardReports(c.Surface(opt))))
@@ -176,7 +176,7 @@ func TestDataflowShardMergeBitIdentical(t *testing.T) {
 			for _, eval := range []engine.EvalMode{engine.EvalPerBit, engine.EvalSiteScalar, engine.EvalSiteBitPlane} {
 				for _, sampling := range []engine.SamplingMode{engine.SamplingUniform, engine.SamplingStratified} {
 					for _, shards := range []int{1, 3} {
-						c := &Campaign{Net: buildSmall(), DType: dt, Inputs: inputs, Array: tinyArray, Flow: flow}
+						c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: inputs}, Array: tinyArray, Flow: flow}
 						opt := Options{N: 24, Seed: 11, Workers: shards, Sampling: sampling, PilotN: 8, Eval: eval}
 						if eval == engine.EvalPerBit {
 							opt.MBU = 3
@@ -201,7 +201,7 @@ func TestDataflowShardMergeBitIdentical(t *testing.T) {
 func TestDataflowSiteModesBitIdentical(t *testing.T) {
 	for _, flow := range []Dataflow{OutputStationary, InputStationary} {
 		for _, dt := range numeric.Types {
-			c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+			c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2)}, Array: tinyArray, Flow: flow}
 			base := Options{N: 3*dt.Width() + 5, Seed: 13, Workers: 2}
 			scalar := base
 			scalar.Eval = engine.EvalSiteScalar
@@ -225,7 +225,7 @@ func TestDataflowSiteModesBitIdentical(t *testing.T) {
 func TestDataflowsDiverge(t *testing.T) {
 	reports := make([]string, NumDataflows)
 	for flow := WeightStationary; flow < NumDataflows; flow++ {
-		c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+		c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}, Array: tinyArray, Flow: flow}
 		reports[flow] = string(marshal(t, c.Run(Options{N: 300, Seed: 5})))
 	}
 	if reports[WeightStationary] == reports[OutputStationary] &&
@@ -238,7 +238,7 @@ func TestDataflowsDiverge(t *testing.T) {
 // oracle: same draws, same tallies, byte-identical reports.
 func TestSiteModesBitIdentical(t *testing.T) {
 	for _, dt := range numeric.Types {
-		c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2), Array: tinyArray}
+		c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2)}, Array: tinyArray}
 		base := Options{N: 3*dt.Width() + 5, Seed: 13, Workers: 2}
 		scalar := base
 		scalar.Eval = engine.EvalSiteScalar
@@ -255,7 +255,7 @@ func TestSiteModesBitIdentical(t *testing.T) {
 }
 
 func TestStratifiedEstimateAndPrior(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}, Array: tinyArray}
 	var pilot *engine.StrataSummary
 	opt := Options{
 		N: 160, Seed: 7, Workers: 3, Sampling: engine.SamplingStratified, PilotN: 48,
@@ -293,7 +293,7 @@ func TestStratifiedEstimateAndPrior(t *testing.T) {
 }
 
 func TestMBUCampaign(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}, Array: tinyArray}
 	opt := Options{N: 100, Seed: 19, Workers: 2, MBU: 3}
 	r := c.Run(opt)
 	if r.Counts.Trials != 100 {
@@ -327,7 +327,7 @@ func TestMBUCampaign(t *testing.T) {
 }
 
 func TestMBURejectsSiteModes(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}, Array: tinyArray}
 	defer func() {
 		if recover() == nil {
 			t.Error("MBU + site mode did not panic")
@@ -337,7 +337,7 @@ func TestMBURejectsSiteModes(t *testing.T) {
 }
 
 func TestMBUWiderThanWordRejected(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}, Array: tinyArray}
 	defer func() {
 		if recover() == nil {
 			t.Error("MBU wider than the word did not panic")
@@ -347,7 +347,7 @@ func TestMBUWiderThanWordRejected(t *testing.T) {
 }
 
 func TestDetectorTally(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(1)}, Array: tinyArray}
 	detect := func(e *network.Execution) bool { return e != nil && !e.Masked }
 	r := c.Run(Options{N: 60, Seed: 23, Workers: 2, Detector: detect})
 	if r.Detection.Total != 60 {
@@ -359,7 +359,7 @@ func TestDetectorTally(t *testing.T) {
 }
 
 func TestFaultsCauseSomeSDCs(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}, Array: tinyArray}
 	r := c.Run(Options{N: 200, Seed: 21})
 	if r.Counts.Hits[sdc.SDC1] == 0 {
 		t.Error("no SDC-1 from 200 systolic faults in a shallow fixed-point network")
@@ -382,7 +382,7 @@ func TestLatchBits(t *testing.T) {
 // slot executes on the campaign's one network and the array schedules
 // derived from it once: nothing is built or derived per slot.
 func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
-	c := &Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2), Array: tinyArray}
+	c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: numeric.Fx16RB10, Inputs: smallInputs(2)}, Array: tinyArray}
 	var forwards atomic.Int32
 	c.GoldenFn = func(_ int, compute func() *network.Execution) *network.Execution {
 		forwards.Add(1)
@@ -394,7 +394,7 @@ func TestCampaignGoldensComputedOncePerInput(t *testing.T) {
 	ps, peo := c.Surface(strat)
 	sched := c.sched
 	us, ueo := c.Surface(opt)
-	pilots, uniform := engine.NewPlan(peo, ps.Width()), engine.NewPlan(ueo, us.Width())
+	pilots, uniform := engine.NewPlan(peo, ps.Campaign().DType.Width()), engine.NewPlan(ueo, us.Campaign().DType.Width())
 	for s := 0; s < 3; s++ {
 		engine.RunSlot(ps, pilots, 2*s, nil) // shard s's pilot slot
 		engine.RunSlot(us, uniform, s, nil)

@@ -90,7 +90,7 @@ func TestFaultsMatchDenseOracle(t *testing.T) {
 	}
 	for flow := WeightStationary; flow < NumDataflows; flow++ {
 		for _, dt := range []numeric.Type{numeric.Fx16RB10, numeric.Float16} {
-			c := &Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2), Array: tinyArray, Flow: flow}
+			c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: smallInputs(2)}, Array: tinyArray, Flow: flow}
 			plain := buildSmall()
 			goldens := make([]*network.Execution, len(c.Inputs))
 			for i, in := range c.Inputs {
