@@ -109,10 +109,6 @@ func (m *Machine) Err() error { return m.failure }
 // Completed reports how many slots have final reports.
 func (m *Machine) Completed() int { return m.completed }
 
-// Resumed reports how many slots were restored from a journal instead of
-// executed.
-func (m *Machine) Resumed() int { return m.resumed }
-
 // Retried reports the total lease expiries over the campaign's lifetime.
 func (m *Machine) Retried() int { return m.retried }
 
@@ -269,6 +265,20 @@ func (m *Machine) LeaseEverGranted(leaseID string, slot int) bool {
 // untouched: reports come off the wire, and everything downstream — merge,
 // snapshot, table construction — indexes them without looking.
 func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
+	return m.accept(slot, r, false)
+}
+
+// AcceptLeased is Accept for a report a worker delivers against a lease of
+// the slot: it also refuses a report whose overall tally does not count
+// exactly the injections the plan assigns the slot (engine.Plan.Injections),
+// so no stratum of an accepted report can tally more trials than the slot
+// ran. Accept itself, the journal's replay path, checks a report's shape and
+// internal consistency only.
+func (m *Machine) AcceptLeased(slot int, r *Report) (first bool, err error) {
+	return m.accept(slot, r, true)
+}
+
+func (m *Machine) accept(slot int, r *Report, leased bool) (first bool, err error) {
 	if slot < 0 || slot >= len(m.shards) {
 		return false, fmt.Errorf("campaign: slot %d out of range [0,%d)", slot, len(m.shards))
 	}
@@ -276,6 +286,10 @@ func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
 	st, err := r.validate(m.spec, phase)
 	if err != nil {
 		return false, err
+	}
+	if leased && r.Counts().Trials != m.plan.Injections(slot) {
+		return false, fmt.Errorf("campaign: slot %d report tallies %d trials, the slot runs %d injections",
+			slot, r.Counts().Trials, m.plan.Injections(slot))
 	}
 	sh := &m.shards[slot]
 	if sh.done {

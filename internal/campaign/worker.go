@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/rand/v2"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +75,9 @@ func (w *Worker) Draining() bool { return w.draining.Load() }
 // requested (in-flight shards still deliver), MaxLeases is reached — all
 // three return nil — or the plane is unreachable for GiveUp (returns an
 // error). A plane never tells its fleet "done": campaigns finish one by
-// one while the fleet keeps asking for the next.
+// one while the fleet keeps asking for the next. A lease whose execution
+// fails — an error or a panic — is logged and abandoned, and the worker
+// keeps serving.
 //
 // The loop is a three-stage pipeline: one fetcher requests up to
 // Procs+2 leases per roundtrip and queues them, Procs executors
@@ -126,9 +130,13 @@ func (w *Worker) Run(ctx context.Context) error {
 				}
 				report, err := w.runLease(cs, j.lease)
 				if err != nil {
+					// One bad lease does not stop the worker: its heartbeat
+					// stops, so the plane re-leases the slot on expiry and
+					// fails the campaign after MaxRetries.
 					j.stopHB()
-					fail(fmt.Errorf("campaign worker %s: %v", w.Name, err))
-					return
+					log.Printf("campaign worker %s: campaign %s slot %d lease %s failed: %v",
+						w.Name, j.lease.Campaign, j.lease.Slot, j.lease.ID, err)
+					continue
 				}
 				pr := pendingReport{
 					req: ReportRequest{
@@ -351,8 +359,14 @@ func backoff(base time.Duration, fails int) time.Duration {
 }
 
 // runLease executes one lease through its spec's row of the surface table
-// and returns the partial report in the surface-tagged wire type.
-func (w *Worker) runLease(cs *campaignSet, l *Lease) (*Report, error) {
+// and returns the partial report in the surface-tagged wire type. A panic
+// in the execution comes back as an error carrying its stack.
+func (w *Worker) runLease(cs *campaignSet, l *Lease) (r *Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = nil, fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+		}
+	}()
 	row, err := surfaceOf(l.Spec.Surface)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		t.Fatal("no lease granted")
 	}
 	if err := p.ReportBatch([]campaign.ReportRequest{{
-		Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec),
+		Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec, l.Slot),
 	}})[0]; err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func compactionFixture(t testing.TB) (orig, snap []byte) {
 			t.Fatal("no lease granted")
 		}
 		if err := p.ReportBatch([]campaign.ReportRequest{{
-			Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec),
+			Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec, l.Slot),
 		}})[0]; err != nil {
 			t.Fatal(err)
 		}

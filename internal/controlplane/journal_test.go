@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/engine"
 	"repro/internal/faultinj"
 )
 
@@ -21,8 +22,11 @@ func journalLines(bs ...[]byte) []byte {
 	return out
 }
 
-func testReport(spec campaign.Spec) *campaign.Report {
+// testReport is a datapath report of a slot of spec, shaped and counted
+// like a real one but with every injection masked.
+func testReport(spec campaign.Spec, slot int) *campaign.Report {
 	r := &campaign.Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
+	r.Datapath.Counts.Trials = engine.NewPlan(spec.BufferOptions(), spec.Type().Width()).Injections(slot)
 	r.Datapath.Masked = 1
 	return r
 }
@@ -39,7 +43,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	hdr, _ := json.Marshal(journalHeader{Version: journalVersion})
 	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c7", Tenant: "alice", Priority: 2, Spec: &spec})
-	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c7", Slot: 0, Report: testReport(spec)})
+	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c7", Slot: 0, Report: testReport(spec, 0)})
 
 	path := filepath.Join(t.TempDir(), "ctl.journal")
 	good := journalLines(hdr, sub, rep)
@@ -86,8 +90,8 @@ func TestJournalRefusals(t *testing.T) {
 	v3hdr, _ := json.Marshal(journalHeader{Version: 3})
 	v4hdr, _ := json.Marshal(journalHeader{Version: 4})
 	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Spec: &spec})
-	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: testReport(spec)})
-	foreign, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c9", Slot: 0, Report: testReport(spec)})
+	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: testReport(spec, 0)})
+	foreign, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c9", Slot: 0, Report: testReport(spec, 0)})
 
 	cases := map[string][]byte{
 		"v3 checkpoint":     journalLines(v3hdr, sub),
@@ -133,10 +137,10 @@ func FuzzQueueCheckpoint(f *testing.F) {
 	v3hdr, _ := json.Marshal(journalHeader{Version: 3})
 	subA, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Tenant: "alice", Priority: 4, Quota: 2, Spec: &specA})
 	subB, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c2", Tenant: "bob", Priority: 1, Spec: &specB})
-	repA, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 1, Report: testReport(specA)})
-	repB, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c2", Slot: 0, Report: testReport(specB)})
+	repA, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 1, Report: testReport(specA, 1)})
+	repB, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c2", Slot: 0, Report: testReport(specB, 0)})
 	cancelB, _ := json.Marshal(journalEvent{Event: evCancel, Campaign: "c2"})
-	foreign, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c9", Slot: 0, Report: testReport(specA)})
+	foreign, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c9", Slot: 0, Report: testReport(specA, 0)})
 
 	f.Add([]byte{})
 	f.Add(journalLines(hdr))

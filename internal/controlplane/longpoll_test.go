@@ -170,7 +170,7 @@ func TestLeaseLongPoll(t *testing.T) {
 		}
 		ch := heldLease(context.Background(), t, srv, held)
 		start := time.Now()
-		if err := p.ReportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec)}})[0]; err != nil {
+		if err := p.ReportBatch([]campaign.ReportRequest{{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: testReport(l.Spec, l.Slot)}})[0]; err != nil {
 			t.Fatal(err)
 		}
 		if ls := woken(t, <-ch, start); len(ls) != 1 {

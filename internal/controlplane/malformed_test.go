@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/sdc"
 )
 
 // padding is an endless run of spaces: the whitespace before a JSON value
@@ -28,7 +29,8 @@ func (padding) Read(p []byte) (int, error) {
 }
 
 // TestMalformedReportsRefusedOverHTTP posts reports of the right surface
-// but the wrong shape — from a worker holding a real lease — through
+// but the wrong shape, or with tallies no slot of the campaign could have
+// produced — from a worker holding a real lease — through
 // POST /v1/reports, with a stream subscriber attached (the broadcast after
 // an accept is where a mis-shaped report used to panic under the plane
 // lock). Every one must come back as a per-report 4xx with no journal
@@ -43,7 +45,8 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 		Net: "ConvNet", DType: "16b_rb10", N: 60, Inputs: 2, Seed: 32,
 		Shards: 3, Surface: "buffer", Buffer: "psum", Sampling: "stratified",
 	}
-	wantUni, wantStrat := soloBytes(t, uni), soloBytes(t, strat)
+	sys := campaign.Spec{Net: "ConvNet", DType: "16b_rb10", N: 30, Inputs: 1, Seed: 33, Shards: 2, Surface: "systolic"}
+	wantUni, wantStrat, wantSys := soloBytes(t, uni), soloBytes(t, strat), soloBytes(t, sys)
 
 	journal := filepath.Join(t.TempDir(), "ctl.journal")
 	p1, err := New(Config{JournalPath: journal, LeaseTTL: time.Minute})
@@ -55,6 +58,7 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 	client.Timeout = 10 * time.Second // a wedged plane fails the test instead of hanging it
 	idUni := mustSubmit(t, p1, "alice", uni, 1, 0)
 	idStrat := mustSubmit(t, p1, "bob", strat, 1, 0)
+	idSys := mustSubmit(t, p1, "carol", sys, 1, 0)
 
 	// The stream subscriber, attached before any report lands.
 	lines := make(chan string, 64)
@@ -101,9 +105,32 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 			byCampaign[l.Campaign] = l
 		}
 	}
-	lu, ls := byCampaign[idUni], byCampaign[idStrat]
-	if lu == nil || ls == nil || ls.Phase != "pilot" {
-		t.Fatalf("want a uniform and a pilot lease, got %+v / %+v", lu, ls)
+	lu, ls, ly := byCampaign[idUni], byCampaign[idStrat], byCampaign[idSys]
+	if lu == nil || ls == nil || ly == nil || ls.Phase != "pilot" {
+		t.Fatalf("want a uniform, a pilot and a systolic lease, got %+v / %+v / %+v", lu, ls, ly)
+	}
+	// The leases' honest reports, and forgeries of them: a deep copy with
+	// one tally changed.
+	honest := map[*campaign.Lease]*campaign.Report{}
+	for _, l := range []*campaign.Lease{lu, ls, ly} {
+		if honest[l], err = campaign.ExecuteLease(l, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forged := func(l *campaign.Lease, forge func(r *campaign.Report)) string {
+		b, err := json.Marshal(honest[l])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r campaign.Report
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		forge(&r)
+		if b, err = json.Marshal(&r); err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
 
 	blocks20 := "[" + strings.TrimSuffix(strings.Repeat("{},", 20), ",") + "]"
@@ -120,6 +147,24 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 		{ls, `{"buffer":{}}`}, // a pilot slot without strata
 		{ls, `{"buffer":{"Strata":{"blocks":5,"bits":16,"weight":[],"counts":[]}}}`},
 		{ls, `{"buffer":{"Strata":{"blocks":1,"bits":1,"weight":["0"],"counts":[{}]}}}`},
+		// Tallies no run of injections produces, everywhere a report
+		// carries one.
+		{lu, forged(lu, func(r *campaign.Report) {
+			r.Datapath.Counts.Hits[sdc.SDC1] = r.Datapath.Counts.DefinedTrials[sdc.SDC1] + 1
+		})},
+		{lu, forged(lu, func(r *campaign.Report) { r.Datapath.PerBit[3].Hits[sdc.SDC5] = -1 })},
+		{lu, forged(lu, func(r *campaign.Report) {
+			r.Datapath.PerBlock[1].DefinedTrials[sdc.SDC1] = r.Datapath.PerBlock[1].Trials + 1
+		})},
+		{lu, forged(lu, func(r *campaign.Report) { r.Datapath.PerTarget[0].Trials = -1 })},
+		{ly, forged(ly, func(r *campaign.Report) { r.Systolic.PerLatch[2].Hits[sdc.SDC1] = -1 })},
+		{ls, forged(ls, func(r *campaign.Report) {
+			r.Buffer.Strata.Counts[0].Hits[sdc.SDC1], r.Buffer.Strata.Counts[0].DefinedTrials[sdc.SDC1] = -1_000_000, 0
+		})},
+		// Strata that do not sum to the overall tally.
+		{ls, forged(ls, func(r *campaign.Report) { r.Buffer.Strata.Counts[0].Trials++ })},
+		// A consistent report of more injections than the slot runs.
+		{lu, forged(lu, func(r *campaign.Report) { r.Datapath.Counts.Trials++ })},
 	}
 	var batch struct {
 		Reports []json.RawMessage `json:"reports"`
@@ -206,7 +251,7 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 		t.Fatalf("List after the refusals: %v", err)
 	}
 	resp.Body.Close()
-	for _, id := range []string{idUni, idStrat} {
+	for _, id := range []string{idUni, idStrat, idSys} {
 		resp, err := client.Get(srv.URL + "/v1/campaigns/" + id)
 		if err != nil {
 			t.Fatalf("Get %s after the refusals: %v", id, err)
@@ -221,12 +266,8 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 
 	// The leases are still good: their real reports land, and the stream
 	// subscriber hears about it.
-	for _, l := range []*campaign.Lease{lu, ls} {
-		rep, err := campaign.ExecuteLease(l, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := campaign.ReportBatchRequest{Reports: []campaign.ReportRequest{{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: rep}}}
+	for _, l := range []*campaign.Lease{lu, ls, ly} {
+		req := campaign.ReportBatchRequest{Reports: []campaign.ReportRequest{{Campaign: l.Campaign, LeaseID: l.ID, Shard: l.Slot, Report: honest[l]}}}
 		var ok campaign.ReportBatchResponse
 		post("/v1/reports", req, &ok)
 		if len(ok.Results) != 1 || ok.Results[0].Code != 0 {
@@ -249,12 +290,13 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 	srv.Close()
 	p1.Close()
 
-	// Reopen on the same journal: it holds the two submits and the two real
-	// reports, replays cleanly, and both campaigns finish equal to solo.
+	// Reopen on the same journal: it holds the three submits and the three
+	// real reports, replays cleanly, and every campaign finishes equal to
+	// solo.
 	p2 := newTestPlane(t, Config{JournalPath: journal, LeaseTTL: time.Minute})
 	srv2 := httptest.NewServer(p2.Handler())
 	defer srv2.Close()
-	for _, id := range []string{idUni, idStrat} {
+	for _, id := range []string{idUni, idStrat, idSys} {
 		if st, err := p2.Get("", id); err != nil || st.Snapshot.ResumedShards != 1 {
 			t.Fatalf("campaign %s after replay: %+v (%v)", id, st.Snapshot, err)
 		}
@@ -263,11 +305,12 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 	errs := runFleet(t, srv2, 2, "", stop)
 	waitState(t, p2, idUni, StateDone)
 	waitState(t, p2, idStrat, StateDone)
+	waitState(t, p2, idSys, StateDone)
 	close(stop)
 	for i := 0; i < 2; i++ {
 		<-errs
 	}
-	for id, want := range map[string][]byte{idUni: wantUni, idStrat: wantStrat} {
+	for id, want := range map[string][]byte{idUni: wantUni, idStrat: wantStrat, idSys: wantSys} {
 		got, err := p2.FinalReportJSON("", id)
 		if err != nil {
 			t.Fatal(err)

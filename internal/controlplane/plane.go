@@ -614,10 +614,11 @@ func (p *Plane) ReportBatch(reqs []campaign.ReportRequest) []error {
 // cancelled campaigns are dropped without error — the worker did honest
 // work against a lease that was valid when granted; there is nothing for it
 // to retry. A report whose lease was never granted for its slot is refused:
-// Accept itself is lease-agnostic (a late delivery from an expired lease is
+// the ledger is lease-agnostic (a late delivery from an expired lease is
 // bit-identical to the re-leased worker's), so without this check any
 // caller could inject a structurally-valid fabricated report and have it
-// merged silently.
+// merged silently. A granted one must tally the slot's injections
+// (AcceptLeased).
 func (p *Plane) reportLocked(req *campaign.ReportRequest) (error, func() error) {
 	c, ok := p.camps[req.Campaign]
 	if !ok {
@@ -629,7 +630,7 @@ func (p *Plane) reportLocked(req *campaign.ReportRequest) (error, func() error) 
 	if !c.m.LeaseEverGranted(req.LeaseID, req.Shard) {
 		return planeError{403, fmt.Sprintf("controlplane: campaign %s never granted lease %q for slot %d", c.id, req.LeaseID, req.Shard)}, nil
 	}
-	first, err := c.m.Accept(req.Shard, req.Report)
+	first, err := c.m.AcceptLeased(req.Shard, req.Report)
 	if err != nil || !first {
 		return err, nil
 	}

@@ -148,8 +148,9 @@ func NewStrata(blocks, bits int, weight HexFloats, spread bool) *StrataSummary {
 // a blocks×bits stratum grid carries — what Merge, Estimate and the table
 // builders index without looking: every per-stratum slice blocks·bits long
 // (the spread accumulators only when the campaign tracks spread, absent
-// otherwise) and every weight a finite non-negative probability. It is
-// the gate for summaries decoded from outside the process.
+// otherwise), every weight a finite non-negative probability and every
+// tally one sdc.Counts.Add could have produced. It is the gate for
+// summaries decoded from outside the process.
 func (s *StrataSummary) Check(blocks, bits int, spread bool) error {
 	n := blocks * bits
 	if s.Blocks != blocks || s.Bits != bits {
@@ -161,6 +162,9 @@ func (s *StrataSummary) Check(blocks, bits int, spread bool) error {
 	for h, w := range s.Weight {
 		if !(w >= 0) || math.IsInf(w, 1) {
 			return fmt.Errorf("engine: stratum %d has weight %v", h, w)
+		}
+		if err := s.Counts[h].Check(); err != nil {
+			return fmt.Errorf("engine: stratum %d: %v", h, err)
 		}
 	}
 	if !spread {

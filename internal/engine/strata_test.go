@@ -278,3 +278,19 @@ func FuzzStratumTable(f *testing.F) {
 		checkTable(t, s, int(units), group)
 	})
 }
+
+// TestStrataCheckRefusesForgedTallies: a summary of the right shape whose
+// tallies no injection could have produced — negative hits over no defined
+// trials, the forgery that turns every allocation-table cell to ≈ −9·10¹⁸ —
+// is refused at the gate, not built into a table.
+func TestStrataCheckRefusesForgedTallies(t *testing.T) {
+	s := NewStrata(2, 4, HexFloats{1, 1, 1, 1, 1, 1, 1, 1}, false)
+	setTally(&s.Counts[3], 10, 4)
+	if err := s.Check(2, 4, false); err != nil {
+		t.Fatalf("honest strata refused: %v", err)
+	}
+	s.Counts[5].Hits[sdc.SDC1] = -1_000_000
+	if err := s.Check(2, 4, false); err == nil {
+		t.Fatal("stratum with -1e6 SDC-1 hits over 0 defined trials passed Check")
+	}
+}

@@ -12,6 +12,7 @@
 package sdc
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/network"
@@ -138,6 +139,18 @@ func (c *Counts) Merge(d Counts) {
 		c.Hits[k] += d.Hits[k]
 		c.DefinedTrials[k] += d.DefinedTrials[k]
 	}
+}
+
+// Check reports whether c is a tally Add could have produced: for every
+// criterion 0 ≤ Hits ≤ DefinedTrials ≤ Trials. It is the gate for tallies
+// decoded from outside the process.
+func (c Counts) Check() error {
+	for k := range c.Hits {
+		if c.Hits[k] < 0 || c.Hits[k] > c.DefinedTrials[k] || c.DefinedTrials[k] > c.Trials {
+			return fmt.Errorf("sdc: %v tally of %d hits in %d defined of %d trials", Kind(k), c.Hits[k], c.DefinedTrials[k], c.Trials)
+		}
+	}
+	return nil
 }
 
 // Probability returns the SDC probability for a criterion over the runs

@@ -175,3 +175,27 @@ func TestRelativeChange(t *testing.T) {
 		t.Errorf("relativeChange(1,NaN) = %v, want +Inf", got)
 	}
 }
+
+// TestCountsCheck: every tally Add builds passes; one with hits outside
+// [0, DefinedTrials] or more defined than total trials does not.
+func TestCountsCheck(t *testing.T) {
+	var c Counts
+	for i := 0; i < 5; i++ {
+		c.Add(Outcome{Hit: [NumKinds]bool{i%2 == 0}, Defined: [NumKinds]bool{true, true}})
+	}
+	if err := c.Check(); err != nil {
+		t.Fatalf("Add-built tally refused: %v", err)
+	}
+	for name, forge := range map[string]func(*Counts){
+		"negative hits":            func(c *Counts) { c.Hits[SDC5] = -1 },
+		"hits past defined":        func(c *Counts) { c.Hits[SDC1] = c.DefinedTrials[SDC1] + 1 },
+		"defined past trials":      func(c *Counts) { c.DefinedTrials[SDC10] = c.Trials + 1 },
+		"negative trials, no hits": func(c *Counts) { *c = Counts{Trials: -3} },
+	} {
+		f := c
+		forge(&f)
+		if f.Check() == nil {
+			t.Errorf("%s: %+v passed Check", name, f)
+		}
+	}
+}
