@@ -85,11 +85,11 @@ type stubModel struct {
 	shard int
 }
 
-func (m *stubModel) SeedMul() int64                         { return 1 }
-func (m *stubModel) Report() *expr                          { return &expr{} }
-func (m *stubModel) Values() int                            { return 0 }
-func (m *stubModel) Single() (int, layers.PlaneFault, bool) { return 0, layers.PlaneFault{}, false }
-func (m *stubModel) Eval(int) *network.Execution            { return m.g }
+func (m *stubModel) SeedMul() int64                                    { return 1 }
+func (m *stubModel) Report() *expr                                     { return &expr{} }
+func (m *stubModel) Values() int                                       { return 0 }
+func (m *stubModel) Single() (int, layers.PlaneFault, bool)            { return 0, layers.PlaneFault{}, false }
+func (m *stubModel) Eval(*network.SlotScratch, int) *network.Execution { return m.g }
 func (m *stubModel) Draw(_ *rand.Rand, g *network.Execution, u Unit) int {
 	m.g = g
 	if u.Index < m.shards {

@@ -15,7 +15,7 @@ import (
 // or psum register. The site is f's latch at chain step f.MACStep of output
 // element f.OutputIndex of layer li under golden execution g (f.Bits is
 // ignored); batch is the caller's InjectionBatch over (g, li), which may
-// serve many sites.
+// serve many sites, and sc the slot scratch every propagation runs on.
 //
 // The analytical screen (see screen) proves bits masked without a replay;
 // one bit-parallel chain replay (layers.PlaneForwarder) covers the rest,
@@ -30,10 +30,11 @@ import (
 //
 // tally is called once per bit in ascending order with the bit's faulty
 // chain value fv, its outcome, its faulty execution — nil when the fault is
-// masked and !needExec — and pre, set when the ReLU kill proved the bit
-// masked: no replay ran, so fv is golden's. Everything but pre is
-// bit-identical to replaying the chain once per bit (EvalSiteScalar).
-func EvalPlaneSite(net *network.Network, dt numeric.Type, g *network.Execution, li int, batch *network.InjectionBatch, f layers.PlaneFault, nbits int, exact uint64, needExec bool,
+// masked and !needExec, sc's otherwise and valid until tally returns — and
+// pre, set when the ReLU kill proved the bit masked: no replay ran, so fv is
+// golden's. Everything but pre is bit-identical to replaying the chain once
+// per bit (EvalSiteScalar).
+func EvalPlaneSite(net *network.Network, dt numeric.Type, g *network.Execution, li int, batch *network.InjectionBatch, sc *network.SlotScratch, f layers.PlaneFault, nbits int, exact uint64, needExec bool,
 	tally func(bit int, fv float64, outcome sdc.Outcome, faulty *network.Execution, pre bool)) {
 	oi := f.OutputIndex
 	gv := g.Acts[li].Data[oi]
@@ -52,17 +53,24 @@ func EvalPlaneSite(net *network.Network, dt numeric.Type, g *network.Execution, 
 	same, kill := screen(net, dt, li, batch, f, nbits, gv, exact)
 	var vals [64]float64
 	if f.Bits = full &^ same &^ kill; f.Bits != 0 {
-		if gg := batch.ForwardPlane(&f, &vals); math.Float64bits(gg) != math.Float64bits(gv) {
+		pv, gg := batch.ForwardPlane(f)
+		if math.Float64bits(gg) != math.Float64bits(gv) {
 			panic("engine: plane replay diverged from the golden execution")
 		}
+		vals = *pv
 	}
 
+	// seen caches one propagation per distinct faulty value. Only the
+	// scratch's latest propagation (seen[live]) is still in memory, so a
+	// hit on an older one that needs its execution propagates again — the
+	// same pure function of fv, so the same outcome and activations.
 	type propagated struct {
 		fv      uint64
 		outcome sdc.Outcome
 		faulty  *network.Execution
 	}
-	var seen []propagated
+	seen := make([]propagated, 0, 64)
+	live := -1
 	for bit := 0; bit < nbits; bit++ {
 		b := uint64(1) << uint(bit)
 		if kill&b != 0 {
@@ -73,23 +81,23 @@ func EvalPlaneSite(net *network.Network, dt numeric.Type, g *network.Execution, 
 			vals[bit] = gv
 		}
 		fv := vals[bit]
-		p := propagated{fv: math.Float64bits(fv), outcome: maskedOut}
-		cached := false
-		for _, s := range seen {
-			if s.fv == p.fv {
-				p, cached = s, true
-				break
-			}
+		k := 0
+		for k < len(seen) && seen[k].fv != math.Float64bits(fv) {
+			k++
 		}
-		if !cached {
-			if needExec {
-				p.faulty = batch.Propagate(oi, fv)
-				p.outcome = sdc.Classify(net, g, p.faulty)
-			} else if exec, masked := batch.PropagateShared(oi, fv); !masked {
+		if k == len(seen) || (seen[k].faulty != nil && k != live) {
+			p := propagated{fv: math.Float64bits(fv), outcome: maskedOut}
+			if exec := sc.Propagate(g, li, oi, fv); needExec || !exec.Masked {
 				p.faulty, p.outcome = exec, sdc.Classify(net, g, exec)
 			}
-			seen = append(seen, p)
+			if k == len(seen) {
+				seen = append(seen, p)
+			} else {
+				seen[k] = p
+			}
+			live = k
 		}
+		p := seen[k]
 		tally(bit, fv, p.outcome, p.faulty, false)
 	}
 }

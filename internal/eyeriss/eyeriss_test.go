@@ -206,7 +206,7 @@ func TestImgRegFaultConfinedToRow(t *testing.T) {
 	conv := net.Layers[0].(*layers.ConvLayer)
 	inj := newInjector(net, dt, nil, 1)
 	s := site{li: 0, oc: 2, oh: 3, ic: 0, ih: 3, iw: 3, bit: 14}
-	act := inj.eval(ImgReg, g, s, 1).Acts[0]
+	act := inj.eval(net.NewSlotScratch(dt), ImgReg, g, s, 1).Acts[0]
 	if act == g.Acts[0] {
 		t.Fatal("a bit-14 Img REG upset left the struck row bit-identical to golden")
 	}
@@ -302,7 +302,7 @@ func TestFilterSRAMQuantInvalidation(t *testing.T) {
 	}
 
 	for li, wi := range map[int]int{0: 3, 3: 77} { // conv1, fc2
-		cf := newInjector(cached, dt, nil, 1).eval(FilterSRAM, cg, site{li: li, word: wi, bit: 12}, 1)
+		cf := newInjector(cached, dt, nil, 1).eval(cached.NewSlotScratch(dt), FilterSRAM, cg, site{li: li, word: wi, bit: 12}, 1)
 
 		var wts []float64
 		switch l := plain.Layers[li].(type) {

@@ -159,11 +159,12 @@ func TestBufferFaultsMatchDenseOracle(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%v/%s", plain.Name, dt, b, m.name), func(t *testing.T) {
 						opt := Options{N: n, Seed: 4242, Workers: 1, Eval: m.eval, MBU: m.mbu, Detector: det}
 						inj := c.newShard(opt)
+						sc := c.Net.NewSlotScratch(dt)
 						rng := rand.New(rand.NewSource(opt.Seed))
 						var want Report
 						masked := 0
 						check := func(g *network.Execution, s site) {
-							got := inj.eval(b, g, s, m.mbu)
+							got := inj.eval(sc, b, g, s, m.mbu)
 							ref := denseEval(plain, dt, b, g, s, m.mbu)
 							for l := range ref.Acts {
 								if !tensor.BitIdentical(got.Acts[l], ref.Acts[l]) {

@@ -125,6 +125,7 @@ func TestPreScreenSoundness(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(123 + width)))
 
 		claimed, checked := 0, 0
+		sc := c.Net.NewSlotScratch(c.DType)
 		for trial := 0; trial < 400; trial++ {
 			site := c.Profile().Draw(rng, -1, 0, 1)
 			golden := c.Golden(trial % len(c.Inputs))
@@ -134,7 +135,7 @@ func TestPreScreenSoundness(t *testing.T) {
 			gv := golden.Acts[li].Data[site.Fault.OutputIndex]
 
 			f := layers.PlaneFault{OutputIndex: site.Fault.OutputIndex, MACStep: site.Fault.MACStep, Target: site.Fault.Target}
-			engine.EvalPlaneSite(c.Net, c.DType, golden, li, batch, f, width, 0, false,
+			engine.EvalPlaneSite(c.Net, c.DType, golden, li, batch, sc, f, width, 0, false,
 				func(b int, fv float64, outcome sdc.Outcome, faulty *network.Execution, pre bool) {
 					if faulty != nil {
 						return // a real execution, classified as such
@@ -224,9 +225,10 @@ func TestDrawUnits(t *testing.T) {
 }
 
 // TestMaskedExecutionRetainsFaultedElement documents the execution shape
-// PropagateShared's value-record synthesis relies on: a scalar masked run
-// whose fault died downstream (not inside the chain) still reports the
-// faulted element's recomputed value at the faulted layer.
+// the site modes' value records rely on: a scalar masked run whose fault
+// died downstream (not inside the chain) still reports the faulted
+// element's recomputed value at the faulted layer, and propagating that
+// value through a slot scratch comes back masked the same way.
 func TestMaskedExecutionRetainsFaultedElement(t *testing.T) {
 	net := smallNet()
 	dt := numeric.Fx32RB26
@@ -234,7 +236,7 @@ func TestMaskedExecutionRetainsFaultedElement(t *testing.T) {
 	opt := Options{}
 	c.setup(&opt)
 	golden := c.Golden(0)
-	batch := net.NewInjectionBatch(dt, golden, 0)
+	sc := net.NewSlotScratch(dt)
 	// Bit 0 of the accumulator at the last MAC step: below the quantization
 	// floor of nothing (fx keeps it), but a tiny delta that ReLU/pool
 	// almost always masks downstream.
@@ -251,9 +253,9 @@ func TestMaskedExecutionRetainsFaultedElement(t *testing.T) {
 		if faulty.Masked && math.Float64bits(fv) != math.Float64bits(gv) {
 			// Masked downstream, yet the faulted element keeps its
 			// recomputed value — the property under test.
-			exec, masked := batch.PropagateShared(fault.OutputIndex, fv)
-			if !masked || exec != nil {
-				t.Fatalf("PropagateShared disagreed with scalar masking at %s", site)
+			exec := sc.Propagate(golden, 0, fault.OutputIndex, fv)
+			if !exec.Masked || math.Float64bits(exec.Acts[0].Data[fault.OutputIndex]) != math.Float64bits(fv) {
+				t.Fatalf("SlotScratch.Propagate disagreed with scalar masking at %s", site)
 			}
 			return
 		}

@@ -25,6 +25,8 @@ type model struct {
 	g      *network.Execution
 	site   accel.Site
 	block  int
+	// fault is the drawn site's fault as Eval injects it at one bit.
+	fault layers.Fault
 }
 
 func (m *model) SeedMul() int64 { return seedMul }
@@ -62,16 +64,18 @@ func (m *model) Single() (int, layers.PlaneFault, bool) {
 	return m.site.Layer, layers.PlaneFault{OutputIndex: f.OutputIndex, MACStep: f.MACStep, Target: f.Target}, true
 }
 
-// Eval resumes the inference from the faulted layer — densely under the
-// Dense oracle — and panics on a fault the layer never consumed.
-func (m *model) Eval(bit int) *network.Execution {
-	f := m.site.Fault // copy; Applied is per-run state
+// Eval resumes the inference from the faulted layer on the slot scratch —
+// densely under the Dense oracle — and panics on a fault the layer never
+// consumed.
+func (m *model) Eval(sc *network.SlotScratch, bit int) *network.Execution {
+	f := &m.fault
+	*f = m.site.Fault // Applied is per-run state
 	f.Bit = bit
 	var faulty *network.Execution
 	if m.opt.Dense {
-		faulty = m.c.Net.ForwardFromDense(m.c.DType, m.g, m.site.Layer, &f)
+		faulty = m.c.Net.ForwardFromDense(m.c.DType, m.g, m.site.Layer, f)
 	} else {
-		faulty = m.c.Net.ForwardFrom(m.c.DType, m.g, m.site.Layer, &f)
+		faulty = sc.ForwardFrom(m.g, m.site.Layer, f)
 	}
 	if !f.Applied {
 		panic("faultinj: selected fault site was not exercised: " + m.site.String())

@@ -31,27 +31,29 @@ func (l *ReLULayer) MACs(in tensor.Shape) int64 { return 0 }
 // Forward implements Layer.
 func (l *ReLULayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(in.Shape)
+	l.ForwardInto(ctx, in, out)
+	return out
+}
+
+// ForwardInto implements Layer.
+func (l *ReLULayer) ForwardInto(ctx *Context, in, out *tensor.Tensor) {
 	quant := ctx.DType.QuantFunc()
 	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = quant(v)
-		}
 		// Negative and NaN inputs clamp to zero: comparisons with NaN are
-		// false, but a NaN activation must not survive ReLU in hardware
-		// either, so treat it explicitly.
-		if math.IsNaN(v) {
-			out.Data[i] = 0
+		// false, so a NaN activation does not survive ReLU, as it must not
+		// in hardware either.
+		var nv float64
+		if v > 0 {
+			nv = quant(v)
 		}
+		out.Data[i] = nv
 	}
-	return out
 }
 
 // ForwardDelta implements DeltaForwarder. ReLU is element-wise, so only
 // the changed indices need recomputing; a fault that drove an already-
 // negative activation further negative is masked here (§5.1.4).
-func (l *ReLULayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
-	out := goldenOut
-	var outChanged []int
+func (l *ReLULayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor, changed, dst []int) []int {
 	quant := ctx.DType.QuantFunc()
 	for _, i := range changed {
 		v := in.Data[i]
@@ -60,16 +62,13 @@ func (l *ReLULayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 			nv = quant(v)
 		}
 		// NaN compares false with 0, so nv stays 0 — matching Forward's
-		// explicit NaN clamp.
+		// NaN clamp.
 		if !bitsEqual(nv, goldenOut.Data[i]) {
-			if out == goldenOut {
-				out = goldenOut.Clone()
-			}
 			out.Data[i] = nv
-			outChanged = append(outChanged, i)
+			dst = append(dst, i)
 		}
 	}
-	return out, outChanged
+	return dst
 }
 
 // bitsEqual reports whether two values have identical float64 bit
@@ -116,8 +115,14 @@ func (l *PoolLayer) MACs(in tensor.Shape) int64 { return 0 }
 
 // Forward implements Layer.
 func (l *PoolLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(l.OutShape(in.Shape))
+	l.ForwardInto(ctx, in, out)
+	return out
+}
+
+// ForwardInto implements Layer.
+func (l *PoolLayer) ForwardInto(ctx *Context, in, out *tensor.Tensor) {
 	os := l.OutShape(in.Shape)
-	out := tensor.New(os)
 	for c := 0; c < os.C; c++ {
 		for oh := 0; oh < os.H; oh++ {
 			for ow := 0; ow < os.W; ow++ {
@@ -125,7 +130,6 @@ func (l *PoolLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return out
 }
 
 // windowMax computes one pooled output element.
@@ -155,14 +159,16 @@ func (l *PoolLayer) windowMax(ctx *Context, in *tensor.Tensor, c, oh, ow int) fl
 // changed set's density crosses Context.DenseCutoff the per-window
 // bookkeeping costs more than the dense pass, which takes over
 // bit-identically.
-func (l *PoolLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
+func (l *PoolLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor, changed, dst []int) []int {
 	if float64(len(changed)) > ctx.denseCutoff()*float64(in.Shape.Elems()) {
-		return denseDelta(ctx, l, in, goldenOut)
+		return denseDelta(ctx, l, in, goldenOut, out, dst)
 	}
 	os := l.OutShape(in.Shape)
-	out := goldenOut
-	var outChanged []int
-	recomputed := make(map[int]bool, len(changed))
+	sc := ctx.scratch()
+	// Windows already recomputed this step are marked in sc.covered and
+	// listed in sc.spatial, which unmarks them on the way out.
+	sc.covered = marks(sc.covered, len(goldenOut.Data))
+	recomputed := sc.spatial[:0]
 	for _, idx := range changed {
 		c, ih, iw := in.Coords(idx)
 		ohMin, ohMax := windowRange(ih, l.K, l.Stride, os.H)
@@ -170,22 +176,24 @@ func (l *PoolLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 		for oh := ohMin; oh <= ohMax; oh++ {
 			for ow := owMin; ow <= owMax; ow++ {
 				oi := (c*os.H+oh)*os.W + ow
-				if recomputed[oi] {
+				if sc.covered[oi] {
 					continue
 				}
-				recomputed[oi] = true
+				sc.covered[oi] = true
+				recomputed = append(recomputed, oi)
 				nv := l.windowMax(ctx, in, c, oh, ow)
 				if !bitsEqual(nv, goldenOut.Data[oi]) {
-					if out == goldenOut {
-						out = goldenOut.Clone()
-					}
 					out.Data[oi] = nv
-					outChanged = append(outChanged, oi)
+					dst = append(dst, oi)
 				}
 			}
 		}
 	}
-	return out, outChanged
+	for _, oi := range recomputed {
+		sc.covered[oi] = false
+	}
+	sc.spatial = recomputed
+	return dst
 }
 
 // windowRange returns the closed range of output positions whose size-k

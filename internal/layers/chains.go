@@ -118,14 +118,14 @@ type layerChains struct {
 	fillMu [chainFillStripes]sync.Mutex
 }
 
-// ChainScratch is the bookkeeping one delta walker mutates while it replays
-// chains: which inputs changed, which output positions they cover, and the
+// ChainScratch is the bookkeeping one delta walker mutates while it steps
+// layers: which inputs changed, which output positions they cover, and the
 // changed tap steps and lane values of each. One walker owns it for the
-// whole walk (network.deltaWalk pools them); it is never shared state.
+// whole walk (a network.SlotScratch holds one); it is never shared state.
 type ChainScratch struct {
 	mark    []bool    // changed-input marks; all false between steps
-	covered []bool    // covered-output-position marks (CONV); all false between steps
-	spatial []int     // covered output positions (CONV)
+	covered []bool    // covered-output marks: CONV positions, POOL/LRN recomputed outputs; all false between steps
+	spatial []int     // the positions or outputs covered marks
 	steps   []int     // changed tap steps
 	xs      []float64 // faulty input at each changed tap
 	offs    []int     // per-spatial-position offsets into steps/xs (CONV)

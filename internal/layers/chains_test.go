@@ -67,7 +67,8 @@ func (e *chainedExec) walk(dt numeric.Type, quant *QuantCache, sc *ChainScratch,
 		faulty.Data[ci] = dt.Quantize(faulty.Data[ci] + 3)
 	}
 	ctx := &Context{DType: dt, Quant: quant, Chains: e.chains, Layer: li, Scratch: sc, GoldenIn: in.Data, QIn: faulty.Data, DenseCutoff: 1e-9}
-	got, _ := e.ls[li].ForwardDelta(ctx, faulty, e.out[li], changed)
+	got := e.out[li].Clone()
+	e.ls[li].ForwardDelta(ctx, faulty, e.out[li], got, changed, nil)
 	want := e.ls[li].Forward(&Context{DType: dt, Quant: quant}, faulty)
 	if !tensor.BitIdentical(got, want) {
 		return fmt.Errorf("%s at layer %d: chained replay differs from the dense pass", e.ls[li].Name(), li)

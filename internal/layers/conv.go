@@ -67,8 +67,14 @@ func (l *ConvLayer) MACChainLen() int { return l.InC * l.KH * l.KW }
 // ctx.Fault is non-nil, the single MAC identified by (OutputIndex, MACStep)
 // is perturbed at the requested latch.
 func (l *ConvLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(l.OutShape(in.Shape))
+	l.ForwardInto(ctx, in, out)
+	return out
+}
+
+// ForwardInto implements Layer.
+func (l *ConvLayer) ForwardInto(ctx *Context, in, out *tensor.Tensor) {
 	os := l.OutShape(in.Shape)
-	out := tensor.New(os)
 	dt := ctx.DType
 	f := ctx.Fault
 
@@ -128,7 +134,6 @@ func (l *ConvLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	parallelRanges(ctx.Workers, l.OutC, run)
-	return out
 }
 
 // parallelRanges splits [0, n) into up to `workers` contiguous ranges and
@@ -236,7 +241,7 @@ func (l *ConvLayer) ForwardElement(ctx *Context, in *tensor.Tensor, outputIndex 
 // over the chain byte cap) each affected chain is recomputed in full, and
 // once the affected spatial fraction crosses Context.DenseCutoff the dense
 // pass is cheaper and the layer falls back to it, bit-identically.
-func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
+func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor, changed, dst []int) []int {
 	os := l.OutShape(in.Shape)
 	plane := os.H * os.W
 	sc := ctx.scratch()
@@ -266,7 +271,7 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 	chain := l.InC * l.KH * l.KW
 	lc := ctx.chainEntry(l.OutC*plane, chain)
 	if lc == nil && float64(len(spatial)) > ctx.denseCutoff()*float64(plane) {
-		return denseDelta(ctx, l, in, goldenOut)
+		return denseDelta(ctx, l, in, goldenOut, out, dst)
 	}
 	sort.Ints(spatial) // ascending output order, matching the dense loop
 
@@ -298,8 +303,6 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 				qw, plane, sc.steps[lo:hi], sc.xs[lo:hi], chain)
 		}
 	}
-	out := goldenOut
-	var outChanged []int
 	for oc := 0; oc < l.OutC; oc++ {
 		base := oc * plane
 		for k, si := range spatial {
@@ -311,15 +314,12 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, cha
 				nv = l.ForwardElement(ctx, in, oi)
 			}
 			if !bitsEqual(nv, goldenOut.Data[oi]) {
-				if out == goldenOut {
-					out = goldenOut.Clone()
-				}
 				out.Data[oi] = nv
-				outChanged = append(outChanged, oi)
+				dst = append(dst, oi)
 			}
 		}
 	}
-	return out, outChanged
+	return dst
 }
 
 // scanChanged records, per spatial output position, the chain steps whose

@@ -54,6 +54,13 @@ func (l *FCLayer) MACChainLen() int { return l.In }
 // Forward implements Layer.
 func (l *FCLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(l.OutShape(in.Shape))
+	l.ForwardInto(ctx, in, out)
+	return out
+}
+
+// ForwardInto implements Layer.
+func (l *FCLayer) ForwardInto(ctx *Context, in, out *tensor.Tensor) {
+	l.OutShape(in.Shape) // validate
 	dt := ctx.DType
 	f := ctx.Fault
 
@@ -92,7 +99,6 @@ func (l *FCLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	parallelRanges(ctx.Workers, l.Out, run)
-	return out
 }
 
 // ForwardDelta implements DeltaForwarder. FC is the degenerate case of the
@@ -104,14 +110,14 @@ func (l *FCLayer) Forward(ctx *Context, in *tensor.Tensor) *tensor.Tensor {
 // goldenOut trims the changed set to the neurons that actually moved —
 // often none, which re-empties the set and masks the fault before any
 // further layer runs.
-func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
+func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor, changed, dst []int) []int {
 	if len(changed) == 0 {
-		return goldenOut, nil
+		return dst
 	}
 	if lc := ctx.chainEntry(l.Out, l.In); lc != nil {
-		return l.deltaChained(ctx, lc, in, goldenOut, changed)
+		return l.deltaChained(ctx, lc, in, goldenOut, out, changed, dst)
 	}
-	return denseDelta(ctx, l, in, goldenOut)
+	return denseDelta(ctx, l, in, goldenOut, out, dst)
 }
 
 // deltaChained is the cached-chain variant of the FC recompute: the changed
@@ -119,7 +125,7 @@ func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut *tensor.Tensor, chang
 // all Out chains are the lanes of one replay (see numeric.Type.ChainReplay)
 // that covers only their diverged suffixes instead of the full dot products.
 // Bit-identical to denseDelta.
-func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *tensor.Tensor, changed []int) (*tensor.Tensor, []int) {
+func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut, out *tensor.Tensor, changed, dst []int) []int {
 	sc := ctx.scratch()
 	quant := ctx.DType.QuantFunc()
 	steps, xs := sc.steps[:0], sc.xs[:0]
@@ -148,18 +154,13 @@ func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut *ten
 	sc.vals = grow(sc.vals, l.Out)
 	ctx.DType.ChainReplay(sc.vals, lc.prefix, lc.prods, qw, 1, steps, xs, l.In)
 
-	out := goldenOut
-	var outChanged []int
 	for o, nv := range sc.vals {
 		if !bitsEqual(nv, goldenOut.Data[o]) {
-			if out == goldenOut {
-				out = goldenOut.Clone()
-			}
 			out.Data[o] = nv
-			outChanged = append(outChanged, o)
+			dst = append(dst, o)
 		}
 	}
-	return out, outChanged
+	return dst
 }
 
 // fillChain computes the golden chain internals of output neuron o from

@@ -125,13 +125,15 @@ func TestForwardElementMatchesForward(t *testing.T) {
 
 // checkDeltaAgainstDense is the ForwardDelta correctness oracle: the delta
 // output must be bit-identical to a dense Forward of the faulty input, the
-// returned changed set must be exactly the bit-differing elements, and an
-// empty changed set must alias goldenOut (no allocation on full masking).
-// The context carries the format and the density cutoff under test.
+// returned changed set must be exactly the bit-differing elements, and
+// restoring those elements from goldenOut must return the output buffer to
+// golden (what a slot scratch relies on). The context carries the format
+// and the density cutoff under test.
 func checkDeltaAgainstDense(t *testing.T, ctx *Context, l DeltaForwarder, goldenOut, faultyIn *tensor.Tensor, changed []int, tag string) {
 	t.Helper()
 	wantOut := l.Forward(&Context{DType: ctx.DType, Quant: ctx.Quant}, faultyIn)
-	gotOut, outChanged := l.ForwardDelta(ctx, faultyIn, goldenOut, changed)
+	gotOut := goldenOut.Clone()
+	outChanged := l.ForwardDelta(ctx, faultyIn, goldenOut, gotOut, changed, nil)
 	for i := range wantOut.Data {
 		if math.Float64bits(gotOut.Data[i]) != math.Float64bits(wantOut.Data[i]) {
 			t.Fatalf("%s %s: delta output %d = %v, dense %v", l.Name(), tag, i, gotOut.Data[i], wantOut.Data[i])
@@ -151,8 +153,11 @@ func checkDeltaAgainstDense(t *testing.T, ctx *Context, l DeltaForwarder, golden
 			t.Fatalf("%s %s: reported unchanged element %d as changed", l.Name(), tag, i)
 		}
 	}
-	if len(outChanged) == 0 && gotOut != goldenOut {
-		t.Fatalf("%s %s: unchanged output must alias goldenOut", l.Name(), tag)
+	for _, i := range outChanged {
+		gotOut.Data[i] = goldenOut.Data[i]
+	}
+	if !tensor.BitIdentical(gotOut, goldenOut) {
+		t.Fatalf("%s %s: restoring the changed set did not return the output to golden", l.Name(), tag)
 	}
 }
 
@@ -382,7 +387,8 @@ func TestForwardDeltaMultiElement(t *testing.T) {
 			faultyIn.Data[i] += 3
 		}
 		wantOut := l.Forward(ctx, faultyIn)
-		gotOut, _ := l.ForwardDelta(ctx, faultyIn, goldenOut, changed)
+		gotOut := goldenOut.Clone()
+		l.ForwardDelta(ctx, faultyIn, goldenOut, gotOut, changed, nil)
 		for i := range wantOut.Data {
 			if math.Float64bits(gotOut.Data[i]) != math.Float64bits(wantOut.Data[i]) {
 				t.Fatalf("%s: multi-delta output %d = %v, dense %v", l.Name(), i, gotOut.Data[i], wantOut.Data[i])

@@ -8,9 +8,6 @@ package network
 
 import (
 	"fmt"
-	"math"
-	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/layers"
@@ -220,15 +217,11 @@ func (n *Network) ForwardParallel(dt numeric.Type, in *tensor.Tensor, workers in
 // implementation this path is bit-identical to. It is the one-element case
 // of ForwardFront, except that an unexercised fault is left for the caller
 // to find in fault.Applied.
+//
+// It runs SlotScratch.ForwardFrom on a fresh scratch, so the execution is
+// the caller's; a campaign evaluating many faults reuses one scratch.
 func (n *Network) ForwardFrom(dt numeric.Type, golden *Execution, layerIdx int, fault *layers.Fault) *Execution {
-	n.checkLayer(layerIdx)
-	if _, ok := n.Layers[layerIdx].(layers.ElementForwarder); fault == nil || !ok {
-		return n.ForwardFromDense(dt, golden, layerIdx, fault)
-	}
-	front := []layers.Fault{*fault}
-	exec := n.forwardFront(dt, golden, layerIdx, front)
-	fault.Applied = front[0].Applied
-	return exec
+	return n.NewSlotScratch(dt).ForwardFrom(golden, layerIdx, fault)
 }
 
 // ForwardFront evaluates a corruption front: the faults one upset inflicts
@@ -237,145 +230,16 @@ func (n *Network) ForwardFrom(dt numeric.Type, golden *Execution, layerIdx int, 
 // strikes its own output element (distinct OutputIndex values, at most one
 // fault per accumulation chain); each struck element is recomputed by the
 // layer's ForwardElement under its fault alone and diffed against golden,
-// and the changed set delta-steps on through propagateDelta — bit-identical
-// to patching the recomputed elements into the golden activation and
-// running ForwardWithActDense. The empty front, and a front whose every
-// element lands back on golden, is the Masked execution aliasing golden; a
+// and the changed set delta-steps on like ForwardFrom's — bit-identical to
+// patching the recomputed elements into the golden activation and running
+// ForwardWithActDense. The empty front, and a front whose every element
+// lands back on golden, is the Masked execution aliasing golden; a
 // one-element front is ForwardFrom. Applied is set on every fault, and a
 // fault the layer did not consume (a MACStep outside the chain) panics.
+// Like ForwardFrom it runs on a fresh SlotScratch.
 func (n *Network) ForwardFront(dt numeric.Type, golden *Execution, layerIdx int, front []layers.Fault) *Execution {
-	n.checkLayer(layerIdx)
-	exec := n.forwardFront(dt, golden, layerIdx, front)
-	for i := range front {
-		if !front[i].Applied {
-			panic(fmt.Sprintf("network %s: front fault %+v was not exercised by layer %d", n.Name, front[i], layerIdx))
-		}
-	}
-	return exec
+	return n.NewSlotScratch(dt).ForwardFront(golden, layerIdx, front)
 }
-
-// forwardFront is ForwardFront without the exercised-fault check, which
-// ForwardFrom leaves to its callers.
-func (n *Network) forwardFront(dt numeric.Type, golden *Execution, layerIdx int, front []layers.Fault) *Execution {
-	ef, ok := n.Layers[layerIdx].(layers.ElementForwarder)
-	if !ok {
-		panic(fmt.Sprintf("network %s: layer %d cannot recompute single elements", n.Name, layerIdx))
-	}
-	in := golden.LayerInput(layerIdx)
-	quant := n.quant.Load()
-	ctx := &layers.Context{DType: dt, Quant: quant}
-	if layerIdx > 0 {
-		ctx.QIn = in.Data // a layer output is its own pre-quantized view
-	}
-	goldenAct := golden.Acts[layerIdx]
-	act := goldenAct
-	var changed []int
-	for i := range front {
-		f := &front[i]
-		ctx.Fault = f
-		v := ef.ForwardElement(ctx, in, f.OutputIndex)
-		if math.Float64bits(v) == math.Float64bits(goldenAct.Data[f.OutputIndex]) {
-			continue // quantization or saturation absorbed the flip inside the chain
-		}
-		if act == goldenAct {
-			act = goldenAct.Clone()
-		}
-		act.Data[f.OutputIndex] = v
-		changed = append(changed, f.OutputIndex)
-	}
-	slices.Sort(changed)
-	return n.forwardWithAct(dt, golden, layerIdx, act, changed, quant)
-}
-
-// forwardWithAct builds the faulty execution whose layer layerIdx produced
-// act — golden's activation except at the changed indices — and hands the
-// perturbation to propagateDelta. An empty set is a masked fault: act is
-// golden's own tensor bit for bit, so the execution aliases it.
-func (n *Network) forwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int, quant *layers.QuantCache) *Execution {
-	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
-	// Layers before the fault are bit-identical to golden; share them.
-	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
-	if len(changed) == 0 {
-		act = golden.Acts[layerIdx]
-	}
-	exec.Acts[layerIdx] = act
-	// act is a layer output under dt (each layer quantizes what it writes),
-	// so it is its own pre-quantized view.
-	return n.propagateDelta(dt, golden, exec, layerIdx+1, act, changed, act.Data, quant)
-}
-
-// propagateDelta is the one changed-set walker every fault model ends in:
-// cur is the faulty input of layer from, differing from that layer's golden
-// input exactly at the changed indices, and exec already holds everything
-// before from. The perturbation delta-steps through every downstream layer
-// that implements DeltaForwarder (see deltaWalk); when the set empties — a
-// masked fault — the remaining layers are skipped and the execution aliases
-// the golden activations with Masked set, otherwise the layers past the
-// walk run densely. qin is cur's pre-quantized view (cur.Data itself when
-// cur is a layer output, nil when it is caller-supplied data the first
-// layer must quantize for itself).
-func (n *Network) propagateDelta(dt numeric.Type, golden, exec *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, quant *layers.QuantCache) *Execution {
-	i := from
-	if len(changed) > 0 {
-		clean := &layers.Context{DType: dt, Quant: quant, DenseCutoff: n.denseCutoff}
-		i, cur, changed = n.deltaWalk(clean, golden, from, cur, changed, qin, exec.Acts)
-		if len(changed) > 0 {
-			for ; i < len(n.Layers); i++ {
-				cur = n.Layers[i].Forward(clean, cur)
-				exec.Acts[i] = cur
-			}
-			return exec
-		}
-	}
-	// The perturbation died (inside the faulted chain, in a ReLU clamp, a
-	// lost pool max, LRN rounding, or a CONV/FC cone whose every recomputed
-	// element requantized back to golden): everything from here on is
-	// bit-identical to golden.
-	copy(exec.Acts[i:], golden.Acts[i:])
-	exec.Masked = true
-	return exec
-}
-
-// deltaWalk advances a perturbation through consecutive DeltaForwarder
-// layers starting at layer from, storing each faulty layer output in
-// acts[i]. Each step bit-compares against the golden activation and
-// re-shrinks the changed set; the walk stops when the set empties or at the
-// first layer that cannot delta-step, and returns that layer's index with
-// the tensor and set that reached it. ctx carries the format, the quant
-// cache and the density cutoff. The walk attaches golden's shared chain
-// state, so MAC layers replay diverged chain suffixes on every surface, and
-// a pooled scratch for its own bookkeeping; every per-walk field of ctx is
-// reset on return.
-func (n *Network) deltaWalk(ctx *layers.Context, golden *Execution, from int, cur *tensor.Tensor, changed []int, qin []float64, acts []*tensor.Tensor) (int, *tensor.Tensor, []int) {
-	sc := chainScratch.Get().(*layers.ChainScratch)
-	ctx.Chains, ctx.Scratch = golden.goldenChains(ctx.DType, len(n.Layers)), sc
-	i := from
-	for ; i < len(n.Layers) && len(changed) > 0; i++ {
-		df, ok := n.Layers[i].(layers.DeltaForwarder)
-		if !ok {
-			break
-		}
-		// Handing the MAC layers a pre-quantized view as QIn skips their
-		// whole-input re-quantization bit-identically. Layer 0's golden
-		// input is raw data, not a pre-quantized view, so it cannot seed
-		// golden chain fills.
-		ctx.Layer, ctx.QIn, ctx.GoldenIn = i, qin, nil
-		if i > 0 {
-			ctx.GoldenIn = golden.Acts[i-1].Data
-		}
-		cur, changed = df.ForwardDelta(ctx, cur, golden.Acts[i], changed)
-		acts[i] = cur
-		qin = cur.Data
-	}
-	ctx.Chains, ctx.Scratch, ctx.QIn, ctx.GoldenIn = nil, nil, nil, nil
-	chainScratch.Put(sc)
-	return i, cur, changed
-}
-
-// chainScratch pools the walkers' chain bookkeeping: a walk owns one scratch
-// from its first step to its last, so concurrent walkers over one shared
-// golden execution never share mutable state.
-var chainScratch = sync.Pool{New: func() any { return new(layers.ChainScratch) }}
 
 // ForwardFromDense is the dense reference implementation of ForwardFrom:
 // it re-executes the whole faulted layer and every downstream layer. It
@@ -395,18 +259,13 @@ func (n *Network) ForwardFromDense(dt numeric.Type, golden *Execution, layerIdx 
 // fmap during the layer re-reads (§5.2.1). changed lists the indices at
 // which in differs from the layer's golden input (any order, duplicates
 // allowed; a superset only costs time): the corruption delta-steps through
-// the struck layer itself and on through propagateDelta, so the result is
+// the struck layer itself and on like ForwardFrom's, so the result is
 // bit-identical to ForwardFromInputDense at the cost of the corruption's
 // receptive-field cone, and Masked when it never leaves the layer. The
 // corrupted input itself is not an activation of the execution and stays
-// out of Acts.
+// out of Acts. Like ForwardFrom it runs on a fresh SlotScratch.
 func (n *Network) ForwardFromInput(dt numeric.Type, golden *Execution, layerIdx int, in *tensor.Tensor, changed []int) *Execution {
-	n.checkLayer(layerIdx)
-	exec := &Execution{Input: golden.Input, Acts: make([]*tensor.Tensor, len(n.Layers))}
-	copy(exec.Acts[:layerIdx], golden.Acts[:layerIdx])
-	// in is caller-supplied (layer 0's is raw image data), so the struck
-	// layer quantizes what it reads instead of trusting a QIn view.
-	return n.propagateDelta(dt, golden, exec, layerIdx, in, normalizeChanged(changed, len(in.Data)), nil, n.quant.Load())
+	return n.NewSlotScratch(dt).ForwardFromInput(golden, layerIdx, in, changed)
 }
 
 // ForwardFromInputDense is the dense reference implementation of
@@ -420,15 +279,22 @@ func (n *Network) ForwardFromInputDense(dt numeric.Type, golden *Execution, laye
 
 // ForwardWithAct replaces the output of layer layerIdx with act and
 // propagates the difference — the model for a fault whose effect on the
-// layer's own output has already been computed (ForwardFront computes it
-// for faults expressible as per-MAC latch flips). changed lists the indices
+// layer's own output has already been computed. changed lists the indices
 // at which act differs from the golden activation (any order, duplicates
 // allowed; a superset only costs time); the result is bit-identical to
 // ForwardWithActDense, and Masked — aliasing golden from layerIdx on — when
-// the set is empty or dies downstream.
+// the set is empty or dies downstream. act becomes the execution's
+// activation of layerIdx.
 func (n *Network) ForwardWithAct(dt numeric.Type, golden *Execution, layerIdx int, act *tensor.Tensor, changed []int) *Execution {
 	n.checkLayer(layerIdx)
-	return n.forwardWithAct(dt, golden, layerIdx, act, normalizeChanged(changed, len(act.Data)), n.quant.Load())
+	sc := n.NewSlotScratch(dt)
+	b := sc.begin(golden, layerIdx)
+	changed = appendNormalized(nil, changed, len(act.Data))
+	if len(changed) == 0 {
+		return sc.masked(golden, layerIdx)
+	}
+	sc.exec.Acts[layerIdx] = act
+	return sc.propagate(b, layerIdx+1, act, changed, act.Data)
 }
 
 // ForwardWithActDense is the dense reference implementation of
@@ -445,21 +311,6 @@ func (n *Network) ForwardWithActDense(dt numeric.Type, golden *Execution, layerI
 		exec.Acts[i] = cur
 	}
 	return exec
-}
-
-// normalizeChanged returns a caller-supplied changed set sorted ascending
-// and free of duplicates — the form the delta walkers hand each other —
-// without touching the caller's slice.
-func normalizeChanged(changed []int, elems int) []int {
-	if len(changed) == 0 {
-		return nil
-	}
-	out := slices.Clone(changed)
-	slices.Sort(out)
-	if out[0] < 0 || out[len(out)-1] >= elems {
-		panic(fmt.Sprintf("network: changed index out of range [0,%d)", elems))
-	}
-	return slices.Compact(out)
 }
 
 // checkLayer panics on a layer index outside the network.

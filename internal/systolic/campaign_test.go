@@ -86,6 +86,7 @@ func TestEffectExpansionMatchesSim(t *testing.T) {
 			in := smallInputs(1)[0]
 			g := net.Forward(dt, in)
 			inj := newInjector(net, dt, tinyArray, flow, 1)
+			sc := net.NewSlotScratch(dt)
 
 			for pos, li := range inj.macLayers {
 				geo := inj.geos[pos]
@@ -106,7 +107,7 @@ func TestEffectExpansionMatchesSim(t *testing.T) {
 					{K: 0, Out: 1, P: 0, Latch: LatchPipe, Bit: 2, Width: 2},            // MBU on the moving operand
 				}
 				for _, s := range cases {
-					faulty := inj.execute(g, pos, s)
+					faulty := inj.execute(sc, g, pos, s)
 					f := geo.Encode(s)
 					want := sim.Run(simIn, &f)
 					// Masked executions alias golden tensors where the
