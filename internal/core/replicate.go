@@ -33,7 +33,7 @@ func Replicate(cfg Config, seeds int, measure func(Config) float64) Replication 
 		var ss float64
 		for _, v := range r.Values {
 			d := v - r.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		r.StdDev = math.Sqrt(ss / float64(seeds-1))
 	}

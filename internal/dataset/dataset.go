@@ -55,11 +55,11 @@ func Image(kind Kind, size, idx int) *tensor.Tensor {
 		b := blob{
 			cx:    rng.Float64() * float64(size),
 			cy:    rng.Float64() * float64(size),
-			sigma: (0.08 + 0.25*rng.Float64()) * float64(size),
+			sigma: (0.08 + float64(0.25*rng.Float64())) * float64(size),
 		}
-		base := rng.Float64()*2 - 1
+		base := float64(float64(rng.Float64())*2) - 1
 		for c := 0; c < 3; c++ {
-			b.amp[c] = base + 0.4*(rng.Float64()*2-1)
+			b.amp[c] = base + float64(0.4*(float64(float64(rng.Float64())*2)-1))
 		}
 		blobs[i] = b
 	}
@@ -69,9 +69,9 @@ func Image(kind Kind, size, idx int) *tensor.Tensor {
 				var v float64
 				for _, b := range blobs {
 					dx, dy := float64(x)-b.cx, float64(y)-b.cy
-					v += b.amp[c] * math.Exp(-(dx*dx+dy*dy)/(2*b.sigma*b.sigma))
+					v += float64(b.amp[c] * math.Exp(-(float64(dx*dx)+float64(dy*dy))/(2*b.sigma*b.sigma)))
 				}
-				v += 0.15 * rng.NormFloat64() // sensor-like noise
+				v += float64(0.15 * rng.NormFloat64()) // sensor-like noise
 				img.Set(c, y, x, v)
 			}
 		}
@@ -89,7 +89,7 @@ func Image(kind Kind, size, idx int) *tensor.Tensor {
 		img.Apply(func(v float64) float64 { return ((v-min)/span - 0.5) * 4 })
 	case ImageNetLike:
 		// Mean-subtracted raw pixels in [-128, 127].
-		img.Apply(func(v float64) float64 { return (v-min)/span*255 - 128 })
+		img.Apply(func(v float64) float64 { return float64((v-min)/span*255) - 128 })
 	}
 	return img
 }
@@ -118,9 +118,9 @@ func Labeled(kind Kind, size, classes, idx int) (*tensor.Tensor, int) {
 
 	// Stamp geometry: class positions on a ring around the center.
 	angle := 2 * math.Pi * float64(label) / float64(classes)
-	cx := float64(size)/2 + float64(size)/4*math.Cos(angle)
-	cy := float64(size)/2 + float64(size)/4*math.Sin(angle)
-	sigma := float64(size) / 16
+	cx := float64(float64(size)/2) + float64(float64(size)/4*math.Cos(angle))
+	cy := float64(float64(size)/2) + float64(float64(size)/4*math.Sin(angle))
+	sigma := float64(float64(size) / 16)
 	ch := label % 3
 
 	// Amplitude relative to the dataset's dynamic range.
@@ -131,7 +131,7 @@ func Labeled(kind Kind, size, classes, idx int) (*tensor.Tensor, int) {
 	for y := 0; y < size; y++ {
 		for x := 0; x < size; x++ {
 			dx, dy := float64(x)-cx, float64(y)-cy
-			img.Data[img.Index(ch, y, x)] += amp * math.Exp(-(dx*dx+dy*dy)/(2*sigma*sigma))
+			img.Data[img.Index(ch, y, x)] += float64(amp * math.Exp(-(float64(dx*dx)+float64(dy*dy))/(2*sigma*sigma)))
 		}
 	}
 	return img, label

@@ -69,8 +69,8 @@ func Learn(net *network.Network, dt numeric.Type, inputs []*tensor.Tensor, cushi
 // paper: (-1.1·X, 1.1·Y) for a learned range (-X, Y).
 func cushioned(r network.Range, cushion float64) network.Range {
 	return network.Range{
-		Min: r.Min - cushion*abs(r.Min),
-		Max: r.Max + cushion*abs(r.Max),
+		Min: r.Min - float64(cushion*abs(r.Min)),
+		Max: r.Max + float64(cushion*abs(r.Max)),
 	}
 }
 

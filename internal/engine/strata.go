@@ -425,7 +425,7 @@ func BuildStratumTable(s *StrataSummary, units, group int) *StratumTable {
 			x := float64(s.Counts[h].Hits[sdc.SDC1])
 			pt := (x + 2*prior) / (n + 2)
 			t.Weight[c] += w
-			score[c] += w * math.Sqrt(pt*(1-pt))
+			score[c] += float64(w * math.Sqrt(pt*(1-pt)))
 		}
 		if t.Weight[c] > 0 {
 			eligible++

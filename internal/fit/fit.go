@@ -35,7 +35,7 @@ const BitsPerMb = 1 << 20
 // Rate returns the FIT contribution of a component of the given size (in
 // bits) with the given SDC probability, per Eq. 1.
 func Rate(bits int64, sdcProb float64) float64 {
-	return RawFITPerMb16nm * float64(bits) / BitsPerMb * sdcProb
+	return float64(RawFITPerMb16nm * float64(bits) / BitsPerMb * sdcProb)
 }
 
 // Component is one hardware structure entering the Eq. 1 sum.

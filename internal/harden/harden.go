@@ -65,7 +65,7 @@ func (s Sensitivity) Beta() float64 {
 		for i := range xs {
 			pred := (1 - math.Exp(-beta*xs[i])) / denom
 			d := pred - ys[i]
-			e += d * d
+			e += float64(d * d)
 		}
 		return e
 	}
@@ -78,8 +78,8 @@ func (s Sensitivity) Beta() float64 {
 		} else {
 			a = c
 		}
-		c = b - phi*(b-a)
-		d = a + phi*(b-a)
+		c = b - float64(phi*(b-a))
+		d = a + float64(phi*(b-a))
 	}
 	return (a + b) / 2
 }

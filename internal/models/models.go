@@ -98,7 +98,7 @@ func (ini *initializer) conv(l *layers.ConvLayer, gain float64) *layers.ConvLaye
 		l.Weights[i] = ini.rng.NormFloat64() * std
 	}
 	for i := range l.Bias {
-		l.Bias[i] = (ini.rng.Float64()*2 - 1) * 0.02 * gain
+		l.Bias[i] = (float64(float64(ini.rng.Float64())*2) - 1) * 0.02 * gain
 	}
 	return l
 }
@@ -110,7 +110,7 @@ func (ini *initializer) fc(l *layers.FCLayer, gain float64) *layers.FCLayer {
 		l.Weights[i] = ini.rng.NormFloat64() * std
 	}
 	for i := range l.Bias {
-		l.Bias[i] = (ini.rng.Float64()*2 - 1) * 0.02 * gain
+		l.Bias[i] = (float64(float64(ini.rng.Float64())*2) - 1) * 0.02 * gain
 	}
 	return l
 }

@@ -135,7 +135,7 @@ const fxRoundMagic = 3 << 51
 // as the integer round trip does. NaN fails every comparison and encodes as
 // raw 0; keeping it off the in-range path saves that path a test.
 func (g *fxGrid) quant(v float64) float64 {
-	r := v*g.scale + fxRoundMagic - fxRoundMagic
+	r := float64(v*g.scale) + fxRoundMagic - fxRoundMagic
 	if r > g.minRaw && r < g.maxRaw {
 		return r * g.inv
 	}
@@ -170,10 +170,10 @@ func buildMACFn(t Type) func(acc, a, b float64) float64 {
 	switch t {
 	case Double:
 		// Both quantizations are the identity; mul-then-add matches MACq's
-		// operation order (gc does not fuse into an FMA on amd64, and the
-		// kernel fuzz test pins the equality on any build platform).
+		// operation order. The conversion rounds the product, so no
+		// architecture fuses the two into an FMA (scripts/check_nofma.sh).
 		return func(acc, a, b float64) float64 {
-			p := a * b
+			p := float64(a * b)
 			return acc + p
 		}
 	case Float:

@@ -35,7 +35,7 @@ func (p Proportion) CI95() float64 {
 		return 0
 	}
 	est := p.P()
-	return z95 * math.Sqrt(est*(1-est)/float64(p.Trials))
+	return float64(z95 * math.Sqrt(est*(1-est)/float64(p.Trials)))
 }
 
 // String formats the proportion as a percentage with its error bar.
@@ -126,7 +126,7 @@ func (s Stratified) P() float64 {
 		if s.Weights[h] <= 0 || s.Parts[h].Trials == 0 {
 			continue
 		}
-		num += s.Weights[h] * s.Parts[h].P()
+		num += float64(s.Weights[h] * s.Parts[h].P())
 		mass += s.Weights[h]
 	}
 	if mass == 0 {
@@ -246,13 +246,13 @@ func Percentile(xs []float64, q float64) float64 {
 	if q >= 100 {
 		return s[len(s)-1]
 	}
-	pos := q / 100 * float64(len(s)-1)
+	pos := float64(q / 100 * float64(len(s)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
 		return s[lo]
 	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
 // Histogram bins values into n equal-width buckets over [min, max].
@@ -300,5 +300,5 @@ func (h *Histogram) Total() int {
 // BinCenter returns the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
+	return h.Min + float64((float64(i)+0.5)*w)
 }

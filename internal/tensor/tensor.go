@@ -119,7 +119,7 @@ func EuclideanDistance(a, b *Tensor) float64 {
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			return math.MaxFloat64
 		}
-		sum += d * d
+		sum += float64(d * d)
 		if math.IsInf(sum, 0) {
 			return math.MaxFloat64
 		}

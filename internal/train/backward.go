@@ -21,8 +21,8 @@ func backwardFC(l *layers.FCLayer, in *tensor.Tensor, gout, gw, gb []float64) []
 		row := l.Weights[o*l.In : (o+1)*l.In]
 		grow := gw[o*l.In : (o+1)*l.In]
 		for i := 0; i < l.In; i++ {
-			grow[i] += go_ * in.Data[i]
-			gin[i] += go_ * row[i]
+			grow[i] += float64(go_ * in.Data[i])
+			gin[i] += float64(go_ * row[i])
 		}
 	}
 	return gin
@@ -58,8 +58,8 @@ func backwardConv(l *layers.ConvLayer, in *tensor.Tensor, gout, gw, gb []float64
 								continue
 							}
 							wi := l.WeightIndex(oc, ic, kh, kw)
-							gw[wi] += g * in.Data[rowBase+iw]
-							gin[rowBase+iw] += g * l.Weights[wi]
+							gw[wi] += float64(g * in.Data[rowBase+iw])
+							gin[rowBase+iw] += float64(g * l.Weights[wi])
 						}
 					}
 				}
@@ -151,15 +151,15 @@ func backwardLRN(l *layers.LRNLayer, in *tensor.Tensor, gout []float64) []float6
 				var ss float64
 				for cc := lo; cc <= hi; cc++ {
 					v := in.At(cc, h, w)
-					ss += v * v
+					ss += float64(v * v)
 				}
-				s[c] = l.K + l.Alpha/float64(l.N)*ss
+				s[c] = l.K + float64(l.Alpha/float64(l.N)*ss)
 				idx := in.Index(c, h, w)
 				shared[c] = gout[idx] * in.Data[idx] * math.Pow(s[c], -l.Beta-1)
 			}
 			for c := 0; c < C; c++ {
 				idx := in.Index(c, h, w)
-				g := gout[idx] * math.Pow(s[c], -l.Beta)
+				g := float64(gout[idx] * math.Pow(s[c], -l.Beta))
 				lo, hi := c-half, c+half
 				if lo < 0 {
 					lo = 0
@@ -171,7 +171,7 @@ func backwardLRN(l *layers.LRNLayer, in *tensor.Tensor, gout []float64) []float6
 				for j := lo; j <= hi; j++ {
 					cross += shared[j]
 				}
-				gin[idx] = g - coef*in.Data[idx]*cross
+				gin[idx] = g - float64(coef*in.Data[idx]*cross)
 			}
 		}
 	}

@@ -216,11 +216,11 @@ func (t *Trainer) apply(g *gradients, batchSize float64) {
 			t.velB[i] = vb
 		}
 		for j := range w {
-			vw[j] = t.Momentum*vw[j] - scale*g.w[i][j]
+			vw[j] = float64(t.Momentum*vw[j]) - float64(scale*g.w[i][j])
 			w[j] += vw[j]
 		}
 		for j := range b {
-			vb[j] = t.Momentum*vb[j] - scale*g.b[i][j]
+			vb[j] = float64(t.Momentum*vb[j]) - float64(scale*g.b[i][j])
 			b[j] += vb[j]
 		}
 	}
