@@ -75,18 +75,18 @@ func FlipOperand(t Target) numeric.Operand {
 // the golden accumulator plus every live lane with the shared quantized
 // step product. A lane that becomes bit-equal to the golden accumulator is
 // retired and finalized to the golden chain output.
-func planeChain(ctx *Context, pf *PlaneFault, chainLen int, acc float64, tap func(step int) (w, x float64), vals *[64]float64) float64 {
+func planeChain(ctx *Context, pf *PlaneFault, chainLen int, acc float64, tap *chainTap, vals *[64]float64) float64 {
 	if pf.MACStep < 0 || pf.MACStep >= chainLen {
 		panic(fmt.Sprintf("layers: plane fault MAC step %d out of range [0,%d)", pf.MACStep, chainLen))
 	}
 	dt := ctx.DType
 	quant, mac := dt.QuantFunc(), dt.MACFunc()
 	for step := 0; step < pf.MACStep; step++ {
-		w, x := tap(step)
+		w, x := tap.at(step)
 		acc = mac(acc, w, x)
 	}
 
-	w, x := tap(pf.MACStep)
+	w, x := tap.at(pf.MACStep)
 	live := pf.Bits
 	if pf.Target == TargetAccum {
 		// macFaulty: FlipBit(MAC(acc, w, x), bit), encoding hoisted.
@@ -118,7 +118,7 @@ func planeChain(ctx *Context, pf *PlaneFault, chainLen int, acc float64, tap fun
 		}
 	}
 	for step := pf.MACStep + 1; step < chainLen; step++ {
-		w, x := tap(step)
+		w, x := tap.at(step)
 		p := quant(w * x)
 		acc = quant(acc + p) // MACq, with the product shared by all lanes
 		gb = math.Float64bits(acc)
@@ -138,11 +138,56 @@ func planeChain(ctx *Context, pf *PlaneFault, chainLen int, acc float64, tap fun
 	return acc
 }
 
+// chainTap reads the operands of one output element's accumulation chain
+// step by step, matching ForwardElement's operand resolution exactly
+// (cache-aware, with zero padding outside a CONV input plane). It is a
+// value rather than a closure, so a site's replay allocates nothing.
+type chainTap struct {
+	ctx   *Context
+	in    *tensor.Tensor
+	quant func(float64) float64
+	// qw are the quantized weights when a cache is attached (nil
+	// otherwise: weights are quantized per tap from w); base is the
+	// element's first weight.
+	qw, w []float64
+	base  int
+	// conv is the CONV layer and (oh, ow) the element's output position;
+	// nil for an FC neuron, whose step s reads input s.
+	conv   *ConvLayer
+	oh, ow int
+}
+
+// at returns the quantized (weight, activation) operands of chain step
+// step.
+func (t *chainTap) at(step int) (w, x float64) {
+	idx, inside := step, true
+	if c := t.conv; c != nil {
+		khkw := c.KH * c.KW
+		r := step % khkw
+		inH, inW := t.in.Shape.H, t.in.Shape.W
+		ih := t.oh*c.Stride + r/c.KW - c.Pad
+		iw := t.ow*c.Stride + r%c.KW - c.Pad
+		inside = ih >= 0 && ih < inH && iw >= 0 && iw < inW
+		idx = step/khkw*inH*inW + ih*inW + iw
+	}
+	if inside {
+		if t.ctx.QIn != nil {
+			x = t.ctx.QIn[idx]
+		} else {
+			x = t.quant(t.in.Data[idx])
+		}
+	}
+	if t.qw != nil {
+		w = t.qw[t.base+step]
+	} else {
+		w = t.quant(t.w[t.base+step])
+	}
+	return w, x
+}
+
 // chainTap resolves the accumulation-chain geometry of one CONV output
-// element: the bias seed and a step→(weight, activation) tap reader,
-// matching ForwardElement's operand resolution exactly (cache-aware, with
-// zero-padding outside the input plane).
-func (l *ConvLayer) chainTap(ctx *Context, in *tensor.Tensor, outputIndex int) (acc float64, chainLen int, tap func(int) (float64, float64)) {
+// element: the bias seed, the chain length and its tap reader.
+func (l *ConvLayer) chainTap(ctx *Context, in *tensor.Tensor, outputIndex int) (acc float64, chainLen int, tap chainTap) {
 	os := l.OutShape(in.Shape)
 	plane := os.H * os.W
 	if outputIndex < 0 || outputIndex >= l.OutC*plane {
@@ -150,47 +195,22 @@ func (l *ConvLayer) chainTap(ctx *Context, in *tensor.Tensor, outputIndex int) (
 	}
 	dt := ctx.DType
 	oc := outputIndex / plane
-	oh := (outputIndex % plane) / os.W
-	ow := outputIndex % os.W
-
-	var qw []float64
+	chainLen = l.InC * l.KH * l.KW
+	tap = chainTap{ctx: ctx, in: in, quant: dt.QuantFunc(), w: l.Weights, base: oc * chainLen,
+		conv: l, oh: (outputIndex % plane) / os.W, ow: outputIndex % os.W}
 	acc = dt.Quantize(l.Bias[oc])
 	if ctx.Quant != nil {
 		var qb []float64
-		qw, qb = ctx.Quant.params(dt, l, l.Weights, l.Bias)
+		tap.qw, qb = ctx.Quant.params(dt, l, l.Weights, l.Bias)
 		acc = qb[oc]
 	}
-
-	inH, inW := in.Shape.H, in.Shape.W
-	khkw := l.KH * l.KW
-	wBase := oc * l.InC * khkw
-	quant := dt.QuantFunc()
-	tap = func(step int) (w, x float64) {
-		ic := step / khkw
-		r := step % khkw
-		ih := oh*l.Stride + r/l.KW - l.Pad
-		iw := ow*l.Stride + r%l.KW - l.Pad
-		if ih >= 0 && ih < inH && iw >= 0 && iw < inW {
-			if ctx.QIn != nil {
-				x = ctx.QIn[ic*inH*inW+ih*inW+iw]
-			} else {
-				x = quant(in.Data[ic*inH*inW+ih*inW+iw])
-			}
-		}
-		if qw != nil {
-			w = qw[wBase+step]
-		} else {
-			w = quant(l.Weights[wBase+step])
-		}
-		return w, x
-	}
-	return acc, l.InC * khkw, tap
+	return acc, chainLen, tap
 }
 
 // ForwardElementPlane implements PlaneForwarder.
 func (l *ConvLayer) ForwardElementPlane(ctx *Context, in *tensor.Tensor, pf *PlaneFault, vals *[64]float64) float64 {
 	acc, chainLen, tap := l.chainTap(ctx, in, pf.OutputIndex)
-	return planeChain(ctx, pf, chainLen, acc, tap, vals)
+	return planeChain(ctx, pf, chainLen, acc, &tap, vals)
 }
 
 // StepOperands implements PlaneForwarder.
@@ -199,40 +219,22 @@ func (l *ConvLayer) StepOperands(ctx *Context, in *tensor.Tensor, outputIndex, m
 	if macStep < 0 || macStep >= chainLen {
 		panic(fmt.Sprintf("conv %s: MAC step %d out of range [0,%d)", l.LayerName, macStep, chainLen))
 	}
-	return tap(macStep)
+	return tap.at(macStep)
 }
 
-// chainTap resolves the dot-product geometry of one FC output neuron,
-// matching ForwardElement's operand resolution exactly.
-func (l *FCLayer) chainTap(ctx *Context, in *tensor.Tensor, outputIndex int) (acc float64, chainLen int, tap func(int) (float64, float64)) {
+// chainTap resolves the dot-product geometry of one FC output neuron.
+func (l *FCLayer) chainTap(ctx *Context, in *tensor.Tensor, outputIndex int) (acc float64, chainLen int, tap chainTap) {
 	l.OutShape(in.Shape) // validate
 	if outputIndex < 0 || outputIndex >= l.Out {
 		panic(fmt.Sprintf("fc %s: output index %d out of range [0,%d)", l.LayerName, outputIndex, l.Out))
 	}
 	dt := ctx.DType
-
-	var qw []float64
+	tap = chainTap{ctx: ctx, in: in, quant: dt.QuantFunc(), w: l.Weights, base: outputIndex * l.In}
 	acc = dt.Quantize(l.Bias[outputIndex])
 	if ctx.Quant != nil {
 		var qb []float64
-		qw, qb = ctx.Quant.params(dt, l, l.Weights, l.Bias)
+		tap.qw, qb = ctx.Quant.params(dt, l, l.Weights, l.Bias)
 		acc = qb[outputIndex]
-	}
-
-	base := outputIndex * l.In
-	quant := dt.QuantFunc()
-	tap = func(step int) (w, x float64) {
-		if ctx.QIn != nil {
-			x = ctx.QIn[step]
-		} else {
-			x = quant(in.Data[step])
-		}
-		if qw != nil {
-			w = qw[base+step]
-		} else {
-			w = quant(l.Weights[base+step])
-		}
-		return w, x
 	}
 	return acc, l.In, tap
 }
@@ -240,7 +242,7 @@ func (l *FCLayer) chainTap(ctx *Context, in *tensor.Tensor, outputIndex int) (ac
 // ForwardElementPlane implements PlaneForwarder.
 func (l *FCLayer) ForwardElementPlane(ctx *Context, in *tensor.Tensor, pf *PlaneFault, vals *[64]float64) float64 {
 	acc, chainLen, tap := l.chainTap(ctx, in, pf.OutputIndex)
-	return planeChain(ctx, pf, chainLen, acc, tap, vals)
+	return planeChain(ctx, pf, chainLen, acc, &tap, vals)
 }
 
 // StepOperands implements PlaneForwarder.
@@ -249,5 +251,5 @@ func (l *FCLayer) StepOperands(ctx *Context, in *tensor.Tensor, outputIndex, mac
 	if macStep < 0 || macStep >= chainLen {
 		panic(fmt.Sprintf("fc %s: MAC step %d out of range [0,%d)", l.LayerName, macStep, chainLen))
 	}
-	return tap(macStep)
+	return tap.at(macStep)
 }
