@@ -115,9 +115,9 @@ func TestTrainedWeightsRoundTripThroughCampaign(t *testing.T) {
 	if err := models.SaveWeights(trained, filepath.Join(dir, name+".weights")); err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok, err := models.LoadPretrained(name, dir)
-	if err != nil || !ok {
-		t.Fatalf("LoadPretrained: ok=%v err=%v", ok, err)
+	loaded, err := models.LoadPretrained(name, dir)
+	if err != nil {
+		t.Fatalf("LoadPretrained: %v", err)
 	}
 
 	in := []*tensor.Tensor{models.InputFor(name, 0)}

@@ -369,7 +369,7 @@ func (s Spec) network() (*network.Network, error) {
 	if s.WeightsDir == "" {
 		return models.Build(s.Net), nil
 	}
-	net, _, err := models.LoadPretrained(s.Net, s.WeightsDir)
+	net, err := models.LoadPretrained(s.Net, s.WeightsDir)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: loading weights: %v", err)
 	}

@@ -32,8 +32,7 @@ func buildNet(cfg Config, name string) (*network.Network, error) {
 	if cfg.WeightsDir == "" {
 		return models.Build(name), nil
 	}
-	net, _, err := models.LoadPretrained(name, cfg.WeightsDir)
-	return net, err
+	return models.LoadPretrained(name, cfg.WeightsDir)
 }
 
 // Config sets the scale of a campaign.
@@ -45,8 +44,8 @@ type Config struct {
 	// Seed drives every PRNG.
 	Seed int64
 	// WeightsDir, when set, loads pre-trained weights (cmd/pretrain
-	// output) into every network the experiments build; missing files
-	// fall back to the calibrated synthetic weights.
+	// output) into every network the experiments build; a network whose
+	// file is missing is an error.
 	WeightsDir string
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,12 +84,12 @@ func TestMixedPrecisionNarrowStorageHelps(t *testing.T) {
 }
 
 func TestWeightsDirFallsBackSilently(t *testing.T) {
-	// A WeightsDir without files must fall back to synthetic weights and
-	// produce a working campaign.
+	// A WeightsDir without the network's file is an error naming the
+	// missing file; it never falls back to the synthetic weights.
 	cfg := Config{Injections: 20, Inputs: 1, Seed: 29, WeightsDir: t.TempDir()}
-	res := must(Fig3(cfg, cross([]string{"ConvNet"}, numeric.Fx16RB10)))
-	if res.Rows[0].Prob[0] < 0 {
-		t.Fatal("campaign failed")
+	_, err := Fig3(cfg, cross([]string{"ConvNet"}, numeric.Fx16RB10))
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(cfg.WeightsDir, "ConvNet.weights")) {
+		t.Fatalf("Fig3 on an empty weights dir: error %v, want one naming the missing file", err)
 	}
 }
 

@@ -25,12 +25,6 @@ import (
 // Selector draws the next fault site for an injection run.
 type Selector func(rng *rand.Rand, p *accel.Profile) accel.Site
 
-// UniformSelector injects uniformly over every (MAC, latch, bit) of the
-// network — the Fig. 3 campaign.
-func UniformSelector(rng *rand.Rand, p *accel.Profile) accel.Site {
-	return p.RandomSite(rng)
-}
-
 // BitSelector fixes the flipped bit position — the Fig. 4 campaign.
 func BitSelector(bit int) Selector {
 	return func(rng *rand.Rand, p *accel.Profile) accel.Site { return p.Draw(rng, -1, bit, 1) }
@@ -228,9 +222,10 @@ func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
 // width) and the datapath's own knobs.
 type Options struct {
 	engine.Options
-	// Selector picks fault sites; UniformSelector when nil. Stratified
-	// sampling, the site evaluation modes and MBU campaigns draw their own
-	// sites and require the default.
+	// Selector picks fault sites; nil draws uniformly over every (MAC,
+	// latch, bit) of the network (accel.Profile.Draw, the Fig. 3
+	// campaign). Stratified sampling, the site evaluation modes and MBU
+	// campaigns draw their own sites and require the default.
 	Selector Selector
 	// TrackValues, when positive, samples up to that many ValueRecords.
 	TrackValues int

@@ -114,6 +114,7 @@ type layerChains struct {
 	chain  int
 	prefix []float64       // elems × (chain+1): golden partial accumulators
 	prods  []float64       // elems × chain: golden quantized tap products
+	bounds []float64       // elems × 2: numeric.ChainBounds of each element's rows
 	filled []atomic.Uint32 // per element: 1 once its rows are written
 	fillMu [chainFillStripes]sync.Mutex
 }
@@ -123,9 +124,10 @@ type layerChains struct {
 // changed tap steps and lane values of each. One walker owns it for the
 // whole walk (a network.SlotScratch holds one); it is never shared state.
 type ChainScratch struct {
-	mark    []bool    // changed-input marks; all false between steps
 	covered []bool    // covered-output marks: CONV positions, POOL/LRN recomputed outputs; all false between steps
 	spatial []int     // the positions or outputs covered marks
+	pos     []int     // per CONV output position: its index in spatial (read only at covered positions)
+	sorted  []int     // an ascending copy of a CONV step's changed set, when the caller's is not
 	steps   []int     // changed tap steps
 	xs      []float64 // faulty input at each changed tap
 	offs    []int     // per-spatial-position offsets into steps/xs (CONV)
@@ -150,12 +152,11 @@ func marks(s []bool, n int) []bool {
 	return s
 }
 
-// grow returns s resized to n elements, contents unspecified.
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
+// grow returns s resized to n elements, contents unspecified. Capacity
+// grows amortized, so a walker whose sizes creep up step by step settles
+// after a few reallocations instead of one per step.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // chainEntry resolves the golden chain state of the MAC layer this context
@@ -187,7 +188,7 @@ func (ctx *Context) chainEntry(outElems, chain int) *layerChains {
 // process budget would be exceeded. It returns nil when the layer fits
 // neither the per-layer cap nor an emptied budget.
 func (g *chainState) alloc(li, outElems, chain int) *layerChains {
-	need := int64(outElems) * int64((2*chain+1)*8+4)
+	need := int64(outElems) * int64((2*chain+3)*8+4)
 	if need > maxChainCacheBytes {
 		return nil
 	}
@@ -212,6 +213,7 @@ func (g *chainState) alloc(li, outElems, chain int) *layerChains {
 		chain:  chain,
 		prefix: make([]float64, outElems*(chain+1)),
 		prods:  make([]float64, outElems*chain),
+		bounds: make([]float64, 2*outElems),
 		filled: make([]atomic.Uint32, outElems),
 	}
 	g.layers[li].Store(lc)
@@ -223,7 +225,8 @@ func (g *chainState) alloc(li, outElems, chain int) *layerChains {
 // accumulator, which must be the golden output element want bit for bit —
 // the state outlives any one walk and is shared across Network instances,
 // so chains filled from other weights than the execution's must fail here
-// rather than poison every later replay.
+// rather than poison every later replay. The element's bounds are derived
+// from the written rows.
 func (lc *layerChains) fill(ctx *Context, oi int, want float64, compute func(prefix, prods []float64) float64) {
 	mu := &lc.fillMu[oi%chainFillStripes]
 	mu.Lock()
@@ -231,15 +234,19 @@ func (lc *layerChains) fill(ctx *Context, oi int, want float64, compute func(pre
 	if lc.filled[oi].Load() != 0 {
 		return // lost the race to another walker
 	}
-	got := compute(lc.prefix[oi*(lc.chain+1):(oi+1)*(lc.chain+1)], lc.prods[oi*lc.chain:(oi+1)*lc.chain])
+	prefix, prods := lc.prefix[oi*(lc.chain+1):(oi+1)*(lc.chain+1)], lc.prods[oi*lc.chain:(oi+1)*lc.chain]
+	got := compute(prefix, prods)
 	if !bitsEqual(got, want) {
 		panic(fmt.Sprintf("layers: golden chain of layer %d element %d ends at %v under %s, the golden execution holds %v: the execution was not produced by this network's weights and format",
 			ctx.Layer, oi, got, ctx.DType, want))
 	}
+	lc.bounds[2*oi], lc.bounds[2*oi+1] = numeric.ChainBounds(prefix, prods)
 	lc.filled[oi].Store(1)
 }
 
 // Replays against the cached chains run through numeric.Type.ChainReplay,
 // whose per-format loops advance the lanes of a call — the chains that share
 // a changed-tap set — in groups and decompose each MAC into product-quantize
-// and accumulate-quantize, bit-identical to the MACFunc chain.
+// and accumulate-quantize, bit-identical to the MACFunc chain; fixed-point
+// lanes that provably never saturate take the closed form over the changed
+// taps alone, from the stored bounds.

@@ -52,7 +52,7 @@ func (e *chainedExec) bytes() int64 {
 	var n int64
 	for li, l := range e.ls {
 		chain := l.(interface{ MACChainLen() int }).MACChainLen()
-		n += int64(len(e.out[li].Data)) * int64((2*chain+1)*8+4)
+		n += int64(len(e.out[li].Data)) * int64((2*chain+3)*8+4)
 	}
 	return n
 }

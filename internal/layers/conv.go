@@ -278,16 +278,9 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor
 	if lc != nil {
 		// The changed-tap steps and faulty input values of a spatial
 		// position are identical for every output channel (only the weights
-		// differ): scan each position once and replay its OutC chains as the
-		// lanes of one call, position-major into sc.vals.
-		sc.mark = marks(sc.mark, len(in.Data))
-		for _, idx := range changed {
-			sc.mark[idx] = true
-		}
-		l.scanChanged(ctx, sc, in, os, spatial)
-		for _, idx := range changed {
-			sc.mark[idx] = false
-		}
+		// differ): collect them once per position and replay its OutC chains
+		// as the lanes of one call, position-major into sc.vals.
+		l.scanChanged(ctx, sc, in, os, spatial, changed)
 		qw, _ := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
 		sc.vals = grow(sc.vals, len(spatial)*l.OutC)
 		for k, si := range spatial {
@@ -300,7 +293,7 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor
 			}
 			lo, hi := sc.offs[k], sc.offs[k+1]
 			ctx.DType.ChainReplay(sc.vals[k*l.OutC:(k+1)*l.OutC], lc.prefix[si*(chain+1):], lc.prods[si*chain:],
-				qw, plane, sc.steps[lo:hi], sc.xs[lo:hi], chain)
+				qw, lc.bounds[2*si:], plane, sc.steps[lo:hi], sc.xs[lo:hi], chain)
 		}
 	}
 	for oc := 0; oc < l.OutC; oc++ {
@@ -322,44 +315,72 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor
 	return dst
 }
 
-// scanChanged records, per spatial output position, the chain steps whose
-// input is marked changed in sc.mark and the lane's quantized value at
-// each, into sc.steps/sc.xs with sc.offs delimiting the positions.
-func (l *ConvLayer) scanChanged(ctx *Context, sc *ChainScratch, in *tensor.Tensor, os tensor.Shape, spatial []int) {
-	quant := ctx.DType.QuantFunc()
-	qin := ctx.QIn
-	inH, inW := in.Shape.H, in.Shape.W
-	steps, xs := sc.steps[:0], sc.xs[:0]
-	offs := append(sc.offs[:0], 0)
-	for _, si := range spatial {
-		oh, ow := si/os.W, si%os.W
-		step := 0
-		for ic := 0; ic < l.InC; ic++ {
-			inBase := ic * inH * inW
-			for kh := 0; kh < l.KH; kh++ {
-				ih := oh*l.Stride + kh - l.Pad
-				if ih < 0 || ih >= inH {
-					step += l.KW // padding rows never hold changed inputs
-					continue
-				}
-				rowBase := inBase + ih*inW
-				for kw := 0; kw < l.KW; kw++ {
-					iw := ow*l.Stride + kw - l.Pad
-					if iw >= 0 && iw < inW && sc.mark[rowBase+iw] {
-						steps = append(steps, step)
-						if qin != nil {
-							xs = append(xs, qin[rowBase+iw])
-						} else {
-							xs = append(xs, quant(in.Data[rowBase+iw]))
-						}
-					}
-					step++
-				}
+// scanChanged records, per spatial output position (ascending, all of them
+// covered by changed), the chain steps that read a changed input and the
+// lane's quantized value at each, into sc.steps/sc.xs with sc.offs
+// delimiting the positions. It walks the changed inputs, not the windows
+// of the positions: one pass counts each position's changed taps, a second
+// writes them. Within one window the step order is the input index order,
+// so walking the changed inputs ascending writes every position's steps
+// ascending. changed itself is left as it is; an unsorted set is walked
+// through a sorted copy.
+func (l *ConvLayer) scanChanged(ctx *Context, sc *ChainScratch, in *tensor.Tensor, os tensor.Shape, spatial, changed []int) {
+	if !sort.IntsAreSorted(changed) {
+		sc.sorted = append(sc.sorted[:0], changed...)
+		sort.Ints(sc.sorted)
+		changed = sc.sorted
+	}
+	pos := grow(sc.pos, os.H*os.W)
+	for k, si := range spatial {
+		pos[si] = k
+	}
+	// step returns the chain step at which output position (oh, ow) reads
+	// input (ic, ih, iw), inside its window by convWindowRange.
+	step := func(ic, ih, iw, oh, ow int) int {
+		return (ic*l.KH+ih-oh*l.Stride+l.Pad)*l.KW + iw - ow*l.Stride + l.Pad
+	}
+
+	offs := grow(sc.offs, len(spatial)+1)
+	clear(offs)
+	for _, idx := range changed {
+		_, ih, iw := in.Coords(idx)
+		ohLo, ohHi := convWindowRange(ih, l.KH, l.Stride, l.Pad, os.H)
+		owLo, owHi := convWindowRange(iw, l.KW, l.Stride, l.Pad, os.W)
+		for oh := ohLo; oh <= ohHi; oh++ {
+			for ow := owLo; ow <= owHi; ow++ {
+				offs[pos[oh*os.W+ow]+1]++
 			}
 		}
-		offs = append(offs, len(steps))
 	}
-	sc.steps, sc.xs, sc.offs = steps, xs, offs
+	for k := 1; k < len(offs); k++ {
+		offs[k] += offs[k-1] // offs[k] is now position k's first slot
+	}
+
+	n := offs[len(spatial)]
+	steps, xs := grow(sc.steps, n), grow(sc.xs, n)
+	quant := ctx.DType.QuantFunc()
+	for _, idx := range changed {
+		var x float64
+		if ctx.QIn != nil {
+			x = ctx.QIn[idx]
+		} else {
+			x = quant(in.Data[idx])
+		}
+		ic, ih, iw := in.Coords(idx)
+		ohLo, ohHi := convWindowRange(ih, l.KH, l.Stride, l.Pad, os.H)
+		owLo, owHi := convWindowRange(iw, l.KW, l.Stride, l.Pad, os.W)
+		for oh := ohLo; oh <= ohHi; oh++ {
+			for ow := owLo; ow <= owHi; ow++ {
+				k := pos[oh*os.W+ow]
+				steps[offs[k]], xs[offs[k]] = step(ic, ih, iw, oh, ow), x
+				offs[k]++
+			}
+		}
+	}
+	// Each offs[k] has advanced to position k+1's first slot: shift back.
+	copy(offs[1:], offs[:len(spatial)])
+	offs[0] = 0
+	sc.pos, sc.steps, sc.xs, sc.offs = pos, steps, xs, offs
 }
 
 // fillChain computes the golden chain internals of output element oi from

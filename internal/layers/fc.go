@@ -152,7 +152,7 @@ func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut, out
 		}
 	}
 	sc.vals = grow(sc.vals, l.Out)
-	ctx.DType.ChainReplay(sc.vals, lc.prefix, lc.prods, qw, 1, steps, xs, l.In)
+	ctx.DType.ChainReplay(sc.vals, lc.prefix, lc.prods, qw, lc.bounds, 1, steps, xs, l.In)
 
 	for o, nv := range sc.vals {
 		if !bitsEqual(nv, goldenOut.Data[o]) {

@@ -87,21 +87,15 @@ func LoadWeights(net *network.Network, path string) error {
 	return nil
 }
 
-// LoadPretrained builds the named network and, when a weight file exists
-// in dir (as written by cmd/pretrain), loads it. The boolean reports
-// whether trained weights were found; otherwise the calibrated synthetic
-// weights remain in place.
-func LoadPretrained(name, dir string) (*network.Network, bool, error) {
+// LoadPretrained builds the named network and loads its weight file from
+// dir (as written by cmd/pretrain). A missing file is an error naming the
+// path, never a silent fall back to the synthetic weights: processes that
+// see different directory contents would otherwise run different networks
+// under one spec.
+func LoadPretrained(name, dir string) (*network.Network, error) {
 	net := Build(name)
-	path := filepath.Join(dir, name+".weights")
-	if _, err := os.Stat(path); err != nil {
-		if os.IsNotExist(err) {
-			return net, false, nil
-		}
-		return nil, false, err
+	if err := LoadWeights(net, filepath.Join(dir, name+".weights")); err != nil {
+		return nil, err
 	}
-	if err := LoadWeights(net, path); err != nil {
-		return nil, false, err
-	}
-	return net, true, nil
+	return net, nil
 }

@@ -2,6 +2,7 @@ package models
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/layers"
@@ -52,16 +53,19 @@ func TestLoadWeightsMissingFile(t *testing.T) {
 	}
 }
 
+// TestLoadPretrainedFallback: a directory without the network's file is an
+// error naming the missing path, not the synthetic weights.
 func TestLoadPretrainedFallback(t *testing.T) {
-	net, trained, err := LoadPretrained("ConvNet", t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	net, err := LoadPretrained("ConvNet", dir)
+	if err == nil {
+		t.Fatal("an empty weights dir loaded a network")
 	}
-	if trained {
-		t.Error("reported trained weights from an empty dir")
+	if want := filepath.Join(dir, "ConvNet.weights"); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %s", err, want)
 	}
-	if net == nil || net.Name != "ConvNet" {
-		t.Error("fallback network missing")
+	if net != nil {
+		t.Error("a failed load returned a network")
 	}
 }
 
@@ -72,12 +76,9 @@ func TestLoadPretrainedReadsFile(t *testing.T) {
 	if err := SaveWeights(src, filepath.Join(dir, "ConvNet.weights")); err != nil {
 		t.Fatal(err)
 	}
-	net, trained, err := LoadPretrained("ConvNet", dir)
+	net, err := LoadPretrained("ConvNet", dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !trained {
-		t.Fatal("did not report trained weights")
 	}
 	if got := net.Layers[0].(*layers.ConvLayer).Weights[0]; got != -9 {
 		t.Errorf("pretrained weight = %v, want -9", got)

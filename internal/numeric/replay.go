@@ -17,9 +17,11 @@ const chainLanes = 4
 // dst[i] receives lane i's final accumulator. Lane i's golden internals
 // start at prefix[i*rows*(chain+1)] (the partial accumulator before each
 // tap, entry `chain` being the final value) and prods[i*rows*chain] (each
-// tap's quantized product), its quantized weights at qw[i*chain]: rows is
-// the distance between consecutive lanes in chain rows, 1 for FC and the
-// output plane for CONV.
+// tap's quantized product), its quantized weights at qw[i*chain] and its
+// ChainBounds at bounds[2*i*rows] (lo, then hi): rows is the distance
+// between consecutive lanes in chain rows, 1 for FC and the output plane
+// for CONV. Only the fixed-point formats read bounds; float formats ignore
+// them and may pass nil.
 //
 // Each MAC decomposes into product-quantize and accumulate-quantize —
 // bit-identical to MACq (pinned by TestChainReplayBitIdentical) — so cached
@@ -34,7 +36,11 @@ const chainLanes = 4
 // from prefix. A tail group repeats its last lane. The loop bodies are
 // specialized per format with the quantizer inlined: an indirect kernel
 // call costs as much as the arithmetic it wraps.
-func (t Type) ChainReplay(dst, prefix, prods, qw []float64, rows int, steps []int, xs []float64, chain int) {
+//
+// A fixed-point group first tries the closed form (closedFx), which visits
+// only the changed taps, and walks the chain with replayFx only when a lane
+// might saturate.
+func (t Type) ChainReplay(dst, prefix, prods, qw, bounds []float64, rows int, steps []int, xs []float64, chain int) {
 	ps, ds := rows*(chain+1), rows*chain
 	if len(steps) == 0 {
 		for i := range dst {
@@ -54,10 +60,74 @@ func (t Type) ChainReplay(dst, prefix, prods, qw []float64, rows int, steps []in
 		case Float16:
 			replayF16(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
 		default:
-			replayFx(&out, &fxGrids[t], gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+			fx := &fxGrids[t]
+			if !closedFx(&out, fx, gp, gd, gw, bounds[2*g*rows:], ps, ds, 2*rows, n-1, steps, xs, chain) {
+				replayFx(&out, fx, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+			}
 		}
 		copy(dst[g:], out[:n])
 	}
+}
+
+// ChainBounds returns the least and the greatest partial accumulator of one
+// golden chain, given its prefix (chain+1) and prods (chain) rows; hi is
+// +Inf when any tap's accumulate clamped (prefix[j+1] != prefix[j] +
+// prods[j]), which keeps closedFx off that chain. The layers store the pair
+// beside the rows when they fill an element.
+func ChainBounds(prefix, prods []float64) (lo, hi float64) {
+	lo, hi = prefix[0], prefix[0]
+	clamped := false
+	for j, p := range prods {
+		v := prefix[j+1]
+		lo, hi = min(lo, v), max(hi, v)
+		clamped = clamped || v != prefix[j]+p
+	}
+	if clamped {
+		hi = math.Inf(1)
+	}
+	return lo, hi
+}
+
+// maxClosedSteps bounds the changed taps closedFx sums: a tap's Δ is at
+// most 2^32 grid units (the width of a 32-bit format's range), so up to
+// 2^20 of them keep every running sum below 2^52 units, where binary64 adds
+// grid values exactly.
+const maxClosedSteps = 1 << 20
+
+// closedFx is the fixed-point closed form. fxGrid.acc is exact except where
+// it clamps, so a lane whose golden partials never clamped, and whose faulty
+// partials — golden partial plus the Δ (faulty minus golden quantized
+// product) summed over the changed taps so far — all stay inside [satMin,
+// satMax], ends at the golden final plus the whole Δ, bit for bit: every
+// term is a multiple of 2^-f and every sum is exact. acc is the identity at
+// the bounds themselves, so the check is non-strict. A lane's faulty
+// partials are bounded by its golden lo/hi (bounds, stride bs) plus the
+// least/greatest running Δ; closedFx writes out and returns true when every
+// lane of the group passes, and returns false (out unspecified) otherwise.
+func closedFx(out *[chainLanes]float64, fx *fxGrid, prefix, prods, qw, bounds []float64, ps, ds, bs, last int, steps []int, xs []float64, chain int) bool {
+	if len(steps) > maxClosedSteps {
+		return false
+	}
+	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
+	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
+	var s0, s1, s2, s3, lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3 float64
+	for i, j := range steps {
+		x := xs[i]
+		s0 += fx.quant(w0[j]*x) - d0[j]
+		s1 += fx.quant(w1[j]*x) - d1[j]
+		s2 += fx.quant(w2[j]*x) - d2[j]
+		s3 += fx.quant(w3[j]*x) - d3[j]
+		lo0, lo1, lo2, lo3 = min(lo0, s0), min(lo1, s1), min(lo2, s2), min(lo3, s3)
+		hi0, hi1, hi2, hi3 = max(hi0, s0), max(hi1, s1), max(hi2, s2), max(hi3, s3)
+	}
+	b0, b1, b2, b3 := laneRows(bounds, bs, last, 2)
+	if b0[0]+lo0 < fx.satMin || b1[0]+lo1 < fx.satMin || b2[0]+lo2 < fx.satMin || b3[0]+lo3 < fx.satMin ||
+		b0[1]+hi0 > fx.satMax || b1[1]+hi1 > fx.satMax || b2[1]+hi2 > fx.satMax || b3[1]+hi3 > fx.satMax {
+		return false
+	}
+	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
+	out[0], out[1], out[2], out[3] = p0[chain]+s0, p1[chain]+s1, p2[chain]+s2, p3[chain]+s3
+	return true
 }
 
 // laneRows returns the n-element rows of a group's lanes, stride apart in
@@ -182,7 +252,8 @@ func replayF16(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, la
 
 // replayFx accumulates with fxGrid.acc (the sum of two grid values is exact,
 // so only saturation can fire); changed-tap products pay the full rounding
-// of fxGrid.quant.
+// of fxGrid.quant. It is the fallback of closedFx: saturation is how a
+// fixed-point lane re-converges, so it keeps the re-convergence skip.
 func replayFx(out *[chainLanes]float64, fx *fxGrid, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
 	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
 	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)

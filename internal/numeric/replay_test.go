@@ -19,21 +19,23 @@ type laneCase struct {
 	gx, lx       []float64 // golden and faulty quantized inputs
 	steps        []int     // changed taps, ascending; lx may equal gx there
 	prefix, prod []float64
+	bounds       []float64 // per lane row: ChainBounds lo, hi
 }
 
 func (c *laneCase) lanes() int { return len(c.bias) }
 
-// fill computes the golden internals the way the layers' fillChain does:
-// product-quantize, then accumulate-quantize on a grid accumulator.
+// fill computes the golden internals the way the layers' fillChain and
+// layerChains.fill do: product-quantize, then accumulate-quantize on a grid
+// accumulator, then the chain's bounds.
 func (c *laneCase) fill() {
 	n, ps, ds := c.lanes(), c.rows*(c.chain+1), c.rows*c.chain
 	c.prefix = make([]float64, n*ps)
 	c.prod = make([]float64, n*ds)
-	for i := range c.prefix {
-		c.prefix[i] = math.NaN()
-	}
-	for i := range c.prod {
-		c.prod[i] = math.NaN()
+	c.bounds = make([]float64, n*2*c.rows)
+	for _, s := range [][]float64{c.prefix, c.prod, c.bounds} {
+		for i := range s {
+			s[i] = math.NaN()
+		}
 	}
 	quant, accf := c.dt.QuantFunc(), c.dt.AccFunc()
 	for l := 0; l < n; l++ {
@@ -45,6 +47,8 @@ func (c *laneCase) fill() {
 			acc = accf(acc, p)
 			c.prefix[l*ps+j+1] = acc
 		}
+		b := 2 * c.rows * l
+		c.bounds[b], c.bounds[b+1] = ChainBounds(c.prefix[l*ps:l*ps+c.chain+1], c.prod[l*ds:l*ds+c.chain])
 	}
 }
 
@@ -72,7 +76,7 @@ func (c *laneCase) xs() []float64 {
 // which is what both call sites compare against golden.
 func (c *laneCase) check() error {
 	got := make([]float64, c.lanes())
-	c.dt.ChainReplay(got, c.prefix, c.prod, c.qw, c.rows, c.steps, c.xs(), c.chain)
+	c.dt.ChainReplay(got, c.prefix, c.prod, c.qw, c.bounds, c.rows, c.steps, c.xs(), c.chain)
 	for l := range got {
 		want := c.scalarReplay(l)
 		if math.Float64bits(got[l]) != math.Float64bits(want) {
@@ -200,6 +204,74 @@ func TestChainReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestChainReplayClosedForm pins where the fixed-point closed form may and
+// may not stand in for the walk, on hand-built 16b_rb10 chains (satMax =
+// 32767/1024, satMin = -32) whose inputs are exact grid values. The chain's
+// lane (weights 1) sits at every position of groups of 1–4 lanes; the other
+// lanes weigh the inputs by 1/2 and never come near saturation. Each case is
+// held to the MACq oracle, and closedFx itself must report the path the
+// case calls for: the boundary cases pin the non-strict check, the crossing
+// case the running extreme (its final Δ is 0), the clamped golden chain the
+// clamp flag.
+func TestChainReplayClosedForm(t *testing.T) {
+	dt := Fx16RB10
+	fx := &fxGrids[dt]
+	for _, tc := range []struct {
+		name   string
+		gx     []float64
+		steps  []int
+		lx     []float64 // faulty input at each changed tap
+		closed bool
+	}{
+		// Golden partials 0 10 20 15 15; the faulty partial after tap 1 is
+		// satMax itself.
+		{"partial at satMax", []float64{10, 10, -5, 0}, []int{1}, []float64{10 + fx.satMax - 20}, true},
+		// Golden partials 0 -10 -20 -15 -15; the faulty partial after tap 1
+		// is satMin itself.
+		{"partial at satMin", []float64{-10, -10, 5, 0}, []int{1}, []float64{-10 + fx.satMin + 20}, true},
+		// Golden partials 0 10 20 25 25. +10 at tap 1 takes the faulty
+		// partial to 30, then 35 — clamped to satMax — and -10 at tap 3
+		// brings the final Δ back to 0: golden final + 0 is 25, the chain
+		// ends at satMax - 10.
+		{"crosses satMax mid-chain", []float64{10, 10, 5, 0}, []int{1, 3}, []float64{20, -10}, false},
+		// Golden partials 0 20 satMax (clamped from 40) satMax-10 ditto:
+		// lowering tap 0 by 15 un-clamps the faulty chain, which ends at 15,
+		// not at golden final - 15.
+		{"golden clamps mid-chain", []float64{20, 20, -10, 0}, []int{0}, []float64{5}, false},
+		// Δ +2 at tap 1 and -2 at tap 3 cancel.
+		{"cancelling taps", []float64{3, 4, 5, 6}, []int{1, 3}, []float64{6, 4}, true},
+	} {
+		for lanes := 1; lanes <= chainLanes; lanes++ {
+			for at := 0; at < lanes; at++ {
+				c := &laneCase{dt: dt, chain: len(tc.gx), rows: 1, gx: tc.gx, steps: tc.steps}
+				c.lx = append([]float64(nil), tc.gx...)
+				for i, j := range tc.steps {
+					c.lx[j] = tc.lx[i]
+				}
+				for l := 0; l < lanes; l++ {
+					c.bias = append(c.bias, 0)
+					w := 0.5
+					if l == at {
+						w = 1
+					}
+					for range tc.gx {
+						c.qw = append(c.qw, w)
+					}
+				}
+				c.fill()
+				if err := c.check(); err != nil {
+					t.Fatalf("%s, lane %d of %d: %v", tc.name, at, lanes, err)
+				}
+				var out [chainLanes]float64
+				got := closedFx(&out, fx, c.prefix, c.prod, c.qw, c.bounds, c.chain+1, c.chain, 2, lanes-1, c.steps, c.xs(), c.chain)
+				if got != tc.closed {
+					t.Errorf("%s, lane %d of %d: closed form taken = %v, want %v", tc.name, at, lanes, got, tc.closed)
+				}
+			}
+		}
+	}
+}
+
 // hwNaN is the NaN this machine's arithmetic produces for Inf−Inf and 0·Inf.
 // Generated NaN operands are this one, so every NaN inside a case has one
 // sign and payload and the strict bit comparison does not depend on which
@@ -292,7 +364,7 @@ func BenchmarkChainReplay(b *testing.B) {
 					xs, dst := c.xs(), make([]float64, lanes)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						dt.ChainReplay(dst, c.prefix, c.prod, c.qw, 1, c.steps, xs, chain)
+						dt.ChainReplay(dst, c.prefix, c.prod, c.qw, c.bounds, 1, c.steps, xs, chain)
 					}
 					taps := float64(lanes * (chain - c.steps[0]))
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/taps, "ns/tap")
