@@ -3,6 +3,7 @@ package repro
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/accel"
@@ -73,7 +74,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	total := fit.Total([]fit.Component{
 		{Name: "datapath", Bits: dp.TotalLatchBits(), SDCProb: dpSDC},
 		eyeriss.FITComponent(eyeriss.Params16nm, eyeriss.FilterSRAM, bufSDC),
-		systolic.FITComponent(systolic.LatchBits(systolic.DefaultParams, dt), sysSDC),
+		{Name: "systolic array", Bits: systolic.LatchBits(systolic.DefaultParams, dt), SDCProb: sysSDC},
 	})
 	if total <= 0 {
 		t.Fatal("total FIT not positive")
@@ -126,6 +127,28 @@ func TestTrainedWeightsRoundTripThroughCampaign(t *testing.T) {
 	r2 := faultinj.New(loaded, numeric.Float16, in).Run(opt)
 	if r1.Counts != r2.Counts {
 		t.Error("campaign diverged across the save/load round trip")
+	}
+}
+
+// TestCommittedWeightsLoad loads every committed weights/*.weights file
+// through the pretrained path a `-weights weights` run takes, and checks
+// the network classifies held-out samples better than chance.
+func TestCommittedWeightsLoad(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("weights", "*.weights"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed weights files (%v)", err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(filepath.Base(f), ".weights")
+		net, err := models.LoadPretrained(name, "weights")
+		if err != nil {
+			t.Errorf("%s: %v", f, err)
+			continue
+		}
+		classes := min(net.Classes, 10) // TrainedAccuracy's label space
+		if acc := models.TrainedAccuracy(net, name, 50); acc <= 1/float64(classes) {
+			t.Errorf("%s: held-out accuracy %.2f, chance is %.2f", f, acc, 1/float64(classes))
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -180,6 +181,46 @@ func TestReportAcceptanceIdempotent(t *testing.T) {
 	}
 	if _, err := m.Accept(spec.Shards+3, rep); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+}
+
+// TestConflictingDuplicateRefused: a second report of a done slot is
+// compared with the accepted one — byte-equal JSON is the ignored honest
+// duplicate, anything else is ErrConflictingDuplicate with the ledger
+// unchanged — on the live path (Accept) and on journal replay (Restore of a
+// journal holding two differing reports for one slot).
+func TestConflictingDuplicateRefused(t *testing.T) {
+	spec := testSpec("FLOAT16")
+	rep := func(masked int) *Report {
+		r := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
+		r.Datapath.Masked = masked
+		return r
+	}
+	for name, admit := range map[string]func(m *Machine, r *Report) error{
+		"accept": func(m *Machine, r *Report) error {
+			_, err := m.Accept(2, r)
+			return err
+		},
+		"restore": func(m *Machine, r *Report) error { return m.Restore(2, 0, r) },
+	} {
+		m, err := NewMachine(spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := admit(m, rep(1)); err != nil {
+			t.Fatalf("%s: first report: %v", name, err)
+		}
+		if err := admit(m, rep(1)); err != nil {
+			t.Fatalf("%s: byte-equal duplicate: %v, want ignored", name, err)
+		}
+		err = admit(m, rep(2))
+		if !errors.Is(err, ErrConflictingDuplicate) {
+			t.Fatalf("%s: differing duplicate: %v, want ErrConflictingDuplicate", name, err)
+		}
+		if m.Completed() != 1 || m.shards[2].report.Datapath.Masked != 1 {
+			t.Fatalf("%s: differing duplicate changed the ledger: completed=%d masked=%d",
+				name, m.Completed(), m.shards[2].report.Datapath.Masked)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -263,7 +266,9 @@ func (m *Machine) LeaseEverGranted(leaseID string, slot int) bool {
 // that is not shaped like the slot's (Report.validate), or whose stratum
 // weights differ from the first accepted, is refused with the ledger
 // untouched: reports come off the wire, and everything downstream — merge,
-// snapshot, table construction — indexes them without looking.
+// snapshot, table construction — indexes them without looking. A duplicate
+// of a done slot is (false, nil) when its JSON equals the accepted
+// report's and ErrConflictingDuplicate otherwise.
 func (m *Machine) Accept(slot int, r *Report) (first bool, err error) {
 	return m.accept(slot, r, false)
 }
@@ -293,7 +298,7 @@ func (m *Machine) accept(slot int, r *Report, leased bool) (first bool, err erro
 	}
 	sh := &m.shards[slot]
 	if sh.done {
-		return false, nil // duplicate delivery of a deterministic result
+		return false, sameReport(slot, sh.report, r)
 	}
 	if st != nil {
 		if m.weights == nil {
@@ -318,9 +323,34 @@ func (m *Machine) accept(slot int, r *Report, leased bool) (first bool, err erro
 	return true, nil
 }
 
+// ErrConflictingDuplicate is wrapped by the error Accept returns for a
+// second report of a done slot whose JSON differs from the first one's.
+// Slot execution is deterministic, so honest duplicates are byte-equal;
+// a differing one came from a faulty or lying worker, or a corrupt journal.
+var ErrConflictingDuplicate = errors.New("campaign: duplicate report differs from the accepted one")
+
+// sameReport checks a duplicate delivery against the slot's accepted
+// report: nil when their JSON is byte-equal, ErrConflictingDuplicate
+// wrapped otherwise. The accepted report stays.
+func sameReport(slot int, kept, dup *Report) error {
+	a, err := json.Marshal(kept)
+	if err != nil {
+		return err
+	}
+	b, err := json.Marshal(dup)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("slot %d: %w", slot, ErrConflictingDuplicate)
+	}
+	return nil
+}
+
 // Restore re-admits a slot report from the journal: like
 // Accept, but counted as resumed and with the recorded retry budget
-// restored. Duplicate slots keep the first report, like the live path.
+// restored. Duplicate slots keep the first report, like the live path, and
+// a differing duplicate is ErrConflictingDuplicate.
 func (m *Machine) Restore(slot, retries int, r *Report) error {
 	first, err := m.Accept(slot, r)
 	if err != nil {

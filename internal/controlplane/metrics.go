@@ -11,6 +11,8 @@ import "expvar"
 //	  finishes, so the map is bounded by the active set, not by history
 //	tenant:   {"<tenant>.submitted", "<tenant>.rejected", "<tenant>.queue_capped"}
 //	controlplane_queue_depth: campaigns currently active (schedulable)
+//	controlplane_duplicate_conflicts: second reports of a done slot whose
+//	  JSON differed from the accepted one (answered 409, never merged)
 //	controlplane_journal: group-commit hot-path counters —
 //	  {"batches", "events", "fsyncs", "fsync_nanos", "bytes",
 //	   "compactions", "retired_events"}; events/batches is the realized
@@ -20,6 +22,7 @@ var (
 	mTenants    = expvar.NewMap("tenant")
 	mQueueDepth = expvar.NewInt("controlplane_queue_depth")
 	mJournal    = expvar.NewMap("controlplane_journal")
+	mConflicts  = expvar.NewInt("controlplane_duplicate_conflicts")
 )
 
 func noteLeaseGranted(id string) { mCampaigns.Add(id+".leases_granted", 1) }
@@ -33,6 +36,7 @@ func noteSubmitted(tenant string)   { mTenants.Add(tenantKey(tenant)+".submitted
 func noteRejected(tenant string)    { mTenants.Add(tenantKey(tenant)+".rejected", 1) }
 func setQueueDepth(active int)      { mQueueDepth.Set(int64(active)) }
 func noteQueueCapped(tenant string) { mTenants.Add(tenantKey(tenant)+".queue_capped", 1) }
+func noteDuplicateConflict()        { mConflicts.Add(1) }
 
 // dropCampaignMetrics removes a finished campaign's keys from the campaign
 // map.

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -631,6 +632,10 @@ func (p *Plane) reportLocked(req *campaign.ReportRequest) (error, func() error) 
 		return planeError{403, fmt.Sprintf("controlplane: campaign %s never granted lease %q for slot %d", c.id, req.LeaseID, req.Shard)}, nil
 	}
 	first, err := c.m.AcceptLeased(req.Shard, req.Report)
+	if errors.Is(err, campaign.ErrConflictingDuplicate) {
+		noteDuplicateConflict()
+		return errConflict(fmt.Sprintf("controlplane: campaign %s: %v", c.id, err)), nil
+	}
 	if err != nil || !first {
 		return err, nil
 	}

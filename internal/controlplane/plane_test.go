@@ -675,6 +675,65 @@ func TestForgedReportRefused(t *testing.T) {
 	}
 }
 
+// TestConflictingDuplicateOverHTTP: a second report of a done slot through
+// POST /v1/reports is compared with the accepted one. The honest duplicate
+// (byte-equal JSON) is answered like the first; a differing one is a 409,
+// counted in controlplane_duplicate_conflicts, with nothing journaled and
+// the slot's accepted report kept.
+func TestConflictingDuplicateOverHTTP(t *testing.T) {
+	p := newTestPlane(t, Config{JournalPath: filepath.Join(t.TempDir(), "ctl.journal"), LeaseTTL: time.Minute})
+	id := mustSubmit(t, p, "alice", testSpec(1), 1, 0)
+	l := firstLease(t, p.LeaseBatch(time.Now(), 1))
+	if l == nil {
+		t.Fatal("no lease granted")
+	}
+	rep, err := campaign.ExecuteLease(l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(p.Handler())
+	defer srv.Close()
+	post := func(r *campaign.Report) campaign.ReportOutcome {
+		t.Helper()
+		body, _ := json.Marshal(campaign.ReportBatchRequest{Reports: []campaign.ReportRequest{
+			{Campaign: id, LeaseID: l.ID, Shard: l.Slot, Report: r},
+		}})
+		resp, err := srv.Client().Post(srv.URL+"/v1/reports", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out campaign.ReportBatchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || len(out.Results) != 1 {
+			t.Fatalf("POST /v1/reports: %s, %+v (%v)", resp.Status, out, err)
+		}
+		return out.Results[0]
+	}
+
+	if oc := post(rep); oc.Code != 0 {
+		t.Fatalf("first report refused: %+v", oc)
+	}
+	events, conflicts := p.JournalStats().Events, mConflicts.Value()
+	if oc := post(rep); oc.Code != 0 {
+		t.Fatalf("byte-equal duplicate refused: %+v", oc)
+	}
+	lying := *rep.Datapath
+	lying.Masked++
+	if oc := post(&campaign.Report{Datapath: &lying}); oc.Code != http.StatusConflict ||
+		!strings.Contains(oc.Error, campaign.ErrConflictingDuplicate.Error()) {
+		t.Fatalf("differing duplicate: %+v, want a 409 naming the conflict", oc)
+	}
+	if got := mConflicts.Value() - conflicts; got != 1 {
+		t.Errorf("controlplane_duplicate_conflicts moved by %d, want 1", got)
+	}
+	if got := p.JournalStats().Events; got != events {
+		t.Errorf("duplicates journaled %d events", got-events)
+	}
+	if st, _ := p.Get("", id); st.Snapshot.CompletedShards != 1 {
+		t.Errorf("completed shards = %d, want 1", st.Snapshot.CompletedShards)
+	}
+}
+
 // TestStreamTerminalStatusOnce: a stream opened on a campaign already in
 // a terminal state ends after exactly one status line — the drain path
 // must not emit the terminal status twice.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/numeric"
-	"repro/internal/sdc"
 )
 
 func TestAblateLRNMasking(t *testing.T) {
@@ -104,37 +103,6 @@ func TestValidatePEArrayAllMatch(t *testing.T) {
 	if !strings.Contains(res.Format(), "bit-identical") {
 		t.Error("format missing summary")
 	}
-}
-
-func TestReplicateStability(t *testing.T) {
-	// The ConvNet/32b_rb10 SDC-1 probability must be stable across seeds:
-	// the relative spread at n=150 stays well under the mean.
-	cfg := Config{Injections: 150, Inputs: 1, Seed: 40}
-	rep := Replicate(cfg, 4, func(c Config) float64 {
-		res := must(Fig3(c, cross([]string{"ConvNet"}, numeric.Fx32RB10)))
-		return res.Rows[0].Prob[sdc.SDC1]
-	})
-	if rep.Mean <= 0.05 {
-		t.Errorf("mean SDC-1 %.4f suspiciously low", rep.Mean)
-	}
-	if rep.StdDev > rep.Mean {
-		t.Errorf("cross-seed spread %.4f exceeds the mean %.4f", rep.StdDev, rep.Mean)
-	}
-	if len(rep.Values) != 4 {
-		t.Fatalf("values = %d", len(rep.Values))
-	}
-	if !strings.Contains(rep.String(), "n=4") {
-		t.Errorf("String = %q", rep.String())
-	}
-}
-
-func TestReplicatePanicsOnZeroSeeds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Replicate with 0 seeds did not panic")
-		}
-	}()
-	Replicate(Config{}, 0, func(Config) float64 { return 0 })
 }
 
 func TestLatchBreakdown(t *testing.T) {

@@ -65,15 +65,6 @@ func Build(name string) *network.Network {
 	panic(fmt.Sprintf("models: unknown network %q", name))
 }
 
-// All builds the four networks.
-func All() []*network.Network {
-	nets := make([]*network.Network, len(Names))
-	for i, n := range Names {
-		nets[i] = Build(n)
-	}
-	return nets
-}
-
 // initializer seeds weights deterministically per network so every run of
 // every campaign sees identical models.
 type initializer struct {

@@ -199,15 +199,3 @@ func TestInputShapes(t *testing.T) {
 		}
 	}
 }
-
-func TestAllReturnsFour(t *testing.T) {
-	nets := All()
-	if len(nets) != 4 {
-		t.Fatalf("All() returned %d networks", len(nets))
-	}
-	for i, n := range nets {
-		if n.Name != Names[i] {
-			t.Errorf("All()[%d] = %s, want %s", i, n.Name, Names[i])
-		}
-	}
-}

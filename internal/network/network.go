@@ -100,23 +100,6 @@ func (n *Network) MACLayerIndices() []int {
 // numbering of Fig. 6 and Table 4.
 func (n *Network) NumBlocks() int { return len(n.MACLayerIndices()) }
 
-// BlockOfLayer maps a layer index to its 0-based block number. Post-op
-// layers belong to the block of the preceding CONV/FC. It panics for
-// layers before the first block (none of the paper's networks start with a
-// post-op).
-func (n *Network) BlockOfLayer(layerIdx int) int {
-	block := -1
-	for i := 0; i <= layerIdx; i++ {
-		if k := n.Layers[i].Kind(); k == layers.Conv || k == layers.FC {
-			block++
-		}
-	}
-	if block < 0 {
-		panic(fmt.Sprintf("network %s: layer %d precedes the first CONV/FC block", n.Name, layerIdx))
-	}
-	return block
-}
-
 // blockEnds returns, for each block, the index of its last layer
 // (excluding a trailing softmax, which reports confidences rather than
 // ACTs).

@@ -85,16 +85,6 @@ func TestMACLayerIndices(t *testing.T) {
 	}
 }
 
-func TestBlockOfLayer(t *testing.T) {
-	n := tinyNet()
-	want := []int{0, 0, 0, 1, 1} // conv,relu,pool -> block0; fc,softmax -> block1
-	for i, w := range want {
-		if got := n.BlockOfLayer(i); got != w {
-			t.Errorf("BlockOfLayer(%d) = %d, want %d", i, got, w)
-		}
-	}
-}
-
 func TestForwardCapturesAllActs(t *testing.T) {
 	n := tinyNet()
 	exec := n.Forward(numeric.Double, tinyInput())

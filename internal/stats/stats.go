@@ -220,18 +220,6 @@ func MergeAllStratified(ss ...Stratified) Stratified {
 	return total
 }
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
 // Percentile returns the q-th percentile (0..100) of xs using linear
 // interpolation. It panics on an empty slice.
 func Percentile(xs []float64, q float64) float64 {

@@ -52,15 +52,6 @@ func TestProportionString(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	cases := map[float64]float64{0: 1, 50: 3, 100: 5, 25: 2}

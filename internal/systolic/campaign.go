@@ -20,7 +20,6 @@ import (
 	"math/rand"
 
 	"repro/internal/engine"
-	"repro/internal/fit"
 	"repro/internal/layers"
 	"repro/internal/network"
 	"repro/internal/numeric"
@@ -314,9 +313,4 @@ func (inj *injector) execute(sc *network.SlotScratch, g *network.Execution, pos 
 func LatchBits(par Params, dt numeric.Type) int64 {
 	par = par.withDefaults()
 	return int64(par.Rows) * int64(par.Cols) * int64(NumLatches) * int64(dt.Width())
-}
-
-// FITComponent assembles the Eq. 1 term for the array's latch plane.
-func FITComponent(bits int64, sdcProb float64) fit.Component {
-	return fit.Component{Name: "systolic array", Bits: bits, SDCProb: sdcProb}
 }

@@ -371,10 +371,6 @@ func TestLatchBits(t *testing.T) {
 	if got := LatchBits(Params{}, numeric.Fx16RB10); got != 16*16*4*16 {
 		t.Errorf("LatchBits(default, fx16) = %d", got)
 	}
-	comp := FITComponent(1024, 0.5)
-	if comp.Bits != 1024 || comp.SDCProb != 0.5 || comp.Name == "" {
-		t.Errorf("FITComponent drifted: %+v", comp)
-	}
 }
 
 // TestCampaignGoldensComputedOncePerInput: a campaign resolves each input's

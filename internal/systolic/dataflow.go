@@ -1,34 +1,34 @@
 // Dataflow strategies. The array model is parameterized by which operand
-// stays resident in the PEs: the three classic stationary dataflows share
-// one logical coordinate system — chain step K, output column Out, stream
-// position P — and one physical addressing scheme (pass, cycle, PE row,
-// PE col, latch, bit). A dataflow chooses the mapping between the two:
-// which logical axes tile onto the physical row/column axes, which axis
-// streams through time, and therefore which latches hold resident
-// (persistent) versus moving (single-read or forwarded) operands. The
-// per-latch corruption fronts below are everything the campaign path,
-// the cycle-level simulator and the analytical pre-screen need; all other
-// machinery (site sampling, stratification, MBU spans, shard merge) is
-// dataflow-independent.
+// stays resident in the PEs: every stationary dataflow shares one logical
+// coordinate system — chain step K, output column Out, stream position P —
+// and one physical addressing scheme (pass, cycle, PE row, PE col, latch,
+// bit). A dataflow is one row of the flows table: the wire name, which
+// logical axis maps onto the PE rows, the PE columns and time, the latch
+// that holds the resident operand and the operand latch that flows east
+// (the other operand flows south). Everything else — the schedule, the
+// address decoder, the cycle-level simulator, the per-latch corruption
+// fronts and the analytical pre-screen's single-MAC test — is derived from
+// the row, so adding a stationary dataflow is adding one row.
 //
-//	dataflow  resident  rows↔  cols↔  time↔  east-flowing  south-flowing
-//	weight    weight    K      Out    P      activation    partial sum
-//	output    psum      P      Out    K      activation    weight
-//	input     act       K      P      Out    weight        partial sum
+//	dataflow  rows↔  cols↔  time↔  resident  east-flowing
+//	weight    K      Out    P      weight    act
+//	output    P      Out    K      psum      act
+//	input     K      P      Out    act       weight
 //
-// Per-latch corruption fronts (effects on the logical MAC grid):
+// The resident operand is the one the time axis does not index; the
+// east-flowing one is indexed by the row and time axes, so a row's east
+// latch is weight or act, never psum.
 //
-//	latch   weight-stationary        output-stationary       input-stationary
-//	weight  resident: step K of      one read: step K of     one read: step K of
-//	        (Out, p′) ∀ p′ ≥ P       (Out, P)                (Out, P)
-//	act     one read: step K of      one read: step K of     resident: step K of
-//	        (Out, P)                 (Out, P)                (o′, P) ∀ o′ ≥ Out
-//	psum    one flip after step K    one flip after step K   one flip after step K
-//	        of (Out, P)              of (Out, P) — resident, of (Out, P)
-//	                                 persists by accumulation
-//	pipe    east-forwarded act:      east-forwarded act:     east-forwarded weight:
-//	        step K of (o′, P) for    step K of (o′, P) for   step K of (Out, p′) for
-//	        o′ east in column tile   o′ east in column tile  p′ east in column tile
+// Per-latch corruption fronts (effects on the logical MAC grid), one rule
+// per latch class for every row:
+//
+//	weight, act  the row's resident latch: step K of every element the PE
+//	             computes from the strike to the pass end (the time-axis
+//	             suffix); otherwise one read: step K of (Out, P)
+//	psum         one accumulator flip after step K of (Out, P) — south-
+//	             flowing, or resident and carried by the accumulation
+//	pipe         the east operand: step K of every element east of the PE
+//	             in its column tile (the column-axis suffix)
 //
 // A pipe fault whose PE sits at its column tile's east edge leaves the
 // array unconsumed in every dataflow — architecturally masked.
@@ -36,12 +36,13 @@ package systolic
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/layers"
 )
 
-// Dataflow selects which operand stays resident in the PEs. The zero
-// value is the weight-stationary dataflow.
+// Dataflow selects which operand stays resident in the PEs: an index into
+// the flows table. The zero value is the weight-stationary dataflow.
 type Dataflow int
 
 const (
@@ -59,78 +60,97 @@ const (
 	NumDataflows
 )
 
+// Logical axes of the matmul the array executes, as indices of a
+// coordinate triple (k, o, p).
+const (
+	axisK = iota
+	axisOut
+	axisP
+)
+
+// dataflowRow is one dataflow's row: its wire name, the logical axis on
+// the PE rows, the PE columns and time, its resident latch and the operand
+// latch its east-forwarding (pipe) register carries.
+type dataflowRow struct {
+	name           string
+	row, col, time int
+	resident, east Latch
+}
+
+// flows is the dataflow table, indexed by Dataflow; its order is the
+// order of DataflowNames.
+var flows = [NumDataflows]dataflowRow{
+	WeightStationary: {"weight", axisK, axisOut, axisP, LatchWeight, LatchAct},
+	OutputStationary: {"output", axisP, axisOut, axisK, LatchPsum, LatchAct},
+	InputStationary:  {"input", axisK, axisP, axisOut, LatchAct, LatchWeight},
+}
+
+// persists reports whether a flip of operand latch l corrupts every later
+// read of the pass: l is the row's resident weight or act register. A
+// resident psum is one accumulator word, corrupted once like a moving one.
+func (f dataflowRow) persists(l Latch) bool {
+	return l == f.resident && l != LatchPsum
+}
+
 // String names the dataflow (the campaign.Spec wire names).
 func (d Dataflow) String() string {
-	switch d {
-	case WeightStationary:
-		return "weight"
-	case OutputStationary:
-		return "output"
-	case InputStationary:
-		return "input"
+	if d >= 0 && d < NumDataflows {
+		return flows[d].name
 	}
 	return fmt.Sprintf("systolic.Dataflow(%d)", int(d))
 }
 
-// DataflowNames lists the accepted dataflow spec names.
-var DataflowNames = []string{"weight", "output", "input"}
+// DataflowNames lists the accepted dataflow spec names, in Dataflow order.
+var DataflowNames = func() []string {
+	names := make([]string, len(flows))
+	for d, f := range flows {
+		names[d] = f.name
+	}
+	return names
+}()
 
 // ParseDataflow resolves a spec name to its dataflow; the empty name is
 // the weight-stationary default.
 func ParseDataflow(name string) (Dataflow, error) {
-	switch name {
-	case "", "weight":
-		return WeightStationary, nil
-	case "output":
-		return OutputStationary, nil
-	case "input":
-		return InputStationary, nil
+	if name == "" {
+		return 0, nil
 	}
-	return 0, fmt.Errorf("systolic: unknown dataflow %q (want weight, output or input)", name)
+	for d, f := range flows {
+		if f.name == name {
+			return Dataflow(d), nil
+		}
+	}
+	last := len(DataflowNames) - 1
+	return 0, fmt.Errorf("systolic: unknown dataflow %q (want %s or %s)",
+		name, strings.Join(DataflowNames[:last], ", "), DataflowNames[last])
 }
 
 // axes returns the logical extents mapped onto the physical row, column
 // and time axes under the geometry's dataflow.
 func (g Geometry) axes() (rowExt, colExt, timeExt int) {
-	switch g.Flow {
-	case OutputStationary:
-		return g.P, g.Outs, g.K
-	case InputStationary:
-		return g.K, g.P, g.Outs
-	}
-	return g.K, g.Outs, g.P
+	f, ext := flows[g.Flow], [3]int{g.K, g.Outs, g.P}
+	return ext[f.row], ext[f.col], ext[f.time]
 }
 
 // physical maps a site's logical coordinates onto the (row-axis,
 // column-axis, time-axis) values of the dataflow.
 func (g Geometry) physical(s Site) (rv, cv, tv int) {
-	switch g.Flow {
-	case OutputStationary:
-		return s.P, s.Out, s.K
-	case InputStationary:
-		return s.K, s.P, s.Out
-	}
-	return s.K, s.Out, s.P
+	f, v := flows[g.Flow], [3]int{s.K, s.Out, s.P}
+	return v[f.row], v[f.col], v[f.time]
 }
 
 // logical is the inverse of physical.
 func (g Geometry) logical(rv, cv, tv int) (k, o, p int) {
-	switch g.Flow {
-	case OutputStationary:
-		return tv, cv, rv
-	case InputStationary:
-		return rv, tv, cv
-	}
-	return rv, cv, tv
+	f := flows[g.Flow]
+	var v [3]int
+	v[f.row], v[f.col], v[f.time] = rv, cv, tv
+	return v[axisK], v[axisOut], v[axisP]
 }
 
-// colCoord returns the logical value living on the column axis — the
-// coordinate the east-forwarding pipe register walks across.
-func (g Geometry) colCoord(s Site) int {
-	if g.Flow == InputStationary {
-		return s.P
-	}
-	return s.Out
+// elem is the flat (Out, P) output index of the physical coordinate.
+func (g Geometry) elem(rv, cv, tv int) int {
+	_, o, p := g.logical(rv, cv, tv)
+	return o*g.P + p
 }
 
 // PipeMasked reports whether a pipeline-register site is architecturally
@@ -140,61 +160,49 @@ func (g Geometry) PipeMasked(s Site) bool {
 	if s.Latch != LatchPipe {
 		return false
 	}
-	cv := g.colCoord(s)
+	_, cv, _ := g.physical(s)
 	return g.ColTileEnd(cv) == cv+1
+}
+
+// latchTarget maps a latch class onto the layers package's per-MAC latch
+// target; the pipe register carries its dataflow's east latch.
+var latchTarget = [...]layers.Target{
+	LatchWeight: layers.TargetWeight,
+	LatchAct:    layers.TargetInput,
+	LatchPsum:   layers.TargetAccum,
 }
 
 // effects expands a site into its per-MAC corruption front under the
 // geometry's dataflow: the struck per-MAC latch and the faulted output
-// elements (flat (Out, P) indices in ascending order, each corrupted at
-// chain step K), appended to dst. An empty set is the architecturally
+// elements (flat (Out, P) indices, each corrupted at chain step K),
+// appended to dst. Along a front only one coordinate varies — the time
+// axis of a resident operand, the column axis of a pipe, Out or P in every
+// valid row — so the indices ascend. An empty set is the architecturally
 // masked pipe fault at a tile's east edge.
 func (g Geometry) effects(dst []int, s Site) (layers.Target, []int) {
-	one := s.Out*g.P + s.P
-	switch s.Latch {
-	case LatchAct:
-		if g.Flow == InputStationary {
-			// Resident operand: corrupted for the rest of the pass — every
-			// remaining time step (output column) that reads it.
-			for o := s.Out; o < g.Outs; o++ {
-				dst = append(dst, o*g.P+s.P)
-			}
-			return layers.TargetInput, dst
+	f := flows[g.Flow]
+	rv, cv, tv := g.physical(s)
+	switch {
+	case s.Latch == LatchPipe:
+		// East-forwarding register: the corrupted east operand is read by
+		// every occupied PE east of the fault in its column tile.
+		for c, end := cv+1, g.ColTileEnd(cv); c < end; c++ {
+			dst = append(dst, g.elem(rv, c, tv))
 		}
-		return layers.TargetInput, append(dst, one)
-	case LatchPsum:
-		// South-flowing (weight/input-stationary) or resident
-		// (output-stationary): either way one accumulator-word flip after
-		// step K, carried forward by the remaining accumulation.
-		return layers.TargetAccum, append(dst, one)
-	case LatchWeight:
-		if g.Flow == WeightStationary {
-			// Resident operand: corrupted reads for the rest of the pass.
-			for p := s.P; p < g.P; p++ {
-				dst = append(dst, s.Out*g.P+p)
-			}
-			return layers.TargetWeight, dst
+		return latchTarget[f.east], dst
+	case f.persists(s.Latch):
+		// Resident operand: every read from the strike to the pass end —
+		// each remaining time step of the PE.
+		_, _, timeExt := g.axes()
+		for t := tv; t < timeExt; t++ {
+			dst = append(dst, g.elem(rv, cv, t))
 		}
-		return layers.TargetWeight, append(dst, one)
-	case LatchPipe:
-		// East-forwarding register: the corrupted moving operand is
-		// consumed by every occupied PE east of the fault in its column
-		// tile. What moves east — and so which operand the downstream MACs
-		// see corrupted — is the dataflow's moving operand.
-		cv := g.colCoord(s)
-		end := g.ColTileEnd(cv)
-		if g.Flow == InputStationary {
-			for p := s.P + 1; p < end; p++ {
-				dst = append(dst, s.Out*g.P+p)
-			}
-			return layers.TargetWeight, dst
-		}
-		for o := s.Out + 1; o < end; o++ {
-			dst = append(dst, o*g.P+s.P)
-		}
-		return layers.TargetInput, dst
+		return latchTarget[s.Latch], dst
 	}
-	panic("systolic: unknown latch")
+	// One corrupted read, or one accumulator-word flip after step K
+	// carried forward by the remaining accumulation (south-flowing or
+	// resident psum alike).
+	return latchTarget[s.Latch], append(dst, s.Out*g.P+s.P)
 }
 
 // planeTarget reports whether a latch is a single-MAC upset under the
@@ -203,21 +211,10 @@ func (g Geometry) effects(dst []int, s Site) (layers.Target, []int) {
 // bit-parallel plane replay. Multi-MAC (resident or forwarded) latches
 // return ok false and replay through the effect expansion per bit.
 func (g Geometry) planeTarget(l Latch) (t layers.Target, ok bool) {
-	switch l {
-	case LatchAct:
-		if g.Flow == InputStationary {
-			return 0, false
-		}
-		return layers.TargetInput, true
-	case LatchPsum:
-		return layers.TargetAccum, true
-	case LatchWeight:
-		if g.Flow == WeightStationary {
-			return 0, false
-		}
-		return layers.TargetWeight, true
+	if l == LatchPipe || flows[g.Flow].persists(l) {
+		return 0, false
 	}
-	return 0, false
+	return latchTarget[l], true
 }
 
 // abstract translates a single-bit site into the layers package's

@@ -30,14 +30,14 @@ func chainEval(l layers.Layer, dt numeric.Type, in *tensor.Tensor, oi int, s Sit
 		if k == s.K {
 			switch target {
 			case layers.TargetWeight:
-				w = flipBits(dt, w, s.Bit, s.Width)
+				w = dt.FlipBits(w, s.Bit, s.Width)
 			case layers.TargetInput:
-				x = flipBits(dt, x, s.Bit, s.Width)
+				x = dt.FlipBits(x, s.Bit, s.Width)
 			}
 		}
 		acc = mac(acc, w, x)
 		if target == layers.TargetAccum && k == s.K {
-			acc = flipBits(dt, acc, s.Bit, s.Width)
+			acc = dt.FlipBits(acc, s.Bit, s.Width)
 		}
 		return acc
 	}

@@ -1,11 +1,11 @@
-// Cycle-level simulation of one MAC layer on the array under any of the
-// three stationary dataflows. The simulator exists to validate the
-// abstract fault model the campaign path uses: its register-transfer
-// loops make each dataflow's operand movement explicit (which operand is
-// resident, which flows east, which flows south), so the package's tests
-// can prove that a physically addressed fault equals the layers
-// package's per-MAC injection — and, for the moving- and
-// resident-operand latches, the campaign's multi-MAC effect expansion.
+// Cycle-level simulation of one MAC layer on the array under any row of
+// the dataflow table. The simulator exists to validate the abstract fault
+// model the campaign path uses: its one register-transfer loop makes the
+// operand movement explicit (which operand is resident, which flows east,
+// which flows south), so the package's tests can prove that a physically
+// addressed fault equals the layers package's per-MAC injection — and, for
+// the moving- and resident-operand latches, the campaign's multi-MAC effect
+// expansion.
 package systolic
 
 import (
@@ -26,12 +26,8 @@ type Sim struct {
 	Flow Dataflow
 }
 
-// New builds a weight-stationary simulator. The layer must be CONV or FC.
-func New(l layers.Layer, dt numeric.Type, par Params) *Sim {
-	return NewFlow(l, dt, par, WeightStationary)
-}
-
-// NewFlow builds a simulator under an explicit dataflow.
+// NewFlow builds a simulator under a dataflow. The layer must be CONV or
+// FC.
 func NewFlow(l layers.Layer, dt numeric.Type, par Params, flow Dataflow) *Sim {
 	switch l.(type) {
 	case *layers.ConvLayer, *layers.FCLayer:
@@ -92,10 +88,16 @@ func (s *Sim) operands(in *tensor.Tensor) (weight func(o, k int) float64, stream
 // injected at its physical coordinate (Run panics on an unresolvable
 // address; campaigns draw in site space, tests probe Resolve directly).
 //
-// In every dataflow the accumulator of output (o, p) folds chain steps
-// in ascending k — the layers package's chain order — starting from the
-// quantized bias, which makes the fault-free output bit-identical to
-// layers.Forward under every format.
+// One register-transfer loop serves every dataflow. Pass rt·ColTiles + ct
+// runs row tile rt of the dataflow's row axis against column tile ct of
+// its column axis; at time step t, PE (r, c) — logical (k, o, p) through
+// Geometry.logical — reads its resident operand, the east operand in
+// flight along row r and the south operand coming down column c at cycle
+// t + r + c, folds one MAC into the accumulator of (o, p) and forwards the
+// east operand. Every accumulator starts from the quantized bias and folds
+// chain steps in ascending k — the layers package's chain order — which
+// makes the fault-free output bit-identical to layers.Forward under every
+// format and dataflow.
 func (s *Sim) Run(in *tensor.Tensor, f *Fault) *tensor.Tensor {
 	dt := s.DType
 	geo := s.Geometry(in.Shape)
@@ -107,226 +109,56 @@ func (s *Sim) Run(in *tensor.Tensor, f *Fault) *tensor.Tensor {
 			panic(err)
 		}
 	}
+	flip := func(v float64) float64 {
+		f.Applied = true
+		return dt.FlipBits(v, site.Bit, site.Width)
+	}
 	weight, stream, bias, outShape := s.operands(in)
 	out := tensor.New(outShape)
-	switch s.Flow {
-	case OutputStationary:
-		s.runOS(geo, out.Data, weight, stream, bias, f, site)
-	case InputStationary:
-		s.runIS(geo, out.Data, weight, stream, bias, f, site)
-	default:
-		s.runWS(geo, out.Data, weight, stream, bias, f, site)
-	}
-	return out
-}
-
-// runWS is the weight-stationary register-transfer loop. Dataflow per
-// pass (row tile rt over k, column tile ct over o): PE (r, c) holds
-// weight (o = ct·Cols + c, k = rt·Rows + r) resident for the whole pass,
-// consumes the east-flowing stream operand of position p at cycle
-// p + r + c, forwards it east, and pushes its updated partial sum south.
-// Cross-row-tile accumulation is sequential in k, with the bias injected
-// at the top of row tile 0.
-func (s *Sim) runWS(geo Geometry, acc []float64, weight, stream func(int, int) float64, bias func(int) float64, f *Fault, site Site) {
-	dt := s.DType
 	// acc[o·P + p] is the partial sum of output (o, p) — for CONV exactly
 	// the (oc, oh, ow) flat activation index, for FC just o.
+	acc := out.Data
 	for o := 0; o < geo.Outs; o++ {
 		b := bias(o)
 		for p := 0; p < geo.P; p++ {
 			acc[o*geo.P+p] = b
 		}
 	}
-	mac := dt.MACFunc()
+	fl, mac := flows[s.Flow], dt.MACFunc()
+	rowExt, colExt, timeExt := geo.axes()
 	for pass := 0; pass < geo.Passes; pass++ {
 		rt, ct := pass/geo.ColTiles, pass%geo.ColTiles
-		rowsOcc := geo.K - rt*geo.Rows
-		if rowsOcc > geo.Rows {
-			rowsOcc = geo.Rows
-		}
-		colsOcc := geo.Outs - ct*geo.Cols
-		if colsOcc > geo.Cols {
-			colsOcc = geo.Cols
-		}
-		for p := 0; p < geo.P; p++ {
-			for r := 0; r < rowsOcc; r++ {
-				k := rt*geo.Rows + r
-				// xflow is the operand in flight along row r for stream
-				// position p; PE (r, c) reads it at cycle p + r + c.
-				xflow := stream(k, p)
-				for c := 0; c < colsOcc; c++ {
-					o := ct*geo.Cols + c
-					hitPE := f != nil && f.Pass == pass && f.Row == r && f.Col == c
-					atCycle := hitPE && p+r+c == f.Cycle
-					x := xflow
-					if atCycle && f.Latch == LatchAct {
-						// Local operand register: one corrupted read.
-						x = flipBits(dt, xflow, site.Bit, site.Width)
-						f.Applied = true
+		rows := min(rowExt-rt*geo.Rows, geo.Rows)
+		cols := min(colExt-ct*geo.Cols, geo.Cols)
+		for t := 0; t < timeExt; t++ {
+			for r := 0; r < rows; r++ {
+				// piped: an upstream pipe register of row r forwarded a
+				// corrupted east operand.
+				piped := false
+				for c := 0; c < cols; c++ {
+					k, o, p := geo.logical(rt*geo.Rows+r, ct*geo.Cols+c, t)
+					var op [LatchPsum]float64
+					op[LatchWeight], op[LatchAct] = weight(o, k), stream(k, p)
+					if piped {
+						op[fl.east] = flip(op[fl.east])
 					}
-					w := weight(o, k)
-					if hitPE && f.Latch == LatchWeight && p >= site.P {
-						// Resident register: corrupted until pass end.
-						w = flipBits(dt, w, site.Bit, site.Width)
-						f.Applied = true
+					// struck: the fault's PE at or after its cycle; now: at it.
+					struck := f != nil && f.Pass == pass && f.Row == r && f.Col == c && t+r+c >= f.Cycle
+					now := struck && t+r+c == f.Cycle
+					if struck && f.Latch < LatchPsum && (now || fl.persists(f.Latch)) {
+						op[f.Latch] = flip(op[f.Latch])
 					}
 					ai := o*geo.P + p
-					a := mac(acc[ai], w, x)
-					if atCycle && f.Latch == LatchPsum {
-						a = flipBits(dt, a, site.Bit, site.Width)
-						f.Applied = true
+					acc[ai] = mac(acc[ai], op[LatchWeight], op[LatchAct])
+					if now && f.Latch == LatchPsum {
+						acc[ai] = flip(acc[ai])
 					}
-					acc[ai] = a
-					if atCycle && f.Latch == LatchPipe {
-						// East output register: the corruption flows on.
-						xflow = flipBits(dt, xflow, site.Bit, site.Width)
-						if c+1 < colsOcc {
-							f.Applied = true
-						}
-					}
+					piped = piped || now && f.Latch == LatchPipe
 				}
 			}
 		}
 	}
-}
-
-// runOS is the output-stationary register-transfer loop. Dataflow per
-// pass (row tile rt over p, column tile ct over o): PE (r, c) holds the
-// accumulator of output (o = ct·Cols + c, p = rt·Rows + r) resident,
-// initialized from the bias at pass start; the activation of (k, p)
-// flows east along row r, the weight of (o, k) flows south down column
-// c, and PE (r, c) folds chain step k at cycle k + r + c. Each pass
-// completes its output block — no cross-pass accumulation.
-func (s *Sim) runOS(geo Geometry, acc []float64, weight, stream func(int, int) float64, bias func(int) float64, f *Fault, site Site) {
-	dt := s.DType
-	mac := dt.MACFunc()
-	for pass := 0; pass < geo.Passes; pass++ {
-		rt, ct := pass/geo.ColTiles, pass%geo.ColTiles
-		rowsOcc := geo.P - rt*geo.Rows
-		if rowsOcc > geo.Rows {
-			rowsOcc = geo.Rows
-		}
-		colsOcc := geo.Outs - ct*geo.Cols
-		if colsOcc > geo.Cols {
-			colsOcc = geo.Cols
-		}
-		for c := 0; c < colsOcc; c++ {
-			o := ct*geo.Cols + c
-			b := bias(o)
-			for r := 0; r < rowsOcc; r++ {
-				acc[o*geo.P+rt*geo.Rows+r] = b
-			}
-		}
-		for k := 0; k < geo.K; k++ {
-			for r := 0; r < rowsOcc; r++ {
-				p := rt*geo.Rows + r
-				// xflow is the activation in flight along row r for chain
-				// step k; PE (r, c) reads it at cycle k + r + c.
-				xflow := stream(k, p)
-				for c := 0; c < colsOcc; c++ {
-					o := ct*geo.Cols + c
-					hitPE := f != nil && f.Pass == pass && f.Row == r && f.Col == c
-					atCycle := hitPE && k+r+c == f.Cycle
-					x := xflow
-					if atCycle && f.Latch == LatchAct {
-						// Stream register: one corrupted read.
-						x = flipBits(dt, xflow, site.Bit, site.Width)
-						f.Applied = true
-					}
-					w := weight(o, k)
-					if atCycle && f.Latch == LatchWeight {
-						// South-flowing weight register: one corrupted read.
-						w = flipBits(dt, w, site.Bit, site.Width)
-						f.Applied = true
-					}
-					ai := o*geo.P + p
-					a := mac(acc[ai], w, x)
-					if atCycle && f.Latch == LatchPsum {
-						// Resident accumulator: the flip persists through
-						// the remaining accumulation by construction.
-						a = flipBits(dt, a, site.Bit, site.Width)
-						f.Applied = true
-					}
-					acc[ai] = a
-					if atCycle && f.Latch == LatchPipe {
-						// East output register: the corruption flows on.
-						xflow = flipBits(dt, xflow, site.Bit, site.Width)
-						if c+1 < colsOcc {
-							f.Applied = true
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// runIS is the input-stationary register-transfer loop. Dataflow per
-// pass (row tile rt over k, column tile ct over p): PE (r, c) holds the
-// activation of (k = rt·Rows + r, p = ct·Cols + c) resident for the
-// whole pass; the weight of (o, k) flows east along row r, partial sums
-// flow south down column c, and PE (r, c) folds chain step k of output o
-// at cycle o + r + c. Cross-row-tile accumulation is sequential in k,
-// with the bias injected at the top of row tile 0.
-func (s *Sim) runIS(geo Geometry, acc []float64, weight, stream func(int, int) float64, bias func(int) float64, f *Fault, site Site) {
-	dt := s.DType
-	for o := 0; o < geo.Outs; o++ {
-		b := bias(o)
-		for p := 0; p < geo.P; p++ {
-			acc[o*geo.P+p] = b
-		}
-	}
-	mac := dt.MACFunc()
-	for pass := 0; pass < geo.Passes; pass++ {
-		rt, ct := pass/geo.ColTiles, pass%geo.ColTiles
-		rowsOcc := geo.K - rt*geo.Rows
-		if rowsOcc > geo.Rows {
-			rowsOcc = geo.Rows
-		}
-		colsOcc := geo.P - ct*geo.Cols
-		if colsOcc > geo.Cols {
-			colsOcc = geo.Cols
-		}
-		for o := 0; o < geo.Outs; o++ {
-			for r := 0; r < rowsOcc; r++ {
-				k := rt*geo.Rows + r
-				// wflow is the weight in flight along row r for output
-				// column o; PE (r, c) reads it at cycle o + r + c.
-				wflow := weight(o, k)
-				for c := 0; c < colsOcc; c++ {
-					p := ct*geo.Cols + c
-					hitPE := f != nil && f.Pass == pass && f.Row == r && f.Col == c
-					atCycle := hitPE && o+r+c == f.Cycle
-					w := wflow
-					if atCycle && f.Latch == LatchWeight {
-						// Stream register: one corrupted read.
-						w = flipBits(dt, wflow, site.Bit, site.Width)
-						f.Applied = true
-					}
-					x := stream(k, p)
-					if hitPE && f.Latch == LatchAct && o >= site.Out {
-						// Resident register: corrupted until pass end.
-						x = flipBits(dt, x, site.Bit, site.Width)
-						f.Applied = true
-					}
-					ai := o*geo.P + p
-					a := mac(acc[ai], w, x)
-					if atCycle && f.Latch == LatchPsum {
-						a = flipBits(dt, a, site.Bit, site.Width)
-						f.Applied = true
-					}
-					acc[ai] = a
-					if atCycle && f.Latch == LatchPipe {
-						// East output register: the corrupted weight flows on.
-						wflow = flipBits(dt, wflow, site.Bit, site.Width)
-						if c+1 < colsOcc {
-							f.Applied = true
-						}
-					}
-				}
-			}
-		}
-	}
+	return out
 }
 
 // RandomFault draws a uniformly random in-range physical fault for an

@@ -8,8 +8,12 @@
 // every time step that reads it until the pass ends — is a property of
 // the dataflow, not the array. One cycle-level core therefore models
 // weight-stationary (TPU-style, the default), output-stationary and
-// input-stationary arrays; Dataflow owns operand residency, skew and the
-// per-latch corruption-front geometry (see dataflow.go).
+// input-stationary arrays. Each dataflow is one row of the table in
+// dataflow.go — its wire name, the logical axis on the PE rows, the PE
+// columns and time, the resident latch and the operand latch that flows
+// east — and the schedule, the address decoder, the register-transfer
+// loop (Sim.Run) and the per-latch corruption fronts are all derived from
+// the row: adding a stationary dataflow is adding one row.
 //
 // Mapping. A CONV/FC layer is viewed as the matmul the array executes
 // over logical coordinates (k, o, p): accumulation-chain steps k — the
@@ -36,11 +40,11 @@
 //
 // Latches. Each PE carries four fault targets — weight, act, psum and
 // the east-output forwarding (pipe) register. Which of them is the
-// persistent resident register, which are single-read stream registers,
-// and which operand the pipe register forwards east depend on the
-// dataflow; the corruption-front table in dataflow.go is the complete
-// map. In every dataflow a pipe fault at a column tile's east edge
-// leaves the array unconsumed — architecturally masked.
+// persistent resident register and which operand the pipe register
+// forwards east are the row's choice; one rule per latch class, the same
+// under every dataflow, turns that into a corruption front (dataflow.go).
+// In every dataflow a pipe fault at a column tile's east edge leaves the
+// array unconsumed — architecturally masked.
 //
 // MBU. A Width > 1 fault flips Width adjacent bits of the struck latch —
 // the multi-bit-upset mode of the TWEPP'25 pipeline bit-fault analysis —
@@ -51,7 +55,6 @@ import (
 	"fmt"
 
 	"repro/internal/layers"
-	"repro/internal/numeric"
 	"repro/internal/tensor"
 )
 
@@ -267,11 +270,4 @@ func (g Geometry) ColTileEnd(v int) int {
 		end = colExt
 	}
 	return end
-}
-
-// flipBits inverts width adjacent bits starting at bit — the SEU flip for
-// width 1, the MBU flip otherwise. The caller guarantees the span lies
-// inside the format word.
-func flipBits(dt numeric.Type, v float64, bit, width int) float64 {
-	return dt.FlipBits(v, bit, width)
 }

@@ -3,6 +3,7 @@ package systolic
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/layers"
@@ -53,7 +54,7 @@ var tinyArray = Params{Rows: 4, Cols: 3}
 
 func TestGeometry(t *testing.T) {
 	l := fxConv(1, 2, 4, 3, 1, 1)
-	sim := New(l, numeric.Fx32RB26, tinyArray)
+	sim := NewFlow(l, numeric.Fx32RB26, tinyArray, WeightStationary)
 	geo := sim.Geometry(tensor.Shape{C: 2, H: 6, W: 6})
 	if geo.K != 18 || geo.Outs != 4 || geo.P != 36 {
 		t.Errorf("K/Outs/P = %d/%d/%d, want 18/4/36", geo.K, geo.Outs, geo.P)
@@ -69,6 +70,39 @@ func TestGeometry(t *testing.T) {
 	}
 	if ColTileEnd := geo.ColTileEnd(3); ColTileEnd != 4 {
 		t.Errorf("ColTileEnd(3) = %d, want 4 (edge tile)", ColTileEnd)
+	}
+}
+
+// TestDataflowTable checks each row of the dataflow table against the
+// operands' logical indices — weight (K, Out), act (K, P), psum (Out, P):
+// the resident operand is the one the PE's row and column axes index (the
+// time axis does not), and the east-flowing one is indexed by the row and
+// time axes, so it is constant along a PE row and can be forwarded east.
+// The wire names and their order are what campaign specs and bench/ read.
+func TestDataflowTable(t *testing.T) {
+	indexes := map[Latch][2]int{
+		LatchWeight: {axisK, axisOut}, LatchAct: {axisK, axisP}, LatchPsum: {axisOut, axisP},
+	}
+	pair := func(a, b int) [2]int { return [2]int{min(a, b), max(a, b)} }
+	for d, f := range flows {
+		if got, want := indexes[f.resident], pair(f.row, f.col); got != want {
+			t.Errorf("%s: resident %s indexed by axes %v, want the row and column axes %v", f.name, f.resident, got, want)
+		}
+		if got, want := indexes[f.east], pair(f.row, f.time); f.east == LatchPsum || got != want {
+			t.Errorf("%s: east %s indexed by axes %v, want the row and time axes %v", f.name, f.east, got, want)
+		}
+		if name := Dataflow(d).String(); name != DataflowNames[d] {
+			t.Errorf("Dataflow(%d) = %q, DataflowNames[%d] = %q", d, name, d, DataflowNames[d])
+		}
+		if got, err := ParseDataflow(f.name); err != nil || got != Dataflow(d) {
+			t.Errorf("ParseDataflow(%q) = %v, %v", f.name, got, err)
+		}
+	}
+	if got := strings.Join(DataflowNames, ","); got != "weight,output,input" {
+		t.Errorf("DataflowNames = %s", got)
+	}
+	if _, err := ParseDataflow("row"); err == nil || !strings.Contains(err.Error(), "want weight, output or input") {
+		t.Errorf("ParseDataflow(row) error = %v", err)
 	}
 }
 
@@ -173,7 +207,7 @@ func TestResolveEncodeRoundTrip(t *testing.T) {
 
 func TestResolveRejectsInvalidAddresses(t *testing.T) {
 	l := fxConv(5, 2, 4, 3, 1, 1)
-	sim := New(l, numeric.Fx16RB10, tinyArray)
+	sim := NewFlow(l, numeric.Fx16RB10, tinyArray, WeightStationary)
 	geo := sim.Geometry(tensor.Shape{C: 2, H: 5, W: 5})
 	bad := []Fault{
 		{Latch: NumLatches}, // unknown latch
@@ -207,7 +241,7 @@ func TestPhysicalFaultMatchesAbstractFault(t *testing.T) {
 	dt := numeric.Fx32RB26
 	l := fxConv(3, 2, 4, 3, 1, 1)
 	in := fxInput(103, 2, 6, 6)
-	sim := New(l, dt, tinyArray)
+	sim := NewFlow(l, dt, tinyArray, WeightStationary)
 	geo := sim.Geometry(in.Shape)
 	rng := rand.New(rand.NewSource(17))
 
@@ -344,7 +378,7 @@ func TestWeightFaultCorruptsStreamSuffix(t *testing.T) {
 	dt := numeric.Fx32RB26
 	l := fxConv(7, 1, 2, 3, 1, 1)
 	in := fxInput(107, 1, 6, 6)
-	sim := New(l, dt, tinyArray)
+	sim := NewFlow(l, dt, tinyArray, WeightStationary)
 	geo := sim.Geometry(in.Shape)
 	golden := sim.Run(in, nil)
 
@@ -374,7 +408,7 @@ func TestPipeFaultCorruptsDownstreamPEs(t *testing.T) {
 	dt := numeric.Fx32RB26
 	l := fxConv(9, 1, 3, 3, 1, 1)
 	in := fxInput(109, 1, 6, 6)
-	sim := New(l, dt, tinyArray) // Cols=3: one full column tile
+	sim := NewFlow(l, dt, tinyArray, WeightStationary) // Cols=3: one full column tile
 	geo := sim.Geometry(in.Shape)
 	golden := sim.Run(in, nil)
 
@@ -406,7 +440,7 @@ func TestPipeFaultAtTileEdgeArchMasked(t *testing.T) {
 	dt := numeric.Fx32RB26
 	l := fxConv(9, 1, 4, 3, 1, 1)
 	in := fxInput(111, 1, 6, 6)
-	sim := New(l, dt, tinyArray) // Outs=4, Cols=3: col tile 1 holds only output 3
+	sim := NewFlow(l, dt, tinyArray, WeightStationary) // Outs=4, Cols=3: col tile 1 holds only output 3
 	geo := sim.Geometry(in.Shape)
 	golden := sim.Run(in, nil)
 
@@ -427,12 +461,12 @@ func TestMBUFlipsAdjacentBits(t *testing.T) {
 	// A width-w fault inverts w adjacent bits of the struck latch word.
 	for _, dt := range numeric.Types {
 		v := 0.3125
-		got := flipBits(dt, v, 2, 3)
+		got := dt.FlipBits(v, 2, 3)
 		want := dt.Decode(dt.Encode(v) ^ (0b111 << 2))
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: flipBits = %v, want %v", dt, got, want)
+			t.Errorf("%s: FlipBits = %v, want %v", dt, got, want)
 		}
-		if math.Float64bits(flipBits(dt, v, 4, 1)) != math.Float64bits(dt.FlipBit(v, 4)) {
+		if math.Float64bits(dt.FlipBits(v, 4, 1)) != math.Float64bits(dt.FlipBit(v, 4)) {
 			t.Errorf("%s: width-1 flip is not FlipBit", dt)
 		}
 	}
@@ -442,7 +476,7 @@ func TestMBUFlipsAdjacentBits(t *testing.T) {
 	dt := numeric.Fx32RB26
 	l := fxConv(13, 1, 2, 3, 1, 1)
 	in := fxInput(113, 1, 5, 5)
-	sim := New(l, dt, tinyArray)
+	sim := NewFlow(l, dt, tinyArray, WeightStationary)
 	geo := sim.Geometry(in.Shape)
 	golden := sim.Run(in, nil)
 
@@ -450,7 +484,7 @@ func TestMBUFlipsAdjacentBits(t *testing.T) {
 	f := geo.Encode(s)
 	faulty := sim.Run(in, &f)
 	oi := s.Out*geo.P + s.P
-	want := flipBits(dt, golden.Data[oi], s.Bit, s.Width)
+	want := dt.FlipBits(golden.Data[oi], s.Bit, s.Width)
 	if math.Float64bits(faulty.Data[oi]) != math.Float64bits(want) {
 		t.Errorf("MBU on final psum: got %v, want %v", faulty.Data[oi], want)
 	}
@@ -458,7 +492,7 @@ func TestMBUFlipsAdjacentBits(t *testing.T) {
 
 func TestRandomFaultInRange(t *testing.T) {
 	l := fxConv(11, 2, 3, 3, 1, 1)
-	sim := New(l, numeric.Fx16RB10, tinyArray)
+	sim := NewFlow(l, numeric.Fx16RB10, tinyArray, WeightStationary)
 	rng := rand.New(rand.NewSource(23))
 	shape := tensor.Shape{C: 2, H: 6, W: 6}
 	geo := sim.Geometry(shape)
@@ -478,6 +512,60 @@ func TestLatchStrings(t *testing.T) {
 	for latch, s := range want {
 		if latch.String() != s {
 			t.Errorf("%d.String() = %q, want %q", int(latch), latch.String(), s)
+		}
+	}
+}
+
+// TestEverySiteMatchesEffects is FuzzDataflowFault's equivalence proof run
+// exhaustively: under every dataflow, on the fuzzer's CONV and FC layers in
+// FLOAT16, every logical site of every latch — at one single-bit flip and
+// one 2-bit span — simulated at its physical address equals the golden
+// output with the campaign's corruption front (Geometry.effects) replayed
+// by the per-tap oracle, and the simulator consumes the fault exactly when
+// it is not the architecturally masked pipe fault.
+func TestEverySiteMatchesEffects(t *testing.T) {
+	dt := numeric.Float16
+	width := dt.Width()
+	for _, fc := range []bool{false, true} {
+		l, in := fuzzLayer(fc)
+		for flow := WeightStationary; flow < NumDataflows; flow++ {
+			sim := NewFlow(l, dt, tinyArray, flow)
+			geo := sim.Geometry(in.Shape)
+			golden := sim.Run(in, nil).Data
+			want := append([]float64(nil), golden...)
+			var elems []int
+			for k := 0; k < geo.K; k++ {
+				for o := 0; o < geo.Outs; o++ {
+					for p := 0; p < geo.P; p++ {
+						for latch := Latch(0); latch < NumLatches; latch++ {
+							spin := 5*k + 3*o + p + int(latch)
+							for _, s := range []Site{
+								{K: k, Out: o, P: p, Latch: latch, Bit: spin % width, Width: 1},
+								{K: k, Out: o, P: p, Latch: latch, Bit: spin % (width - 1), Width: 2},
+							} {
+								fault := geo.Encode(s)
+								got := sim.Run(in, &fault).Data
+								if fault.Applied == geo.PipeMasked(s) {
+									t.Fatalf("%s fc=%v: site %+v: applied=%v, arch-masked=%v", flow, fc, s, fault.Applied, geo.PipeMasked(s))
+								}
+								var target layers.Target
+								target, elems = geo.effects(elems[:0], s)
+								for _, oi := range elems {
+									want[oi] = chainEval(l, dt, in, oi, s, target)
+								}
+								for i := range want {
+									if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+										t.Fatalf("%s fc=%v: site %+v: out[%d] = %v (sim) vs %v (effects)", flow, fc, s, i, got[i], want[i])
+									}
+								}
+								for _, oi := range elems {
+									want[oi] = golden[oi]
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
