@@ -69,7 +69,6 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/engine"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -578,14 +577,9 @@ func emit(report *campaign.Report, out string) {
 	fmt.Printf("injections %d  masked %d (%.1f%%)\n",
 		c.Trials, masked, 100*float64(masked)/float64(max(c.Trials, 1)))
 	for _, k := range sdc.Kinds {
-		if report.Strata() != nil {
-			// Stratified campaigns over-sample high-variance strata; the
-			// weighted estimate undoes that, the raw proportion would not.
-			p, ci := report.SDCEstimate(k)
-			fmt.Printf("%-8s %.2f%% ±%.2f%%\n", k, 100*p, 100*ci)
-			continue
-		}
-		p := stats.Proportion{Successes: c.Hits[k], Trials: c.DefinedTrials[k]}
-		fmt.Printf("%-8s %s\n", k, p)
+		// Stratified campaigns over-sample high-variance strata; the
+		// weighted estimate undoes that, the raw proportion would not.
+		p, ci := report.SDCEstimate(k)
+		fmt.Printf("%-8s %.2f%% ±%.2f%%\n", k, 100*p, 100*ci)
 	}
 }

@@ -103,14 +103,8 @@ func NewProfile(net *network.Network, dt numeric.Type) *Profile {
 	return p
 }
 
-// TotalMACs returns the network's MAC count per inference.
-func (p *Profile) TotalMACs() int64 { return p.total }
-
 // NumMACLayers returns the number of CONV/FC layers.
 func (p *Profile) NumMACLayers() int { return len(p.layerIdx) }
-
-// LayerMACs returns the MAC count of MAC layer i (paper-style block i).
-func (p *Profile) LayerMACs(i int) int64 { return p.macs[i] }
 
 // RandomSite draws a fault site uniformly over every (MAC, latch, bit)
 // coordinate of one inference — the paper's random datapath injection.

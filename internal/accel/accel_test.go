@@ -51,14 +51,14 @@ func TestProfileGeometry(t *testing.T) {
 	if p.NumMACLayers() != 2 {
 		t.Fatalf("NumMACLayers = %d, want 2", p.NumMACLayers())
 	}
-	if got := p.LayerMACs(0); got != 288 {
+	if got := p.macs[0]; got != 288 {
 		t.Errorf("conv MACs = %d, want 288", got)
 	}
-	if got := p.LayerMACs(1); got != 160 {
+	if got := p.macs[1]; got != 160 {
 		t.Errorf("fc MACs = %d, want 160", got)
 	}
-	if got := p.TotalMACs(); got != 448 {
-		t.Errorf("TotalMACs = %d, want 448", got)
+	if got := p.total; got != 448 {
+		t.Errorf("total MACs = %d, want 448", got)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestProfilesForAllModels(t *testing.T) {
 		if got := p.NumMACLayers(); got != want[name] {
 			t.Errorf("%s: %d MAC layers, want %d", name, got, want[name])
 		}
-		if p.TotalMACs() <= 0 {
+		if p.total <= 0 {
 			t.Errorf("%s: no MACs", name)
 		}
 	}

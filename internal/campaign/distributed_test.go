@@ -157,8 +157,11 @@ func checkDistributed(t *testing.T, spec campaign.Spec, own any) (*campaign.Repo
 	if spec.Sampling == "stratified" && len(st.Snapshot.StrataWeights) == 0 {
 		t.Fatal("stratified snapshot missing strata weights")
 	}
-	if datapath := solo.Datapath != nil; datapath != (len(st.Snapshot.PerBlock) > 0) {
-		t.Fatalf("snapshot has %d per-block aggregates on a datapath=%v campaign", len(st.Snapshot.PerBlock), datapath)
+	// Per-block aggregates come from the strata of a stratified campaign
+	// and from the datapath's per-block tallies of a uniform one.
+	if perBlock := solo.Datapath != nil || solo.Strata() != nil; perBlock != (len(st.Snapshot.PerBlock) > 0) {
+		t.Fatalf("snapshot has %d per-block aggregates on a datapath=%v stratified=%v campaign",
+			len(st.Snapshot.PerBlock), solo.Datapath != nil, solo.Strata() != nil)
 	}
 	return solo, st
 }

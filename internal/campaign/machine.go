@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/sdc"
-	"repro/internal/stats"
 )
 
 // Machine is the per-campaign shard-ledger state machine: it schedules the
@@ -455,37 +454,30 @@ func (m *Machine) Snapshot() Snapshot {
 		snap.Sampling = m.spec.Sampling
 		snap.PilotShards = m.pilotDone
 	}
+	// Weighted (Horvitz–Thompson) estimates when stratified: the raw pooled
+	// proportion is biased under Neyman allocation, the stratified one is not.
+	est := engine.Estimate(overall, strata, sdc.SDC1)
+	snap.SDC1, snap.SDC1CI95 = est.P(), est.CI95()
 	if strata != nil {
-		// Weighted (Horvitz–Thompson) estimates: the raw pooled proportion
-		// is biased under Neyman allocation, the stratified one is not.
-		est := strata.Estimate(sdc.SDC1)
-		snap.SDC1, snap.SDC1CI95 = est.P(), est.CI95()
 		snap.StrataWeights = strata.Weight
 		snap.StrataTrials = make([]int, len(strata.Counts))
+		// The strata hold every block on every surface; the datapath's
+		// per-block tallies are the only per-block view of a uniform run.
+		perBlock = make([]sdc.Counts, strata.Blocks)
 		for h := range strata.Counts {
 			snap.StrataTrials[h] = strata.Counts[h].Trials
+			perBlock[h/strata.Bits].Merge(strata.Counts[h])
 		}
-		for b := range perBlock {
-			be := strata.BlockEstimate(b, sdc.SDC1)
-			lo, hi := be.Bounds()
-			snap.PerBlock = append(snap.PerBlock, BlockAggregate{
-				Block: b, Trials: perBlock[b].Trials,
-				SDC1: be.P(), CI95: be.CI95(), Lo: lo, Hi: hi,
-			})
-		}
-		return snap
 	}
-	p := stats.Proportion{Successes: overall.Hits[sdc.SDC1], Trials: overall.DefinedTrials[sdc.SDC1]}
-	snap.SDC1, snap.SDC1CI95 = p.P(), p.CI95()
 	for b := range perBlock {
-		bp := stats.Proportion{
-			Successes: perBlock[b].Hits[sdc.SDC1],
-			Trials:    perBlock[b].DefinedTrials[sdc.SDC1],
+		be := engine.Estimate(perBlock[b], nil, sdc.SDC1)
+		if strata != nil {
+			be = strata.BlockEstimate(b, sdc.SDC1)
 		}
-		lo, hi := bp.Bounds()
+		lo, hi := be.Bounds()
 		snap.PerBlock = append(snap.PerBlock, BlockAggregate{
 			Block: b, Trials: perBlock[b].Trials,
-			SDC1: bp.P(), CI95: bp.CI95(), Lo: lo, Hi: hi,
+			SDC1: be.P(), CI95: be.CI95(), Lo: lo, Hi: hi,
 		})
 	}
 	return snap

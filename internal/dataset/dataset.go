@@ -94,15 +94,6 @@ func Image(kind Kind, size, idx int) *tensor.Tensor {
 	return img
 }
 
-// Batch generates n consecutive images starting at index start.
-func Batch(kind Kind, size, start, n int) []*tensor.Tensor {
-	imgs := make([]*tensor.Tensor, n)
-	for i := range imgs {
-		imgs[i] = Image(kind, size, start+i)
-	}
-	return imgs
-}
-
 // Labeled generates a (image, class) pair for the synthetic classification
 // task used to train networks: the base image is stamped with a
 // class-specific bump (a Gaussian at a class-dependent ring position in a

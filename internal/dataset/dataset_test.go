@@ -88,19 +88,6 @@ func TestImageFinite(t *testing.T) {
 	}
 }
 
-func TestBatch(t *testing.T) {
-	imgs := Batch(CIFARLike, 16, 10, 3)
-	if len(imgs) != 3 {
-		t.Fatalf("Batch len = %d", len(imgs))
-	}
-	single := Image(CIFARLike, 16, 11)
-	for i := range single.Data {
-		if imgs[1].Data[i] != single.Data[i] {
-			t.Fatal("Batch images do not match Image at the same index")
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if CIFARLike.String() != "cifar-like" || ImageNetLike.String() != "imagenet-like" {
 		t.Error("Kind.String mismatch")

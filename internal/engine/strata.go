@@ -244,30 +244,39 @@ func MergeStrata(dst, src *StrataSummary) *StrataSummary {
 	return dst
 }
 
+// part is one stratum's sample of criterion k: its hits out of the trials
+// on which k is defined.
+func part(c sdc.Counts, k sdc.Kind) stats.Proportion {
+	return stats.Proportion{Successes: c.Hits[k], Trials: c.DefinedTrials[k]}
+}
+
 // Estimate assembles the Horvitz–Thompson estimator of the uniform-design
 // probability of criterion k from the pooled strata.
 func (s *StrataSummary) Estimate(k sdc.Kind) stats.Stratified {
 	parts := make([]stats.Proportion, len(s.Counts))
 	for h := range s.Counts {
-		parts[h] = stats.Proportion{
-			Successes: s.Counts[h].Hits[k],
-			Trials:    s.Counts[h].DefinedTrials[k],
-		}
+		parts[h] = part(s.Counts[h], k)
 	}
 	return stats.Stratified{Weights: s.Weight, Parts: parts}
 }
 
-// SDCEstimate is every surface report's estimate of the uniform-design SDC
-// probability for criterion k, with its 95% CI half-width: the reweighted
-// stratified estimator when the campaign stratified (strata non-nil), the
-// raw pooled proportion of counts otherwise.
-func SDCEstimate(counts sdc.Counts, strata *StrataSummary, k sdc.Kind) (p, ci95 float64) {
+// Estimate is the one estimator behind every error bar: the estimate of
+// the uniform-design probability of criterion k from a report's overall
+// counts and strata. A stratified campaign (strata non-nil) reweights its
+// strata; a uniform one is the one-stratum case, its pooled counts at
+// weight 1.
+func Estimate(counts sdc.Counts, strata *StrataSummary, k sdc.Kind) stats.Stratified {
 	if strata != nil {
-		e := strata.Estimate(k)
-		return e.P(), e.CI95()
+		return strata.Estimate(k)
 	}
-	pr := stats.Proportion{Successes: counts.Hits[k], Trials: counts.DefinedTrials[k]}
-	return pr.P(), pr.CI95()
+	return stats.Stratified{Weights: []float64{1}, Parts: []stats.Proportion{part(counts, k)}}
+}
+
+// SDCEstimate is Estimate's point estimate and 95% CI half-width, the pair
+// every surface report prints.
+func SDCEstimate(counts sdc.Counts, strata *StrataSummary, k sdc.Kind) (p, ci95 float64) {
+	e := Estimate(counts, strata, k)
+	return e.P(), e.CI95()
 }
 
 // BlockEstimate is the per-block analogue of Estimate: within a block,
@@ -279,12 +288,8 @@ func (s *StrataSummary) BlockEstimate(block int, k sdc.Kind) stats.Stratified {
 	w := make([]float64, s.Bits)
 	parts := make([]stats.Proportion, s.Bits)
 	for bit := 0; bit < s.Bits; bit++ {
-		h := block*s.Bits + bit
 		w[bit] = 1 / float64(s.Bits)
-		parts[bit] = stats.Proportion{
-			Successes: s.Counts[h].Hits[k],
-			Trials:    s.Counts[h].DefinedTrials[k],
-		}
+		parts[bit] = part(s.Counts[block*s.Bits+bit], k)
 	}
 	return stats.Stratified{Weights: w, Parts: parts}
 }
@@ -299,10 +304,7 @@ func (s *StrataSummary) BitEstimate(bit int, k sdc.Kind) stats.Stratified {
 	for block := 0; block < s.Blocks; block++ {
 		h := block*s.Bits + bit
 		w[block] = s.Weight[h]
-		parts[block] = stats.Proportion{
-			Successes: s.Counts[h].Hits[k],
-			Trials:    s.Counts[h].DefinedTrials[k],
-		}
+		parts[block] = part(s.Counts[h], k)
 	}
 	return stats.Stratified{Weights: w, Parts: parts}
 }

@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// single is the one-stratum estimator of a uniform campaign's tally.
+func single(successes, trials int) Stratified {
+	return Stratified{Weights: []float64{1}, Parts: []Proportion{{Successes: successes, Trials: trials}}}
+}
+
+// waldCI95 is the reference binomial half-width z95·√(p̂(1−p̂)/n) the
+// one-stratum estimator must reproduce bit for bit.
+func waldCI95(successes, trials int) float64 {
+	if trials == 0 {
+		return 0
+	}
+	est := float64(successes) / float64(trials)
+	return z95 * math.Sqrt(est*(1-est)/float64(trials))
+}
+
 func TestProportionP(t *testing.T) {
 	p := Proportion{Successes: 30, Trials: 120}
 	if got := p.P(); got != 0.25 {
@@ -19,106 +34,19 @@ func TestProportionP(t *testing.T) {
 
 func TestCI95KnownValue(t *testing.T) {
 	// p=0.5, n=100: CI = 1.96*sqrt(0.25/100) = 0.098.
-	p := Proportion{Successes: 50, Trials: 100}
-	if got := p.CI95(); math.Abs(got-0.098) > 1e-3 {
+	if got := single(50, 100).CI95(); math.Abs(got-0.098) > 1e-3 {
 		t.Errorf("CI95 = %v, want ~0.098", got)
 	}
-	if got := (Proportion{}).CI95(); got != 0 {
+	if got := single(0, 0).CI95(); got != 0 {
 		t.Errorf("empty CI95 = %v, want 0", got)
 	}
 }
 
 func TestCI95ShrinksWithN(t *testing.T) {
-	small := Proportion{Successes: 5, Trials: 50}
-	large := Proportion{Successes: 500, Trials: 5000}
+	small, large := single(5, 50), single(500, 5000)
 	if large.CI95() >= small.CI95() {
 		t.Errorf("CI did not shrink: %v vs %v", large.CI95(), small.CI95())
 	}
-}
-
-func TestProportionMerge(t *testing.T) {
-	a := Proportion{Successes: 3, Trials: 10}
-	b := Proportion{Successes: 7, Trials: 30}
-	m := a.Merge(b)
-	if m.Successes != 10 || m.Trials != 40 {
-		t.Errorf("Merge = %+v", m)
-	}
-}
-
-func TestProportionString(t *testing.T) {
-	s := Proportion{Successes: 1, Trials: 4}.String()
-	if s != "25.00% ±42.43%" {
-		t.Errorf("String = %q", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := map[float64]float64{0: 1, 50: 3, 100: 5, 25: 2}
-	for q, want := range cases {
-		if got := Percentile(xs, q); got != want {
-			t.Errorf("Percentile(%v) = %v, want %v", q, got, want)
-		}
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Percentile(xs, 75); got != 7.5 {
-		t.Errorf("Percentile(75) = %v, want 7.5", got)
-	}
-}
-
-func TestPercentileEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Percentile(empty) did not panic")
-		}
-	}()
-	Percentile(nil, 50)
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1.9, 2, 5, 9.99, 10, -0.1, math.NaN()} {
-		h.Add(v)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Errorf("Counts = %v, want %v", h.Counts, want)
-			break
-		}
-	}
-	if h.Under != 2 || h.Over != 1 {
-		t.Errorf("Under=%d Over=%d, want 2,1", h.Under, h.Over)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Errorf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestHistogramInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
 }
 
 func TestPropertyCIBounds(t *testing.T) {
@@ -126,25 +54,11 @@ func TestPropertyCIBounds(t *testing.T) {
 	// successes <= trials.
 	prop := func(s, n uint16) bool {
 		trials := int(n%1000) + 1
-		succ := int(s) % (trials + 1)
-		p := Proportion{Successes: succ, Trials: trials}
-		ci := p.CI95()
-		return ci >= 0 && ci <= 1 && p.P() >= 0 && p.P() <= 1
+		e := single(int(s)%(trials+1), trials)
+		ci := e.CI95()
+		return ci >= 0 && ci <= 1 && e.P() >= 0 && e.P() <= 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyHistogramConservesCount(t *testing.T) {
-	prop := func(vals []float64) bool {
-		h := NewHistogram(-1, 1, 8)
-		for _, v := range vals {
-			h.Add(v)
-		}
-		return h.Total() == len(vals)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
@@ -158,10 +72,11 @@ func TestMergedCountsMatchPooledCI(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(5000)
 		succ := rng.Intn(n + 1)
-		pooled := Proportion{Successes: succ, Trials: n}
+		pooled := single(succ, n)
 
 		// Split into a random number of shards by strided assignment —
-		// the same partition shape faultinj.RunShard uses.
+		// the same partition shape faultinj.RunShard uses — and sum the
+		// shard counts back up.
 		shards := 1 + rng.Intn(16)
 		parts := make([]Proportion, shards)
 		for i := 0; i < n; i++ {
@@ -171,9 +86,14 @@ func TestMergedCountsMatchPooledCI(t *testing.T) {
 				parts[s].Successes++
 			}
 		}
-		merged := MergeAll(parts...)
-		if merged != pooled {
-			t.Fatalf("merged %+v != pooled %+v", merged, pooled)
+		var sum Proportion
+		for _, p := range parts {
+			sum.Successes += p.Successes
+			sum.Trials += p.Trials
+		}
+		merged := single(sum.Successes, sum.Trials)
+		if sum != pooled.Parts[0] {
+			t.Fatalf("merged %+v != pooled %+v", sum, pooled.Parts[0])
 		}
 		if math.Float64bits(merged.P()) != math.Float64bits(pooled.P()) {
 			t.Fatalf("point estimates diverged")
@@ -184,16 +104,6 @@ func TestMergedCountsMatchPooledCI(t *testing.T) {
 	}
 }
 
-func TestMergeAllEmptyAndSingle(t *testing.T) {
-	if got := MergeAll(); got != (Proportion{}) {
-		t.Errorf("empty merge = %+v", got)
-	}
-	p := Proportion{Successes: 3, Trials: 10}
-	if got := MergeAll(p); got != p {
-		t.Errorf("single merge = %+v", got)
-	}
-}
-
 // TestBoundsEdgeCases pins the boundary behavior of Bounds: every interval
 // is well-defined and clamped to [0, 1], with no NaNs and no degenerate
 // zero-width intervals at n=0 (zero trials is total ignorance, so the
@@ -201,17 +111,17 @@ func TestMergeAllEmptyAndSingle(t *testing.T) {
 func TestBoundsEdgeCases(t *testing.T) {
 	cases := []struct {
 		name           string
-		p              Proportion
+		e              Stratified
 		wantLo, wantHi float64
 		exact          bool
 	}{
-		{name: "n=0", p: Proportion{}, wantLo: 0, wantHi: 1, exact: true},
-		{name: "p=0", p: Proportion{Successes: 0, Trials: 5}, wantLo: 0, wantHi: 0, exact: true},
-		{name: "p=1", p: Proportion{Successes: 5, Trials: 5}, wantLo: 1, wantHi: 1, exact: true},
-		{name: "interior", p: Proportion{Successes: 1, Trials: 2}},
+		{name: "n=0", e: single(0, 0), wantLo: 0, wantHi: 1, exact: true},
+		{name: "p=0", e: single(0, 5), wantLo: 0, wantHi: 0, exact: true},
+		{name: "p=1", e: single(5, 5), wantLo: 1, wantHi: 1, exact: true},
+		{name: "interior", e: single(1, 2)},
 	}
 	for _, tc := range cases {
-		lo, hi := tc.p.Bounds()
+		lo, hi := tc.e.Bounds()
 		if math.IsNaN(lo) || math.IsNaN(hi) {
 			t.Errorf("%s: bounds [%v,%v] contain NaN", tc.name, lo, hi)
 		}
@@ -259,14 +169,14 @@ func TestWilson95KnownValue(t *testing.T) {
 
 func TestStratifiedSingleStratumMatchesProportion(t *testing.T) {
 	part := Proportion{Successes: 7, Trials: 40}
-	s := Stratified{Weights: []float64{1}, Parts: []Proportion{part}}
+	s := single(part.Successes, part.Trials)
 	if got := s.P(); math.Float64bits(got) != math.Float64bits(part.P()) {
 		t.Errorf("single-stratum P = %v, want %v", got, part.P())
 	}
 	// With one full-weight stratum the plug-in variance reduces to the
-	// binomial one, so the CI matches Proportion.CI95 bit for bit.
-	if ci := s.CI95(); math.Float64bits(ci) != math.Float64bits(part.CI95()) {
-		t.Errorf("single-stratum CI = %v, want %v", ci, part.CI95())
+	// binomial one, so the CI matches the reference formula bit for bit.
+	if ci, want := s.CI95(), waldCI95(part.Successes, part.Trials); math.Float64bits(ci) != math.Float64bits(want) {
+		t.Errorf("single-stratum CI = %v, want %v", ci, want)
 	}
 }
 
@@ -297,50 +207,54 @@ func TestStratifiedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestStratifiedMergeMatchesPooled is the stratified analogue of
-// TestMergedCountsMatchPooledCI: per-stratum counts pooled shard-by-shard
-// must yield bit-identical estimates to pooling all trials at once,
-// regardless of the partition.
-func TestStratifiedMergeMatchesPooled(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	weights := []float64{0.7, 0.2, 0.1}
-	for trial := 0; trial < 100; trial++ {
-		pooled := Stratified{Weights: weights, Parts: make([]Proportion, len(weights))}
-		for h := range pooled.Parts {
-			n := 1 + rng.Intn(500)
-			pooled.Parts[h] = Proportion{Successes: rng.Intn(n + 1), Trials: n}
+// FuzzStratifiedEstimate checks the estimator on arbitrary designs: weights
+// in [0, 1] (zeros included) and parts with 0 ≤ s ≤ n. The point estimate
+// stays in [0, 1] exactly (rounding is monotone, so Σ W_h·p̂_h never
+// exceeds Σ W_h), the half-width is finite and non-negative, the bounds are
+// ordered inside [0, 1] and vacuous when no stratum has both weight and
+// trials, and one weight-1 stratum is the reference Wald interval bit for
+// bit.
+func FuzzStratifiedEstimate(f *testing.F) {
+	f.Add([]byte{}, uint16(7), uint16(40))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint16(0), uint16(0))
+	f.Add([]byte{255, 3, 9, 128, 0, 0, 1, 1, 1}, uint16(5), uint16(5))
+	f.Add([]byte{7, 200, 200, 0, 50, 3, 255, 255, 255}, uint16(0), uint16(3000))
+	f.Fuzz(func(t *testing.T, design []byte, s, n uint16) {
+		// Each three bytes are one stratum: weight/255, then trials and
+		// successes folded into 0 ≤ s ≤ n.
+		var e Stratified
+		sampled := false
+		for i := 0; i+2 < len(design); i += 3 {
+			w := float64(design[i]) / 255
+			trials := int(design[i+1])
+			succ := int(design[i+2]) % (trials + 1)
+			e.Weights = append(e.Weights, w)
+			e.Parts = append(e.Parts, Proportion{Successes: succ, Trials: trials})
+			sampled = sampled || (w > 0 && trials > 0)
 		}
-		shards := 1 + rng.Intn(7)
-		parts := make([]Stratified, shards)
-		for s := range parts {
-			parts[s] = Stratified{Weights: weights, Parts: make([]Proportion, len(weights))}
+		p, ci := e.P(), e.CI95()
+		lo, hi := e.Bounds()
+		if !(p >= 0 && p <= 1) {
+			t.Fatalf("P = %v outside [0,1] for %+v", p, e)
 		}
-		for h, p := range pooled.Parts {
-			for i := 0; i < p.Trials; i++ {
-				s := i % shards
-				parts[s].Parts[h].Trials++
-				if i < p.Successes {
-					parts[s].Parts[h].Successes++
-				}
-			}
+		if math.IsNaN(ci) || math.IsInf(ci, 0) || ci < 0 {
+			t.Fatalf("CI95 = %v for %+v", ci, e)
 		}
-		merged := MergeAllStratified(parts...)
-		if math.Float64bits(merged.P()) != math.Float64bits(pooled.P()) {
-			t.Fatalf("stratified point estimates diverged: %v vs %v", merged.P(), pooled.P())
+		if !(0 <= lo && lo <= hi && hi <= 1) {
+			t.Fatalf("bounds [%v,%v] malformed for %+v", lo, hi, e)
 		}
-		if math.Float64bits(merged.CI95()) != math.Float64bits(pooled.CI95()) {
-			t.Fatalf("stratified CIs diverged: %v vs %v", merged.CI95(), pooled.CI95())
+		if !sampled && (lo != 0 || hi != 1) {
+			t.Fatalf("unsampled design %+v has bounds [%v,%v], want [0,1]", e, lo, hi)
 		}
-	}
-}
 
-func TestStratifiedMergeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched stratified merge did not panic")
+		trials := int(n)
+		succ := int(s) % (trials + 1)
+		one := single(succ, trials)
+		if got, want := one.CI95(), waldCI95(succ, trials); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("single stratum %d/%d: CI95 %v, reference %v", succ, trials, got, want)
 		}
-	}()
-	a := Stratified{Weights: []float64{1}, Parts: make([]Proportion, 1)}
-	b := Stratified{Weights: []float64{0.5, 0.5}, Parts: make([]Proportion, 2)}
-	a.Merge(b)
+		if got, want := one.P(), (Proportion{Successes: succ, Trials: trials}).P(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("single stratum %d/%d: P %v, want %v", succ, trials, got, want)
+		}
+	})
 }

@@ -51,15 +51,10 @@ func New(net *network.Network, lr, momentum float64) *Trainer {
 	}
 }
 
-// Loss computes the cross-entropy loss of a forward execution against a
-// label at temperature 1. Networks ending in softmax use their own
-// confidences; networks without one (NiN) get a softmax applied inside
+// LossT computes the cross-entropy loss of a forward execution against a
+// label. Networks ending in softmax use their own confidences; networks
+// without one (NiN) get a softmax at the given temperature applied inside
 // the loss.
-func Loss(net *network.Network, exec *network.Execution, label int) float64 {
-	return LossT(net, exec, label, 1)
-}
-
-// LossT is Loss with an explicit temperature for softmax-less networks.
 func LossT(net *network.Network, exec *network.Execution, label int, temperature float64) float64 {
 	p := probabilities(net, exec, temperature)
 	return -math.Log(math.Max(p[label], 1e-300))

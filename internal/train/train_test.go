@@ -72,7 +72,7 @@ func TestGradientCheck(t *testing.T) {
 	tr.backward(exec, label, g)
 
 	lossAt := func() float64 {
-		return Loss(net, net.Forward(numeric.Double, in), label)
+		return LossT(net, net.Forward(numeric.Double, in), label, 1)
 	}
 	check := func(name string, params []float64, grads []float64) {
 		// Sample a subset of parameters to keep the test fast but
@@ -122,9 +122,9 @@ func TestGradientCheckNoSoftmax(t *testing.T) {
 		j := rng.Intn(len(fc.Weights))
 		orig := fc.Weights[j]
 		fc.Weights[j] = orig + eps
-		lp := Loss(net, net.Forward(numeric.Double, in), label)
+		lp := LossT(net, net.Forward(numeric.Double, in), label, 1)
 		fc.Weights[j] = orig - eps
-		lm := Loss(net, net.Forward(numeric.Double, in), label)
+		lm := LossT(net, net.Forward(numeric.Double, in), label, 1)
 		fc.Weights[j] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-g.w[4][j]) > 1e-4*math.Max(1, math.Abs(num)) {
@@ -213,7 +213,7 @@ func TestLossFiniteAndPositive(t *testing.T) {
 	net := gradNet(51)
 	exec := net.Forward(numeric.Double, gradInput(52))
 	for label := 0; label < 4; label++ {
-		l := Loss(net, exec, label)
+		l := LossT(net, exec, label, 1)
 		if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
 			t.Errorf("loss(label=%d) = %v", label, l)
 		}

@@ -49,6 +49,10 @@ var simplicityRules = []struct {
 	// Reports merge only in the engine: outside internal/engine no function
 	// is named MergeReports and no Report or surface type has a Merge method.
 	{"merge", (*module).reportMerges},
+	// Error bars come from one estimator: outside internal/engine no
+	// stats.Proportion or stats.Stratified is built, every caller asks the
+	// engine for the estimate.
+	{"estimator", (*module).estimatorLiterals},
 }
 
 func TestSimplicityRules(t *testing.T) {
@@ -307,6 +311,37 @@ func (m *module) reportMerges() []string {
 			case d.Recv != nil && d.Name.Name == "Merge" && (recvType(d) == "Report" || recvType(d) == "surface"):
 				out = append(out, f.pkg+"."+recvType(d)+".Merge")
 			}
+		}
+	}
+	return out
+}
+
+// estimatorLiterals lists, for the non-test files outside internal/engine,
+// every composite literal of a stats type (a slice or array of one
+// included) as "file enclosing-declaration stats.Type".
+func (m *module) estimatorLiterals() []string {
+	var out []string
+	for _, f := range m.files {
+		if f.test || f.pkg == "internal/engine" {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				typ := lit.Type
+				if at, ok := typ.(*ast.ArrayType); ok {
+					typ = at.Elt
+				}
+				if sel, ok := typ.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && f.imports[x.Name] == "repro/internal/stats" {
+						out = append(out, fmt.Sprintf("%s %s %s.%s", f.path, declName(decl), x.Name, sel.Sel.Name))
+					}
+				}
+				return true
+			})
 		}
 	}
 	return out
