@@ -111,7 +111,6 @@ func main() {
 	// Worker.
 	join := flag.String("join", "", "coordinator or control-plane base URL, e.g. http://127.0.0.1:8711")
 	procs := flag.Int("procs", 1, "concurrent shard executors in this worker")
-	goldenDir := flag.String("golden-dir", "", "persist golden executions here; restarted workers (and workers sharing the directory) skip recomputing them")
 	maxLeases := flag.Int("max-leases", 0, "exit after completing this many shards (0 = until drain, SIGTERM or the plane unreachable for 30 s)")
 	crashAfter := flag.Int("crash-after", 0, "complete this many shards, take one more lease, then exit hard (tests re-lease + resume)")
 
@@ -146,7 +145,7 @@ func main() {
 			CompactBytes: *compactBytes, Pprof: *pprofOn,
 		}, *linger, *out, *strataOut)
 	case "worker":
-		runWorker(*join, *procs, *maxLeases, *crashAfter, *goldenDir, bearer)
+		runWorker(*join, *procs, *maxLeases, *crashAfter, bearer)
 	case "ctl":
 		runControlPlane(*addr, *addrFile, *journal, *tenantKeys, *leaseTTL, *maxRetries, *defaultQuota, *maxQueued, *compactBytes, *pprofOn)
 	case "submit":
@@ -272,7 +271,7 @@ func serve(addr, addrFile string, h http.Handler) (*http.Server, net.Addr) {
 	return srv, ln.Addr()
 }
 
-func runWorker(join string, procs, maxLeases, crashAfter int, goldenDir, token string) {
+func runWorker(join string, procs, maxLeases, crashAfter int, token string) {
 	if join == "" {
 		log.Fatal("worker needs -join URL")
 	}
@@ -284,9 +283,6 @@ func runWorker(join string, procs, maxLeases, crashAfter int, goldenDir, token s
 		MaxLeases: maxLeases,
 		Token:     token,
 		Goldens:   campaign.NewGoldenCache(),
-	}
-	if goldenDir != "" {
-		w.Goldens.Persist(goldenDir)
 	}
 	if crashAfter > 0 {
 		w.MaxLeases = crashAfter

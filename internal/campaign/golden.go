@@ -32,11 +32,6 @@ type GoldenCache struct {
 	entries map[GoldenKey]*goldenEntry
 
 	hits, misses int
-
-	// dir, when set via Persist, backs the cache with one file per key so
-	// restarted workers skip recomputing goldens (see goldendisk.go).
-	dir                     string
-	diskLoaded, diskWritten int
 }
 
 // NewGoldenCache returns an empty cache.
@@ -57,7 +52,7 @@ func (g *GoldenCache) Get(key GoldenKey, compute func() *network.Execution) *net
 		g.hits++
 	}
 	g.mu.Unlock()
-	e.once.Do(func() { e.exec = g.loadOrCompute(key, compute) })
+	e.once.Do(func() { e.exec = compute() })
 	return e.exec
 }
 

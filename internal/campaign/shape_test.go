@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +207,36 @@ func TestMachineRefusesMalformedReports(t *testing.T) {
 				m.Snapshot()
 			})
 		}
+	}
+}
+
+// TestMachineRefusesWrappedStrata: a real pilot-slot report with 2^62
+// added to the trials of four strata — each stratum still a tally
+// injections could produce, the strata sum wrapping back to the overall
+// tally — is refused by Accept, the journal-replay path, at the bound
+// every stratum's trials must keep under the report's.
+func TestMachineRefusesWrappedStrata(t *testing.T) {
+	m, err := NewMachine(stratSpec("16b_rb10"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := m.Lease(time.Now(), time.Minute)
+	if l == nil || l.Phase != engine.PhasePilot {
+		t.Fatalf("first lease %+v, want a pilot slot", l)
+	}
+	good, err := ExecuteLease(l, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cloneReport(t, good)
+	s := *strataOf(bad)
+	for h := range 4 {
+		s.Counts[h].Trials += 1 << 62
+	}
+	if first, err := m.Accept(l.Slot, bad); err == nil || first || !strings.Contains(err.Error(), "stratum 0 tallies") {
+		t.Fatalf("wrapped strata: first=%v err=%v, want the stratum 0 tallies refusal", first, err)
+	}
+	if first, err := m.Accept(l.Slot, good); err != nil || !first {
+		t.Fatalf("well-formed report refused: first=%v err=%v", first, err)
 	}
 }

@@ -447,26 +447,41 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 	}, nil
 }
 
-// LoadPrior reads the spec's PriorPath strata artifact and validates it
-// against the campaign geometry the artifact records (when it records
-// one). Only NewMachine and the solo runner call this; workers get
-// the derived allocation table inside their main-phase leases.
+// LoadPrior reads the spec's PriorPath strata artifact and refuses one
+// this campaign cannot allocate from: an artifact that lacks a label every
+// writer sets (surface, network, format, and the buffer on the buffer
+// surface) or names another, whose stratum grid is not the spec's, or that
+// weights a base bit no upset of the spec's width can start at. Only
+// NewMachine and the solo runner call this; workers get the derived
+// allocation table inside their main-phase leases.
 func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 	a, err := engine.ReadStrataArtifact(s.PriorPath)
 	if err != nil {
 		return nil, err
 	}
-	if a.Net != "" && a.Net != s.Net {
-		return nil, fmt.Errorf("campaign: prior %s is for network %q, campaign runs %q", s.PriorPath, a.Net, s.Net)
+	for _, l := range []struct{ what, got, want string }{
+		{"surface", a.Surface, s.Surface},
+		{"network", a.Net, s.Net},
+		{"format", a.DType, s.DType},
+		{"buffer", a.Buffer, s.Buffer},
+	} {
+		if l.got == l.want {
+			continue
+		}
+		if l.got == "" {
+			return nil, fmt.Errorf("campaign: prior %s carries no %s label, campaign runs %q", s.PriorPath, l.what, l.want)
+		}
+		return nil, fmt.Errorf("campaign: prior %s is for %s %q, campaign runs %q", s.PriorPath, l.what, l.got, l.want)
 	}
-	if a.DType != "" && a.DType != s.DType {
-		return nil, fmt.Errorf("campaign: prior %s is for format %q, campaign runs %q", s.PriorPath, a.DType, s.DType)
+	p, d := a.Prior(), s.dims()
+	if p.Blocks != d.blocks || p.Bits != d.bits {
+		return nil, fmt.Errorf("campaign: prior %s has a %d×%d stratum grid, campaign's is %d×%d", s.PriorPath, p.Blocks, p.Bits, d.blocks, d.bits)
 	}
-	if a.Surface != "" && a.Surface != s.Surface {
-		return nil, fmt.Errorf("campaign: prior %s is for surface %q, campaign runs %q", s.PriorPath, a.Surface, s.Surface)
+	mbu := s.BufferOptions().UpsetWidth()
+	for h, w := range p.Weight {
+		if bit := h % p.Bits; w > 0 && bit > d.bits-mbu {
+			return nil, fmt.Errorf("campaign: prior %s weights base bit %d, past the last %d-bit upset base %d", s.PriorPath, bit, mbu, d.bits-mbu)
+		}
 	}
-	if a.Buffer != "" && a.Buffer != s.Buffer {
-		return nil, fmt.Errorf("campaign: prior %s is for buffer %q, campaign runs %q", s.PriorPath, a.Buffer, s.Buffer)
-	}
-	return a.Prior(), nil
+	return p, nil
 }

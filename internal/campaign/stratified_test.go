@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -227,5 +228,53 @@ func TestSpecNormalizeStratified(t *testing.T) {
 	}
 	if phase, shard := u.SlotPhase(3); phase != "" || shard != 3 {
 		t.Fatalf("uniform SlotPhase off: (%q, %d)", phase, shard)
+	}
+}
+
+// TestLoadPriorRefusesUnusableArtifacts: a prior artifact the campaign
+// cannot allocate from is refused, naming the file, by both readers —
+// NewMachine and the solo runner — before any slot runs. Accepted, an
+// unlabelled FLOAT16 pilot steers a DOUBLE campaign onto 16 low bits,
+// leaves AlexNet's last blocks uninjected and panics a buffer img campaign
+// on a non-CONV layer; a single-bit prior panics an MBU-3 campaign on a
+// base bit no 3-bit span fits at.
+func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
+	_, pilot, err := SoloReport(stratSpec("FLOAT16"), nil)
+	if err != nil || pilot == nil {
+		t.Fatalf("pilot %v, err %v", pilot, err)
+	}
+	dir := t.TempDir()
+	write := func(name string, a engine.StrataArtifact) string {
+		path := filepath.Join(dir, name)
+		a.Pilot = pilot
+		if err := engine.WriteStrataArtifact(path, &a); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	unlabelled := write("unlabelled.json", engine.StrataArtifact{})
+	labelled := write("labelled.json", engine.StrataArtifact{Surface: "datapath", Net: "ConvNet", DType: "FLOAT16"})
+	alexLabel := write("alexnet.json", engine.StrataArtifact{Surface: "datapath", Net: "AlexNet", DType: "FLOAT16"})
+
+	prior := func(s Spec, path string, edit func(*Spec)) Spec {
+		s.Sampling, s.PriorPath = "stratified", path
+		edit(&s)
+		return s
+	}
+	for name, s := range map[string]Spec{
+		"unlabelled FLOAT16 prior, DOUBLE campaign": prior(testSpec("DOUBLE"), unlabelled, func(s *Spec) { s.N = 3000 }),
+		"unlabelled ConvNet prior, AlexNet":         prior(testSpec("FLOAT16"), unlabelled, func(s *Spec) { s.Net = "AlexNet" }),
+		"single-bit prior, MBU-3 campaign":          prior(testSpec("FLOAT16"), labelled, func(s *Spec) { s.MBU = 3 }),
+		"unlabelled datapath prior, img buffer":     prior(bufSpec(""), unlabelled, func(s *Spec) { s.DType, s.Buffer = "FLOAT16", "img" }),
+		"AlexNet label over ConvNet's grid":         prior(testSpec("FLOAT16"), alexLabel, func(s *Spec) { s.Net = "AlexNet" }),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewMachine(s, 3); err == nil || !strings.Contains(err.Error(), s.PriorPath) {
+				t.Fatalf("NewMachine: error %v, want a refusal naming %s", err, s.PriorPath)
+			}
+			if _, _, err := SoloReport(s, nil); err == nil || !strings.Contains(err.Error(), s.PriorPath) {
+				t.Fatalf("SoloReport: error %v, want a refusal naming %s", err, s.PriorPath)
+			}
+		})
 	}
 }

@@ -95,9 +95,6 @@ const (
 	ImgReg
 	// PSumReg is the per-PE partial-sum register (output reuse).
 	PSumReg
-
-	// NumBuffers is the number of buffer classes.
-	NumBuffers
 )
 
 // Buffers lists the classes in Table 8 order.

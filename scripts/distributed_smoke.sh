@@ -9,9 +9,10 @@
 # coordinator has exited and requires a clean drain. A second leg runs the
 # same drill on a stratified Eyeriss buffer campaign, then replays it
 # pilot-free from the recorded strata artifact (-prior) and checks
-# distributed == solo there too; the buffer and systolic legs also assert
-# from each worker's exit log that it computed at most one golden forward
-# per input (every surface shares the worker's golden cache). A
+# distributed == solo there too; the resumed datapath, buffer and systolic
+# legs also assert from each worker's exit log that it computed at most one
+# golden forward per input (every surface shares the worker's golden
+# cache). A
 # systolic leg repeats the crash-and-resume drill on a stratified
 # weight-stationary array campaign with 3-bit MBU injections, killing the
 # coordinator before the pilot->allocation boundary; an output-stationary
@@ -116,12 +117,13 @@ resumed=$(json_field "$base2/v1/campaigns/c1" resumed_shards)
 echo "   coordinator resumed $resumed shards without re-running them"
 [ "$resumed" -eq 5 ] || { echo "FAIL: expected 5 resumed shards"; exit 1; }
 
-"$tmp/faultserve" -role worker -join "$base2" -golden-dir "$tmp/goldens" &
+"$tmp/faultserve" -role worker -join "$base2" 2>"$tmp/w1.err" &
 w1=$!
-"$tmp/faultserve" -role worker -join "$base2" -golden-dir "$tmp/goldens" &
+"$tmp/faultserve" -role worker -join "$base2" 2>"$tmp/w2.err" &
 w2=$!
 wait "$coord2"
 drain_workers "$w1" "$w2"
+check_fleet_goldens datapath 2 "$tmp/w1.err" "$tmp/w2.err"
 
 echo "== compare resumed-distributed report against the solo baseline"
 if ! cmp -s "$tmp/solo.json" "$tmp/resumed.json"; then

@@ -53,6 +53,12 @@ var simplicityRules = []struct {
 	// stats.Proportion or stats.Stratified is built, every caller asks the
 	// engine for the estimate.
 	{"estimator", (*module).estimatorLiterals},
+	// Files are created, written, renamed and removed outside cmd/ only at
+	// the listed sites: a new on-disk format is a new entry.
+	{"files", func(m *module) []string {
+		return m.calls(func(f *srcFile) bool { return !strings.HasPrefix(f.path, "cmd/") }, "os",
+			"WriteFile", "Create", "CreateTemp", "OpenFile", "Rename", "Remove", "RemoveAll", "Mkdir", "MkdirAll")
+	}},
 }
 
 func TestSimplicityRules(t *testing.T) {
