@@ -1,7 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,15 +54,89 @@ func intakeCases(tb testing.TB) []intakeCase {
 	return cases
 }
 
+// batchBody wraps one report's JSON as the POST /v1/reports body a worker
+// posts for it.
+func batchBody(slot int, report []byte) []byte {
+	return fmt.Appendf(nil, `{"reports":[{"campaign":"c1","lease_id":"L1-s%d","shard":%d,"report":%s}]}`, slot, slot, report)
+}
+
+// equalBits is reflect.DeepEqual with floats compared by bit pattern, so a
+// NaN the hex forms carry equals itself.
+func equalBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalBits(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		for i := range a.Len() {
+			if !equalBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !equalBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Interface() == b.Interface()
+}
+
+// checkCodec is the wire codec's oracle, encoding/json: a batch body the
+// hand-written parser accepts decodes to the value encoding/json decodes
+// and re-marshals to the same bytes, and AppendJSON of any report that
+// decodes writes json.Marshal's bytes, or fails where it fails. It returns
+// whether the body took the parser.
+func checkCodec(t testing.TB, body []byte) bool {
+	t.Helper()
+	got, canonical, err := DecodeReportBatch(body)
+	var want ReportBatchRequest
+	werr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+		t.Fatalf("DecodeReportBatch error %v, encoding/json's %v", err, werr)
+	}
+	if !equalBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+		t.Fatalf("DecodeReportBatch (canonical %v) decoded %+v, encoding/json %+v", canonical, got, want)
+	}
+	if canonical {
+		a, aerr := json.Marshal(got)
+		b, berr := json.Marshal(want)
+		if aerr != nil || berr != nil || !bytes.Equal(a, b) {
+			t.Fatalf("canonical decode re-marshals to %s (%v), encoding/json's to %s (%v)", a, aerr, b, berr)
+		}
+	}
+	for _, q := range want.Reports {
+		a, aerr := q.Report.AppendJSON(nil)
+		b, berr := json.Marshal(q.Report)
+		if (aerr == nil) != (berr == nil) || (aerr == nil && !bytes.Equal(a, b)) {
+			t.Fatalf("AppendJSON wrote %s (%v), json.Marshal %s (%v)", a, aerr, b, berr)
+		}
+	}
+	return canonical
+}
+
 // FuzzReportIntake decodes arbitrary bytes as the report of a leased slot —
 // uniform, pilot, or main once the honest pilots have landed — and hands it
 // to the ledger's leased intake (Machine.AcceptLeased). The ledger never
 // panics; a report it accepts passes validation again; the campaign it
 // joins still snapshots, derives an allocation table whose cells are
 // non-negative and sum to the main phase's draw units, and folds into a
-// final report once the honest rest of the fleet reports. The seed corpus
-// is the honest reports and, for each that carries strata, one forged
-// stratum.
+// final report once the honest rest of the fleet reports. The same bytes,
+// posted as a report batch, hold the wire codec to its oracle (checkCodec).
+// The seed corpus is the honest reports and, for each that carries strata,
+// one forged stratum; every seed takes the codec's hand-written path.
 func FuzzReportIntake(f *testing.F) {
 	cases := intakeCases(f)
 	for ci, c := range cases {
@@ -66,6 +144,9 @@ func FuzzReportIntake(f *testing.F) {
 			data, err := json.Marshal(r)
 			if err != nil {
 				f.Fatal(err)
+			}
+			if !checkCodec(f, batchBody(slot, data)) {
+				f.Fatalf("case %d slot %d: honest report is not decoded by the codec", ci, slot)
 			}
 			f.Add(uint8(ci), uint8(slot), data)
 			if r.Strata() == nil {
@@ -81,6 +162,9 @@ func FuzzReportIntake(f *testing.F) {
 			if data, err = json.Marshal(&forged); err != nil {
 				f.Fatal(err)
 			}
+			if !checkCodec(f, batchBody(slot, data)) {
+				f.Fatalf("case %d slot %d: forged stratum is not decoded by the codec", ci, slot)
+			}
 			f.Add(uint8(ci), uint8(slot), data)
 		}
 	}
@@ -91,6 +175,7 @@ func FuzzReportIntake(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := int(slot) % len(c.honest)
+		checkCodec(t, batchBody(s, data))
 		landed := map[int]bool{s: true}
 		if m.plan.Gated(s) {
 			for p := range c.honest {

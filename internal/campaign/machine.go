@@ -2,9 +2,10 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -247,13 +248,19 @@ func (m *Machine) Heartbeat(leaseID string, now time.Time, ttl time.Duration) bo
 // sequence numbers are unknown and their leases report false; the slot is
 // simply re-leased and recomputed bit-identically.
 func (m *Machine) LeaseEverGranted(leaseID string, slot int) bool {
-	var seq, s int
-	if _, err := fmt.Sscanf(leaseID, "L%d-s%d", &seq, &s); err != nil {
-		return false
-	}
-	// Reconstruct to reject trailing garbage Sscanf would ignore.
-	return s == slot && seq >= 1 && seq <= m.leaseSeq &&
-		leaseID == fmt.Sprintf("L%d-s%d", seq, s)
+	rest, ok := strings.CutPrefix(leaseID, "L")
+	seqPart, slotPart, cut := strings.Cut(rest, "-s")
+	seq, okSeq := canonicalInt(seqPart)
+	s, okSlot := canonicalInt(slotPart)
+	return ok && cut && okSeq && okSlot && s == slot && seq >= 1 && seq <= m.leaseSeq
+}
+
+// canonicalInt parses s when it is exactly how strconv.Itoa writes an int:
+// no sign but a minus, no leading zero, no "-0".
+func canonicalInt(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	digits := strings.TrimPrefix(s, "-")
+	return n, err == nil && digits != "" && digits[0] != '+' && (digits[0] != '0' || s == "0")
 }
 
 // Accept merges a finished slot report. Acceptance is idempotent and
@@ -332,11 +339,11 @@ var ErrConflictingDuplicate = errors.New("campaign: duplicate report differs fro
 // report: nil when their JSON is byte-equal, ErrConflictingDuplicate
 // wrapped otherwise. The accepted report stays.
 func sameReport(slot int, kept, dup *Report) error {
-	a, err := json.Marshal(kept)
+	a, err := kept.AppendJSON(nil)
 	if err != nil {
 		return err
 	}
-	b, err := json.Marshal(dup)
+	b, err := dup.AppendJSON(nil)
 	if err != nil {
 		return err
 	}

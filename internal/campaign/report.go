@@ -45,9 +45,13 @@ type surface struct {
 	merge func(rs []*Report) *Report
 	// check verifies that the surface's report in r has the dimensions d
 	// and that its breakdown tallies (sdc.Counts besides the overall one and
-	// the strata) are ones injections could have produced; nil when the
-	// report has neither.
+	// the strata) and spread accumulators are ones injections could have
+	// produced; nil when the report has neither.
 	check func(r *Report, d dims) error
+	// decode reads the surface's report in its canonical JSON into r, and
+	// encode appends json.Marshal's bytes of it (codec.go).
+	decode func(p *parser, r *Report)
+	encode func(b []byte, r *Report) ([]byte, error)
 }
 
 // view is what this package reads of a surface's report.
@@ -64,10 +68,14 @@ type view struct {
 	perBlock []sdc.Counts
 }
 
-// dims are the report dimensions a spec implies: the word width, and the
+// dims are the report dimensions a spec implies: the word width, the
 // MAC-layer count that is the block axis of every surface's stratum grid
-// and the datapath's per-block tallies.
-type dims struct{ bits, blocks int }
+// and the datapath's per-block tallies, and whether the spread
+// accumulators count injections (Spec.TrackSpread).
+type dims struct {
+	bits, blocks int
+	spread       bool
+}
 
 // soloHooks are the two options only the solo runner sets.
 type soloHooks struct {
@@ -112,8 +120,11 @@ var surfaces = []surface{
 			if n := len(dp.PreMaskedPerBit); n != 0 && n != d.bits {
 				return fmt.Errorf("campaign: datapath report splits pre-masked injections over %d bits, spec implies %d", n, d.bits)
 			}
-			return errors.Join(checkTallies("bit", dp.PerBit), checkTallies("block", dp.PerBlock), checkTallies("target", dp.PerTarget[:]))
+			return errors.Join(checkTallies("bit", dp.PerBit), checkTallies("block", dp.PerBlock), checkTallies("target", dp.PerTarget[:]),
+				checkSpread("block", dp.SpreadSum, dp.SpreadN, dp.PerBlock, d.spread))
 		},
+		decode: func(p *parser, r *Report) { r.Datapath = p.datapath() },
+		encode: func(b []byte, r *Report) ([]byte, error) { return appendDatapath(b, r.Datapath) },
 	},
 	{
 		name: "buffer",
@@ -152,6 +163,8 @@ var surfaces = []surface{
 		merge: merger(eyeriss.MergeReports,
 			func(r *Report) *eyeriss.Report { return r.Buffer },
 			func(r *eyeriss.Report) *Report { return &Report{Buffer: r} }),
+		decode: func(p *parser, r *Report) { r.Buffer = p.buffer() },
+		encode: func(b []byte, r *Report) ([]byte, error) { return appendBuffer(b, r.Buffer) },
 	},
 	{
 		name: "systolic",
@@ -183,7 +196,9 @@ var surfaces = []surface{
 		merge: merger(systolic.MergeReports,
 			func(r *Report) *systolic.Report { return r.Systolic },
 			func(r *systolic.Report) *Report { return &Report{Systolic: r} }),
-		check: func(r *Report, _ dims) error { return checkTallies("latch", r.Systolic.PerLatch[:]) },
+		check:  func(r *Report, _ dims) error { return checkTallies("latch", r.Systolic.PerLatch[:]) },
+		decode: func(p *parser, r *Report) { r.Systolic = p.systolic() },
+		encode: func(b []byte, r *Report) ([]byte, error) { return appendSystolic(b, r.Systolic) },
 	},
 }
 
@@ -296,12 +311,31 @@ func checkTallies(what string, ts []sdc.Counts) error {
 	return nil
 }
 
+// checkSpread refuses the first of a report's spread accumulators (per
+// block, or per stratum) that its tallies rule out. Under TrackSpread every
+// tallied injection adds one fraction in [0, 1] to its sum (faultinj's
+// Tally), and rounding is monotone, so n counts the tally's trials and the
+// sum stays within [0, n]; without it both stay zero. A NaN fails too. The
+// three slices are equally long.
+func checkSpread(what string, sums []float64, ns []int, tallies []sdc.Counts, spread bool) error {
+	for i, sum := range sums {
+		n := 0
+		if spread {
+			n = tallies[i].Trials
+		}
+		if ns[i] != n || !(sum >= 0 && sum <= float64(n)) {
+			return fmt.Errorf("campaign: %s %d spread sums %v over %d injections, its tally implies %d", what, i, sum, ns[i], n)
+		}
+	}
+	return nil
+}
+
 // validate rejects wire reports that are not the report a slot of spec's
 // campaign in the given phase produces: exactly the spec's surface, with
-// the dimensions (Net, DType) imply; tallies injections could have
-// produced; and per-stratum tallies — over the spec's stratum grid, summing
-// to the overall tally — exactly when the phase records strata. It returns
-// those strata (nil for a uniform slot).
+// the dimensions (Net, DType) imply; tallies and spread accumulators
+// injections could have produced; and per-stratum tallies — over the spec's
+// stratum grid, summing to the overall tally — exactly when the phase
+// records strata. It returns those strata (nil for a uniform slot).
 func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error) {
 	row, v, err := r.row()
 	if err != nil {
@@ -325,7 +359,7 @@ func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error
 	if v.strata == nil {
 		return nil, nil
 	}
-	if err := v.strata.Check(d.blocks, d.bits, spec.TrackSpread); err != nil {
+	if err := v.strata.Check(d.blocks, d.bits, d.spread); err != nil {
 		return nil, err
 	}
 	// Every stratum tallies at most the overall trials, so the sum cannot
@@ -340,6 +374,9 @@ func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error
 	if sum != v.counts {
 		return nil, fmt.Errorf("campaign: %s report's strata sum to %+v, its overall tally is %+v", row.name, sum, v.counts)
 	}
+	if err := checkSpread("stratum", v.strata.SpreadSum, v.strata.SpreadN, v.strata.Counts, d.spread); err != nil {
+		return nil, err
+	}
 	return v.strata, nil
 }
 
@@ -348,13 +385,14 @@ func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error
 var netBlocks sync.Map // network name → int
 
 // dims returns the report dimensions of a normalized spec — a pure function
-// of (Net, DType); pre-trained weights do not change a topology.
+// of (Net, DType, TrackSpread); pre-trained weights do not change a
+// topology.
 func (s Spec) dims() dims {
 	blocks, ok := netBlocks.Load(s.Net)
 	if !ok {
 		blocks, _ = netBlocks.LoadOrStore(s.Net, models.Build(s.Net).NumBlocks())
 	}
-	return dims{bits: s.Type().Width(), blocks: blocks.(int)}
+	return dims{bits: s.Type().Width(), blocks: blocks.(int), spread: s.TrackSpread}
 }
 
 // MergeReports folds per-slot wire reports in slot order — nil entries

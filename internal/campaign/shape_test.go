@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -238,5 +239,110 @@ func TestMachineRefusesWrappedStrata(t *testing.T) {
 	}
 	if first, err := m.Accept(l.Slot, good); err != nil || !first {
 		t.Fatalf("well-formed report refused: first=%v err=%v", first, err)
+	}
+}
+
+// TestMachineRefusesForgedSpread: spread accumulators are held to the
+// tallies they ride with — under TrackSpread one fraction in [0, 1] per
+// injection, otherwise none. A leased datapath slot report with a forged
+// block accumulator (the 1e300 sum over −3 injections that used to pass,
+// a NaN, a sum above its count, a count off the block's trials, spread on
+// a campaign that does not track it) or a forged stratum accumulator is
+// refused with the ledger untouched, and the honest report then lands.
+func TestMachineRefusesForgedSpread(t *testing.T) {
+	blocks := func(edit func(dp *faultinj.Report)) func(*Report) { return func(r *Report) { edit(r.Datapath) } }
+	strata := func(edit func(s *engine.StrataSummary)) func(*Report) {
+		return func(r *Report) { edit(r.Datapath.Strata) }
+	}
+	for _, tc := range []struct {
+		name     string
+		sampling string
+		spread   bool
+		forge    func(*Report)
+	}{
+		{"1e300 over -3", "uniform", true, blocks(func(dp *faultinj.Report) { dp.SpreadSum[0], dp.SpreadN[0] = 1e300, -3 })},
+		{"NaN sum", "uniform", true, blocks(func(dp *faultinj.Report) { dp.SpreadSum[0] = math.NaN() })},
+		{"negative sum", "uniform", true, blocks(func(dp *faultinj.Report) { dp.SpreadSum[0] = -0.5 })},
+		{"sum above count", "uniform", true, blocks(func(dp *faultinj.Report) { dp.SpreadSum[0] = float64(dp.SpreadN[0]) + 1 })},
+		{"count off the tally", "uniform", true, blocks(func(dp *faultinj.Report) { dp.SpreadN[0]++ })},
+		{"untracked spread", "uniform", false, blocks(func(dp *faultinj.Report) { dp.SpreadSum[0], dp.SpreadN[0] = 0.5, 1 })},
+		{"stratum sum above count", "stratified", true, strata(func(s *engine.StrataSummary) { s.SpreadSum[0] = float64(s.SpreadN[0]) + 0.5 })},
+		{"stratum NaN sum", "stratified", true, strata(func(s *engine.StrataSummary) { s.SpreadSum[0] = math.NaN() })},
+		{"stratum count off the tally", "stratified", true, strata(func(s *engine.StrataSummary) { s.SpreadN[0] = s.Counts[0].Trials + 1 })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec("FLOAT16")
+			spec.Sampling, spec.TrackSpread = tc.sampling, tc.spread
+			m, err := NewMachine(spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := m.Lease(time.Now(), time.Minute)
+			good, err := ExecuteLease(l, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := cloneReport(t, good)
+			tc.forge(bad)
+			if first, err := m.AcceptLeased(l.Slot, bad); err == nil || first || m.Completed() != 0 {
+				t.Fatalf("forged spread: first=%v err=%v completed=%d, want a refusal", first, err, m.Completed())
+			}
+			if first, err := m.AcceptLeased(l.Slot, good); err != nil || !first {
+				t.Fatalf("honest report refused after the forgery: first=%v err=%v", first, err)
+			}
+		})
+	}
+}
+
+// leaseEverGrantedSscanf is LeaseEverGranted as it was written with
+// fmt.Sscanf, the oracle of the exact parse that replaced it.
+func leaseEverGrantedSscanf(leaseSeq int, leaseID string, slot int) bool {
+	var seq, s int
+	if _, err := fmt.Sscanf(leaseID, "L%d-s%d", &seq, &s); err != nil {
+		return false
+	}
+	return s == slot && seq >= 1 && seq <= leaseSeq && leaseID == fmt.Sprintf("L%d-s%d", seq, s)
+}
+
+// TestLeaseEverGrantedParsesExactly: a lease ID is "L<seq>-s<slot>" with
+// both numbers written canonically, seq at most the ledger's last and slot
+// the reported one — exactly the IDs the Sscanf-and-reformat check took.
+func TestLeaseEverGrantedParsesExactly(t *testing.T) {
+	m, err := NewMachine(testSpec("FLOAT16"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		m.Lease(time.Now(), time.Minute)
+	}
+	for _, tc := range []struct {
+		id   string
+		slot int
+		want bool
+	}{
+		{"L1-s0", 0, true},
+		{"L3-s4", 4, true},
+		{"L4-s0", 0, false}, // above the ledger's sequence
+		{"L0-s0", 0, false},
+		{"L01-s0", 0, false},
+		{"L+1-s0", 0, false},
+		{"L1-s00", 0, false},
+		{"L1-s0x", 0, false},
+		{"L1-s+0", 0, false},
+		{"L1-s-0", 0, false},
+		{"L-1-s0", 0, false},
+		{"L 1-s0", 0, false},
+		{"L1-s0", 1, false}, // wrong slot
+		{"L1-s-1", -1, true},
+		{"L1-s0-s0", 0, false},
+		{"l1-s0", 0, false},
+		{"L1", 0, false},
+		{"L1-s", 0, false},
+		{"", 0, false},
+	} {
+		got := m.LeaseEverGranted(tc.id, tc.slot)
+		if oracle := leaseEverGrantedSscanf(m.leaseSeq, tc.id, tc.slot); got != tc.want || oracle != tc.want {
+			t.Errorf("LeaseEverGranted(%q, %d) = %v, Sscanf check %v, want %v", tc.id, tc.slot, got, oracle, tc.want)
+		}
 	}
 }

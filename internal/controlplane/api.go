@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -218,7 +219,21 @@ func (p *Plane) Handler() http.Handler {
 	}))
 	mux.HandleFunc("POST /v1/reports", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req campaign.ReportBatchRequest
-		if !decodeBody(w, r, &req, false) {
+		if !decodeWith(w, r, false, func(body io.Reader) error {
+			data, err := io.ReadAll(body)
+			if err != nil {
+				// Too long or cut short: the decoder reads what arrived, then
+				// the same error (a MaxBytesReader's error is sticky), as it
+				// would reading the body itself.
+				return json.NewDecoder(io.MultiReader(bytes.NewReader(data), body)).Decode(&req)
+			}
+			var canonical bool
+			req, canonical, err = campaign.DecodeReportBatch(data)
+			if !canonical {
+				noteReportDecodeFallback()
+			}
+			return err
+		}) {
 			return
 		}
 		errs := p.ReportBatch(req.Reports)
@@ -260,9 +275,15 @@ const maxBodyBytes = 64 << 20
 // sends it), 400 for one that does not decode — and returns false; an
 // optional body that does not decode is not an error and leaves v as it was.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	return decodeWith(w, r, optional, func(body io.Reader) error { return json.NewDecoder(body).Decode(v) })
+}
+
+// decodeWith is decodeBody with the decoding left to decode, which reads the
+// bounded body.
+func decodeWith(w http.ResponseWriter, r *http.Request, optional bool, decode func(body io.Reader) error) bool {
 	err := error(&http.MaxBytesError{Limit: maxBodyBytes})
 	if r.ContentLength <= maxBodyBytes {
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+		err = decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	}
 	var tooBig *http.MaxBytesError
 	switch {

@@ -326,20 +326,33 @@ func validateEvent(line []byte, specs map[string]campaign.Spec) (*journalEvent, 
 	return &e, nil
 }
 
+// appendEvent appends e's journal line, without its newline: exactly
+// json.Marshal(e)'s bytes. Report is journalEvent's last field, so a report
+// event is the marshalled rest of the event with the wire codec's encoding
+// of the report spliced in before the closing brace.
+func appendEvent(dst []byte, e *journalEvent) ([]byte, error) {
+	head := *e
+	head.Report = nil
+	line, err := json.Marshal(&head)
+	if err != nil || e.Report == nil {
+		return append(dst, line...), err
+	}
+	dst = append(append(dst, line[:len(line)-1]...), `,"report":`...)
+	if dst, err = e.Report.AppendJSON(dst); err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
 // enqueue hands one event to the committer and returns a wait closure
 // that blocks until the batch holding the event is durable — the caller
 // acknowledges its mutation only after wait returns nil. Enqueueing is
-// cheap (one marshal, one buffer append) and safe to do under the
+// cheap (one append into the pending buffer) and safe to do under the
 // plane's scheduler lock; the wait must happen after that lock is
 // released, which is what keeps fsync latency off the dispatch path.
 func (jl *journal) enqueue(e journalEvent) func() error {
 	if jl == nil {
 		return func() error { return nil }
-	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		err = fmt.Errorf("controlplane: encoding journal event: %v", err)
-		return func() error { return err }
 	}
 	jl.mu.Lock()
 	if jl.closed {
@@ -351,12 +364,19 @@ func (jl *journal) enqueue(e journalEvent) func() error {
 		jl.mu.Unlock()
 		return func() error { return err }
 	}
+	n := len(jl.buf)
+	buf, err := appendEvent(jl.buf, &e)
+	if err != nil {
+		jl.buf = buf[:n]
+		jl.mu.Unlock()
+		err = fmt.Errorf("controlplane: encoding journal event: %v", err)
+		return func() error { return err }
+	}
+	jl.buf = append(buf, '\n')
 	if jl.batch == nil {
 		jl.batch = &commitBatch{done: make(chan struct{})}
 	}
 	b := jl.batch
-	jl.buf = append(jl.buf, line...)
-	jl.buf = append(jl.buf, '\n')
 	b.n++
 	jl.cond.Signal()
 	jl.mu.Unlock()
@@ -480,27 +500,23 @@ func (jl *journal) compact() {
 // path via temp file + fsync + rename + directory fsync, returning the
 // still-open handle (positioned at EOF, ready for appends) and its size.
 func writeSnapshotFile(path string, seq int, events []*journalEvent) (*os.File, int64, error) {
-	var buf bytes.Buffer
-	hdr, err := json.Marshal(journalHeader{Version: journalVersion, Seq: seq})
+	buf, err := json.Marshal(journalHeader{Version: journalVersion, Seq: seq})
 	if err != nil {
 		return nil, 0, fmt.Errorf("controlplane: encoding journal header: %v", err)
 	}
-	buf.Write(hdr)
-	buf.WriteByte('\n')
+	buf = append(buf, '\n')
 	for _, e := range events {
-		line, err := json.Marshal(e)
-		if err != nil {
+		if buf, err = appendEvent(buf, e); err != nil {
 			return nil, 0, fmt.Errorf("controlplane: encoding journal snapshot event: %v", err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		buf = append(buf, '\n')
 	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("controlplane: creating journal snapshot: %v", err)
 	}
-	if _, err := f.Write(buf.Bytes()); err == nil {
+	if _, err := f.Write(buf); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -514,7 +530,7 @@ func writeSnapshotFile(path string, seq int, events []*journalEvent) (*os.File, 
 		return nil, 0, fmt.Errorf("controlplane: committing journal snapshot: %v", err)
 	}
 	syncDir(filepath.Dir(path))
-	return f, int64(buf.Len()), nil
+	return f, int64(len(buf)), nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss.

@@ -13,6 +13,9 @@ import "expvar"
 //	controlplane_queue_depth: campaigns currently active (schedulable)
 //	controlplane_duplicate_conflicts: second reports of a done slot whose
 //	  JSON differed from the accepted one (answered 409, never merged)
+//	controlplane_report_decode_fallbacks: POST /v1/reports bodies that were
+//	  not in the canonical form campaign.DecodeReportBatch reads by hand, so
+//	  encoding/json decoded them; 0 while every worker posts json.Marshal
 //	controlplane_journal: group-commit hot-path counters —
 //	  {"batches", "events", "fsyncs", "fsync_nanos", "bytes",
 //	   "compactions", "retired_events"}; events/batches is the realized
@@ -23,6 +26,7 @@ var (
 	mQueueDepth = expvar.NewInt("controlplane_queue_depth")
 	mJournal    = expvar.NewMap("controlplane_journal")
 	mConflicts  = expvar.NewInt("controlplane_duplicate_conflicts")
+	mFallbacks  = expvar.NewInt("controlplane_report_decode_fallbacks")
 )
 
 func noteLeaseGranted(id string) { mCampaigns.Add(id+".leases_granted", 1) }
@@ -37,6 +41,7 @@ func noteRejected(tenant string)    { mTenants.Add(tenantKey(tenant)+".rejected"
 func setQueueDepth(active int)      { mQueueDepth.Set(int64(active)) }
 func noteQueueCapped(tenant string) { mTenants.Add(tenantKey(tenant)+".queue_capped", 1) }
 func noteDuplicateConflict()        { mConflicts.Add(1) }
+func noteReportDecodeFallback()     { mFallbacks.Add(1) }
 
 // dropCampaignMetrics removes a finished campaign's keys from the campaign
 // map.

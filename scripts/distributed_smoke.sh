@@ -444,6 +444,12 @@ for _ in $(seq 50); do
 done
 [ "${compactions:-0}" -ge 1 ] || { echo "FAIL: no size-triggered compaction during the campaign"; exit 1; }
 echo "   $compactions size-triggered compaction(s) mid-campaign"
+# The worker's report batches are json.Marshal's canonical bytes, so the
+# plane's wire codec read every one without falling back to encoding/json.
+fallbacks=$(curl -fsS "$cbase4/debug/vars" \
+    | sed -n 's/.*"controlplane_report_decode_fallbacks": \([0-9]*\).*/\1/p')
+[ "$fallbacks" = 0 ] || { echo "FAIL: controlplane_report_decode_fallbacks is '$fallbacks', want 0"; exit 1; }
+echo "   every report batch took the wire codec (0 decode fallbacks)"
 
 # SIGKILL with the compaction churn still warm: recovery must land on
 # either the old or the new journal — never a hybrid — and keep the two
