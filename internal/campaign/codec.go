@@ -18,16 +18,21 @@ import (
 // reflection dominates the plane's intake when encoding/json does it. This
 // file reads and writes the one form json.Marshal emits for the wire types
 // (exact keys in struct order, no whitespace, strings that need no escape)
-// by hand. encoding/json stays the reference: the parser hands every other
-// input to it, and the appender writes exactly its bytes. Each surface-table
-// row names its own decode and encode; nothing else here tells the surfaces
-// apart.
+// by hand. The parser's canonical form is byte-exact: a report it reads is
+// exactly AppendJSON's bytes of the value it decodes (no "-0", no zero
+// omitempty int, no empty omitempty list, no null weights, lower-case hex
+// words without leading zeros, floats as appendFloat spells them), so it
+// keeps those bytes (Report.wire) and AppendJSON copies them. encoding/json
+// stays the reference: the parser hands every other input to it, and the
+// appender writes exactly its bytes. Each surface-table row names its own
+// decode and encode; nothing else here tells the surfaces apart.
 
 // DecodeReportBatch decodes a POST /v1/reports body as
 // json.NewDecoder(bytes.NewReader(body)).Decode does — the same value, the
 // same error. canonical reports whether the body took the hand-written path
 // (the canonical form followed by nothing but whitespace); anything else is
-// decoded by encoding/json.
+// decoded by encoding/json. On the hand-written path every report keeps its
+// own bytes, a subslice of body, so body must not change afterwards.
 func DecodeReportBatch(body []byte) (req ReportBatchRequest, canonical bool, err error) {
 	p := parser{b: body}
 	p.lit(`{"reports":`)
@@ -46,10 +51,14 @@ func DecodeReportBatch(body []byte) (req ReportBatchRequest, canonical bool, err
 
 // AppendJSON appends json.Marshal(r)'s bytes to dst, and fails where
 // json.Marshal does: on a non-finite spread sum, the only float a report
-// writes as a number. Into a buffer with room it allocates nothing.
+// writes as a number. A report the parser decoded copies its own wire
+// bytes. Into a buffer with room it allocates nothing.
 func (r *Report) AppendJSON(dst []byte) ([]byte, error) {
 	if r == nil {
 		return append(dst, "null"...), nil
+	}
+	if r.wire != nil {
+		return append(dst, r.wire...), nil
 	}
 	dst = append(dst, '{')
 	comma := false
@@ -69,6 +78,17 @@ func (r *Report) AppendJSON(dst []byte) ([]byte, error) {
 		comma = true
 	}
 	return append(dst, '}'), nil
+}
+
+// AppendInnerJSON appends json.Marshal(r.Inner())'s bytes to dst: the one
+// surface report r carries, as a solo run's -out file holds it (before
+// indentation).
+func (r *Report) AppendInnerJSON(dst []byte) ([]byte, error) {
+	row, _, err := r.row()
+	if err != nil {
+		return dst, err
+	}
+	return row.encode(dst, r)
 }
 
 // parser reads the canonical form. The first byte that does not fit sets
@@ -120,12 +140,13 @@ func (p *parser) digits() int {
 	return p.i - start
 }
 
-// int reads a JSON integer of at most 18 digits, which no int64 overflows;
-// encoding/json judges longer ones.
+// int reads an integer as strconv writes it (no leading zero, no "-0"), of
+// at most 18 digits, which no int64 overflows; encoding/json judges longer
+// ones.
 func (p *parser) int() int {
 	neg := p.opt("-")
 	start := p.i
-	if d := p.digits(); d == 0 || d > 18 || (d > 1 && p.b[start] == '0') {
+	if d := p.digits(); d == 0 || d > 18 || (d > 1 && p.b[start] == '0') || (neg && p.b[start] == '0') {
 		p.fail()
 		return 0
 	}
@@ -139,34 +160,28 @@ func (p *parser) int() int {
 	return n
 }
 
-// optInt reads an omitempty int field into dst when it is there.
+// optInt reads an omitempty int field into dst when it is there; json.Marshal
+// leaves a zero one out.
 func (p *parser) optInt(key string, dst *int) {
 	if p.opt(key) {
-		*dst = p.int()
-	}
-}
-
-// float reads a JSON number as encoding/json does, by strconv.ParseFloat of
-// its literal, and fails where that does (out of range).
-func (p *parser) float() float64 {
-	start := p.i
-	p.opt("-")
-	if !p.opt("0") && p.digits() == 0 {
-		p.fail()
-	}
-	if p.opt(".") && p.digits() == 0 {
-		p.fail()
-	}
-	if p.opt("e") || p.opt("E") {
-		if !p.opt("+") {
-			p.opt("-")
-		}
-		if p.digits() == 0 {
+		if *dst = p.int(); *dst == 0 {
 			p.fail()
 		}
 	}
-	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
-	if err != nil {
+}
+
+// float reads a number spelled exactly as appendFloat spells its value (and
+// so as encoding/json reads it, by strconv.ParseFloat); any other spelling,
+// valid JSON or not, is encoding/json's to judge.
+func (p *parser) float() float64 {
+	start := p.i
+	for p.i < len(p.b) && (p.b[p.i]-'0' < 10 || p.b[p.i] == '-' || p.b[p.i] == '+' || p.b[p.i] == '.' || p.b[p.i] == 'e') {
+		p.i++
+	}
+	lit := p.b[start:p.i]
+	f, err := strconv.ParseFloat(string(lit), 64)
+	var spelled [32]byte
+	if err != nil || string(appendFloat(spelled[:0], f)) != string(lit) {
 		p.fail()
 	}
 	return f
@@ -184,8 +199,8 @@ func (p *parser) str() string {
 	return s
 }
 
-// hex reads a quoted word of 1 to 16 hex digits — what
-// strconv.ParseUint(s, 16, 64) reads without overflow.
+// hex reads a quoted word as strconv.AppendUint(_, u, 16) writes it: 1 to
+// 16 lower-case hex digits without a leading zero.
 func (p *parser) hex() uint64 {
 	p.lit(`"`)
 	start := p.i
@@ -198,14 +213,12 @@ digits:
 			c -= '0'
 		case c-'a' < 6:
 			c -= 'a' - 10
-		case c-'A' < 6:
-			c -= 'A' - 10
 		default:
 			break digits
 		}
 		u = u<<4 | uint64(c)
 	}
-	if n := p.i - start; n == 0 || n > 16 {
+	if n := p.i - start; n == 0 || n > 16 || (n > 1 && p.b[start] == '0') {
 		p.fail()
 	}
 	p.lit(`"`)
@@ -235,6 +248,16 @@ func list[T any](p *parser, elem func(*parser) T) []T {
 	return out
 }
 
+// some reads an omitempty list field's array, which json.Marshal writes only
+// when it has an element.
+func some[T any](p *parser, elem func(*parser) T) []T {
+	xs := list(p, elem)
+	if len(xs) == 0 {
+		p.fail()
+	}
+	return xs
+}
+
 // fill reads an array of exactly len(dst) elements into dst (a Go array's
 // JSON; encoding/json judges any other length).
 func fill[T any](p *parser, dst []T, elem func(*parser) T) {
@@ -260,7 +283,9 @@ func (p *parser) request() (q ReportRequest) {
 	q.Shard = p.int()
 	p.lit(`,"report":`)
 	if !p.opt("null") {
+		start := p.i
 		q.Report = p.report()
+		q.Report.wire = p.b[start:p.i:p.i]
 	}
 	p.lit("}")
 	return q
@@ -321,7 +346,7 @@ func (p *parser) value() (v faultinj.ValueRecord) {
 }
 
 // strata reads an engine.StrataSummary. Its weights are engine.HexFloats,
-// whose decoder never leaves them nil.
+// which json.Marshal writes as [] when nil, never null.
 func (p *parser) strata() *engine.StrataSummary {
 	s := &engine.StrataSummary{}
 	p.lit(`{"blocks":`)
@@ -330,15 +355,15 @@ func (p *parser) strata() *engine.StrataSummary {
 	s.Bits = p.int()
 	p.lit(`,"weight":`)
 	if s.Weight = list(p, (*parser).hexFloat); s.Weight == nil {
-		s.Weight = engine.HexFloats{}
+		p.fail()
 	}
 	p.lit(`,"counts":`)
 	s.Counts = list(p, (*parser).counts)
 	if p.opt(`,"spread_sum":`) {
-		s.SpreadSum = list(p, (*parser).float)
+		s.SpreadSum = some(p, (*parser).float)
 	}
 	if p.opt(`,"spread_n":`) {
-		s.SpreadN = list(p, (*parser).int)
+		s.SpreadN = some(p, (*parser).int)
 	}
 	p.lit("}")
 	return s
@@ -364,7 +389,7 @@ func (p *parser) datapath() *faultinj.Report {
 	r.Masked = p.int()
 	p.optInt(`,"PreMasked":`, &r.PreMasked)
 	if p.opt(`,"PreMaskedPerBit":`) {
-		r.PreMaskedPerBit = list(p, (*parser).int)
+		r.PreMaskedPerBit = some(p, (*parser).int)
 	}
 	p.lit(`,"Detection":`)
 	r.Detection = p.detection()

@@ -61,7 +61,8 @@ func batchBody(slot int, report []byte) []byte {
 }
 
 // equalBits is reflect.DeepEqual with floats compared by bit pattern, so a
-// NaN the hex forms carry equals itself.
+// NaN the hex forms carry equals itself, and without a Report's wire bytes,
+// which checkCodec holds to json.Marshal on their own.
 func equalBits(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
@@ -85,6 +86,9 @@ func equalBits(a, b reflect.Value) bool {
 		return true
 	case reflect.Struct:
 		for i := range a.NumField() {
+			if a.Type() == reflect.TypeFor[Report]() && a.Type().Field(i).Name == "wire" {
+				continue
+			}
 			if !equalBits(a.Field(i), b.Field(i)) {
 				return false
 			}
@@ -96,9 +100,11 @@ func equalBits(a, b reflect.Value) bool {
 
 // checkCodec is the wire codec's oracle, encoding/json: a batch body the
 // hand-written parser accepts decodes to the value encoding/json decodes
-// and re-marshals to the same bytes, and AppendJSON of any report that
-// decodes writes json.Marshal's bytes, or fails where it fails. It returns
-// whether the body took the parser.
+// and re-marshals to the same bytes, each of its reports keeps exactly
+// json.Marshal's bytes of that report (and a report of any other body
+// keeps none), and AppendJSON of any report that decodes writes
+// json.Marshal's bytes, or fails where it fails. It returns whether the
+// body took the parser.
 func checkCodec(t testing.TB, body []byte) bool {
 	t.Helper()
 	got, canonical, err := DecodeReportBatch(body)
@@ -115,6 +121,20 @@ func checkCodec(t testing.TB, body []byte) bool {
 		b, berr := json.Marshal(want)
 		if aerr != nil || berr != nil || !bytes.Equal(a, b) {
 			t.Fatalf("canonical decode re-marshals to %s (%v), encoding/json's to %s (%v)", a, aerr, b, berr)
+		}
+	}
+	for i, q := range got.Reports {
+		if q.Report == nil {
+			continue
+		}
+		if !canonical {
+			if q.Report.wire != nil {
+				t.Fatalf("report %d of a body off the canonical form keeps wire bytes %s", i, q.Report.wire)
+			}
+			continue
+		}
+		if b, err := json.Marshal(q.Report); err != nil || !bytes.Equal(q.Report.wire, b) {
+			t.Fatalf("report %d keeps wire bytes\n%s, json.Marshal writes\n%s (%v)", i, q.Report.wire, b, err)
 		}
 	}
 	for _, q := range want.Reports {
@@ -232,4 +252,40 @@ func FuzzReportIntake(f *testing.F) {
 			t.Fatalf("final report does not marshal: %v", err)
 		}
 	})
+}
+
+// TestRetireDropsWireBytes: the reports a ledger accepts from a worker's
+// body keep their wire bytes while the campaign is live, and Retire drops
+// them without changing what they encode to.
+func TestRetireDropsWireBytes(t *testing.T) {
+	for _, c := range intakeCases(t) {
+		m, err := NewMachine(c.spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot, r := range c.honest {
+			data, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, canonical, err := DecodeReportBatch(batchBody(slot, data))
+			if !canonical || err != nil {
+				t.Fatalf("slot %d: decoded off the canonical path (%v)", slot, err)
+			}
+			if _, err := m.AcceptLeased(slot, req.Reports[0].Report); err != nil {
+				t.Fatalf("slot %d: %v", slot, err)
+			}
+			if !bytes.Equal(m.SlotReport(slot).wire, data) {
+				t.Fatalf("slot %d: accepted report keeps %q, its body held %s", slot, m.SlotReport(slot).wire, data)
+			}
+		}
+		m.Retire()
+		for slot, r := range c.honest {
+			want, _ := json.Marshal(r)
+			got, err := m.SlotReport(slot).AppendJSON(nil)
+			if m.SlotReport(slot).wire != nil || err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("slot %d after Retire: wire bytes kept %v, encodes to %s (%v), want %s", slot, m.SlotReport(slot).wire != nil, got, err, want)
+			}
+		}
+	}
 }

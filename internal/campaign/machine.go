@@ -353,6 +353,21 @@ func sameReport(slot int, kept, dup *Report) error {
 	return nil
 }
 
+// Retire drops the wire bytes of every accepted slot report (Report.wire):
+// each holds its whole request body in memory, and only a live campaign's
+// reports are journaled again, by compaction. The control plane calls it
+// when the campaign reaches a terminal state, under the lock it holds for
+// the machine; the reports still encode to the same bytes.
+func (m *Machine) Retire() {
+	for s := range m.shards {
+		// Only a report that has them is written: an in-process report may
+		// be shared with other ledgers.
+		if r := m.shards[s].report; r != nil && r.wire != nil {
+			r.wire = nil
+		}
+	}
+}
+
 // Restore re-admits a slot report from the journal: like
 // Accept, but counted as resumed and with the recorded retry budget
 // restored. Duplicate slots keep the first report, like the live path, and

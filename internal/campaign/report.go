@@ -23,6 +23,16 @@ type Report struct {
 	Datapath *faultinj.Report `json:"datapath,omitempty"`
 	Buffer   *eyeriss.Report  `json:"buffer,omitempty"`
 	Systolic *systolic.Report `json:"systolic,omitempty"`
+
+	// wire is set on a report the codec's parser decoded (DecodeReportBatch):
+	// its own bytes, a subslice of the request body, which are exactly
+	// AppendJSON's bytes of the decoded value, so AppendJSON copies them
+	// instead of encoding. They stay that only because nothing mutates a
+	// decoded report — not the plane, the ledger, a merge or the journal —
+	// nor the body under it; code that would must clear wire first. Reports
+	// encoding/json decoded, and those built in process, carry none.
+	// Machine.Retire drops them once the campaign is over.
+	wire []byte
 }
 
 // surface is one row of the surface table: everything this package knows

@@ -220,7 +220,7 @@ func (p *Plane) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/reports", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req campaign.ReportBatchRequest
 		if !decodeWith(w, r, false, func(body io.Reader) error {
-			data, err := io.ReadAll(body)
+			data, err := readBody(body, r.ContentLength)
 			if err != nil {
 				// Too long or cut short: the decoder reads what arrived, then
 				// the same error (a MaxBytesReader's error is sticky), as it
@@ -296,6 +296,37 @@ func decodeWith(w http.ResponseWriter, r *http.Request, optional bool, decode fu
 		return false
 	}
 	return true
+}
+
+// maxBodyPrealloc bounds what a declared Content-Length alone makes the
+// plane allocate before the body's bytes arrive.
+const maxBodyPrealloc = 1 << 20
+
+// readBody is io.ReadAll into one buffer sized from the body's declared
+// length: at most maxBodyPrealloc up front, grown past that only as bytes
+// arrive; a body of unknown length (-1) grows from 512 bytes, as
+// io.ReadAll's does. The reports route decodes from this buffer and its
+// reports keep slices of it (campaign.Report's wire bytes), so it is never
+// reused.
+func readBody(body io.Reader, declared int64) ([]byte, error) {
+	size := int64(512)
+	if declared >= 0 {
+		size = min(declared+1, maxBodyPrealloc) // +1: room to read EOF without growing
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 func tenantFrom(r *http.Request) string {

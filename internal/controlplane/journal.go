@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -122,8 +123,11 @@ type journal struct {
 	cond *sync.Cond
 	f    *os.File
 	// buf and batch hold encoded lines (and their waiters) enqueued since
-	// the committer last picked up work.
+	// the committer last picked up work. spare is the buffer the committer
+	// wrote last: it becomes the next buf, so the two alternate and enqueue
+	// appends into capacity that already exists.
 	buf   []byte
+	spare []byte
 	batch *commitBatch
 	// err is sticky: once a write or sync fails, every later append fails
 	// with it — callers must not be told "durable" after the file broke.
@@ -412,7 +416,7 @@ func (jl *journal) run() {
 			break // closed and drained
 		}
 		buf, b := jl.buf, jl.batch
-		jl.buf, jl.batch = nil, nil
+		jl.buf, jl.batch = jl.spare[:0], nil
 		f := jl.f
 		jl.mu.Unlock()
 
@@ -424,6 +428,7 @@ func (jl *journal) run() {
 		elapsed := time.Since(start).Nanoseconds()
 
 		jl.mu.Lock()
+		jl.spare = buf
 		if werr != nil {
 			werr = fmt.Errorf("controlplane: committing journal batch: %v", werr)
 			if jl.err == nil {
@@ -499,30 +504,24 @@ func (jl *journal) compact() {
 // writeSnapshotFile writes a fresh journal holding hdr(seq)+events to
 // path via temp file + fsync + rename + directory fsync, returning the
 // still-open handle (positioned at EOF, ready for appends) and its size.
+// A failure at any step, an event that does not encode included, removes
+// the temp file and leaves the old journal as it was.
 func writeSnapshotFile(path string, seq int, events []*journalEvent) (*os.File, int64, error) {
-	buf, err := json.Marshal(journalHeader{Version: journalVersion, Seq: seq})
-	if err != nil {
-		return nil, 0, fmt.Errorf("controlplane: encoding journal header: %v", err)
-	}
-	buf = append(buf, '\n')
-	for _, e := range events {
-		if buf, err = appendEvent(buf, e); err != nil {
-			return nil, 0, fmt.Errorf("controlplane: encoding journal snapshot event: %v", err)
-		}
-		buf = append(buf, '\n')
-	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, 0, fmt.Errorf("controlplane: creating journal snapshot: %v", err)
 	}
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
+	size, err := writeSnapshotLines(f, seq, events)
+	if err == nil {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("controlplane: writing journal snapshot: %v", err)
+		}
 	}
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return nil, 0, fmt.Errorf("controlplane: writing journal snapshot: %v", err)
+		return nil, 0, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		f.Close()
@@ -530,7 +529,34 @@ func writeSnapshotFile(path string, seq int, events []*journalEvent) (*os.File, 
 		return nil, 0, fmt.Errorf("controlplane: committing journal snapshot: %v", err)
 	}
 	syncDir(filepath.Dir(path))
-	return f, int64(len(buf)), nil
+	return f, size, nil
+}
+
+// writeSnapshotLines writes the header line of seq and then each event's
+// line to f through one buffered writer, encoding every line into one
+// reused buffer — the snapshot, at least the live state, never exists in
+// memory whole — and returns the bytes written.
+func writeSnapshotLines(f *os.File, seq int, events []*journalEvent) (int64, error) {
+	line, err := json.Marshal(journalHeader{Version: journalVersion, Seq: seq})
+	if err != nil {
+		return 0, fmt.Errorf("controlplane: encoding journal header: %v", err)
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	line = append(line, '\n')
+	w.Write(line) // a write error is sticky: Flush returns it
+	size := int64(len(line))
+	for _, e := range events {
+		if line, err = appendEvent(line[:0], e); err != nil {
+			return 0, fmt.Errorf("controlplane: encoding journal snapshot event: %v", err)
+		}
+		line = append(line, '\n')
+		w.Write(line)
+		size += int64(len(line))
+	}
+	if err := w.Flush(); err != nil {
+		return 0, fmt.Errorf("controlplane: writing journal snapshot: %v", err)
+	}
+	return size, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power loss.

@@ -1,0 +1,5 @@
+//go:build !race
+
+package controlplane
+
+const raceEnabled = false

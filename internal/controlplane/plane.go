@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -267,7 +268,7 @@ func (p *Plane) compactionSnapshot() (int, []*journalEvent, *commitBatch) {
 	if p.jl != nil {
 		p.jl.mu.Lock()
 		stolen = p.jl.batch
-		p.jl.buf, p.jl.batch = nil, nil
+		p.jl.buf, p.jl.batch = p.jl.buf[:0], nil
 		p.jl.mu.Unlock()
 	}
 	var events []*journalEvent
@@ -283,9 +284,11 @@ func (p *Plane) compactionSnapshot() (int, []*journalEvent, *commitBatch) {
 		})
 		for s, n := 0, c.m.Spec().Slots(); s < n; s++ {
 			if r := c.m.SlotReport(s); r != nil {
+				// A copy: the snapshot is written outside the lock, and the
+				// campaign may finish meanwhile, retiring r's wire bytes.
 				events = append(events, &journalEvent{
 					Event: evReport, Campaign: c.id,
-					Slot: s, Retries: c.m.SlotRetries(s), Report: r,
+					Slot: s, Retries: c.m.SlotRetries(s), Report: ptr(*r),
 				})
 			}
 		}
@@ -438,6 +441,7 @@ func (p *Plane) finishLocked(c *camp, state string) {
 	}
 	c.state = state
 	close(c.done)
+	c.m.Retire()
 	p.dropFromRing(c.id)
 	if p.activeByTenant[c.tenant] > 0 {
 		p.activeByTenant[c.tenant]--
@@ -737,13 +741,25 @@ func (p *Plane) Result(tenant, id string) (campaign.Spec, *campaign.Report, *eng
 // inner surface report, indented — byte-identical to what a solo
 // faultserve run of the same spec writes with -out, which is what makes
 // shared-fleet results directly byte-comparable against solo baselines.
+// It is json.MarshalIndent(r.Inner(), "", "  ") with the wire codec in
+// place of json.Marshal: MarshalIndent is Marshal, then Indent. (The solo
+// side keeps encoding/json, the reference the plane is compared with.)
 // Owner-checked like Cancel when the plane authenticates tenants.
 func (p *Plane) FinalReportJSON(tenant, id string) ([]byte, error) {
 	_, r, _, err := p.Result(tenant, id)
 	if err != nil {
 		return nil, err
 	}
-	return json.MarshalIndent(r.Inner(), "", "  ")
+	compact, err := r.AppendInnerJSON(nil)
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	out.Grow(2 * len(compact))
+	if err := json.Indent(&out, compact, "", "  "); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
 }
 
 // broadcastLocked fans the campaign's current status out to its stream
