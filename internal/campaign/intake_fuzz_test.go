@@ -220,7 +220,7 @@ func FuzzReportIntake(f *testing.F) {
 			return
 		}
 		phase, _ := m.plan.Slot(s)
-		if _, err := r.validate(c.spec, phase); err != nil {
+		if err := r.validate(c.spec, c.spec.dims(), phase); err != nil {
 			t.Fatalf("accepted report fails validation: %v", err)
 		}
 		m.Snapshot()

@@ -23,6 +23,7 @@ import (
 // that span machines.
 type Machine struct {
 	spec       Spec
+	dims       dims // spec.dims(), which every report is validated against
 	plan       engine.Plan
 	maxRetries int
 
@@ -42,10 +43,6 @@ type Machine struct {
 	pilotDone   int
 	table       *engine.StratumTable
 	pilotStrata *engine.StrataSummary
-	// weights is the strata of the first strata-carrying report accepted:
-	// every later one must carry bit-identical stratum weights, which is
-	// what merging them requires.
-	weights *engine.StrataSummary
 
 	// Scheduling indexes, maintained incrementally so the control plane's
 	// grant loop never rescans the ledger: pending is a min-heap of
@@ -74,6 +71,7 @@ func NewMachine(spec Spec, maxRetries int) (*Machine, error) {
 	}
 	m := &Machine{
 		spec:       spec,
+		dims:       spec.dims(),
 		plan:       spec.plan(),
 		maxRetries: maxRetries,
 		leases:     make(map[string]int),
@@ -269,9 +267,9 @@ func canonicalInt(s string) (int, bool) {
 // re-leased worker — shard execution is deterministic, so either copy of
 // the report is bit-identical. first is true when the report was newly
 // recorded (the caller journals and broadcasts exactly those). A report
-// that is not shaped like the slot's (Report.validate), or whose stratum
-// weights differ from the first accepted, is refused with the ledger
-// untouched: reports come off the wire, and everything downstream — merge,
+// that is not one the spec implies for the slot (Report.validate, stratum
+// weights included) is refused with the ledger untouched, whatever came
+// before it: reports come off the wire, and everything downstream — merge,
 // snapshot, table construction — indexes them without looking. A duplicate
 // of a done slot is (false, nil) when its JSON equals the accepted
 // report's and ErrConflictingDuplicate otherwise.
@@ -294,8 +292,7 @@ func (m *Machine) accept(slot int, r *Report, leased bool) (first bool, err erro
 		return false, fmt.Errorf("campaign: slot %d out of range [0,%d)", slot, len(m.shards))
 	}
 	phase, _ := m.plan.Slot(slot)
-	st, err := r.validate(m.spec, phase)
-	if err != nil {
+	if err := r.validate(m.spec, m.dims, phase); err != nil {
 		return false, err
 	}
 	if leased && r.Counts().Trials != m.plan.Injections(slot) {
@@ -305,13 +302,6 @@ func (m *Machine) accept(slot int, r *Report, leased bool) (first bool, err erro
 	sh := &m.shards[slot]
 	if sh.done {
 		return false, sameReport(slot, sh.report, r)
-	}
-	if st != nil {
-		if m.weights == nil {
-			m.weights = st
-		} else if !m.weights.SameWeights(st) {
-			return false, fmt.Errorf("campaign: slot %d report's stratum weights differ from the campaign's", slot)
-		}
 	}
 	sh.done = true
 	sh.report = r

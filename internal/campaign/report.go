@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/accel"
 	"repro/internal/engine"
 	"repro/internal/eyeriss"
 	"repro/internal/faultinj"
@@ -58,6 +59,9 @@ type surface struct {
 	// the strata) and spread accumulators are ones injections could have
 	// produced; nil when the report has neither.
 	check func(r *Report, d dims) error
+	// weights is the surface package's stratum weights of the campaign of s,
+	// whose MBU is its upset width, on its topology (Spec.dims).
+	weights func(s Spec) engine.HexFloats
 	// decode reads the surface's report in its canonical JSON into r, and
 	// encode appends json.Marshal's bytes of it (codec.go).
 	decode func(p *parser, r *Report)
@@ -80,11 +84,12 @@ type view struct {
 
 // dims are the report dimensions a spec implies: the word width, the
 // MAC-layer count that is the block axis of every surface's stratum grid
-// and the datapath's per-block tallies, and whether the spread
-// accumulators count injections (Spec.TrackSpread).
+// and the datapath's per-block tallies, whether the spread accumulators
+// count injections (Spec.TrackSpread), and the grid's stratum weights.
 type dims struct {
 	bits, blocks int
 	spread       bool
+	weights      engine.HexFloats
 }
 
 // soloHooks are the two options only the solo runner sets.
@@ -133,6 +138,9 @@ var surfaces = []surface{
 			return errors.Join(checkTallies("bit", dp.PerBit), checkTallies("block", dp.PerBlock), checkTallies("target", dp.PerTarget[:]),
 				checkSpread("block", dp.SpreadSum, dp.SpreadN, dp.PerBlock, d.spread))
 		},
+		weights: func(s Spec) engine.HexFloats {
+			return faultinj.StratumWeights(accel.NewProfile(models.Build(s.Net), s.Type()), s.Type().Width(), s.MBU)
+		},
 		decode: func(p *parser, r *Report) { r.Datapath = p.datapath() },
 		encode: func(b []byte, r *Report) ([]byte, error) { return appendDatapath(b, r.Datapath) },
 	},
@@ -173,6 +181,10 @@ var surfaces = []surface{
 		merge: merger(eyeriss.MergeReports,
 			func(r *Report) *eyeriss.Report { return r.Buffer },
 			func(r *eyeriss.Report) *Report { return &Report{Buffer: r} }),
+		weights: func(s Spec) engine.HexFloats {
+			b, _ := ParseBuffer(s.Buffer)
+			return eyeriss.StratumWeights(models.Build(s.Net), s.Type(), b, s.MBU)
+		},
 		decode: func(p *parser, r *Report) { r.Buffer = p.buffer() },
 		encode: func(b []byte, r *Report) ([]byte, error) { return appendBuffer(b, r.Buffer) },
 	},
@@ -206,7 +218,11 @@ var surfaces = []surface{
 		merge: merger(systolic.MergeReports,
 			func(r *Report) *systolic.Report { return r.Systolic },
 			func(r *systolic.Report) *Report { return &Report{Systolic: r} }),
-		check:  func(r *Report, _ dims) error { return checkTallies("latch", r.Systolic.PerLatch[:]) },
+		check: func(r *Report, _ dims) error { return checkTallies("latch", r.Systolic.PerLatch[:]) },
+		weights: func(s Spec) engine.HexFloats {
+			flow, _ := systolic.ParseDataflow(s.Dataflow)
+			return systolic.StratumWeights(models.Build(s.Net), s.Type(), flow, s.MBU)
+		},
 		decode: func(p *parser, r *Report) { r.Systolic = p.systolic() },
 		encode: func(b []byte, r *Report) ([]byte, error) { return appendSystolic(b, r.Systolic) },
 	},
@@ -342,67 +358,69 @@ func checkSpread(what string, sums []float64, ns []int, tallies []sdc.Counts, sp
 
 // validate rejects wire reports that are not the report a slot of spec's
 // campaign in the given phase produces: exactly the spec's surface, with
-// the dimensions (Net, DType) imply; tallies and spread accumulators
+// the dimensions d (spec.dims()) it implies; tallies and spread accumulators
 // injections could have produced; and per-stratum tallies — over the spec's
-// stratum grid, summing to the overall tally — exactly when the phase
-// records strata. It returns those strata (nil for a uniform slot).
-func (r *Report) validate(spec Spec, phase string) (*engine.StrataSummary, error) {
+// stratum grid and weights, summing to the overall tally — exactly when the
+// phase records strata.
+func (r *Report) validate(spec Spec, d dims, phase string) error {
 	row, v, err := r.row()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if row.name != spec.Surface {
-		return nil, fmt.Errorf("campaign: %s report for a %s-surface campaign", row.name, spec.Surface)
+		return fmt.Errorf("campaign: %s report for a %s-surface campaign", row.name, spec.Surface)
 	}
-	d := spec.dims()
 	if row.check != nil {
 		if err := row.check(r, d); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := v.counts.Check(); err != nil {
-		return nil, fmt.Errorf("campaign: %s report's overall tally: %v", row.name, err)
+		return fmt.Errorf("campaign: %s report's overall tally: %v", row.name, err)
 	}
 	if (v.strata != nil) != (phase != engine.PhaseUniform) {
-		return nil, fmt.Errorf("campaign: %s report of a %q-phase slot: strata present is %v", row.name, phase, v.strata != nil)
+		return fmt.Errorf("campaign: %s report of a %q-phase slot: strata present is %v", row.name, phase, v.strata != nil)
 	}
 	if v.strata == nil {
-		return nil, nil
+		return nil
 	}
 	if err := v.strata.Check(d.blocks, d.bits, d.spread); err != nil {
-		return nil, err
+		return err
+	}
+	if !v.strata.Weight.Equal(d.weights) {
+		return fmt.Errorf("campaign: %s report's stratum weights differ from the spec's", row.name)
 	}
 	// Every stratum tallies at most the overall trials, so the sum cannot
 	// wrap around to a forged total.
 	var sum sdc.Counts
 	for h, c := range v.strata.Counts {
 		if c.Trials > v.counts.Trials {
-			return nil, fmt.Errorf("campaign: stratum %d tallies %d of the report's %d trials", h, c.Trials, v.counts.Trials)
+			return fmt.Errorf("campaign: stratum %d tallies %d of the report's %d trials", h, c.Trials, v.counts.Trials)
 		}
 		sum.Merge(c)
 	}
 	if sum != v.counts {
-		return nil, fmt.Errorf("campaign: %s report's strata sum to %+v, its overall tally is %+v", row.name, sum, v.counts)
+		return fmt.Errorf("campaign: %s report's strata sum to %+v, its overall tally is %+v", row.name, sum, v.counts)
 	}
-	if err := checkSpread("stratum", v.strata.SpreadSum, v.strata.SpreadN, v.strata.Counts, d.spread); err != nil {
-		return nil, err
-	}
-	return v.strata, nil
+	return checkSpread("stratum", v.strata.SpreadSum, v.strata.SpreadN, v.strata.Counts, d.spread)
 }
 
-// netBlocks memoizes the MAC-layer count of the paper's networks, so that
-// validating a report never builds one twice.
-var netBlocks sync.Map // network name → int
+var weightsMemo sync.Map // the Spec fields stratum weights read → engine.HexFloats
 
-// dims returns the report dimensions of a normalized spec — a pure function
-// of (Net, DType, TrackSpread); pre-trained weights do not change a
-// topology.
+// dims returns the report dimensions of a normalized spec, pre-trained
+// weights or not. Its stratum weights are the surface package's, as the
+// campaign's workers compute them, memoized per process (weightsMemo) so
+// that no network is built twice; they must not be modified. Their rows are
+// the blocks.
 func (s Spec) dims() dims {
-	blocks, ok := netBlocks.Load(s.Net)
+	key := Spec{Surface: s.Surface, Net: s.Net, DType: s.DType, Buffer: s.Buffer, Dataflow: s.Dataflow, MBU: s.BufferOptions().UpsetWidth()}
+	w, ok := weightsMemo.Load(key)
 	if !ok {
-		blocks, _ = netBlocks.LoadOrStore(s.Net, models.Build(s.Net).NumBlocks())
+		row, _ := surfaceOf(key.Surface)
+		w, _ = weightsMemo.LoadOrStore(key, row.weights(key))
 	}
-	return dims{bits: s.Type().Width(), blocks: blocks.(int), spread: s.TrackSpread}
+	bits := s.Type().Width()
+	return dims{bits: bits, blocks: len(w.(engine.HexFloats)) / bits, spread: s.TrackSpread, weights: w.(engine.HexFloats)}
 }
 
 // MergeReports folds per-slot wire reports in slot order — nil entries

@@ -162,9 +162,9 @@ func TestMachineRefusesMalformedReports(t *testing.T) {
 						}
 						refused[mal.name]++
 					}
-					// Weights are pinned by the first strata-carrying report
-					// accepted; a later one must match it bit for bit.
-					if s := *strataOf(good); s != nil && m.weights != nil {
+					// Weights are the spec's: every strata-carrying report,
+					// the first included, must carry them bit for bit.
+					if s := *strataOf(good); s != nil {
 						bad := cloneReport(t, good)
 						w := (*strataOf(bad)).Weight
 						w[0] = math.Float64frombits(math.Float64bits(w[0]) + 1)

@@ -131,15 +131,8 @@ var BufferNames = []string{"global", "filter", "img", "psum"}
 
 // ParseBuffer maps a spec buffer name to its eyeriss buffer class.
 func ParseBuffer(name string) (eyeriss.Buffer, error) {
-	switch name {
-	case "global":
-		return eyeriss.GlobalBuffer, nil
-	case "filter":
-		return eyeriss.FilterSRAM, nil
-	case "img":
-		return eyeriss.ImgReg, nil
-	case "psum":
-		return eyeriss.PSumReg, nil
+	if i := slices.Index(BufferNames, name); i >= 0 {
+		return eyeriss.Buffers[i], nil
 	}
 	return 0, fmt.Errorf("campaign: unknown buffer %q (have %v)", name, BufferNames)
 }
@@ -183,16 +176,10 @@ func (s *Spec) Normalize() error {
 		s.Select = "uniform"
 	}
 	switch s.Select {
-	case "uniform":
+	case "uniform", "perlayer": // perlayer's block is checked once the surface is known
 	case "perbit":
 		if s.Param < 0 || s.Param >= dt.Width() {
 			return fmt.Errorf("campaign: bit %d out of range for %s", s.Param, s.DType)
-		}
-	case "perlayer":
-		// An out-of-range block would index past the profile's MAC layers
-		// inside a shard goroutine and take the process down with it.
-		if blocks := s.dims().blocks; s.Param < 0 || s.Param >= blocks {
-			return fmt.Errorf("campaign: block %d out of range for %s (%d MAC layers)", s.Param, s.Net, blocks)
 		}
 	default:
 		return fmt.Errorf("campaign: unknown selector %q (have %v)", s.Select, SelectorModes)
@@ -226,6 +213,11 @@ func (s *Spec) Normalize() error {
 	}
 	if err := row.normalize(s); err != nil {
 		return err
+	}
+	// An out-of-range block would index past the profile's MAC layers
+	// inside a shard goroutine and take the process down with it.
+	if s.Select == "perlayer" && (s.Param < 0 || s.Param >= s.dims().blocks) {
+		return fmt.Errorf("campaign: block %d out of range for %s (%d MAC layers)", s.Param, s.Net, s.dims().blocks)
 	}
 	if s.Sampling == "" {
 		s.Sampling = "uniform"
@@ -450,10 +442,10 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 // LoadPrior reads the spec's PriorPath strata artifact and refuses one
 // this campaign cannot allocate from: an artifact that lacks a label every
 // writer sets (surface, network, format, and the buffer on the buffer
-// surface) or names another, whose stratum grid is not the spec's, or that
-// weights a base bit no upset of the spec's width can start at. Only
-// NewMachine and the solo runner call this; workers get the derived
-// allocation table inside their main-phase leases.
+// surface) or names another, or whose stratum grid or weights are not the
+// spec's bit for bit (another upset width, say). Only NewMachine and the
+// solo runner call this; workers get the derived allocation table inside
+// their main-phase leases.
 func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 	a, err := engine.ReadStrataArtifact(s.PriorPath)
 	if err != nil {
@@ -474,14 +466,9 @@ func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 		return nil, fmt.Errorf("campaign: prior %s is for %s %q, campaign runs %q", s.PriorPath, l.what, l.got, l.want)
 	}
 	p, d := a.Prior(), s.dims()
-	if p.Blocks != d.blocks || p.Bits != d.bits {
-		return nil, fmt.Errorf("campaign: prior %s has a %d×%d stratum grid, campaign's is %d×%d", s.PriorPath, p.Blocks, p.Bits, d.blocks, d.bits)
-	}
-	mbu := s.BufferOptions().UpsetWidth()
-	for h, w := range p.Weight {
-		if bit := h % p.Bits; w > 0 && bit > d.bits-mbu {
-			return nil, fmt.Errorf("campaign: prior %s weights base bit %d, past the last %d-bit upset base %d", s.PriorPath, bit, mbu, d.bits-mbu)
-		}
+	if p.Blocks != d.blocks || p.Bits != d.bits || !p.Weight.Equal(d.weights) {
+		return nil, fmt.Errorf("campaign: prior %s (a %d×%d stratum grid) is not weighted as the campaign's %d×%d grid at upset width %d",
+			s.PriorPath, p.Blocks, p.Bits, d.blocks, d.bits, s.BufferOptions().UpsetWidth())
 	}
 	return p, nil
 }

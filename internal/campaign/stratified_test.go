@@ -237,16 +237,25 @@ func TestSpecNormalizeStratified(t *testing.T) {
 // unlabelled FLOAT16 pilot steers a DOUBLE campaign onto 16 low bits,
 // leaves AlexNet's last blocks uninjected and panics a buffer img campaign
 // on a non-CONV layer; a single-bit prior panics an MBU-3 campaign on a
-// base bit no 3-bit span fits at.
+// base bit no 3-bit span fits at, and a two-bit prior leaves a single-bit
+// campaign's top-bit strata, 1/16 of its population, without a trial.
 func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
 	_, pilot, err := SoloReport(stratSpec("FLOAT16"), nil)
 	if err != nil || pilot == nil {
 		t.Fatalf("pilot %v, err %v", pilot, err)
 	}
+	mbu2 := stratSpec("FLOAT16")
+	mbu2.MBU = 2
+	_, pilot2, err := SoloReport(mbu2, nil)
+	if err != nil || pilot2 == nil {
+		t.Fatalf("MBU-2 pilot %v, err %v", pilot2, err)
+	}
 	dir := t.TempDir()
 	write := func(name string, a engine.StrataArtifact) string {
 		path := filepath.Join(dir, name)
-		a.Pilot = pilot
+		if a.Pilot == nil {
+			a.Pilot = pilot
+		}
 		if err := engine.WriteStrataArtifact(path, &a); err != nil {
 			t.Fatal(err)
 		}
@@ -255,6 +264,9 @@ func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
 	unlabelled := write("unlabelled.json", engine.StrataArtifact{})
 	labelled := write("labelled.json", engine.StrataArtifact{Surface: "datapath", Net: "ConvNet", DType: "FLOAT16"})
 	alexLabel := write("alexnet.json", engine.StrataArtifact{Surface: "datapath", Net: "AlexNet", DType: "FLOAT16"})
+	// Same labels and grid as a single-bit campaign's; every block's top
+	// base bit weighs 0, so its cells would get no injections.
+	twoBit := write("mbu2.json", engine.StrataArtifact{Surface: "datapath", Net: "ConvNet", DType: "FLOAT16", Pilot: pilot2})
 
 	prior := func(s Spec, path string, edit func(*Spec)) Spec {
 		s.Sampling, s.PriorPath = "stratified", path
@@ -267,6 +279,7 @@ func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
 		"single-bit prior, MBU-3 campaign":          prior(testSpec("FLOAT16"), labelled, func(s *Spec) { s.MBU = 3 }),
 		"unlabelled datapath prior, img buffer":     prior(bufSpec(""), unlabelled, func(s *Spec) { s.DType, s.Buffer = "FLOAT16", "img" }),
 		"AlexNet label over ConvNet's grid":         prior(testSpec("FLOAT16"), alexLabel, func(s *Spec) { s.Net = "AlexNet" }),
+		"two-bit prior, single-bit campaign":        prior(testSpec("FLOAT16"), twoBit, func(*Spec) {}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := NewMachine(s, 3); err == nil || !strings.Contains(err.Error(), s.PriorPath) {

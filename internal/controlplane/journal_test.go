@@ -2,15 +2,19 @@ package controlplane
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/faultinj"
+	"repro/internal/models"
+	"repro/internal/numeric"
 )
 
 func journalLines(bs ...[]byte) []byte {
@@ -92,6 +96,32 @@ func TestJournalRefusals(t *testing.T) {
 	sub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Spec: &spec})
 	rep, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: testReport(spec, 0)})
 	foreign, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c9", Slot: 0, Report: testReport(spec, 0)})
+	// A stratified campaign's pilot report, shaped as its slot's, whose
+	// stratum weights differ from its spec's in one bit.
+	strat := testSpec(1)
+	strat.Sampling = "stratified"
+	if err := strat.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	stratSub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Spec: &strat})
+	pilot := func(w engine.HexFloats) []byte {
+		r := &campaign.Report{Datapath: faultinj.NewReport(16, 5)}
+		r.Datapath.Strata = engine.NewStrata(5, 16, w, false)
+		b, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: r})
+		return b
+	}
+	w := faultinj.StratumWeights(accel.NewProfile(models.Build("ConvNet"), numeric.Float16), 16, 1)
+	honest := filepath.Join(t.TempDir(), "ctl.journal")
+	if err := os.WriteFile(honest, journalLines(hdr, stratSub, pilot(w)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{JournalPath: honest})
+	if err != nil {
+		t.Fatalf("journal of an honest pilot report refused: %v", err)
+	}
+	p.Close()
+	forged := append(engine.HexFloats(nil), w...)
+	forged[0] = math.Float64frombits(math.Float64bits(forged[0]) ^ 1)
 
 	cases := map[string][]byte{
 		"v3 checkpoint":     journalLines(v3hdr, sub),
@@ -102,15 +132,18 @@ func TestJournalRefusals(t *testing.T) {
 		"cancel before sub": journalLines(hdr, []byte(`{"event":"cancel","campaign":"c1"}`), sub),
 		"slot out of range": journalLines(hdr, sub, []byte(`{"event":"report","campaign":"c1","slot":99,"report":{}}`), rep),
 		"empty file":        {},
+		"foreign weights":   journalLines(hdr, stratSub, pilot(forged)),
 	}
+	// The refusal names the campaign and slot as well as the file.
+	named := map[string]string{"foreign weights": "restoring c1 slot 0: campaign: datapath report's stratum weights differ from the spec's"}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "ctl.journal")
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := New(Config{JournalPath: path}); err == nil || !strings.Contains(err.Error(), path) {
-				t.Fatalf("resume not refused with an error naming %s: %v", path, err)
+			if _, err := New(Config{JournalPath: path}); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), named[name]) {
+				t.Fatalf("resume not refused with an error naming %s %s: %v", path, named[name], err)
 			}
 		})
 	}

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -89,6 +90,11 @@ func (x HexFloats) MarshalJSON() ([]byte, error) {
 	return json.Marshal(ss)
 }
 
+// Equal reports whether x and y hold the same float64 bit patterns.
+func (x HexFloats) Equal(y HexFloats) bool {
+	return slices.EqualFunc(x, y, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+}
+
 // UnmarshalJSON implements json.Unmarshaler.
 func (x *HexFloats) UnmarshalJSON(data []byte) error {
 	var ss []string
@@ -148,9 +154,9 @@ func NewStrata(blocks, bits int, weight HexFloats, spread bool) *StrataSummary {
 // a blocks×bits stratum grid carries — what Merge, Estimate and the table
 // builders index without looking: every per-stratum slice blocks·bits long
 // (the spread accumulators only when the campaign tracks spread, absent
-// otherwise), every weight a finite non-negative probability and every
-// tally one sdc.Counts.Add could have produced. It is the gate for
-// summaries decoded from outside the process.
+// otherwise) and every tally one sdc.Counts.Add could have produced. It is
+// the gate for summaries decoded from outside the process, bar the weights'
+// values, which campaign.Report.validate holds to the spec's.
 func (s *StrataSummary) Check(blocks, bits int, spread bool) error {
 	n := blocks * bits
 	if s.Blocks != blocks || s.Bits != bits {
@@ -159,11 +165,8 @@ func (s *StrataSummary) Check(blocks, bits int, spread bool) error {
 	if len(s.Weight) != n || len(s.Counts) != n {
 		return fmt.Errorf("engine: strata carry %d weights and %d tallies for %d strata", len(s.Weight), len(s.Counts), n)
 	}
-	for h, w := range s.Weight {
-		if !(w >= 0) || math.IsInf(w, 1) {
-			return fmt.Errorf("engine: stratum %d has weight %v", h, w)
-		}
-		if err := s.Counts[h].Check(); err != nil {
+	for h, c := range s.Counts {
+		if err := c.Check(); err != nil {
 			return fmt.Errorf("engine: stratum %d: %v", h, err)
 		}
 	}
@@ -174,20 +177,6 @@ func (s *StrataSummary) Check(blocks, bits int, spread bool) error {
 		return fmt.Errorf("engine: strata carry %d/%d spread accumulators, want %d", len(s.SpreadSum), len(s.SpreadN), n)
 	}
 	return nil
-}
-
-// SameWeights reports whether two summaries carry bit-identical stratum
-// weights, which is what Merge requires of every pair it pools.
-func (s *StrataSummary) SameWeights(s2 *StrataSummary) bool {
-	if len(s.Weight) != len(s2.Weight) {
-		return false
-	}
-	for h := range s.Weight {
-		if math.Float64bits(s.Weight[h]) != math.Float64bits(s2.Weight[h]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Clone deep-copies the summary.

@@ -384,6 +384,12 @@ func newGeometry(net *network.Network, dt numeric.Type, residency []float64) *ge
 	return geo
 }
 
+// StratumWeights returns buffer class b's stratum weights on net, layers
+// resident by MAC count (no Campaign.Residency), under an mbu-bit upset.
+func StratumWeights(net *network.Network, dt numeric.Type, b Buffer, mbu int) engine.HexFloats {
+	return (&injector{geometry: newGeometry(net, dt, nil), mbu: mbu}).stratumWeights(b)
+}
+
 // stratumWeights returns the (MAC layer, base bit) population
 // probabilities of buffer class b's uniform injection design — the
 // weights that make the stratified estimator unbiased for it: the residency

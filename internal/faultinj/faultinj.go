@@ -277,7 +277,7 @@ type surface struct {
 // engine.RunSlot take.
 func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options) {
 	c.setup(&opt)
-	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.Profile().NumMACLayers()}, opt.Options
+	return surface{c: c, opt: opt, bits: c.DType.Width(), blocks: c.Net.NumBlocks()}, opt.Options
 }
 
 func (s surface) Campaign() *engine.Campaign             { return &s.c.Campaign }

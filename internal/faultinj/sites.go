@@ -32,17 +32,21 @@ type model struct {
 func (m *model) SeedMul() int64 { return seedMul }
 func (m *model) Values() int    { return m.values }
 
-// Report allocates the slot's report; a stratified phase's strata weigh
-// each (block, base bit) by the block's MAC share over its valid base bits.
+// Report allocates the slot's report, with strata when the phase records them.
 func (m *model) Report() *Report {
 	r := newReport(m.bits, m.blocks)
 	if m.ph.Strata {
-		w := engine.StratumGrid(m.blocks, m.bits, m.mbu, func(b, valid int) float64 {
-			return m.p.BlockWeight(b) / float64(valid)
-		})
-		r.Strata = engine.NewStrata(m.blocks, m.bits, w, m.opt.TrackSpread)
+		r.Strata = engine.NewStrata(m.blocks, m.bits, StratumWeights(m.p, m.bits, m.mbu), m.opt.TrackSpread)
 	}
 	return r
+}
+
+// StratumWeights weighs each (block, base bit) stratum of profile p under an
+// mbu-bit upset of a bits-wide word: the block's MAC share over its valid bits.
+func StratumWeights(p *accel.Profile, bits, mbu int) engine.HexFloats {
+	return engine.StratumGrid(p.NumMACLayers(), bits, mbu, func(b, valid int) float64 {
+		return p.BlockWeight(b) / float64(valid)
+	})
 }
 
 // Draw draws the unit's site from the profile — a forced coordinate

@@ -253,6 +253,12 @@ func (inj *injector) Tally(r *Report, in engine.Injection) {
 	}
 }
 
+// StratumWeights returns the stratum weights of a campaign on net with
+// dataflow flow under an mbu-bit upset: its DefaultParams schedule's grid.
+func StratumWeights(net *network.Network, dt numeric.Type, flow Dataflow, mbu int) engine.HexFloats {
+	return newSchedule(net, dt, DefaultParams, flow).res.StratumWeights(mbu)
+}
+
 func newSchedule(net *network.Network, dt numeric.Type, par Params, flow Dataflow) *schedule {
 	sch := &schedule{net: net, dt: dt}
 	var weights []float64
