@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultinj"
+	"repro/internal/sdc"
 )
 
 // assertBitIdentical fails unless got and want are bit-for-bit equal,
@@ -49,6 +50,13 @@ func assertBitIdentical(t *testing.T, label string, got, want *faultinj.Report) 
 			t.Fatalf("%s: value record %d diverged: %+v vs %+v", label, i, a, b)
 		}
 	}
+}
+
+// datapathReport is an empty datapath report of a campaign with the given
+// bit width and block count.
+func datapathReport(bits, blocks int) *faultinj.Report {
+	return &faultinj.Report{PerBit: make([]sdc.Counts, bits), PerBlock: make([]sdc.Counts, blocks),
+		SpreadSum: make([]float64, blocks), SpreadN: make([]int, blocks)}
 }
 
 func testSpec(dtype string) Spec {
@@ -164,7 +172,7 @@ func TestReportAcceptanceIdempotent(t *testing.T) {
 		m.LeaseEverGranted("L99-s0", 0) {
 		t.Fatal("LeaseEverGranted disagrees with the grants made")
 	}
-	rep := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
+	rep := &Report{Datapath: datapathReport(spec.Type().Width(), 5)}
 	rep.Datapath.Masked = 1
 	if first, err := m.Accept(stale.Slot, rep); err != nil || !first {
 		t.Fatalf("stale-but-first delivery rejected: first=%v err=%v", first, err)
@@ -192,7 +200,7 @@ func TestReportAcceptanceIdempotent(t *testing.T) {
 func TestConflictingDuplicateRefused(t *testing.T) {
 	spec := testSpec("FLOAT16")
 	rep := func(masked int) *Report {
-		r := &Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
+		r := &Report{Datapath: datapathReport(spec.Type().Width(), 5)}
 		r.Datapath.Masked = masked
 		return r
 	}

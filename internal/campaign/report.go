@@ -52,7 +52,7 @@ type surface struct {
 	// r does not carry this surface.
 	view func(r *Report) (v view, ok bool)
 	// merge folds the surface's reports of rs in order, nil entries skipped
-	// — the surface package's own MergeReports association.
+	// — the engine's one association (engine.MergeAll).
 	merge func(rs []*Report) *Report
 	// check verifies that the surface's report in r has the dimensions d
 	// and that its breakdown tallies (sdc.Counts besides the overall one and
@@ -122,7 +122,7 @@ var surfaces = []surface{
 			}
 			return view{r.Datapath, r.Datapath.Counts, r.Datapath.Strata, r.Datapath.Masked, r.Datapath.PerBlock}, true
 		},
-		merge: merger(faultinj.MergeReports,
+		merge: merger(
 			func(r *Report) *faultinj.Report { return r.Datapath },
 			func(r *faultinj.Report) *Report { return &Report{Datapath: r} }),
 		check: func(r *Report, d dims) error {
@@ -178,7 +178,7 @@ var surfaces = []surface{
 			}
 			return view{inner: r.Buffer, counts: r.Buffer.Counts, strata: r.Buffer.Strata}, true
 		},
-		merge: merger(eyeriss.MergeReports,
+		merge: merger(
 			func(r *Report) *eyeriss.Report { return r.Buffer },
 			func(r *eyeriss.Report) *Report { return &Report{Buffer: r} }),
 		weights: func(s Spec) engine.HexFloats {
@@ -215,7 +215,7 @@ var surfaces = []surface{
 			}
 			return view{inner: r.Systolic, counts: r.Systolic.Counts, strata: r.Systolic.Strata}, true
 		},
-		merge: merger(systolic.MergeReports,
+		merge: merger(
 			func(r *Report) *systolic.Report { return r.Systolic },
 			func(r *systolic.Report) *Report { return &Report{Systolic: r} }),
 		check: func(r *Report, _ dims) error { return checkTallies("latch", r.Systolic.PerLatch[:]) },
@@ -250,7 +250,7 @@ func surfaceOf(name string) (*surface, error) {
 // run executes on a bound surface: a lease runs its slot of the campaign's
 // plan; without one the whole plan runs in-process, which is where the solo
 // runner's hooks apply.
-func run[R any](s engine.Surface[R], opt engine.Options, l *Lease, solo soloHooks) R {
+func run[T any, R engine.Mergeable[T]](s engine.Surface[R], opt engine.Options, l *Lease, solo soloHooks) R {
 	if l == nil {
 		opt.Prior, opt.OnPilotStrata = solo.prior, solo.onPilot
 		return engine.Run(s, opt)
@@ -264,7 +264,7 @@ func run[R any](s engine.Surface[R], opt engine.Options, l *Lease, solo soloHook
 // options, and wrap tags the surface report for the wire. Every surface's
 // campaign comes from the campaignSet — prepared and validated once —
 // namespaced per campaign ID when the spec loads mutable external content.
-func executor[C, R any](
+func executor[C, T any, R engine.Mergeable[T]](
 	campaign func(Spec, *GoldenCache) (C, error),
 	bind func(C, Spec) (engine.Surface[R], engine.Options, error),
 	wrap func(R) *Report,
@@ -282,8 +282,9 @@ func executor[C, R any](
 	}
 }
 
-// merger assembles a row's merge from the surface package's MergeReports.
-func merger[R any](mergeAll func([]R) R, get func(*Report) R, wrap func(R) *Report) func([]*Report) *Report {
+// merger assembles a row's merge from the getter and wrapper of its surface
+// report: engine.MergeAll over the inner reports.
+func merger[T any, R engine.Mergeable[T]](get func(*Report) R, wrap func(R) *Report) func([]*Report) *Report {
 	return func(rs []*Report) *Report {
 		inner := make([]R, 0, len(rs))
 		for _, r := range rs {
@@ -291,7 +292,7 @@ func merger[R any](mergeAll func([]R) R, get func(*Report) R, wrap func(R) *Repo
 				inner = append(inner, get(r))
 			}
 		}
-		return wrap(mergeAll(inner))
+		return wrap(engine.MergeAll(inner))
 	}
 }
 
@@ -425,7 +426,7 @@ func (s Spec) dims() dims {
 
 // MergeReports folds per-slot wire reports in slot order — nil entries
 // (skipped slots) are ignored; nil when every entry is nil. The inner fold
-// association is exactly the surface's own MergeReports.
+// is engine.MergeAll, the association of every solo run.
 func MergeReports(rs []*Report) *Report {
 	var row *surface
 	for _, r := range rs {

@@ -442,10 +442,11 @@ func (s Spec) NewSystolicCampaign() (*systolic.Campaign, error) {
 // LoadPrior reads the spec's PriorPath strata artifact and refuses one
 // this campaign cannot allocate from: an artifact that lacks a label every
 // writer sets (surface, network, format, and the buffer on the buffer
-// surface) or names another, or whose stratum grid or weights are not the
-// spec's bit for bit (another upset width, say). Only NewMachine and the
-// solo runner call this; workers get the derived allocation table inside
-// their main-phase leases.
+// surface) or names another, whose stratum grid or weights are not the
+// spec's bit for bit (another upset width, say), or whose tallies no run of
+// injections produces (StrataSummary.Check, as for a slot report's strata).
+// Only NewMachine and the solo runner call this; workers get the derived
+// allocation table inside their main-phase leases.
 func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 	a, err := engine.ReadStrataArtifact(s.PriorPath)
 	if err != nil {
@@ -469,6 +470,9 @@ func (s Spec) LoadPrior() (*engine.StrataSummary, error) {
 	if p.Blocks != d.blocks || p.Bits != d.bits || !p.Weight.Equal(d.weights) {
 		return nil, fmt.Errorf("campaign: prior %s (a %d×%d stratum grid) is not weighted as the campaign's %d×%d grid at upset width %d",
 			s.PriorPath, p.Blocks, p.Bits, d.blocks, d.bits, s.BufferOptions().UpsetWidth())
+	}
+	if err := p.Check(d.blocks, d.bits, p.SpreadSum != nil || p.SpreadN != nil); err != nil {
+		return nil, fmt.Errorf("campaign: prior %s: %v", s.PriorPath, err)
 	}
 	return p, nil
 }

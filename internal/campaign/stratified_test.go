@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinj"
+	"repro/internal/sdc"
 )
 
 func stratSpec(dtype string) Spec {
@@ -238,7 +239,8 @@ func TestSpecNormalizeStratified(t *testing.T) {
 // leaves AlexNet's last blocks uninjected and panics a buffer img campaign
 // on a non-CONV layer; a single-bit prior panics an MBU-3 campaign on a
 // base bit no 3-bit span fits at, and a two-bit prior leaves a single-bit
-// campaign's top-bit strata, 1/16 of its population, without a trial.
+// campaign's top-bit strata, 1/16 of its population, without a trial; a
+// prior whose tallies no injections produce allocates from negative cells.
 func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
 	_, pilot, err := SoloReport(stratSpec("FLOAT16"), nil)
 	if err != nil || pilot == nil {
@@ -267,6 +269,11 @@ func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
 	// Same labels and grid as a single-bit campaign's; every block's top
 	// base bit weighs 0, so its cells would get no injections.
 	twoBit := write("mbu2.json", engine.StrataArtifact{Surface: "datapath", Net: "ConvNet", DType: "FLOAT16", Pilot: pilot2})
+	// Right labels, grid and weights, but a stratum of −1,000,000 SDC-1
+	// hits over no defined trials: its table cells would be negative.
+	forgedPilot := pilot.Clone()
+	forgedPilot.Counts[0].Hits[sdc.SDC1], forgedPilot.Counts[0].DefinedTrials[sdc.SDC1] = -1_000_000, 0
+	forged := write("forged.json", engine.StrataArtifact{Surface: "datapath", Net: "ConvNet", DType: "FLOAT16", Pilot: forgedPilot})
 
 	prior := func(s Spec, path string, edit func(*Spec)) Spec {
 		s.Sampling, s.PriorPath = "stratified", path
@@ -280,6 +287,7 @@ func TestLoadPriorRefusesUnusableArtifacts(t *testing.T) {
 		"unlabelled datapath prior, img buffer":     prior(bufSpec(""), unlabelled, func(s *Spec) { s.DType, s.Buffer = "FLOAT16", "img" }),
 		"AlexNet label over ConvNet's grid":         prior(testSpec("FLOAT16"), alexLabel, func(s *Spec) { s.Net = "AlexNet" }),
 		"two-bit prior, single-bit campaign":        prior(testSpec("FLOAT16"), twoBit, func(*Spec) {}),
+		"forged tallies":                            prior(testSpec("FLOAT16"), forged, func(*Spec) {}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := NewMachine(s, 3); err == nil || !strings.Contains(err.Error(), s.PriorPath) {

@@ -219,7 +219,7 @@ func (p *Plane) Handler() http.Handler {
 	}))
 	mux.HandleFunc("POST /v1/reports", p.fleetOnly(func(w http.ResponseWriter, r *http.Request) {
 		var req campaign.ReportBatchRequest
-		if !decodeWith(w, r, false, func(body io.Reader) error {
+		if !decodeWith(w, r, maxBodyBytes, false, func(body io.Reader) error {
 			data, err := readBody(body, r.ContentLength)
 			if err != nil {
 				// Too long or cut short: the decoder reads what arrived, then
@@ -264,26 +264,31 @@ func (p *Plane) Handler() http.Handler {
 	return root
 }
 
-// maxBodyBytes bounds every request body the plane reads: well above the
-// largest report batch a worker posts (a few MiB), well below what would
-// hurt the plane to buffer.
-const maxBodyBytes = 64 << 20
+// Request body bounds. maxBodyBytes bounds a report batch: well above the
+// largest one a worker posts (a few MiB), well below what would hurt the
+// plane to buffer. maxRequestBytes bounds every other body the plane reads
+// — a submit, lease or heartbeat request is a few hundred bytes — so a
+// chunked oversized one is refused after 1 MiB read, not 64.
+const (
+	maxBodyBytes    = 64 << 20
+	maxRequestBytes = 1 << 20
+)
 
-// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. When
-// it cannot it answers the request — 413 for an oversized body (one that
-// declares its length unread, so a client that waits for 100 Continue never
-// sends it), 400 for one that does not decode — and returns false; an
+// decodeBody decodes r's JSON body, at most maxRequestBytes of it, into v.
+// When it cannot it answers the request — 413 for an oversized body (one
+// that declares its length unread, so a client that waits for 100 Continue
+// never sends it), 400 for one that does not decode — and returns false; an
 // optional body that does not decode is not an error and leaves v as it was.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
-	return decodeWith(w, r, optional, func(body io.Reader) error { return json.NewDecoder(body).Decode(v) })
+	return decodeWith(w, r, maxRequestBytes, optional, func(body io.Reader) error { return json.NewDecoder(body).Decode(v) })
 }
 
-// decodeWith is decodeBody with the decoding left to decode, which reads the
-// bounded body.
-func decodeWith(w http.ResponseWriter, r *http.Request, optional bool, decode func(body io.Reader) error) bool {
-	err := error(&http.MaxBytesError{Limit: maxBodyBytes})
-	if r.ContentLength <= maxBodyBytes {
-		err = decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeWith is decodeBody with the bound given by limit and the decoding
+// left to decode, which reads the bounded body.
+func decodeWith(w http.ResponseWriter, r *http.Request, limit int64, optional bool, decode func(body io.Reader) error) bool {
+	err := error(&http.MaxBytesError{Limit: limit})
+	if r.ContentLength <= limit {
+		err = decode(http.MaxBytesReader(w, r.Body, limit))
 	}
 	var tooBig *http.MaxBytesError
 	switch {

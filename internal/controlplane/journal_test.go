@@ -15,6 +15,7 @@ import (
 	"repro/internal/faultinj"
 	"repro/internal/models"
 	"repro/internal/numeric"
+	"repro/internal/sdc"
 )
 
 func journalLines(bs ...[]byte) []byte {
@@ -26,10 +27,17 @@ func journalLines(bs ...[]byte) []byte {
 	return out
 }
 
+// datapathReport is an empty datapath report of a campaign with the given
+// bit width and block count.
+func datapathReport(bits, blocks int) *faultinj.Report {
+	return &faultinj.Report{PerBit: make([]sdc.Counts, bits), PerBlock: make([]sdc.Counts, blocks),
+		SpreadSum: make([]float64, blocks), SpreadN: make([]int, blocks)}
+}
+
 // testReport is a datapath report of a slot of spec, shaped and counted
 // like a real one but with every injection masked.
 func testReport(spec campaign.Spec, slot int) *campaign.Report {
-	r := &campaign.Report{Datapath: faultinj.NewReport(spec.Type().Width(), 5)}
+	r := &campaign.Report{Datapath: datapathReport(spec.Type().Width(), 5)}
 	r.Datapath.Counts.Trials = engine.NewPlan(spec.BufferOptions(), spec.Type().Width()).Injections(slot)
 	r.Datapath.Masked = 1
 	return r
@@ -105,7 +113,7 @@ func TestJournalRefusals(t *testing.T) {
 	}
 	stratSub, _ := json.Marshal(journalEvent{Event: evSubmit, Campaign: "c1", Spec: &strat})
 	pilot := func(w engine.HexFloats) []byte {
-		r := &campaign.Report{Datapath: faultinj.NewReport(16, 5)}
+		r := &campaign.Report{Datapath: datapathReport(16, 5)}
 		r.Datapath.Strata = engine.NewStrata(5, 16, w, false)
 		b, _ := json.Marshal(journalEvent{Event: evReport, Campaign: "c1", Slot: 0, Report: r})
 		return b

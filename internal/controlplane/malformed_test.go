@@ -212,17 +212,19 @@ func TestMalformedReportsRefusedOverHTTP(t *testing.T) {
 		}
 	}
 
-	// A body past the plane's bound is refused on every route that reads one
+	// A body past its route's bound is refused on every route that reads one
 	// before any of it is acted on. One that declares its length is refused
 	// unread: the client waits for 100 Continue and never sends it.
+	bound := map[string]int64{"/v1/campaigns": maxRequestBytes, "/v1/lease": maxRequestBytes,
+		"/v1/heartbeat": maxRequestBytes, "/v1/reports": maxBodyBytes}
 	oversized := func(path string, declared bool) {
 		t.Helper()
-		req, err := http.NewRequest("POST", srv.URL+path, io.LimitReader(padding{}, maxBodyBytes+1))
+		req, err := http.NewRequest("POST", srv.URL+path, io.LimitReader(padding{}, bound[path]+1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if declared {
-			req.ContentLength = maxBodyBytes + 1
+			req.ContentLength = bound[path] + 1
 			req.Header.Set("Expect", "100-continue")
 		}
 		big, err := client.Do(req)

@@ -165,12 +165,12 @@ func xarch(cfg Config, cells []Cell, array systolic.Params) (XArchRows, error) {
 			return nil, err
 		}
 		budget := eyeriss.Params16nm.Datapath(c.DType).TotalLatchBits()
-		leg := func(arch string, estimate func(sdc.Kind) (p, ci95 float64), archMasked int) XArchLeg {
-			p, ci := estimate(sdc.SDC1)
+		leg := func(arch string, counts sdc.Counts, strata *engine.StrataSummary, archMasked int) XArchLeg {
+			p, ci := engine.SDCEstimate(counts, strata, sdc.SDC1)
 			return XArchLeg{Arch: arch, SDC1: p, CI: ci, FIT: fit.Rate(budget, p),
 				ArchMasked: float64(archMasked) / float64(cfg.Injections)}
 		}
-		rows[i] = XArchRow{Network: c.Net, DType: c.DType, Legs: []XArchLeg{leg("row", r.SDCEstimate, 0)},
+		rows[i] = XArchRow{Network: c.Net, DType: c.DType, Legs: []XArchLeg{leg("row", r.Counts(), r.Strata(), 0)},
 			LatchBits: budget, ArrayBits: systolic.LatchBits(array, c.DType)}
 		if rows[i].ArrayBits != budget {
 			continue
@@ -184,7 +184,7 @@ func xarch(cfg Config, cells []Cell, array systolic.Params) (XArchRows, error) {
 		for flow := systolic.Dataflow(0); flow < systolic.NumDataflows; flow++ {
 			camp := &systolic.Campaign{Campaign: engine.Campaign{Net: net, DType: c.DType, Inputs: inputs}, Array: array, Flow: flow}
 			sr := camp.Run(systolic.Options{N: cfg.Injections, Seed: cfg.Seed})
-			rows[i].Legs = append(rows[i].Legs, leg(flow.String(), sr.SDCEstimate, sr.ArchMasked))
+			rows[i].Legs = append(rows[i].Legs, leg(flow.String(), sr.Counts, sr.Strata, sr.ArchMasked))
 		}
 	}
 	return rows, nil

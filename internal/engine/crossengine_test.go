@@ -90,7 +90,7 @@ var surfaceFixtures = []struct {
 					return c.Run(opt(sampling, shards))
 				},
 				merged: func(sampling engine.SamplingMode, shards int) any {
-					return faultinj.MergeReports(engine.ShardReports(c.Surface(opt(sampling, shards))))
+					return engine.MergeAll(engine.ShardReports(c.Surface(opt(sampling, shards))))
 				},
 			}
 		},
@@ -109,7 +109,7 @@ var surfaceFixtures = []struct {
 					return c.Run(eyeriss.GlobalBuffer, opt(sampling, shards))
 				},
 				merged: func(sampling engine.SamplingMode, shards int) any {
-					return eyeriss.MergeReports(engine.ShardReports(c.Surface(eyeriss.GlobalBuffer, opt(sampling, shards))))
+					return engine.MergeAll(engine.ShardReports(c.Surface(eyeriss.GlobalBuffer, opt(sampling, shards))))
 				},
 			}
 		},
@@ -144,7 +144,7 @@ func systolicFixture(dt numeric.Type, flow systolic.Dataflow) fixtureRunner {
 			return c.Run(opt(sampling, shards))
 		},
 		merged: func(sampling engine.SamplingMode, shards int) any {
-			return systolic.MergeReports(engine.ShardReports(c.Surface(opt(sampling, shards))))
+			return engine.MergeAll(engine.ShardReports(c.Surface(opt(sampling, shards))))
 		},
 	}
 }
@@ -201,7 +201,7 @@ func TestCrossEngineFixtures(t *testing.T) {
 // TestSurfaceConformance runs the generic Surface contract checker
 // (checkSurface) against every surface adapter — each dataflow of
 // the systolic surface, and each surface's multi-bit-upset variant —
-// under both sampling designs: NewReport zero identity, merge
+// under both sampling designs: zero-report identity, merge
 // associativity and commutativity over shard order, the strata JSON
 // round-trip, and the Workers: 0 report byte-equal to the Workers:
 // DefaultShards one. The datapath adapter runs without value tracking — capped

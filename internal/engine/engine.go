@@ -121,25 +121,19 @@ func (ph Phase) Each(shard, of, inputs int, fn func(Unit)) {
 }
 
 // Surface is what a fault surface supplies to the engine: its Campaign,
-// report algebra and the fault model one slot runs (Model). Everything else
-// — the golden executions, the slot layout, phase sequencing, the slot loop,
-// pilot merging, Neyman table construction, and the canonical merge
-// association — is the engine's.
+// the strata of its reports and the fault model one slot runs (Model).
+// Everything else — the golden executions, the slot layout, phase
+// sequencing, the slot loop, pilot merging, Neyman table construction, and
+// the one report fold (MergeAll) — is the engine's.
 //
-// R is the surface's report type. Merge must fold src into dst exactly as
-// the surface's exported merge does (shard-order folds of float
-// accumulators are order-sensitive, and the engine's call order is part of
-// the bit-identity contract). Model must be safe for concurrent calls.
+// R is the surface's report type; Run and ShardReports also need it
+// Mergeable. Model must be safe for concurrent calls.
 type Surface[R any] interface {
 	// Campaign is the campaign base the surface's campaign embeds: the
 	// network, format and inputs RunSlot injects into, and their goldens.
 	// Its format's width is the bit dimension of the stratum grid and the
 	// draw-unit size of the site evaluation modes.
 	Campaign() *Campaign
-	// NewReport allocates an empty report with the campaign's dimensions.
-	NewReport() R
-	// Merge folds src into dst.
-	Merge(dst, src R)
 	// Strata extracts the per-stratum tallies of a strata-recording
 	// phase's report (used to build the main-phase allocation).
 	Strata(r R) *StrataSummary

@@ -223,15 +223,15 @@ func PilotReport[R any](p Plan, parts []R, merge func([]R) R) R {
 
 // Run executes the campaign and aggregates its report: the ungated slots
 // on goroutines, the allocation table, the gated slots on goroutines, Fold.
-func Run[R any](s Surface[R], o Options) R {
+func Run[T any, R Mergeable[T]](s Surface[R], o Options) R {
 	p := NewPlan(o, s.Campaign().DType.Width())
-	return Fold(p, runSlots(s, o, p, concurrently), folder(s))
+	return Fold(p, runSlots(s, o, p, concurrently), MergeAll[T, R])
 }
 
 // runSlots executes every slot of the plan — the ungated wave, then, under
 // the table its pooled strata (or the prior) yield, the gated wave — and
 // returns the reports indexed by slot. wave calls fn(0) … fn(n−1).
-func runSlots[R any](s Surface[R], o Options, p Plan, wave func(n int, fn func(i int))) []R {
+func runSlots[T any, R Mergeable[T]](s Surface[R], o Options, p Plan, wave func(n int, fn func(i int))) []R {
 	parts := make([]R, p.Slots())
 	var table *StratumTable
 	run := func(slots []int) {
@@ -245,7 +245,7 @@ func runSlots[R any](s Surface[R], o Options, p Plan, wave func(n int, fn func(i
 			}
 			table = p.Table(o.Prior)
 		} else {
-			pilot := s.Strata(PilotReport(p, parts, folder(s)))
+			pilot := s.Strata(PilotReport(p, parts, MergeAll[T, R]))
 			table = p.Table(pilot)
 			if o.OnPilotStrata != nil {
 				o.OnPilotStrata(pilot)
@@ -269,25 +269,41 @@ func concurrently(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// folder is the surface's list fold: a fresh report with rs merged in, in
-// order.
-func folder[R any](s Surface[R]) func([]R) R {
-	return func(rs []R) R {
-		total := s.NewReport()
-		for _, r := range rs {
-			s.Merge(total, r)
+// Mergeable is the constraint on a surface's report type R = *T: Merge
+// folds another report of the same campaign into the receiver, and the
+// zero T is its two-sided identity — it takes its dimensions from the
+// first report merged into it.
+type Mergeable[T any] interface {
+	*T
+	Merge(*T)
+}
+
+// MergeAll is the one list fold of reports: a fresh report with rs merged
+// in, in order. Nil entries (skipped slots) are ignored; the result is nil
+// when every entry is nil. Float accumulators make the association part of
+// the bit-identity contract, so every fold of slot reports — Run's, a
+// fleet's, a test's — goes through here.
+func MergeAll[T any, R Mergeable[T]](rs []R) R {
+	var total R
+	for _, r := range rs {
+		if r == nil {
+			continue
 		}
-		return total
+		if total == nil {
+			total = new(T)
+		}
+		total.Merge(r)
 	}
+	return total
 }
 
 // ShardReports runs every slot of the campaign serially — one pass over the
 // plan, the allocation table derived between its two waves exactly as Run
 // derives it — and returns the per-shard partials whose shard-order merge is
 // Run. It is how a test stands in for a fleet.
-func ShardReports[R any](s Surface[R], o Options) []R {
+func ShardReports[T any, R Mergeable[T]](s Surface[R], o Options) []R {
 	p := NewPlan(o, s.Campaign().DType.Width())
-	return perShard(p, runSlots(s, o, p, serially), folder(s))
+	return perShard(p, runSlots(s, o, p, serially), MergeAll[T, R])
 }
 
 func serially(n int, fn func(i int)) {

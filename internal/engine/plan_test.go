@@ -28,6 +28,8 @@ func (e *expr) String() string {
 	return "(" + strings.Join(e.parts, " ") + ")"
 }
 
+func (e *expr) Merge(src *expr) { e.parts = append(e.parts, src.String()) }
+
 // stubSurface hands every slot a stub model: Model counts its calls,
 // checks the phase it was handed against the campaign's budget and names
 // the slot's report leaf; the model evaluates every injection as golden on
@@ -46,8 +48,6 @@ type stubSurface struct {
 }
 
 func (s stubSurface) Campaign() *Campaign         { return s.c }
-func (s stubSurface) NewReport() *expr            { return &expr{} }
-func (s stubSurface) Merge(dst, src *expr)        { dst.parts = append(dst.parts, src.String()) }
 func (s stubSurface) Strata(*expr) *StrataSummary { return stubStrata(s.width) }
 func (s stubSurface) Model(ph Phase, of int) Model[*expr] {
 	s.calls.Add(1)
@@ -174,7 +174,7 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 					var calls, injections atomic.Int64
 					s := stubSurface{t: t, c: stubCampaign(), width: width, calls: &calls, shards: shards,
 						n: n, pilotN: pilotN, units: DrawUnits(pilotN, unitBits), injections: &injections}
-					if got := Run[*expr](s, opt).String(); got != want {
+					if got := Run(s, opt).String(); got != want {
 						t.Errorf("Run folded %s, want %s", got, want)
 					}
 					if got := calls.Load(); got != int64(p.Slots()) {
@@ -207,7 +207,7 @@ func TestPlanLayoutAndAssociation(t *testing.T) {
 					if total != n {
 						t.Errorf("the slots' Injections sum to %d, budget %d", total, n)
 					}
-					if got := Fold(p, parts, folder[*expr](s)).String(); got != want {
+					if got := Fold(p, parts, MergeAll[expr]).String(); got != want {
 						t.Errorf("Fold of RunSlot results is %s, want %s", got, want)
 					}
 					if design != "uniform" {
@@ -225,7 +225,7 @@ func TestPilotFreePlanNeedsPrior(t *testing.T) {
 	var calls atomic.Int64
 	s := stubSurface{t: t, c: stubCampaign(), width: 16, calls: &calls, injections: new(atomic.Int64)}
 	mustPanic(t, "pilot-free Run without Options.Prior", func() {
-		Run[*expr](s, Options{N: 64, Workers: 2, Sampling: SamplingStratified, PilotN: -1})
+		Run(s, Options{N: 64, Workers: 2, Sampling: SamplingStratified, PilotN: -1})
 	})
 	if calls.Load() != 0 {
 		t.Errorf("%d phases ran before the refusal", calls.Load())

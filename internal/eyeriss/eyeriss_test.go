@@ -365,7 +365,7 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 	opt := Options{N: 103, Seed: 31, Workers: shards}
 	for _, b := range Buffers {
 		want := c.Run(b, opt)
-		got := MergeReports(engine.ShardReports(c.Surface(b, opt)))
+		got := engine.MergeAll(engine.ShardReports(c.Surface(b, opt)))
 		if got.Counts != want.Counts || got.Detection != want.Detection {
 			t.Fatalf("%s: sharded merge diverged: %+v vs %+v", b, got, want)
 		}
@@ -444,7 +444,7 @@ func TestStratifiedBufferSmoke(t *testing.T) {
 		if math.Abs(mass-1) > 1e-9 {
 			t.Errorf("%s: stratum weights sum to %v, want 1", b, mass)
 		}
-		p, ci := r.SDCEstimate(sdc.SDC1)
+		p, ci := engine.SDCEstimate(r.Counts, r.Strata, sdc.SDC1)
 		if p < 0 || p > 1 || ci < 0 || ci > 1 || math.IsNaN(p) || math.IsNaN(ci) {
 			t.Errorf("%s: SDC estimate %v ±%v malformed", b, p, ci)
 		}
@@ -461,7 +461,7 @@ func TestStratifiedBufferRunShardMergeMatchesRun(t *testing.T) {
 		for _, shards := range []int{1, 2, 7} {
 			opt := Options{N: 97, Seed: 19, Workers: shards, Sampling: engine.SamplingStratified}
 			want := c.Run(b, opt)
-			got := MergeReports(engine.ShardReports(c.Surface(b, opt)))
+			got := engine.MergeAll(engine.ShardReports(c.Surface(b, opt)))
 			assertBufferReportsBitIdentical(t, fmt.Sprintf("%s/S=%d", b, shards), got, want)
 		}
 	}
@@ -484,7 +484,7 @@ func TestStratifiedBufferPhaseShardsMatchRun(t *testing.T) {
 			slots[slot] = engine.RunSlot(s, plan, slot, nil)
 		}
 	}
-	table := plan.Table(engine.PilotReport(plan, slots, MergeReports).Strata)
+	table := plan.Table(engine.PilotReport(plan, slots, engine.MergeAll).Strata)
 	got := &Report{}
 	for sh := 0; sh < shards; sh++ {
 		pair := &Report{}
@@ -504,8 +504,8 @@ func TestStratifiedBufferEstimateAgreesWithUniform(t *testing.T) {
 	const n = 1200
 	uni := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4})
 	str := c.Run(GlobalBuffer, Options{N: n, Seed: 29, Workers: 4, Sampling: engine.SamplingStratified})
-	pu, ciu := uni.SDCEstimate(sdc.SDC1)
-	ps, cis := str.SDCEstimate(sdc.SDC1)
+	pu, ciu := engine.SDCEstimate(uni.Counts, uni.Strata, sdc.SDC1)
+	ps, cis := engine.SDCEstimate(str.Counts, str.Strata, sdc.SDC1)
 	const z95, z99 = 1.959963984540054, 2.5758293035489004
 	seu, ses := ciu/z95, cis/z95
 	bound := z99*math.Sqrt(seu*seu+ses*ses) + 1e-9
@@ -576,7 +576,7 @@ func TestConcurrentSlotsShareReadOnlyNetwork(t *testing.T) {
 	for slot := range parts {
 		parts[slot] = engine.RunSlot(s, plan, slot, nil)
 	}
-	serial := engine.Fold(plan, parts, MergeReports)
+	serial := engine.Fold(plan, parts, engine.MergeAll)
 
 	cj, err := json.Marshal(concurrent)
 	if err != nil {

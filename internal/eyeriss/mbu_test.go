@@ -27,7 +27,7 @@ func TestBufferMBUCampaign(t *testing.T) {
 			differs = true
 		}
 		parts := engine.ShardReports(c.Surface(b, opt))
-		assertBufferReportsBitIdentical(t, fmt.Sprintf("%s mbu distributed", b), MergeReports(parts), r)
+		assertBufferReportsBitIdentical(t, fmt.Sprintf("%s mbu distributed", b), engine.MergeAll(parts), r)
 	}
 	if !differs {
 		t.Error("MBU=3 tallied identically to MBU=1 on every buffer class")
@@ -53,7 +53,7 @@ func TestBufferMBUCampaign(t *testing.T) {
 			}
 		}
 		parts := engine.ShardReports(c.Surface(b, sopt))
-		assertBufferReportsBitIdentical(t, fmt.Sprintf("%s mbu stratified", b), MergeReports(parts), sr)
+		assertBufferReportsBitIdentical(t, fmt.Sprintf("%s mbu stratified", b), engine.MergeAll(parts), sr)
 	}
 }
 

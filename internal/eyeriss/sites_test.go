@@ -87,7 +87,7 @@ func TestBufferSiteModesShardMergeMatchesRun(t *testing.T) {
 				for _, shards := range []int{1, 2, 7} {
 					opt := Options{N: 128, Seed: 7, Workers: shards, Sampling: sampling, Eval: eval}
 					want := c.Run(b, opt)
-					got := MergeReports(engine.ShardReports(c.Surface(b, opt)))
+					got := engine.MergeAll(engine.ShardReports(c.Surface(b, opt)))
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%v/%v/%v shards=%d: merged shards diverged from Run:\n got %+v\nwant %+v",
 							b, eval, sampling, shards, got, want)

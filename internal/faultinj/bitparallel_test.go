@@ -72,7 +72,7 @@ func TestSiteModesShardMergeMatchesRun(t *testing.T) {
 				want := New(smallNet(), numeric.Fx16RB10, smallInputs(2)).Run(opt)
 
 				sharded := New(smallNet(), numeric.Fx16RB10, smallInputs(2))
-				got := MergeReports(engine.ShardReports(sharded.Surface(opt)))
+				got := engine.MergeAll(engine.ShardReports(sharded.Surface(opt)))
 
 				label := fmt.Sprintf("%s/%s/shards=%d", eval, sampling, shards)
 				if got.PreMasked != want.PreMasked {

@@ -122,8 +122,9 @@ type Report struct {
 	// a stratified campaign; nil for uniform campaigns. When present, the
 	// raw Counts/PerBit/PerBlock fields are sample tallies under the
 	// stratified design — biased toward high-variance strata by
-	// construction — and SDCEstimate/SpreadRate apply the Horvitz–Thompson
-	// reweighting that recovers unbiased uniform-design estimates.
+	// construction — and SpreadRate and engine.SDCEstimate apply the
+	// Horvitz–Thompson reweighting that recovers unbiased uniform-design
+	// estimates.
 	Strata *engine.StrataSummary `json:",omitempty"`
 }
 
@@ -136,42 +137,22 @@ func newReport(bits, blocks int) *Report {
 	}
 }
 
-// NewReport allocates an empty report for a campaign with the given bit
-// width and paper-style block count — the dimensions every shard report of
-// one campaign shares, and the shape Merge requires of both operands.
-func NewReport(bits, blocks int) *Report { return newReport(bits, blocks) }
-
 // Merge folds r2 into r. Both reports must have the same dimensions (bit
-// width and block count). Counts merge commutatively; Values and the
-// spread accumulators are order-sensitive, so distributed campaigns must
-// merge shard reports in shard order to stay bit-identical to a
-// single-process run (see MergeReports).
-func (r *Report) Merge(r2 *Report) { r.merge(r2) }
-
-// MergeReports folds per-shard reports — indexed and merged in shard
-// order — into one campaign report. Nil entries (skipped shards) are
-// ignored; the result is nil when every entry is nil.
-func MergeReports(rs []*Report) *Report {
-	var total *Report
-	for _, r := range rs {
-		if r == nil {
-			continue
-		}
-		if total == nil {
-			total = newReport(len(r.PerBit), len(r.PerBlock))
-		}
-		total.merge(r)
+// width and block count), except that the zero report takes r2's and a
+// zero r2 leaves r as it is: the zero value is Merge's two-sided identity.
+// Counts merge commutatively; Values and the spread accumulators are
+// order-sensitive, so distributed campaigns must merge shard reports in
+// shard order to stay bit-identical to a single-process run
+// (engine.MergeAll).
+func (r *Report) Merge(r2 *Report) {
+	if r.PerBit == nil && r2.PerBit != nil {
+		*r = *newReport(len(r2.PerBit), len(r2.PerBlock))
 	}
-	return total
-}
-
-// merge folds r2 into r.
-func (r *Report) merge(r2 *Report) {
 	r.Counts.Merge(r2.Counts)
-	for i := range r.PerBit {
+	for i := range r2.PerBit {
 		r.PerBit[i].Merge(r2.PerBit[i])
 	}
-	for i := range r.PerBlock {
+	for i := range r2.PerBlock {
 		r.PerBlock[i].Merge(r2.PerBlock[i])
 		r.SpreadSum[i] += r2.SpreadSum[i]
 		r.SpreadN[i] += r2.SpreadN[i]
@@ -187,7 +168,7 @@ func (r *Report) merge(r2 *Report) {
 		if r.PreMaskedPerBit == nil {
 			r.PreMaskedPerBit = make([]int, len(r.PerBit))
 		}
-		for i := range r.PreMaskedPerBit {
+		for i := range r2.PreMaskedPerBit {
 			r.PreMaskedPerBit[i] += r2.PreMaskedPerBit[i]
 		}
 	}
@@ -206,15 +187,6 @@ func (r *Report) SpreadRate(block int) float64 {
 		return 0
 	}
 	return r.SpreadSum[block] / float64(r.SpreadN[block])
-}
-
-// SDCEstimate returns the campaign's estimate of the uniform-design SDC
-// probability for criterion k with its 95% CI half-width. Uniform
-// campaigns return the raw pooled proportion; stratified campaigns return
-// the reweighted estimator, which is unbiased for the same quantity but
-// typically much tighter at equal budget.
-func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
-	return engine.SDCEstimate(r.Counts, r.Strata, k)
 }
 
 // Options configures a datapath campaign: the shared engine's options
@@ -281,8 +253,6 @@ func (c *Campaign) Surface(opt Options) (engine.Surface[*Report], engine.Options
 }
 
 func (s surface) Campaign() *engine.Campaign             { return &s.c.Campaign }
-func (s surface) NewReport() *Report                     { return newReport(s.bits, s.blocks) }
-func (s surface) Merge(dst, src *Report)                 { dst.merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
 func (s surface) Model(ph engine.Phase, of int) engine.Model[*Report] {
 	m := &model{surface: s, ph: ph, p: s.c.Profile(), mbu: s.opt.UpsetWidth()}

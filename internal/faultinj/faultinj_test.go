@@ -330,7 +330,7 @@ func TestRunShardMergeMatchesRun(t *testing.T) {
 		want := whole.Run(opt)
 
 		sharded := New(smallNet(), dt, smallInputs(2))
-		got := MergeReports(engine.ShardReports(sharded.Surface(opt)))
+		got := engine.MergeAll(engine.ShardReports(sharded.Surface(opt)))
 
 		assertReportsBitIdentical(t, string(dt.String()), got, want)
 	}

@@ -85,7 +85,7 @@ func TestMBUCampaign(t *testing.T) {
 	for _, o := range []Options{opt, sopt} {
 		sharded := New(smallNet(), dt, smallInputs(2))
 		parts := engine.ShardReports(sharded.Surface(o))
-		assertReportsBitIdentical(t, "mbu distributed", MergeReports(parts), New(smallNet(), dt, smallInputs(2)).Run(o))
+		assertReportsBitIdentical(t, "mbu distributed", engine.MergeAll(parts), New(smallNet(), dt, smallInputs(2)).Run(o))
 	}
 }
 

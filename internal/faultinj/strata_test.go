@@ -178,8 +178,8 @@ func TestStratifiedUnbiased(t *testing.T) {
 		uni := New(smallNet(), dt, smallInputs(2)).Run(Options{Options: engine.Options{N: n, Seed: 37, Workers: 4}})
 		str := New(smallNet(), dt, smallInputs(2)).Run(Options{Options: engine.Options{N: n, Seed: 37, Workers: 4, Sampling: engine.SamplingStratified}})
 
-		pu, ciu := uni.SDCEstimate(sdc.SDC1)
-		ps, cis := str.SDCEstimate(sdc.SDC1)
+		pu, ciu := engine.SDCEstimate(uni.Counts, uni.Strata, sdc.SDC1)
+		ps, cis := engine.SDCEstimate(str.Counts, str.Strata, sdc.SDC1)
 		seu, ses := ciu/1.959963984540054, cis/1.959963984540054
 		bound := z99*math.Sqrt(seu*seu+ses*ses) + 1e-9
 		if diff := math.Abs(pu - ps); diff > bound {
@@ -203,8 +203,8 @@ func TestStratifiedCINarrowerOnConvNet(t *testing.T) {
 		c.Golden(0)
 		uni := c.Run(Options{Options: engine.Options{N: n, Seed: 1}})
 		str := c.Run(Options{Options: engine.Options{N: n, Seed: 1, Sampling: engine.SamplingStratified}})
-		_, ciu := uni.SDCEstimate(sdc.SDC1)
-		_, cis := str.SDCEstimate(sdc.SDC1)
+		_, ciu := engine.SDCEstimate(uni.Counts, uni.Strata, sdc.SDC1)
+		_, cis := engine.SDCEstimate(str.Counts, str.Strata, sdc.SDC1)
 		if !(cis < ciu) {
 			t.Errorf("%s: stratified CI %.5f not narrower than uniform %.5f at equal budget", dt, cis, ciu)
 		}
@@ -223,7 +223,7 @@ func TestStratifiedRunShardMergeMatchesRun(t *testing.T) {
 			want := New(smallNet(), dt, smallInputs(2)).Run(opt)
 
 			sharded := New(smallNet(), dt, smallInputs(2))
-			got := MergeReports(engine.ShardReports(sharded.Surface(opt)))
+			got := engine.MergeAll(engine.ShardReports(sharded.Surface(opt)))
 			assertReportsBitIdentical(t, dt.String(), got, want)
 		}
 	}
@@ -247,13 +247,13 @@ func TestStratifiedPhaseShardsMatchRun(t *testing.T) {
 			slots[slot] = engine.RunSlot(s, plan, slot, nil)
 		}
 	}
-	table := plan.Table(engine.PilotReport(plan, slots, MergeReports).Strata)
+	table := plan.Table(engine.PilotReport(plan, slots, engine.MergeAll).Strata)
 	for slot := range slots {
 		if plan.Gated(slot) {
 			slots[slot] = engine.RunSlot(s, plan, slot, table)
 		}
 	}
-	got := MergeReports(slots)
+	got := engine.MergeAll(slots)
 	assertReportsBitIdentical(t, "phase-sharded", got, want)
 }
 

@@ -49,9 +49,10 @@ type Report struct {
 	Strata *engine.StrataSummary `json:",omitempty"`
 }
 
-// Merge folds r2 into r. Every field merges commutatively; distributed
-// campaigns merge shard reports in shard order anyway, mirroring the
-// other surfaces' contract.
+// Merge folds r2 into r; the zero report is its two-sided identity. Every
+// field merges commutatively; distributed campaigns merge shard reports in
+// shard order anyway (engine.MergeAll), mirroring the other surfaces'
+// contract.
 func (r *Report) Merge(r2 *Report) {
 	r.Counts.Merge(r2.Counts)
 	for l := range r.PerLatch {
@@ -61,30 +62,6 @@ func (r *Report) Merge(r2 *Report) {
 	r.ArchMasked += r2.ArchMasked
 	r.PreMasked += r2.PreMasked
 	r.Strata = engine.MergeStrata(r.Strata, r2.Strata)
-}
-
-// SDCEstimate returns the campaign's estimate of the uniform-design SDC
-// probability for criterion k with its 95% CI half-width — reweighted
-// when the campaign stratified, the raw pooled proportion otherwise.
-func (r *Report) SDCEstimate(k sdc.Kind) (p, ci95 float64) {
-	return engine.SDCEstimate(r.Counts, r.Strata, k)
-}
-
-// MergeReports folds per-shard reports — indexed and merged in shard
-// order — into one campaign report. Nil entries (skipped shards) are
-// ignored; the result is nil when every entry is nil.
-func MergeReports(rs []*Report) *Report {
-	var total *Report
-	for _, r := range rs {
-		if r == nil {
-			continue
-		}
-		if total == nil {
-			total = &Report{}
-		}
-		total.Merge(r)
-	}
-	return total
 }
 
 // Options configures a systolic-array campaign: the shared engine's
@@ -118,8 +95,6 @@ type surface struct {
 }
 
 func (s surface) Campaign() *engine.Campaign             { return &s.c.Campaign }
-func (s surface) NewReport() *Report                     { return &Report{} }
-func (s surface) Merge(dst, src *Report)                 { dst.Merge(src) }
 func (s surface) Strata(r *Report) *engine.StrataSummary { return r.Strata }
 func (s surface) Model(ph engine.Phase, _ int) engine.Model[*Report] {
 	inj := s.c.newShard(s.opt)

@@ -148,7 +148,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 					c := &Campaign{Campaign: engine.Campaign{Net: buildSmall(), DType: dt, Inputs: inputs}, Array: tinyArray}
 					opt := Options{N: 24, Seed: 11, Workers: shards, Sampling: sampling, PilotN: 8, Eval: eval}
 					solo := marshal(t, c.Run(opt))
-					merged := marshal(t, MergeReports(engine.ShardReports(c.Surface(opt))))
+					merged := marshal(t, engine.MergeAll(engine.ShardReports(c.Surface(opt))))
 					if string(solo) != string(merged) {
 						t.Fatalf("%s/%s/%s S=%d: distributed != solo\nsolo:   %s\nmerged: %s",
 							dt, eval, samplingName(sampling), shards, solo, merged)
@@ -183,7 +183,7 @@ func TestDataflowShardMergeBitIdentical(t *testing.T) {
 							opt.MBU = 3
 						}
 						solo := marshal(t, c.Run(opt))
-						merged := marshal(t, MergeReports(engine.ShardReports(c.Surface(opt))))
+						merged := marshal(t, engine.MergeAll(engine.ShardReports(c.Surface(opt))))
 						if string(solo) != string(merged) {
 							t.Fatalf("%s/%s/%s/%s S=%d: distributed != solo\nsolo:   %s\nmerged: %s",
 								flow, dt, eval, samplingName(sampling), shards, solo, merged)
@@ -272,7 +272,7 @@ func TestStratifiedEstimateAndPrior(t *testing.T) {
 	if r.Counts.Trials != 160 {
 		t.Errorf("Trials = %d, want 160", r.Counts.Trials)
 	}
-	p, ci := r.SDCEstimate(sdc.SDC1)
+	p, ci := engine.SDCEstimate(r.Counts, r.Strata, sdc.SDC1)
 	if math.IsNaN(p) || p < 0 || p > 1 || ci < 0 {
 		t.Errorf("estimate = %v ± %v", p, ci)
 	}
@@ -322,7 +322,7 @@ func TestMBUCampaign(t *testing.T) {
 
 	// Distributed MBU == solo as well.
 	parts := engine.ShardReports(c.Surface(opt))
-	if string(marshal(t, c.Run(opt))) != string(marshal(t, MergeReports(parts))) {
+	if string(marshal(t, c.Run(opt))) != string(marshal(t, engine.MergeAll(parts))) {
 		t.Error("MBU campaign distributed != solo")
 	}
 }

@@ -74,6 +74,57 @@ check_fleet_goldens() {
     echo "   $leg fleet computed $total golden forwards for $inputs inputs"
 }
 
+# crash_resume <tag> <what> <solo> <ok> <spec>...: the crash -> resume drill
+# of a stratified 6-shard campaign (12 slots) against its solo report
+# $tmp/<tag>solo.json. The worker finishes 2 of the 6 pilot slots, takes a
+# third lease and dies hard; then the coordinator itself is SIGKILLed
+# mid-campaign, before the pilot->allocation boundary. The resumed
+# coordinator must re-run neither finished slot, and the report two workers
+# finish must byte-equal the solo one.
+crash_resume() {
+    local tag=$1 what=$2 solo=$3 ok=$4 coord base slots w1 w2
+    shift 4
+    "$tmp/faultserve" -role coordinator "$@" \
+        -addr 127.0.0.1:0 -addr-file "$tmp/${tag}addr" -checkpoint "$tmp/${tag}ckpt" \
+        -lease-ttl 2s -out "$tmp/${tag}unreached.json" &
+    coord=$!
+    for _ in $(seq 100); do [ -s "$tmp/${tag}addr" ] && break; sleep 0.1; done
+    base="http://$(cat "$tmp/${tag}addr")"
+
+    "$tmp/faultserve" -role worker -join "$base" -crash-after 2 || true
+    slots=$(json_field "$base/v1/campaigns/c1" completed_shards)
+    echo "   $slots/12 $what slots checkpointed"
+    [ "$slots" -eq 2 ] || { echo "FAIL: expected 2 completed $what slots"; exit 1; }
+    kill -9 "$coord"
+    wait "$coord" 2>/dev/null || true
+
+    "$tmp/faultserve" -role coordinator "$@" \
+        -addr 127.0.0.1:0 -addr-file "$tmp/${tag}addr2" -checkpoint "$tmp/${tag}ckpt" \
+        -lease-ttl 2s -linger 2s -out "$tmp/${tag}resumed.json" &
+    coord=$!
+    for _ in $(seq 100); do [ -s "$tmp/${tag}addr2" ] && break; sleep 0.1; done
+    base="http://$(cat "$tmp/${tag}addr2")"
+
+    slots=$(json_field "$base/v1/campaigns/c1" resumed_shards)
+    echo "   coordinator resumed $slots $what slots without re-running them"
+    [ "$slots" -eq 2 ] || { echo "FAIL: expected 2 resumed $what slots"; exit 1; }
+
+    "$tmp/faultserve" -role worker -join "$base" 2>"$tmp/${tag}w1.err" &
+    w1=$!
+    "$tmp/faultserve" -role worker -join "$base" 2>"$tmp/${tag}w2.err" &
+    w2=$!
+    wait "$coord"
+    drain_workers "$w1" "$w2"
+    check_fleet_goldens "$what" 2 "$tmp/${tag}w1.err" "$tmp/${tag}w2.err"
+
+    if ! cmp -s "$tmp/${tag}solo.json" "$tmp/${tag}resumed.json"; then
+        echo "FAIL: resumed distributed $what report differs from $solo"
+        diff "$tmp/${tag}solo.json" "$tmp/${tag}resumed.json" | head -20
+        exit 1
+    fi
+    echo "OK: $what campaign $ok bit-identical to solo"
+}
+
 echo "== baseline: uninterrupted solo run"
 "$tmp/faultserve" -role solo "${SPEC[@]}" -out "$tmp/solo.json"
 
@@ -139,47 +190,7 @@ BSPEC=(-surface buffer -buffer global -net ConvNet -dtype 16b_rb10 -n 120 -input
 "$tmp/faultserve" -role solo "${BSPEC[@]}" \
     -out "$tmp/bsolo.json" -strata-out "$tmp/bsolo.strata.json"
 
-"$tmp/faultserve" -role coordinator "${BSPEC[@]}" \
-    -addr 127.0.0.1:0 -addr-file "$tmp/baddr" -checkpoint "$tmp/bckpt" \
-    -lease-ttl 2s -out "$tmp/bunreached.json" &
-bcoord=$!
-for _ in $(seq 100); do [ -s "$tmp/baddr" ] && break; sleep 0.1; done
-bbase="http://$(cat "$tmp/baddr")"
-
-# The worker finishes 2 of the 6 pilot slots, takes a third lease and dies
-# hard; then the coordinator itself is SIGKILLed mid-campaign.
-"$tmp/faultserve" -role worker -join "$bbase" -crash-after 2 || true
-bdone=$(json_field "$bbase/v1/campaigns/c1" completed_shards)
-echo "   $bdone/12 buffer slots checkpointed"
-[ "$bdone" -eq 2 ] || { echo "FAIL: expected 2 completed buffer slots"; exit 1; }
-kill -9 "$bcoord"
-wait "$bcoord" 2>/dev/null || true
-
-"$tmp/faultserve" -role coordinator "${BSPEC[@]}" \
-    -addr 127.0.0.1:0 -addr-file "$tmp/baddr2" -checkpoint "$tmp/bckpt" \
-    -lease-ttl 2s -linger 2s -out "$tmp/bresumed.json" &
-bcoord2=$!
-for _ in $(seq 100); do [ -s "$tmp/baddr2" ] && break; sleep 0.1; done
-bbase2="http://$(cat "$tmp/baddr2")"
-
-bresumed=$(json_field "$bbase2/v1/campaigns/c1" resumed_shards)
-echo "   coordinator resumed $bresumed buffer slots without re-running them"
-[ "$bresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed buffer slots"; exit 1; }
-
-"$tmp/faultserve" -role worker -join "$bbase2" 2>"$tmp/bw1.err" &
-w1=$!
-"$tmp/faultserve" -role worker -join "$bbase2" 2>"$tmp/bw2.err" &
-w2=$!
-wait "$bcoord2"
-drain_workers "$w1" "$w2"
-check_fleet_goldens buffer 2 "$tmp/bw1.err" "$tmp/bw2.err"
-
-if ! cmp -s "$tmp/bsolo.json" "$tmp/bresumed.json"; then
-    echo "FAIL: resumed distributed buffer report differs from solo eyeriss run"
-    diff "$tmp/bsolo.json" "$tmp/bresumed.json" | head -20
-    exit 1
-fi
-echo "OK: buffer campaign resumed and merged bit-identical to solo"
+crash_resume b buffer "solo eyeriss run" "resumed and merged" "${BSPEC[@]}"
 
 echo "== prior-seeded buffer campaign (pilot-free) distributed vs solo"
 "$tmp/faultserve" -role solo "${BSPEC[@]}" -prior "$tmp/bsolo.strata.json" \
@@ -210,96 +221,14 @@ SSPEC=(-surface systolic -net ConvNet -dtype 16b_rb10 -n 120 -inputs 2 -seed 12 
 
 "$tmp/faultserve" -role solo "${SSPEC[@]}" -out "$tmp/ssolo.json"
 
-"$tmp/faultserve" -role coordinator "${SSPEC[@]}" \
-    -addr 127.0.0.1:0 -addr-file "$tmp/saddr" -checkpoint "$tmp/sckpt" \
-    -lease-ttl 2s -out "$tmp/sunreached.json" &
-scoord=$!
-for _ in $(seq 100); do [ -s "$tmp/saddr" ] && break; sleep 0.1; done
-sbase="http://$(cat "$tmp/saddr")"
-
-# The worker finishes 2 of the 6 pilot slots, takes a third lease and dies
-# hard; then the coordinator itself is SIGKILLed mid-campaign, before the
-# pilot->allocation boundary.
-"$tmp/faultserve" -role worker -join "$sbase" -crash-after 2 || true
-sdone=$(json_field "$sbase/v1/campaigns/c1" completed_shards)
-echo "   $sdone/12 systolic slots checkpointed"
-[ "$sdone" -eq 2 ] || { echo "FAIL: expected 2 completed systolic slots"; exit 1; }
-kill -9 "$scoord"
-wait "$scoord" 2>/dev/null || true
-
-"$tmp/faultserve" -role coordinator "${SSPEC[@]}" \
-    -addr 127.0.0.1:0 -addr-file "$tmp/saddr2" -checkpoint "$tmp/sckpt" \
-    -lease-ttl 2s -linger 2s -out "$tmp/sresumed.json" &
-scoord2=$!
-for _ in $(seq 100); do [ -s "$tmp/saddr2" ] && break; sleep 0.1; done
-sbase2="http://$(cat "$tmp/saddr2")"
-
-sresumed=$(json_field "$sbase2/v1/campaigns/c1" resumed_shards)
-echo "   coordinator resumed $sresumed systolic slots without re-running them"
-[ "$sresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed systolic slots"; exit 1; }
-
-"$tmp/faultserve" -role worker -join "$sbase2" 2>"$tmp/sw1.err" &
-w1=$!
-"$tmp/faultserve" -role worker -join "$sbase2" 2>"$tmp/sw2.err" &
-w2=$!
-wait "$scoord2"
-drain_workers "$w1" "$w2"
-check_fleet_goldens systolic 2 "$tmp/sw1.err" "$tmp/sw2.err"
-
-if ! cmp -s "$tmp/ssolo.json" "$tmp/sresumed.json"; then
-    echo "FAIL: resumed distributed systolic report differs from solo run"
-    diff "$tmp/ssolo.json" "$tmp/sresumed.json" | head -20
-    exit 1
-fi
-echo "OK: systolic campaign resumed across the pilot boundary bit-identical to solo"
+crash_resume s systolic "solo run" "resumed across the pilot boundary" "${SSPEC[@]}"
 
 echo "== output-stationary leg: stratified systolic dataflow campaign, crash + resume"
 OSPEC=(-surface systolic -dataflow output -net ConvNet -dtype 16b_rb10 -n 120 -inputs 2 -seed 13 -shards 6 -sampling stratified -mbu 3)
 
 "$tmp/faultserve" -role solo "${OSPEC[@]}" -out "$tmp/osolo.json"
 
-"$tmp/faultserve" -role coordinator "${OSPEC[@]}" \
-    -addr 127.0.0.1:0 -addr-file "$tmp/oaddr" -checkpoint "$tmp/ockpt" \
-    -lease-ttl 2s -out "$tmp/ounreached.json" &
-ocoord=$!
-for _ in $(seq 100); do [ -s "$tmp/oaddr" ] && break; sleep 0.1; done
-obase="http://$(cat "$tmp/oaddr")"
-
-# Same drill as the weight-stationary leg: the worker dies hard holding its
-# third pilot lease, then the coordinator is SIGKILLed before the
-# pilot->allocation boundary.
-"$tmp/faultserve" -role worker -join "$obase" -crash-after 2 || true
-odone=$(json_field "$obase/v1/campaigns/c1" completed_shards)
-echo "   $odone/12 output-stationary slots checkpointed"
-[ "$odone" -eq 2 ] || { echo "FAIL: expected 2 completed output-stationary slots"; exit 1; }
-kill -9 "$ocoord"
-wait "$ocoord" 2>/dev/null || true
-
-"$tmp/faultserve" -role coordinator "${OSPEC[@]}" \
-    -addr 127.0.0.1:0 -addr-file "$tmp/oaddr2" -checkpoint "$tmp/ockpt" \
-    -lease-ttl 2s -linger 2s -out "$tmp/oresumed.json" &
-ocoord2=$!
-for _ in $(seq 100); do [ -s "$tmp/oaddr2" ] && break; sleep 0.1; done
-obase2="http://$(cat "$tmp/oaddr2")"
-
-oresumed=$(json_field "$obase2/v1/campaigns/c1" resumed_shards)
-echo "   coordinator resumed $oresumed output-stationary slots without re-running them"
-[ "$oresumed" -eq 2 ] || { echo "FAIL: expected 2 resumed output-stationary slots"; exit 1; }
-
-"$tmp/faultserve" -role worker -join "$obase2" 2>"$tmp/ow1.err" &
-w1=$!
-"$tmp/faultserve" -role worker -join "$obase2" 2>"$tmp/ow2.err" &
-w2=$!
-wait "$ocoord2"
-drain_workers "$w1" "$w2"
-check_fleet_goldens output-stationary 2 "$tmp/ow1.err" "$tmp/ow2.err"
-
-if ! cmp -s "$tmp/osolo.json" "$tmp/oresumed.json"; then
-    echo "FAIL: resumed distributed output-stationary report differs from solo run"
-    diff "$tmp/osolo.json" "$tmp/oresumed.json" | head -20
-    exit 1
-fi
-echo "OK: output-stationary campaign resumed across the pilot boundary bit-identical to solo"
+crash_resume o output-stationary "solo run" "resumed across the pilot boundary" "${OSPEC[@]}"
 
 echo "== control-plane leg: two tenants, one fleet, SIGKILL + journal resume"
 ASPEC=(-net ConvNet -dtype FLOAT16 -n 160 -inputs 2 -seed 21 -shards 4 -sampling stratified)
