@@ -88,6 +88,7 @@ type stubModel struct {
 func (m *stubModel) SeedMul() int64                                    { return 1 }
 func (m *stubModel) Report() *expr                                     { return &expr{} }
 func (m *stubModel) Values() int                                       { return 0 }
+func (m *stubModel) ReadsActs() bool                                   { return false }
 func (m *stubModel) Single() (int, layers.PlaneFault, bool)            { return 0, layers.PlaneFault{}, false }
 func (m *stubModel) Eval(*network.SlotScratch, int) *network.Execution { return m.g }
 func (m *stubModel) Draw(_ *rand.Rand, g *network.Execution, u Unit) int {

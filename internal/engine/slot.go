@@ -39,7 +39,18 @@ type Model[R any] interface {
 	// propagation restores the scratch it lives in, so Tally must not keep
 	// it or anything reached through its Acts.
 	Tally(r R, in Injection)
+	// ReadsActs reports whether Tally reads the faulty execution's
+	// activations past the struck layer (a spread metric). A detector's
+	// reads are the plan's (Options.Detector); a slot whose injections
+	// nothing else reads them of runs its scratch output-only
+	// (network.SlotScratch.OutputOnly).
+	ReadsActs() bool
 }
+
+// outputOnlyWalk lets RunSlot run a slot's scratch output-only when nothing
+// reads faulty activations. A variable only so tests can compare against
+// the exact walk.
+var outputOnlyWalk = true
 
 // Injection is one evaluated injection, as Model.Tally receives it.
 type Injection struct {
@@ -74,7 +85,8 @@ type Injection struct {
 // EvalPlaneSite on the slot's one InjectionBatch per (input, MAC layer);
 // every other site runs per bit through Model.Eval. Every faulty inference
 // of the slot runs on its one network.SlotScratch, so once warm a slot
-// allocates nothing per injection.
+// allocates nothing per injection; the scratch is output-only unless a
+// detector or the model (Model.ReadsActs) reads faulty activations.
 func RunSlot[R any](s Surface[R], p Plan, slot int, table *StratumTable) R {
 	ph, shard := p.phase(slot, table)
 	c, m := s.Campaign(), s.Model(ph, p.shards)
@@ -82,6 +94,9 @@ func RunSlot[R any](s Surface[R], p Plan, slot int, table *StratumTable) R {
 	rng := ph.Rand(p.seed, shard, m.SeedMul())
 	r, values := m.Report(), m.Values()
 	sc := net.NewSlotScratch(dt)
+	if outputOnlyWalk && !p.needExec && !m.ReadsActs() {
+		sc.OutputOnly()
+	}
 	batches := map[[2]int]*network.InjectionBatch{}
 	index := 0 // the slot position of the unit's first injection
 	ph.Each(shard, p.shards, len(c.Inputs), func(u Unit) {

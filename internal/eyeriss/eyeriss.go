@@ -327,6 +327,8 @@ func (inj *injector) Eval(sc *network.SlotScratch, bit int) *network.Execution {
 	return inj.eval(sc, inj.b, inj.g, s, inj.mbu)
 }
 
+func (inj *injector) ReadsActs() bool { return false }
+
 func (inj *injector) Tally(r *Report, in engine.Injection) {
 	r.Counts.Add(in.Outcome)
 	if in.Pre {

@@ -87,6 +87,8 @@ func (m *model) Eval(sc *network.SlotScratch, bit int) *network.Execution {
 	return faulty
 }
 
+func (m *model) ReadsActs() bool { return m.opt.TrackSpread }
+
 func (m *model) Tally(r *Report, in engine.Injection) {
 	o, h := in.Outcome, m.block*m.bits+in.Bit
 	if in.Faulty == nil || in.Faulty.Masked {

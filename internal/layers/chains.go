@@ -114,7 +114,7 @@ type layerChains struct {
 	chain  int
 	prefix []float64       // elems × (chain+1): golden partial accumulators
 	prods  []float64       // elems × chain: golden quantized tap products
-	bounds []float64       // elems × 2: numeric.ChainBounds of each element's rows
+	bounds []float64       // elems × 3: numeric.ChainBounds of each element's rows (lo, hi, 1 when clamped)
 	filled []atomic.Uint32 // per element: 1 once its rows are written
 	fillMu [chainFillStripes]sync.Mutex
 }
@@ -130,8 +130,21 @@ type ChainScratch struct {
 	sorted  []int     // an ascending copy of a CONV step's changed set, when the caller's is not
 	steps   []int     // changed tap steps
 	xs      []float64 // faulty input at each changed tap
-	offs    []int     // per-spatial-position offsets into steps/xs (CONV)
+	dx      []float64 // … minus its golden input
+	offs    []int     // per-spatial-position offsets into steps/xs/dx
 	vals    []float64 // replayed lane results: per output (FC), position × channel (CONV)
+
+	// What a macStep proves lanes with: the norms of each position's dx,
+	// each lane's LaneBound (like vals), each channel's floor, a replay's
+	// lane list, and a certificate's decided classes, class score
+	// intervals and sort keys.
+	dnorm   []numeric.Norms
+	bnd     []float64
+	floor   []float64
+	lanes   []int
+	decided []bool // all false between steps
+	lo, hi  []float64
+	keys    []laneKey
 }
 
 // scratch returns the walker's scratch, or a throwaway one for a bare
@@ -188,7 +201,7 @@ func (ctx *Context) chainEntry(outElems, chain int) *layerChains {
 // process budget would be exceeded. It returns nil when the layer fits
 // neither the per-layer cap nor an emptied budget.
 func (g *chainState) alloc(li, outElems, chain int) *layerChains {
-	need := int64(outElems) * int64((2*chain+3)*8+4)
+	need := int64(outElems) * int64((2*chain+4)*8+4)
 	if need > maxChainCacheBytes {
 		return nil
 	}
@@ -213,7 +226,7 @@ func (g *chainState) alloc(li, outElems, chain int) *layerChains {
 		chain:  chain,
 		prefix: make([]float64, outElems*(chain+1)),
 		prods:  make([]float64, outElems*chain),
-		bounds: make([]float64, 2*outElems),
+		bounds: make([]float64, 3*outElems),
 		filled: make([]atomic.Uint32, outElems),
 	}
 	g.layers[li].Store(lc)
@@ -240,7 +253,12 @@ func (lc *layerChains) fill(ctx *Context, oi int, want float64, compute func(pre
 		panic(fmt.Sprintf("layers: golden chain of layer %d element %d ends at %v under %s, the golden execution holds %v: the execution was not produced by this network's weights and format",
 			ctx.Layer, oi, got, ctx.DType, want))
 	}
-	lc.bounds[2*oi], lc.bounds[2*oi+1] = numeric.ChainBounds(prefix, prods)
+	lo, hi, clamped := numeric.ChainBounds(prefix, prods)
+	b := lc.bounds[3*oi : 3*oi+3]
+	b[0], b[1], b[2] = lo, hi, 0
+	if clamped {
+		b[2] = 1
+	}
 	lc.filled[oi].Store(1)
 }
 

@@ -278,12 +278,10 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor
 	if lc != nil {
 		// The changed-tap steps and faulty input values of a spatial
 		// position are identical for every output channel (only the weights
-		// differ): collect them once per position and replay its OutC chains
-		// as the lanes of one call, position-major into sc.vals.
+		// differ): collect them once per position; its OutC chains are the
+		// lanes of one position of a macStep.
 		l.scanChanged(ctx, sc, in, os, spatial, changed)
-		qw, _ := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
-		sc.vals = grow(sc.vals, len(spatial)*l.OutC)
-		for k, si := range spatial {
+		for _, si := range spatial {
 			for oi := si; oi < l.OutC*plane; oi += plane {
 				if lc.filled[oi].Load() == 0 {
 					lc.fill(ctx, oi, goldenOut.Data[oi], func(prefix, prods []float64) float64 {
@@ -291,22 +289,16 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor
 					})
 				}
 			}
-			lo, hi := sc.offs[k], sc.offs[k+1]
-			ctx.DType.ChainReplay(sc.vals[k*l.OutC:(k+1)*l.OutC], lc.prefix[si*(chain+1):], lc.prods[si*chain:],
-				qw, lc.bounds[2*si:], plane, sc.steps[lo:hi], sc.xs[lo:hi], chain)
 		}
+		step := macStep{ctx: ctx, sc: sc, lc: lc, q: ctx.Quant.entry(ctx.DType, l, l.Weights, l.Bias),
+			golden: goldenOut.Data, plane: plane, chans: l.OutC, chain: chain}
+		return step.run(out.Data, dst)
 	}
 	for oc := 0; oc < l.OutC; oc++ {
 		base := oc * plane
-		for k, si := range spatial {
+		for _, si := range spatial {
 			oi := base + si
-			var nv float64
-			if lc != nil {
-				nv = sc.vals[k*l.OutC+oc]
-			} else {
-				nv = l.ForwardElement(ctx, in, oi)
-			}
-			if !bitsEqual(nv, goldenOut.Data[oi]) {
+			if nv := l.ForwardElement(ctx, in, oi); !bitsEqual(nv, goldenOut.Data[oi]) {
 				out.Data[oi] = nv
 				dst = append(dst, oi)
 			}
@@ -317,8 +309,9 @@ func (l *ConvLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor
 
 // scanChanged records, per spatial output position (ascending, all of them
 // covered by changed), the chain steps that read a changed input and the
-// lane's quantized value at each, into sc.steps/sc.xs with sc.offs
-// delimiting the positions. It walks the changed inputs, not the windows
+// lane's quantized value at each, into sc.steps/sc.xs — and its delta from
+// the golden input (ctx.GoldenIn), when there is one, into sc.dx — with
+// sc.offs delimiting the positions. It walks the changed inputs, not the windows
 // of the positions: one pass counts each position's changed taps, a second
 // writes them. Within one window the step order is the input index order,
 // so walking the changed inputs ascending writes every position's steps
@@ -357,14 +350,17 @@ func (l *ConvLayer) scanChanged(ctx *Context, sc *ChainScratch, in *tensor.Tenso
 	}
 
 	n := offs[len(spatial)]
-	steps, xs := grow(sc.steps, n), grow(sc.xs, n)
+	steps, xs, dx := grow(sc.steps, n), grow(sc.xs, n), grow(sc.dx, n)
 	quant := ctx.DType.QuantFunc()
 	for _, idx := range changed {
-		var x float64
+		var x, d float64
 		if ctx.QIn != nil {
 			x = ctx.QIn[idx]
 		} else {
 			x = quant(in.Data[idx])
+		}
+		if ctx.GoldenIn != nil {
+			d = x - ctx.GoldenIn[idx]
 		}
 		ic, ih, iw := in.Coords(idx)
 		ohLo, ohHi := convWindowRange(ih, l.KH, l.Stride, l.Pad, os.H)
@@ -372,7 +368,7 @@ func (l *ConvLayer) scanChanged(ctx *Context, sc *ChainScratch, in *tensor.Tenso
 		for oh := ohLo; oh <= ohHi; oh++ {
 			for ow := owLo; ow <= owHi; ow++ {
 				k := pos[oh*os.W+ow]
-				steps[offs[k]], xs[offs[k]] = step(ic, ih, iw, oh, ow), x
+				steps[offs[k]], xs[offs[k]], dx[offs[k]] = step(ic, ih, iw, oh, ow), x, d
 				offs[k]++
 			}
 		}
@@ -380,7 +376,7 @@ func (l *ConvLayer) scanChanged(ctx *Context, sc *ChainScratch, in *tensor.Tenso
 	// Each offs[k] has advanced to position k+1's first slot: shift back.
 	copy(offs[1:], offs[:len(spatial)])
 	offs[0] = 0
-	sc.pos, sc.steps, sc.xs, sc.offs = pos, steps, xs, offs
+	sc.pos, sc.steps, sc.xs, sc.dx, sc.offs = pos, steps, xs, dx, offs
 }
 
 // fillChain computes the golden chain internals of output element oi from

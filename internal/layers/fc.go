@@ -122,27 +122,31 @@ func (l *FCLayer) ForwardDelta(ctx *Context, in, goldenOut, out *tensor.Tensor, 
 
 // deltaChained is the cached-chain variant of the FC recompute: the changed
 // input indices are the changed tap steps of every output chain at once, so
-// all Out chains are the lanes of one replay (see numeric.Type.ChainReplay)
-// that covers only their diverged suffixes instead of the full dot products.
-// Bit-identical to denseDelta.
+// all Out chains are the lanes of one position of a macStep, which replays
+// only their diverged suffixes instead of the full dot products (see
+// numeric.Type.ChainReplay) — or, under an output-only walk's Tail, proves
+// lanes without replaying them. Bit-identical to denseDelta wherever the
+// walk reads the output.
 func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut, out *tensor.Tensor, changed, dst []int) []int {
 	sc := ctx.scratch()
 	quant := ctx.DType.QuantFunc()
-	steps, xs := sc.steps[:0], sc.xs[:0]
+	steps, xs, dx := sc.steps[:0], sc.xs[:0], sc.dx[:0]
 	steps = append(steps, changed...)
 	if !sort.IntsAreSorted(steps) {
 		sort.Ints(steps)
 	}
 	qin := ctx.QIn
 	for _, idx := range steps {
+		var x float64
 		if qin != nil {
-			xs = append(xs, qin[idx])
+			x = qin[idx]
 		} else {
-			xs = append(xs, quant(in.Data[idx]))
+			x = quant(in.Data[idx])
 		}
+		xs, dx = append(xs, x), append(dx, x-ctx.GoldenIn[idx])
 	}
-	sc.steps, sc.xs = steps, xs
-	qw, _ := ctx.Quant.params(ctx.DType, l, l.Weights, l.Bias)
+	sc.steps, sc.xs, sc.dx = steps, xs, dx
+	sc.spatial, sc.offs = append(sc.spatial[:0], 0), append(sc.offs[:0], 0, len(steps))
 
 	for o := 0; o < l.Out; o++ {
 		if lc.filled[o].Load() == 0 {
@@ -151,16 +155,9 @@ func (l *FCLayer) deltaChained(ctx *Context, lc *layerChains, in, goldenOut, out
 			})
 		}
 	}
-	sc.vals = grow(sc.vals, l.Out)
-	ctx.DType.ChainReplay(sc.vals, lc.prefix, lc.prods, qw, lc.bounds, 1, steps, xs, l.In)
-
-	for o, nv := range sc.vals {
-		if !bitsEqual(nv, goldenOut.Data[o]) {
-			out.Data[o] = nv
-			dst = append(dst, o)
-		}
-	}
-	return dst
+	step := macStep{ctx: ctx, sc: sc, lc: lc, q: ctx.Quant.entry(ctx.DType, l, l.Weights, l.Bias),
+		golden: goldenOut.Data, plane: 1, chans: l.Out, chain: l.In}
+	return step.run(out.Data, dst)
 }
 
 // fillChain computes the golden chain internals of output neuron o from

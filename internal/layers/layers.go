@@ -155,7 +155,38 @@ type Context struct {
 	// pass at every density. Zero selects DefaultSparseDensityCutoff, which
 	// every campaign runs at; tests move it to force either path.
 	DenseCutoff float64
+	// Tail is what follows the stepped layer on an output-only walk, one
+	// whose caller reads nothing of the faulty execution but its network
+	// output: it lets a MAC layer's delta step prove lanes instead of
+	// replaying them (see macStep). The zero value keeps every activation
+	// exact.
+	Tail Tail
+	// Final is the golden network output, which a classifier Tail
+	// (TailSoftmax, TailReLUMax) certifies the faulty output against.
+	Final []float64
+	// Certified is set by a delta step under a classifier Tail that proved
+	// the faulty network output benign under every SDC criterion while
+	// differing from golden: the walk may stop there, unmasked. The step
+	// then leaves its output golden and returns no changed elements.
+	Certified bool
 }
+
+// Tail tells a MAC layer's delta step what the rest of an output-only walk
+// does with its output; the zero value asks for every lane replayed and the
+// output exact.
+type Tail int
+
+const (
+	// TailReLU is a ReLU next: a float lane proved to stay below zero
+	// feeds the ReLU a 0 either way, so it may stay golden.
+	TailReLU Tail = iota + 1
+	// TailSoftmax is the network's last MAC layer, one output per class,
+	// followed by nothing but a softmax.
+	TailSoftmax
+	// TailReLUMax is the network's last MAC layer followed by nothing but
+	// a ReLU and a full-extent max-pool, one output per channel.
+	TailReLUMax
+)
 
 // DefaultSparseDensityCutoff is the density at which sparse recompute
 // stops paying: once a perturbation cone covers this fraction of a layer's

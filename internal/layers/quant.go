@@ -31,6 +31,11 @@ type quantKey struct {
 
 type quantEntry struct {
 	weights, bias []float64
+	// norms holds the numeric.Norms of each output's quantized weight row
+	// (the weights are len(bias) rows of equal length, FC neurons or CONV
+	// output channels), then their elementwise maximum: the operands of
+	// numeric.LaneBound.
+	norms []numeric.Norms
 }
 
 // NewQuantCache creates an empty cache.
@@ -42,22 +47,38 @@ func NewQuantCache() *QuantCache {
 // computing and storing them on first use. The returned slices are shared
 // and must be treated as read-only.
 func (c *QuantCache) params(dt numeric.Type, l Layer, weights, bias []float64) (qw, qb []float64) {
+	e := c.entry(dt, l, weights, bias)
+	return e.weights, e.bias
+}
+
+// entry returns the cache entry of a layer under dt, computing and storing
+// it on first use.
+func (c *QuantCache) entry(dt numeric.Type, l Layer, weights, bias []float64) *quantEntry {
 	key := quantKey{layer: l, dt: dt}
 	c.mu.RLock()
 	e := c.entries[key]
 	c.mu.RUnlock()
 	if e != nil {
-		return e.weights, e.bias
+		return e
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e = c.entries[key]; e != nil { // lost the race to another worker
-		return e.weights, e.bias
+		return e
 	}
 	e = &quantEntry{weights: quantizeSlice(dt, weights), bias: quantizeSlice(dt, bias)}
+	rows, top := len(bias), numeric.Norms{}
+	chain := len(weights) / rows
+	e.norms = make([]numeric.Norms, rows+1)
+	for r := range rows {
+		n := numeric.NormsOf(e.weights[r*chain : (r+1)*chain])
+		e.norms[r] = n
+		top = numeric.Norms{L1: max(top.L1, n.L1), L2: max(top.L2, n.L2), Inf: max(top.Inf, n.Inf)}
+	}
+	e.norms[rows] = top
 	c.entries[key] = e
-	return e.weights, e.bias
+	return e
 }
 
 // quantizeSlice quantizes every element of s under dt. Binary64 is the

@@ -48,6 +48,9 @@ type SlotScratch struct {
 	chain   layers.ChainScratch
 	front   []layers.Fault // ForwardFrom's one-fault front
 	in      []int          // ForwardFromInput's normalized changed set
+	// tails is the layers.Tail of each layer's delta step once OutputOnly
+	// is set; nil keeps every activation exact.
+	tails []layers.Tail
 }
 
 // goldenBuffers are the golden-valued activation buffers of one golden
@@ -65,6 +68,47 @@ func (n *Network) NewSlotScratch(dt numeric.Type) *SlotScratch {
 		logs: make([][]int, len(n.Layers)),
 		exec: Execution{Acts: make([]*tensor.Tensor, len(n.Layers))},
 	}
+}
+
+// OutputOnly makes every later propagation on the scratch output-only: its
+// caller reads of a faulty execution only what classifies it — the network
+// output and Masked — and the struck layer's activation. The walk then lets
+// the delta steps prove lanes instead of replaying them (layers.Tail): a
+// MAC layer a ReLU follows leaves a float lane golden when it proves the
+// lane stays below zero, and the network's last MAC layer, when only a
+// softmax or a ReLU and a full-extent max-pool follow it, stops the walk
+// once it proves the output classifies as golden's under every SDC
+// criterion and still differs from it; that execution is unmasked and holds
+// golden's activations from the proving layer on. Every other activation
+// the walk passes through is exact where it is read, and a propagation's
+// outcome and Masked are the exact walk's.
+func (sc *SlotScratch) OutputOnly() {
+	n := sc.net
+	sc.tails = make([]layers.Tail, len(n.Layers))
+	macs := n.MACLayerIndices()
+	shape := n.InShape
+	for i, l := range n.Layers {
+		shape = l.OutShape(shape)
+		if k := l.Kind(); k != layers.Conv && k != layers.FC {
+			continue
+		}
+		rest, last := n.Layers[i+1:], i == macs[len(macs)-1]
+		switch {
+		case last && len(rest) == 1 && rest[0].Kind() == layers.Softmax:
+			sc.tails[i] = layers.TailSoftmax
+		case last && len(rest) == 2 && rest[0].Kind() == layers.ReLU && fullPool(rest[1], shape):
+			sc.tails[i] = layers.TailReLUMax
+		case len(rest) > 0 && rest[0].Kind() == layers.ReLU:
+			sc.tails[i] = layers.TailReLU
+		}
+	}
+}
+
+// fullPool reports whether l is a max-pool whose one window covers the
+// whole of an input of shape in.
+func fullPool(l layers.Layer, in tensor.Shape) bool {
+	p, ok := l.(*layers.PoolLayer)
+	return ok && p.K >= in.H && p.K >= in.W
 }
 
 // restore writes every element the last propagation patched back from its
@@ -258,6 +302,9 @@ func (sc *SlotScratch) propagate(b *goldenBuffers, from int, cur *tensor.Tensor,
 		DType: sc.dt, Quant: n.quant.Load(), DenseCutoff: n.denseCutoff,
 		Chains: golden.goldenChains(sc.dt, len(n.Layers)), Scratch: &sc.chain,
 	}
+	if sc.tails != nil {
+		ctx.Final = golden.Output().Data
+	}
 	i := from
 	for ; i < len(n.Layers) && len(changed) > 0; i++ {
 		df, ok := n.Layers[i].(layers.DeltaForwarder)
@@ -272,11 +319,20 @@ func (sc *SlotScratch) propagate(b *goldenBuffers, from int, cur *tensor.Tensor,
 		if i > 0 {
 			ctx.GoldenIn = golden.Acts[i-1].Data
 		}
+		if sc.tails != nil {
+			ctx.Tail = sc.tails[i]
+		}
 		out := b.buffer(i)
 		changed = df.ForwardDelta(ctx, cur, golden.Acts[i], out, changed, sc.logs[i][:0])
 		sc.logs[i] = changed
 		sc.written = append(sc.written, i)
 		e.Acts[i], cur, qin = out, out, out.Data
+		if ctx.Certified {
+			// Proved benign and changed (see OutputOnly): the output-only
+			// caller reads golden's classification, unmasked.
+			copy(e.Acts[i:], golden.Acts[i:])
+			return e
+		}
 	}
 	if len(changed) == 0 {
 		// The perturbation died (inside the faulted chain, in a ReLU clamp,

@@ -103,6 +103,11 @@ type fxGrid struct {
 	scale, inv     float64 // 2^f and 2^-f
 	maxRaw, minRaw float64 // saturation bounds of the raw integer
 	satMax, satMin float64 // … and of the value
+	// slack bounds what one changed tap adds to a lane's |faulty − golden|
+	// beyond |w·Δx| (LaneBound): the grid roundings of its golden and
+	// faulty product, half a grid each, and binary64's rounding of the two
+	// products before them, at most 2^-53·satMin² each.
+	slack float64
 }
 
 func newFxGrid(t Type) fxGrid {
@@ -114,6 +119,7 @@ func newFxGrid(t Type) fxGrid {
 	}
 	g.inv = 1 / g.scale
 	g.satMax, g.satMin = g.maxRaw*g.inv, g.minRaw*g.inv
+	g.slack = g.inv + 0x1p-52*g.satMin*g.satMin
 	return g
 }
 

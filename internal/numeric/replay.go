@@ -9,19 +9,23 @@ import "math"
 // loop body, which the core overlaps.
 const chainLanes = 4
 
-// ChainReplay recomputes len(dst) quantized accumulation chains that read
-// the same inputs through different weights — the output neurons of an FC
-// layer, the output channels of one CONV position — and differ from the
-// cached golden replay of those chains at exactly the ascending tap
-// positions `steps`, where xs[i] is the faulty quantized input at steps[i].
-// dst[i] receives lane i's final accumulator. Lane i's golden internals
-// start at prefix[i*rows*(chain+1)] (the partial accumulator before each
-// tap, entry `chain` being the final value) and prods[i*rows*chain] (each
-// tap's quantized product), its quantized weights at qw[i*chain] and its
-// ChainBounds at bounds[2*i*rows] (lo, then hi): rows is the distance
-// between consecutive lanes in chain rows, 1 for FC and the output plane
-// for CONV. Only the fixed-point formats read bounds; float formats ignore
-// them and may pass nil.
+// ChainReplay recomputes quantized accumulation chains that read the same
+// inputs through different weights — the output neurons of an FC layer, the
+// output channels of one CONV position — and differ from the cached golden
+// replay of those chains at exactly the ascending tap positions `steps`,
+// where xs[i] is the faulty quantized input at steps[i]. The chains are the
+// call's lanes: every lane of dst when lanes is nil, else lanes' entries (in
+// any order, each once); dst[l] receives lane l's final accumulator and no
+// other entry of dst is written. Lane l's golden internals start at
+// prefix[l*rows*(chain+1)] (the partial accumulator before each tap, entry
+// `chain` being the final value) and prods[l*rows*chain] (each tap's
+// quantized product), its quantized weights at qw[l*chain] and its
+// ChainBounds at bounds[3*l*rows] (lo, hi, then 1 when the golden chain
+// clamped, else 0): rows is the distance between consecutive lanes in chain
+// rows, 1 for FC and the output plane for CONV. bound is a bound on
+// |faulty − golden| of every partial of every lane (LaneBound; +Inf when the
+// caller has none). Only the fixed-point formats read bounds and bound;
+// float formats ignore them and may pass nil.
 //
 // Each MAC decomposes into product-quantize and accumulate-quantize —
 // bit-identical to MACq (pinned by TestChainReplayBitIdentical) — so cached
@@ -40,52 +44,68 @@ const chainLanes = 4
 // A fixed-point group first tries the closed form (closedFx), which visits
 // only the changed taps, and walks the chain with replayFx only when a lane
 // might saturate.
-func (t Type) ChainReplay(dst, prefix, prods, qw, bounds []float64, rows int, steps []int, xs []float64, chain int) {
+func (t Type) ChainReplay(dst, prefix, prods, qw, bounds []float64, rows int, lanes []int, bound float64, steps []int, xs []float64, chain int) {
 	ps, ds := rows*(chain+1), rows*chain
-	if len(steps) == 0 {
-		for i := range dst {
-			dst[i] = prefix[i*ps+chain]
-		}
-		return
+	n := len(dst)
+	if lanes != nil {
+		n = len(lanes)
 	}
 	var out [chainLanes]float64
-	for g := 0; g < len(dst); g += chainLanes {
-		n := min(chainLanes, len(dst)-g)
-		gp, gd, gw := prefix[g*ps:], prods[g*ds:], qw[g*chain:]
-		switch t {
-		case Double:
-			replayDouble(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
-		case Float:
-			replayFloat(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
-		case Float16:
-			replayF16(&out, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
-		default:
-			fx := &fxGrids[t]
-			if !closedFx(&out, fx, gp, gd, gw, bounds[2*g*rows:], ps, ds, 2*rows, n-1, steps, xs, chain) {
-				replayFx(&out, fx, gp, gd, gw, ps, ds, n-1, steps, xs, chain)
+	for i := 0; i < n; i += chainLanes {
+		var g group
+		m := min(chainLanes, n-i)
+		for j := range g {
+			g[j] = i + min(j, m-1)
+			if lanes != nil {
+				g[j] = lanes[g[j]]
 			}
 		}
-		copy(dst[g:], out[:n])
+		switch {
+		case len(steps) == 0:
+			for j := range out {
+				out[j] = prefix[g[j]*ps+chain]
+			}
+		case t == Double:
+			replayDouble(&out, &g, prefix, prods, qw, ps, ds, steps, xs, chain)
+		case t == Float:
+			replayFloat(&out, &g, prefix, prods, qw, ps, ds, steps, xs, chain)
+		case t == Float16:
+			replayF16(&out, &g, prefix, prods, qw, ps, ds, steps, xs, chain)
+		default:
+			fx := &fxGrids[t]
+			if !closedFx(&out, fx, &g, prefix, prods, qw, bounds, ps, ds, 3*rows, bound, steps, xs, chain) {
+				replayFx(&out, fx, &g, prefix, prods, qw, ps, ds, steps, xs, chain)
+			}
+		}
+		for j := 0; j < m; j++ {
+			dst[g[j]] = out[j]
+		}
 	}
 }
 
+// group is the lanes one kernel call advances, by lane index; a tail group
+// repeats its last lane in the unused slots.
+type group [chainLanes]int
+
+// rows4 returns the n-element rows of a group's lanes, stride apart in s.
+func rows4(s []float64, g *group, stride, n int) (r0, r1, r2, r3 []float64) {
+	return s[g[0]*stride:][:n], s[g[1]*stride:][:n], s[g[2]*stride:][:n], s[g[3]*stride:][:n]
+}
+
 // ChainBounds returns the least and the greatest partial accumulator of one
-// golden chain, given its prefix (chain+1) and prods (chain) rows; hi is
-// +Inf when any tap's accumulate clamped (prefix[j+1] != prefix[j] +
-// prods[j]), which keeps closedFx off that chain. The layers store the pair
-// beside the rows when they fill an element.
-func ChainBounds(prefix, prods []float64) (lo, hi float64) {
+// golden chain, given its prefix (chain+1) and prods (chain) rows, and
+// whether any tap's accumulate clamped (prefix[j+1] != prefix[j] +
+// prods[j]), which keeps closedFx off a fixed-point chain. A NaN partial
+// makes lo and hi NaN. The layers store the three beside the rows when they
+// fill an element; the largest magnitude max(-lo, hi) feeds LaneBound.
+func ChainBounds(prefix, prods []float64) (lo, hi float64, clamped bool) {
 	lo, hi = prefix[0], prefix[0]
-	clamped := false
 	for j, p := range prods {
 		v := prefix[j+1]
 		lo, hi = min(lo, v), max(hi, v)
 		clamped = clamped || v != prefix[j]+p
 	}
-	if clamped {
-		hi = math.Inf(1)
-	}
-	return lo, hi
+	return lo, hi, clamped
 }
 
 // maxClosedSteps bounds the changed taps closedFx sums: a tap's Δ is at
@@ -100,41 +120,52 @@ const maxClosedSteps = 1 << 20
 // product) summed over the changed taps so far — all stay inside [satMin,
 // satMax], ends at the golden final plus the whole Δ, bit for bit: every
 // term is a multiple of 2^-f and every sum is exact. acc is the identity at
-// the bounds themselves, so the check is non-strict. A lane's faulty
-// partials are bounded by its golden lo/hi (bounds, stride bs) plus the
-// least/greatest running Δ; closedFx writes out and returns true when every
-// lane of the group passes, and returns false (out unspecified) otherwise.
-func closedFx(out *[chainLanes]float64, fx *fxGrid, prefix, prods, qw, bounds []float64, ps, ds, bs, last int, steps []int, xs []float64, chain int) bool {
+// the bounds themselves, so the checks are non-strict. A lane's faulty
+// partials lie within its golden lo/hi (bounds, stride bs) widened by the
+// caller's bound; when that keeps every lane of the group in range, the sum
+// runs alone. Otherwise it also tracks the least/greatest running Δ and
+// checks lo/hi widened by those. closedFx writes out and returns true when
+// every lane of the group passes, and returns false (out unspecified)
+// otherwise.
+func closedFx(out *[chainLanes]float64, fx *fxGrid, g *group, prefix, prods, qw, bounds []float64, ps, ds, bs int, bound float64, steps []int, xs []float64, chain int) bool {
 	if len(steps) > maxClosedSteps {
 		return false
 	}
-	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
-	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
-	var s0, s1, s2, s3, lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3 float64
-	for i, j := range steps {
-		x := xs[i]
-		s0 += fx.quant(w0[j]*x) - d0[j]
-		s1 += fx.quant(w1[j]*x) - d1[j]
-		s2 += fx.quant(w2[j]*x) - d2[j]
-		s3 += fx.quant(w3[j]*x) - d3[j]
-		lo0, lo1, lo2, lo3 = min(lo0, s0), min(lo1, s1), min(lo2, s2), min(lo3, s3)
-		hi0, hi1, hi2, hi3 = max(hi0, s0), max(hi1, s1), max(hi2, s2), max(hi3, s3)
+	b0, b1, b2, b3 := rows4(bounds, g, bs, 3)
+	if b0[2] != 0 || b1[2] != 0 || b2[2] != 0 || b3[2] != 0 {
+		return false // a golden partial clamped
 	}
-	b0, b1, b2, b3 := laneRows(bounds, bs, last, 2)
-	if b0[0]+lo0 < fx.satMin || b1[0]+lo1 < fx.satMin || b2[0]+lo2 < fx.satMin || b3[0]+lo3 < fx.satMin ||
-		b0[1]+hi0 > fx.satMax || b1[1]+hi1 > fx.satMax || b2[1]+hi2 > fx.satMax || b3[1]+hi3 > fx.satMax {
-		return false
+	d0, d1, d2, d3 := rows4(prods, g, ds, chain)
+	w0, w1, w2, w3 := rows4(qw, g, chain, chain)
+	var s0, s1, s2, s3 float64
+	if b0[0]-bound >= fx.satMin && b1[0]-bound >= fx.satMin && b2[0]-bound >= fx.satMin && b3[0]-bound >= fx.satMin &&
+		b0[1]+bound <= fx.satMax && b1[1]+bound <= fx.satMax && b2[1]+bound <= fx.satMax && b3[1]+bound <= fx.satMax {
+		for i, j := range steps {
+			x := xs[i]
+			s0 += fx.quant(w0[j]*x) - d0[j]
+			s1 += fx.quant(w1[j]*x) - d1[j]
+			s2 += fx.quant(w2[j]*x) - d2[j]
+			s3 += fx.quant(w3[j]*x) - d3[j]
+		}
+	} else {
+		var lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3 float64
+		for i, j := range steps {
+			x := xs[i]
+			s0 += fx.quant(w0[j]*x) - d0[j]
+			s1 += fx.quant(w1[j]*x) - d1[j]
+			s2 += fx.quant(w2[j]*x) - d2[j]
+			s3 += fx.quant(w3[j]*x) - d3[j]
+			lo0, lo1, lo2, lo3 = min(lo0, s0), min(lo1, s1), min(lo2, s2), min(lo3, s3)
+			hi0, hi1, hi2, hi3 = max(hi0, s0), max(hi1, s1), max(hi2, s2), max(hi3, s3)
+		}
+		if b0[0]+lo0 < fx.satMin || b1[0]+lo1 < fx.satMin || b2[0]+lo2 < fx.satMin || b3[0]+lo3 < fx.satMin ||
+			b0[1]+hi0 > fx.satMax || b1[1]+hi1 > fx.satMax || b2[1]+hi2 > fx.satMax || b3[1]+hi3 > fx.satMax {
+			return false
+		}
 	}
-	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
+	p0, p1, p2, p3 := rows4(prefix, g, ps, chain+1)
 	out[0], out[1], out[2], out[3] = p0[chain]+s0, p1[chain]+s1, p2[chain]+s2, p3[chain]+s3
 	return true
-}
-
-// laneRows returns the n-element rows of a group's lanes, stride apart in
-// s; lanes past `last` repeat lane last, so a tail group runs the same loop.
-func laneRows(s []float64, stride, last, n int) (r0, r1, r2, r3 []float64) {
-	l1, l2, l3 := min(1, last)*stride, min(2, last)*stride, min(3, last)*stride
-	return s[:n], s[l1 : l1+n], s[l2 : l2+n], s[l3 : l3+n]
 }
 
 // replayDouble: both quantizations are the identity. Re-convergence is
@@ -143,10 +174,10 @@ func laneRows(s []float64, stride, last, n int) (r0, r1, r2, r3 []float64) {
 // bit-identical — the replay simply recomputes what the early out would
 // have read from prefix. The float64 conversions are explicit roundings,
 // which keeps implementations from fusing the multiply-add into an FMA.
-func replayDouble(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
-	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
-	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
-	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
+func replayDouble(out *[chainLanes]float64, g *group, prefix, prods, qw []float64, ps, ds int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := rows4(prefix, g, ps, chain+1)
+	d0, d1, d2, d3 := rows4(prods, g, ds, chain)
+	w0, w1, w2, w3 := rows4(qw, g, chain, chain)
 	j := steps[0]
 	a0, a1, a2, a3 := p0[j], p1[j], p2[j], p3[j]
 	si := 0
@@ -168,10 +199,10 @@ func replayDouble(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds,
 	out[0], out[1], out[2], out[3] = a0, a1, a2, a3
 }
 
-func replayFloat(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
-	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
-	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
-	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
+func replayFloat(out *[chainLanes]float64, g *group, prefix, prods, qw []float64, ps, ds int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := rows4(prefix, g, ps, chain+1)
+	d0, d1, d2, d3 := rows4(prods, g, ds, chain)
+	w0, w1, w2, w3 := rows4(qw, g, chain, chain)
 	si := 0
 	for si < len(steps) {
 		j := steps[si]
@@ -204,10 +235,10 @@ func replayFloat(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, 
 	out[0], out[1], out[2], out[3] = p0[chain], p1[chain], p2[chain], p3[chain]
 }
 
-func replayF16(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
-	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
-	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
-	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
+func replayF16(out *[chainLanes]float64, g *group, prefix, prods, qw []float64, ps, ds int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := rows4(prefix, g, ps, chain+1)
+	d0, d1, d2, d3 := rows4(prods, g, ds, chain)
+	w0, w1, w2, w3 := rows4(qw, g, chain, chain)
 	si := 0
 	for si < len(steps) {
 		j := steps[si]
@@ -254,10 +285,10 @@ func replayF16(out *[chainLanes]float64, prefix, prods, qw []float64, ps, ds, la
 // so only saturation can fire); changed-tap products pay the full rounding
 // of fxGrid.quant. It is the fallback of closedFx: saturation is how a
 // fixed-point lane re-converges, so it keeps the re-convergence skip.
-func replayFx(out *[chainLanes]float64, fx *fxGrid, prefix, prods, qw []float64, ps, ds, last int, steps []int, xs []float64, chain int) {
-	p0, p1, p2, p3 := laneRows(prefix, ps, last, chain+1)
-	d0, d1, d2, d3 := laneRows(prods, ds, last, chain)
-	w0, w1, w2, w3 := laneRows(qw, chain, last, chain)
+func replayFx(out *[chainLanes]float64, fx *fxGrid, g *group, prefix, prods, qw []float64, ps, ds int, steps []int, xs []float64, chain int) {
+	p0, p1, p2, p3 := rows4(prefix, g, ps, chain+1)
+	d0, d1, d2, d3 := rows4(prods, g, ds, chain)
+	w0, w1, w2, w3 := rows4(qw, g, chain, chain)
 	si := 0
 	for si < len(steps) {
 		j := steps[si]

@@ -19,7 +19,7 @@ type laneCase struct {
 	gx, lx       []float64 // golden and faulty quantized inputs
 	steps        []int     // changed taps, ascending; lx may equal gx there
 	prefix, prod []float64
-	bounds       []float64 // per lane row: ChainBounds lo, hi
+	bounds       []float64 // per lane row: ChainBounds lo, hi, clamped
 }
 
 func (c *laneCase) lanes() int { return len(c.bias) }
@@ -31,7 +31,7 @@ func (c *laneCase) fill() {
 	n, ps, ds := c.lanes(), c.rows*(c.chain+1), c.rows*c.chain
 	c.prefix = make([]float64, n*ps)
 	c.prod = make([]float64, n*ds)
-	c.bounds = make([]float64, n*2*c.rows)
+	c.bounds = make([]float64, n*3*c.rows)
 	for _, s := range [][]float64{c.prefix, c.prod, c.bounds} {
 		for i := range s {
 			s[i] = math.NaN()
@@ -47,9 +47,31 @@ func (c *laneCase) fill() {
 			acc = accf(acc, p)
 			c.prefix[l*ps+j+1] = acc
 		}
-		b := 2 * c.rows * l
-		c.bounds[b], c.bounds[b+1] = ChainBounds(c.prefix[l*ps:l*ps+c.chain+1], c.prod[l*ds:l*ds+c.chain])
+		b := 3 * c.rows * l
+		lo, hi, clamped := ChainBounds(c.prefix[l*ps:l*ps+c.chain+1], c.prod[l*ds:l*ds+c.chain])
+		c.bounds[b], c.bounds[b+1], c.bounds[b+2] = lo, hi, 0
+		if clamped {
+			c.bounds[b+2] = 1
+		}
 	}
+}
+
+// bound is the call bound the layers pass: LaneBound over the elementwise
+// largest weight norms of the lanes, +Inf without changed taps.
+func (c *laneCase) bound() float64 {
+	if len(c.steps) == 0 {
+		return math.Inf(1)
+	}
+	var w Norms
+	for l := 0; l < c.lanes(); l++ {
+		n := NormsOf(c.qw[l*c.chain : (l+1)*c.chain])
+		w = Norms{max(w.L1, n.L1), max(w.L2, n.L2), max(w.Inf, n.Inf)}
+	}
+	dx := make([]float64, len(c.steps))
+	for i, j := range c.steps {
+		dx[i] = c.lx[j] - c.gx[j]
+	}
+	return c.dt.LaneBound(w, NormsOf(dx), 0, c.chain-c.steps[0], len(c.steps))
 }
 
 // scalarReplay is the oracle: lane l's whole chain over the faulty inputs,
@@ -71,17 +93,35 @@ func (c *laneCase) xs() []float64 {
 	return xs
 }
 
-// check replays the case through ChainReplay and returns the first lane
-// that differs from the oracle in any bit — NaN sign and payload included,
-// which is what both call sites compare against golden.
+// check replays the case through ChainReplay three ways — every lane
+// without a bound, every lane under the call bound, and every other lane,
+// last first, under it — and returns the first replayed lane that differs
+// from the oracle in any bit (NaN sign and payload included, which is what
+// both call sites compare against golden), or a lane outside the list that
+// was written.
 func (c *laneCase) check() error {
-	got := make([]float64, c.lanes())
-	c.dt.ChainReplay(got, c.prefix, c.prod, c.qw, c.bounds, c.rows, c.steps, c.xs(), c.chain)
-	for l := range got {
-		want := c.scalarReplay(l)
-		if math.Float64bits(got[l]) != math.Float64bits(want) {
-			return fmt.Errorf("%s chain %d, %d lanes, rows %d, changed %v: lane %d = %x, scalar replay = %x",
-				c.dt, c.chain, c.lanes(), c.rows, c.steps, l, math.Float64bits(got[l]), math.Float64bits(want))
+	var odd []int
+	for l := c.lanes() - 1; l >= 0; l -= 2 {
+		odd = append(odd, l)
+	}
+	for _, run := range []struct {
+		lanes []int
+		bound float64
+	}{{nil, math.Inf(1)}, {nil, c.bound()}, {odd, c.bound()}} {
+		got := make([]float64, c.lanes())
+		for l := range got {
+			got[l] = hwNaN
+		}
+		c.dt.ChainReplay(got, c.prefix, c.prod, c.qw, c.bounds, c.rows, run.lanes, run.bound, c.steps, c.xs(), c.chain)
+		for l := range got {
+			want := c.scalarReplay(l)
+			if run.lanes != nil && (c.lanes()-1-l)%2 != 0 {
+				want = hwNaN // not listed: left as it was
+			}
+			if math.Float64bits(got[l]) != math.Float64bits(want) {
+				return fmt.Errorf("%s chain %d, %d lanes %v, rows %d, bound %g, changed %v: lane %d = %x, scalar replay = %x",
+					c.dt, c.chain, c.lanes(), run.lanes, c.rows, run.bound, c.steps, l, math.Float64bits(got[l]), math.Float64bits(want))
+			}
 		}
 	}
 	return nil
@@ -263,9 +303,15 @@ func TestChainReplayClosedForm(t *testing.T) {
 					t.Fatalf("%s, lane %d of %d: %v", tc.name, at, lanes, err)
 				}
 				var out [chainLanes]float64
-				got := closedFx(&out, fx, c.prefix, c.prod, c.qw, c.bounds, c.chain+1, c.chain, 2, lanes-1, c.steps, c.xs(), c.chain)
+				g := group{0, min(1, lanes-1), min(2, lanes-1), min(3, lanes-1)}
+				got := closedFx(&out, fx, &g, c.prefix, c.prod, c.qw, c.bounds, c.chain+1, c.chain, 3, math.Inf(1), c.steps, c.xs(), c.chain)
 				if got != tc.closed {
 					t.Errorf("%s, lane %d of %d: closed form taken = %v, want %v", tc.name, at, lanes, got, tc.closed)
+				}
+				// Under the call bound the closed form may skip its running
+				// extremes, never its verdict.
+				if got := closedFx(&out, fx, &g, c.prefix, c.prod, c.qw, c.bounds, c.chain+1, c.chain, 3, c.bound(), c.steps, c.xs(), c.chain); got != tc.closed {
+					t.Errorf("%s, lane %d of %d, bound %g: closed form taken = %v, want %v", tc.name, at, lanes, c.bound(), got, tc.closed)
 				}
 			}
 		}
@@ -340,9 +386,40 @@ func FuzzChainReplayLanes(f *testing.F) {
 // never re-converges walks. The changed inputs move by a whole unit, so
 // lanes do not re-converge and the number is the steady-state cost of the
 // loop body: latency-bound when each chain is its own dependency, close to
-// throughput-bound in lane groups.
+// throughput-bound in lane groups. The calls pass no bound, as an unbounded
+// caller does; two more cells per format at chain 128, 10 % changed, time
+// the other call shapes: `lanes8` replays every eighth lane through a lane
+// list (ns per replayed lane-tap), and a fixed-point format's `bounded`
+// passes the call bound that lets closedFx drop its saturation tracking.
 func BenchmarkChainReplay(b *testing.B) {
 	const lanes = 64
+	run := func(b *testing.B, dt Type, chain, changed int, list []int, bounded bool) {
+		rng := rand.New(rand.NewSource(5))
+		c := randomLaneCase(rng, dt, lanes, chain, 1, 1, 0)
+		for _, j := range rng.Perm(chain)[:changed] {
+			c.lx[j] = dt.Quantize(c.gx[j] + 1)
+			c.steps = append(c.steps, j)
+		}
+		sort.Ints(c.steps)
+		xs, dst, bound := c.xs(), make([]float64, lanes), math.Inf(1)
+		if bounded {
+			bound = c.bound()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dt.ChainReplay(dst, c.prefix, c.prod, c.qw, c.bounds, 1, list, bound, c.steps, xs, chain)
+		}
+		replayed := lanes
+		if list != nil {
+			replayed = len(list)
+		}
+		taps := float64(replayed * (chain - c.steps[0]))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/taps, "ns/tap")
+	}
+	var eighth []int
+	for l := 0; l < lanes; l += 8 {
+		eighth = append(eighth, l)
+	}
 	for _, dt := range []Type{Double, Float, Float16, Fx32RB10, Fx16RB10} {
 		for _, chain := range []int{16, 128, 1152} {
 			for _, d := range []struct {
@@ -354,22 +431,13 @@ func BenchmarkChainReplay(b *testing.B) {
 				{"50pct", func(chain int) int { return chain / 2 }},
 			} {
 				b.Run(fmt.Sprintf("%s/chain%d/%s", dt, chain, d.name), func(b *testing.B) {
-					rng := rand.New(rand.NewSource(5))
-					c := randomLaneCase(rng, dt, lanes, chain, 1, 1, 0)
-					for _, j := range rng.Perm(chain)[:d.changed(chain)] {
-						c.lx[j] = dt.Quantize(c.gx[j] + 1)
-						c.steps = append(c.steps, j)
-					}
-					sort.Ints(c.steps)
-					xs, dst := c.xs(), make([]float64, lanes)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						dt.ChainReplay(dst, c.prefix, c.prod, c.qw, c.bounds, 1, c.steps, xs, chain)
-					}
-					taps := float64(lanes * (chain - c.steps[0]))
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/taps, "ns/tap")
+					run(b, dt, chain, d.changed(chain), nil, false)
 				})
 			}
+		}
+		b.Run(fmt.Sprintf("%s/chain128/10pct/lanes8", dt), func(b *testing.B) { run(b, dt, 128, 13, eighth, false) })
+		if !dt.IsFloat() {
+			b.Run(fmt.Sprintf("%s/chain128/10pct/bounded", dt), func(b *testing.B) { run(b, dt, 128, 13, nil, true) })
 		}
 	}
 }

@@ -211,6 +211,8 @@ func (inj *injector) Eval(sc *network.SlotScratch, bit int) *network.Execution {
 	return inj.execute(sc, inj.g, inj.pos, s)
 }
 
+func (inj *injector) ReadsActs() bool { return false }
+
 func (inj *injector) Tally(r *Report, in engine.Injection) {
 	r.Counts.Add(in.Outcome)
 	r.PerLatch[inj.s.Latch].Add(in.Outcome)
